@@ -177,6 +177,12 @@ def _parse_environment(data, chk: _Checker) -> Environment:
     raise chk.fail(f"{path}.kind", f"unknown environment kind {kind!r}")
 
 
+def _require_unique(chk: _Checker, items: list, key: str) -> None:
+    """Reject a list that repeats an entry; repeats would run a check twice."""
+    for i, item in enumerate(items):
+        chk.require(item not in items[:i], f"{key}[{i}]", f"duplicate entry {item!r}")
+
+
 def _check_int(chk: _Checker, data: dict, key: str, default, minimum=None):
     value = data.get(key, default)
     if value is None:
@@ -205,17 +211,20 @@ def parse_config(data: dict, source: str = "<memory>", lines: dict[str, int] | N
     chk.require(isinstance(suites, list) and suites, "suites", "expected a non-empty list")
     for i, s in enumerate(suites):
         chk.require(s in KNOWN_SUITES, f"suites[{i}]", f"unknown suite {s!r}; known: {list(KNOWN_SUITES)}")
+    _require_unique(chk, suites, "suites")
 
     p_list = data.get("p", [2.0])
     chk.require(isinstance(p_list, list) and p_list, "p", "expected a non-empty list")
     for i, p in enumerate(p_list):
         chk.require(isinstance(p, (int, float)) and p > 1, f"p[{i}]", "each p must be a number > 1")
+    _require_unique(chk, p_list, "p")
 
     rho = data.get("rho")
     if rho is not None:
         chk.require(isinstance(rho, list) and rho, "rho", "expected a non-empty list")
         for i, r in enumerate(rho):
             chk.require(isinstance(r, (int, float)) and r >= 1, f"rho[{i}]", "each rho must be >= 1")
+        _require_unique(chk, rho, "rho")
 
     n_max = _check_int(chk, data, "n_max", 30, minimum=1)
     gap = _check_int(chk, data, "gap", 20, minimum=1)
@@ -241,6 +250,7 @@ def parse_config(data: dict, source: str = "<memory>", lines: dict[str, int] | N
     chk.require(isinstance(verify, list) and verify, "verify", "expected a non-empty list")
     for i, v in enumerate(verify):
         chk.require(v in VERIFY_CHECKS, f"verify[{i}]", f"unknown check {v!r}; known: {list(VERIFY_CHECKS)}")
+    _require_unique(chk, verify, "verify")
 
     return ExperimentConfig(
         name=name,

@@ -55,14 +55,7 @@ class EnvPath:
 
 
 class Environment:
-    """Common surface of the two environment models."""
-
-    def sample_path(self, length: int, rng: np.random.Generator | None = None) -> EnvPath:
-        raise NotImplementedError
-
-    @property
-    def is_supercritical(self) -> bool:
-        raise NotImplementedError
+    """Common surface of the two environment models; each has sample_path and is_supercritical."""
 
     # Stationary functionals exist only for the i.i.d. mixture model.
 

@@ -1,4 +1,4 @@
-"""Monte Carlo reductions: L^p norms, decay-rate fits, sandwich and rate checks.
+"""Monte Carlo reductions: L^p norms, decay-rate fits and the Burkholder sandwich.
 
 Every estimator drops capped replicas (their trajectories are frozen, not
 simulated) and reports the dropped fraction; extinct replicas stay in, since
@@ -130,6 +130,19 @@ class DecayFit:
     bias_bounds: dict[int, float] = field(default_factory=dict)
 
 
+def wls_line(xs, ys, sds) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted least-squares line ys ~ b0 + b1 xs with weights 1/sds^2.
+
+    Standard deviations are floored at 1e-12. Returns (beta, cov, design,
+    weights), with cov the inverse of the weighted Gram matrix.
+    """
+    wts = 1.0 / np.maximum(np.asarray(sds, dtype=float), 1e-12) ** 2
+    x_mat = np.column_stack([np.ones(len(xs)), np.asarray(xs, dtype=float)])
+    gram = x_mat.T @ (wts[:, None] * x_mat)
+    beta = np.linalg.solve(gram, x_mat.T @ (wts * np.asarray(ys)))
+    return beta, np.linalg.inv(gram), x_mat, wts
+
+
 def _prelim_rho(ns: np.ndarray, ys: np.ndarray) -> float:
     slope = np.polyfit(ns, ys, 1)[0]
     return float(np.exp(-slope)) if slope < 0 else 1.0
@@ -191,13 +204,9 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
     window = est[best_lo : best_lo + best_len]
     xs = ns[best_lo : best_lo + best_len]
     ys = np.log([e.value for e in window]) / p
-    sds = np.array([max(e.stderr / (p * e.value), 1e-12) for e in window])
+    sds = [e.stderr / (p * e.value) for e in window]
 
-    wts = 1.0 / sds**2
-    x_mat = np.column_stack([np.ones_like(xs), xs])
-    gram = x_mat.T @ (wts[:, None] * x_mat)
-    beta = np.linalg.solve(gram, x_mat.T @ (wts * ys))
-    cov = np.linalg.inv(gram)
+    beta, cov, x_mat, wts = wls_line(xs, ys, sds)
     intercept, slope = float(beta[0]), float(beta[1])
     se_slope = math.sqrt(cov[1, 1])
     ci_method = "wls-cov"
@@ -337,65 +346,4 @@ def burkholder_sandwich(
         upper=upper,
         lower_ok=lower <= a_norm + lower_slack,
         upper_ok=a_norm <= upper + upper_slack,
-    )
-
-
-@dataclass
-class AsRateDiagnostic:
-    """Growth profile of c^n |W_N - W_n| with c = m_geo^{1/(q+epsilon)}."""
-
-    p: float
-    epsilon: float
-    growth_factor: float
-    n_window: tuple[int, int]
-    max_quantiles: dict[int, float]
-    growing_fraction: float
-    median_curve: np.ndarray
-    consistent: bool
-
-    @property
-    def verdict(self) -> str:
-        return "consistent" if self.consistent else "inconsistent"
-
-
-def as_rate_diagnostic(
-    batch: TrajectoryBatch, p: float, m_geo: float, epsilon: float, gap: int = 20
-) -> AsRateDiagnostic:
-    """Probe the almost-sure decay exponent q = p/(p-1) of the proxy error.
-
-    If |W_N - W_n| really decays like m_geo^{-n/q}, scaling by
-    m_geo^{n/(q+epsilon)} still leaves a vanishing sequence; systematic
-    growth along n across replicas would contradict the claimed rate.
-    """
-    if not 1.0 < p < 2.0:
-        raise ParameterError("p must lie in (1, 2)")
-    if epsilon <= 0.0 or m_geo <= 1.0:
-        raise ParameterError("need epsilon > 0 and m_geo > 1")
-    last = batch.n_max - gap
-    if last < 2:
-        raise ParameterError(f"gap {gap} leaves fewer than 3 usable generations")
-    q = p / (p - 1.0)
-    c = m_geo ** (1.0 / (q + epsilon))
-    w = _uncapped_w(batch)
-    ns = np.arange(last + 1)
-    stat = c**ns * np.abs(w[:, batch.n_max, None] - w[:, : last + 1])
-    maxima = stat.max(axis=1)
-    cut = max(1, (2 * len(ns)) // 3)
-    growing = stat[:, cut:].max(axis=1) > stat[:, :cut].max(axis=1)
-    median_curve = np.median(stat, axis=0)
-    head = float(median_curve[: max(1, len(ns) // 3)].mean())
-    tail = float(median_curve[cut:].mean())
-    return AsRateDiagnostic(
-        p=p,
-        epsilon=epsilon,
-        growth_factor=c,
-        n_window=(0, last),
-        max_quantiles={
-            50: float(np.quantile(maxima, 0.50)),
-            90: float(np.quantile(maxima, 0.90)),
-            99: float(np.quantile(maxima, 0.99)),
-        },
-        growing_fraction=float(growing.mean()),
-        median_curve=median_curve,
-        consistent=tail <= head or tail <= 1e-12,
     )

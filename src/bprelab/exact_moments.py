@@ -90,14 +90,6 @@ class MomentTable:
         # in log space: E W_n^r = exp(log E Z_n^r - r log P_n)
         return np.exp(np.log(self.values[:, r]) - r * self.log_means)
 
-    def to_csv(self, path) -> None:
-        """Write rows `n,j,value`."""
-        with open(path, "w") as fh:
-            fh.write("n,j,value\n")
-            for n in range(self.values.shape[0]):
-                for j in range(self.values.shape[1]):
-                    fh.write(f"{n},{j},{float(self.values[n, j])!r}\n")
-
 
 def _check_overflow(row: np.ndarray, n: int) -> None:
     bad = np.where(~(np.abs(row) < OVERFLOW_LIMIT))[0]

@@ -93,37 +93,87 @@ class _Context:
         grid = rates.default_rho_grid(math.sqrt(max(self.geo_mean(), 1.0)))
         return (float(grid[0]), float(grid[len(grid) // 2]), float(grid[-1]))
 
+    @property
+    def series_seed(self) -> int:
+        """Seed of the realized path for diagnostics: path_seed, else master_seed."""
+        return self.cfg.path_seed if self.cfg.path_seed is not None else self.cfg.master_seed
+
     def series_path(self, length: int) -> EnvPath:
-        """A realized path for BPVE diagnostics; falls back to master_seed."""
+        """A realized path for BPVE diagnostics, drawn as a quenched batch draws its path."""
         if isinstance(self.env, FixedPath):
             return self.env.sample_path(min(length, len(self.env.laws)))
-        seed = self.cfg.path_seed if self.cfg.path_seed is not None else self.cfg.master_seed
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng = np.random.default_rng(np.random.SeedSequence(self.series_seed))
         return self.env.sample_path(length, rng)
 
     # -- cached simulation batches ----------------------------------------
 
-    def batch(self, mode: str, replicas: int | None = None, path_seed: int | None = None) -> TrajectoryBatch:
+    def batch(self, mode: str, **overrides) -> TrajectoryBatch:
+        """The config's batch in `mode`, with SimConfig fields overridden; one run per SimConfig."""
         cfg = self.cfg
-        replicas = cfg.replicas if replicas is None else replicas
-        path_seed = cfg.path_seed if path_seed is None else path_seed
-        key = (mode, replicas, path_seed)
-        if key not in self._batches:
-            sim = SimConfig(
-                env=cfg.env,
-                mode=mode,
-                n_max=cfg.n_max,
-                replicas=replicas,
-                master_seed=cfg.master_seed,
-                path_seed=path_seed,
-                pop_cap=cfg.pop_cap,
-                rho_grid=self.rho_grid(),
-            )
-            self._batches[key] = run(sim, threads=cfg.threads)
-        return self._batches[key]
+        fields = dict(
+            env=cfg.env, n_max=cfg.n_max, replicas=cfg.replicas, master_seed=cfg.master_seed,
+            path_seed=cfg.path_seed, pop_cap=cfg.pop_cap,
+        ) | overrides
+        if "rho_grid" not in fields:
+            fields["rho_grid"] = self.rho_grid()
+        sim = SimConfig(mode=mode, **fields)
+        if sim not in self._batches:
+            self._batches[sim] = run(sim, threads=cfg.threads)
+        return self._batches[sim]
 
     def default_mode(self) -> str:
         return MODE_ANNEALED if self.is_mixture else MODE_QUENCHED
+
+
+# ---------------------------------------------------------------------------
+# relations checked by both the suites and verify
+
+
+def _rate_orderings(rep: rates.RateReport) -> list[tuple[str, str, bool, dict]]:
+    """The proven orderings among one report's rates, as (name, statement, verdict, observed)."""
+    suff, crit = rep.quenched_sufficient_bound, rep.quenched_critical
+    rho0, rhoc = rep.annealed_rho0, rep.annealed_rhoc
+    items = [
+        ("sufficient-le-critical",
+         "the sufficient quenched rate bound never exceeds the critical one",
+         suff <= crit + 1e-12, {"sufficient": suff, "critical": crit}),
+        ("annealed-le-quenched",
+         "the annealed critical rate never exceeds the quenched critical rate",
+         rhoc <= crit + 1e-12, {"annealed_rhoc": rhoc, "quenched_critical": crit}),
+    ]
+    pair = {"rho0": rho0, "rhoc": rhoc}
+    if rep.p >= 2.0:
+        items.append(("rates-collapse", "for p >= 2 the two annealed rate formulas agree",
+                      math.isclose(rho0, rhoc, rel_tol=1e-12), pair))
+    elif rep.condition_flags.get("tilt_positive"):
+        statement = "under a positive tilt the sufficient annealed rate is below the critical one"
+        items.append(("rho0-le-rhoc", statement, rho0 <= rhoc + 1e-12, pair))
+    return items
+
+
+def _p2_partial_sums(moments, inc, tol: float) -> tuple[bool, float]:
+    """E[W_n^2] against 1 + sum_{k<n} E|W_{k+1} - W_k|^2: (verdict, worst relative error)."""
+    worst = 0.0
+    for n, moment in enumerate(moments):
+        closed = 1.0 + _exact_segment(inc, 0, n)
+        worst = max(worst, abs(moment - closed) / max(closed, 1.0))
+    return worst <= tol, worst
+
+
+def _growth_envelope(env: Environment, n: int, orders) -> tuple[bool, dict[int, bool]]:
+    """Whether each order's scaled moments stay under the envelope up to max(n, 10)."""
+    holds = {r: exact_moments.growth_envelope_check(env, 0.0, r, max(n, 10)) for r in orders}
+    return all(holds.values()), holds
+
+
+def _recursion_slack(env: Environment, n: int) -> tuple[bool, float]:
+    """Least slack of the split-moment recursion (orders 3-4, s in {0, 1}) up to max(n, 10)."""
+    min_slack = min(
+        float(exact_moments.recursion_inequality_slacks(env, s, r, max(n, 10)).min())
+        for r in (3, 4)
+        for s in (0.0, 1.0)
+    )
+    return min_slack >= -1e-12, min_slack
 
 
 # ---------------------------------------------------------------------------
@@ -140,41 +190,8 @@ def _suite_rates(ctx: _Context) -> dict:
             f"{p!r},{rep.m_geo!r},{rep.quenched_sufficient_bound!r},"
             f"{rep.quenched_critical!r},{rep.annealed_rho0!r},{rep.annealed_rhoc!r}"
         )
-        tag = f"rates.p{p:g}"
-        ctx.check(
-            "rates",
-            f"{tag}.sufficient-le-critical",
-            "the sufficient quenched rate bound never exceeds the critical one",
-            rep.quenched_sufficient_bound <= rep.quenched_critical + 1e-12,
-            sufficient=rep.quenched_sufficient_bound,
-            critical=rep.quenched_critical,
-        )
-        ctx.check(
-            "rates",
-            f"{tag}.annealed-le-quenched",
-            "the annealed critical rate never exceeds the quenched critical rate",
-            rep.annealed_rhoc <= rep.quenched_critical + 1e-12,
-            annealed_rhoc=rep.annealed_rhoc,
-            quenched_critical=rep.quenched_critical,
-        )
-        if p >= 2.0:
-            ctx.check(
-                "rates",
-                f"{tag}.rates-collapse",
-                "for p >= 2 the two annealed rate formulas agree",
-                math.isclose(rep.annealed_rho0, rep.annealed_rhoc, rel_tol=1e-12),
-                rho0=rep.annealed_rho0,
-                rhoc=rep.annealed_rhoc,
-            )
-        elif rep.condition_flags.get("tilt_positive"):
-            ctx.check(
-                "rates",
-                f"{tag}.rho0-le-rhoc",
-                "under a positive tilt the sufficient annealed rate is below the critical one",
-                rep.annealed_rho0 <= rep.annealed_rhoc + 1e-12,
-                rho0=rep.annealed_rho0,
-                rhoc=rep.annealed_rhoc,
-            )
+        for name, statement, passed, observed in _rate_orderings(rep):
+            ctx.check("rates", f"rates.p{p:g}.{name}", statement, passed, **observed)
     ctx.add_csv(
         "rates.csv",
         "p,m_geo,quenched_sufficient_bound,quenched_critical,annealed_rho0,annealed_rhoc",
@@ -197,6 +214,11 @@ def _table_rows(table: exact_moments.MomentTable) -> list[str]:
 
 def _exact_segment(inc: list[float] | np.ndarray, n: int, upto: int) -> float:
     return float(math.fsum(inc[n:upto]))
+
+
+def _gap_sums(inc, n_max: int, gap: int) -> list[float]:
+    """Exact E|W_{n+gap} - W_n|^2, the sum of the increments' second moments, per n."""
+    return [_exact_segment(inc, n, n + gap) for n in range(n_max - gap + 1)]
 
 
 def _suite_exact(ctx: _Context) -> dict:
@@ -239,45 +261,33 @@ def _suite_exact(ctx: _Context) -> dict:
             "sup_w2": forms.sup_w2(),
         }
         inc = [forms.increment_second_moment(k) for k in range(n_table)]
-        worst = 0.0
-        for n in range(n_table + 1):
-            closed = 1.0 + _exact_segment(inc, 0, n)
-            worst = max(worst, abs(u_by_order[2][n] - closed) / max(closed, 1.0))
+        passed, worst = _p2_partial_sums(u_by_order[2], inc, tol)
         ctx.check(
             "exact",
             "exact.p2-partial-sums",
             "second moments from the recursion match the closed-form partial sums",
-            worst <= tol,
+            passed,
             max_rel_error=worst,
         )
-        envelope_ok = all(
-            exact_moments.growth_envelope_check(ctx.env, 0.0, r, max(n_table, 10))
-            for r in range(2, EXACT_TABLE_ORDER + 1)
-        )
+        passed, holds = _growth_envelope(ctx.env, n_table, range(2, EXACT_TABLE_ORDER + 1))
         ctx.check(
             "exact",
             "exact.growth-envelope",
             "scaled moment sequences stay under the polynomial-times-base envelope",
-            envelope_ok,
-            orders=list(range(2, EXACT_TABLE_ORDER + 1)),
+            passed,
+            orders=list(holds),
         )
-        min_slack = min(
-            float(exact_moments.recursion_inequality_slacks(ctx.env, s, r, max(n_table, 10)).min())
-            for r in (3, 4)
-            for s in (0.0, 1.0)
-        )
+        passed, min_slack = _recursion_slack(ctx.env, n_table)
         ctx.check(
             "exact",
             "exact.recursion-slack",
             "the split-moment recursion inequality holds with non-negative slack",
-            min_slack >= -1e-12,
+            passed,
             min_slack=min_slack,
         )
 
     path = None
-    if isinstance(ctx.env, FixedPath):
-        path = ctx.env.sample_path(min(n_table, len(ctx.env.laws)))
-    elif ctx.cfg.path_seed is not None:
+    if isinstance(ctx.env, FixedPath) or ctx.cfg.path_seed is not None:
         path = ctx.series_path(n_table)
     if path is not None:
         qtable = exact_moments.quenched_moments(path, EXACT_TABLE_ORDER, len(path))
@@ -312,7 +322,6 @@ def _suite_exact(ctx: _Context) -> dict:
             )
 
     if ctx.is_mixture and len(ctx.env.states) == 1 and path is not None:
-        qtable = exact_moments.quenched_moments(path, EXACT_TABLE_ORDER, len(path))
         table = exact_moments.annealed_moment_table(ctx.env, 0.0, EXACT_TABLE_ORDER, len(path))
         diff = float(
             np.max(
@@ -347,15 +356,6 @@ def _fit_payload(fit) -> dict:
         "r_squared": fit.r_squared,
         "points_used": fit.points_used,
     }
-
-
-def _wls_slope(ns, ys, sds) -> tuple[float, float]:
-    wts = 1.0 / np.maximum(np.asarray(sds), 1e-12) ** 2
-    x = np.column_stack([np.ones(len(ns)), np.asarray(ns, dtype=float)])
-    gram = x.T @ (wts[:, None] * x)
-    beta = np.linalg.solve(gram, x.T @ (wts * np.asarray(ys)))
-    cov = np.linalg.inv(gram)
-    return float(beta[1]), float(math.sqrt(cov[1, 1]))
 
 
 def _rate_estimates(
@@ -440,7 +440,7 @@ def _fit_with_oracle(
             ns = [e.n for e, _ in sel]
             ys = [math.log(x) / p for _, x in sel]
             sds = [e.stderr / (p * e.value) for e, _ in sel]
-            slope_exact, _ = _wls_slope(ns, ys, sds)
+            slope_exact = float(estimators.wls_line(ns, ys, sds)[0][1])
             drift = abs(fit.slope - slope_exact)
             ctx.check(
                 suite,
@@ -479,9 +479,7 @@ def _suite_quenched_rate(ctx: _Context) -> dict:
     section: dict = {"path_means": [float(m) for m in path.means], "per_p": []}
     for p in cfg.p:
         if p == 2.0:
-            exact_vals = [
-                _exact_segment(inc, n, n + cfg.gap) for n in range(0, batch.n_max - cfg.gap + 1)
-            ]
+            exact_vals = _gap_sums(inc, batch.n_max, cfg.gap)
             bias = lambda n, upto: _exact_segment(inc, upto, batch.n_max) + _tail_remainder(path, inc)
         else:
             exact_vals, bias = None, None
@@ -539,9 +537,7 @@ def _suite_annealed_rate(ctx: _Context) -> dict:
         exact_vals = None
         predicted = None
         if p == 2.0:
-            exact_vals = [
-                _exact_segment(inc, n, n + cfg.gap) for n in range(0, batch.n_max - cfg.gap + 1)
-            ]
+            exact_vals = _gap_sums(inc, batch.n_max, cfg.gap)
             if forms.summable:
                 bias = lambda n, upto: forms.tail(upto)
                 predicted = 1.0 / math.sqrt(forms.q1) if forms.q1 > 0 else None
@@ -780,6 +776,11 @@ def _sanitize(obj):
 
 
 def _build_report(cfg: ExperimentConfig, suites: dict, checks: list[dict], timings: dict) -> dict:
+    seen: set[str] = set()
+    for c in checks:
+        if c["id"] in seen:
+            raise BpreLabError(f"check id {c['id']!r} is repeated; ids must identify one check")
+        seen.add(c["id"])
     failed = sum(1 for c in checks if not c["passed"])
     return _sanitize(
         {
@@ -815,11 +816,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], i
     suites: dict = {}
     timings: dict = {}
     t_start = time.perf_counter()
-    seen = []
     for suite in cfg.suites:
-        if suite in seen:
-            continue
-        seen.append(suite)
         t0 = time.perf_counter()
         suites[suite] = _SUITES[suite](ctx)
         timings[suite] = time.perf_counter() - t0
@@ -833,87 +830,64 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], i
 # verify suite: cross-module consistency checks with recorded errors
 
 
-def _verify_sizes(cfg: ExperimentConfig) -> tuple[int, int]:
-    replicas = max(1_000, min(cfg.replicas, 4_000))
-    n_small = max(4, min(cfg.n_max, 12))
-    return replicas, n_small
-
-
-def _verify_p2_closed_forms(ctx: _Context, n_small: int) -> dict:
-    if ctx.is_mixture:
-        forms = exact_moments.p2_closed_forms(ctx.env)
-        u2 = exact_moments.annealed_u(ctx.env, 0.0, 2, n_small)
-        inc = [forms.increment_second_moment(k) for k in range(n_small)]
-        worst = max(
-            abs(u2[n] - (1.0 + _exact_segment(inc, 0, n)))
-            / max(1.0 + _exact_segment(inc, 0, n), 1.0)
-            for n in range(n_small + 1)
-        )
-        observed = {"max_rel_error": worst, "q1": forms.q1, "summable": forms.summable}
-        if forms.summable:
-            rho = min(1.05, 1.0 / math.sqrt(forms.q1) if forms.q1 > 0 else 1.05)
-            rho = max(rho, 1.0)
-            if forms.q1 * rho**2 < 1.0:
-                partial = exact_moments.a_hat_second_moment_partial(ctx.env, rho, n_small)
-                sup = forms.sup_a_hat2(rho)
-                remainder = (
-                    forms.b2
-                    * (rho**2 * forms.q1) ** n_small
-                    / (1.0 - rho**2 * forms.q1)
-                )
-                observed["a_hat_gap"] = sup - partial
-                observed["a_hat_remainder_bound"] = remainder
-                if not (-1e-12 <= sup - partial <= remainder + 1e-12):
-                    return {"passed": False, **observed}
-        return {"passed": worst <= ctx.cfg.tolerances["exact_rel"], **observed}
-    path = ctx.series_path(n_small)
-    qtable = exact_moments.quenched_moments(path, 2, len(path))
-    inc = exact_moments.quenched_increment_second_moments(path, len(path))
-    worst = max(
-        abs(qtable.w_moments(2)[n] - (1.0 + _exact_segment(inc, 0, n)))
-        / max(1.0 + _exact_segment(inc, 0, n), 1.0)
-        for n in range(len(path) + 1)
-    )
-    return {"passed": worst <= ctx.cfg.tolerances["exact_rel"], "max_rel_error": worst}
-
-
-def _verify_recursion(ctx: _Context, n_small: int) -> dict:
+def _verify_p2_closed_forms(ctx: _Context, n_small: int) -> tuple[bool, dict]:
+    tol = ctx.cfg.tolerances["exact_rel"]
     if not ctx.is_mixture:
-        return {"passed": True, "skipped": "needs a stationary mixture"}
-    min_slack = min(
-        float(exact_moments.recursion_inequality_slacks(ctx.env, s, r, max(n_small, 10)).min())
-        for r in (3, 4)
-        for s in (0.0, 1.0)
-    )
-    return {"passed": min_slack >= -1e-12, "min_slack": min_slack}
+        path = ctx.series_path(n_small)
+        qtable = exact_moments.quenched_moments(path, 2, len(path))
+        inc = exact_moments.quenched_increment_second_moments(path, len(path))
+        passed, worst = _p2_partial_sums(qtable.w_moments(2), inc, tol)
+        return passed, {"max_rel_error": worst}
+    forms = exact_moments.p2_closed_forms(ctx.env)
+    u2 = exact_moments.annealed_u(ctx.env, 0.0, 2, n_small)
+    inc = [forms.increment_second_moment(k) for k in range(n_small)]
+    passed, worst = _p2_partial_sums(u2, inc, tol)
+    observed = {"max_rel_error": worst, "q1": forms.q1, "summable": forms.summable}
+    if forms.summable:
+        rho = min(1.05, 1.0 / math.sqrt(forms.q1) if forms.q1 > 0 else 1.05)
+        rho = max(rho, 1.0)
+        if forms.q1 * rho**2 < 1.0:
+            partial = exact_moments.a_hat_second_moment_partial(ctx.env, rho, n_small)
+            sup = forms.sup_a_hat2(rho)
+            remainder = (
+                forms.b2
+                * (rho**2 * forms.q1) ** n_small
+                / (1.0 - rho**2 * forms.q1)
+            )
+            observed["a_hat_gap"] = sup - partial
+            observed["a_hat_remainder_bound"] = remainder
+            if not (-1e-12 <= sup - partial <= remainder + 1e-12):
+                return False, observed
+    return passed, observed
 
 
-def _verify_envelope(ctx: _Context, n_small: int) -> dict:
+def _verify_recursion(ctx: _Context, n_small: int) -> tuple[bool, dict]:
     if not ctx.is_mixture:
-        return {"passed": True, "skipped": "needs a stationary mixture"}
-    holds = {
-        r: exact_moments.growth_envelope_check(ctx.env, 0.0, r, max(n_small, 10))
-        for r in (2, 3, 4, 5)
-    }
-    return {"passed": all(holds.values()), "per_order": {str(k): v for k, v in holds.items()}}
+        return True, {"skipped": "needs a stationary mixture"}
+    passed, min_slack = _recursion_slack(ctx.env, n_small)
+    return passed, {"min_slack": min_slack}
 
 
-def _verify_batch(ctx: _Context, replicas: int, n_small: int) -> TrajectoryBatch:
-    path = ctx.series_path(n_small)
-    env = FixedPath(path.laws) if ctx.is_mixture else ctx.env
-    sim = SimConfig(
-        env=env,
-        mode=MODE_QUENCHED,
+def _verify_envelope(ctx: _Context, n_small: int) -> tuple[bool, dict]:
+    if not ctx.is_mixture:
+        return True, {"skipped": "needs a stationary mixture"}
+    passed, holds = _growth_envelope(ctx.env, n_small, (2, 3, 4, 5))
+    return passed, {"per_order": holds}
+
+
+def _verify_batch(ctx: _Context, n_small: int) -> TrajectoryBatch:
+    """A small quenched batch along the series path, shared by the batch checks."""
+    return ctx.batch(
+        MODE_QUENCHED,
         n_max=n_small,
-        replicas=replicas,
-        master_seed=ctx.cfg.master_seed,
-        pop_cap=ctx.cfg.pop_cap,
+        replicas=max(1_000, min(ctx.cfg.replicas, 4_000)),
+        path_seed=ctx.series_seed,
         rho_grid=(1.1, 1.3),
     )
-    return run(sim, threads=ctx.cfg.threads)
 
 
-def _verify_identity(ctx: _Context, batch: TrajectoryBatch) -> dict:
+def _verify_identity(ctx: _Context, n_small: int) -> tuple[bool, dict]:
+    batch = _verify_batch(ctx, n_small)
     tol = ctx.cfg.tolerances["identity"]
     worst = max(
         increment_identity_check(batch, rho, n)
@@ -921,102 +895,84 @@ def _verify_identity(ctx: _Context, batch: TrajectoryBatch) -> dict:
         for n in (1, batch.n_max - 2)
         if n >= 0
     )
-    return {"passed": worst <= tol, "max_residual": worst, "tolerance": tol}
+    return worst <= tol, {"max_residual": worst, "tolerance": tol}
 
 
-def _verify_burkholder(ctx: _Context, batch: TrajectoryBatch) -> dict:
+def _verify_burkholder(ctx: _Context, n_small: int) -> tuple[bool, dict]:
+    batch = _verify_batch(ctx, n_small)
     p = ctx.cfg.p[0]
     sc = estimators.burkholder_sandwich(
         batch, p, batch.rho_grid[0], batch.n_max - 1,
         slack_sigmas=ctx.cfg.tolerances["sigmas"],
     )
-    return {
-        "passed": sc.ok,
-        "p": p,
-        "a_norm": sc.a_norm,
-        "lower": sc.lower,
-        "upper": sc.upper,
-    }
+    return sc.ok, {"p": p, "a_norm": sc.a_norm, "lower": sc.lower, "upper": sc.upper}
 
 
-def _verify_orderings(ctx: _Context) -> dict:
+def _verify_orderings(ctx: _Context, n_small: int) -> tuple[bool, dict]:
     if not ctx.is_mixture:
-        return {"passed": True, "skipped": "needs a stationary mixture"}
+        return True, {"skipped": "needs a stationary mixture"}
     if not ctx.env.is_supercritical:
-        return {"passed": True, "skipped": "environment is not supercritical"}
-    ok = True
-    worst = None
-    for p in ctx.cfg.p:
-        rep = rates.rate_report(ctx.env, p)
-        ok = ok and rep.annealed_rhoc <= rep.quenched_critical + 1e-12
-        ok = ok and rep.quenched_sufficient_bound <= rep.quenched_critical + 1e-12
-        if p >= 2.0:
-            ok = ok and math.isclose(rep.annealed_rho0, rep.annealed_rhoc, rel_tol=1e-12)
-        elif rep.condition_flags.get("tilt_positive"):
-            ok = ok and rep.annealed_rho0 <= rep.annealed_rhoc + 1e-12
-        worst = rep.to_dict()
-    return {"passed": ok, "last_report": worst}
+        return True, {"skipped": "environment is not supercritical"}
+    reports = [rates.rate_report(ctx.env, p) for p in ctx.cfg.p]
+    passed = all(ok for rep in reports for _, _, ok, _ in _rate_orderings(rep))
+    return passed, {"last_report": reports[-1].to_dict()}
 
 
-def _verify_quenched_increments(ctx: _Context, batch: TrajectoryBatch) -> dict:
-    path = batch.path
-    inc = exact_moments.quenched_increment_second_moments(path, batch.n_max)
+def _verify_quenched_increments(ctx: _Context, n_small: int) -> tuple[bool, dict]:
+    batch = _verify_batch(ctx, n_small)
+    inc = exact_moments.quenched_increment_second_moments(batch.path, batch.n_max)
     sigmas = ctx.cfg.tolerances["sigmas"]
     mask = batch.uncapped
-    ok = True
+    passed = True
     worst = 0.0
     for n in range(min(6, batch.n_max)):
         x = (batch.w[mask, n + 1] - batch.w[mask, n]) ** 2
         mean = float(x.mean())
         se = estimators._batch_means_stderr(x)
         gap = abs(mean - float(inc[n]))
-        ok = ok and gap <= sigmas * se + 1e-12
+        passed = passed and gap <= sigmas * se + 1e-12
         worst = max(worst, gap - sigmas * se)
-    return {"passed": ok, "worst_excess": worst}
+    return passed, {"worst_excess": worst}
+
+
+# name -> (statement, check), in the order of config.VERIFY_CHECKS
+_VERIFY = {
+    "p2-closed-forms": (
+        "closed-form second moments match the recursion tables", _verify_p2_closed_forms
+    ),
+    "recursion-inequality": (
+        "the split-moment recursion inequality has non-negative slack", _verify_recursion
+    ),
+    "growth-envelope": (
+        "scaled moments stay under the polynomial-times-base envelope", _verify_envelope
+    ),
+    "increment-identity": (
+        "the telescoped and accumulator forms agree to rounding", _verify_identity
+    ),
+    "burkholder-sandwich": (
+        "the weighted-increment norm sits inside the square-function bracket", _verify_burkholder
+    ),
+    "rate-orderings": ("computed rates obey their proven orderings", _verify_orderings),
+    "quenched-increments": (
+        "simulated squared increments match the exact path values", _verify_quenched_increments
+    ),
+}
 
 
 def verify_suite(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], int]:
-    """Run the cross-module consistency checks; errors are recorded per check."""
+    """Run the cross-module consistency checks at small sizes; errors are recorded per check."""
     ctx = _Context(cfg)
-    replicas, n_small = _verify_sizes(cfg)
-    batch = None
-    statements = {
-        "p2-closed-forms": "closed-form second moments match the recursion tables",
-        "recursion-inequality": "the split-moment recursion inequality has non-negative slack",
-        "growth-envelope": "scaled moments stay under the polynomial-times-base envelope",
-        "increment-identity": "the telescoped and accumulator forms agree to rounding",
-        "burkholder-sandwich": "the weighted-increment norm sits inside the square-function bracket",
-        "rate-orderings": "computed rates obey their proven orderings",
-        "quenched-increments": "simulated squared increments match the exact path values",
-    }
+    n_small = max(4, min(cfg.n_max, 12))
     timings: dict = {}
     t_start = time.perf_counter()
     for name in cfg.verify:
+        statement, fn = _VERIFY[name]
         t0 = time.perf_counter()
         try:
-            if name == "p2-closed-forms":
-                result = _verify_p2_closed_forms(ctx, n_small)
-            elif name == "recursion-inequality":
-                result = _verify_recursion(ctx, n_small)
-            elif name == "growth-envelope":
-                result = _verify_envelope(ctx, n_small)
-            elif name == "rate-orderings":
-                result = _verify_orderings(ctx)
-            else:
-                if batch is None:
-                    batch = _verify_batch(ctx, replicas, n_small)
-                if name == "increment-identity":
-                    result = _verify_identity(ctx, batch)
-                elif name == "burkholder-sandwich":
-                    result = _verify_burkholder(ctx, batch)
-                else:
-                    result = _verify_quenched_increments(ctx, batch)
-            passed = bool(result.pop("passed"))
-            ctx.check("verify", f"verify.{name}", statements[name], passed, **result)
+            passed, observed = fn(ctx, n_small)
         except BpreLabError as exc:
-            ctx.check(
-                "verify", f"verify.{name}", statements[name], False, error=str(exc)
-            )
+            passed, observed = False, {"error": str(exc)}
+        ctx.check("verify", f"verify.{name}", statement, passed, **observed)
         timings[name] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
     report = _build_report(cfg, {"verify": {"checks_run": list(cfg.verify)}}, ctx.checks, timings)

@@ -2,7 +2,7 @@
 
 An offspring law is given by a ``{value: probability}`` map with finite
 support. It knows its exact power moments, centered absolute moments and
-cumulants, and can draw single offspring counts or whole-generation totals.
+cumulants; the simulator draws whole generations from its values and probs.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ import numpy as np
 from .errors import ParameterError
 
 MAX_CUMULANT_ORDER = 12
-
-# Generation totals use counts dotted with the support; keep the worst-case
-# total inside int64 so the dot product cannot wrap.
-_INT64_SAFE = 2**62
 
 
 class OffspringLaw:
@@ -53,8 +49,6 @@ class OffspringLaw:
             raise ParameterError(f"probabilities sum to {total!r}, not 1")
         self.values = np.asarray(values, dtype=np.int64)
         self.probs = np.asarray(probs, dtype=np.float64) / total
-        self._cdf = np.cumsum(self.probs)
-        self._cdf[-1] = 1.0
         self._mean = float(self.values @ self.probs)
         if self._mean <= 0.0:
             raise ParameterError("offspring mean must be positive")
@@ -114,30 +108,6 @@ class OffspringLaw:
                 acc -= math.comb(n - 1, j - 1) * kappa[j - 1] * mu[n - j - 1]
             kappa[n - 1] = acc
         return kappa
-
-    def sample(self, rng: np.random.Generator) -> int:
-        """One draw via the cumulative table."""
-        return int(self.values[np.searchsorted(self._cdf, rng.random())])
-
-    def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """A batch of iid draws via the cumulative table."""
-        return self.values[np.searchsorted(self._cdf, rng.random(size))]
-
-    def sample_total(self, rng: np.random.Generator, z: int) -> int:
-        """Total offspring of z independent individuals.
-
-        Draws the multinomial category counts of the z offspring and dots
-        them with the support, which has exactly the law of the sum of z
-        iid draws (no distributional approximation).
-        """
-        if z < 0:
-            raise ParameterError("population size must be >= 0")
-        if z == 0:
-            return 0
-        if z * self.max_support >= _INT64_SAFE:
-            raise ParameterError(f"population {z} too large for exact totals")
-        counts = rng.multinomial(z, self.probs)
-        return int(counts @ self.values)
 
     def as_mapping(self) -> dict[int, float]:
         return {int(v): float(p) for v, p in zip(self.values, self.probs)}

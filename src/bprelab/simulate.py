@@ -22,7 +22,7 @@ import numpy as np
 
 from .environment import EnvPath, Environment, FixedPath, IIDMixture
 from .errors import ParameterError
-from .offspring import OffspringLaw, _INT64_SAFE
+from .offspring import OffspringLaw
 
 STATUS_COMPLETED = 0
 STATUS_EXTINCT = 1
@@ -36,6 +36,10 @@ STREAM_SCHEME = "SeedSequence(master_seed, spawn_key=(block,))"
 
 MODE_QUENCHED = "quenched"
 MODE_ANNEALED = "annealed"
+
+# Generation totals use counts dotted with the support; keep the worst-case
+# total inside int64 so the dot product cannot wrap.
+_INT64_SAFE = 2**62
 
 
 @dataclass(frozen=True)

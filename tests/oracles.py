@@ -11,6 +11,7 @@ exactly the regime the acceptance criteria pin down.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 
@@ -55,11 +56,23 @@ def branch_step(dist, pmf):
 
 
 def generation_distributions(path_pmfs, n_max):
-    """Exact distributions of Z_0..Z_{n_max} along a fixed path of pmfs."""
+    """Exact distributions of Z_0..Z_{n_max} along a fixed path of pmfs.
+
+    Memoized by the path's (value, prob) atoms: annealed enumerations revisit
+    the same short paths many times. The returned dicts are shared, so
+    callers must not mutate them.
+    """
+    return _generation_distributions(
+        tuple(tuple(sorted(path_pmfs[n].items())) for n in range(n_max))
+    )
+
+
+@lru_cache(maxsize=None)
+def _generation_distributions(path_atoms):
     dists = [{1: Fraction(1)}]
-    for n in range(n_max):
-        dists.append(branch_step(dists[-1], path_pmfs[n]))
-    return dists
+    for atoms in path_atoms:
+        dists.append(branch_step(dists[-1], dict(atoms)))
+    return tuple(dists)
 
 
 def annealed_generation_distributions(state_pmfs, weights, n_max):

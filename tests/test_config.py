@@ -125,6 +125,13 @@ class TestLineAnchors:
         with pytest.raises(ConfigError, match=rf"case\.cfg:{line}: p\[1\]: each p must be"):
             load_config(path)
 
+    def test_duplicate_entries_are_anchored(self, tmp_path):
+        text = FULL_TEXT.replace("p: [1.5, 2.0]", "p: [2.0, 2.0]")
+        path = write_cfg(tmp_path, text)
+        line = text.splitlines().index("p: [2.0, 2.0]") + 1
+        with pytest.raises(ConfigError, match=rf"case\.cfg:{line}: p\[1\]: duplicate entry 2\.0"):
+            load_config(path)
+
 
 class TestValidation:
     def fails(self, data, pattern):
@@ -180,10 +187,17 @@ class TestValidation:
     def test_suites(self):
         self.fails(minimal() | {"suites": []}, "non-empty list")
         self.fails(minimal() | {"suites": ["exactt"]}, "unknown suite 'exactt'")
+        self.fails(
+            minimal() | {"suites": ["exact", "rates", "exact"]},
+            r"suites\[2\]: duplicate entry 'exact'",
+        )
 
     def test_parameter_ranges(self):
         self.fails(minimal() | {"p": [1.0]}, r"p\[0\]: each p must be a number > 1")
         self.fails(minimal() | {"rho": [0.9]}, "each rho must be >= 1")
+        self.fails(minimal() | {"p": [2.0, 2.0]}, r"p\[1\]: duplicate entry 2\.0")
+        self.fails(minimal() | {"p": [2, 2.0]}, r"p\[1\]: duplicate entry 2\.0")
+        self.fails(minimal() | {"rho": [1.1, 1.1]}, r"rho\[1\]: duplicate entry 1\.1")
         self.fails(minimal() | {"n_max": 0}, "n_max: must be >= 1")
         self.fails(minimal() | {"replicas": 0}, "replicas: must be >= 1")
         self.fails(minimal() | {"pop_cap": 999}, "pop_cap: must be >= 1000")
@@ -198,3 +212,7 @@ class TestValidation:
     def test_verify(self):
         self.fails(minimal() | {"verify": []}, "non-empty list")
         self.fails(minimal() | {"verify": ["no-such-check"]}, "unknown check 'no-such-check'")
+        self.fails(
+            minimal() | {"verify": ["rate-orderings", "rate-orderings"]},
+            r"verify\[1\]: duplicate entry 'rate-orderings'",
+        )

@@ -16,7 +16,6 @@ from bprelab import (
 )
 from bprelab.estimators import (
     LpEstimate,
-    as_rate_diagnostic,
     burkholder_constants,
     burkholder_sandwich,
     fit_decay,
@@ -201,26 +200,3 @@ class TestBurkholder:
             burkholder_sandwich(gw_batch, 2.0, 1.1, gw_batch.n_max)
         with pytest.raises(EstimateUnavailableError):
             burkholder_sandwich(capped_batch, 2.0, 1.2, 3)
-
-
-class TestAsRateDiagnostic:
-    def test_consistent_on_healthy_batch(self, gw_batch):
-        diag = as_rate_diagnostic(gw_batch, 1.5, 1.5, 0.5)
-        assert diag.verdict == "consistent"
-        assert diag.n_window == (0, gw_batch.n_max - 20)
-        assert len(diag.median_curve) == gw_batch.n_max - 20 + 1
-        q = diag.max_quantiles
-        assert q[50] <= q[90] <= q[99]
-        assert 0.0 <= diag.growing_fraction <= 1.0
-        # q = 3, epsilon = 1/2: the scale factor is m^(2/7)
-        assert diag.growth_factor == pytest.approx(1.5 ** (1 / 3.5), rel=1e-12)
-
-    def test_validation(self, gw_batch):
-        with pytest.raises(ParameterError):
-            as_rate_diagnostic(gw_batch, 2.0, 1.5, 0.5)
-        with pytest.raises(ParameterError):
-            as_rate_diagnostic(gw_batch, 1.5, 1.0, 0.5)
-        with pytest.raises(ParameterError):
-            as_rate_diagnostic(gw_batch, 1.5, 1.5, 0.0)
-        with pytest.raises(ParameterError, match="usable generations"):
-            as_rate_diagnostic(gw_batch, 1.5, 1.5, 0.5, gap=gw_batch.n_max)

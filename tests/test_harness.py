@@ -1,12 +1,14 @@
 """Suite orchestration: reports, exit codes, determinism, fault injection."""
 
 import copy
+import dataclasses
 import json
 import math
 
 import pytest
 
 import bprelab.estimators
+import bprelab.rates
 from bprelab import BpreLabError, EstimateUnavailableError
 from bprelab.config import load_config, parse_config
 from bprelab.harness import run_experiment, verify_suite, write_outputs
@@ -64,11 +66,11 @@ class TestRunExperiment:
         second = strip_timings(run_experiment(small_gw())[0])
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
-    def test_duplicate_suites_run_once(self):
-        cfg = small_gw(suites=["exact", "exact"])
-        report, _, code = run_experiment(cfg)
-        assert code == 0
-        assert list(report["suites"]) == ["exact"]
+    def test_colliding_check_ids_are_refused(self):
+        # distinct exponents that print alike give the same check ids
+        cfg = small_gw(suites=["rates"], p=[2.0, 2.0000001])
+        with pytest.raises(BpreLabError, match=r"'rates\.p2\.sufficient-le-critical' is repeated"):
+            run_experiment(cfg)
 
     def test_write_outputs(self, tmp_path):
         cfg = load_config("configs/deterministic.cfg")
@@ -121,3 +123,32 @@ class TestVerifySuite:
         check = report["checks"][0]
         assert check["passed"] is False
         assert check["observed"]["error"] == "boom"
+
+
+class TestSharedChecks:
+    """`run` and `verify` derive a relation from one function, so they fail together."""
+
+    @pytest.mark.parametrize(
+        "field, broken, name",
+        [
+            ("quenched_sufficient_bound", lambda r: 2.0 * r.quenched_critical, "sufficient-le-critical"),
+            ("annealed_rhoc", lambda r: 2.0 * r.quenched_critical, "annealed-le-quenched"),
+            ("annealed_rho0", lambda r: 1.01 * r.annealed_rhoc, "rates-collapse"),
+        ],
+    )
+    def test_broken_rate_ordering_fails_both(self, monkeypatch, field, broken, name):
+        real = bprelab.rates.rate_report
+
+        def rate_report(env, p):
+            rep = real(env, p)
+            return dataclasses.replace(rep, **{field: broken(rep)})
+
+        monkeypatch.setattr(bprelab.rates, "rate_report", rate_report)
+        report, _, code = run_experiment(small_gw(suites=["rates"]))
+        assert code == 2
+        by_id = {c["id"]: c["passed"] for c in report["checks"]}
+        assert by_id[f"rates.p2.{name}"] is False
+
+        report, _, code = verify_suite(small_gw(verify=["rate-orderings"]))
+        assert code == 2
+        assert report["checks"][0]["passed"] is False

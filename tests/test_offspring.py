@@ -1,4 +1,4 @@
-"""Offspring-law construction, exact moments/cumulants, and sampling."""
+"""Offspring-law construction and exact moments/cumulants."""
 
 import math
 
@@ -145,45 +145,3 @@ class TestCumulants:
             OffspringLaw(GW).cumulants(0)
         with pytest.raises(ParameterError):
             OffspringLaw(GW).cumulants(13)
-
-
-class TestSampling:
-    def test_sample_deterministic_given_seed(self):
-        law = OffspringLaw(GW)
-        a = law.sample_array(np.random.default_rng(7), 100)
-        b = law.sample_array(np.random.default_rng(7), 100)
-        assert np.array_equal(a, b)
-        assert set(np.unique(a)) <= {0, 2}
-
-    def test_sample_total_of_zero_parents(self):
-        assert OffspringLaw(GW).sample_total(np.random.default_rng(0), 0) == 0
-
-    def test_sample_total_negative_rejected(self):
-        with pytest.raises(ParameterError):
-            OffspringLaw(GW).sample_total(np.random.default_rng(0), -1)
-
-    def test_sample_total_overflow_guard(self):
-        law = OffspringLaw(GW)
-        with pytest.raises(ParameterError, match="too large"):
-            law.sample_total(np.random.default_rng(0), 2**61)
-
-    def test_sample_total_matches_convolved_law(self):
-        # totals of z = 2 parents under {0: .5, 1: .5}: exactly (1/4, 1/2, 1/4)
-        law = OffspringLaw({0: 0.5, 1: 0.5})
-        rng = np.random.default_rng(11)
-        draws = np.array([law.sample_total(rng, 2) for _ in range(20_000)])
-        freq = np.bincount(draws, minlength=3) / len(draws)
-        # 4 sigma on a frequency estimate at p = 1/4 or 1/2
-        assert abs(freq[0] - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 20_000)
-        assert abs(freq[1] - 0.50) < 4 * math.sqrt(0.25 / 20_000)
-        assert abs(freq[2] - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 20_000)
-
-    def test_sample_total_mean_and_variance(self):
-        law = OffspringLaw(GW)
-        rng = np.random.default_rng(3)
-        z = 50
-        draws = np.array([law.sample_total(rng, z) for _ in range(5_000)])
-        mean, var = z * 1.5, z * 0.75
-        assert abs(draws.mean() - mean) < 4 * math.sqrt(var / len(draws))
-        # sample variance of a sum of bounded terms: loose 10% band is ample
-        assert abs(draws.var() - var) < 0.1 * var

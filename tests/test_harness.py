@@ -9,7 +9,7 @@ import pytest
 
 import bprelab.estimators
 import bprelab.rates
-from bprelab import BpreLabError, EstimateUnavailableError
+from bprelab import BpreLabError, ConfigError, EstimateUnavailableError
 from bprelab.config import load_config, parse_config
 from bprelab.harness import run_experiment, verify_suite, write_outputs
 
@@ -71,6 +71,15 @@ class TestRunExperiment:
         cfg = small_gw(suites=["rates"], p=[2.0, 2.0000001])
         with pytest.raises(BpreLabError, match=r"'rates\.p2\.sufficient-le-critical' is repeated"):
             run_experiment(cfg)
+
+    def test_duplicate_suites_run_once(self):
+        # a repeated suite is refused when the config is parsed, so no
+        # config that reaches run_experiment can run a suite twice
+        with pytest.raises(ConfigError, match=r"suites\[1\]: duplicate entry 'exact'"):
+            small_gw(suites=["exact", "exact"])
+        report, _, code = run_experiment(small_gw(suites=["exact"]))
+        assert code == 0
+        assert list(report["suites"]) == ["exact"]
 
     def test_write_outputs(self, tmp_path):
         cfg = load_config("configs/deterministic.cfg")

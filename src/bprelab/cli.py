@@ -11,9 +11,9 @@ import json
 import sys
 
 from ._version import __version__
-from .config import ExperimentConfig, load_config
+from .config import load_config
 from .errors import BpreLabError, ConfigError
-from .harness import EXIT_USAGE, run_experiment, verify_suite, write_outputs
+from .harness import EXIT_USAGE, jsonable, run_experiment, verify_suite, write_outputs
 from .rates import rate_report
 
 
@@ -53,15 +53,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg.master_seed = args.seed
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        cfg.threads = args.threads
-    return cfg
+def _overrides(args) -> dict:
+    """The config values given on the command line; the loader checks them like file values."""
+    given = {"master_seed": args.seed, "threads": args.threads}
+    return {key: value for key, value in given.items() if value is not None}
 
 
 def _print_checks(report: dict) -> None:
@@ -73,7 +68,7 @@ def _print_checks(report: dict) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, _overrides(args))
     report, csv_tables, code = run_experiment(cfg)
     _print_checks(report)
     out = args.out or cfg.out or f"{cfg.name}-report"
@@ -83,7 +78,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, _overrides(args))
     report, csv_tables, code = verify_suite(cfg)
     _print_checks(report)
     if args.out:
@@ -95,8 +90,8 @@ def _cmd_verify(args) -> int:
 def _cmd_rates(args) -> int:
     cfg = load_config(args.config)
     exponents = args.p if args.p else list(cfg.p)
-    reports = [rate_report(cfg.env, p).to_dict() for p in exponents]
-    print(json.dumps({"name": cfg.name, "rates": reports}, indent=2, sort_keys=True))
+    reports = [rate_report(cfg.env, p) for p in exponents]
+    print(json.dumps(jsonable({"name": cfg.name, "rates": reports}), indent=2, sort_keys=True))
     return 0
 
 

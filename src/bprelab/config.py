@@ -8,7 +8,7 @@ the offending key path, and (when the composer can supply it) the line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -45,32 +45,18 @@ DEFAULT_TOLERANCES = {
     "sigmas": 4.0,
 }
 
-_TOP_KEYS = {
-    "schema",
-    "name",
-    "environment",
-    "suites",
-    "p",
-    "rho",
-    "n_max",
-    "gap",
-    "replicas",
-    "master_seed",
-    "path_seed",
-    "pop_cap",
-    "out",
-    "threads",
-    "tolerances",
-    "verify",
-}
 
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated experiment: environment, suites, and run parameters."""
+    """A validated experiment: environment, suites, and run parameters.
+
+    Each field is a top-level key of the config file, under the name in its
+    ``key`` metadata if it has one (``source`` and ``raw`` are not keys); a
+    key the file leaves out takes the field's default.
+    """
 
     name: str
-    env: Environment
+    env: Environment = field(metadata={"key": "environment"})
     suites: tuple[str, ...]
     p: tuple[float, ...] = (2.0,)
     rho: tuple[float, ...] | None = None
@@ -84,8 +70,21 @@ class ExperimentConfig:
     threads: int = 1
     tolerances: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     verify: tuple[str, ...] = VERIFY_CHECKS
-    source: str = "<memory>"
-    raw: dict = field(default_factory=dict)
+    source: str = field(default="<memory>", metadata={"key": None})
+    raw: dict = field(default_factory=dict, metadata={"key": None})
+
+
+# the schema marker, then one key per field
+_TOP_KEYS = {"schema"} | {f.metadata.get("key", f.name) for f in fields(ExperimentConfig)} - {None}
+
+# keys whose default is None accept an explicit null for it
+_NULLABLE = {f.name for f in fields(ExperimentConfig) if f.default is None}
+
+# integer keys and their least admissible value
+_INT_MINIMUMS = {
+    "n_max": 1, "gap": 1, "replicas": 1, "master_seed": 0, "path_seed": 0,
+    "pop_cap": 1000, "threads": 1,
+}
 
 
 def _line_index(text: str) -> dict[str, int]:
@@ -132,6 +131,8 @@ def _parse_law(data, path: str, chk: _Checker) -> OffspringLaw:
     chk.require(isinstance(data, dict) and data, path, "expected a {value: probability} map")
     pmf = {}
     for key, prob in data.items():
+        if isinstance(key, str) and key.isascii() and key.isdigit():
+            key = int(key)  # report.json holds laws with string keys, as JSON must
         chk.require(isinstance(key, int) and not isinstance(key, bool), path, f"offspring value {key!r} is not an integer")
         chk.require(isinstance(prob, (int, float)), path, f"probability {prob!r} is not a number")
         pmf[key] = float(prob)
@@ -177,103 +178,80 @@ def _parse_environment(data, chk: _Checker) -> Environment:
     raise chk.fail(f"{path}.kind", f"unknown environment kind {kind!r}")
 
 
-def _require_unique(chk: _Checker, items: list, key: str) -> None:
-    """Reject a list that repeats an entry; repeats would run a check twice."""
+def _check_list(chk: _Checker, items, key: str, ok, msg: str) -> tuple:
+    """A non-empty list without repeats whose items pass `ok`; `msg` may format the item."""
+    chk.require(isinstance(items, list) and items, key, "expected a non-empty list")
+    for i, item in enumerate(items):
+        chk.require(ok(item), f"{key}[{i}]", msg.format(item))
+    # a repeated entry would run a check twice
     for i, item in enumerate(items):
         chk.require(item not in items[:i], f"{key}[{i}]", f"duplicate entry {item!r}")
+    return tuple(items)
 
 
-def _check_int(chk: _Checker, data: dict, key: str, default, minimum=None):
-    value = data.get(key, default)
-    if value is None:
-        return None
-    chk.require(
-        isinstance(value, int) and not isinstance(value, bool), key, "expected an integer"
-    )
-    if minimum is not None:
-        chk.require(value >= minimum, key, f"must be >= {minimum}")
-    return value
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float))
 
 
 def parse_config(data: dict, source: str = "<memory>", lines: dict[str, int] | None = None) -> ExperimentConfig:
+    """Validate a config mapping; keys it leaves out take ExperimentConfig's defaults."""
     chk = _Checker(source, lines or {})
     chk.require(isinstance(data, dict), "", "config root must be a map")
     extra = set(data) - _TOP_KEYS
     chk.require(not extra, sorted(extra)[0] if extra else "", f"unknown keys {sorted(extra)}")
     chk.require(data.get("schema") == SCHEMA_VERSION, "schema", f"expected schema: {SCHEMA_VERSION}")
+    given = {k: v for k, v in data.items() if not (v is None and k in _NULLABLE)}
 
-    name = data.get("name")
+    name = given.get("name")
     chk.require(isinstance(name, str) and name != "", "name", "expected a non-empty string")
-
-    env = _parse_environment(data.get("environment"), chk)
-
-    suites = data.get("suites")
-    chk.require(isinstance(suites, list) and suites, "suites", "expected a non-empty list")
-    for i, s in enumerate(suites):
-        chk.require(s in KNOWN_SUITES, f"suites[{i}]", f"unknown suite {s!r}; known: {list(KNOWN_SUITES)}")
-    _require_unique(chk, suites, "suites")
-
-    p_list = data.get("p", [2.0])
-    chk.require(isinstance(p_list, list) and p_list, "p", "expected a non-empty list")
-    for i, p in enumerate(p_list):
-        chk.require(isinstance(p, (int, float)) and p > 1, f"p[{i}]", "each p must be a number > 1")
-    _require_unique(chk, p_list, "p")
-
-    rho = data.get("rho")
-    if rho is not None:
-        chk.require(isinstance(rho, list) and rho, "rho", "expected a non-empty list")
-        for i, r in enumerate(rho):
-            chk.require(isinstance(r, (int, float)) and r >= 1, f"rho[{i}]", "each rho must be >= 1")
-        _require_unique(chk, rho, "rho")
-
-    n_max = _check_int(chk, data, "n_max", 30, minimum=1)
-    gap = _check_int(chk, data, "gap", 20, minimum=1)
-    replicas = _check_int(chk, data, "replicas", 10_000, minimum=1)
-    master_seed = _check_int(chk, data, "master_seed", 0, minimum=0)
-    path_seed = _check_int(chk, data, "path_seed", None, minimum=0)
-    pop_cap = _check_int(chk, data, "pop_cap", 10_000_000, minimum=1000)
-    threads = _check_int(chk, data, "threads", 1, minimum=1)
-
-    out = data.get("out")
-    if out is not None:
-        chk.require(isinstance(out, str) and out != "", "out", "expected a non-empty string")
-
-    tolerances = dict(DEFAULT_TOLERANCES)
-    overrides = data.get("tolerances", {})
-    chk.require(isinstance(overrides, dict), "tolerances", "expected a map")
-    for key, value in overrides.items():
-        chk.require(key in DEFAULT_TOLERANCES, f"tolerances.{key}", f"unknown tolerance; known: {sorted(DEFAULT_TOLERANCES)}")
-        chk.require(isinstance(value, (int, float)) and value > 0 and math.isfinite(value), f"tolerances.{key}", "expected a positive number")
-        tolerances[key] = float(value)
-
-    verify = data.get("verify", list(VERIFY_CHECKS))
-    chk.require(isinstance(verify, list) and verify, "verify", "expected a non-empty list")
-    for i, v in enumerate(verify):
-        chk.require(v in VERIFY_CHECKS, f"verify[{i}]", f"unknown check {v!r}; known: {list(VERIFY_CHECKS)}")
-    _require_unique(chk, verify, "verify")
-
-    return ExperimentConfig(
-        name=name,
-        env=env,
-        suites=tuple(suites),
-        p=tuple(float(p) for p in p_list),
-        rho=tuple(float(r) for r in rho) if rho is not None else None,
-        n_max=n_max,
-        gap=gap,
-        replicas=replicas,
-        master_seed=master_seed,
-        path_seed=path_seed,
-        pop_cap=pop_cap,
-        out=out,
-        threads=threads,
-        tolerances=tolerances,
-        verify=tuple(verify),
-        source=source,
-        raw=data,
-    )
+    values = {
+        "name": name,
+        "env": _parse_environment(given.get("environment"), chk),
+        "suites": _check_list(
+            chk, given.get("suites"), "suites", lambda s: s in KNOWN_SUITES,
+            f"unknown suite {{!r}}; known: {list(KNOWN_SUITES)}",
+        ),
+    }
+    if "p" in given:
+        p_list = _check_list(
+            chk, given["p"], "p", lambda p: _is_number(p) and p > 1, "each p must be a number > 1"
+        )
+        values["p"] = tuple(float(p) for p in p_list)
+    if "rho" in given:
+        rho = _check_list(
+            chk, given["rho"], "rho", lambda r: _is_number(r) and r >= 1, "each rho must be >= 1"
+        )
+        values["rho"] = tuple(float(r) for r in rho)
+    for key, minimum in _INT_MINIMUMS.items():
+        if key in given:
+            value = given[key]
+            chk.require(isinstance(value, int) and not isinstance(value, bool), key, "expected an integer")
+            chk.require(value >= minimum, key, f"must be >= {minimum}")
+            values[key] = value
+    if "out" in given:
+        chk.require(isinstance(given["out"], str) and given["out"] != "", "out", "expected a non-empty string")
+        values["out"] = given["out"]
+    if "tolerances" in given:
+        chk.require(isinstance(given["tolerances"], dict), "tolerances", "expected a map")
+        values["tolerances"] = dict(DEFAULT_TOLERANCES)
+        for key, value in given["tolerances"].items():
+            chk.require(key in DEFAULT_TOLERANCES, f"tolerances.{key}", f"unknown tolerance; known: {sorted(DEFAULT_TOLERANCES)}")
+            chk.require(_is_number(value) and value > 0 and math.isfinite(value), f"tolerances.{key}", "expected a positive number")
+            values["tolerances"][key] = float(value)
+    if "verify" in given:
+        values["verify"] = _check_list(
+            chk, given["verify"], "verify", lambda v: v in VERIFY_CHECKS,
+            f"unknown check {{!r}}; known: {list(VERIFY_CHECKS)}",
+        )
+    return ExperimentConfig(**values, source=source, raw=data)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Load a config file, with `overrides` replacing top-level values before validation.
+
+    An override is checked like a file value, and `raw` records it; an error
+    in one names its key without a line, since the value is not in the file.
+    """
     path = str(path)
     try:
         with open(path) as fh:
@@ -286,4 +264,9 @@ def load_config(path) -> ExperimentConfig:
         mark = getattr(exc, "problem_mark", None)
         anchor = f"{path}:{mark.line + 1}" if mark else path
         raise ConfigError(f"{anchor}: not valid YAML: {exc}") from exc
-    return parse_config(data, source=path, lines=_line_index(text))
+    lines = _line_index(text)
+    if overrides and isinstance(data, dict):
+        data = {**data, **overrides}
+        for key in overrides:
+            lines.pop(key, None)
+    return parse_config(data, source=path, lines=lines)

@@ -37,13 +37,6 @@ class EnvPath:
     def __len__(self) -> int:
         return len(self.laws)
 
-    def law(self, n: int) -> OffspringLaw:
-        return self.laws[n]
-
-    def mean_product(self, n: int) -> float:
-        """P_n, the product of the first n state means."""
-        return float(math.exp(self.log_means[n]))
-
     @property
     def means(self) -> np.ndarray:
         return np.array([law.mean for law in self.laws])

@@ -9,12 +9,12 @@ contiguous batch means.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EstimateUnavailableError, FitUnavailableError, ParameterError
-from .simulate import STATUS_CAPPED, TrajectoryBatch
+from .simulate import TrajectoryBatch
 
 N_BATCHES = 30
 MIN_REPLICAS = 100
@@ -37,17 +37,14 @@ def _stderr_of(means: np.ndarray) -> float:
     return float(means.std(ddof=1) / math.sqrt(len(means)))
 
 
-def _batch_means_stderr(x: np.ndarray, n_batches: int = N_BATCHES) -> float:
-    return _stderr_of(_batch_means(x, n_batches))
-
-
-def _uncapped_w(batch: TrajectoryBatch) -> np.ndarray:
-    mask = batch.status != STATUS_CAPPED
+def _rows_used(batch: TrajectoryBatch) -> np.ndarray:
+    """Mask of the rows every estimate uses: the uncapped ones, at least MIN_REPLICAS."""
+    mask = batch.uncapped
     if int(mask.sum()) < MIN_REPLICAS:
         raise EstimateUnavailableError(
             f"only {int(mask.sum())} uncapped replicas; need >= {MIN_REPLICAS}"
         )
-    return batch.w[mask]
+    return mask
 
 
 @dataclass
@@ -92,7 +89,7 @@ def lp_norm(batch: TrajectoryBatch, p: float, n: int, proxy_gap: int) -> LpEstim
         raise ParameterError(
             f"need 0 <= n and 1 <= gap with n+gap <= {batch.n_max}"
         )
-    w = _uncapped_w(batch)
+    w = batch.w[_rows_used(batch)]
     x = np.abs(w[:, n + proxy_gap] - w[:, n]) ** p
     return _estimate_from(x, batch, p, n, proxy_gap)
 
@@ -103,7 +100,7 @@ def w_moment(batch: TrajectoryBatch, p: float, n: int) -> LpEstimate:
         raise ParameterError("p must be > 0")
     if not 0 <= n <= batch.n_max:
         raise ParameterError(f"need 0 <= n <= {batch.n_max}")
-    w = _uncapped_w(batch)
+    w = batch.w[_rows_used(batch)]
     x = w[:, n] ** p
     return _estimate_from(x, batch, p, n, 0)
 
@@ -124,10 +121,8 @@ class DecayFit:
     r_squared: float
     slope: float
     slope_se: float
-    intercept: float
     points_used: int
     ci_method: str = "wls-cov"
-    bias_bounds: dict[int, float] = field(default_factory=dict)
 
 
 def wls_line(xs, ys, sds) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -178,13 +173,11 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
     else:
         rho_prelim = 1.0
 
-    bias_bounds: dict[int, float] = {}
     admissible = np.zeros(len(est), dtype=bool)
     for idx, e in enumerate(est):
         if not stderr_ok[idx]:
             continue
         bias = e.bias_bound if e.bias_bound is not None else e.value * rho_prelim ** (-e.proxy_gap)
-        bias_bounds[e.n] = bias
         admissible[idx] = bias < 0.1 * e.value
 
     best_lo, best_len = 0, 0
@@ -207,7 +200,7 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
     sds = [e.stderr / (p * e.value) for e in window]
 
     beta, cov, x_mat, wts = wls_line(xs, ys, sds)
-    intercept, slope = float(beta[0]), float(beta[1])
+    slope = float(beta[1])
     se_slope = math.sqrt(cov[1, 1])
     ci_method = "wls-cov"
 
@@ -230,10 +223,8 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
         r_squared=r_squared,
         slope=slope,
         slope_se=se_slope,
-        intercept=intercept,
         points_used=best_len,
         ci_method=ci_method,
-        bias_bounds=bias_bounds,
     )
 
 
@@ -296,7 +287,7 @@ def _norm_with_stderr(x: np.ndarray, p: float) -> tuple[float, float]:
     """(mean |x|^p)^{1/p} with a delta-method stderr."""
     powered = np.abs(x) ** p
     m = float(powered.mean())
-    se_m = _batch_means_stderr(powered)
+    se_m = _stderr_of(_batch_means(powered))
     if m == 0.0:
         return 0.0, 0.0
     norm = m ** (1.0 / p)
@@ -315,9 +306,7 @@ def burkholder_sandwich(
     j = batch.rho_index(rho)
     if not 0 <= n <= batch.n_max - 1:
         raise ParameterError(f"need 0 <= n <= {batch.n_max - 1}")
-    mask = batch.status != STATUS_CAPPED
-    if int(mask.sum()) < MIN_REPLICAS:
-        raise EstimateUnavailableError("too few uncapped replicas")
+    mask = _rows_used(batch)
     a_vals = batch.a_hat[mask, j, n]
     diffs = np.diff(batch.w[mask, : n + 2], axis=1)
     q_vals = np.sqrt((rho ** (2 * np.arange(n + 1)) * diffs**2).sum(axis=1))

@@ -9,6 +9,7 @@ by the CLI, which maps raised errors).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -28,6 +29,7 @@ from .simulate import (
     SimConfig,
     TrajectoryBatch,
     increment_identity_check,
+    quenched_path,
     run,
 )
 
@@ -99,11 +101,10 @@ class _Context:
         return self.cfg.path_seed if self.cfg.path_seed is not None else self.cfg.master_seed
 
     def series_path(self, length: int) -> EnvPath:
-        """A realized path for BPVE diagnostics, drawn as a quenched batch draws its path."""
+        """The path a quenched batch at series_seed shares; a fixed path is clamped to its length."""
         if isinstance(self.env, FixedPath):
-            return self.env.sample_path(min(length, len(self.env.laws)))
-        rng = np.random.default_rng(np.random.SeedSequence(self.series_seed))
-        return self.env.sample_path(length, rng)
+            length = min(length, len(self.env.laws))
+        return quenched_path(self.env, length, self.series_seed)
 
     # -- cached simulation batches ----------------------------------------
 
@@ -185,7 +186,7 @@ def _suite_rates(ctx: _Context) -> dict:
     rows = []
     for p in ctx.cfg.p:
         rep = rates.rate_report(ctx.env, p)
-        reports.append(rep.to_dict())
+        reports.append(rep)
         rows.append(
             f"{p!r},{rep.m_geo!r},{rep.quenched_sufficient_bound!r},"
             f"{rep.quenched_critical!r},{rep.annealed_rho0!r},{rep.annealed_rhoc!r}"
@@ -382,7 +383,7 @@ def _fit_with_oracle(
     """Fit the decay rate and, when an exact curve exists, check against it."""
     sigmas = ctx.cfg.tolerances["sigmas"]
     tag = f"{suite}.p{p:g}"
-    section: dict = {"p": p, "estimates": [vars(e).copy() for e in estimates]}
+    section: dict = {"p": p, "estimates": list(estimates)}
 
     if exact_values is not None:
         worst = 0.0
@@ -578,7 +579,7 @@ def _suite_burkholder(ctx: _Context) -> dict:
                 sc = estimators.burkholder_sandwich(
                     batch, p, rho, n, slack_sigmas=ctx.cfg.tolerances["sigmas"]
                 )
-                results.append(vars(sc).copy())
+                results.append(sc)
                 ctx.check(
                     "burkholder",
                     f"burkholder.p{p:g}.rho{rho:.4g}.n{n}",
@@ -592,9 +593,9 @@ def _suite_burkholder(ctx: _Context) -> dict:
         "burkholder.csv",
         "p,rho,n,a_norm,q_norm,lower,upper,ok",
         [
-            f"{r['p']!r},{r['rho']!r},{r['n']},{r['a_norm']!r},{r['q_norm']!r},"
-            f"{r['lower']!r},{r['upper']!r},{r['lower_ok'] and r['upper_ok']}"
-            for r in results
+            f"{sc.p!r},{sc.rho!r},{sc.n},{sc.a_norm!r},{sc.q_norm!r},"
+            f"{sc.lower!r},{sc.upper!r},{sc.lower_ok and sc.upper_ok}"
+            for sc in results
         ],
     )
     return {"results": results}
@@ -613,7 +614,7 @@ def _suite_criteria(ctx: _Context) -> dict:
         crits = []
         for p in cfg.p:
             crit = rates.annealed_lp_criterion(ctx.env, p)
-            crits.append(crit.to_dict())
+            crits.append(crit)
             ctx.check(
                 "criteria",
                 f"criteria.p{p:g}.lp-criterion",
@@ -627,7 +628,7 @@ def _suite_criteria(ctx: _Context) -> dict:
         for p in cfg.p:
             if 1.0 < p < 2.0:
                 cond = rates.annealed_critical_conditions(ctx.env, p)
-                conds.append(cond.to_dict())
+                conds.append(cond)
                 ctx.check(
                     "criteria",
                     f"criteria.p{p:g}.critical-conditions",
@@ -741,6 +742,7 @@ def _suite_identity(ctx: _Context) -> dict:
     return {"results": results}
 
 
+# in the order of config.KNOWN_SUITES (a test holds them equal)
 _SUITES = {
     "rates": _suite_rates,
     "exact": _suite_exact,
@@ -756,14 +758,16 @@ _SUITES = {
 # report assembly
 
 
-def _sanitize(obj):
-    """Make a structure JSON-safe: numpy scalars to Python, non-finite to strings."""
+def jsonable(obj):
+    """Make a structure JSON-safe: dataclasses to dicts, numpy to Python, non-finite to strings."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
+        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
+        return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
+        return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -782,7 +786,7 @@ def _build_report(cfg: ExperimentConfig, suites: dict, checks: list[dict], timin
             raise BpreLabError(f"check id {c['id']!r} is repeated; ids must identify one check")
         seen.add(c["id"])
     failed = sum(1 for c in checks if not c["passed"])
-    return _sanitize(
+    return jsonable(
         {
             "schema": 1,
             "tool": {"name": "bprelab", "version": __version__},
@@ -915,27 +919,24 @@ def _verify_orderings(ctx: _Context, n_small: int) -> tuple[bool, dict]:
         return True, {"skipped": "environment is not supercritical"}
     reports = [rates.rate_report(ctx.env, p) for p in ctx.cfg.p]
     passed = all(ok for rep in reports for _, _, ok, _ in _rate_orderings(rep))
-    return passed, {"last_report": reports[-1].to_dict()}
+    return passed, {"last_report": reports[-1]}
 
 
 def _verify_quenched_increments(ctx: _Context, n_small: int) -> tuple[bool, dict]:
     batch = _verify_batch(ctx, n_small)
     inc = exact_moments.quenched_increment_second_moments(batch.path, batch.n_max)
     sigmas = ctx.cfg.tolerances["sigmas"]
-    mask = batch.uncapped
     passed = True
     worst = 0.0
     for n in range(min(6, batch.n_max)):
-        x = (batch.w[mask, n + 1] - batch.w[mask, n]) ** 2
-        mean = float(x.mean())
-        se = estimators._batch_means_stderr(x)
-        gap = abs(mean - float(inc[n]))
-        passed = passed and gap <= sigmas * se + 1e-12
-        worst = max(worst, gap - sigmas * se)
+        est = lp_norm(batch, 2.0, n, 1)
+        gap = abs(est.value - float(inc[n]))
+        passed = passed and gap <= sigmas * est.stderr + 1e-12
+        worst = max(worst, gap - sigmas * est.stderr)
     return passed, {"worst_excess": worst}
 
 
-# name -> (statement, check), in the order of config.VERIFY_CHECKS
+# name -> (statement, check), in the order of config.VERIFY_CHECKS (a test holds them equal)
 _VERIFY = {
     "p2-closed-forms": (
         "closed-form second moments match the recursion tables", _verify_p2_closed_forms

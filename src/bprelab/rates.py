@@ -81,15 +81,6 @@ class LpBoundednessCriterion:
     z1_norm_value: float  # E (Z_1/m_0)^p
     z1_norm_finite: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "holds": self.holds,
-            "mean_power_value": self.mean_power_value,
-            "z1_norm_value": self.z1_norm_value,
-            "z1_norm_finite": self.z1_norm_finite,
-        }
-
 
 def annealed_lp_criterion(env: Environment, p: float) -> LpBoundednessCriterion:
     _require_p(p)
@@ -115,7 +106,8 @@ class CriticalRateConditions:
 
     tilt_value is E[m_0^{-p/2} log m_0] (its sign decides whether the
     critical rate formula applies); zlogz_value is the exact
-    E[m_0^{-p/2-1} Z_1 log+ Z_1]; w1_degenerate is true when W_1 = 1 a.s.
+    E[m_0^{-p/2-1} Z_1 log+ Z_1]; w1_degenerate is true when W_1 = 1 a.s.;
+    all_hold is true when every hypothesis holds.
     """
 
     p: float
@@ -124,21 +116,7 @@ class CriticalRateConditions:
     zlogz_value: float
     zlogz_finite: bool
     w1_degenerate: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return self.tilt_positive and self.zlogz_finite and not self.w1_degenerate
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "tilt_value": self.tilt_value,
-            "tilt_positive": self.tilt_positive,
-            "zlogz_value": self.zlogz_value,
-            "zlogz_finite": self.zlogz_finite,
-            "w1_degenerate": self.w1_degenerate,
-            "all_hold": self.all_hold,
-        }
+    all_hold: bool
 
 
 def annealed_critical_conditions(env: Environment, p: float) -> CriticalRateConditions:
@@ -146,14 +124,17 @@ def annealed_critical_conditions(env: Environment, p: float) -> CriticalRateCond
         raise ParameterError(f"conditions are specific to p in (1,2), got {p}")
     tilt = env.expect(lambda law: law.mean ** (-p / 2.0) * law.log_mean)
     zlogz = env.expect(lambda law: law.mean ** (-p / 2.0 - 1.0) * _z1_log_plus(law))
+    tilt_positive = bool(tilt > 0.0)
+    zlogz_finite = True
     degenerate = env.is_degenerate
     return CriticalRateConditions(
         p=p,
         tilt_value=tilt,
-        tilt_positive=bool(tilt > 0.0),
+        tilt_positive=tilt_positive,
         zlogz_value=zlogz,
-        zlogz_finite=True,
+        zlogz_finite=zlogz_finite,
         w1_degenerate=degenerate,
+        all_hold=tilt_positive and zlogz_finite and not degenerate,
     )
 
 
@@ -168,17 +149,6 @@ class RateReport:
     annealed_rho0: float
     annealed_rhoc: float
     condition_flags: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "m_geo": self.m_geo,
-            "quenched_sufficient_bound": self.quenched_sufficient_bound,
-            "quenched_critical": self.quenched_critical,
-            "annealed_rho0": self.annealed_rho0,
-            "annealed_rhoc": self.annealed_rhoc,
-            "condition_flags": dict(self.condition_flags),
-        }
 
 
 def rate_report(env: Environment, p: float) -> RateReport:

@@ -123,32 +123,11 @@ class TrajectoryBatch:
     def capped_fraction(self) -> float:
         return float(np.mean(self.status == STATUS_CAPPED))
 
-    @property
-    def extinct_fraction(self) -> float:
-        return float(np.mean(self.status == STATUS_EXTINCT))
-
-    def status_label(self, i: int) -> str:
-        code = int(self.status[i])
-        if code == STATUS_EXTINCT:
-            return f"extinct_at({int(self.status_gen[i])})"
-        if code == STATUS_CAPPED:
-            return f"capped_at({int(self.status_gen[i])})"
-        return "completed"
-
     def rho_index(self, rho: float) -> int:
         for j, r in enumerate(self.rho_grid):
             if abs(r - rho) <= 1e-12:
                 return j
         raise ParameterError(f"rho={rho} has no accumulator in grid {self.rho_grid}")
-
-    def to_csv(self, path) -> None:
-        """Long-format dump: one row per (replica, generation)."""
-        with open(path, "w") as fh:
-            fh.write("replica,n,W,status\n")
-            for i in range(self.replicas):
-                label = self.status_label(i)
-                for n in range(self.n_max + 1):
-                    fh.write(f"{i},{n},{float(self.w[i, n])!r},{label}\n")
 
     def save(self, path) -> None:
         """Versioned binary dump (npz)."""
@@ -200,6 +179,19 @@ class TrajectoryBatch:
         )
 
 
+def quenched_path(env: Environment, length: int, seed: int | None) -> EnvPath:
+    """The path every replica of a quenched batch shares.
+
+    A fixed path gives its prefix and ignores seed; a mixture draws length
+    states from the generator seeded by ``SeedSequence(seed)``.
+    """
+    if isinstance(env, FixedPath):
+        return env.sample_path(length)
+    path = env.sample_path(length, np.random.default_rng(np.random.SeedSequence(seed)))
+    path.seed = seed
+    return path
+
+
 def _law_table(laws) -> tuple[np.ndarray, np.ndarray]:
     """Union support of the laws, and one pmf row per law over that support."""
     support = np.unique(np.concatenate([law.values for law in laws]))
@@ -245,12 +237,7 @@ def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
         raise ParameterError("threads must be >= 1")
     shared: EnvPath | None = None
     if cfg.mode == MODE_QUENCHED:
-        if isinstance(cfg.env, FixedPath):
-            shared = cfg.env.sample_path(cfg.n_max)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.path_seed))
-            shared = cfg.env.sample_path(cfg.n_max, rng)
-            shared = EnvPath(shared.laws, seed=cfg.path_seed)
+        shared = quenched_path(cfg.env, cfg.n_max, cfg.path_seed)
 
     replicas, n_max = cfg.replicas, cfg.n_max
     w = np.empty((replicas, n_max + 1))

@@ -7,9 +7,11 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 from bprelab import __version__
 from bprelab.cli import main
+from bprelab.harness import jsonable
 
 GW_RUN_CFG = """\
 schema: 1
@@ -112,9 +114,55 @@ def test_seed_override_lands_in_simulation(gw_cfg, tmp_path, capsys):
     assert a != b
 
 
+def _report(out_dir) -> dict:
+    report = json.loads((out_dir / "report.json").read_text())
+    report.pop("timings")
+    return report
+
+
+def test_overrides_are_recorded_in_the_report(gw_cfg, tmp_path, capsys):
+    main(["run", str(gw_cfg), "--out", str(tmp_path / "file")])
+    main(["run", str(gw_cfg), "--out", str(tmp_path / "cli"), "--seed", "99", "--threads", "2"])
+    capsys.readouterr()
+    file_values = yaml.safe_load(GW_RUN_CFG)
+    assert _report(tmp_path / "file")["config"]["values"] == jsonable(file_values)
+    values = _report(tmp_path / "cli")["config"]["values"]
+    assert values["master_seed"] == 99
+    assert values == jsonable(file_values | {"master_seed": 99, "threads": 2})
+
+
+def test_report_config_reproduces_the_report(gw_cfg, tmp_path, capsys):
+    first, second, copy = tmp_path / "first", tmp_path / "second", tmp_path / "copy.cfg"
+    assert main(["run", str(gw_cfg), "--out", str(first), "--seed", "99", "--threads", "2"]) == 0
+    report = _report(first)
+    copy.write_text(yaml.safe_dump(report["config"]["values"]))
+    assert main(["run", str(copy), "--out", str(second)]) == 0
+    capsys.readouterr()
+    again = _report(second)
+    assert again["config"].pop("source") == str(copy)
+    report["config"].pop("source")
+    assert again == report
+    tables = sorted(f.name for f in first.glob("*.csv"))
+    assert tables and tables == sorted(f.name for f in second.glob("*.csv"))
+    for name in tables:
+        assert (second / name).read_text() == (first / name).read_text()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_negative_seed_is_a_config_error(gw_cfg, tmp_path, capsys, command):
+    out_dir = tmp_path / "out"
+    assert main([command, str(gw_cfg), "--seed", "-1", "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    # the value came from the command line, so the message has no file line
+    assert captured.err == f"bprelab: error: {gw_cfg}: master_seed: must be >= 0\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_bad_threads_value(gw_cfg, capsys):
-    assert main(["run", str(gw_cfg), "--threads", "0"]) == 1
-    assert "--threads must be >= 1" in capsys.readouterr().err
+    for command in ("run", "verify"):
+        assert main([command, str(gw_cfg), "--threads", "0"]) == 1
+        assert capsys.readouterr().err == f"bprelab: error: {gw_cfg}: threads: must be >= 1\n"
 
 
 def test_version_flag(capsys):

@@ -183,6 +183,14 @@ class TestValidation:
         self.fails(minimal() | {"environment": env}, "probability 'half' is not a number")
         env = {"kind": "mixture", "states": [{"law": {2: 0.5}}]}
         self.fails(minimal() | {"environment": env}, "environment.states\\[0\\].law")
+        env = {"kind": "mixture", "states": [{"law": {"-1": 1.0}}]}
+        self.fails(minimal() | {"environment": env}, "offspring value '-1' is not an integer")
+
+    def test_law_keys_as_written_by_json(self):
+        # report.json records laws with string keys; a config copied from it must load
+        env = {"kind": "mixture", "states": [{"law": {"0": 0.25, "2": 0.75}}]}
+        law = parse_config(minimal() | {"environment": env}).env.states[0]
+        assert law.as_mapping() == {0: 0.25, 2: 0.75}
 
     def test_suites(self):
         self.fails(minimal() | {"suites": []}, "non-empty list")

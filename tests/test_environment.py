@@ -25,9 +25,9 @@ class TestEnvPath:
         path = EnvPath([GW, DET3, DET2])
         expected = [0.0, math.log(1.5), math.log(4.5), math.log(9.0)]
         assert path.log_means == pytest.approx(expected, rel=1e-14)
-        assert path.mean_product(2) == pytest.approx(4.5, rel=1e-14)
+        assert math.exp(path.log_means[2]) == pytest.approx(4.5, rel=1e-14)
         assert len(path) == 3
-        assert path.law(1) is DET3
+        assert path.laws[1] is DET3
 
     def test_means_vector(self):
         assert EnvPath([GW, DET3]).means == pytest.approx([1.5, 3.0])

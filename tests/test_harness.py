@@ -9,9 +9,10 @@ import pytest
 
 import bprelab.estimators
 import bprelab.rates
-from bprelab import BpreLabError, ConfigError, EstimateUnavailableError
+from bprelab import BpreLabError, ConfigError, EstimateUnavailableError, config, harness
 from bprelab.config import load_config, parse_config
 from bprelab.harness import run_experiment, verify_suite, write_outputs
+from bprelab.simulate import MODE_QUENCHED
 
 
 def strip_timings(report):
@@ -161,3 +162,31 @@ class TestSharedChecks:
         report, _, code = verify_suite(small_gw(verify=["rate-orderings"]))
         assert code == 2
         assert report["checks"][0]["passed"] is False
+
+
+TWO_STATE = {"kind": "mixture", "states": [{"law": {1: 0.5, 3: 0.5}}, {"law": {2: 1.0}}]}
+
+
+class TestOneOwner:
+    """A decision that run and verify both depend on is made in one place."""
+
+    def test_registries_match_the_config_schema(self):
+        assert tuple(harness._SUITES) == config.KNOWN_SUITES
+        assert tuple(harness._VERIFY) == config.VERIFY_CHECKS
+
+    @pytest.mark.parametrize("path_seed", [None, 7])
+    def test_series_path_is_the_quenched_batch_path(self, path_seed):
+        ctx = harness._Context(small_gw(environment=TWO_STATE, path_seed=path_seed))
+        assert ctx.series_seed == (21 if path_seed is None else path_seed)
+        batch = ctx.batch(MODE_QUENCHED, n_max=12, replicas=200, path_seed=ctx.series_seed)
+        assert batch.path.laws == ctx.series_path(12).laws
+        # the seed decides the path: another seed draws another one
+        other = harness._Context(small_gw(environment=TWO_STATE, path_seed=ctx.series_seed + 1))
+        assert other.series_path(12).laws != batch.path.laws
+
+    def test_short_fixed_path_is_clamped(self):
+        pmfs = [{2: 1.0}, {0: 0.25, 2: 0.75}, {3: 1.0}, {1: 0.5, 3: 0.5}, {2: 1.0}]
+        env = {"kind": "fixed_path", "path": pmfs}
+        ctx = harness._Context(small_gw(environment=env))
+        assert [law.as_mapping() for law in ctx.series_path(12).laws] == pmfs
+        assert ctx.series_path(3).laws == ctx.env.laws[:3]

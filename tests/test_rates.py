@@ -15,6 +15,7 @@ from bprelab import (
     UnsupportedOperationError,
     single_state,
 )
+from bprelab.harness import jsonable
 from bprelab.rates import (
     annealed_critical_conditions,
     annealed_lp_criterion,
@@ -134,6 +135,7 @@ class TestCriteria:
         assert cond.zlogz_finite
         assert not cond.w1_degenerate
         assert cond.all_hold
+        assert jsonable(cond)["all_hold"] is True
 
     def test_negative_tilt_detected(self):
         cond = annealed_critical_conditions(HALF_FOUR, 1.5)
@@ -162,7 +164,7 @@ class TestRateReport:
         assert rep.condition_flags["lp_bounded"]
         assert rep.condition_flags["w1_nondegenerate"]
         assert "tilt_positive" not in rep.condition_flags
-        d = rep.to_dict()
+        d = jsonable(rep)
         assert d["p"] == 2.0 and d["condition_flags"]["lp_bounded"]
 
     def test_small_p_adds_critical_condition_flags(self):

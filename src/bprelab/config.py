@@ -15,6 +15,7 @@ import yaml
 from .environment import Environment, FixedPath, IIDMixture
 from .errors import BpreLabError, ConfigError
 from .offspring import OffspringLaw
+from .rates import SERIES_MARGIN
 
 SCHEMA_VERSION = 1
 
@@ -41,7 +42,7 @@ VERIFY_CHECKS = (
 DEFAULT_TOLERANCES = {
     "identity": 1e-9,
     "exact_rel": 1e-9,
-    "series_margin": 0.02,
+    "series_margin": SERIES_MARGIN,
     "sigmas": 4.0,
 }
 
@@ -127,6 +128,11 @@ class _Checker:
             raise self.fail(path, msg)
 
 
+def _is_number(x) -> bool:
+    """An int or a float; YAML's true/yes/on load as bool, which Python counts as an int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_law(data, path: str, chk: _Checker) -> OffspringLaw:
     chk.require(isinstance(data, dict) and data, path, "expected a {value: probability} map")
     pmf = {}
@@ -134,7 +140,7 @@ def _parse_law(data, path: str, chk: _Checker) -> OffspringLaw:
         if isinstance(key, str) and key.isascii() and key.isdigit():
             key = int(key)  # report.json holds laws with string keys, as JSON must
         chk.require(isinstance(key, int) and not isinstance(key, bool), path, f"offspring value {key!r} is not an integer")
-        chk.require(isinstance(prob, (int, float)), path, f"probability {prob!r} is not a number")
+        chk.require(_is_number(prob), path, f"probability {prob!r} is not a number")
         pmf[key] = float(prob)
     try:
         return OffspringLaw(pmf)
@@ -159,7 +165,7 @@ def _parse_environment(data, chk: _Checker) -> Environment:
             chk.require(not extra, epath, f"unknown keys {sorted(extra)}")
             laws.append(_parse_law(entry.get("law"), f"{epath}.law", chk))
             weight = entry.get("weight", 1.0 / len(states))
-            chk.require(isinstance(weight, (int, float)), f"{epath}.weight", "expected a number")
+            chk.require(_is_number(weight), f"{epath}.weight", "expected a number")
             weights.append(float(weight))
         try:
             return IIDMixture(laws, weights)
@@ -187,10 +193,6 @@ def _check_list(chk: _Checker, items, key: str, ok, msg: str) -> tuple:
     for i, item in enumerate(items):
         chk.require(item not in items[:i], f"{key}[{i}]", f"duplicate entry {item!r}")
     return tuple(items)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float))
 
 
 def parse_config(data: dict, source: str = "<memory>", lines: dict[str, int] | None = None) -> ExperimentConfig:

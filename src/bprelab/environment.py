@@ -48,7 +48,7 @@ class EnvPath:
 
 
 class Environment:
-    """Common surface of the two environment models; each has sample_path and is_supercritical."""
+    """Common surface of both environment models: sample_path, is_supercritical, is_degenerate."""
 
     # Stationary functionals exist only for the i.i.d. mixture model.
 
@@ -92,6 +92,11 @@ class FixedPath(Environment):
     @property
     def is_supercritical(self) -> bool:
         return EnvPath(self.laws).is_supercritical
+
+    @property
+    def is_degenerate(self) -> bool:
+        """True when every stored state is deterministic at its mean (W_n = 1 a.s.)."""
+        return all(law.is_deterministic for law in self.laws)
 
     def __repr__(self) -> str:
         return f"FixedPath(<{len(self.laws)} states>)"

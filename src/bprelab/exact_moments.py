@@ -32,10 +32,6 @@ class PartitionCoefficients:
     k_max: int
     a: np.ndarray  # shape (k_max+1, k_max+1), lower-triangular, a[0,0] = 1
 
-    def row(self, k: int) -> np.ndarray:
-        """a_{k,1..k}, the polynomial coefficients for moment order k."""
-        return self.a[k, 1 : k + 1]
-
 
 def conditional_moment_coeffs(law: OffspringLaw, k_max: int) -> PartitionCoefficients:
     """Polynomial-in-z coefficients of the conditional k-th moments, k <= k_max.
@@ -77,9 +73,6 @@ class MomentTable:
     @property
     def n_max(self) -> int:
         return self.values.shape[0] - 1
-
-    def value(self, n: int, j: int) -> float:
-        return float(self.values[n, j])
 
     def w_moments(self, r: int) -> np.ndarray:
         """Quenched E_xi[W_n^r] for all n; requires a plain (s=0) quenched table."""

@@ -52,17 +52,17 @@ class _Context:
 
     # -- verdict and side-table collection ------------------------------
 
-    def check(self, suite: str, check_id: str, statement: str, passed: bool, **observed) -> bool:
+    def check(self, check_id: str, statement: str, passed: bool, **observed) -> None:
+        """Record a verdict; the suite is the check id's first dotted part."""
         self.checks.append(
             {
                 "id": check_id,
-                "suite": suite,
+                "suite": check_id.split(".")[0],
                 "statement": statement,
                 "passed": bool(passed),
                 "observed": observed,
             }
         )
-        return bool(passed)
 
     def add_csv(self, name: str, header: str, rows: list[str]) -> None:
         self.csv[name] = [header] + rows
@@ -82,11 +82,6 @@ class _Context:
         if self.is_mixture:
             return self.env.geo_mean()
         return float(np.exp(np.mean([law.log_mean for law in self.env.laws])))
-
-    def is_degenerate(self) -> bool:
-        if self.is_mixture:
-            return self.env.is_degenerate
-        return all(law.is_deterministic for law in self.env.laws)
 
     def rho_grid(self) -> tuple[float, ...]:
         """Accumulator grid: config rho list, or 3 spread points of the default grid."""
@@ -161,6 +156,16 @@ def _p2_partial_sums(moments, inc, tol: float) -> tuple[bool, float]:
     return worst <= tol, worst
 
 
+def _within_slack(pairs, sigmas: float) -> tuple[bool, float]:
+    """Each (estimate, exact) pair within sigmas standard errors: (verdict, worst excess)."""
+    ok, worst = True, 0.0
+    for est, exact in pairs:
+        dev, slack = abs(est.value - exact), sigmas * est.stderr
+        ok = ok and dev <= slack + 1e-12
+        worst = max(worst, dev - slack)
+    return ok, worst
+
+
 def _growth_envelope(env: Environment, n: int, orders) -> tuple[bool, dict[int, bool]]:
     """Whether each order's scaled moments stay under the envelope up to max(n, 10)."""
     holds = {r: exact_moments.growth_envelope_check(env, 0.0, r, max(n, 10)) for r in orders}
@@ -182,35 +187,24 @@ def _recursion_slack(env: Environment, n: int) -> tuple[bool, float]:
 
 
 def _suite_rates(ctx: _Context) -> dict:
-    reports = []
-    rows = []
-    for p in ctx.cfg.p:
-        rep = rates.rate_report(ctx.env, p)
-        reports.append(rep)
-        rows.append(
-            f"{p!r},{rep.m_geo!r},{rep.quenched_sufficient_bound!r},"
-            f"{rep.quenched_critical!r},{rep.annealed_rho0!r},{rep.annealed_rhoc!r}"
-        )
+    reports = [rates.rate_report(ctx.env, p) for p in ctx.cfg.p]
+    for rep in reports:
         for name, statement, passed, observed in _rate_orderings(rep):
-            ctx.check("rates", f"rates.p{p:g}.{name}", statement, passed, **observed)
+            ctx.check(f"rates.p{rep.p:g}.{name}", statement, passed, **observed)
     ctx.add_csv(
         "rates.csv",
         "p,m_geo,quenched_sufficient_bound,quenched_critical,annealed_rho0,annealed_rhoc",
-        rows,
+        [
+            f"{rep.p!r},{rep.m_geo!r},{rep.quenched_sufficient_bound!r},"
+            f"{rep.quenched_critical!r},{rep.annealed_rho0!r},{rep.annealed_rhoc!r}"
+            for rep in reports
+        ],
     )
     return {"reports": reports}
 
 
 # ---------------------------------------------------------------------------
 # suite: exact
-
-
-def _table_rows(table: exact_moments.MomentTable) -> list[str]:
-    rows = []
-    for n in range(table.values.shape[0]):
-        for j in range(1, table.values.shape[1]):
-            rows.append(f"{n},{j},{float(table.values[n, j])!r}")
-    return rows
 
 
 def _exact_segment(inc: list[float] | np.ndarray, n: int, upto: int) -> float:
@@ -248,7 +242,6 @@ def _suite_exact(ctx: _Context) -> dict:
         }
         mean_err = float(np.abs(u_by_order[1] - 1.0).max())
         ctx.check(
-            "exact",
             "exact.martingale-mean",
             "the normalized population has exact mean one at every generation",
             mean_err <= tol,
@@ -264,7 +257,6 @@ def _suite_exact(ctx: _Context) -> dict:
         inc = [forms.increment_second_moment(k) for k in range(n_table)]
         passed, worst = _p2_partial_sums(u_by_order[2], inc, tol)
         ctx.check(
-            "exact",
             "exact.p2-partial-sums",
             "second moments from the recursion match the closed-form partial sums",
             passed,
@@ -272,7 +264,6 @@ def _suite_exact(ctx: _Context) -> dict:
         )
         passed, holds = _growth_envelope(ctx.env, n_table, range(2, EXACT_TABLE_ORDER + 1))
         ctx.check(
-            "exact",
             "exact.growth-envelope",
             "scaled moment sequences stay under the polynomial-times-base envelope",
             passed,
@@ -280,7 +271,6 @@ def _suite_exact(ctx: _Context) -> dict:
         )
         passed, min_slack = _recursion_slack(ctx.env, n_table)
         ctx.check(
-            "exact",
             "exact.recursion-slack",
             "the split-moment recursion inequality holds with non-negative slack",
             passed,
@@ -290,9 +280,16 @@ def _suite_exact(ctx: _Context) -> dict:
     path = None
     if isinstance(ctx.env, FixedPath) or ctx.cfg.path_seed is not None:
         path = ctx.series_path(n_table)
-    if path is not None:
         qtable = exact_moments.quenched_moments(path, EXACT_TABLE_ORDER, len(path))
-        ctx.add_csv("exact_quenched.csv", "n,j,value", _table_rows(qtable))
+        ctx.add_csv(
+            "exact_quenched.csv",
+            "n,j,value",
+            [
+                f"{n},{j},{float(qtable.values[n, j])!r}"
+                for n in range(len(path) + 1)
+                for j in range(1, EXACT_TABLE_ORDER + 1)
+            ],
+        )
         section["quenched_table"] = {
             "orders": EXACT_TABLE_ORDER,
             "n_max": len(path),
@@ -300,7 +297,6 @@ def _suite_exact(ctx: _Context) -> dict:
         }
         w_mean_err = float(np.abs(qtable.w_moments(1) - 1.0).max())
         ctx.check(
-            "exact",
             "exact.quenched-mean",
             "along the realized path the normalized mean stays exactly one",
             w_mean_err <= tol,
@@ -314,7 +310,6 @@ def _suite_exact(ctx: _Context) -> dict:
                 tails[n + 1].lower <= tails[n].lower + 1e-15 for n in range(len(tails) - 1)
             )
             ctx.check(
-                "exact",
                 "exact.quenched-p2-tail",
                 "path tail bounds bracket correctly and shrink with the generation",
                 bracket_ok and monotone_ok,
@@ -331,7 +326,6 @@ def _suite_exact(ctx: _Context) -> dict:
             )
         )
         ctx.check(
-            "exact",
             "exact.single-state-consistency",
             "with one state the annealed and path tables coincide",
             diff <= 1e-10,
@@ -344,56 +338,30 @@ def _suite_exact(ctx: _Context) -> dict:
 # suites: quenched-rate / annealed-rate
 
 
-def _estimate_rows(estimates: list[LpEstimate]) -> list[str]:
-    return [f"{e.p!r},{e.n},{e.value!r},{e.stderr!r}" for e in estimates]
+# the DecayFit fields a rate section reports
+_FIT_PAYLOAD = ("fitted_rho", "ci_low", "ci_high", "window", "r_squared", "points_used")
 
 
-def _fit_payload(fit) -> dict:
-    return {
-        "fitted_rho": fit.fitted_rho,
-        "ci_low": fit.ci_low,
-        "ci_high": fit.ci_high,
-        "window": list(fit.window),
-        "r_squared": fit.r_squared,
-        "points_used": fit.points_used,
-    }
-
-
-def _rate_estimates(
-    ctx: _Context, batch: TrajectoryBatch, p: float, bias: "callable | None"
-) -> list[LpEstimate]:
+def _rate_estimates(ctx: _Context, batch: TrajectoryBatch, p: float) -> list[LpEstimate]:
     gap = ctx.cfg.gap
-    out = []
-    for n in range(0, batch.n_max - gap + 1):
-        est = lp_norm(batch, p, n, gap)
-        if bias is not None:
-            est.bias_bound = bias(n, n + gap)
-        out.append(est)
-    return out
+    return [lp_norm(batch, p, n, gap) for n in range(batch.n_max - gap + 1)]
 
 
 def _fit_with_oracle(
     ctx: _Context,
-    suite: str,
+    tag: str,
     p: float,
     estimates: list[LpEstimate],
     exact_values: list[float] | None,
     predicted_rho: float | None,
 ) -> dict:
-    """Fit the decay rate and, when an exact curve exists, check against it."""
+    """Fit the decay rate and check it against any exact curve; check ids start with `tag`."""
     sigmas = ctx.cfg.tolerances["sigmas"]
-    tag = f"{suite}.p{p:g}"
-    section: dict = {"p": p, "estimates": list(estimates)}
+    section: dict = {"p": p, "estimates": list(estimates), "fit": None}
 
     if exact_values is not None:
-        worst = 0.0
-        ok = True
-        for est, exact in zip(estimates, exact_values):
-            slack = sigmas * est.stderr + 1e-12
-            worst = max(worst, abs(est.value - exact) - sigmas * est.stderr)
-            ok = ok and abs(est.value - exact) <= slack
+        ok, worst = _within_slack(zip(estimates, exact_values), sigmas)
         ctx.check(
-            suite,
             f"{tag}.estimates-match-exact",
             "sampled moment distances sit within the Monte Carlo slack of the exact curve",
             ok,
@@ -401,10 +369,8 @@ def _fit_with_oracle(
         )
 
     if all(e.value <= estimators.ROUNDOFF_DISTANCE**p for e in estimates):
-        section["fit"] = None
         section["fit_note"] = "degenerate: all distances are zero up to rounding, nothing to fit"
         ctx.check(
-            suite,
             f"{tag}.degenerate-no-fit",
             "a deterministic population has zero distances and no decay rate to fit",
             True,
@@ -414,25 +380,19 @@ def _fit_with_oracle(
 
     try:
         fit = fit_decay(estimates)
+        observed = {"fitted_rho": fit.fitted_rho}
     except FitUnavailableError as exc:
-        section["fit"] = None
+        fit, observed = None, {"error": str(exc)}
         section["fit_note"] = str(exc)
-        ctx.check(
-            suite,
-            f"{tag}.fit-available",
-            "a decay-rate fit is available for a non-degenerate run",
-            False,
-            error=str(exc),
-        )
-        return section
-    section["fit"] = _fit_payload(fit)
     ctx.check(
-        suite,
         f"{tag}.fit-available",
         "a decay-rate fit is available for a non-degenerate run",
-        True,
-        fitted_rho=fit.fitted_rho,
+        fit is not None,
+        **observed,
     )
+    if fit is None:
+        return section
+    section["fit"] = {key: getattr(fit, key) for key in _FIT_PAYLOAD}
 
     if exact_values is not None:
         lo, hi = fit.window
@@ -444,7 +404,6 @@ def _fit_with_oracle(
             slope_exact = float(estimators.wls_line(ns, ys, sds)[0][1])
             drift = abs(fit.slope - slope_exact)
             ctx.check(
-                suite,
                 f"{tag}.fit-matches-exact",
                 "the fitted decay slope agrees with the exact curve's slope within slack",
                 drift <= sigmas * fit.slope_se + 1e-12,
@@ -454,7 +413,6 @@ def _fit_with_oracle(
             )
     if predicted_rho is not None:
         ctx.check(
-            suite,
             f"{tag}.ci-contains-predicted",
             "the fitted rate's confidence interval contains the predicted critical rate",
             fit.ci_low <= predicted_rho <= fit.ci_high,
@@ -465,40 +423,57 @@ def _fit_with_oracle(
     return section
 
 
+def _rate_batch(ctx: _Context, mode: str) -> TrajectoryBatch:
+    """The config's batch in `mode`, once n_max leaves room for a rate fit."""
+    if ctx.cfg.n_max - ctx.cfg.gap < 3:
+        raise ParameterError("n_max must exceed gap by at least 3 for rate fits")
+    return ctx.batch(mode)
+
+
+def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, predicted_rho):
+    """The per-p body of both rate suites: yields (p, per-p section) after p's checks.
+
+    Only p = 2 has an oracle: the gap sums of the increment second moments
+    `inc`, the bias bound `bias(n + gap)` and the rate `predicted_rho` the fit
+    should bracket.
+    """
+    gap = ctx.cfg.gap
+    for p in ctx.cfg.p:
+        at_p2 = p == 2.0
+        estimates = _rate_estimates(ctx, batch, p)
+        if at_p2 and bias is not None:
+            for est in estimates:
+                est.bias_bound = bias(est.n + gap)
+        rows = [f"{e.p!r},{e.n},{e.value!r},{e.stderr!r}" for e in estimates]
+        ctx.add_csv(f"{suite.replace('-', '_')}_p{p:g}.csv", "p,n,value,stderr", rows)
+        exact_vals = _gap_sums(inc, batch.n_max, gap) if at_p2 else None
+        yield p, _fit_with_oracle(
+            ctx, f"{suite}.p{p:g}", p, estimates, exact_vals, predicted_rho if at_p2 else None
+        )
+
+
 def _suite_quenched_rate(ctx: _Context) -> dict:
     cfg = ctx.cfg
     if not ctx.env.is_supercritical:
         raise ParameterError("quenched-rate suite needs a supercritical environment")
     if ctx.is_mixture and cfg.path_seed is None:
         raise ParameterError("quenched-rate on a mixture needs a path_seed")
-    if cfg.n_max - cfg.gap < 3:
-        raise ParameterError("n_max must exceed gap by at least 3 for rate fits")
-    batch = ctx.batch(MODE_QUENCHED)
+    batch = _rate_batch(ctx, MODE_QUENCHED)
     path = batch.path
     inc = exact_moments.quenched_increment_second_moments(path, batch.n_max)
+    bias = lambda upto: _exact_segment(inc, upto, batch.n_max) + _tail_remainder(path, inc)
 
-    section: dict = {"path_means": [float(m) for m in path.means], "per_p": []}
-    for p in cfg.p:
-        if p == 2.0:
-            exact_vals = _gap_sums(inc, batch.n_max, cfg.gap)
-            bias = lambda n, upto: _exact_segment(inc, upto, batch.n_max) + _tail_remainder(path, inc)
-        else:
-            exact_vals, bias = None, None
-        estimates = _rate_estimates(ctx, batch, p, bias)
-        ctx.add_csv(
-            f"quenched_rate_p{p:g}.csv", "p,n,value,stderr", _estimate_rows(estimates)
-        )
-        section["per_p"].append(
-            _fit_with_oracle(ctx, "quenched-rate", p, estimates, exact_vals, None)
-        )
-
+    section: dict = {
+        "path_means": [float(m) for m in path.means],
+        "per_p": [per_p for _, per_p in _rate_fits(ctx, "quenched-rate", batch, inc, bias, None)],
+    }
     if ctx.is_mixture:
         spread = []
         replicas = max(2_000, min(cfg.replicas // 4, 10_000))
         for offset in (1, 2):
             extra = ctx.batch(MODE_QUENCHED, replicas=replicas, path_seed=cfg.path_seed + offset)
             try:
-                fit = fit_decay(_rate_estimates(ctx, extra, cfg.p[0], None))
+                fit = fit_decay(_rate_estimates(ctx, extra, cfg.p[0]))
                 spread.append(fit.fitted_rho)
             except FitUnavailableError:
                 spread.append(None)
@@ -521,38 +496,25 @@ def _tail_remainder(path: EnvPath, inc: np.ndarray) -> float:
 
 
 def _suite_annealed_rate(ctx: _Context) -> dict:
-    cfg = ctx.cfg
     if not ctx.is_mixture:
         raise ParameterError("annealed-rate suite needs an i.i.d. mixture environment")
     if not ctx.env.is_supercritical:
         raise ParameterError("annealed-rate suite needs a supercritical environment")
-    if cfg.n_max - cfg.gap < 3:
-        raise ParameterError("n_max must exceed gap by at least 3 for rate fits")
-    batch = ctx.batch(MODE_ANNEALED)
+    batch = _rate_batch(ctx, MODE_ANNEALED)
     forms = exact_moments.p2_closed_forms(ctx.env)
     inc = [forms.increment_second_moment(k) for k in range(batch.n_max)]
+    bias = predicted = None
+    if forms.summable:
+        bias = forms.tail
+        predicted = 1.0 / math.sqrt(forms.q1) if forms.q1 > 0 else None
 
     section: dict = {"per_p": []}
-    for p in cfg.p:
-        bias = None
-        exact_vals = None
-        predicted = None
-        if p == 2.0:
-            exact_vals = _gap_sums(inc, batch.n_max, cfg.gap)
-            if forms.summable:
-                bias = lambda n, upto: forms.tail(upto)
-                predicted = 1.0 / math.sqrt(forms.q1) if forms.q1 > 0 else None
-        estimates = _rate_estimates(ctx, batch, p, bias)
-        ctx.add_csv(
-            f"annealed_rate_p{p:g}.csv", "p,n,value,stderr", _estimate_rows(estimates)
-        )
-        per_p = _fit_with_oracle(ctx, "annealed-rate", p, estimates, exact_vals, predicted)
+    for p, per_p in _rate_fits(ctx, "annealed-rate", batch, inc, bias, predicted):
         if 1.0 < p < 2.0:
             per_p["bias_label"] = "oracle-unbounded bias"
         if p == 2.0 and not forms.summable:
             per_p["fit_note"] = "second moments are unbounded here; no finite rate predicted"
             ctx.check(
-                "annealed-rate",
                 f"annealed-rate.p{p:g}.l2-unbounded-reported",
                 "an environment without bounded second moments is reported, not fitted",
                 True,
@@ -566,22 +528,18 @@ def _suite_annealed_rate(ctx: _Context) -> dict:
 # suite: burkholder
 
 
-def _probe_ns(n_max: int) -> list[int]:
-    return sorted({min(2, n_max - 1), (n_max - 1) // 2, n_max - 1})
-
-
 def _suite_burkholder(ctx: _Context) -> dict:
     batch = ctx.batch(ctx.default_mode())
+    last = batch.n_max - 1
     results = []
     for p in ctx.cfg.p:
         for rho in batch.rho_grid:
-            for n in _probe_ns(batch.n_max):
+            for n in sorted({min(2, last), last // 2, last}):
                 sc = estimators.burkholder_sandwich(
                     batch, p, rho, n, slack_sigmas=ctx.cfg.tolerances["sigmas"]
                 )
                 results.append(sc)
                 ctx.check(
-                    "burkholder",
                     f"burkholder.p{p:g}.rho{rho:.4g}.n{n}",
                     "the weighted-increment norm sits inside the square-function bracket",
                     sc.ok,
@@ -605,6 +563,10 @@ def _suite_burkholder(ctx: _Context) -> dict:
 # suite: criteria
 
 
+# the SeriesDiagnostic fields a probe reports, with the last partial sum
+_SERIES_PAYLOAD = ("variant", "p", "r", "rho", "margin", "root_stat", "verdict")
+
+
 def _suite_criteria(ctx: _Context) -> dict:
     cfg = ctx.cfg
     section: dict = {}
@@ -616,7 +578,6 @@ def _suite_criteria(ctx: _Context) -> dict:
             crit = rates.annealed_lp_criterion(ctx.env, p)
             crits.append(crit)
             ctx.check(
-                "criteria",
                 f"criteria.p{p:g}.lp-criterion",
                 "the moment-shrinkage criterion evaluates on the stationary law",
                 True,
@@ -630,7 +591,6 @@ def _suite_criteria(ctx: _Context) -> dict:
                 cond = rates.annealed_critical_conditions(ctx.env, p)
                 conds.append(cond)
                 ctx.check(
-                    "criteria",
                     f"criteria.p{p:g}.critical-conditions",
                     "the critical-rate hypotheses evaluate on the stationary law",
                     True,
@@ -645,73 +605,51 @@ def _suite_criteria(ctx: _Context) -> dict:
     length = max(12, min(cfg.n_max, 40))
     if isinstance(ctx.env, FixedPath):
         length = len(ctx.env.laws)
-    if length >= 8:
-        path = ctx.series_path(length)
-        m_geo = ctx.geo_mean()
-        if m_geo > 1.0:
-            probes = []
-            rho_sub = max(1.0, 0.9 * math.sqrt(m_geo))
-            rho_super = 1.2 * math.sqrt(m_geo)
-            diag_sub = rates.series_diagnostic(
-                path, 2.0, rho_sub, rates.VARIANT_QUADRATIC, margin=margin
-            )
-            probes.append(_series_payload(diag_sub))
-            ctx.check(
-                "criteria",
-                "criteria.series.sub-rho",
-                "below the critical rate the rate series shows no divergence",
-                diag_sub.verdict in ("converging", "inconclusive"),
-                verdict=diag_sub.verdict,
-                root_stat=diag_sub.root_stat,
-                rho=rho_sub,
-            )
-            if not ctx.is_degenerate():
-                diag_super = rates.series_diagnostic(
-                    path, 2.0, rho_super, rates.VARIANT_QUADRATIC, margin=margin
-                )
-                probes.append(_series_payload(diag_super))
-                ctx.check(
-                    "criteria",
-                    "criteria.series.super-rho",
-                    "above the critical rate the rate series shows no convergence",
-                    diag_super.verdict in ("diverging", "inconclusive"),
-                    verdict=diag_super.verdict,
-                    root_stat=diag_super.root_stat,
-                    rho=rho_super,
-                )
-            small_p = [p for p in cfg.p if 1.0 < p < 2.0]
-            if small_p:
-                diag_inc = rates.series_diagnostic(
-                    path, small_p[0], rho_sub, rates.VARIANT_INCREMENT, r=2.0, margin=margin
-                )
-                probes.append(_series_payload(diag_inc))
-                ctx.check(
-                    "criteria",
-                    "criteria.series.increment-sub-rho",
-                    "the increment-variant series shows no divergence below the critical rate",
-                    diag_inc.verdict in ("converging", "inconclusive"),
-                    verdict=diag_inc.verdict,
-                    root_stat=diag_inc.root_stat,
-                )
-            section["series_probes"] = probes
-        else:
-            section["series_note"] = "path is not supercritical on average; no probes run"
-    else:
+    if length < 8:
         section["series_note"] = "stored path shorter than 8 states; series probes skipped"
+        return section
+    path = ctx.series_path(length)
+    m_geo = ctx.geo_mean()
+    if m_geo <= 1.0:
+        section["series_note"] = "path is not supercritical on average; no probes run"
+        return section
+    probes = section["series_probes"] = []
+
+    def probe(name, statement, wrong_verdict, p, at_rho, variant, r=None, **observed):
+        """One series diagnostic: its payload, then a check that it avoids `wrong_verdict`."""
+        diag = rates.series_diagnostic(path, p, at_rho, variant, r=r, margin=margin)
+        payload = {key: getattr(diag, key) for key in _SERIES_PAYLOAD}
+        probes.append(payload | {"partial_sum": float(diag.partial_sums[-1])})
+        ctx.check(
+            f"criteria.series.{name}",
+            statement,
+            diag.verdict != wrong_verdict,
+            verdict=diag.verdict,
+            root_stat=diag.root_stat,
+            **observed,
+        )
+
+    rho_sub = max(1.0, 0.9 * math.sqrt(m_geo))
+    rho_super = 1.2 * math.sqrt(m_geo)
+    probe(
+        "sub-rho",
+        "below the critical rate the rate series shows no divergence",
+        "diverging", 2.0, rho_sub, rates.VARIANT_QUADRATIC, rho=rho_sub,
+    )
+    if not ctx.env.is_degenerate:
+        probe(
+            "super-rho",
+            "above the critical rate the rate series shows no convergence",
+            "converging", 2.0, rho_super, rates.VARIANT_QUADRATIC, rho=rho_super,
+        )
+    small_p = [p for p in cfg.p if 1.0 < p < 2.0]
+    if small_p:
+        probe(
+            "increment-sub-rho",
+            "the increment-variant series shows no divergence below the critical rate",
+            "diverging", small_p[0], rho_sub, rates.VARIANT_INCREMENT, r=2.0,
+        )
     return section
-
-
-def _series_payload(diag: rates.SeriesDiagnostic) -> dict:
-    return {
-        "variant": diag.variant,
-        "p": diag.p,
-        "r": diag.r,
-        "rho": diag.rho,
-        "margin": diag.margin,
-        "root_stat": diag.root_stat,
-        "verdict": diag.verdict,
-        "partial_sum": float(diag.partial_sums[-1]),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +670,6 @@ def _suite_identity(ctx: _Context) -> dict:
             residual = increment_identity_check(batch, rho, n)
             results.append({"rho": rho, "n": n, "residual": residual})
             ctx.check(
-                "identity",
                 f"identity.rho{rho:.4g}.n{n}",
                 "the telescoped and accumulator forms of the weighted sum agree",
                 residual <= tol,
@@ -779,18 +716,21 @@ def jsonable(obj):
     return obj
 
 
-def _build_report(cfg: ExperimentConfig, suites: dict, checks: list[dict], timings: dict) -> dict:
+def _build_report(ctx: _Context, suites: dict, timings: dict, t_start: float):
+    """Close the timings; returns (report, csv tables, exit code 2 if any check failed else 0)."""
+    timings["total"] = time.perf_counter() - t_start
+    checks = ctx.checks
     seen: set[str] = set()
     for c in checks:
         if c["id"] in seen:
             raise BpreLabError(f"check id {c['id']!r} is repeated; ids must identify one check")
         seen.add(c["id"])
     failed = sum(1 for c in checks if not c["passed"])
-    return jsonable(
+    report = jsonable(
         {
             "schema": 1,
             "tool": {"name": "bprelab", "version": __version__},
-            "config": {"source": cfg.source, "values": cfg.raw},
+            "config": {"source": ctx.cfg.source, "values": ctx.cfg.raw},
             "suites": suites,
             "checks": checks,
             "summary": {
@@ -802,6 +742,7 @@ def _build_report(cfg: ExperimentConfig, suites: dict, checks: list[dict], timin
             "timings": timings,
         }
     )
+    return report, ctx.csv, EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
 def write_outputs(report: dict, csv_tables: dict[str, list[str]], out_dir) -> Path:
@@ -824,10 +765,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], i
         t0 = time.perf_counter()
         suites[suite] = _SUITES[suite](ctx)
         timings[suite] = time.perf_counter() - t0
-    timings["total"] = time.perf_counter() - t_start
-    report = _build_report(cfg, suites, ctx.checks, timings)
-    code = EXIT_OK if report["summary"]["ok"] else EXIT_CHECK_FAILED
-    return report, ctx.csv, code
+    return _build_report(ctx, suites, timings, t_start)
 
 
 # ---------------------------------------------------------------------------
@@ -883,7 +821,7 @@ def _verify_batch(ctx: _Context, n_small: int) -> TrajectoryBatch:
     """A small quenched batch along the series path, shared by the batch checks."""
     return ctx.batch(
         MODE_QUENCHED,
-        n_max=n_small,
+        n_max=len(ctx.series_path(n_small)),
         replicas=max(1_000, min(ctx.cfg.replicas, 4_000)),
         path_seed=ctx.series_seed,
         rho_grid=(1.1, 1.3),
@@ -925,14 +863,8 @@ def _verify_orderings(ctx: _Context, n_small: int) -> tuple[bool, dict]:
 def _verify_quenched_increments(ctx: _Context, n_small: int) -> tuple[bool, dict]:
     batch = _verify_batch(ctx, n_small)
     inc = exact_moments.quenched_increment_second_moments(batch.path, batch.n_max)
-    sigmas = ctx.cfg.tolerances["sigmas"]
-    passed = True
-    worst = 0.0
-    for n in range(min(6, batch.n_max)):
-        est = lp_norm(batch, 2.0, n, 1)
-        gap = abs(est.value - float(inc[n]))
-        passed = passed and gap <= sigmas * est.stderr + 1e-12
-        worst = max(worst, gap - sigmas * est.stderr)
+    pairs = [(lp_norm(batch, 2.0, n, 1), float(inc[n])) for n in range(min(6, batch.n_max))]
+    passed, worst = _within_slack(pairs, ctx.cfg.tolerances["sigmas"])
     return passed, {"worst_excess": worst}
 
 
@@ -973,9 +905,6 @@ def verify_suite(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], int
             passed, observed = fn(ctx, n_small)
         except BpreLabError as exc:
             passed, observed = False, {"error": str(exc)}
-        ctx.check("verify", f"verify.{name}", statement, passed, **observed)
+        ctx.check(f"verify.{name}", statement, passed, **observed)
         timings[name] = time.perf_counter() - t0
-    timings["total"] = time.perf_counter() - t_start
-    report = _build_report(cfg, {"verify": {"checks_run": list(cfg.verify)}}, ctx.checks, timings)
-    code = EXIT_OK if report["summary"]["ok"] else EXIT_CHECK_FAILED
-    return report, ctx.csv, code
+    return _build_report(ctx, {"verify": {"checks_run": list(cfg.verify)}}, timings, t_start)

@@ -125,6 +125,26 @@ class TestLineAnchors:
         with pytest.raises(ConfigError, match=rf"case\.cfg:{line}: p\[1\]: each p must be"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "line, bad, anchor",
+        [
+            ("      weight: 0.5", "      weight: yes",
+             r"environment\.states\[0\]\.weight: expected a number"),
+            ("    - law: {1: 0.5, 3: 0.5}", "    - law: {1: true, 3: 0.5}",
+             r"environment\.states\[0\]\.law: probability True is not a number"),
+            ("rho: [1.0, 1.2]", "rho: [true, 1.2]", r"rho\[0\]: each rho must be >= 1"),
+            ("  identity: 1.0e-8", "  sigmas: on", r"tolerances\.sigmas: expected a positive number"),
+        ],
+        ids=["weight", "probability", "rho", "tolerance"],
+    )
+    def test_booleans_are_not_numbers(self, tmp_path, line, bad, anchor):
+        # YAML reads true, yes and on as booleans, and Python counts a bool as an int
+        text = FULL_TEXT.replace(line, bad, 1)
+        path = write_cfg(tmp_path, text)
+        number = text.splitlines().index(bad) + 1
+        with pytest.raises(ConfigError, match=rf"case\.cfg:{number}: {anchor}"):
+            load_config(path)
+
     def test_duplicate_entries_are_anchored(self, tmp_path):
         text = FULL_TEXT.replace("p: [1.5, 2.0]", "p: [2.0, 2.0]")
         path = write_cfg(tmp_path, text)

@@ -70,6 +70,10 @@ class TestFixedPath:
         with pytest.raises(ParameterError):
             FixedPath([])
 
+    def test_degenerate_flag(self):
+        assert FixedPath([DET2, DET3]).is_degenerate
+        assert not FixedPath([DET2, GW]).is_degenerate
+
 
 class TestIIDMixture:
     def test_weight_validation(self):

@@ -42,14 +42,14 @@ class TestConditionalCoeffs:
     def test_frozen_binary_law(self):
         # brute-force Vandermonde solve gave these exact rows
         c = conditional_moment_coeffs(GW, 4)
-        assert c.row(1) == pytest.approx([1.5])
-        assert c.row(2) == pytest.approx([0.75, 2.25])
-        assert c.row(3) == pytest.approx([-0.75, 3.375, 3.375])
-        assert c.row(4) == pytest.approx([-0.375, -2.8125, 10.125, 5.0625])
+        assert c.a[1, 1:2] == pytest.approx([1.5])
+        assert c.a[2, 1:3] == pytest.approx([0.75, 2.25])
+        assert c.a[3, 1:4] == pytest.approx([-0.75, 3.375, 3.375])
+        assert c.a[4, 1:5] == pytest.approx([-0.375, -2.8125, 10.125, 5.0625])
 
     def test_deterministic_law_is_a_pure_power(self):
         c = conditional_moment_coeffs(OffspringLaw({2: 1.0}), 3)
-        assert c.row(3) == pytest.approx([0.0, 0.0, 8.0], abs=1e-12)
+        assert c.a[3, 1:4] == pytest.approx([0.0, 0.0, 8.0], abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -60,7 +60,7 @@ class TestConditionalCoeffs:
         engine = conditional_moment_coeffs(OffspringLaw(pmf), k_max)
         expected = oracles.conditional_coeffs(pmf, k_max)
         for k in range(1, k_max + 1):
-            assert engine.row(k) == pytest.approx(
+            assert engine.a[k, 1 : k + 1] == pytest.approx(
                 [float(x) for x in expected[k]], rel=1e-11, abs=1e-11
             )
 

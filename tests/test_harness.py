@@ -8,6 +8,7 @@ import math
 import pytest
 
 import bprelab.estimators
+import bprelab.exact_moments
 import bprelab.rates
 from bprelab import BpreLabError, ConfigError, EstimateUnavailableError, config, harness
 from bprelab.config import load_config, parse_config
@@ -123,6 +124,13 @@ class TestVerifySuite:
         others = [c for c in report["checks"] if c["id"] != "verify.burkholder-sandwich"]
         assert all(c["passed"] for c in others)
 
+    def test_short_fixed_path_is_verified_at_its_length(self):
+        # the batch checks ask for four generations; a 3-state path gives them three
+        env = {"kind": "fixed_path", "path": [{0: 0.25, 2: 0.75}, {3: 1.0}, {0: 0.25, 2: 0.75}]}
+        report, _, code = verify_suite(small_gw(environment=env))
+        assert code == 0
+        assert [c["passed"] for c in report["checks"]] == [True] * len(config.VERIFY_CHECKS)
+
     def test_component_errors_become_failed_checks(self, monkeypatch):
         def boom(*args, **kwargs):
             raise EstimateUnavailableError("boom")
@@ -160,6 +168,23 @@ class TestSharedChecks:
         assert by_id[f"rates.p2.{name}"] is False
 
         report, _, code = verify_suite(small_gw(verify=["rate-orderings"]))
+        assert code == 2
+        assert report["checks"][0]["passed"] is False
+
+    def test_wrong_exact_increments_fail_both(self, monkeypatch):
+        # one slack comparison judges the simulated distances in run and verify
+        real = bprelab.exact_moments.quenched_increment_second_moments
+        monkeypatch.setattr(
+            bprelab.exact_moments,
+            "quenched_increment_second_moments",
+            lambda path, n_max: 2.0 * real(path, n_max),
+        )
+        report, _, code = run_experiment(small_gw(suites=["quenched-rate"], path_seed=7))
+        assert code == 2
+        by_id = {c["id"]: c["passed"] for c in report["checks"]}
+        assert by_id["quenched-rate.p2.estimates-match-exact"] is False
+
+        report, _, code = verify_suite(small_gw(verify=["quenched-increments"]))
         assert code == 2
         assert report["checks"][0]["passed"] is False
 

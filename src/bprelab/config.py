@@ -216,12 +216,12 @@ def parse_config(data: dict, source: str = "<memory>", lines: dict[str, int] | N
     }
     if "p" in given:
         p_list = _check_list(
-            chk, given["p"], "p", lambda p: _is_number(p) and p > 1, "each p must be a number > 1"
+            chk, given["p"], "p", lambda p: _is_number(p) and math.isfinite(p) and p > 1, "each p must be a number > 1"
         )
         values["p"] = tuple(float(p) for p in p_list)
     if "rho" in given:
         rho = _check_list(
-            chk, given["rho"], "rho", lambda r: _is_number(r) and r >= 1, "each rho must be >= 1"
+            chk, given["rho"], "rho", lambda r: _is_number(r) and math.isfinite(r) and r >= 1, "each rho must be >= 1"
         )
         values["rho"] = tuple(float(r) for r in rho)
     for key, minimum in _INT_MINIMUMS.items():

@@ -52,11 +52,6 @@ class Environment:
 
     # Stationary functionals exist only for the i.i.d. mixture model.
 
-    def expected_log_mean(self) -> float:
-        raise UnsupportedOperationError(
-            f"{type(self).__name__} has no stationary law; expected log mean undefined"
-        )
-
     def geo_mean(self) -> float:
         raise UnsupportedOperationError(
             f"{type(self).__name__} has no stationary law; geometric mean undefined"
@@ -146,7 +141,8 @@ class IIDMixture(Environment):
 
     @property
     def is_supercritical(self) -> bool:
-        return self.expected_log_mean() > 0.0
+        """geo_mean() > 1, the test the rates apply; an E[log m_0] of rounding size is critical."""
+        return self.geo_mean() > 1.0
 
     @property
     def is_degenerate(self) -> bool:

@@ -8,6 +8,7 @@ contiguous batch means.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +27,8 @@ CI_Z = 1.96
 ROUNDOFF_DISTANCE = 1e-10
 
 
-def _batch_means(x: np.ndarray, n_batches: int = N_BATCHES) -> np.ndarray:
-    n_batches = min(n_batches, len(x))
-    return np.array([chunk.mean() for chunk in np.array_split(x, n_batches)])
+def _batch_means(x: np.ndarray) -> np.ndarray:
+    return np.array([chunk.mean() for chunk in np.array_split(x, min(N_BATCHES, len(x)))])
 
 
 def _stderr_of(means: np.ndarray) -> float:
@@ -89,8 +89,8 @@ def lp_norm(batch: TrajectoryBatch, p: float, n: int, proxy_gap: int) -> LpEstim
         raise ParameterError(
             f"need 0 <= n and 1 <= gap with n+gap <= {batch.n_max}"
         )
-    w = batch.w[_rows_used(batch)]
-    x = np.abs(w[:, n + proxy_gap] - w[:, n]) ** p
+    rows = _rows_used(batch)
+    x = np.abs(batch.w[rows, n + proxy_gap] - batch.w[rows, n]) ** p
     return _estimate_from(x, batch, p, n, proxy_gap)
 
 
@@ -100,8 +100,7 @@ def w_moment(batch: TrajectoryBatch, p: float, n: int) -> LpEstimate:
         raise ParameterError("p must be > 0")
     if not 0 <= n <= batch.n_max:
         raise ParameterError(f"need 0 <= n <= {batch.n_max}")
-    w = batch.w[_rows_used(batch)]
-    x = w[:, n] ** p
+    x = batch.w[_rows_used(batch), n] ** p
     return _estimate_from(x, batch, p, n, 0)
 
 
@@ -138,11 +137,6 @@ def wls_line(xs, ys, sds) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return beta, np.linalg.inv(gram), x_mat, wts
 
 
-def _prelim_rho(ns: np.ndarray, ys: np.ndarray) -> float:
-    slope = np.polyfit(ns, ys, 1)[0]
-    return float(np.exp(-slope)) if slope < 0 else 1.0
-
-
 def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
     """Fit value_n ~ C rho^{-pn} by weighted least squares on log(value)/p.
 
@@ -158,44 +152,34 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
     if any(e.p != p for e in estimates):
         raise ParameterError("estimates mix different p values")
     est = sorted(estimates, key=lambda e: e.n)
-    ns = np.array([e.n for e in est], dtype=float)
     floor = ROUNDOFF_DISTANCE**p
-    stderr_ok = np.array(
-        [
-            e.value > floor and np.isfinite(e.value) and e.stderr < 0.5 * e.value
-            for e in est
-        ]
-    )
-    if stderr_ok.sum() >= 2:
-        rho_prelim = _prelim_rho(
-            ns[stderr_ok], np.log([e.value for e, k in zip(est, stderr_ok) if k]) / p
-        )
-    else:
-        rho_prelim = 1.0
 
-    admissible = np.zeros(len(est), dtype=bool)
-    for idx, e in enumerate(est):
-        if not stderr_ok[idx]:
-            continue
+    def usable(e: LpEstimate) -> bool:
+        return e.value > floor and np.isfinite(e.value) and e.stderr < 0.5 * e.value
+
+    prelim = [e for e in est if usable(e)]
+    rho_prelim = 1.0
+    if len(prelim) >= 2:
+        slope = np.polyfit([e.n for e in prelim], np.log([e.value for e in prelim]) / p, 1)[0]
+        if slope < 0:
+            rho_prelim = float(np.exp(-slope))
+
+    def admissible(e: LpEstimate) -> bool:
+        if not usable(e):
+            return False
         bias = e.bias_bound if e.bias_bound is not None else e.value * rho_prelim ** (-e.proxy_gap)
-        admissible[idx] = bias < 0.1 * e.value
+        return bias < 0.1 * e.value
 
-    best_lo, best_len = 0, 0
-    run_lo = None
-    for idx in range(len(est) + 1):
-        if idx < len(est) and admissible[idx]:
-            if run_lo is None:
-                run_lo = idx
-        elif run_lo is not None:
-            if idx - run_lo > best_len:
-                best_lo, best_len = run_lo, idx - run_lo
-            run_lo = None
-    if best_len < 4:
+    window: list[LpEstimate] = []
+    for ok, run in itertools.groupby(est, key=admissible):
+        run = list(run)
+        if ok and len(run) > len(window):  # strict: the first longest run wins
+            window = run
+    if len(window) < 4:
         raise FitUnavailableError(
-            f"longest admissible run has {best_len} points; need >= 4"
+            f"longest admissible run has {len(window)} points; need >= 4"
         )
-    window = est[best_lo : best_lo + best_len]
-    xs = ns[best_lo : best_lo + best_len]
+    xs = np.array([e.n for e in window], dtype=float)
     ys = np.log([e.value for e in window]) / p
     sds = [e.stderr / (p * e.value) for e in window]
 
@@ -223,7 +207,7 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
         r_squared=r_squared,
         slope=slope,
         slope_se=se_slope,
-        points_used=best_len,
+        points_used=len(window),
         ci_method=ci_method,
     )
 
@@ -243,7 +227,7 @@ def _batch_curve_slopes(
     counts = {len(m) for m in mats}
     if len(counts) != 1 or counts.pop() < 8:
         return None
-    curves = np.stack(mats, axis=1)  # (n_batches, window length)
+    curves = np.stack(mats, axis=1)  # (batches, window length)
     if np.any(curves <= 0.0):
         return None
     gram = x_mat.T @ (wts[:, None] * x_mat)
@@ -312,17 +296,14 @@ def burkholder_sandwich(
     q_vals = np.sqrt((rho ** (2 * np.arange(n + 1)) * diffs**2).sum(axis=1))
     a_norm, a_se = _norm_with_stderr(a_vals, p)
     q_norm, q_se = _norm_with_stderr(q_vals, p)
+    lower, upper = a_p * q_norm, b_p * q_norm
+    lower_ok = lower <= a_norm + slack_sigmas * math.hypot(a_p * q_se, a_se)
+    upper_ok = a_norm <= upper + slack_sigmas * math.hypot(b_p * q_se, a_se)
     if a_norm <= ROUNDOFF_DISTANCE and q_norm <= ROUNDOFF_DISTANCE:
         # both sides are rounding residue of a degenerate batch: the exact
         # quantities are zero and the bracket holds trivially
-        return SandwichCheck(
-            p=p, rho=rho, n=n, a_norm=a_norm, q_norm=q_norm,
-            a_stderr=a_se, q_stderr=q_se, lower=0.0, upper=0.0,
-            lower_ok=True, upper_ok=True,
-        )
-    lower, upper = a_p * q_norm, b_p * q_norm
-    lower_slack = slack_sigmas * math.hypot(a_p * q_se, a_se)
-    upper_slack = slack_sigmas * math.hypot(b_p * q_se, a_se)
+        lower = upper = 0.0
+        lower_ok = upper_ok = True
     return SandwichCheck(
         p=p,
         rho=rho,
@@ -333,6 +314,6 @@ def burkholder_sandwich(
         q_stderr=q_se,
         lower=lower,
         upper=upper,
-        lower_ok=lower <= a_norm + lower_slack,
-        upper_ok=a_norm <= upper + upper_slack,
+        lower_ok=lower_ok,
+        upper_ok=upper_ok,
     )

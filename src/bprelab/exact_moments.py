@@ -12,6 +12,7 @@ to closed geometric forms, kept separate as an independent cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,17 +26,12 @@ MAX_ORDER = 6
 OVERFLOW_LIMIT = 1e300
 
 
-@dataclass(frozen=True)
-class PartitionCoefficients:
-    """Coefficients a[k, j] of E[(sum of z iid draws)^k] = sum_j a[k,j] z^j."""
+@functools.cache
+def conditional_moment_coeffs(law: OffspringLaw, k_max: int) -> np.ndarray:
+    """Coefficients a[k, j] of E[(sum of z iid draws)^k] = sum_j a[k,j] z^j, k <= k_max.
 
-    k_max: int
-    a: np.ndarray  # shape (k_max+1, k_max+1), lower-triangular, a[0,0] = 1
-
-
-def conditional_moment_coeffs(law: OffspringLaw, k_max: int) -> PartitionCoefficients:
-    """Polynomial-in-z coefficients of the conditional k-th moments, k <= k_max.
-
+    The array has shape (k_max+1, k_max+1), is lower-triangular with
+    a[0,0] = 1, and is shared between calls, so it is read-only.
     a[k, j] is the partial Bell polynomial B_{k,j} of the law's cumulants:
     the cumulant generating function of a sum of z iid draws is z times the
     single-draw one, so moments of the sum are Bell polynomials in
@@ -52,7 +48,8 @@ def conditional_moment_coeffs(law: OffspringLaw, k_max: int) -> PartitionCoeffic
             for i in range(1, k - j + 2):
                 acc += math.comb(k - 1, i - 1) * kappa[i - 1] * a[k - i, j - 1]
             a[k, j] = acc
-    return PartitionCoefficients(k_max, a)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -69,10 +66,6 @@ class MomentTable:
     max_order: int
     values: np.ndarray  # shape (n_max+1, max_order+1)
     log_means: np.ndarray | None = None
-
-    @property
-    def n_max(self) -> int:
-        return self.values.shape[0] - 1
 
     def w_moments(self, r: int) -> np.ndarray:
         """Quenched E_xi[W_n^r] for all n; requires a plain (s=0) quenched table."""
@@ -97,14 +90,9 @@ def quenched_moments(path: EnvPath, r_max: int, n_max: int) -> MomentTable:
         raise ParameterError(f"r_max must be in 1..{MAX_ORDER}")
     if n_max < 0 or n_max > len(path):
         raise ParameterError(f"n_max {n_max} exceeds path length {len(path)}")
-    coeff_cache: dict[OffspringLaw, PartitionCoefficients] = {}
     m = np.ones((n_max + 1, r_max + 1))
     for n in range(n_max):
-        law = path.laws[n]
-        coeffs = coeff_cache.get(law)
-        if coeffs is None:
-            coeffs = coeff_cache[law] = conditional_moment_coeffs(law, r_max)
-        m[n + 1, 1:] = coeffs.a[1:, 1:] @ m[n, 1:]
+        m[n + 1, 1:] = conditional_moment_coeffs(path.laws[n], r_max)[1:, 1:] @ m[n, 1:]
         _check_overflow(m[n + 1], n + 1)
     return MomentTable(
         mode="quenched",
@@ -130,8 +118,7 @@ def annealed_moment_table(env: Environment, s: float, r_max: int, n_max: int) ->
         raise ParameterError("n_max must be >= 0")
     t = np.zeros((r_max + 1, r_max + 1))
     for state, weight in zip(env.states, env.weights):
-        coeffs = conditional_moment_coeffs(state, r_max)
-        t += weight * state.mean ** (-s) * coeffs.a
+        t += weight * state.mean ** (-s) * conditional_moment_coeffs(state, r_max)
     h = np.ones((n_max + 1, r_max + 1))
     for n in range(n_max):
         h[n + 1] = t @ h[n]

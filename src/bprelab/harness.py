@@ -21,7 +21,7 @@ from . import estimators, exact_moments, rates
 from ._version import __version__
 from .config import ExperimentConfig
 from .environment import EnvPath, Environment, FixedPath, IIDMixture
-from .errors import BpreLabError, FitUnavailableError, ParameterError
+from .errors import BpreLabError, ConfigError, FitUnavailableError, ParameterError
 from .estimators import LpEstimate, fit_decay, lp_norm
 from .simulate import (
     MODE_ANNEALED,
@@ -112,6 +112,11 @@ class _Context:
         ) | overrides
         if "rho_grid" not in fields:
             fields["rho_grid"] = self.rho_grid()
+        if isinstance(cfg.env, FixedPath) and fields["n_max"] > len(cfg.env.laws):
+            raise ConfigError(
+                f"{cfg.source}: n_max: {fields['n_max']} exceeds "
+                f"the fixed path's {len(cfg.env.laws)} states"
+            )
         sim = SimConfig(mode=mode, **fields)
         if sim not in self._batches:
             self._batches[sim] = run(sim, threads=cfg.threads)
@@ -216,31 +221,32 @@ def _gap_sums(inc, n_max: int, gap: int) -> list[float]:
     return [_exact_segment(inc, n, n + gap) for n in range(n_max - gap + 1)]
 
 
+def _exact_table(ctx: _Context, name: str, values: np.ndarray) -> dict:
+    """Write values[n, j-1], the order-j moment at generation n, as CSV `name`; return its summary."""
+    ctx.add_csv(
+        name,
+        "n,j,value",
+        [f"{n},{j},{float(v)!r}" for n, row in enumerate(values) for j, v in enumerate(row, 1)],
+    )
+    return {
+        "orders": values.shape[1],
+        "n_max": len(values) - 1,
+        "last_row": [float(v) for v in values[-1]],
+    }
+
+
 def _suite_exact(ctx: _Context) -> dict:
     tol = ctx.cfg.tolerances["exact_rel"]
     n_table = min(ctx.cfg.n_max, EXACT_TABLE_LEN)
     section: dict = {}
 
     if ctx.is_mixture:
-        u_by_order = {
-            r: exact_moments.annealed_u(ctx.env, 0.0, r, n_table)
+        u = np.column_stack([
+            exact_moments.annealed_u(ctx.env, 0.0, r, n_table)
             for r in range(1, EXACT_TABLE_ORDER + 1)
-        }
-        ctx.add_csv(
-            "exact_annealed.csv",
-            "n,j,value",
-            [
-                f"{n},{r},{float(u_by_order[r][n])!r}"
-                for n in range(n_table + 1)
-                for r in range(1, EXACT_TABLE_ORDER + 1)
-            ],
-        )
-        section["annealed_table"] = {
-            "orders": EXACT_TABLE_ORDER,
-            "n_max": n_table,
-            "last_row": [float(u_by_order[r][-1]) for r in range(1, EXACT_TABLE_ORDER + 1)],
-        }
-        mean_err = float(np.abs(u_by_order[1] - 1.0).max())
+        ])
+        section["annealed_table"] = _exact_table(ctx, "exact_annealed.csv", u)
+        mean_err = float(np.abs(u[:, 0] - 1.0).max())
         ctx.check(
             "exact.martingale-mean",
             "the normalized population has exact mean one at every generation",
@@ -255,7 +261,7 @@ def _suite_exact(ctx: _Context) -> dict:
             "sup_w2": forms.sup_w2(),
         }
         inc = [forms.increment_second_moment(k) for k in range(n_table)]
-        passed, worst = _p2_partial_sums(u_by_order[2], inc, tol)
+        passed, worst = _p2_partial_sums(u[:, 1], inc, tol)
         ctx.check(
             "exact.p2-partial-sums",
             "second moments from the recursion match the closed-form partial sums",
@@ -281,20 +287,7 @@ def _suite_exact(ctx: _Context) -> dict:
     if isinstance(ctx.env, FixedPath) or ctx.cfg.path_seed is not None:
         path = ctx.series_path(n_table)
         qtable = exact_moments.quenched_moments(path, EXACT_TABLE_ORDER, len(path))
-        ctx.add_csv(
-            "exact_quenched.csv",
-            "n,j,value",
-            [
-                f"{n},{j},{float(qtable.values[n, j])!r}"
-                for n in range(len(path) + 1)
-                for j in range(1, EXACT_TABLE_ORDER + 1)
-            ],
-        )
-        section["quenched_table"] = {
-            "orders": EXACT_TABLE_ORDER,
-            "n_max": len(path),
-            "last_row": [float(v) for v in qtable.values[-1, 1:]],
-        }
+        section["quenched_table"] = _exact_table(ctx, "exact_quenched.csv", qtable.values[:, 1:])
         w_mean_err = float(np.abs(qtable.w_moments(1) - 1.0).max())
         ctx.check(
             "exact.quenched-mean",

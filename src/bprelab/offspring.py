@@ -85,13 +85,6 @@ class OffspringLaw:
         dev = np.abs(self.values / self._mean - 1.0)
         return float(np.power(dev, float(p)) @ self.probs)
 
-    def raw_moments(self, k_max: int) -> np.ndarray:
-        """Exact integer-order moments E[X^k] for k = 1..k_max."""
-        if k_max < 1:
-            raise ParameterError("k_max must be >= 1")
-        vals = self.values.astype(np.float64)
-        return np.array([float(np.power(vals, k) @ self.probs) for k in range(1, k_max + 1)])
-
     def cumulants(self, k_max: int) -> np.ndarray:
         """Cumulants kappa_1..kappa_k_max, k_max <= 12.
 
@@ -100,7 +93,7 @@ class OffspringLaw:
         """
         if not 1 <= k_max <= MAX_CUMULANT_ORDER:
             raise ParameterError(f"cumulant order must be in 1..{MAX_CUMULANT_ORDER}")
-        mu = self.raw_moments(k_max)
+        mu = [self.moment(k) for k in range(1, k_max + 1)]
         kappa = np.zeros(k_max)
         for n in range(1, k_max + 1):
             acc = mu[n - 1]

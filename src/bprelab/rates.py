@@ -19,6 +19,7 @@ from .errors import ParameterError
 from .offspring import OffspringLaw
 
 SERIES_MARGIN = 0.02
+RHO_GRID_POINTS = 20
 
 VARIANT_INCREMENT = "increment"
 VARIANT_QUADRATIC = "quadratic"
@@ -177,12 +178,12 @@ def rate_report(env: Environment, p: float) -> RateReport:
     )
 
 
-def default_rho_grid(critical: float, points: int = 20) -> np.ndarray:
+def default_rho_grid(critical: float) -> np.ndarray:
     """Geometric rho grid spanning [1.01, 1.2 * critical], bracketing the transition."""
     if critical <= 0:
         raise ParameterError("critical rate must be positive")
     hi = max(1.2 * critical, 1.02)
-    return np.geomspace(1.01, hi, points)
+    return np.geomspace(1.01, hi, RHO_GRID_POINTS)
 
 
 @dataclass(frozen=True)

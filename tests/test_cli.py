@@ -165,6 +165,19 @@ def test_bad_threads_value(gw_cfg, capsys):
         assert capsys.readouterr().err == f"bprelab: error: {gw_cfg}: threads: must be >= 1\n"
 
 
+def test_n_max_beyond_a_fixed_path_exits_1(tmp_path, capsys):
+    text = open("configs/fixed_path.cfg").read()
+    text = text.replace("n_max: 12", "n_max: 14").replace(
+        "suites: [exact, quenched-rate, criteria, burkholder, identity]", "suites: [quenched-rate]"
+    )
+    path = tmp_path / "long.cfg"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"bprelab: error: {path}: n_max: 14 exceeds the fixed path's 12 states\n"
+    assert captured.out == ""
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -145,6 +145,22 @@ class TestLineAnchors:
         with pytest.raises(ConfigError, match=rf"case\.cfg:{number}: {anchor}"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "line, bad, anchor",
+        [
+            ("p: [1.5, 2.0]", "p: [1.5, .inf]", r"p\[1\]: each p must be a number > 1"),
+            ("rho: [1.0, 1.2]", "rho: [1.0, .inf]", r"rho\[1\]: each rho must be >= 1"),
+        ],
+        ids=["p", "rho"],
+    )
+    def test_infinities_are_refused(self, tmp_path, line, bad, anchor):
+        # YAML reads .inf as a float; an infinite p or rho yields nan brackets and fits
+        text = FULL_TEXT.replace(line, bad, 1)
+        path = write_cfg(tmp_path, text)
+        number = text.splitlines().index(bad) + 1
+        with pytest.raises(ConfigError, match=rf"case\.cfg:{number}: {anchor}$"):
+            load_config(path)
+
     def test_duplicate_entries_are_anchored(self, tmp_path):
         text = FULL_TEXT.replace("p: [1.5, 2.0]", "p: [2.0, 2.0]")
         path = write_cfg(tmp_path, text)

@@ -12,6 +12,7 @@ from bprelab import (
     OffspringLaw,
     ParameterError,
     UnsupportedOperationError,
+    quenched_bounds,
     single_state,
 )
 
@@ -106,6 +107,16 @@ class TestIIDMixture:
             [OffspringLaw({0: 0.5, 1: 0.5}), OffspringLaw({1: 0.5, 2: 0.5})], [0.5, 0.5]
         )
         assert not sub.is_supercritical
+
+    def test_critical_mixture_is_not_supercritical(self):
+        # E log m_0 = (log 1/8 + log 4 + log 2) / 3 = 0, but the float sum is 8e-17
+        laws = [OffspringLaw({0: 0.875, 1: 0.125}), OffspringLaw({1: 0.25, 5: 0.75}),
+                OffspringLaw({0: 0.5, 4: 0.5})]
+        env = IIDMixture(laws, [1 / 3] * 3)
+        assert env.expected_log_mean() > 0.0
+        assert not env.is_supercritical
+        with pytest.raises(ParameterError, match="not supercritical"):
+            quenched_bounds(env, 2.0)
 
     def test_sampling_needs_rng(self):
         env = IIDMixture([DET2, DET3], [0.5, 0.5])

@@ -15,6 +15,7 @@ from bprelab import (
     single_state,
 )
 from bprelab.estimators import (
+    N_BATCHES,
     LpEstimate,
     burkholder_constants,
     burkholder_sandwich,
@@ -22,6 +23,7 @@ from bprelab.estimators import (
     lp_norm,
     w_moment,
 )
+from bprelab.simulate import STATUS_CAPPED
 
 
 def gw_tail(n):
@@ -56,6 +58,57 @@ def capped_batch():
         rho_grid=(1.2,),
     )
     return run(cfg)
+
+
+@pytest.fixture(scope="module")
+def partly_capped_batch():
+    """Binary-law batch whose cap stops most rows but leaves more than 100 uncapped."""
+    cfg = SimConfig(
+        env=single_state(OffspringLaw({0: 0.25, 2: 0.75})),
+        mode="annealed",
+        n_max=20,
+        replicas=600,
+        master_seed=1,
+        pop_cap=1000,
+        rho_grid=(1.1,),
+    )
+    return run(cfg)
+
+
+def mean_and_stderr(x):
+    """Plain numpy: the sample mean and the stderr of N_BATCHES contiguous batch means."""
+    means = np.array([chunk.mean() for chunk in np.array_split(x, N_BATCHES)])
+    return float(np.mean(x)), float(np.std(means, ddof=1) / math.sqrt(N_BATCHES))
+
+
+class TestCappedRows:
+    """Every reduction uses exactly the rows whose status is not capped."""
+
+    def test_lp_norm_and_w_moment(self, partly_capped_batch):
+        b = partly_capped_batch
+        w = b.w[b.status != STATUS_CAPPED]
+        assert 100 <= len(w) < b.replicas
+        for p, n, gap in ((2.0, 10, 8), (1.5, 3, 12)):
+            est = lp_norm(b, p, n, gap)
+            assert (est.value, est.stderr) == mean_and_stderr(np.abs(w[:, n + gap] - w[:, n]) ** p)
+            assert est.replicas_used == len(w)
+        for p, n in ((2.0, 18), (1.5, 7)):
+            est = w_moment(b, p, n)
+            assert (est.value, est.stderr) == mean_and_stderr(w[:, n] ** p)
+        # the capped rows would change the answer
+        assert lp_norm(b, 2.0, 10, 8).value != float(np.mean((b.w[:, 18] - b.w[:, 10]) ** 2))
+
+    def test_burkholder_sandwich(self, partly_capped_batch):
+        b = partly_capped_batch
+        kept = b.status != STATUS_CAPPED
+        rho, n = 1.1, 12
+        a = b.a_hat[kept, 0, n]
+        diffs = np.diff(b.w[kept, : n + 2], axis=1)
+        q = np.sqrt((rho ** (2 * np.arange(n + 1)) * diffs**2).sum(axis=1))
+        for p in (1.5, 2.0):
+            check = burkholder_sandwich(b, p, rho, n)
+            assert check.a_norm == float(np.mean(np.abs(a) ** p)) ** (1 / p)
+            assert check.q_norm == float(np.mean(np.abs(q) ** p)) ** (1 / p)
 
 
 class TestNorms:
@@ -146,6 +199,13 @@ class TestFitDecay:
         # a generous gap keeps the same data fittable
         fit = fit_decay(synthetic_estimates(gap=20, count=8, bias_bound=None))
         assert fit.fitted_rho == pytest.approx(1.25, rel=1e-6)
+
+    def test_first_of_two_longest_runs_is_fitted(self):
+        ests = synthetic_estimates(count=9)
+        ests[4].bias_bound = ests[4].value  # splits 0..8 into two admissible runs of 4
+        fit = fit_decay(ests)
+        assert fit.window == (0, 3)
+        assert fit.points_used == 4
 
     def test_too_few_points(self):
         with pytest.raises(FitUnavailableError):

@@ -42,14 +42,14 @@ class TestConditionalCoeffs:
     def test_frozen_binary_law(self):
         # brute-force Vandermonde solve gave these exact rows
         c = conditional_moment_coeffs(GW, 4)
-        assert c.a[1, 1:2] == pytest.approx([1.5])
-        assert c.a[2, 1:3] == pytest.approx([0.75, 2.25])
-        assert c.a[3, 1:4] == pytest.approx([-0.75, 3.375, 3.375])
-        assert c.a[4, 1:5] == pytest.approx([-0.375, -2.8125, 10.125, 5.0625])
+        assert c[1, 1:2] == pytest.approx([1.5])
+        assert c[2, 1:3] == pytest.approx([0.75, 2.25])
+        assert c[3, 1:4] == pytest.approx([-0.75, 3.375, 3.375])
+        assert c[4, 1:5] == pytest.approx([-0.375, -2.8125, 10.125, 5.0625])
 
     def test_deterministic_law_is_a_pure_power(self):
         c = conditional_moment_coeffs(OffspringLaw({2: 1.0}), 3)
-        assert c.a[3, 1:4] == pytest.approx([0.0, 0.0, 8.0], abs=1e-12)
+        assert c[3, 1:4] == pytest.approx([0.0, 0.0, 8.0], abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -60,7 +60,7 @@ class TestConditionalCoeffs:
         engine = conditional_moment_coeffs(OffspringLaw(pmf), k_max)
         expected = oracles.conditional_coeffs(pmf, k_max)
         for k in range(1, k_max + 1):
-            assert engine.a[k, 1 : k + 1] == pytest.approx(
+            assert engine[k, 1 : k + 1] == pytest.approx(
                 [float(x) for x in expected[k]], rel=1e-11, abs=1e-11
             )
 
@@ -69,8 +69,15 @@ class TestConditionalCoeffs:
         c = conditional_moment_coeffs(GW, 4)
         for k in range(1, 5):
             direct = float(oracles.conditional_sum_moment(GW_PMF, 5, k))
-            poly = sum(c.a[k, j] * 5.0**j for j in range(1, k + 1))
+            poly = sum(c[k, j] * 5.0**j for j in range(1, k + 1))
             assert poly == pytest.approx(direct, rel=1e-12)
+
+    def test_memoized_and_read_only(self):
+        c = conditional_moment_coeffs(GW, 4)
+        assert conditional_moment_coeffs(GW, 4) is c
+        assert conditional_moment_coeffs(OffspringLaw(GW_PMF), 4) is c
+        with pytest.raises(ValueError):
+            c[1, 1] = 0.0
 
     def test_order_bounds(self):
         with pytest.raises(ParameterError):
@@ -86,7 +93,7 @@ class TestQuenchedMoments:
         assert table.values[3] == pytest.approx(
             [1.0, 6.75, 64.125, 634.5, 6483.375], rel=1e-12
         )
-        assert table.mode == "quenched" and table.s == 0.0 and table.n_max == 3
+        assert table.mode == "quenched" and table.s == 0.0 and len(table.values) == 4
 
     def test_matches_enumeration_on_small_paths(self):
         paths = [

@@ -63,6 +63,14 @@ class TestRunExperiment:
         with pytest.raises(BpreLabError, match="supercritical"):
             run_experiment(cfg)
 
+    def test_n_max_beyond_a_fixed_path_is_named(self):
+        env = {"kind": "fixed_path", "path": [{0: 0.25, 2: 0.75}, {3: 1.0}, {0: 0.25, 2: 0.75}]}
+        cfg = small_gw(environment=env, suites=["quenched-rate"])
+        with pytest.raises(ConfigError, match=r"^<memory>: n_max: 16 exceeds the fixed path's 3 states$"):
+            run_experiment(cfg)
+        # suites that simulate nothing still run on the path they have
+        assert run_experiment(small_gw(environment=env, suites=["exact", "criteria"]))[2] == 0
+
     def test_report_deterministic_modulo_timings(self):
         first = strip_timings(run_experiment(small_gw())[0])
         second = strip_timings(run_experiment(small_gw())[0])

@@ -1,6 +1,8 @@
 """Branching processes in varying and random environments: exact moment
 tables, critical-rate calculators, and Monte Carlo convergence-rate checks."""
 
+import types
+
 from ._version import __version__
 from .environment import EnvPath, Environment, FixedPath, IIDMixture, single_state
 from .errors import (
@@ -49,51 +51,8 @@ from .rates import (
 )
 from .simulate import SimConfig, TrajectoryBatch, increment_identity_check, run
 
-__all__ = [
-    "__version__",
-    "BpreLabError",
-    "ConfigError",
-    "ParameterError",
-    "UnsupportedOperationError",
-    "TableOverflowError",
-    "EstimateUnavailableError",
-    "FitUnavailableError",
-    "OffspringLaw",
-    "EnvPath",
-    "Environment",
-    "FixedPath",
-    "IIDMixture",
-    "single_state",
-    "RateReport",
-    "quenched_bounds",
-    "annealed_rates",
-    "annealed_lp_criterion",
-    "annealed_critical_conditions",
-    "rate_report",
-    "default_rho_grid",
-    "series_diagnostic",
-    "MomentTable",
-    "P2ClosedForms",
-    "GrowthEnvelope",
-    "conditional_moment_coeffs",
-    "quenched_moments",
-    "annealed_moment_table",
-    "annealed_u",
-    "p2_closed_forms",
-    "quenched_p2_tail",
-    "quenched_increment_second_moments",
-    "growth_envelope",
-    "growth_envelope_check",
-    "recursion_inequality_slacks",
-    "SimConfig",
-    "TrajectoryBatch",
-    "run",
-    "increment_identity_check",
-    "LpEstimate",
-    "DecayFit",
-    "lp_norm",
-    "w_moment",
-    "fit_decay",
-    "burkholder_constants",
-    "burkholder_sandwich",
+# the public names are the ones imported above
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]

@@ -12,6 +12,7 @@ import sys
 
 from ._version import __version__
 from .config import load_config
+from .environment import IIDMixture
 from .errors import BpreLabError, ConfigError
 from .harness import EXIT_USAGE, jsonable, run_experiment, verify_suite, write_outputs
 from .rates import rate_report
@@ -53,9 +54,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# command-line option -> the config key it overrides
+_OVERRIDES = {"seed": "master_seed", "threads": "threads", "p": "p"}
+
+
 def _overrides(args) -> dict:
     """The config values given on the command line; the loader checks them like file values."""
-    given = {"master_seed": args.seed, "threads": args.threads}
+    given = {key: getattr(args, option, None) for option, key in _OVERRIDES.items()}
     return {key: value for key, value in given.items() if value is not None}
 
 
@@ -88,9 +93,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    cfg = load_config(args.config)
-    exponents = args.p if args.p else list(cfg.p)
-    reports = [rate_report(cfg.env, p) for p in exponents]
+    cfg = load_config(args.config, _overrides(args))
+    if not isinstance(cfg.env, IIDMixture):
+        raise ConfigError(
+            f"{cfg.source}: environment: rates needs a 'kind: mixture' environment; "
+            "a fixed path has no stationary law"
+        )
+    reports = [rate_report(cfg.env, p) for p in cfg.p]
     print(json.dumps(jsonable({"name": cfg.name, "rates": reports}), indent=2, sort_keys=True))
     return 0
 

@@ -8,6 +8,7 @@ the offending key path, and (when the composer can supply it) the line.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 
 import yaml
@@ -252,7 +253,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Load a config file, with `overrides` replacing top-level values before validation.
 
     An override is checked like a file value, and `raw` records it; an error
-    in one names its key without a line, since the value is not in the file.
+    in one names its key path without a line, since the value is not in the
+    file (the lines of the file's own entries under that key are dropped).
     """
     path = str(path)
     try:
@@ -269,6 +271,6 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     lines = _line_index(text)
     if overrides and isinstance(data, dict):
         data = {**data, **overrides}
-        for key in overrides:
-            lines.pop(key, None)
+        lines = {key: line for key, line in lines.items()
+                 if re.split(r"[.\[]", key, maxsplit=1)[0] not in overrides}
     return parse_config(data, source=path, lines=lines)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimateUnavailableError, FitUnavailableError, ParameterError
-from .simulate import TrajectoryBatch
+from .simulate import TrajectoryBatch, weighted_increment_sum
 
 N_BATCHES = 30
 MIN_REPLICAS = 100
@@ -283,16 +283,18 @@ def burkholder_sandwich(
 ) -> SandwichCheck:
     """Check a_p ||Q_n||_p <= ||A_hat_n||_p <= b_p ||Q_n||_p on the batch.
 
-    Both inequalities get a slack of slack_sigmas combined standard errors,
-    so a pass is Monte Carlo evidence rather than an exact certificate.
+    rho is any finite value >= 1. Both inequalities get a slack of
+    slack_sigmas combined standard errors, so a pass is Monte Carlo
+    evidence rather than an exact certificate.
     """
     a_p, b_p = burkholder_constants(p)
-    j = batch.rho_index(rho)
+    if not (math.isfinite(rho) and rho >= 1.0):
+        raise ParameterError(f"rho must be finite and >= 1, got {rho}")
     if not 0 <= n <= batch.n_max - 1:
         raise ParameterError(f"need 0 <= n <= {batch.n_max - 1}")
     mask = _rows_used(batch)
-    a_vals = batch.a_hat[mask, j, n]
     diffs = np.diff(batch.w[mask, : n + 2], axis=1)
+    a_vals = weighted_increment_sum(diffs, rho)
     q_vals = np.sqrt((rho ** (2 * np.arange(n + 1)) * diffs**2).sum(axis=1))
     a_norm, a_se = _norm_with_stderr(a_vals, p)
     q_norm, q_se = _norm_with_stderr(q_vals, p)

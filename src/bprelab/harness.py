@@ -84,7 +84,7 @@ class _Context:
         return float(np.exp(np.mean([law.log_mean for law in self.env.laws])))
 
     def rho_grid(self) -> tuple[float, ...]:
-        """Accumulator grid: config rho list, or 3 spread points of the default grid."""
+        """The burkholder and identity suites' rho: config rho list, else 3 default-grid points."""
         if self.cfg.rho is not None:
             return self.cfg.rho
         grid = rates.default_rho_grid(math.sqrt(max(self.geo_mean(), 1.0)))
@@ -110,8 +110,6 @@ class _Context:
             env=cfg.env, n_max=cfg.n_max, replicas=cfg.replicas, master_seed=cfg.master_seed,
             path_seed=cfg.path_seed, pop_cap=cfg.pop_cap,
         ) | overrides
-        if "rho_grid" not in fields:
-            fields["rho_grid"] = self.rho_grid()
         if isinstance(cfg.env, FixedPath) and fields["n_max"] > len(cfg.env.laws):
             raise ConfigError(
                 f"{cfg.source}: n_max: {fields['n_max']} exceeds "
@@ -169,6 +167,19 @@ def _within_slack(pairs, sigmas: float) -> tuple[bool, float]:
         ok = ok and dev <= slack + 1e-12
         worst = max(worst, dev - slack)
     return ok, worst
+
+
+def _sandwich(batch: TrajectoryBatch, p: float, rho: float, n: int,
+              sigmas: float) -> tuple[estimators.SandwichCheck, dict]:
+    """The square-function bracket of A_hat_n(rho) with sigmas slack: (check, observed values)."""
+    sc = estimators.burkholder_sandwich(batch, p, rho, n, slack_sigmas=sigmas)
+    return sc, {"a_norm": sc.a_norm, "lower": sc.lower, "upper": sc.upper}
+
+
+def _identity(batch: TrajectoryBatch, rho: float, n: int, tol: float) -> tuple[bool, float]:
+    """The telescoped and accumulator forms of A_hat_n(rho) within tol: (verdict, residual)."""
+    residual = increment_identity_check(batch, rho, n)
+    return residual <= tol, residual
 
 
 def _growth_envelope(env: Environment, n: int, orders) -> tuple[bool, dict[int, bool]]:
@@ -526,19 +537,15 @@ def _suite_burkholder(ctx: _Context) -> dict:
     last = batch.n_max - 1
     results = []
     for p in ctx.cfg.p:
-        for rho in batch.rho_grid:
+        for rho in ctx.rho_grid():
             for n in sorted({min(2, last), last // 2, last}):
-                sc = estimators.burkholder_sandwich(
-                    batch, p, rho, n, slack_sigmas=ctx.cfg.tolerances["sigmas"]
-                )
+                sc, observed = _sandwich(batch, p, rho, n, ctx.cfg.tolerances["sigmas"])
                 results.append(sc)
                 ctx.check(
                     f"burkholder.p{p:g}.rho{rho:.4g}.n{n}",
                     "the weighted-increment norm sits inside the square-function bracket",
                     sc.ok,
-                    a_norm=sc.a_norm,
-                    lower=sc.lower,
-                    upper=sc.upper,
+                    **observed,
                 )
     ctx.add_csv(
         "burkholder.csv",
@@ -652,7 +659,7 @@ def _suite_criteria(ctx: _Context) -> dict:
 def _suite_identity(ctx: _Context) -> dict:
     tol = ctx.cfg.tolerances["identity"]
     batch = ctx.batch(ctx.default_mode())
-    rhos = [r for r in batch.rho_grid if r > 1.0]
+    rhos = [r for r in ctx.rho_grid() if r > 1.0]
     if not rhos:
         raise ParameterError("identity suite needs at least one rho > 1 in the grid")
     ns = sorted({1, batch.n_max // 2, batch.n_max - 2})
@@ -660,12 +667,12 @@ def _suite_identity(ctx: _Context) -> dict:
     results = []
     for rho in rhos[:3]:
         for n in ns:
-            residual = increment_identity_check(batch, rho, n)
+            passed, residual = _identity(batch, rho, n, tol)
             results.append({"rho": rho, "n": n, "residual": residual})
             ctx.check(
                 f"identity.rho{rho:.4g}.n{n}",
                 "the telescoped and accumulator forms of the weighted sum agree",
-                residual <= tol,
+                passed,
                 residual=residual,
                 tolerance=tol,
             )
@@ -810,6 +817,10 @@ def _verify_envelope(ctx: _Context, n_small: int) -> tuple[bool, dict]:
     return passed, {"per_order": holds}
 
 
+# the rho values of verify's identity and sandwich checks
+_VERIFY_RHOS = (1.1, 1.3)
+
+
 def _verify_batch(ctx: _Context, n_small: int) -> TrajectoryBatch:
     """A small quenched batch along the series path, shared by the batch checks."""
     return ctx.batch(
@@ -817,30 +828,28 @@ def _verify_batch(ctx: _Context, n_small: int) -> TrajectoryBatch:
         n_max=len(ctx.series_path(n_small)),
         replicas=max(1_000, min(ctx.cfg.replicas, 4_000)),
         path_seed=ctx.series_seed,
-        rho_grid=(1.1, 1.3),
     )
 
 
 def _verify_identity(ctx: _Context, n_small: int) -> tuple[bool, dict]:
     batch = _verify_batch(ctx, n_small)
     tol = ctx.cfg.tolerances["identity"]
-    worst = max(
-        increment_identity_check(batch, rho, n)
-        for rho in batch.rho_grid
+    verdicts, residuals = zip(*(
+        _identity(batch, rho, n, tol)
+        for rho in _VERIFY_RHOS
         for n in (1, batch.n_max - 2)
         if n >= 0
-    )
-    return worst <= tol, {"max_residual": worst, "tolerance": tol}
+    ))
+    return all(verdicts), {"max_residual": max(residuals), "tolerance": tol}
 
 
 def _verify_burkholder(ctx: _Context, n_small: int) -> tuple[bool, dict]:
     batch = _verify_batch(ctx, n_small)
     p = ctx.cfg.p[0]
-    sc = estimators.burkholder_sandwich(
-        batch, p, batch.rho_grid[0], batch.n_max - 1,
-        slack_sigmas=ctx.cfg.tolerances["sigmas"],
+    sc, observed = _sandwich(
+        batch, p, _VERIFY_RHOS[0], batch.n_max - 1, ctx.cfg.tolerances["sigmas"]
     )
-    return sc.ok, {"p": p, "a_norm": sc.a_norm, "lower": sc.lower, "upper": sc.upper}
+    return sc.ok, {"p": p} | observed
 
 
 def _verify_orderings(ctx: _Context, n_small: int) -> tuple[bool, dict]:

@@ -1,4 +1,4 @@
-"""Monte Carlo trajectory engine for (Z_n, W_n) paths and A_hat accumulators.
+"""Monte Carlo trajectory engine for (Z_n, W_n) paths and weighted increment sums.
 
 Replicas are simulated in blocks of BLOCK_ROWS rows. Block b draws from its
 own generator seeded by ``SeedSequence(master_seed, spawn_key=(b,))``, so a
@@ -48,7 +48,9 @@ class SimConfig:
 
     mode "quenched" samples a single environment path from path_seed (or the
     fixed path's prefix) shared by every replica; "annealed" gives each
-    replica its own i.i.d. path from its block's stream.
+    replica its own i.i.d. path from its block's stream. bprelab itself asks
+    for no accumulators and leaves rho_grid empty; the field remains only
+    because the benchmark under bench/ still sets it, and goes with that use.
     """
 
     env: Environment
@@ -95,11 +97,14 @@ class SimConfig:
 
 @dataclass
 class TrajectoryBatch:
-    """Simulated W_n trajectories plus per-rho weighted increment accumulators.
+    """Simulated W_n trajectories.
 
     w[i, n] is replica i's W_n for n = 0..n_max. a_hat[i, j, n] is
-    A_hat_n(rho_j) = sum_{k<=n} rho_j^k (W_{k+1} - W_k) for n = 0..n_max-1
-    (the last accumulator needs W_{n+1}, so the axis stops one short of w's).
+    A_hat_n(rho_j) = sum_{k<=n} rho_j^k (W_{k+1} - W_k) for n = 0..n_max-1,
+    filled only for a SimConfig.rho_grid. bprelab's own batches leave both
+    empty and take A_hat_n from weighted_increment_sum; rho_grid and a_hat
+    remain only because the benchmark under bench/ still reads them, and go
+    with that use.
     """
 
     mode: str
@@ -122,12 +127,6 @@ class TrajectoryBatch:
     @property
     def capped_fraction(self) -> float:
         return float(np.mean(self.status == STATUS_CAPPED))
-
-    def rho_index(self, rho: float) -> int:
-        for j, r in enumerate(self.rho_grid):
-            if abs(r - rho) <= 1e-12:
-                return j
-        raise ParameterError(f"rho={rho} has no accumulator in grid {self.rho_grid}")
 
     def save(self, path) -> None:
         """Versioned binary dump (npz)."""
@@ -279,26 +278,35 @@ def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
     )
 
 
-def increment_identity_check(
-    batch: TrajectoryBatch, rho: float, n: int, w_proxy_index: int | None = None
-) -> float:
+def weighted_increment_sum(diffs: np.ndarray, rho: float) -> np.ndarray:
+    """A_hat_n = sum_{k<=n} rho^k diffs[:, k] per row, with n = diffs.shape[1] - 1.
+
+    diffs[:, k] is W_{k+1} - W_k. Terms are added column by column in k
+    order, the order of run's cumulative sum, so the two agree bit for bit.
+    """
+    total = np.zeros(len(diffs))
+    for k in range(diffs.shape[1]):
+        total += rho**k * diffs[:, k]
+    return total
+
+
+def increment_identity_check(batch: TrajectoryBatch, rho: float, n: int) -> float:
     """Largest relative residual of the accumulator identity across replicas.
 
-    With W replaced by the proxy W_N, A_n = sum_{k<=n} rho^k (W_N - W_k)
-    must equal rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1) (W_N - W_{n+1})
-    - (W_N - 1)/(rho-1) exactly; both sides are evaluated from the stored
-    trajectories and the residual is normalized by max(1, term magnitude).
+    With W replaced by the proxy W_N, N = n_max, A_n = sum_{k<=n} rho^k
+    (W_N - W_k) must equal rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1)
+    (W_N - W_{n+1}) - (W_N - 1)/(rho-1) exactly. A_n is summed from w
+    directly, A_hat_n by weighted_increment_sum; the residual is normalized
+    by max(1, term magnitude).
     """
-    n_idx = batch.n_max if w_proxy_index is None else w_proxy_index
     if rho <= 1.0:
         raise ParameterError("identity requires rho > 1")
-    if not 0 <= n < n_idx - 1 or n_idx > batch.n_max:
-        raise ParameterError(f"need 0 <= n < proxy-1 and proxy <= {batch.n_max}")
+    if not 0 <= n < batch.n_max - 1:
+        raise ParameterError(f"need 0 <= n < {batch.n_max - 1}")
     w = batch.w
-    w_proxy = w[:, n_idx]
-    powers = rho ** np.arange(n + 1)
-    lhs = (powers * (w_proxy[:, None] - w[:, : n + 1])).sum(axis=1)
-    a_hat_n = (powers * (w[:, 1 : n + 2] - w[:, : n + 1])).sum(axis=1)
+    w_proxy = w[:, batch.n_max]
+    lhs = (rho ** np.arange(n + 1) * (w_proxy[:, None] - w[:, : n + 1])).sum(axis=1)
+    a_hat_n = weighted_increment_sum(np.diff(w[:, : n + 2], axis=1), rho)
     rhs = (
         rho / (rho - 1.0) * a_hat_n
         + rho ** (n + 1) / (rho - 1.0) * (w_proxy - w[:, n + 1])

@@ -94,6 +94,31 @@ def test_rates_p_override_appends(capsys):
     assert [r["p"] for r in payload["rates"]] == [1.5, 3.0]
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--p", "inf"], "p[0]: each p must be a number > 1"),
+        (["--p", "2", "--p", "2"], "p[1]: duplicate entry 2.0"),
+    ],
+)
+def test_rates_p_is_checked_like_a_config_value(capsys, extra, message):
+    assert main(["rates", "configs/gw_binary.cfg", *extra]) == 1
+    captured = capsys.readouterr()
+    # the value came from the command line, so the message has no file line
+    assert captured.err == f"bprelab: error: configs/gw_binary.cfg: {message}\n"
+    assert captured.out == ""
+
+
+def test_rates_needs_a_mixture(capsys):
+    assert main(["rates", "configs/fixed_path.cfg"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "bprelab: error: configs/fixed_path.cfg: environment: rates needs a 'kind: mixture' "
+        "environment; a fixed path has no stationary law\n"
+    )
+    assert captured.out == ""
+
+
 def test_thread_override_changes_nothing_but_timings(gw_cfg, tmp_path, capsys):
     main(["run", str(gw_cfg), "--out", str(tmp_path / "a"), "--threads", "1"])
     main(["run", str(gw_cfg), "--out", str(tmp_path / "b"), "--threads", "3"])

@@ -1,6 +1,7 @@
 """Config loading: schema checks, line anchors, defaults, bundled files."""
 
 import glob
+import math
 
 import pytest
 
@@ -124,6 +125,13 @@ class TestLineAnchors:
         line = text.splitlines().index("p: [1.5, 0.5]") + 1
         with pytest.raises(ConfigError, match=rf"case\.cfg:{line}: p\[1\]: each p must be"):
             load_config(path)
+
+    def test_an_override_names_no_line_of_the_entries_it_replaces(self, tmp_path):
+        # the file's p[0] has a line, but the refused p[0] came from the override
+        path = write_cfg(tmp_path, FULL_TEXT)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path, {"p": [math.inf]})
+        assert str(exc.value) == f"{path}: p[0]: each p must be a number > 1"
 
     @pytest.mark.parametrize(
         "line, bad, anchor",

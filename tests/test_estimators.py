@@ -253,9 +253,30 @@ class TestBurkholder:
         assert check.a_norm <= 1e-10 and check.q_norm <= 1e-10
         assert check.lower == 0.0 and check.upper == 0.0
 
+    def test_any_rho_on_a_batch_without_accumulators(self):
+        # the partly capped batch, simulated without a rho grid
+        b = run(SimConfig(env=single_state(OffspringLaw({0: 0.25, 2: 0.75})), mode="annealed",
+                          n_max=20, replicas=600, master_seed=1, pop_cap=1000))
+        assert b.a_hat.size == 0
+        rho, n = 1.17, 12
+        w = b.w[b.status != STATUS_CAPPED]
+        a, q2 = np.zeros(len(w)), np.zeros(len(w))
+        for k in range(n + 1):
+            step = w[:, k + 1] - w[:, k]
+            a += rho**k * step
+            q2 += rho ** (2 * k) * step**2
+        for p in (1.5, 2.0):
+            check = burkholder_sandwich(b, p, rho, n)
+            assert check.a_norm == float(np.mean(np.abs(a) ** p)) ** (1 / p)
+            # the sandwich sums Q_n^2 pairwise, this loop in k order
+            q_norm = float(np.mean(q2 ** (p / 2))) ** (1 / p)
+            assert check.q_norm == pytest.approx(q_norm, rel=1e-12)
+        assert burkholder_sandwich(b, 2.0, 1.0, n).ok
+        for bad in (0.5, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="rho"):
+                burkholder_sandwich(b, 2.0, bad, n)
+
     def test_validation(self, gw_batch, capped_batch):
-        with pytest.raises(ParameterError, match="no accumulator"):
-            burkholder_sandwich(gw_batch, 2.0, 1.7, 5)
         with pytest.raises(ParameterError):
             burkholder_sandwich(gw_batch, 2.0, 1.1, gw_batch.n_max)
         with pytest.raises(EstimateUnavailableError):

@@ -10,6 +10,7 @@ import pytest
 import bprelab.estimators
 import bprelab.exact_moments
 import bprelab.rates
+import bprelab.simulate
 from bprelab import BpreLabError, ConfigError, EstimateUnavailableError, config, harness
 from bprelab.config import load_config, parse_config
 from bprelab.harness import run_experiment, verify_suite, write_outputs
@@ -193,6 +194,20 @@ class TestSharedChecks:
         assert by_id["quenched-rate.p2.estimates-match-exact"] is False
 
         report, _, code = verify_suite(small_gw(verify=["quenched-increments"]))
+        assert code == 2
+        assert report["checks"][0]["passed"] is False
+
+    def test_shifted_weights_fail_both(self, monkeypatch):
+        # rho^{k+1} weights in the A_hat_n helper that the sandwich also uses
+        real = bprelab.simulate.weighted_increment_sum
+        monkeypatch.setattr(
+            bprelab.simulate, "weighted_increment_sum", lambda diffs, rho: rho * real(diffs, rho)
+        )
+        report, _, code = run_experiment(small_gw(suites=["identity"]))
+        assert code == 2
+        assert report["checks"] and not any(c["passed"] for c in report["checks"])
+
+        report, _, code = verify_suite(small_gw(verify=["increment-identity"]))
         assert code == 2
         assert report["checks"][0]["passed"] is False
 

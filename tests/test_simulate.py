@@ -204,16 +204,12 @@ class TestTrajectories:
             assert abs(w[:, n].mean() - 1.0) < 4 * se
 
     def test_a_hat_matches_direct_recomputation(self, gw_batch):
-        j = gw_batch.rho_index(1.1)
+        j = gw_batch.rho_grid.index(1.1)
         k = np.arange(gw_batch.n_max)
         direct = np.cumsum(1.1**k * np.diff(gw_batch.w, axis=1), axis=1)
         # the engine builds its power table with scalar pow, which can sit
         # 1 ulp away from the vectorized one; this is a definition check
         assert np.allclose(gw_batch.a_hat[:, j, :], direct, rtol=1e-12, atol=1e-12)
-
-    def test_rho_index_mismatch(self, gw_batch):
-        with pytest.raises(ParameterError, match="no accumulator"):
-            gw_batch.rho_index(1.15)
 
 
 # Chi-square test of the simulated Z_n law against the exact Fraction law of
@@ -306,16 +302,11 @@ class TestIdentity:
             for n in (1, 10, gw_batch.n_max - 2):
                 assert increment_identity_check(gw_batch, rho, n) < 1e-12
 
-    def test_with_explicit_proxy_index(self, gw_batch):
-        assert increment_identity_check(gw_batch, 1.3, 3, w_proxy_index=10) < 1e-12
-
     def test_validation(self, gw_batch):
         with pytest.raises(ParameterError, match="rho"):
             increment_identity_check(gw_batch, 1.0, 2)
         with pytest.raises(ParameterError):
             increment_identity_check(gw_batch, 1.2, gw_batch.n_max - 1)
-        with pytest.raises(ParameterError):
-            increment_identity_check(gw_batch, 1.2, 2, w_proxy_index=gw_batch.n_max + 1)
 
 
 class TestDumps:

@@ -12,9 +12,9 @@ import sys
 
 from ._version import __version__
 from .config import load_config
-from .environment import IIDMixture
 from .errors import BpreLabError, ConfigError
-from .harness import EXIT_USAGE, jsonable, run_experiment, verify_suite, write_outputs
+from .harness import EXIT_USAGE, check_suite_needs, jsonable, run_experiment, verify_suite
+from .harness import write_outputs
 from .rates import rate_report
 
 
@@ -94,11 +94,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_rates(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    if not isinstance(cfg.env, IIDMixture):
-        raise ConfigError(
-            f"{cfg.source}: environment: rates needs a 'kind: mixture' environment; "
-            "a fixed path has no stationary law"
-        )
+    check_suite_needs(cfg, ("rates",))
     reports = [rate_report(cfg.env, p) for p in cfg.p]
     print(json.dumps(jsonable({"name": cfg.name, "rates": reports}), indent=2, sort_keys=True))
     return 0

@@ -210,8 +210,10 @@ def a_hat_second_moment_partial(env: Environment, rho: float, n_terms: int) -> f
 class QuenchedTail:
     """Two-sided enclosure of the quenched tail sum_{k>=n} P_k^{-1} bar m_k(2).
 
-    lower is the partial sum to the horizon; upper adds a geometric bound on
-    the remainder, available only when every mean on the path exceeds 1.
+    lower is the partial sum to the horizon; remainder is a geometric bound
+    on the terms beyond it, finite only when every mean up to the horizon
+    exceeds 1 (or zero when every state up to it is deterministic), and
+    upper = lower + remainder.
     """
 
     n: int
@@ -219,6 +221,7 @@ class QuenchedTail:
     lower: float
     upper: float
     bound_available: bool
+    remainder: float
 
 
 def quenched_p2_tail(path: EnvPath, n: int, horizon: int) -> QuenchedTail:
@@ -233,11 +236,12 @@ def quenched_p2_tail(path: EnvPath, n: int, horizon: int) -> QuenchedTail:
     bar2_max = float(bar2.max())
     mu_min = float(min(law.mean for law in path.laws[: horizon + 1]))
     if bar2_max == 0.0:
-        return QuenchedTail(n, horizon, lower, lower, True)
-    if mu_min <= 1.0:
-        return QuenchedTail(n, horizon, lower, math.inf, False)
-    remainder = bar2_max * math.exp(-path.log_means[horizon + 1]) / (1.0 - 1.0 / mu_min)
-    return QuenchedTail(n, horizon, lower, lower + remainder, True)
+        remainder = 0.0
+    elif mu_min <= 1.0:
+        remainder = math.inf
+    else:
+        remainder = bar2_max * math.exp(-path.log_means[horizon + 1]) / (1.0 - 1.0 / mu_min)
+    return QuenchedTail(n, horizon, lower, lower + remainder, math.isfinite(remainder), remainder)
 
 
 def quenched_increment_second_moments(path: EnvPath, n_max: int) -> np.ndarray:

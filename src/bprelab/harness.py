@@ -95,11 +95,14 @@ class _Context:
         """Seed of the realized path for diagnostics: path_seed, else master_seed."""
         return self.cfg.path_seed if self.cfg.path_seed is not None else self.cfg.master_seed
 
+    @property
+    def path_states(self) -> float:
+        """How many generations the environment can give a batch: a fixed path's length, else inf."""
+        return len(self.env.laws) if isinstance(self.env, FixedPath) else math.inf
+
     def series_path(self, length: int) -> EnvPath:
         """The path a quenched batch at series_seed shares; a fixed path is clamped to its length."""
-        if isinstance(self.env, FixedPath):
-            length = min(length, len(self.env.laws))
-        return quenched_path(self.env, length, self.series_seed)
+        return quenched_path(self.env, min(length, self.path_states), self.series_seed)
 
     # -- cached simulation batches ----------------------------------------
 
@@ -110,11 +113,6 @@ class _Context:
             env=cfg.env, n_max=cfg.n_max, replicas=cfg.replicas, master_seed=cfg.master_seed,
             path_seed=cfg.path_seed, pop_cap=cfg.pop_cap,
         ) | overrides
-        if isinstance(cfg.env, FixedPath) and fields["n_max"] > len(cfg.env.laws):
-            raise ConfigError(
-                f"{cfg.source}: n_max: {fields['n_max']} exceeds "
-                f"the fixed path's {len(cfg.env.laws)} states"
-            )
         sim = SimConfig(mode=mode, **fields)
         if sim not in self._batches:
             self._batches[sim] = run(sim, threads=cfg.threads)
@@ -122,6 +120,36 @@ class _Context:
 
     def default_mode(self) -> str:
         return MODE_ANNEALED if self.is_mixture else MODE_QUENCHED
+
+
+# ---------------------------------------------------------------------------
+# suite needs, checked before any suite runs: (suites, config key, whether the
+# config meets the need, refusal naming the {suite}, the {cfg} or the {ctx})
+
+
+_NEEDS = (
+    (("rates", "annealed-rate"), "environment", lambda ctx: ctx.is_mixture,
+     "{suite} needs a 'kind: mixture' environment; a fixed path has no stationary law"),
+    (("rates", "quenched-rate", "annealed-rate"), "environment",
+     lambda ctx: ctx.env.is_supercritical, "{suite} needs a supercritical environment"),
+    (("quenched-rate",), "path_seed", lambda ctx: not ctx.is_mixture or ctx.cfg.path_seed is not None,
+     "{suite} on a mixture needs a path_seed"),
+    (("quenched-rate", "annealed-rate"), "gap", lambda ctx: ctx.cfg.n_max - ctx.cfg.gap >= 3,
+     "{suite} needs n_max - gap >= 3 for a fit of 4 points; n_max is {cfg.n_max}"),
+    (("identity",), "rho", lambda ctx: any(r > 1.0 for r in ctx.rho_grid()),
+     "{suite} needs some rho > 1"),
+    (("quenched-rate", "burkholder", "identity"), "n_max", lambda ctx: ctx.cfg.n_max <= ctx.path_states,
+     "{cfg.n_max} exceeds the fixed path's {ctx.path_states} states"),
+)
+
+
+def check_suite_needs(cfg: ExperimentConfig, suites) -> None:
+    """Raise ConfigError `<file>: <key>: ...` for the first need of `suites` the config fails."""
+    ctx = _Context(cfg)
+    for suite in suites:
+        for needed_by, key, holds, refusal in _NEEDS:
+            if suite in needed_by and not holds(ctx):
+                raise ConfigError(f"{cfg.source}: {key}: " + refusal.format(suite=suite, cfg=cfg, ctx=ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +182,7 @@ def _p2_partial_sums(moments, inc, tol: float) -> tuple[bool, float]:
     """E[W_n^2] against 1 + sum_{k<n} E|W_{k+1} - W_k|^2: (verdict, worst relative error)."""
     worst = 0.0
     for n, moment in enumerate(moments):
-        closed = 1.0 + _exact_segment(inc, 0, n)
+        closed = 1.0 + math.fsum(inc[:n])
         worst = max(worst, abs(moment - closed) / max(closed, 1.0))
     return worst <= tol, worst
 
@@ -176,10 +204,17 @@ def _sandwich(batch: TrajectoryBatch, p: float, rho: float, n: int,
     return sc, {"a_norm": sc.a_norm, "lower": sc.lower, "upper": sc.upper}
 
 
-def _identity(batch: TrajectoryBatch, rho: float, n: int, tol: float) -> tuple[bool, float]:
-    """The telescoped and accumulator forms of A_hat_n(rho) within tol: (verdict, residual)."""
-    residual = increment_identity_check(batch, rho, n)
-    return residual <= tol, residual
+def _identity(batch: TrajectoryBatch, rho: float, ns, tol: float) -> list[tuple[int, bool, float]]:
+    """(n, verdict, residual): the telescoped and accumulator forms of A_hat_n(rho) within
+    tol, at each n in `ns` that increment_identity_check admits for this batch and rho."""
+    items = []
+    for n in ns:
+        try:
+            residual = increment_identity_check(batch, rho, n)
+        except ParameterError:
+            continue
+        items.append((n, residual <= tol, residual))
+    return items
 
 
 def _growth_envelope(env: Environment, n: int, orders) -> tuple[bool, dict[int, bool]]:
@@ -221,15 +256,6 @@ def _suite_rates(ctx: _Context) -> dict:
 
 # ---------------------------------------------------------------------------
 # suite: exact
-
-
-def _exact_segment(inc: list[float] | np.ndarray, n: int, upto: int) -> float:
-    return float(math.fsum(inc[n:upto]))
-
-
-def _gap_sums(inc, n_max: int, gap: int) -> list[float]:
-    """Exact E|W_{n+gap} - W_n|^2, the sum of the increments' second moments, per n."""
-    return [_exact_segment(inc, n, n + gap) for n in range(n_max - gap + 1)]
 
 
 def _exact_table(ctx: _Context, name: str, values: np.ndarray) -> dict:
@@ -427,13 +453,6 @@ def _fit_with_oracle(
     return section
 
 
-def _rate_batch(ctx: _Context, mode: str) -> TrajectoryBatch:
-    """The config's batch in `mode`, once n_max leaves room for a rate fit."""
-    if ctx.cfg.n_max - ctx.cfg.gap < 3:
-        raise ParameterError("n_max must exceed gap by at least 3 for rate fits")
-    return ctx.batch(mode)
-
-
 def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, predicted_rho):
     """The per-p body of both rate suites: yields (p, per-p section) after p's checks.
 
@@ -450,7 +469,8 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, pre
                 est.bias_bound = bias(est.n + gap)
         rows = [f"{e.p!r},{e.n},{e.value!r},{e.stderr!r}" for e in estimates]
         ctx.add_csv(f"{suite.replace('-', '_')}_p{p:g}.csv", "p,n,value,stderr", rows)
-        exact_vals = _gap_sums(inc, batch.n_max, gap) if at_p2 else None
+        # exact E|W_{n+gap} - W_n|^2 is the sum of the increments' second moments
+        exact_vals = [math.fsum(inc[e.n : e.n + gap]) for e in estimates] if at_p2 else None
         yield p, _fit_with_oracle(
             ctx, f"{suite}.p{p:g}", p, estimates, exact_vals, predicted_rho if at_p2 else None
         )
@@ -458,14 +478,11 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, pre
 
 def _suite_quenched_rate(ctx: _Context) -> dict:
     cfg = ctx.cfg
-    if not ctx.env.is_supercritical:
-        raise ParameterError("quenched-rate suite needs a supercritical environment")
-    if ctx.is_mixture and cfg.path_seed is None:
-        raise ParameterError("quenched-rate on a mixture needs a path_seed")
-    batch = _rate_batch(ctx, MODE_QUENCHED)
+    batch = ctx.batch(MODE_QUENCHED)
     path = batch.path
     inc = exact_moments.quenched_increment_second_moments(path, batch.n_max)
-    bias = lambda upto: _exact_segment(inc, upto, batch.n_max) + _tail_remainder(path, inc)
+    remainder = exact_moments.quenched_p2_tail(path, 0, batch.n_max - 1).remainder
+    bias = lambda upto: math.fsum(inc[upto:]) + remainder
 
     section: dict = {
         "path_means": [float(m) for m in path.means],
@@ -490,21 +507,8 @@ def _suite_quenched_rate(ctx: _Context) -> dict:
     return section
 
 
-def _tail_remainder(path: EnvPath, inc: np.ndarray) -> float:
-    """Upper bound on the part of the distance-to-limit the path cannot see."""
-    mu_min = float(path.means.min())
-    if mu_min <= 1.0:
-        return float("inf")
-    bar_max = float((inc * np.exp(path.log_means[: len(inc)])).max())
-    return bar_max * math.exp(-float(path.log_means[len(inc)])) / (1.0 - 1.0 / mu_min)
-
-
 def _suite_annealed_rate(ctx: _Context) -> dict:
-    if not ctx.is_mixture:
-        raise ParameterError("annealed-rate suite needs an i.i.d. mixture environment")
-    if not ctx.env.is_supercritical:
-        raise ParameterError("annealed-rate suite needs a supercritical environment")
-    batch = _rate_batch(ctx, MODE_ANNEALED)
+    batch = ctx.batch(MODE_ANNEALED)
     forms = exact_moments.p2_closed_forms(ctx.env)
     inc = [forms.increment_second_moment(k) for k in range(batch.n_max)]
     bias = predicted = None
@@ -602,9 +606,7 @@ def _suite_criteria(ctx: _Context) -> dict:
         section["lp_criteria"] = None
         section["note"] = "stationary-law criteria need a mixture; this is a fixed path"
 
-    length = max(12, min(cfg.n_max, 40))
-    if isinstance(ctx.env, FixedPath):
-        length = len(ctx.env.laws)
+    length = max(12, min(cfg.n_max, 40)) if ctx.is_mixture else ctx.path_states
     if length < 8:
         section["series_note"] = "stored path shorter than 8 states; series probes skipped"
         return section
@@ -659,15 +661,10 @@ def _suite_criteria(ctx: _Context) -> dict:
 def _suite_identity(ctx: _Context) -> dict:
     tol = ctx.cfg.tolerances["identity"]
     batch = ctx.batch(ctx.default_mode())
-    rhos = [r for r in ctx.rho_grid() if r > 1.0]
-    if not rhos:
-        raise ParameterError("identity suite needs at least one rho > 1 in the grid")
     ns = sorted({1, batch.n_max // 2, batch.n_max - 2})
-    ns = [n for n in ns if 0 <= n < batch.n_max - 1]
     results = []
-    for rho in rhos[:3]:
-        for n in ns:
-            passed, residual = _identity(batch, rho, n, tol)
+    for rho in ctx.rho_grid():
+        for n, passed, residual in _identity(batch, rho, ns, tol):
             results.append({"rho": rho, "n": n, "residual": residual})
             ctx.check(
                 f"identity.rho{rho:.4g}.n{n}",
@@ -757,6 +754,7 @@ def write_outputs(report: dict, csv_tables: dict[str, list[str]], out_dir) -> Pa
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], int]:
     """Execute the config's suites in order; returns (report, csv tables, exit code)."""
+    check_suite_needs(cfg, cfg.suites)
     ctx = _Context(cfg)
     suites: dict = {}
     timings: dict = {}
@@ -804,15 +802,11 @@ def _verify_p2_closed_forms(ctx: _Context, n_small: int) -> tuple[bool, dict]:
 
 
 def _verify_recursion(ctx: _Context, n_small: int) -> tuple[bool, dict]:
-    if not ctx.is_mixture:
-        return True, {"skipped": "needs a stationary mixture"}
     passed, min_slack = _recursion_slack(ctx.env, n_small)
     return passed, {"min_slack": min_slack}
 
 
 def _verify_envelope(ctx: _Context, n_small: int) -> tuple[bool, dict]:
-    if not ctx.is_mixture:
-        return True, {"skipped": "needs a stationary mixture"}
     passed, holds = _growth_envelope(ctx.env, n_small, (2, 3, 4, 5))
     return passed, {"per_order": holds}
 
@@ -834,12 +828,10 @@ def _verify_batch(ctx: _Context, n_small: int) -> TrajectoryBatch:
 def _verify_identity(ctx: _Context, n_small: int) -> tuple[bool, dict]:
     batch = _verify_batch(ctx, n_small)
     tol = ctx.cfg.tolerances["identity"]
-    verdicts, residuals = zip(*(
-        _identity(batch, rho, n, tol)
-        for rho in _VERIFY_RHOS
-        for n in (1, batch.n_max - 2)
-        if n >= 0
-    ))
+    items = [item for rho in _VERIFY_RHOS for item in _identity(batch, rho, (1, batch.n_max - 2), tol)]
+    if not items:
+        return True, {"skipped": "the path is too short for the identity"}
+    _, verdicts, residuals = zip(*items)
     return all(verdicts), {"max_residual": max(residuals), "tolerance": tol}
 
 
@@ -853,8 +845,6 @@ def _verify_burkholder(ctx: _Context, n_small: int) -> tuple[bool, dict]:
 
 
 def _verify_orderings(ctx: _Context, n_small: int) -> tuple[bool, dict]:
-    if not ctx.is_mixture:
-        return True, {"skipped": "needs a stationary mixture"}
     if not ctx.env.is_supercritical:
         return True, {"skipped": "environment is not supercritical"}
     reports = [rates.rate_report(ctx.env, p) for p in ctx.cfg.p]
@@ -893,6 +883,9 @@ _VERIFY = {
     ),
 }
 
+# the checks of the stationary law, which pass as skipped on a fixed path
+_MIXTURE_ONLY = ("recursion-inequality", "growth-envelope", "rate-orderings")
+
 
 def verify_suite(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], int]:
     """Run the cross-module consistency checks at small sizes; errors are recorded per check."""
@@ -903,10 +896,13 @@ def verify_suite(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], int
     for name in cfg.verify:
         statement, fn = _VERIFY[name]
         t0 = time.perf_counter()
-        try:
-            passed, observed = fn(ctx, n_small)
-        except BpreLabError as exc:
-            passed, observed = False, {"error": str(exc)}
+        if name in _MIXTURE_ONLY and not ctx.is_mixture:
+            passed, observed = True, {"skipped": "needs a stationary mixture"}
+        else:
+            try:
+                passed, observed = fn(ctx, n_small)
+            except BpreLabError as exc:
+                passed, observed = False, {"error": str(exc)}
         ctx.check(f"verify.{name}", statement, passed, **observed)
         timings[name] = time.perf_counter() - t0
     return _build_report(ctx, {"verify": {"checks_run": list(cfg.verify)}}, timings, t_start)

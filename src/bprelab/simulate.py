@@ -282,11 +282,14 @@ def weighted_increment_sum(diffs: np.ndarray, rho: float) -> np.ndarray:
     """A_hat_n = sum_{k<=n} rho^k diffs[:, k] per row, with n = diffs.shape[1] - 1.
 
     diffs[:, k] is W_{k+1} - W_k. Terms are added column by column in k
-    order, the order of run's cumulative sum, so the two agree bit for bit.
+    order, the order of run's cumulative sum, so the two agree bit for bit;
+    BLOCK_ROWS-row chunks keep the columns in cache and change no row's sum.
     """
     total = np.zeros(len(diffs))
-    for k in range(diffs.shape[1]):
-        total += rho**k * diffs[:, k]
+    for lo in range(0, len(diffs), BLOCK_ROWS):
+        rows, out = diffs[lo : lo + BLOCK_ROWS], total[lo : lo + BLOCK_ROWS]
+        for k in range(diffs.shape[1]):
+            out += rho**k * rows[:, k]
     return total
 
 

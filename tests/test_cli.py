@@ -5,11 +5,12 @@ import math
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
-from bprelab import __version__
+from bprelab import __version__, harness
 from bprelab.cli import main
 from bprelab.harness import jsonable
 
@@ -191,7 +192,7 @@ def test_bad_threads_value(gw_cfg, capsys):
 
 
 def test_n_max_beyond_a_fixed_path_exits_1(tmp_path, capsys):
-    text = open("configs/fixed_path.cfg").read()
+    text = Path("configs/fixed_path.cfg").read_text()
     text = text.replace("n_max: 12", "n_max: 14").replace(
         "suites: [exact, quenched-rate, criteria, burkholder, identity]", "suites: [quenched-rate]"
     )
@@ -201,6 +202,34 @@ def test_n_max_beyond_a_fixed_path_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"bprelab: error: {path}: n_max: 14 exceeds the fixed path's 12 states\n"
     assert captured.out == ""
+
+
+def test_rates_suite_on_a_fixed_path_exits_1(tmp_path, capsys):
+    text = Path("configs/fixed_path.cfg").read_text().replace(
+        "suites: [exact, quenched-rate, criteria, burkholder, identity]", "suites: [rates]"
+    )
+    path = tmp_path / "fixed-rates.cfg"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"bprelab: error: {path}: environment: rates needs a 'kind: mixture' "
+        "environment; a fixed path has no stationary law\n"
+    )
+    assert captured.out == ""
+
+
+def test_a_late_suite_need_is_refused_before_simulating(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda *args, **kwargs: calls.append(args))
+    text = Path("configs/two_state.cfg").read_text().replace("p: [1.5, 2.0]", "p: [1.5, 2.0]\nrho: [1.0]")
+    path = tmp_path / "rho-one.cfg"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"bprelab: error: {path}: rho: identity needs some rho > 1\n"
+    assert captured.out == ""
+    assert calls == []
 
 
 def test_version_flag(capsys):

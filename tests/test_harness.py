@@ -140,6 +140,17 @@ class TestVerifySuite:
         assert code == 0
         assert [c["passed"] for c in report["checks"]] == [True] * len(config.VERIFY_CHECKS)
 
+    @pytest.mark.parametrize("states", [1, 2])
+    def test_one_and_two_state_paths_pass_every_check(self, states):
+        # the identity needs n < n_max - 1, so a 1-state path leaves it no n
+        # and a 2-state path only n = 0
+        env = {"kind": "fixed_path", "path": [{0: 0.25, 2: 0.75}, {3: 1.0}][:states]}
+        report, _, code = verify_suite(small_gw(environment=env))
+        assert code == 0
+        assert [c["passed"] for c in report["checks"]] == [True] * len(config.VERIFY_CHECKS)
+        identity = {c["id"]: c for c in report["checks"]}["verify.increment-identity"]["observed"]
+        assert ("skipped" in identity) == (states == 1)
+
     def test_component_errors_become_failed_checks(self, monkeypatch):
         def boom(*args, **kwargs):
             raise EstimateUnavailableError("boom")
@@ -213,6 +224,77 @@ class TestSharedChecks:
 
 
 TWO_STATE = {"kind": "mixture", "states": [{"law": {1: 0.5, 3: 0.5}}, {"law": {2: 1.0}}]}
+SUBCRITICAL = {"kind": "mixture", "states": [{"law": {0: 0.5, 1: 0.5}}, {"law": {1: 0.5, 2: 0.5}}]}
+FIXED3 = {"kind": "fixed_path", "path": [{0: 0.25, 2: 0.75}, {3: 1.0}, {0: 0.25, 2: 0.75}]}
+
+
+class TestSuiteNeeds:
+    """Each suite's needs are one table, checked before any suite simulates."""
+
+    # (suite, config key, overrides that fail that need only, refusal after the key)
+    CASES = [
+        ("rates", "environment", {"environment": FIXED3},
+         "rates needs a 'kind: mixture' environment; a fixed path has no stationary law"),
+        ("annealed-rate", "environment", {"environment": FIXED3},
+         "annealed-rate needs a 'kind: mixture' environment; a fixed path has no stationary law"),
+        ("rates", "environment", {"environment": SUBCRITICAL},
+         "rates needs a supercritical environment"),
+        ("quenched-rate", "environment", {"environment": SUBCRITICAL, "path_seed": 3},
+         "quenched-rate needs a supercritical environment"),
+        ("annealed-rate", "environment", {"environment": SUBCRITICAL},
+         "annealed-rate needs a supercritical environment"),
+        ("quenched-rate", "path_seed", {"environment": TWO_STATE},
+         "quenched-rate on a mixture needs a path_seed"),
+        ("quenched-rate", "gap", {"gap": 14, "path_seed": 3},
+         "quenched-rate needs n_max - gap >= 3 for a fit of 4 points; n_max is 16"),
+        ("annealed-rate", "gap", {"gap": 14},
+         "annealed-rate needs n_max - gap >= 3 for a fit of 4 points; n_max is 16"),
+        ("identity", "rho", {"rho": [1.0]}, "identity needs some rho > 1"),
+        ("quenched-rate", "n_max", {"environment": FIXED3}, "16 exceeds the fixed path's 3 states"),
+        ("burkholder", "n_max", {"environment": FIXED3}, "16 exceeds the fixed path's 3 states"),
+        ("identity", "n_max", {"environment": FIXED3}, "16 exceeds the fixed path's 3 states"),
+    ]
+
+    def test_cases_cover_the_table(self):
+        table = {(suite, key) for suites, key, _, _ in harness._NEEDS for suite in suites}
+        assert {(suite, key) for suite, key, _, _ in self.CASES} == table
+
+    @pytest.mark.parametrize("suite, key, overrides, refusal", CASES)
+    def test_refusal_names_file_and_key_before_simulating(self, monkeypatch, suite, key, overrides, refusal):
+        def ran(*args, **kwargs):
+            pytest.fail("a suite ran or simulated")
+
+        monkeypatch.setattr(harness, "run", ran)
+        monkeypatch.setattr(harness, "_SUITES", dict.fromkeys(harness._SUITES, ran))
+        # a later suite's need is refused before the first suite runs
+        cfg = small_gw(suites=["exact", suite], **overrides)
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(cfg)
+        assert str(exc.value) == f"<memory>: {key}: {refusal}"
+
+    def test_quenched_bias_bound_is_the_shared_tail_formula(self):
+        cfg = load_config("configs/fixed_path.cfg", {"suites": ["quenched-rate"], "replicas": 2000})
+        report, _, _ = run_experiment(cfg)
+        path = cfg.env.sample_path(cfg.n_max)
+        horizon = cfg.n_max - 1
+        inc = bprelab.exact_moments.quenched_increment_second_moments(path, cfg.n_max)
+        estimates = report["suites"]["quenched-rate"]["per_p"][0]["estimates"]
+        assert [e["n"] for e in estimates] == list(range(cfg.n_max - cfg.gap + 1))
+        for est in estimates:
+            if est["n"] + cfg.gap < horizon:
+                tail = bprelab.exact_moments.quenched_p2_tail(path, est["n"] + cfg.gap, horizon)
+                assert est["bias_bound"] == tail.upper
+        # also beyond the tail's domain: the path's sum to the horizon plus the same remainder
+        remainder = bprelab.exact_moments.quenched_p2_tail(path, 0, horizon).remainder
+        for est in estimates:
+            assert est["bias_bound"] == math.fsum(inc[est["n"] + cfg.gap :]) + remainder
+
+    def test_identity_checks_every_rho_above_one(self):
+        report, _, code = run_experiment(small_gw(suites=["identity"], rho=[1.0, 1.05, 1.1, 1.2, 1.3]))
+        assert code == 0
+        results = report["suites"]["identity"]["results"]
+        assert len(report["checks"]) == len(results) == 4 * 3
+        assert [r["rho"] for r in results[::3]] == [1.05, 1.1, 1.2, 1.3]
 
 
 class TestOneOwner:

@@ -24,6 +24,7 @@ from bprelab.simulate import (
     STATUS_COMPLETED,
     STATUS_EXTINCT,
     STREAM_SCHEME,
+    weighted_increment_sum,
 )
 
 GW_PMF = {0: 0.25, 2: 0.75}
@@ -294,6 +295,17 @@ class TestGenerationLawOracle:
             assert np.allclose(z, np.rint(z), rtol=0, atol=1e-6)
             pvalue = chi2_pvalue(np.rint(z).astype(np.int64), exact[n])
             assert pvalue > CHI2_ALPHA, (n, pvalue)
+
+
+class TestWeightedIncrementSum:
+    def test_equals_runs_accumulator_across_row_blocks(self):
+        # 10,001 rows: two full blocks of BLOCK_ROWS and a partial third
+        batch = run(small_cfg(n_max=6, replicas=10_001, rho_grid=(1.1, 1.3)))
+        assert batch.replicas > 2 * BLOCK_ROWS and batch.replicas % BLOCK_ROWS
+        for j, rho in enumerate(batch.rho_grid):
+            for n in range(batch.n_max):
+                diffs = np.diff(batch.w[:, : n + 2], axis=1)
+                assert np.array_equal(weighted_increment_sum(diffs, rho), batch.a_hat[:, j, n])
 
 
 class TestIdentity:

@@ -182,6 +182,14 @@ class P2ClosedForms:
             return math.inf
         return self.b2 / (1.0 - rho * rho * self.q1)
 
+    def a_hat2_tail(self, rho: float, n: int) -> float:
+        """sup_k E[A_hat_k(rho)^2] less its first n terms: b2 (rho^2 q1)^n / (1 - rho^2 q1)."""
+        if self.b2 == 0.0:
+            return 0.0
+        if rho * rho * self.q1 >= 1.0:
+            return math.inf
+        return self.b2 * (rho * rho * self.q1) ** n / (1.0 - rho * rho * self.q1)
+
 
 def p2_closed_forms(env: Environment) -> P2ClosedForms:
     if not isinstance(env, IIDMixture):

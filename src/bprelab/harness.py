@@ -14,6 +14,7 @@ import json
 import math
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,16 @@ EXACT_TABLE_ORDER = 4
 EXACT_TABLE_LEN = 12
 
 
+class Item(NamedTuple):
+    """One check a relation yields, recorded as `<suite>.<suffix>`; a suite's section keeps `detail`."""
+
+    suffix: str
+    statement: str
+    passed: bool
+    observed: dict
+    detail: object = None
+
+
 class _Context:
     """Per-experiment scratch: cached batches, checks, and CSV side tables."""
 
@@ -64,6 +75,12 @@ class _Context:
             }
         )
 
+    def record(self, suite: str, items: list[Item]) -> list[Item]:
+        """Record each of a relation's items as the check `<suite>.<suffix>`; returns the items."""
+        for item in items:
+            self.check(f"{suite}.{item.suffix}", item.statement, item.passed, **item.observed)
+        return items
+
     def add_csv(self, name: str, header: str, rows: list[str]) -> None:
         self.csv[name] = [header] + rows
 
@@ -82,6 +99,12 @@ class _Context:
         if self.is_mixture:
             return self.env.geo_mean()
         return float(np.exp(np.mean([law.log_mean for law in self.env.laws])))
+
+    def rate_reports(self) -> list[rates.RateReport]:
+        """The rate report at each configured p; none without a supercritical stationary law."""
+        if not (self.is_mixture and self.env.is_supercritical):
+            return []
+        return [rates.rate_report(self.env, p) for p in self.cfg.p]
 
     def rho_grid(self) -> tuple[float, ...]:
         """The burkholder and identity suites' rho: config rho list, else 3 default-grid points."""
@@ -138,8 +161,14 @@ _NEEDS = (
      "{suite} needs n_max - gap >= 3 for a fit of 4 points; n_max is {cfg.n_max}"),
     (("identity",), "rho", lambda ctx: any(r > 1.0 for r in ctx.rho_grid()),
      "{suite} needs some rho > 1"),
+    (("identity",), "n_max", lambda ctx: ctx.cfg.n_max >= 2,
+     "{suite} needs n_max >= 2 for an n < n_max - 1; n_max is {cfg.n_max}"),
     (("quenched-rate", "burkholder", "identity"), "n_max", lambda ctx: ctx.cfg.n_max <= ctx.path_states,
      "{cfg.n_max} exceeds the fixed path's {ctx.path_states} states"),
+    (("criteria",), "environment",
+     lambda ctx: ctx.is_mixture or (ctx.path_states >= 8 and ctx.geo_mean() > 1.0),
+     "{suite} on a fixed path needs at least 8 states and a supercritical path average "
+     "for its series probes; the path has {ctx.path_states} states"),
 )
 
 
@@ -153,84 +182,160 @@ def check_suite_needs(cfg: ExperimentConfig, suites) -> None:
 
 
 # ---------------------------------------------------------------------------
-# relations checked by both the suites and verify
+# relations, each checked by a suite and by verify at their own sizes: a
+# relation returns its check items, and none outside its domain
 
 
-def _rate_orderings(rep: rates.RateReport) -> list[tuple[str, str, bool, dict]]:
-    """The proven orderings among one report's rates, as (name, statement, verdict, observed)."""
-    suff, crit = rep.quenched_sufficient_bound, rep.quenched_critical
-    rho0, rhoc = rep.annealed_rho0, rep.annealed_rhoc
-    items = [
-        ("sufficient-le-critical",
-         "the sufficient quenched rate bound never exceeds the critical one",
-         suff <= crit + 1e-12, {"sufficient": suff, "critical": crit}),
-        ("annealed-le-quenched",
-         "the annealed critical rate never exceeds the quenched critical rate",
-         rhoc <= crit + 1e-12, {"annealed_rhoc": rhoc, "quenched_critical": crit}),
-    ]
-    pair = {"rho0": rho0, "rhoc": rhoc}
-    if rep.p >= 2.0:
-        items.append(("rates-collapse", "for p >= 2 the two annealed rate formulas agree",
-                      math.isclose(rho0, rhoc, rel_tol=1e-12), pair))
-    elif rep.condition_flags.get("tilt_positive"):
-        statement = "under a positive tilt the sufficient annealed rate is below the critical one"
-        items.append(("rho0-le-rhoc", statement, rho0 <= rhoc + 1e-12, pair))
-    return items
+def _relation(domain: str):
+    """Name the domain outside which a relation yields no item; verify's skipped checks cite it."""
+
+    def mark(fn):
+        fn.domain = domain
+        return fn
+
+    return mark
 
 
-def _p2_partial_sums(moments, inc, tol: float) -> tuple[bool, float]:
-    """E[W_n^2] against 1 + sum_{k<n} E|W_{k+1} - W_k|^2: (verdict, worst relative error)."""
-    worst = 0.0
-    for n, moment in enumerate(moments):
-        closed = 1.0 + math.fsum(inc[:n])
-        worst = max(worst, abs(moment - closed) / max(closed, 1.0))
-    return worst <= tol, worst
-
-
-def _within_slack(pairs, sigmas: float) -> tuple[bool, float]:
-    """Each (estimate, exact) pair within sigmas standard errors: (verdict, worst excess)."""
-    ok, worst = True, 0.0
-    for est, exact in pairs:
-        dev, slack = abs(est.value - exact), sigmas * est.stderr
-        ok = ok and dev <= slack + 1e-12
-        worst = max(worst, dev - slack)
-    return ok, worst
-
-
-def _sandwich(batch: TrajectoryBatch, p: float, rho: float, n: int,
-              sigmas: float) -> tuple[estimators.SandwichCheck, dict]:
-    """The square-function bracket of A_hat_n(rho) with sigmas slack: (check, observed values)."""
-    sc = estimators.burkholder_sandwich(batch, p, rho, n, slack_sigmas=sigmas)
-    return sc, {"a_norm": sc.a_norm, "lower": sc.lower, "upper": sc.upper}
-
-
-def _identity(batch: TrajectoryBatch, rho: float, ns, tol: float) -> list[tuple[int, bool, float]]:
-    """(n, verdict, residual): the telescoped and accumulator forms of A_hat_n(rho) within
-    tol, at each n in `ns` that increment_identity_check admits for this batch and rho."""
+@_relation("a supercritical stationary mixture")
+def _rate_orderings(reports: list[rates.RateReport]) -> list[Item]:
+    """The proven orderings among each report's rates, as `p<p>.<name>`."""
     items = []
-    for n in ns:
-        try:
-            residual = increment_identity_check(batch, rho, n)
-        except ParameterError:
-            continue
-        items.append((n, residual <= tol, residual))
+    for rep in reports:
+        tag = f"p{rep.p:g}"
+        suff, crit = rep.quenched_sufficient_bound, rep.quenched_critical
+        rho0, rhoc = rep.annealed_rho0, rep.annealed_rhoc
+        items += [
+            Item(f"{tag}.sufficient-le-critical",
+                 "the sufficient quenched rate bound never exceeds the critical one",
+                 suff <= crit + 1e-12, {"sufficient": suff, "critical": crit}),
+            Item(f"{tag}.annealed-le-quenched",
+                 "the annealed critical rate never exceeds the quenched critical rate",
+                 rhoc <= crit + 1e-12, {"annealed_rhoc": rhoc, "quenched_critical": crit}),
+        ]
+        pair = {"rho0": rho0, "rhoc": rhoc}
+        if rep.p >= 2.0:
+            items.append(Item(f"{tag}.rates-collapse", "for p >= 2 the two annealed rate formulas agree",
+                              math.isclose(rho0, rhoc, rel_tol=1e-12), pair))
+        elif rep.condition_flags.get("tilt_positive"):
+            statement = "under a positive tilt the sufficient annealed rate is below the critical one"
+            items.append(Item(f"{tag}.rho0-le-rhoc", statement, rho0 <= rhoc + 1e-12, pair))
     return items
 
 
-def _growth_envelope(env: Environment, n: int, orders) -> tuple[bool, dict[int, bool]]:
+def _partial_sum_error(moments, inc) -> float:
+    """Worst relative error of E[W_k^2] against 1 + sum_{j<k} E|W_{j+1} - W_j|^2 over k."""
+    worst = 0.0
+    for k, moment in enumerate(moments):
+        closed = 1.0 + math.fsum(inc[:k])
+        worst = max(worst, abs(moment - closed) / max(closed, 1.0))
+    return worst
+
+
+@_relation("a stationary mixture or an environment path")
+def _p2_partial_sums(env: Environment, n: int, tol: float, path: EnvPath | None = None,
+                     a_hat_rho: float | None = None) -> list[Item]:
+    """Second moments from the recursion tables against the partial sums of the squared
+    increments up to generation n, within relative `tol`: along `path` when one is given,
+    else on the stationary law. There `a_hat_rho` adds sup_k E[A_hat_k(rho)^2] against the
+    table's partial sum, at the lesser of a_hat_rho and the critical rate 1/sqrt(q1)."""
+    if path is not None:
+        worst = _partial_sum_error(
+            exact_moments.quenched_moments(path, 2, n).w_moments(2),
+            exact_moments.quenched_increment_second_moments(path, n),
+        )
+        statement = (
+            "along the realized path the second moments match the partial sums of the squared increments"
+        )
+        return [Item("quenched-p2-tail", statement, worst <= tol, {"max_rel_error": worst})]
+    forms = exact_moments.p2_closed_forms(env)
+    worst = _partial_sum_error(
+        exact_moments.annealed_u(env, 0.0, 2, n), [forms.increment_second_moment(k) for k in range(n)]
+    )
+    items = [Item("p2-partial-sums", "second moments from the recursion match the closed-form partial sums",
+                  worst <= tol, {"max_rel_error": worst})]
+    if a_hat_rho is None or not forms.summable:
+        return items
+    rho = min(a_hat_rho, 1.0 / math.sqrt(forms.q1))
+    if forms.q1 * rho**2 < 1.0:
+        gap = forms.sup_a_hat2(rho) - exact_moments.a_hat_second_moment_partial(env, rho, n)
+        remainder = forms.a_hat2_tail(rho, n)
+        statement = "the weighted-increment second moments approach their closed-form sup within its tail"
+        items.append(Item("a-hat-partial-sums", statement, -1e-12 <= gap <= remainder + 1e-12,
+                          {"a_hat_gap": gap, "a_hat_remainder_bound": remainder}))
+    return items
+
+
+@_relation("a stationary mixture")
+def _growth_envelope(env: Environment, n: int, orders) -> list[Item]:
     """Whether each order's scaled moments stay under the envelope up to max(n, 10)."""
-    holds = {r: exact_moments.growth_envelope_check(env, 0.0, r, max(n, 10)) for r in orders}
-    return all(holds.values()), holds
+    if not isinstance(env, IIDMixture):
+        return []
+    holds = [exact_moments.growth_envelope_check(env, 0.0, r, max(n, 10)) for r in orders]
+    statement = "scaled moment sequences stay under the polynomial-times-base envelope"
+    return [Item("growth-envelope", statement, all(holds), {"orders": list(orders)})]
 
 
-def _recursion_slack(env: Environment, n: int) -> tuple[bool, float]:
+@_relation("a stationary mixture")
+def _recursion_slack(env: Environment, n: int) -> list[Item]:
     """Least slack of the split-moment recursion (orders 3-4, s in {0, 1}) up to max(n, 10)."""
+    if not isinstance(env, IIDMixture):
+        return []
     min_slack = min(
         float(exact_moments.recursion_inequality_slacks(env, s, r, max(n, 10)).min())
         for r in (3, 4)
         for s in (0.0, 1.0)
     )
-    return min_slack >= -1e-12, min_slack
+    statement = "the split-moment recursion inequality holds with non-negative slack"
+    return [Item("recursion-slack", statement, min_slack >= -1e-12, {"min_slack": min_slack})]
+
+
+@_relation("some rho > 1 and some n < n_max - 1")
+def _identity(batch: TrajectoryBatch, rhos, ns, tol: float) -> list[Item]:
+    """The telescoped and accumulator forms of A_hat_n(rho) within tol, at each rho and n
+    that increment_identity_check admits for this batch."""
+    items = []
+    for rho in rhos:
+        for n in ns:
+            try:
+                residual = increment_identity_check(batch, rho, n)
+            except ParameterError:
+                continue
+            statement = "the telescoped and accumulator forms of the weighted sum agree"
+            items.append(Item(f"rho{rho:.4g}.n{n}", statement, residual <= tol,
+                              {"residual": residual, "tolerance": tol},
+                              {"rho": rho, "n": n, "residual": residual}))
+    return items
+
+
+# shared by the burkholder items and verify's burkholder-sandwich check
+_BRACKET = "the weighted-increment norm sits inside the square-function bracket"
+
+
+@_relation("rho >= 1 and n < n_max")
+def _sandwiches(batch: TrajectoryBatch, ps, rhos, ns, sigmas: float) -> list[Item]:
+    """The square-function bracket of A_hat_n(rho) with sigmas slack, at each p, rho and n."""
+    items = []
+    for p in ps:
+        for rho in rhos:
+            for n in ns:
+                sc = estimators.burkholder_sandwich(batch, p, rho, n, slack_sigmas=sigmas)
+                observed = {"a_norm": sc.a_norm, "lower": sc.lower, "upper": sc.upper}
+                items.append(Item(f"p{p:g}.rho{rho:.4g}.n{n}", _BRACKET, sc.ok, observed, sc))
+    return items
+
+
+@_relation("exact values, which only p = 2 has")
+def _exact_slack(estimates: list[LpEstimate], exact_values, sigmas: float) -> list[Item]:
+    """Each estimate within sigmas standard errors of its exact value; none without exact values."""
+    if exact_values is None:
+        return []
+    ok, worst = True, 0.0
+    for est, exact in zip(estimates, exact_values):
+        dev, slack = abs(est.value - exact), sigmas * est.stderr
+        ok = ok and dev <= slack + 1e-12
+        worst = max(worst, dev - slack)
+    statement = "sampled moment distances sit within the Monte Carlo slack of the exact curve"
+    return [Item(f"p{estimates[0].p:g}.estimates-match-exact", statement, ok, {"worst_excess": worst})]
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +343,8 @@ def _recursion_slack(env: Environment, n: int) -> tuple[bool, float]:
 
 
 def _suite_rates(ctx: _Context) -> dict:
-    reports = [rates.rate_report(ctx.env, p) for p in ctx.cfg.p]
-    for rep in reports:
-        for name, statement, passed, observed in _rate_orderings(rep):
-            ctx.check(f"rates.p{rep.p:g}.{name}", statement, passed, **observed)
+    reports = ctx.rate_reports()
+    ctx.record("rates", _rate_orderings(reports))
     ctx.add_csv(
         "rates.csv",
         "p,m_geo,quenched_sufficient_bound,quenched_critical,annealed_rho0,annealed_rhoc",
@@ -297,28 +400,9 @@ def _suite_exact(ctx: _Context) -> dict:
             "summable": forms.summable,
             "sup_w2": forms.sup_w2(),
         }
-        inc = [forms.increment_second_moment(k) for k in range(n_table)]
-        passed, worst = _p2_partial_sums(u[:, 1], inc, tol)
-        ctx.check(
-            "exact.p2-partial-sums",
-            "second moments from the recursion match the closed-form partial sums",
-            passed,
-            max_rel_error=worst,
-        )
-        passed, holds = _growth_envelope(ctx.env, n_table, range(2, EXACT_TABLE_ORDER + 1))
-        ctx.check(
-            "exact.growth-envelope",
-            "scaled moment sequences stay under the polynomial-times-base envelope",
-            passed,
-            orders=list(holds),
-        )
-        passed, min_slack = _recursion_slack(ctx.env, n_table)
-        ctx.check(
-            "exact.recursion-slack",
-            "the split-moment recursion inequality holds with non-negative slack",
-            passed,
-            min_slack=min_slack,
-        )
+        ctx.record("exact", _p2_partial_sums(ctx.env, n_table, tol))
+        ctx.record("exact", _growth_envelope(ctx.env, n_table, range(2, EXACT_TABLE_ORDER + 1)))
+        ctx.record("exact", _recursion_slack(ctx.env, n_table))
 
     path = None
     if isinstance(ctx.env, FixedPath) or ctx.cfg.path_seed is not None:
@@ -332,20 +416,8 @@ def _suite_exact(ctx: _Context) -> dict:
             w_mean_err <= tol,
             max_abs_error=w_mean_err,
         )
-        horizon = len(path) - 1
-        if horizon >= 2:
-            tails = [exact_moments.quenched_p2_tail(path, n, horizon) for n in range(horizon)]
-            bracket_ok = all(t.lower <= t.upper + 1e-15 for t in tails)
-            monotone_ok = all(
-                tails[n + 1].lower <= tails[n].lower + 1e-15 for n in range(len(tails) - 1)
-            )
-            ctx.check(
-                "exact.quenched-p2-tail",
-                "path tail bounds bracket correctly and shrink with the generation",
-                bracket_ok and monotone_ok,
-                bracket_ok=bracket_ok,
-                monotone_ok=monotone_ok,
-            )
+        if len(path) >= 3:
+            ctx.record("exact", _p2_partial_sums(ctx.env, len(path), tol, path))
 
     if ctx.is_mixture and len(ctx.env.states) == 1 and path is not None:
         table = exact_moments.annealed_moment_table(ctx.env, 0.0, EXACT_TABLE_ORDER, len(path))
@@ -379,24 +451,17 @@ def _rate_estimates(ctx: _Context, batch: TrajectoryBatch, p: float) -> list[LpE
 
 def _fit_with_oracle(
     ctx: _Context,
-    tag: str,
+    suite: str,
     p: float,
     estimates: list[LpEstimate],
     exact_values: list[float] | None,
     predicted_rho: float | None,
 ) -> dict:
-    """Fit the decay rate and check it against any exact curve; check ids start with `tag`."""
+    """Fit the decay rate and check it against any exact curve; check ids start with `<suite>.p<p>`."""
+    tag = f"{suite}.p{p:g}"
     sigmas = ctx.cfg.tolerances["sigmas"]
     section: dict = {"p": p, "estimates": list(estimates), "fit": None}
-
-    if exact_values is not None:
-        ok, worst = _within_slack(zip(estimates, exact_values), sigmas)
-        ctx.check(
-            f"{tag}.estimates-match-exact",
-            "sampled moment distances sit within the Monte Carlo slack of the exact curve",
-            ok,
-            worst_excess=worst,
-        )
+    ctx.record(suite, _exact_slack(estimates, exact_values, sigmas))
 
     if all(e.value <= estimators.ROUNDOFF_DISTANCE**p for e in estimates):
         section["fit_note"] = "degenerate: all distances are zero up to rounding, nothing to fit"
@@ -472,7 +537,7 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, pre
         # exact E|W_{n+gap} - W_n|^2 is the sum of the increments' second moments
         exact_vals = [math.fsum(inc[e.n : e.n + gap]) for e in estimates] if at_p2 else None
         yield p, _fit_with_oracle(
-            ctx, f"{suite}.p{p:g}", p, estimates, exact_vals, predicted_rho if at_p2 else None
+            ctx, suite, p, estimates, exact_vals, predicted_rho if at_p2 else None
         )
 
 
@@ -539,18 +604,9 @@ def _suite_annealed_rate(ctx: _Context) -> dict:
 def _suite_burkholder(ctx: _Context) -> dict:
     batch = ctx.batch(ctx.default_mode())
     last = batch.n_max - 1
-    results = []
-    for p in ctx.cfg.p:
-        for rho in ctx.rho_grid():
-            for n in sorted({min(2, last), last // 2, last}):
-                sc, observed = _sandwich(batch, p, rho, n, ctx.cfg.tolerances["sigmas"])
-                results.append(sc)
-                ctx.check(
-                    f"burkholder.p{p:g}.rho{rho:.4g}.n{n}",
-                    "the weighted-increment norm sits inside the square-function bracket",
-                    sc.ok,
-                    **observed,
-                )
+    ns = sorted({min(2, last), last // 2, last})
+    items = _sandwiches(batch, ctx.cfg.p, ctx.rho_grid(), ns, ctx.cfg.tolerances["sigmas"])
+    results = [item.detail for item in ctx.record("burkholder", items)]
     ctx.add_csv(
         "burkholder.csv",
         "p,rho,n,a_norm,q_norm,lower,upper,ok",
@@ -606,11 +662,8 @@ def _suite_criteria(ctx: _Context) -> dict:
         section["lp_criteria"] = None
         section["note"] = "stationary-law criteria need a mixture; this is a fixed path"
 
-    length = max(12, min(cfg.n_max, 40)) if ctx.is_mixture else ctx.path_states
-    if length < 8:
-        section["series_note"] = "stored path shorter than 8 states; series probes skipped"
-        return section
-    path = ctx.series_path(length)
+    # a fixed path has at least 8 states and a supercritical average (see _NEEDS)
+    path = ctx.series_path(max(12, min(cfg.n_max, 40)) if ctx.is_mixture else ctx.path_states)
     m_geo = ctx.geo_mean()
     if m_geo <= 1.0:
         section["series_note"] = "path is not supercritical on average; no probes run"
@@ -659,21 +712,10 @@ def _suite_criteria(ctx: _Context) -> dict:
 
 
 def _suite_identity(ctx: _Context) -> dict:
-    tol = ctx.cfg.tolerances["identity"]
     batch = ctx.batch(ctx.default_mode())
     ns = sorted({1, batch.n_max // 2, batch.n_max - 2})
-    results = []
-    for rho in ctx.rho_grid():
-        for n, passed, residual in _identity(batch, rho, ns, tol):
-            results.append({"rho": rho, "n": n, "residual": residual})
-            ctx.check(
-                f"identity.rho{rho:.4g}.n{n}",
-                "the telescoped and accumulator forms of the weighted sum agree",
-                passed,
-                residual=residual,
-                tolerance=tol,
-            )
-    return {"results": results}
+    items = _identity(batch, ctx.rho_grid(), ns, ctx.cfg.tolerances["identity"])
+    return {"results": [item.detail for item in ctx.record("identity", items)]}
 
 
 # in the order of config.KNOWN_SUITES (a test holds them equal)
@@ -767,142 +809,89 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], i
 
 
 # ---------------------------------------------------------------------------
-# verify suite: cross-module consistency checks with recorded errors
-
-
-def _verify_p2_closed_forms(ctx: _Context, n_small: int) -> tuple[bool, dict]:
-    tol = ctx.cfg.tolerances["exact_rel"]
-    if not ctx.is_mixture:
-        path = ctx.series_path(n_small)
-        qtable = exact_moments.quenched_moments(path, 2, len(path))
-        inc = exact_moments.quenched_increment_second_moments(path, len(path))
-        passed, worst = _p2_partial_sums(qtable.w_moments(2), inc, tol)
-        return passed, {"max_rel_error": worst}
-    forms = exact_moments.p2_closed_forms(ctx.env)
-    u2 = exact_moments.annealed_u(ctx.env, 0.0, 2, n_small)
-    inc = [forms.increment_second_moment(k) for k in range(n_small)]
-    passed, worst = _p2_partial_sums(u2, inc, tol)
-    observed = {"max_rel_error": worst, "q1": forms.q1, "summable": forms.summable}
-    if forms.summable:
-        rho = min(1.05, 1.0 / math.sqrt(forms.q1) if forms.q1 > 0 else 1.05)
-        rho = max(rho, 1.0)
-        if forms.q1 * rho**2 < 1.0:
-            partial = exact_moments.a_hat_second_moment_partial(ctx.env, rho, n_small)
-            sup = forms.sup_a_hat2(rho)
-            remainder = (
-                forms.b2
-                * (rho**2 * forms.q1) ** n_small
-                / (1.0 - rho**2 * forms.q1)
-            )
-            observed["a_hat_gap"] = sup - partial
-            observed["a_hat_remainder_bound"] = remainder
-            if not (-1e-12 <= sup - partial <= remainder + 1e-12):
-                return False, observed
-    return passed, observed
-
-
-def _verify_recursion(ctx: _Context, n_small: int) -> tuple[bool, dict]:
-    passed, min_slack = _recursion_slack(ctx.env, n_small)
-    return passed, {"min_slack": min_slack}
-
-
-def _verify_envelope(ctx: _Context, n_small: int) -> tuple[bool, dict]:
-    passed, holds = _growth_envelope(ctx.env, n_small, (2, 3, 4, 5))
-    return passed, {"per_order": holds}
+# verify: each name is a relation called at small sizes, folded into one check
 
 
 # the rho values of verify's identity and sandwich checks
 _VERIFY_RHOS = (1.1, 1.3)
 
 
-def _verify_batch(ctx: _Context, n_small: int) -> TrajectoryBatch:
-    """A small quenched batch along the series path, shared by the batch checks."""
+def _verify_batch(ctx: _Context, n: int) -> TrajectoryBatch:
+    """A small quenched batch of n generations along the series path, shared by the batch checks."""
     return ctx.batch(
         MODE_QUENCHED,
-        n_max=len(ctx.series_path(n_small)),
+        n_max=n,
         replicas=max(1_000, min(ctx.cfg.replicas, 4_000)),
         path_seed=ctx.series_seed,
     )
 
 
-def _verify_identity(ctx: _Context, n_small: int) -> tuple[bool, dict]:
-    batch = _verify_batch(ctx, n_small)
-    tol = ctx.cfg.tolerances["identity"]
-    items = [item for rho in _VERIFY_RHOS for item in _identity(batch, rho, (1, batch.n_max - 2), tol)]
-    if not items:
-        return True, {"skipped": "the path is too short for the identity"}
-    _, verdicts, residuals = zip(*items)
-    return all(verdicts), {"max_residual": max(residuals), "tolerance": tol}
-
-
-def _verify_burkholder(ctx: _Context, n_small: int) -> tuple[bool, dict]:
-    batch = _verify_batch(ctx, n_small)
-    p = ctx.cfg.p[0]
-    sc, observed = _sandwich(
-        batch, p, _VERIFY_RHOS[0], batch.n_max - 1, ctx.cfg.tolerances["sigmas"]
-    )
-    return sc.ok, {"p": p} | observed
-
-
-def _verify_orderings(ctx: _Context, n_small: int) -> tuple[bool, dict]:
-    if not ctx.env.is_supercritical:
-        return True, {"skipped": "environment is not supercritical"}
-    reports = [rates.rate_report(ctx.env, p) for p in ctx.cfg.p]
-    passed = all(ok for rep in reports for _, _, ok, _ in _rate_orderings(rep))
-    return passed, {"last_report": reports[-1]}
-
-
-def _verify_quenched_increments(ctx: _Context, n_small: int) -> tuple[bool, dict]:
-    batch = _verify_batch(ctx, n_small)
-    inc = exact_moments.quenched_increment_second_moments(batch.path, batch.n_max)
-    pairs = [(lp_norm(batch, 2.0, n, 1), float(inc[n])) for n in range(min(6, batch.n_max))]
-    passed, worst = _within_slack(pairs, ctx.cfg.tolerances["sigmas"])
-    return passed, {"worst_excess": worst}
-
-
-# name -> (statement, check), in the order of config.VERIFY_CHECKS (a test holds them equal)
+# name -> (statement, relation, its keyword arguments at verify's n generations),
+# in the order of config.VERIFY_CHECKS (a test holds them equal)
 _VERIFY = {
     "p2-closed-forms": (
-        "closed-form second moments match the recursion tables", _verify_p2_closed_forms
+        "closed-form second moments match the recursion tables", _p2_partial_sums,
+        lambda ctx, n: dict(env=ctx.env, n=n, tol=ctx.cfg.tolerances["exact_rel"],
+                            path=None if ctx.is_mixture else ctx.series_path(n), a_hat_rho=1.05),
     ),
     "recursion-inequality": (
-        "the split-moment recursion inequality has non-negative slack", _verify_recursion
+        "the split-moment recursion inequality has non-negative slack", _recursion_slack,
+        lambda ctx, n: dict(env=ctx.env, n=n),
     ),
     "growth-envelope": (
-        "scaled moments stay under the polynomial-times-base envelope", _verify_envelope
+        "scaled moments stay under the polynomial-times-base envelope", _growth_envelope,
+        lambda ctx, n: dict(env=ctx.env, n=n, orders=(2, 3, 4, 5)),
     ),
     "increment-identity": (
-        "the telescoped and accumulator forms agree to rounding", _verify_identity
+        "the telescoped and accumulator forms agree to rounding", _identity,
+        lambda ctx, n: dict(batch=_verify_batch(ctx, n), rhos=_VERIFY_RHOS, ns=sorted({1, n - 2}),
+                            tol=ctx.cfg.tolerances["identity"]),
     ),
     "burkholder-sandwich": (
-        "the weighted-increment norm sits inside the square-function bracket", _verify_burkholder
+        _BRACKET, _sandwiches,
+        lambda ctx, n: dict(batch=_verify_batch(ctx, n), ps=ctx.cfg.p[:1], rhos=_VERIFY_RHOS[:1],
+                            ns=(n - 1,), sigmas=ctx.cfg.tolerances["sigmas"]),
     ),
-    "rate-orderings": ("computed rates obey their proven orderings", _verify_orderings),
+    "rate-orderings": (
+        "computed rates obey their proven orderings", _rate_orderings,
+        lambda ctx, n: dict(reports=ctx.rate_reports()),
+    ),
     "quenched-increments": (
-        "simulated squared increments match the exact path values", _verify_quenched_increments
+        "simulated squared increments match the exact path values", _exact_slack,
+        lambda ctx, n: dict(
+            estimates=[lp_norm(_verify_batch(ctx, n), 2.0, k, 1) for k in range(min(6, n))],
+            exact_values=exact_moments.quenched_increment_second_moments(
+                _verify_batch(ctx, n).path, min(6, n)
+            ),
+            sigmas=ctx.cfg.tolerances["sigmas"],
+        ),
     ),
 }
 
-# the checks of the stationary law, which pass as skipped on a fixed path
-_MIXTURE_ONLY = ("recursion-inequality", "growth-envelope", "rate-orderings")
-
 
 def verify_suite(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], int]:
-    """Run the cross-module consistency checks at small sizes; errors are recorded per check."""
+    """Run the cross-module consistency checks at small sizes; errors are recorded per check.
+
+    Each name's relation items fold into the one check `verify.<name>`: it
+    passes when every item does, and its observed values map each item's
+    suffix to its verdict and observed values; with no item it passes as
+    skipped, naming the relation's domain.
+    """
     ctx = _Context(cfg)
-    n_small = max(4, min(cfg.n_max, 12))
+    # 4 to 12 generations, and no more than a fixed path has
+    n_small = min(max(4, min(cfg.n_max, 12)), ctx.path_states)
     timings: dict = {}
     t_start = time.perf_counter()
     for name in cfg.verify:
-        statement, fn = _VERIFY[name]
+        statement, relation, kwargs = _VERIFY[name]
         t0 = time.perf_counter()
-        if name in _MIXTURE_ONLY and not ctx.is_mixture:
-            passed, observed = True, {"skipped": "needs a stationary mixture"}
-        else:
-            try:
-                passed, observed = fn(ctx, n_small)
-            except BpreLabError as exc:
-                passed, observed = False, {"error": str(exc)}
+        try:
+            items = relation(**kwargs(ctx, n_small))
+            passed = all(item.passed for item in items)
+            observed = {item.suffix: {"passed": item.passed} | item.observed for item in items}
+        except BpreLabError as exc:
+            passed, observed = False, {"error": str(exc)}
+        observed = observed or {"skipped": f"needs {relation.domain}"}
         ctx.check(f"verify.{name}", statement, passed, **observed)
         timings[name] = time.perf_counter() - t0
     return _build_report(ctx, {"verify": {"checks_run": list(cfg.verify)}}, timings, t_start)

@@ -259,6 +259,15 @@ class TestP2ClosedForms:
         with pytest.raises(ParameterError):
             a_hat_second_moment_partial(TWO_STATE, 1.1, 0)
 
+    def test_a_hat_tail_is_the_supremum_less_the_partial_sum(self):
+        forms = p2_closed_forms(TWO_STATE)
+        for rho in (1.0, 1.2):
+            for n in (1, 5, 10):
+                gap = forms.sup_a_hat2(rho) - a_hat_second_moment_partial(TWO_STATE, rho, n)
+                assert forms.a_hat2_tail(rho, n) == pytest.approx(gap, rel=1e-11)
+        assert forms.a_hat2_tail(math.sqrt(2.0), 3) == math.inf
+        assert p2_closed_forms(single_state(OffspringLaw({2: 1.0}))).a_hat2_tail(1.5, 3) == 0.0
+
 
 class TestQuenchedTail:
     def test_constant_path_bracket_is_tight(self):

@@ -69,8 +69,8 @@ class TestRunExperiment:
         cfg = small_gw(environment=env, suites=["quenched-rate"])
         with pytest.raises(ConfigError, match=r"^<memory>: n_max: 16 exceeds the fixed path's 3 states$"):
             run_experiment(cfg)
-        # suites that simulate nothing still run on the path they have
-        assert run_experiment(small_gw(environment=env, suites=["exact", "criteria"]))[2] == 0
+        # a suite that simulates nothing still runs on the path it has
+        assert run_experiment(small_gw(environment=env, suites=["exact"]))[2] == 0
 
     def test_report_deterministic_modulo_timings(self):
         first = strip_timings(run_experiment(small_gw())[0])
@@ -151,6 +151,29 @@ class TestVerifySuite:
         identity = {c["id"]: c for c in report["checks"]}["verify.increment-identity"]["observed"]
         assert ("skipped" in identity) == (states == 1)
 
+    def test_items_fold_into_one_check_per_name(self):
+        cfg = small_gw(environment=TWO_STATE, verify=["rate-orderings", "increment-identity"])
+        report, _, code = verify_suite(cfg)
+        assert code == 0
+        orderings, identity = (c["observed"] for c in report["checks"])
+        assert list(orderings) == [
+            "p2.sufficient-le-critical", "p2.annealed-le-quenched", "p2.rates-collapse"
+        ]
+        assert orderings["p2.rates-collapse"]["passed"] is True
+        assert set(orderings["p2.rates-collapse"]) == {"passed", "rho0", "rhoc"}
+        # rho 1.1 and 1.3 at n = 1 and n_max - 2 of a 12-generation batch
+        assert list(identity) == ["rho1.1.n1", "rho1.1.n10", "rho1.3.n1", "rho1.3.n10"]
+        assert all(item["residual"] <= item["tolerance"] for item in identity.values())
+
+    def test_a_relation_without_items_is_skipped_with_its_domain(self):
+        cfg = small_gw(environment=FIXED3, verify=["rate-orderings", "growth-envelope"])
+        report, _, code = verify_suite(cfg)
+        assert code == 0
+        assert [c["observed"] for c in report["checks"]] == [
+            {"skipped": "needs a supercritical stationary mixture"},
+            {"skipped": "needs a stationary mixture"},
+        ]
+
     def test_component_errors_become_failed_checks(self, monkeypatch):
         def boom(*args, **kwargs):
             raise EstimateUnavailableError("boom")
@@ -204,6 +227,11 @@ class TestSharedChecks:
         by_id = {c["id"]: c["passed"] for c in report["checks"]}
         assert by_id["quenched-rate.p2.estimates-match-exact"] is False
 
+        # the exact tables along the path sum the same increments
+        report, _, code = run_experiment(small_gw(suites=["exact"], path_seed=7))
+        assert code == 2
+        assert [c["id"] for c in report["checks"] if not c["passed"]] == ["exact.quenched-p2-tail"]
+
         report, _, code = verify_suite(small_gw(verify=["quenched-increments"]))
         assert code == 2
         assert report["checks"][0]["passed"] is False
@@ -226,6 +254,9 @@ class TestSharedChecks:
 TWO_STATE = {"kind": "mixture", "states": [{"law": {1: 0.5, 3: 0.5}}, {"law": {2: 1.0}}]}
 SUBCRITICAL = {"kind": "mixture", "states": [{"law": {0: 0.5, 1: 0.5}}, {"law": {1: 0.5, 2: 0.5}}]}
 FIXED3 = {"kind": "fixed_path", "path": [{0: 0.25, 2: 0.75}, {3: 1.0}, {0: 0.25, 2: 0.75}]}
+FIXED4 = {"kind": "fixed_path", "path": [{0: 0.25, 2: 0.75}, {3: 1.0}] * 2}
+FIXED12 = {"kind": "fixed_path", "path": [{0: 0.25, 2: 0.75}, {3: 1.0}] * 6}
+SUBCRITICAL12 = {"kind": "fixed_path", "path": [{0: 0.5, 1: 0.5}] * 12}
 
 
 class TestSuiteNeeds:
@@ -250,14 +281,28 @@ class TestSuiteNeeds:
         ("annealed-rate", "gap", {"gap": 14},
          "annealed-rate needs n_max - gap >= 3 for a fit of 4 points; n_max is 16"),
         ("identity", "rho", {"rho": [1.0]}, "identity needs some rho > 1"),
+        ("identity", "n_max", {"n_max": 1}, "identity needs n_max >= 2 for an n < n_max - 1; n_max is 1"),
         ("quenched-rate", "n_max", {"environment": FIXED3}, "16 exceeds the fixed path's 3 states"),
         ("burkholder", "n_max", {"environment": FIXED3}, "16 exceeds the fixed path's 3 states"),
         ("identity", "n_max", {"environment": FIXED3}, "16 exceeds the fixed path's 3 states"),
+        ("criteria", "environment", {"environment": FIXED4},
+         "criteria on a fixed path needs at least 8 states and a supercritical path average "
+         "for its series probes; the path has 4 states"),
+        ("criteria", "environment", {"environment": SUBCRITICAL12},
+         "criteria on a fixed path needs at least 8 states and a supercritical path average "
+         "for its series probes; the path has 12 states"),
     ]
 
     def test_cases_cover_the_table(self):
         table = {(suite, key) for suites, key, _, _ in harness._NEEDS for suite in suites}
         assert {(suite, key) for suite, key, _, _ in self.CASES} == table
+        # every need of every suite has a case whose config fails that need
+        for needed_by, key, holds, _ in harness._NEEDS:
+            for suite in needed_by:
+                assert any(
+                    (s, k) == (suite, key) and not holds(harness._Context(small_gw(**overrides)))
+                    for s, k, overrides, _ in self.CASES
+                ), (suite, key)
 
     @pytest.mark.parametrize("suite, key, overrides, refusal", CASES)
     def test_refusal_names_file_and_key_before_simulating(self, monkeypatch, suite, key, overrides, refusal):
@@ -295,6 +340,36 @@ class TestSuiteNeeds:
         results = report["suites"]["identity"]["results"]
         assert len(report["checks"]) == len(results) == 4 * 3
         assert [r["rho"] for r in results[::3]] == [1.05, 1.1, 1.2, 1.3]
+
+
+class TestEverySuiteGivesAVerdict:
+    """A suite that the needs admit records at least one check of its own."""
+
+    # the suites that some n_max admits on each environment
+    @pytest.mark.parametrize(
+        "environment, admitted",
+        [
+            (TWO_STATE, set(config.KNOWN_SUITES)),
+            (FIXED4, set(config.KNOWN_SUITES) - {"rates", "annealed-rate", "criteria"}),
+            (FIXED12, set(config.KNOWN_SUITES) - {"rates", "annealed-rate"}),
+        ],
+        ids=["mixture", "path4", "path12"],
+    )
+    def test_admitted_suites_record_a_check(self, environment, admitted):
+        ran = set()
+        for suite in harness._SUITES:
+            # 1 is the least n_max a config takes, 4 the least a rate suite's fit admits at gap 1
+            for n_max in (1, 2, 3, 4):
+                cfg = small_gw(environment=environment, suites=[suite], n_max=n_max, gap=1,
+                               replicas=300, path_seed=3)
+                try:
+                    harness.check_suite_needs(cfg, cfg.suites)
+                except ConfigError:
+                    continue
+                report, _, _ = run_experiment(cfg)
+                assert any(c["suite"] == suite for c in report["checks"]), (suite, n_max)
+                ran.add(suite)
+        assert ran == admitted
 
 
 class TestOneOwner:

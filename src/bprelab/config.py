@@ -16,7 +16,6 @@ import yaml
 from .environment import Environment, FixedPath, IIDMixture
 from .errors import BpreLabError, ConfigError
 from .offspring import OffspringLaw
-from .rates import SERIES_MARGIN
 
 SCHEMA_VERSION = 1
 
@@ -30,23 +29,6 @@ KNOWN_SUITES = (
     "identity",
 )
 
-VERIFY_CHECKS = (
-    "p2-closed-forms",
-    "recursion-inequality",
-    "growth-envelope",
-    "increment-identity",
-    "burkholder-sandwich",
-    "rate-orderings",
-    "quenched-increments",
-)
-
-DEFAULT_TOLERANCES = {
-    "identity": 1e-9,
-    "exact_rel": 1e-9,
-    "series_margin": SERIES_MARGIN,
-    "sigmas": 4.0,
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -54,14 +36,16 @@ class ExperimentConfig:
 
     Each field is a top-level key of the config file, under the name in its
     ``key`` metadata if it has one (``source`` and ``raw`` are not keys); a
-    key the file leaves out takes the field's default.
+    key the file leaves out takes the field's default. The rho values of the
+    burkholder and identity suites, the checks' tolerances and verify's checks
+    are not keys: the harness derives the first from the environment and
+    holds the others as constants.
     """
 
     name: str
     env: Environment = field(metadata={"key": "environment"})
     suites: tuple[str, ...]
     p: tuple[float, ...] = (2.0,)
-    rho: tuple[float, ...] | None = None
     n_max: int = 30
     gap: int = 20
     replicas: int = 10_000
@@ -70,8 +54,6 @@ class ExperimentConfig:
     pop_cap: int = 10_000_000
     out: str | None = None
     threads: int = 1
-    tolerances: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    verify: tuple[str, ...] = VERIFY_CHECKS
     source: str = field(default="<memory>", metadata={"key": None})
     raw: dict = field(default_factory=dict, metadata={"key": None})
 
@@ -220,11 +202,6 @@ def parse_config(data: dict, source: str = "<memory>", lines: dict[str, int] | N
             chk, given["p"], "p", lambda p: _is_number(p) and math.isfinite(p) and p > 1, "each p must be a number > 1"
         )
         values["p"] = tuple(float(p) for p in p_list)
-    if "rho" in given:
-        rho = _check_list(
-            chk, given["rho"], "rho", lambda r: _is_number(r) and math.isfinite(r) and r >= 1, "each rho must be >= 1"
-        )
-        values["rho"] = tuple(float(r) for r in rho)
     for key, minimum in _INT_MINIMUMS.items():
         if key in given:
             value = given[key]
@@ -234,18 +211,6 @@ def parse_config(data: dict, source: str = "<memory>", lines: dict[str, int] | N
     if "out" in given:
         chk.require(isinstance(given["out"], str) and given["out"] != "", "out", "expected a non-empty string")
         values["out"] = given["out"]
-    if "tolerances" in given:
-        chk.require(isinstance(given["tolerances"], dict), "tolerances", "expected a map")
-        values["tolerances"] = dict(DEFAULT_TOLERANCES)
-        for key, value in given["tolerances"].items():
-            chk.require(key in DEFAULT_TOLERANCES, f"tolerances.{key}", f"unknown tolerance; known: {sorted(DEFAULT_TOLERANCES)}")
-            chk.require(_is_number(value) and value > 0 and math.isfinite(value), f"tolerances.{key}", "expected a positive number")
-            values["tolerances"][key] = float(value)
-    if "verify" in given:
-        values["verify"] = _check_list(
-            chk, given["verify"], "verify", lambda v: v in VERIFY_CHECKS,
-            f"unknown check {{!r}}; known: {list(VERIFY_CHECKS)}",
-        )
     return ExperimentConfig(**values, source=source, raw=data)
 
 

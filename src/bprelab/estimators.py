@@ -21,6 +21,10 @@ N_BATCHES = 30
 MIN_REPLICAS = 100
 CI_Z = 1.96
 
+# standard errors of slack a Monte Carlo check allows: the sandwich's default,
+# and the harness's slack against exact values and exact slopes
+SLACK_SIGMAS = 4.0
+
 # |W_{n+gap} - W_n| below ~1e-10 is indistinguishable from accumulated
 # rounding of the P_n normalization; p-th powers of such values carry no
 # information and are treated as exact zeros by the fitter.
@@ -279,7 +283,7 @@ def _norm_with_stderr(x: np.ndarray, p: float) -> tuple[float, float]:
 
 
 def burkholder_sandwich(
-    batch: TrajectoryBatch, p: float, rho: float, n: int, slack_sigmas: float = 4.0
+    batch: TrajectoryBatch, p: float, rho: float, n: int, slack_sigmas: float = SLACK_SIGMAS
 ) -> SandwichCheck:
     """Check a_p ||Q_n||_p <= ||A_hat_n||_p <= b_p ||Q_n||_p on the batch.
 

@@ -41,6 +41,11 @@ EXIT_CHECK_FAILED = 2
 EXACT_TABLE_ORDER = 4
 EXACT_TABLE_LEN = 12
 
+# the tolerances of checks whose two sides differ only by rounding: the
+# increment identity's residual, and a relative error between exact values
+IDENTITY_TOL = 1e-9
+EXACT_REL = 1e-9
+
 
 class Item(NamedTuple):
     """One check a relation yields, recorded as `<suite>.<suffix>`; a suite's section keeps `detail`."""
@@ -107,9 +112,7 @@ class _Context:
         return [rates.rate_report(self.env, p) for p in self.cfg.p]
 
     def rho_grid(self) -> tuple[float, ...]:
-        """The burkholder and identity suites' rho: config rho list, else 3 default-grid points."""
-        if self.cfg.rho is not None:
-            return self.cfg.rho
+        """The burkholder and identity suites' rho: the first, middle and last default-grid points."""
         grid = rates.default_rho_grid(math.sqrt(max(self.geo_mean(), 1.0)))
         return (float(grid[0]), float(grid[len(grid) // 2]), float(grid[-1]))
 
@@ -159,8 +162,6 @@ _NEEDS = (
      "{suite} on a mixture needs a path_seed"),
     (("quenched-rate", "annealed-rate"), "gap", lambda ctx: ctx.cfg.n_max - ctx.cfg.gap >= 3,
      "{suite} needs n_max - gap >= 3 for a fit of 4 points; n_max is {cfg.n_max}"),
-    (("identity",), "rho", lambda ctx: any(r > 1.0 for r in ctx.rho_grid()),
-     "{suite} needs some rho > 1"),
     (("identity",), "n_max", lambda ctx: ctx.cfg.n_max >= 2,
      "{suite} needs n_max >= 2 for an n < n_max - 1; n_max is {cfg.n_max}"),
     (("quenched-rate", "burkholder", "identity"), "n_max", lambda ctx: ctx.cfg.n_max <= ctx.path_states,
@@ -170,6 +171,21 @@ _NEEDS = (
      "{suite} on a fixed path needs at least 8 states and a supercritical path average "
      "for its series probes; the path has {ctx.path_states} states"),
 )
+
+
+def _p_tag(p: float) -> str:
+    """The `p<p>` part of the check ids, suffixes and CSV names that a value of p keys."""
+    return f"p{p:g}"
+
+
+def _check_p_tags(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError `<file>: p: ...` when two values of p key the same check ids."""
+    for i, p in enumerate(cfg.p):
+        for q in cfg.p[:i]:
+            if _p_tag(p) == _p_tag(q):
+                raise ConfigError(
+                    f"{cfg.source}: p: {q!r} and {p!r} give check ids the same tag {_p_tag(p)!r}"
+                )
 
 
 def check_suite_needs(cfg: ExperimentConfig, suites) -> None:
@@ -201,7 +217,7 @@ def _rate_orderings(reports: list[rates.RateReport]) -> list[Item]:
     """The proven orderings among each report's rates, as `p<p>.<name>`."""
     items = []
     for rep in reports:
-        tag = f"p{rep.p:g}"
+        tag = _p_tag(rep.p)
         suff, crit = rep.quenched_sufficient_bound, rep.quenched_critical
         rho0, rhoc = rep.annealed_rho0, rep.annealed_rhoc
         items += [
@@ -232,12 +248,13 @@ def _partial_sum_error(moments, inc) -> float:
 
 
 @_relation("a stationary mixture or an environment path")
-def _p2_partial_sums(env: Environment, n: int, tol: float, path: EnvPath | None = None,
+def _p2_partial_sums(env: Environment, n: int, path: EnvPath | None = None,
                      a_hat_rho: float | None = None) -> list[Item]:
     """Second moments from the recursion tables against the partial sums of the squared
-    increments up to generation n, within relative `tol`: along `path` when one is given,
-    else on the stationary law. There `a_hat_rho` adds sup_k E[A_hat_k(rho)^2] against the
-    table's partial sum, at the lesser of a_hat_rho and the critical rate 1/sqrt(q1)."""
+    increments up to generation n, within relative EXACT_REL: along `path` when one is
+    given, else on the stationary law. There `a_hat_rho` adds the gap between
+    sup_k E[A_hat_k(rho)^2] and the table's partial sum against the closed-form tail, at
+    the lesser of a_hat_rho and the critical rate 1/sqrt(q1)."""
     if path is not None:
         worst = _partial_sum_error(
             exact_moments.quenched_moments(path, 2, n).w_moments(2),
@@ -246,21 +263,22 @@ def _p2_partial_sums(env: Environment, n: int, tol: float, path: EnvPath | None 
         statement = (
             "along the realized path the second moments match the partial sums of the squared increments"
         )
-        return [Item("quenched-p2-tail", statement, worst <= tol, {"max_rel_error": worst})]
+        return [Item("quenched-p2-tail", statement, worst <= EXACT_REL, {"max_rel_error": worst})]
     forms = exact_moments.p2_closed_forms(env)
     worst = _partial_sum_error(
         exact_moments.annealed_u(env, 0.0, 2, n), [forms.increment_second_moment(k) for k in range(n)]
     )
     items = [Item("p2-partial-sums", "second moments from the recursion match the closed-form partial sums",
-                  worst <= tol, {"max_rel_error": worst})]
+                  worst <= EXACT_REL, {"max_rel_error": worst})]
     if a_hat_rho is None or not forms.summable:
         return items
     rho = min(a_hat_rho, 1.0 / math.sqrt(forms.q1))
     if forms.q1 * rho**2 < 1.0:
-        gap = forms.sup_a_hat2(rho) - exact_moments.a_hat_second_moment_partial(env, rho, n)
+        sup = forms.sup_a_hat2(rho)
+        gap = sup - exact_moments.a_hat_second_moment_partial(env, rho, n)
         remainder = forms.a_hat2_tail(rho, n)
         statement = "the weighted-increment second moments approach their closed-form sup within its tail"
-        items.append(Item("a-hat-partial-sums", statement, -1e-12 <= gap <= remainder + 1e-12,
+        items.append(Item("a-hat-partial-sums", statement, abs(gap - remainder) <= EXACT_REL * max(sup, 1.0),
                           {"a_hat_gap": gap, "a_hat_remainder_bound": remainder}))
     return items
 
@@ -290,8 +308,8 @@ def _recursion_slack(env: Environment, n: int) -> list[Item]:
 
 
 @_relation("some rho > 1 and some n < n_max - 1")
-def _identity(batch: TrajectoryBatch, rhos, ns, tol: float) -> list[Item]:
-    """The telescoped and accumulator forms of A_hat_n(rho) within tol, at each rho and n
+def _identity(batch: TrajectoryBatch, rhos, ns) -> list[Item]:
+    """The telescoped and accumulator forms of A_hat_n(rho) within IDENTITY_TOL, at each rho and n
     that increment_identity_check admits for this batch."""
     items = []
     for rho in rhos:
@@ -301,8 +319,8 @@ def _identity(batch: TrajectoryBatch, rhos, ns, tol: float) -> list[Item]:
             except ParameterError:
                 continue
             statement = "the telescoped and accumulator forms of the weighted sum agree"
-            items.append(Item(f"rho{rho:.4g}.n{n}", statement, residual <= tol,
-                              {"residual": residual, "tolerance": tol},
+            items.append(Item(f"rho{rho:.4g}.n{n}", statement, residual <= IDENTITY_TOL,
+                              {"residual": residual, "tolerance": IDENTITY_TOL},
                               {"rho": rho, "n": n, "residual": residual}))
     return items
 
@@ -312,30 +330,30 @@ _BRACKET = "the weighted-increment norm sits inside the square-function bracket"
 
 
 @_relation("rho >= 1 and n < n_max")
-def _sandwiches(batch: TrajectoryBatch, ps, rhos, ns, sigmas: float) -> list[Item]:
-    """The square-function bracket of A_hat_n(rho) with sigmas slack, at each p, rho and n."""
+def _sandwiches(batch: TrajectoryBatch, ps, rhos, ns) -> list[Item]:
+    """The square-function bracket of A_hat_n(rho) with SLACK_SIGMAS slack, at each p, rho and n."""
     items = []
     for p in ps:
         for rho in rhos:
             for n in ns:
-                sc = estimators.burkholder_sandwich(batch, p, rho, n, slack_sigmas=sigmas)
+                sc = estimators.burkholder_sandwich(batch, p, rho, n)
                 observed = {"a_norm": sc.a_norm, "lower": sc.lower, "upper": sc.upper}
-                items.append(Item(f"p{p:g}.rho{rho:.4g}.n{n}", _BRACKET, sc.ok, observed, sc))
+                items.append(Item(f"{_p_tag(p)}.rho{rho:.4g}.n{n}", _BRACKET, sc.ok, observed, sc))
     return items
 
 
 @_relation("exact values, which only p = 2 has")
-def _exact_slack(estimates: list[LpEstimate], exact_values, sigmas: float) -> list[Item]:
-    """Each estimate within sigmas standard errors of its exact value; none without exact values."""
+def _exact_slack(estimates: list[LpEstimate], exact_values) -> list[Item]:
+    """Each estimate within SLACK_SIGMAS standard errors of its exact value; none without exact values."""
     if exact_values is None:
         return []
     ok, worst = True, 0.0
     for est, exact in zip(estimates, exact_values):
-        dev, slack = abs(est.value - exact), sigmas * est.stderr
+        dev, slack = abs(est.value - exact), estimators.SLACK_SIGMAS * est.stderr
         ok = ok and dev <= slack + 1e-12
         worst = max(worst, dev - slack)
     statement = "sampled moment distances sit within the Monte Carlo slack of the exact curve"
-    return [Item(f"p{estimates[0].p:g}.estimates-match-exact", statement, ok, {"worst_excess": worst})]
+    return [Item(f"{_p_tag(estimates[0].p)}.estimates-match-exact", statement, ok, {"worst_excess": worst})]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +394,6 @@ def _exact_table(ctx: _Context, name: str, values: np.ndarray) -> dict:
 
 
 def _suite_exact(ctx: _Context) -> dict:
-    tol = ctx.cfg.tolerances["exact_rel"]
     n_table = min(ctx.cfg.n_max, EXACT_TABLE_LEN)
     section: dict = {}
 
@@ -390,7 +407,7 @@ def _suite_exact(ctx: _Context) -> dict:
         ctx.check(
             "exact.martingale-mean",
             "the normalized population has exact mean one at every generation",
-            mean_err <= tol,
+            mean_err <= EXACT_REL,
             max_abs_error=mean_err,
         )
         forms = exact_moments.p2_closed_forms(ctx.env)
@@ -400,7 +417,7 @@ def _suite_exact(ctx: _Context) -> dict:
             "summable": forms.summable,
             "sup_w2": forms.sup_w2(),
         }
-        ctx.record("exact", _p2_partial_sums(ctx.env, n_table, tol))
+        ctx.record("exact", _p2_partial_sums(ctx.env, n_table))
         ctx.record("exact", _growth_envelope(ctx.env, n_table, range(2, EXACT_TABLE_ORDER + 1)))
         ctx.record("exact", _recursion_slack(ctx.env, n_table))
 
@@ -413,11 +430,11 @@ def _suite_exact(ctx: _Context) -> dict:
         ctx.check(
             "exact.quenched-mean",
             "along the realized path the normalized mean stays exactly one",
-            w_mean_err <= tol,
+            w_mean_err <= EXACT_REL,
             max_abs_error=w_mean_err,
         )
         if len(path) >= 3:
-            ctx.record("exact", _p2_partial_sums(ctx.env, len(path), tol, path))
+            ctx.record("exact", _p2_partial_sums(ctx.env, len(path), path))
 
     if ctx.is_mixture and len(ctx.env.states) == 1 and path is not None:
         table = exact_moments.annealed_moment_table(ctx.env, 0.0, EXACT_TABLE_ORDER, len(path))
@@ -458,10 +475,9 @@ def _fit_with_oracle(
     predicted_rho: float | None,
 ) -> dict:
     """Fit the decay rate and check it against any exact curve; check ids start with `<suite>.p<p>`."""
-    tag = f"{suite}.p{p:g}"
-    sigmas = ctx.cfg.tolerances["sigmas"]
+    tag = f"{suite}.{_p_tag(p)}"
     section: dict = {"p": p, "estimates": list(estimates), "fit": None}
-    ctx.record(suite, _exact_slack(estimates, exact_values, sigmas))
+    ctx.record(suite, _exact_slack(estimates, exact_values))
 
     if all(e.value <= estimators.ROUNDOFF_DISTANCE**p for e in estimates):
         section["fit_note"] = "degenerate: all distances are zero up to rounding, nothing to fit"
@@ -501,10 +517,10 @@ def _fit_with_oracle(
             ctx.check(
                 f"{tag}.fit-matches-exact",
                 "the fitted decay slope agrees with the exact curve's slope within slack",
-                drift <= sigmas * fit.slope_se + 1e-12,
+                drift <= estimators.SLACK_SIGMAS * fit.slope_se + 1e-12,
                 fitted_rho=fit.fitted_rho,
                 exact_rho=math.exp(-slope_exact),
-                slack_sigmas=sigmas,
+                slack_sigmas=estimators.SLACK_SIGMAS,
             )
     if predicted_rho is not None:
         ctx.check(
@@ -533,7 +549,7 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, pre
             for est in estimates:
                 est.bias_bound = bias(est.n + gap)
         rows = [f"{e.p!r},{e.n},{e.value!r},{e.stderr!r}" for e in estimates]
-        ctx.add_csv(f"{suite.replace('-', '_')}_p{p:g}.csv", "p,n,value,stderr", rows)
+        ctx.add_csv(f"{suite.replace('-', '_')}_{_p_tag(p)}.csv", "p,n,value,stderr", rows)
         # exact E|W_{n+gap} - W_n|^2 is the sum of the increments' second moments
         exact_vals = [math.fsum(inc[e.n : e.n + gap]) for e in estimates] if at_p2 else None
         yield p, _fit_with_oracle(
@@ -588,7 +604,7 @@ def _suite_annealed_rate(ctx: _Context) -> dict:
         if p == 2.0 and not forms.summable:
             per_p["fit_note"] = "second moments are unbounded here; no finite rate predicted"
             ctx.check(
-                f"annealed-rate.p{p:g}.l2-unbounded-reported",
+                f"annealed-rate.{_p_tag(p)}.l2-unbounded-reported",
                 "an environment without bounded second moments is reported, not fitted",
                 True,
                 q1=forms.q1,
@@ -605,7 +621,7 @@ def _suite_burkholder(ctx: _Context) -> dict:
     batch = ctx.batch(ctx.default_mode())
     last = batch.n_max - 1
     ns = sorted({min(2, last), last // 2, last})
-    items = _sandwiches(batch, ctx.cfg.p, ctx.rho_grid(), ns, ctx.cfg.tolerances["sigmas"])
+    items = _sandwiches(batch, ctx.cfg.p, ctx.rho_grid(), ns)
     results = [item.detail for item in ctx.record("burkholder", items)]
     ctx.add_csv(
         "burkholder.csv",
@@ -630,7 +646,6 @@ _SERIES_PAYLOAD = ("variant", "p", "r", "rho", "margin", "root_stat", "verdict")
 def _suite_criteria(ctx: _Context) -> dict:
     cfg = ctx.cfg
     section: dict = {}
-    margin = cfg.tolerances["series_margin"]
 
     if ctx.is_mixture:
         crits = []
@@ -638,7 +653,7 @@ def _suite_criteria(ctx: _Context) -> dict:
             crit = rates.annealed_lp_criterion(ctx.env, p)
             crits.append(crit)
             ctx.check(
-                f"criteria.p{p:g}.lp-criterion",
+                f"criteria.{_p_tag(p)}.lp-criterion",
                 "the moment-shrinkage criterion evaluates on the stationary law",
                 True,
                 value=crit.mean_power_value,
@@ -651,7 +666,7 @@ def _suite_criteria(ctx: _Context) -> dict:
                 cond = rates.annealed_critical_conditions(ctx.env, p)
                 conds.append(cond)
                 ctx.check(
-                    f"criteria.p{p:g}.critical-conditions",
+                    f"criteria.{_p_tag(p)}.critical-conditions",
                     "the critical-rate hypotheses evaluate on the stationary law",
                     True,
                     all_hold=cond.all_hold,
@@ -672,7 +687,7 @@ def _suite_criteria(ctx: _Context) -> dict:
 
     def probe(name, statement, wrong_verdict, p, at_rho, variant, r=None, **observed):
         """One series diagnostic: its payload, then a check that it avoids `wrong_verdict`."""
-        diag = rates.series_diagnostic(path, p, at_rho, variant, r=r, margin=margin)
+        diag = rates.series_diagnostic(path, p, at_rho, variant, r=r)
         payload = {key: getattr(diag, key) for key in _SERIES_PAYLOAD}
         probes.append(payload | {"partial_sum": float(diag.partial_sums[-1])})
         ctx.check(
@@ -714,7 +729,7 @@ def _suite_criteria(ctx: _Context) -> dict:
 def _suite_identity(ctx: _Context) -> dict:
     batch = ctx.batch(ctx.default_mode())
     ns = sorted({1, batch.n_max // 2, batch.n_max - 2})
-    items = _identity(batch, ctx.rho_grid(), ns, ctx.cfg.tolerances["identity"])
+    items = _identity(batch, ctx.rho_grid(), ns)
     return {"results": [item.detail for item in ctx.record("identity", items)]}
 
 
@@ -796,6 +811,7 @@ def write_outputs(report: dict, csv_tables: dict[str, list[str]], out_dir) -> Pa
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], int]:
     """Execute the config's suites in order; returns (report, csv tables, exit code)."""
+    _check_p_tags(cfg)
     check_suite_needs(cfg, cfg.suites)
     ctx = _Context(cfg)
     suites: dict = {}
@@ -826,13 +842,13 @@ def _verify_batch(ctx: _Context, n: int) -> TrajectoryBatch:
     )
 
 
-# name -> (statement, relation, its keyword arguments at verify's n generations),
-# in the order of config.VERIFY_CHECKS (a test holds them equal)
+# name -> (statement, relation, its keyword arguments at verify's n generations);
+# verify runs every name, in this order
 _VERIFY = {
     "p2-closed-forms": (
         "closed-form second moments match the recursion tables", _p2_partial_sums,
-        lambda ctx, n: dict(env=ctx.env, n=n, tol=ctx.cfg.tolerances["exact_rel"],
-                            path=None if ctx.is_mixture else ctx.series_path(n), a_hat_rho=1.05),
+        lambda ctx, n: dict(env=ctx.env, n=n, path=None if ctx.is_mixture else ctx.series_path(n),
+                            a_hat_rho=1.05),
     ),
     "recursion-inequality": (
         "the split-moment recursion inequality has non-negative slack", _recursion_slack,
@@ -844,13 +860,12 @@ _VERIFY = {
     ),
     "increment-identity": (
         "the telescoped and accumulator forms agree to rounding", _identity,
-        lambda ctx, n: dict(batch=_verify_batch(ctx, n), rhos=_VERIFY_RHOS, ns=sorted({1, n - 2}),
-                            tol=ctx.cfg.tolerances["identity"]),
+        lambda ctx, n: dict(batch=_verify_batch(ctx, n), rhos=_VERIFY_RHOS, ns=sorted({1, n - 2})),
     ),
     "burkholder-sandwich": (
         _BRACKET, _sandwiches,
         lambda ctx, n: dict(batch=_verify_batch(ctx, n), ps=ctx.cfg.p[:1], rhos=_VERIFY_RHOS[:1],
-                            ns=(n - 1,), sigmas=ctx.cfg.tolerances["sigmas"]),
+                            ns=(n - 1,)),
     ),
     "rate-orderings": (
         "computed rates obey their proven orderings", _rate_orderings,
@@ -863,35 +878,38 @@ _VERIFY = {
             exact_values=exact_moments.quenched_increment_second_moments(
                 _verify_batch(ctx, n).path, min(6, n)
             ),
-            sigmas=ctx.cfg.tolerances["sigmas"],
         ),
     ),
 }
 
 
 def verify_suite(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], int]:
-    """Run the cross-module consistency checks at small sizes; errors are recorded per check.
+    """Run every cross-module consistency check at small sizes; errors are recorded per check.
 
     Each name's relation items fold into the one check `verify.<name>`: it
     passes when every item does, and its observed values map each item's
-    suffix to its verdict and observed values; with no item it passes as
-    skipped, naming the relation's domain.
+    suffix to its verdict and observed values (a suffix that repeats is
+    refused); with no item it passes as skipped, naming the relation's domain.
     """
+    _check_p_tags(cfg)
     ctx = _Context(cfg)
     # 4 to 12 generations, and no more than a fixed path has
     n_small = min(max(4, min(cfg.n_max, 12)), ctx.path_states)
     timings: dict = {}
     t_start = time.perf_counter()
-    for name in cfg.verify:
-        statement, relation, kwargs = _VERIFY[name]
+    for name, (statement, relation, kwargs) in _VERIFY.items():
         t0 = time.perf_counter()
         try:
             items = relation(**kwargs(ctx, n_small))
-            passed = all(item.passed for item in items)
-            observed = {item.suffix: {"passed": item.passed} | item.observed for item in items}
         except BpreLabError as exc:
-            passed, observed = False, {"error": str(exc)}
-        observed = observed or {"skipped": f"needs {relation.domain}"}
-        ctx.check(f"verify.{name}", statement, passed, **observed)
+            ctx.check(f"verify.{name}", statement, False, error=str(exc))
+        else:
+            observed = {}
+            for item in items:
+                if item.suffix in observed:
+                    raise BpreLabError(f"verify.{name}: suffix {item.suffix!r} is repeated")
+                observed[item.suffix] = {"passed": item.passed} | item.observed
+            observed = observed or {"skipped": f"needs {relation.domain}"}
+            ctx.check(f"verify.{name}", statement, all(item.passed for item in items), **observed)
         timings[name] = time.perf_counter() - t0
-    return _build_report(ctx, {"verify": {"checks_run": list(cfg.verify)}}, timings, t_start)
+    return _build_report(ctx, {"verify": {"checks_run": list(_VERIFY)}}, timings, t_start)

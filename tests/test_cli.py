@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import bprelab.estimators
 from bprelab import __version__, harness
 from bprelab.cli import main
 from bprelab.harness import jsonable
@@ -28,7 +29,6 @@ n_max: 14
 gap: 8
 replicas: 2000
 master_seed: 11
-rho: [1.1]
 """
 
 
@@ -50,11 +50,10 @@ def test_run_passing_config(gw_cfg, tmp_path, capsys):
     assert report["summary"]["ok"] is True
 
 
-def test_run_failing_check_exits_2(gw_cfg, tmp_path, capsys):
-    text = GW_RUN_CFG + "tolerances:\n  exact_rel: 1.0e-300\n"
-    path = tmp_path / "strict.cfg"
-    path.write_text(text)
-    code = main(["run", str(path), "--out", str(tmp_path / "strict-out")])
+def test_run_failing_check_exits_2(gw_cfg, tmp_path, capsys, monkeypatch):
+    # constants that put the square-function bracket's lower end above its upper end
+    monkeypatch.setattr(bprelab.estimators, "burkholder_constants", lambda p: (10.0, 0.01))
+    code = main(["run", str(gw_cfg), "--out", str(tmp_path / "strict-out")])
     assert code == 2
     captured = capsys.readouterr()
     assert "[FAIL]" in captured.out
@@ -222,12 +221,13 @@ def test_rates_suite_on_a_fixed_path_exits_1(tmp_path, capsys):
 def test_a_late_suite_need_is_refused_before_simulating(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "run", lambda *args, **kwargs: calls.append(args))
-    text = Path("configs/two_state.cfg").read_text().replace("p: [1.5, 2.0]", "p: [1.5, 2.0]\nrho: [1.0]")
-    path = tmp_path / "rho-one.cfg"
+    # quenched-rate, the third suite, needs the path_seed this copy drops
+    text = Path("configs/two_state.cfg").read_text().replace("path_seed: 11\n", "")
+    path = tmp_path / "no-path-seed.cfg"
     path.write_text(text)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"bprelab: error: {path}: rho: identity needs some rho > 1\n"
+    assert captured.err == f"bprelab: error: {path}: path_seed: quenched-rate on a mixture needs a path_seed\n"
     assert captured.out == ""
     assert calls == []
 

@@ -5,13 +5,8 @@ import math
 
 import pytest
 
-from bprelab import ConfigError
-from bprelab.config import (
-    DEFAULT_TOLERANCES,
-    VERIFY_CHECKS,
-    load_config,
-    parse_config,
-)
+from bprelab import ConfigError, config
+from bprelab.config import load_config, parse_config
 from bprelab.environment import FixedPath, IIDMixture
 
 FULL_TEXT = """\
@@ -26,7 +21,6 @@ environment:
       weight: 0.5
 suites: [exact, rates]
 p: [1.5, 2.0]
-rho: [1.0, 1.2]
 n_max: 12
 gap: 6
 replicas: 2000
@@ -35,9 +29,6 @@ path_seed: 4
 pop_cap: 5000
 out: results
 threads: 2
-tolerances:
-  identity: 1.0e-8
-verify: [p2-closed-forms, increment-identity]
 """
 
 
@@ -66,6 +57,15 @@ class TestLoading:
             assert cfg.suites
             assert cfg.source == path
 
+    def test_every_key_is_set_by_a_bundled_config(self):
+        # a key that no config sets is an option with one value in use: make it a constant
+        exempt = {
+            "out": "a deployment path, which the command line's --out also sets",
+            "threads": "the benchmark sets it with --threads, and it goes with simulate.run's threads",
+        }
+        used = set().union(*(load_config(path).raw for path in glob.glob("configs/*.cfg")))
+        assert config._TOP_KEYS - {"schema"} - used <= set(exempt)
+
     def test_full_round_trip(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, FULL_TEXT))
         assert cfg.name == "round-trip"
@@ -73,13 +73,9 @@ class TestLoading:
         assert cfg.env.weights == pytest.approx((0.5, 0.5))
         assert cfg.suites == ("exact", "rates")
         assert cfg.p == (1.5, 2.0)
-        assert cfg.rho == (1.0, 1.2)
         assert (cfg.n_max, cfg.gap, cfg.replicas) == (12, 6, 2000)
         assert (cfg.master_seed, cfg.path_seed) == (9, 4)
         assert (cfg.pop_cap, cfg.out, cfg.threads) == (5000, "results", 2)
-        assert cfg.tolerances["identity"] == 1e-8
-        assert cfg.tolerances["sigmas"] == DEFAULT_TOLERANCES["sigmas"]
-        assert cfg.verify == ("p2-closed-forms", "increment-identity")
 
     def test_fixed_path_environment(self, tmp_path):
         text = (
@@ -94,12 +90,9 @@ class TestLoading:
     def test_defaults(self):
         cfg = parse_config(minimal())
         assert cfg.p == (2.0,)
-        assert cfg.rho is None
         assert (cfg.n_max, cfg.gap, cfg.replicas) == (30, 20, 10_000)
         assert (cfg.master_seed, cfg.path_seed) == (0, None)
         assert (cfg.pop_cap, cfg.threads, cfg.out) == (10_000_000, 1, None)
-        assert cfg.tolerances == DEFAULT_TOLERANCES
-        assert cfg.verify == VERIFY_CHECKS
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
@@ -140,10 +133,9 @@ class TestLineAnchors:
              r"environment\.states\[0\]\.weight: expected a number"),
             ("    - law: {1: 0.5, 3: 0.5}", "    - law: {1: true, 3: 0.5}",
              r"environment\.states\[0\]\.law: probability True is not a number"),
-            ("rho: [1.0, 1.2]", "rho: [true, 1.2]", r"rho\[0\]: each rho must be >= 1"),
-            ("  identity: 1.0e-8", "  sigmas: on", r"tolerances\.sigmas: expected a positive number"),
+            ("p: [1.5, 2.0]", "p: [true, 2.0]", r"p\[0\]: each p must be a number > 1"),
         ],
-        ids=["weight", "probability", "rho", "tolerance"],
+        ids=["weight", "probability", "p"],
     )
     def test_booleans_are_not_numbers(self, tmp_path, line, bad, anchor):
         # YAML reads true, yes and on as booleans, and Python counts a bool as an int
@@ -157,12 +149,11 @@ class TestLineAnchors:
         "line, bad, anchor",
         [
             ("p: [1.5, 2.0]", "p: [1.5, .inf]", r"p\[1\]: each p must be a number > 1"),
-            ("rho: [1.0, 1.2]", "rho: [1.0, .inf]", r"rho\[1\]: each rho must be >= 1"),
         ],
-        ids=["p", "rho"],
+        ids=["p"],
     )
     def test_infinities_are_refused(self, tmp_path, line, bad, anchor):
-        # YAML reads .inf as a float; an infinite p or rho yields nan brackets and fits
+        # YAML reads .inf as a float; an infinite p yields nan brackets and fits
         text = FULL_TEXT.replace(line, bad, 1)
         path = write_cfg(tmp_path, text)
         number = text.splitlines().index(bad) + 1
@@ -246,25 +237,26 @@ class TestValidation:
 
     def test_parameter_ranges(self):
         self.fails(minimal() | {"p": [1.0]}, r"p\[0\]: each p must be a number > 1")
-        self.fails(minimal() | {"rho": [0.9]}, "each rho must be >= 1")
         self.fails(minimal() | {"p": [2.0, 2.0]}, r"p\[1\]: duplicate entry 2\.0")
         self.fails(minimal() | {"p": [2, 2.0]}, r"p\[1\]: duplicate entry 2\.0")
-        self.fails(minimal() | {"rho": [1.1, 1.1]}, r"rho\[1\]: duplicate entry 1\.1")
         self.fails(minimal() | {"n_max": 0}, "n_max: must be >= 1")
         self.fails(minimal() | {"replicas": 0}, "replicas: must be >= 1")
         self.fails(minimal() | {"pop_cap": 999}, "pop_cap: must be >= 1000")
         self.fails(minimal() | {"threads": True}, "threads: expected an integer")
         self.fails(minimal() | {"out": ""}, "out: expected a non-empty string")
 
+    # the harness derives the suites' rho from the environment and holds the
+    # tolerances and verify's checks as constants, so none of them is a key
+    def test_rho(self, tmp_path):
+        path = write_cfg(tmp_path, FULL_TEXT + "rho: [1.1]\n")
+        line = len(FULL_TEXT.splitlines()) + 1
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}:{line}: rho: unknown keys ['rho']"
+
     def test_tolerances(self):
-        self.fails(minimal() | {"tolerances": {"wat": 1.0}}, "unknown tolerance")
-        self.fails(minimal() | {"tolerances": {"identity": 0.0}}, "positive number")
-        self.fails(minimal() | {"tolerances": {"identity": float("inf")}}, "positive number")
+        refusal = r"^<memory>: tolerances: unknown keys \['tolerances'\]$"
+        self.fails(minimal() | {"tolerances": {"sigmas": 100}}, refusal)
 
     def test_verify(self):
-        self.fails(minimal() | {"verify": []}, "non-empty list")
-        self.fails(minimal() | {"verify": ["no-such-check"]}, "unknown check 'no-such-check'")
-        self.fails(
-            minimal() | {"verify": ["rate-orderings", "rate-orderings"]},
-            r"verify\[1\]: duplicate entry 'rate-orderings'",
-        )
+        self.fails(minimal() | {"verify": ["rate-orderings"]}, r"^<memory>: verify: unknown keys \['verify'\]$")

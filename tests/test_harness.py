@@ -23,6 +23,10 @@ def strip_timings(report):
     return out
 
 
+def verify_check(report, name):
+    return {c["id"]: c for c in report["checks"]}[f"verify.{name}"]
+
+
 def small_gw(**overrides):
     data = {
         "schema": 1,
@@ -77,11 +81,26 @@ class TestRunExperiment:
         second = strip_timings(run_experiment(small_gw())[0])
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
-    def test_colliding_check_ids_are_refused(self):
-        # distinct exponents that print alike give the same check ids
-        cfg = small_gw(suites=["rates"], p=[2.0, 2.0000001])
-        with pytest.raises(BpreLabError, match=r"'rates\.p2\.sufficient-le-critical' is repeated"):
-            run_experiment(cfg)
+    def test_colliding_check_ids_are_refused(self, monkeypatch):
+        # a relation that yields one suffix twice gives its suite one check id twice
+        item = harness.Item("twice", "holds", True, {})
+        monkeypatch.setattr(harness, "_rate_orderings", lambda reports: [item, item])
+        with pytest.raises(BpreLabError, match=r"^check id 'rates\.twice' is repeated"):
+            run_experiment(small_gw(suites=["rates"]))
+
+    @pytest.mark.parametrize("entry", [run_experiment, verify_suite])
+    def test_p_values_with_one_tag_are_refused_before_anything_runs(self, monkeypatch, entry):
+        # distinct exponents that print alike would give the same check ids
+        def ran(*args, **kwargs):
+            pytest.fail("a suite, relation or simulation ran")
+
+        monkeypatch.setattr(harness, "run", ran)
+        monkeypatch.setattr(harness, "_SUITES", dict.fromkeys(harness._SUITES, ran))
+        verify = {name: (statement, relation, ran) for name, (statement, relation, _) in harness._VERIFY.items()}
+        monkeypatch.setattr(harness, "_VERIFY", verify)
+        with pytest.raises(ConfigError) as exc:
+            entry(small_gw(p=[2.0, 2.0000001]))
+        assert str(exc.value) == "<memory>: p: 2.0 and 2.0000001 give check ids the same tag 'p2'"
 
     def test_duplicate_suites_run_once(self):
         # a repeated suite is refused when the config is parsed, so no
@@ -107,20 +126,13 @@ class TestRunExperiment:
 
 class TestVerifySuite:
     def test_all_checks_pass_in_config_order(self):
-        cfg = small_gw()
-        report, tables, code = verify_suite(cfg)
+        # every config runs every check, in the order of the table
+        report, tables, code = verify_suite(small_gw())
         assert code == 0
         ids = [c["id"] for c in report["checks"]]
-        assert ids == [f"verify.{name}" for name in cfg.verify]
+        assert ids == [f"verify.{name}" for name in harness._VERIFY]
         assert all(c["passed"] for c in report["checks"])
-        assert report["suites"]["verify"]["checks_run"] == list(cfg.verify)
-
-    def test_check_subset_and_order_respected(self):
-        cfg = small_gw(verify=["rate-orderings", "p2-closed-forms"])
-        report, _, code = verify_suite(cfg)
-        assert code == 0
-        ids = [c["id"] for c in report["checks"]]
-        assert ids == ["verify.rate-orderings", "verify.p2-closed-forms"]
+        assert report["suites"]["verify"]["checks_run"] == list(harness._VERIFY)
 
     def test_corrupted_constant_is_caught(self, monkeypatch):
         monkeypatch.setattr(
@@ -138,7 +150,7 @@ class TestVerifySuite:
         env = {"kind": "fixed_path", "path": [{0: 0.25, 2: 0.75}, {3: 1.0}, {0: 0.25, 2: 0.75}]}
         report, _, code = verify_suite(small_gw(environment=env))
         assert code == 0
-        assert [c["passed"] for c in report["checks"]] == [True] * len(config.VERIFY_CHECKS)
+        assert [c["passed"] for c in report["checks"]] == [True] * len(harness._VERIFY)
 
     @pytest.mark.parametrize("states", [1, 2])
     def test_one_and_two_state_paths_pass_every_check(self, states):
@@ -147,15 +159,15 @@ class TestVerifySuite:
         env = {"kind": "fixed_path", "path": [{0: 0.25, 2: 0.75}, {3: 1.0}][:states]}
         report, _, code = verify_suite(small_gw(environment=env))
         assert code == 0
-        assert [c["passed"] for c in report["checks"]] == [True] * len(config.VERIFY_CHECKS)
-        identity = {c["id"]: c for c in report["checks"]}["verify.increment-identity"]["observed"]
+        assert [c["passed"] for c in report["checks"]] == [True] * len(harness._VERIFY)
+        identity = verify_check(report, "increment-identity")["observed"]
         assert ("skipped" in identity) == (states == 1)
 
     def test_items_fold_into_one_check_per_name(self):
-        cfg = small_gw(environment=TWO_STATE, verify=["rate-orderings", "increment-identity"])
-        report, _, code = verify_suite(cfg)
+        report, _, code = verify_suite(small_gw(environment=TWO_STATE))
         assert code == 0
-        orderings, identity = (c["observed"] for c in report["checks"])
+        orderings, identity = (verify_check(report, name)["observed"]
+                               for name in ("rate-orderings", "increment-identity"))
         assert list(orderings) == [
             "p2.sufficient-le-critical", "p2.annealed-le-quenched", "p2.rates-collapse"
         ]
@@ -166,10 +178,9 @@ class TestVerifySuite:
         assert all(item["residual"] <= item["tolerance"] for item in identity.values())
 
     def test_a_relation_without_items_is_skipped_with_its_domain(self):
-        cfg = small_gw(environment=FIXED3, verify=["rate-orderings", "growth-envelope"])
-        report, _, code = verify_suite(cfg)
+        report, _, code = verify_suite(small_gw(environment=FIXED3))
         assert code == 0
-        assert [c["observed"] for c in report["checks"]] == [
+        assert [verify_check(report, name)["observed"] for name in ("rate-orderings", "growth-envelope")] == [
             {"skipped": "needs a supercritical stationary mixture"},
             {"skipped": "needs a stationary mixture"},
         ]
@@ -179,11 +190,34 @@ class TestVerifySuite:
             raise EstimateUnavailableError("boom")
 
         monkeypatch.setattr(bprelab.estimators, "burkholder_sandwich", boom)
-        report, _, code = verify_suite(small_gw(verify=["burkholder-sandwich"]))
+        report, _, code = verify_suite(small_gw())
         assert code == 2
-        check = report["checks"][0]
+        check = verify_check(report, "burkholder-sandwich")
         assert check["passed"] is False
         assert check["observed"]["error"] == "boom"
+
+    def test_a_repeated_suffix_is_refused(self, monkeypatch):
+        # the fold keys a check's observed values by suffix; a repeat would overwrite one
+        item = harness.Item("twice", "holds", True, {})
+        statement, _, _ = harness._VERIFY["rate-orderings"]
+        repeating = (statement, lambda: [item, item], lambda ctx, n: {})
+        monkeypatch.setitem(harness._VERIFY, "rate-orderings", repeating)
+        with pytest.raises(BpreLabError, match=r"^verify\.rate-orderings: suffix 'twice' is repeated$"):
+            verify_suite(small_gw())
+
+    @pytest.mark.parametrize("name", ["gw_binary", "two_state"])
+    def test_a_partial_sum_of_one_term_too_many_fails(self, monkeypatch, name):
+        # the gap to the sup must equal the closed-form tail, not merely stay under it
+        real = bprelab.exact_moments.a_hat_second_moment_partial
+        monkeypatch.setattr(
+            bprelab.exact_moments, "a_hat_second_moment_partial",
+            lambda env, rho, n_terms: real(env, rho, n_terms + 1),
+        )
+        report, _, code = verify_suite(load_config(f"configs/{name}.cfg"))
+        assert code == 2
+        check = verify_check(report, "p2-closed-forms")
+        assert check["passed"] is False
+        assert check["observed"]["a-hat-partial-sums"]["passed"] is False
 
 
 class TestSharedChecks:
@@ -210,9 +244,9 @@ class TestSharedChecks:
         by_id = {c["id"]: c["passed"] for c in report["checks"]}
         assert by_id[f"rates.p2.{name}"] is False
 
-        report, _, code = verify_suite(small_gw(verify=["rate-orderings"]))
+        report, _, code = verify_suite(small_gw())
         assert code == 2
-        assert report["checks"][0]["passed"] is False
+        assert verify_check(report, "rate-orderings")["passed"] is False
 
     def test_wrong_exact_increments_fail_both(self, monkeypatch):
         # one slack comparison judges the simulated distances in run and verify
@@ -232,9 +266,9 @@ class TestSharedChecks:
         assert code == 2
         assert [c["id"] for c in report["checks"] if not c["passed"]] == ["exact.quenched-p2-tail"]
 
-        report, _, code = verify_suite(small_gw(verify=["quenched-increments"]))
+        report, _, code = verify_suite(small_gw())
         assert code == 2
-        assert report["checks"][0]["passed"] is False
+        assert verify_check(report, "quenched-increments")["passed"] is False
 
     def test_shifted_weights_fail_both(self, monkeypatch):
         # rho^{k+1} weights in the A_hat_n helper that the sandwich also uses
@@ -246,9 +280,9 @@ class TestSharedChecks:
         assert code == 2
         assert report["checks"] and not any(c["passed"] for c in report["checks"])
 
-        report, _, code = verify_suite(small_gw(verify=["increment-identity"]))
+        report, _, code = verify_suite(small_gw())
         assert code == 2
-        assert report["checks"][0]["passed"] is False
+        assert verify_check(report, "increment-identity")["passed"] is False
 
 
 TWO_STATE = {"kind": "mixture", "states": [{"law": {1: 0.5, 3: 0.5}}, {"law": {2: 1.0}}]}
@@ -280,7 +314,6 @@ class TestSuiteNeeds:
          "quenched-rate needs n_max - gap >= 3 for a fit of 4 points; n_max is 16"),
         ("annealed-rate", "gap", {"gap": 14},
          "annealed-rate needs n_max - gap >= 3 for a fit of 4 points; n_max is 16"),
-        ("identity", "rho", {"rho": [1.0]}, "identity needs some rho > 1"),
         ("identity", "n_max", {"n_max": 1}, "identity needs n_max >= 2 for an n < n_max - 1; n_max is 1"),
         ("quenched-rate", "n_max", {"environment": FIXED3}, "16 exceeds the fixed path's 3 states"),
         ("burkholder", "n_max", {"environment": FIXED3}, "16 exceeds the fixed path's 3 states"),
@@ -335,11 +368,15 @@ class TestSuiteNeeds:
             assert est["bias_bound"] == math.fsum(inc[est["n"] + cfg.gap :]) + remainder
 
     def test_identity_checks_every_rho_above_one(self):
-        report, _, code = run_experiment(small_gw(suites=["identity"], rho=[1.0, 1.05, 1.1, 1.2, 1.3]))
+        # the first, middle and last points of the grid derived from sqrt(m_geo), all above 1
+        grid = bprelab.rates.default_rho_grid(math.sqrt(1.5))
+        rhos = [grid[0], grid[len(grid) // 2], grid[-1]]
+        assert min(rhos) > 1.0
+        report, _, code = run_experiment(small_gw(suites=["identity"]))
         assert code == 0
         results = report["suites"]["identity"]["results"]
-        assert len(report["checks"]) == len(results) == 4 * 3
-        assert [r["rho"] for r in results[::3]] == [1.05, 1.1, 1.2, 1.3]
+        assert len(report["checks"]) == len(results) == 3 * 3
+        assert [r["rho"] for r in results[::3]] == rhos
 
 
 class TestEverySuiteGivesAVerdict:
@@ -377,7 +414,6 @@ class TestOneOwner:
 
     def test_registries_match_the_config_schema(self):
         assert tuple(harness._SUITES) == config.KNOWN_SUITES
-        assert tuple(harness._VERIFY) == config.VERIFY_CHECKS
 
     @pytest.mark.parametrize("path_seed", [None, 7])
     def test_series_path_is_the_quenched_batch_path(self, path_seed):

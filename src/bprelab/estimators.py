@@ -21,8 +21,8 @@ N_BATCHES = 30
 MIN_REPLICAS = 100
 CI_Z = 1.96
 
-# standard errors of slack a Monte Carlo check allows: the sandwich's default,
-# and the harness's slack against exact values and exact slopes
+# standard errors of slack a Monte Carlo check allows: the sandwich's, and the
+# harness's against exact values and exact slopes
 SLACK_SIGMAS = 4.0
 
 # |W_{n+gap} - W_n| below ~1e-10 is indistinguishable from accumulated
@@ -282,13 +282,11 @@ def _norm_with_stderr(x: np.ndarray, p: float) -> tuple[float, float]:
     return norm, se_m * norm / (p * m)
 
 
-def burkholder_sandwich(
-    batch: TrajectoryBatch, p: float, rho: float, n: int, slack_sigmas: float = SLACK_SIGMAS
-) -> SandwichCheck:
+def burkholder_sandwich(batch: TrajectoryBatch, p: float, rho: float, n: int) -> SandwichCheck:
     """Check a_p ||Q_n||_p <= ||A_hat_n||_p <= b_p ||Q_n||_p on the batch.
 
     rho is any finite value >= 1. Both inequalities get a slack of
-    slack_sigmas combined standard errors, so a pass is Monte Carlo
+    SLACK_SIGMAS combined standard errors, so a pass is Monte Carlo
     evidence rather than an exact certificate.
     """
     a_p, b_p = burkholder_constants(p)
@@ -303,8 +301,8 @@ def burkholder_sandwich(
     a_norm, a_se = _norm_with_stderr(a_vals, p)
     q_norm, q_se = _norm_with_stderr(q_vals, p)
     lower, upper = a_p * q_norm, b_p * q_norm
-    lower_ok = lower <= a_norm + slack_sigmas * math.hypot(a_p * q_se, a_se)
-    upper_ok = a_norm <= upper + slack_sigmas * math.hypot(b_p * q_se, a_se)
+    lower_ok = lower <= a_norm + SLACK_SIGMAS * math.hypot(a_p * q_se, a_se)
+    upper_ok = a_norm <= upper + SLACK_SIGMAS * math.hypot(b_p * q_se, a_se)
     if a_norm <= ROUNDOFF_DISTANCE and q_norm <= ROUNDOFF_DISTANCE:
         # both sides are rounding residue of a degenerate batch: the exact
         # quantities are zero and the bracket holds trivially

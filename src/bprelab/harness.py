@@ -45,10 +45,12 @@ EXACT_TABLE_LEN = 12
 # increment identity's residual, and a relative error between exact values
 IDENTITY_TOL = 1e-9
 EXACT_REL = 1e-9
+# the rounding allowance of an inequality between two computed values
+ROUNDING = 1e-12
 
 
 class Item(NamedTuple):
-    """One check a relation yields, recorded as `<suite>.<suffix>`; a suite's section keeps `detail`."""
+    """One check, recorded as `<suite>.<suffix>` by `_Context.record`; a suite's section keeps `detail`."""
 
     suffix: str
     statement: str
@@ -68,22 +70,15 @@ class _Context:
 
     # -- verdict and side-table collection ------------------------------
 
-    def check(self, check_id: str, statement: str, passed: bool, **observed) -> None:
-        """Record a verdict; the suite is the check id's first dotted part."""
-        self.checks.append(
-            {
-                "id": check_id,
-                "suite": check_id.split(".")[0],
-                "statement": statement,
-                "passed": bool(passed),
-                "observed": observed,
-            }
-        )
-
     def record(self, suite: str, items: list[Item]) -> list[Item]:
-        """Record each of a relation's items as the check `<suite>.<suffix>`; returns the items."""
+        """Record each item as the check `<suite>.<suffix>`, the one writer of `checks`; an id
+        recorded before is refused at once, before any later suite simulates. Returns the items."""
         for item in items:
-            self.check(f"{suite}.{item.suffix}", item.statement, item.passed, **item.observed)
+            check_id = f"{suite}.{item.suffix}"
+            if any(c["id"] == check_id for c in self.checks):
+                raise BpreLabError(f"check id {check_id!r} is repeated; ids must identify one check")
+            self.checks.append({"id": check_id, "suite": suite, "statement": item.statement,
+                                "passed": bool(item.passed), "observed": item.observed})
         return items
 
     def add_csv(self, name: str, header: str, rows: list[str]) -> None:
@@ -223,18 +218,18 @@ def _rate_orderings(reports: list[rates.RateReport]) -> list[Item]:
         items += [
             Item(f"{tag}.sufficient-le-critical",
                  "the sufficient quenched rate bound never exceeds the critical one",
-                 suff <= crit + 1e-12, {"sufficient": suff, "critical": crit}),
+                 suff <= crit + ROUNDING, {"sufficient": suff, "critical": crit}),
             Item(f"{tag}.annealed-le-quenched",
                  "the annealed critical rate never exceeds the quenched critical rate",
-                 rhoc <= crit + 1e-12, {"annealed_rhoc": rhoc, "quenched_critical": crit}),
+                 rhoc <= crit + ROUNDING, {"annealed_rhoc": rhoc, "quenched_critical": crit}),
         ]
         pair = {"rho0": rho0, "rhoc": rhoc}
         if rep.p >= 2.0:
             items.append(Item(f"{tag}.rates-collapse", "for p >= 2 the two annealed rate formulas agree",
-                              math.isclose(rho0, rhoc, rel_tol=1e-12), pair))
+                              math.isclose(rho0, rhoc, rel_tol=ROUNDING), pair))
         elif rep.condition_flags.get("tilt_positive"):
             statement = "under a positive tilt the sufficient annealed rate is below the critical one"
-            items.append(Item(f"{tag}.rho0-le-rhoc", statement, rho0 <= rhoc + 1e-12, pair))
+            items.append(Item(f"{tag}.rho0-le-rhoc", statement, rho0 <= rhoc + ROUNDING, pair))
     return items
 
 
@@ -304,7 +299,7 @@ def _recursion_slack(env: Environment, n: int) -> list[Item]:
         for s in (0.0, 1.0)
     )
     statement = "the split-moment recursion inequality holds with non-negative slack"
-    return [Item("recursion-slack", statement, min_slack >= -1e-12, {"min_slack": min_slack})]
+    return [Item("recursion-slack", statement, min_slack >= -ROUNDING, {"min_slack": min_slack})]
 
 
 @_relation("some rho > 1 and some n < n_max - 1")
@@ -350,7 +345,7 @@ def _exact_slack(estimates: list[LpEstimate], exact_values) -> list[Item]:
     ok, worst = True, 0.0
     for est, exact in zip(estimates, exact_values):
         dev, slack = abs(est.value - exact), estimators.SLACK_SIGMAS * est.stderr
-        ok = ok and dev <= slack + 1e-12
+        ok = ok and dev <= slack + ROUNDING
         worst = max(worst, dev - slack)
     statement = "sampled moment distances sit within the Monte Carlo slack of the exact curve"
     return [Item(f"{_p_tag(estimates[0].p)}.estimates-match-exact", statement, ok, {"worst_excess": worst})]
@@ -404,12 +399,9 @@ def _suite_exact(ctx: _Context) -> dict:
         ])
         section["annealed_table"] = _exact_table(ctx, "exact_annealed.csv", u)
         mean_err = float(np.abs(u[:, 0] - 1.0).max())
-        ctx.check(
-            "exact.martingale-mean",
-            "the normalized population has exact mean one at every generation",
-            mean_err <= EXACT_REL,
-            max_abs_error=mean_err,
-        )
+        statement = "the normalized population has exact mean one at every generation"
+        ctx.record("exact", [Item("martingale-mean", statement, mean_err <= EXACT_REL,
+                                  {"max_abs_error": mean_err})])
         forms = exact_moments.p2_closed_forms(ctx.env)
         section["p2_closed_forms"] = {
             "q1": forms.q1,
@@ -427,29 +419,18 @@ def _suite_exact(ctx: _Context) -> dict:
         qtable = exact_moments.quenched_moments(path, EXACT_TABLE_ORDER, len(path))
         section["quenched_table"] = _exact_table(ctx, "exact_quenched.csv", qtable.values[:, 1:])
         w_mean_err = float(np.abs(qtable.w_moments(1) - 1.0).max())
-        ctx.check(
-            "exact.quenched-mean",
-            "along the realized path the normalized mean stays exactly one",
-            w_mean_err <= EXACT_REL,
-            max_abs_error=w_mean_err,
-        )
+        statement = "along the realized path the normalized mean stays exactly one"
+        ctx.record("exact", [Item("quenched-mean", statement, w_mean_err <= EXACT_REL,
+                                  {"max_abs_error": w_mean_err})])
         if len(path) >= 3:
             ctx.record("exact", _p2_partial_sums(ctx.env, len(path), path))
 
     if ctx.is_mixture and len(ctx.env.states) == 1 and path is not None:
         table = exact_moments.annealed_moment_table(ctx.env, 0.0, EXACT_TABLE_ORDER, len(path))
-        diff = float(
-            np.max(
-                np.abs(qtable.values - table.values)
-                / np.maximum(np.abs(table.values), 1.0)
-            )
-        )
-        ctx.check(
-            "exact.single-state-consistency",
-            "with one state the annealed and path tables coincide",
-            diff <= 1e-10,
-            max_rel_diff=diff,
-        )
+        diff = float(np.max(np.abs(qtable.values - table.values) / np.maximum(np.abs(table.values), 1.0)))
+        statement = "with one state the annealed and path tables coincide"
+        ctx.record("exact", [Item("single-state-consistency", statement, diff <= 1e-10,
+                                  {"max_rel_diff": diff})])
     return section
 
 
@@ -466,44 +447,30 @@ def _rate_estimates(ctx: _Context, batch: TrajectoryBatch, p: float) -> list[LpE
     return [lp_norm(batch, p, n, gap) for n in range(batch.n_max - gap + 1)]
 
 
-def _fit_with_oracle(
-    ctx: _Context,
-    suite: str,
-    p: float,
-    estimates: list[LpEstimate],
-    exact_values: list[float] | None,
-    predicted_rho: float | None,
-) -> dict:
-    """Fit the decay rate and check it against any exact curve; check ids start with `<suite>.p<p>`."""
-    tag = f"{suite}.{_p_tag(p)}"
-    section: dict = {"p": p, "estimates": list(estimates), "fit": None}
-    ctx.record(suite, _exact_slack(estimates, exact_values))
+_FIT_AVAILABLE = "a decay-rate fit is available for a non-degenerate run"
 
+
+@_relation("estimates at one p")
+def _rate_fit(estimates: list[LpEstimate], exact_values, predicted_rho: float | None) -> list[Item]:
+    """The estimates' slack against any exact values, then their decay fit against the exact
+    curve's slope and the predicted rate, as `p<p>.<name>`. Each item's detail holds the per-p
+    section fields it settles: p, estimates, fit and fit_note, or predicted_rho."""
+    p = estimates[0].p
+    tag = _p_tag(p)
+    items = _exact_slack(estimates, exact_values)
+    section = {"p": p, "estimates": list(estimates), "fit": None}
     if all(e.value <= estimators.ROUNDOFF_DISTANCE**p for e in estimates):
-        section["fit_note"] = "degenerate: all distances are zero up to rounding, nothing to fit"
-        ctx.check(
-            f"{tag}.degenerate-no-fit",
-            "a deterministic population has zero distances and no decay rate to fit",
-            True,
-            estimates_checked=len(estimates),
-        )
-        return section
-
+        note = "degenerate: all distances are zero up to rounding, nothing to fit"
+        statement = "a deterministic population has zero distances and no decay rate to fit"
+        return items + [Item(f"{tag}.degenerate-no-fit", statement, True,
+                             {"estimates_checked": len(estimates)}, section | {"fit_note": note})]
     try:
         fit = fit_decay(estimates)
-        observed = {"fitted_rho": fit.fitted_rho}
     except FitUnavailableError as exc:
-        fit, observed = None, {"error": str(exc)}
-        section["fit_note"] = str(exc)
-    ctx.check(
-        f"{tag}.fit-available",
-        "a decay-rate fit is available for a non-degenerate run",
-        fit is not None,
-        **observed,
-    )
-    if fit is None:
-        return section
+        return items + [Item(f"{tag}.fit-available", _FIT_AVAILABLE, False, {"error": str(exc)},
+                             section | {"fit_note": str(exc)})]
     section["fit"] = {key: getattr(fit, key) for key in _FIT_PAYLOAD}
+    items.append(Item(f"{tag}.fit-available", _FIT_AVAILABLE, True, {"fitted_rho": fit.fitted_rho}, section))
 
     if exact_values is not None:
         lo, hi = fit.window
@@ -513,29 +480,32 @@ def _fit_with_oracle(
             ys = [math.log(x) / p for _, x in sel]
             sds = [e.stderr / (p * e.value) for e, _ in sel]
             slope_exact = float(estimators.wls_line(ns, ys, sds)[0][1])
-            drift = abs(fit.slope - slope_exact)
-            ctx.check(
-                f"{tag}.fit-matches-exact",
-                "the fitted decay slope agrees with the exact curve's slope within slack",
-                drift <= estimators.SLACK_SIGMAS * fit.slope_se + 1e-12,
-                fitted_rho=fit.fitted_rho,
-                exact_rho=math.exp(-slope_exact),
-                slack_sigmas=estimators.SLACK_SIGMAS,
-            )
+            statement = "the fitted decay slope agrees with the exact curve's slope within slack"
+            items.append(Item(
+                f"{tag}.fit-matches-exact", statement,
+                abs(fit.slope - slope_exact) <= estimators.SLACK_SIGMAS * fit.slope_se + ROUNDING,
+                {"fitted_rho": fit.fitted_rho, "exact_rho": math.exp(-slope_exact),
+                 "slack_sigmas": estimators.SLACK_SIGMAS},
+            ))
     if predicted_rho is not None:
-        ctx.check(
-            f"{tag}.ci-contains-predicted",
-            "the fitted rate's confidence interval contains the predicted critical rate",
-            fit.ci_low <= predicted_rho <= fit.ci_high,
-            predicted=predicted_rho,
-            ci=[fit.ci_low, fit.ci_high],
-        )
-        section["predicted_rho"] = predicted_rho
+        statement = "the fitted rate's confidence interval contains the predicted critical rate"
+        items.append(Item(f"{tag}.ci-contains-predicted", statement,
+                          fit.ci_low <= predicted_rho <= fit.ci_high,
+                          {"predicted": predicted_rho, "ci": [fit.ci_low, fit.ci_high]},
+                          {"predicted_rho": predicted_rho}))
+    return items
+
+
+def _section(items: list[Item]) -> dict:
+    """The fields the items' details hold, a later item's over an earlier one's."""
+    section: dict = {}
+    for item in items:
+        section |= item.detail or {}
     return section
 
 
 def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, predicted_rho):
-    """The per-p body of both rate suites: yields (p, per-p section) after p's checks.
+    """The per-p body of both rate suites: yields (p, p's recorded items).
 
     Only p = 2 has an oracle: the gap sums of the increment second moments
     `inc`, the bias bound `bias(n + gap)` and the rate `predicted_rho` the fit
@@ -552,9 +522,7 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, pre
         ctx.add_csv(f"{suite.replace('-', '_')}_{_p_tag(p)}.csv", "p,n,value,stderr", rows)
         # exact E|W_{n+gap} - W_n|^2 is the sum of the increments' second moments
         exact_vals = [math.fsum(inc[e.n : e.n + gap]) for e in estimates] if at_p2 else None
-        yield p, _fit_with_oracle(
-            ctx, suite, p, estimates, exact_vals, predicted_rho if at_p2 else None
-        )
+        yield p, ctx.record(suite, _rate_fit(estimates, exact_vals, predicted_rho if at_p2 else None))
 
 
 def _suite_quenched_rate(ctx: _Context) -> dict:
@@ -567,7 +535,7 @@ def _suite_quenched_rate(ctx: _Context) -> dict:
 
     section: dict = {
         "path_means": [float(m) for m in path.means],
-        "per_p": [per_p for _, per_p in _rate_fits(ctx, "quenched-rate", batch, inc, bias, None)],
+        "per_p": [_section(items) for _, items in _rate_fits(ctx, "quenched-rate", batch, inc, bias, None)],
     }
     if ctx.is_mixture:
         spread = []
@@ -598,17 +566,15 @@ def _suite_annealed_rate(ctx: _Context) -> dict:
         predicted = 1.0 / math.sqrt(forms.q1) if forms.q1 > 0 else None
 
     section: dict = {"per_p": []}
-    for p, per_p in _rate_fits(ctx, "annealed-rate", batch, inc, bias, predicted):
+    for p, items in _rate_fits(ctx, "annealed-rate", batch, inc, bias, predicted):
+        if p == 2.0 and not forms.summable:
+            statement = "an environment without bounded second moments is reported, not fitted"
+            note = "second moments are unbounded here; no finite rate predicted"
+            items += ctx.record("annealed-rate", [Item(f"{_p_tag(p)}.l2-unbounded-reported", statement, True,
+                                                       {"q1": forms.q1}, {"fit_note": note})])
+        per_p = _section(items)
         if 1.0 < p < 2.0:
             per_p["bias_label"] = "oracle-unbounded bias"
-        if p == 2.0 and not forms.summable:
-            per_p["fit_note"] = "second moments are unbounded here; no finite rate predicted"
-            ctx.check(
-                f"annealed-rate.{_p_tag(p)}.l2-unbounded-reported",
-                "an environment without bounded second moments is reported, not fitted",
-                True,
-                q1=forms.q1,
-            )
         section["per_p"].append(per_p)
     return section
 
@@ -648,29 +614,14 @@ def _suite_criteria(ctx: _Context) -> dict:
     section: dict = {}
 
     if ctx.is_mixture:
-        crits = []
-        for p in cfg.p:
-            crit = rates.annealed_lp_criterion(ctx.env, p)
-            crits.append(crit)
-            ctx.check(
-                f"criteria.{_p_tag(p)}.lp-criterion",
-                "the moment-shrinkage criterion evaluates on the stationary law",
-                True,
-                value=crit.mean_power_value,
-                holds=crit.holds,
-            )
-        section["lp_criteria"] = crits
-        conds = []
-        for p in cfg.p:
-            if 1.0 < p < 2.0:
-                cond = rates.annealed_critical_conditions(ctx.env, p)
-                conds.append(cond)
-                ctx.check(
-                    f"criteria.{_p_tag(p)}.critical-conditions",
-                    "the critical-rate hypotheses evaluate on the stationary law",
-                    True,
-                    all_hold=cond.all_hold,
-                )
+        crits = section["lp_criteria"] = [rates.annealed_lp_criterion(ctx.env, p) for p in cfg.p]
+        statement = "the moment-shrinkage criterion evaluates on the stationary law"
+        ctx.record("criteria", [Item(f"{_p_tag(c.p)}.lp-criterion", statement, True,
+                                     {"value": c.mean_power_value, "holds": c.holds}) for c in crits])
+        conds = [rates.annealed_critical_conditions(ctx.env, p) for p in cfg.p if 1.0 < p < 2.0]
+        statement = "the critical-rate hypotheses evaluate on the stationary law"
+        ctx.record("criteria", [Item(f"{_p_tag(c.p)}.critical-conditions", statement, True,
+                                     {"all_hold": c.all_hold}) for c in conds])
         if conds:
             section["critical_conditions"] = conds
     else:
@@ -683,21 +634,15 @@ def _suite_criteria(ctx: _Context) -> dict:
     if m_geo <= 1.0:
         section["series_note"] = "path is not supercritical on average; no probes run"
         return section
-    probes = section["series_probes"] = []
+    items = []
 
     def probe(name, statement, wrong_verdict, p, at_rho, variant, r=None, **observed):
-        """One series diagnostic: its payload, then a check that it avoids `wrong_verdict`."""
+        """The item that one series diagnostic avoids `wrong_verdict`; its detail is the payload."""
         diag = rates.series_diagnostic(path, p, at_rho, variant, r=r)
         payload = {key: getattr(diag, key) for key in _SERIES_PAYLOAD}
-        probes.append(payload | {"partial_sum": float(diag.partial_sums[-1])})
-        ctx.check(
-            f"criteria.series.{name}",
-            statement,
-            diag.verdict != wrong_verdict,
-            verdict=diag.verdict,
-            root_stat=diag.root_stat,
-            **observed,
-        )
+        items.append(Item(f"series.{name}", statement, diag.verdict != wrong_verdict,
+                           {"verdict": diag.verdict, "root_stat": diag.root_stat} | observed,
+                           payload | {"partial_sum": float(diag.partial_sums[-1])}))
 
     rho_sub = max(1.0, 0.9 * math.sqrt(m_geo))
     rho_super = 1.2 * math.sqrt(m_geo)
@@ -719,6 +664,7 @@ def _suite_criteria(ctx: _Context) -> dict:
             "the increment-variant series shows no divergence below the critical rate",
             "diverging", small_p[0], rho_sub, rates.VARIANT_INCREMENT, r=2.0,
         )
+    section["series_probes"] = [item.detail for item in ctx.record("criteria", items)]
     return section
 
 
@@ -774,11 +720,6 @@ def _build_report(ctx: _Context, suites: dict, timings: dict, t_start: float):
     """Close the timings; returns (report, csv tables, exit code 2 if any check failed else 0)."""
     timings["total"] = time.perf_counter() - t_start
     checks = ctx.checks
-    seen: set[str] = set()
-    for c in checks:
-        if c["id"] in seen:
-            raise BpreLabError(f"check id {c['id']!r} is repeated; ids must identify one check")
-        seen.add(c["id"])
     failed = sum(1 for c in checks if not c["passed"])
     report = jsonable(
         {
@@ -902,7 +843,7 @@ def verify_suite(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], int
         try:
             items = relation(**kwargs(ctx, n_small))
         except BpreLabError as exc:
-            ctx.check(f"verify.{name}", statement, False, error=str(exc))
+            ctx.record("verify", [Item(name, statement, False, {"error": str(exc)})])
         else:
             observed = {}
             for item in items:
@@ -910,6 +851,6 @@ def verify_suite(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], int
                     raise BpreLabError(f"verify.{name}: suffix {item.suffix!r} is repeated")
                 observed[item.suffix] = {"passed": item.passed} | item.observed
             observed = observed or {"skipped": f"needs {relation.domain}"}
-            ctx.check(f"verify.{name}", statement, all(item.passed for item in items), **observed)
+            ctx.record("verify", [Item(name, statement, all(item.passed for item in items), observed)])
         timings[name] = time.perf_counter() - t0
     return _build_report(ctx, {"verify": {"checks_run": list(_VERIFY)}}, timings, t_start)

@@ -192,7 +192,8 @@ class SeriesDiagnostic:
 
     root_stat is the Cauchy root statistic, the mean of (term_n)^{1/n} over
     the last half of the path; the verdict compares it against 1 with the
-    stated margin. "inconclusive" covers the band [1-margin, 1+margin].
+    margin SERIES_MARGIN, which `margin` records. "inconclusive" covers the
+    band [1-margin, 1+margin].
     """
 
     variant: str
@@ -212,7 +213,6 @@ def series_diagnostic(
     rho: float,
     variant: str,
     r: float | None = None,
-    margin: float = SERIES_MARGIN,
 ) -> SeriesDiagnostic:
     """Root-test a convergence-rate series over the realized path.
 
@@ -258,9 +258,9 @@ def series_diagnostic(
         root_stat = float(np.exp(log_terms[window][in_window] / window[in_window]).mean())
     else:
         root_stat = 0.0
-    if root_stat < 1.0 - margin:
+    if root_stat < 1.0 - SERIES_MARGIN:
         verdict = "converging"
-    elif root_stat > 1.0 + margin:
+    elif root_stat > 1.0 + SERIES_MARGIN:
         verdict = "diverging"
     else:
         verdict = "inconclusive"
@@ -269,7 +269,7 @@ def series_diagnostic(
         p=p,
         r=r if variant == VARIANT_INCREMENT else None,
         rho=rho,
-        margin=margin,
+        margin=SERIES_MARGIN,
         terms=terms,
         partial_sums=partial_sums,
         root_stat=root_stat,

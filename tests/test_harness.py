@@ -88,6 +88,14 @@ class TestRunExperiment:
         with pytest.raises(BpreLabError, match=r"^check id 'rates\.twice' is repeated"):
             run_experiment(small_gw(suites=["rates"]))
 
+        # the repeat is refused when it is recorded, before a later suite simulates
+        def ran(*args, **kwargs):
+            pytest.fail("a simulation ran")
+
+        monkeypatch.setattr(harness, "run", ran)
+        with pytest.raises(BpreLabError, match=r"^check id 'rates\.twice' is repeated"):
+            run_experiment(small_gw(suites=["rates", "annealed-rate"]))
+
     @pytest.mark.parametrize("entry", [run_experiment, verify_suite])
     def test_p_values_with_one_tag_are_refused_before_anything_runs(self, monkeypatch, entry):
         # distinct exponents that print alike would give the same check ids
@@ -407,6 +415,59 @@ class TestEverySuiteGivesAVerdict:
                 assert any(c["suite"] == suite for c in report["checks"]), (suite, n_max)
                 ran.add(suite)
         assert ran == admitted
+
+
+class TestRateFitPaths:
+    """Rate-fit paths that no bundled config reaches: ids, verdicts, observed keys and sections."""
+
+    def per_p(self, report):
+        return {s["p"]: s for s in report["suites"]["annealed-rate"]["per_p"]}
+
+    def test_unbounded_second_moments_are_reported(self):
+        # equal weights on {0: .5, 1: .5} and {3: 1} give q1 = 2/2 + 1/6 = 7/6 >= 1
+        env = {"kind": "mixture", "states": [{"law": {0: 0.5, 1: 0.5}}, {"law": {3: 1.0}}]}
+        cfg = small_gw(environment=env, suites=["annealed-rate"], p=[1.5, 2.0], replicas=4000,
+                       master_seed=1)
+        report, _, _ = run_experiment(cfg)
+        by_id = {c["id"]: c for c in report["checks"]}
+        assert list(by_id) == [
+            "annealed-rate.p1.5.fit-available", "annealed-rate.p2.estimates-match-exact",
+            "annealed-rate.p2.fit-available", "annealed-rate.p2.l2-unbounded-reported",
+        ]
+        reported = by_id["annealed-rate.p2.l2-unbounded-reported"]
+        assert reported["passed"] is True
+        assert reported["observed"] == {"q1": pytest.approx(7 / 6)}
+        assert reported["statement"] == "an environment without bounded second moments is reported, not fitted"
+        assert set(by_id["annealed-rate.p2.estimates-match-exact"]["observed"]) == {"worst_excess"}
+        sections = self.per_p(report)
+        assert sections[2.0]["fit_note"].startswith("second moments are unbounded")
+        assert "predicted_rho" not in sections[2.0]
+        assert sections[1.5]["bias_label"] == "oracle-unbounded bias"
+        assert "bias_label" not in sections[2.0]
+
+    def test_a_fit_without_an_admissible_window_is_a_failed_check(self):
+        cfg = small_gw(suites=["annealed-rate"], n_max=13, gap=10, p=[1.5, 2.0], master_seed=1)
+        report, _, code = run_experiment(cfg)
+        assert code == 2
+        by_id = {c["id"]: c for c in report["checks"]}
+        assert list(by_id) == [
+            "annealed-rate.p1.5.fit-available", "annealed-rate.p2.estimates-match-exact",
+            "annealed-rate.p2.fit-available", "annealed-rate.p2.fit-matches-exact",
+            "annealed-rate.p2.ci-contains-predicted",
+        ]
+        missing = by_id["annealed-rate.p1.5.fit-available"]
+        assert missing["passed"] is False
+        assert list(missing["observed"]) == ["error"]
+        assert set(by_id["annealed-rate.p2.fit-available"]["observed"]) == {"fitted_rho"}
+        assert set(by_id["annealed-rate.p2.fit-matches-exact"]["observed"]) == {
+            "fitted_rho", "exact_rho", "slack_sigmas"}
+        assert set(by_id["annealed-rate.p2.ci-contains-predicted"]["observed"]) == {"predicted", "ci"}
+        sections = self.per_p(report)
+        assert sections[1.5]["fit"] is None
+        assert sections[1.5]["fit_note"] == missing["observed"]["error"]
+        assert sections[1.5]["bias_label"] == "oracle-unbounded bias"
+        assert set(sections[2.0]) == {"p", "estimates", "fit", "predicted_rho"}
+        assert sections[2.0]["predicted_rho"] == pytest.approx(math.sqrt(1.5))
 
 
 class TestOneOwner:

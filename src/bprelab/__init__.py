@@ -4,7 +4,7 @@ tables, critical-rate calculators, and Monte Carlo convergence-rate checks."""
 import types
 
 from ._version import __version__
-from .environment import EnvPath, Environment, FixedPath, IIDMixture, single_state
+from .environment import EnvPath, Environment, FixedPath, IIDMixture
 from .errors import (
     BpreLabError,
     ConfigError,

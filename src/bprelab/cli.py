@@ -18,12 +18,6 @@ from .harness import write_outputs
 from .rates import rate_report
 
 
-_THREADS_HELP = (
-    "thread count, checked to be >= 1; the simulator is vectorized and uses no "
-    "threads, so the value changes neither the results nor the speed"
-)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit 2; this tool reserves 2 for failed checks."""
 
@@ -40,13 +34,14 @@ def _build_parser() -> _Parser:
     p_run.add_argument("config")
     p_run.add_argument("--out", help="output directory (default: from config, else <name>-report)")
     p_run.add_argument("--seed", type=int, help="override master_seed")
-    p_run.add_argument("--threads", type=int, help=_THREADS_HELP)
+    p_run.add_argument("--threads", type=int, help=(
+        "thread count, checked to be >= 1; the simulator is vectorized and uses no "
+        "threads, so the value changes neither the results nor the speed"))
 
     p_verify = sub.add_parser("verify", help="run the cross-module consistency checks")
     p_verify.add_argument("config")
     p_verify.add_argument("--out", help="also write report.json to this directory")
     p_verify.add_argument("--seed", type=int, help="override master_seed")
-    p_verify.add_argument("--threads", type=int, help=_THREADS_HELP)
 
     p_rates = sub.add_parser("rates", help="print the computed rate report")
     p_rates.add_argument("config")

@@ -152,8 +152,3 @@ class IIDMixture(Environment):
     def __repr__(self) -> str:
         pairs = ", ".join(f"{s!r}: {w:g}" for s, w in zip(self.states, self.weights))
         return f"IIDMixture({pairs})"
-
-
-def single_state(law: OffspringLaw) -> IIDMixture:
-    """The constant environment as a one-state mixture."""
-    return IIDMixture([law], [1.0])

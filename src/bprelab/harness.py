@@ -14,22 +14,22 @@ import json
 import math
 import time
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from . import estimators, exact_moments, rates
+from . import exact_moments, rates, relations
 from ._version import __version__
 from .config import ExperimentConfig
 from .environment import EnvPath, Environment, FixedPath, IIDMixture
-from .errors import BpreLabError, ConfigError, FitUnavailableError, ParameterError
+from .errors import BpreLabError, ConfigError, FitUnavailableError
 from .estimators import LpEstimate, fit_decay, lp_norm
+from .relations import EXACT_REL, Item, p_tag
 from .simulate import (
     MODE_ANNEALED,
     MODE_QUENCHED,
     SimConfig,
     TrajectoryBatch,
-    increment_identity_check,
+    increment_identity_check,  # bound only so the benchmark's trace wraps it here (ROADMAP item 1)
     quenched_path,
     run,
 )
@@ -40,23 +40,6 @@ EXIT_CHECK_FAILED = 2
 
 EXACT_TABLE_ORDER = 4
 EXACT_TABLE_LEN = 12
-
-# the tolerances of checks whose two sides differ only by rounding: the
-# increment identity's residual, and a relative error between exact values
-IDENTITY_TOL = 1e-9
-EXACT_REL = 1e-9
-# the rounding allowance of an inequality between two computed values
-ROUNDING = 1e-12
-
-
-class Item(NamedTuple):
-    """One check, recorded as `<suite>.<suffix>` by `_Context.record`; a suite's section keeps `detail`."""
-
-    suffix: str
-    statement: str
-    passed: bool
-    observed: dict
-    detail: object = None
 
 
 class _Context:
@@ -168,18 +151,13 @@ _NEEDS = (
 )
 
 
-def _p_tag(p: float) -> str:
-    """The `p<p>` part of the check ids, suffixes and CSV names that a value of p keys."""
-    return f"p{p:g}"
-
-
 def _check_p_tags(cfg: ExperimentConfig) -> None:
     """Raise ConfigError `<file>: p: ...` when two values of p key the same check ids."""
     for i, p in enumerate(cfg.p):
         for q in cfg.p[:i]:
-            if _p_tag(p) == _p_tag(q):
+            if p_tag(p) == p_tag(q):
                 raise ConfigError(
-                    f"{cfg.source}: p: {q!r} and {p!r} give check ids the same tag {_p_tag(p)!r}"
+                    f"{cfg.source}: p: {q!r} and {p!r} give check ids the same tag {p_tag(p)!r}"
                 )
 
 
@@ -193,171 +171,12 @@ def check_suite_needs(cfg: ExperimentConfig, suites) -> None:
 
 
 # ---------------------------------------------------------------------------
-# relations, each checked by a suite and by verify at their own sizes: a
-# relation returns its check items, and none outside its domain
-
-
-def _relation(domain: str):
-    """Name the domain outside which a relation yields no item; verify's skipped checks cite it."""
-
-    def mark(fn):
-        fn.domain = domain
-        return fn
-
-    return mark
-
-
-@_relation("a supercritical stationary mixture")
-def _rate_orderings(reports: list[rates.RateReport]) -> list[Item]:
-    """The proven orderings among each report's rates, as `p<p>.<name>`."""
-    items = []
-    for rep in reports:
-        tag = _p_tag(rep.p)
-        suff, crit = rep.quenched_sufficient_bound, rep.quenched_critical
-        rho0, rhoc = rep.annealed_rho0, rep.annealed_rhoc
-        items += [
-            Item(f"{tag}.sufficient-le-critical",
-                 "the sufficient quenched rate bound never exceeds the critical one",
-                 suff <= crit + ROUNDING, {"sufficient": suff, "critical": crit}),
-            Item(f"{tag}.annealed-le-quenched",
-                 "the annealed critical rate never exceeds the quenched critical rate",
-                 rhoc <= crit + ROUNDING, {"annealed_rhoc": rhoc, "quenched_critical": crit}),
-        ]
-        pair = {"rho0": rho0, "rhoc": rhoc}
-        if rep.p >= 2.0:
-            items.append(Item(f"{tag}.rates-collapse", "for p >= 2 the two annealed rate formulas agree",
-                              math.isclose(rho0, rhoc, rel_tol=ROUNDING), pair))
-        elif rep.condition_flags.get("tilt_positive"):
-            statement = "under a positive tilt the sufficient annealed rate is below the critical one"
-            items.append(Item(f"{tag}.rho0-le-rhoc", statement, rho0 <= rhoc + ROUNDING, pair))
-    return items
-
-
-def _partial_sum_error(moments, inc) -> float:
-    """Worst relative error of E[W_k^2] against 1 + sum_{j<k} E|W_{j+1} - W_j|^2 over k."""
-    worst = 0.0
-    for k, moment in enumerate(moments):
-        closed = 1.0 + math.fsum(inc[:k])
-        worst = max(worst, abs(moment - closed) / max(closed, 1.0))
-    return worst
-
-
-@_relation("a stationary mixture or an environment path")
-def _p2_partial_sums(env: Environment, n: int, path: EnvPath | None = None,
-                     a_hat_rho: float | None = None) -> list[Item]:
-    """Second moments from the recursion tables against the partial sums of the squared
-    increments up to generation n, within relative EXACT_REL: along `path` when one is
-    given, else on the stationary law. There `a_hat_rho` adds the gap between
-    sup_k E[A_hat_k(rho)^2] and the table's partial sum against the closed-form tail, at
-    the lesser of a_hat_rho and the critical rate 1/sqrt(q1)."""
-    if path is not None:
-        worst = _partial_sum_error(
-            exact_moments.quenched_moments(path, 2, n).w_moments(2),
-            exact_moments.quenched_increment_second_moments(path, n),
-        )
-        statement = (
-            "along the realized path the second moments match the partial sums of the squared increments"
-        )
-        return [Item("quenched-p2-tail", statement, worst <= EXACT_REL, {"max_rel_error": worst})]
-    forms = exact_moments.p2_closed_forms(env)
-    worst = _partial_sum_error(
-        exact_moments.annealed_u(env, 0.0, 2, n), [forms.increment_second_moment(k) for k in range(n)]
-    )
-    items = [Item("p2-partial-sums", "second moments from the recursion match the closed-form partial sums",
-                  worst <= EXACT_REL, {"max_rel_error": worst})]
-    if a_hat_rho is None or not forms.summable:
-        return items
-    rho = min(a_hat_rho, 1.0 / math.sqrt(forms.q1))
-    if forms.q1 * rho**2 < 1.0:
-        sup = forms.sup_a_hat2(rho)
-        gap = sup - exact_moments.a_hat_second_moment_partial(env, rho, n)
-        remainder = forms.a_hat2_tail(rho, n)
-        statement = "the weighted-increment second moments approach their closed-form sup within its tail"
-        items.append(Item("a-hat-partial-sums", statement, abs(gap - remainder) <= EXACT_REL * max(sup, 1.0),
-                          {"a_hat_gap": gap, "a_hat_remainder_bound": remainder}))
-    return items
-
-
-@_relation("a stationary mixture")
-def _growth_envelope(env: Environment, n: int, orders) -> list[Item]:
-    """Whether each order's scaled moments stay under the envelope up to max(n, 10)."""
-    if not isinstance(env, IIDMixture):
-        return []
-    holds = [exact_moments.growth_envelope_check(env, 0.0, r, max(n, 10)) for r in orders]
-    statement = "scaled moment sequences stay under the polynomial-times-base envelope"
-    return [Item("growth-envelope", statement, all(holds), {"orders": list(orders)})]
-
-
-@_relation("a stationary mixture")
-def _recursion_slack(env: Environment, n: int) -> list[Item]:
-    """Least slack of the split-moment recursion (orders 3-4, s in {0, 1}) up to max(n, 10)."""
-    if not isinstance(env, IIDMixture):
-        return []
-    min_slack = min(
-        float(exact_moments.recursion_inequality_slacks(env, s, r, max(n, 10)).min())
-        for r in (3, 4)
-        for s in (0.0, 1.0)
-    )
-    statement = "the split-moment recursion inequality holds with non-negative slack"
-    return [Item("recursion-slack", statement, min_slack >= -ROUNDING, {"min_slack": min_slack})]
-
-
-@_relation("some rho > 1 and some n < n_max - 1")
-def _identity(batch: TrajectoryBatch, rhos, ns) -> list[Item]:
-    """The telescoped and accumulator forms of A_hat_n(rho) within IDENTITY_TOL, at each rho and n
-    that increment_identity_check admits for this batch."""
-    items = []
-    for rho in rhos:
-        for n in ns:
-            try:
-                residual = increment_identity_check(batch, rho, n)
-            except ParameterError:
-                continue
-            statement = "the telescoped and accumulator forms of the weighted sum agree"
-            items.append(Item(f"rho{rho:.4g}.n{n}", statement, residual <= IDENTITY_TOL,
-                              {"residual": residual, "tolerance": IDENTITY_TOL},
-                              {"rho": rho, "n": n, "residual": residual}))
-    return items
-
-
-# shared by the burkholder items and verify's burkholder-sandwich check
-_BRACKET = "the weighted-increment norm sits inside the square-function bracket"
-
-
-@_relation("rho >= 1 and n < n_max")
-def _sandwiches(batch: TrajectoryBatch, ps, rhos, ns) -> list[Item]:
-    """The square-function bracket of A_hat_n(rho) with SLACK_SIGMAS slack, at each p, rho and n."""
-    items = []
-    for p in ps:
-        for rho in rhos:
-            for n in ns:
-                sc = estimators.burkholder_sandwich(batch, p, rho, n)
-                observed = {"a_norm": sc.a_norm, "lower": sc.lower, "upper": sc.upper}
-                items.append(Item(f"{_p_tag(p)}.rho{rho:.4g}.n{n}", _BRACKET, sc.ok, observed, sc))
-    return items
-
-
-@_relation("exact values, which only p = 2 has")
-def _exact_slack(estimates: list[LpEstimate], exact_values) -> list[Item]:
-    """Each estimate within SLACK_SIGMAS standard errors of its exact value; none without exact values."""
-    if exact_values is None:
-        return []
-    ok, worst = True, 0.0
-    for est, exact in zip(estimates, exact_values):
-        dev, slack = abs(est.value - exact), estimators.SLACK_SIGMAS * est.stderr
-        ok = ok and dev <= slack + ROUNDING
-        worst = max(worst, dev - slack)
-    statement = "sampled moment distances sit within the Monte Carlo slack of the exact curve"
-    return [Item(f"{_p_tag(estimates[0].p)}.estimates-match-exact", statement, ok, {"worst_excess": worst})]
-
-
-# ---------------------------------------------------------------------------
 # suite: rates
 
 
 def _suite_rates(ctx: _Context) -> dict:
     reports = ctx.rate_reports()
-    ctx.record("rates", _rate_orderings(reports))
+    ctx.record("rates", relations.rate_orderings(reports))
     ctx.add_csv(
         "rates.csv",
         "p,m_geo,quenched_sufficient_bound,quenched_critical,annealed_rho0,annealed_rhoc",
@@ -409,9 +228,9 @@ def _suite_exact(ctx: _Context) -> dict:
             "summable": forms.summable,
             "sup_w2": forms.sup_w2(),
         }
-        ctx.record("exact", _p2_partial_sums(ctx.env, n_table))
-        ctx.record("exact", _growth_envelope(ctx.env, n_table, range(2, EXACT_TABLE_ORDER + 1)))
-        ctx.record("exact", _recursion_slack(ctx.env, n_table))
+        ctx.record("exact", relations.p2_partial_sums(ctx.env, n_table))
+        ctx.record("exact", relations.growth_envelope(ctx.env, n_table, range(2, EXACT_TABLE_ORDER + 1)))
+        ctx.record("exact", relations.recursion_slack(ctx.env, n_table))
 
     path = None
     if isinstance(ctx.env, FixedPath) or ctx.cfg.path_seed is not None:
@@ -423,7 +242,7 @@ def _suite_exact(ctx: _Context) -> dict:
         ctx.record("exact", [Item("quenched-mean", statement, w_mean_err <= EXACT_REL,
                                   {"max_abs_error": w_mean_err})])
         if len(path) >= 3:
-            ctx.record("exact", _p2_partial_sums(ctx.env, len(path), path))
+            ctx.record("exact", relations.p2_partial_sums(ctx.env, len(path), path))
 
     if ctx.is_mixture and len(ctx.env.states) == 1 and path is not None:
         table = exact_moments.annealed_moment_table(ctx.env, 0.0, EXACT_TABLE_ORDER, len(path))
@@ -438,62 +257,9 @@ def _suite_exact(ctx: _Context) -> dict:
 # suites: quenched-rate / annealed-rate
 
 
-# the DecayFit fields a rate section reports
-_FIT_PAYLOAD = ("fitted_rho", "ci_low", "ci_high", "window", "r_squared", "points_used")
-
-
 def _rate_estimates(ctx: _Context, batch: TrajectoryBatch, p: float) -> list[LpEstimate]:
     gap = ctx.cfg.gap
     return [lp_norm(batch, p, n, gap) for n in range(batch.n_max - gap + 1)]
-
-
-_FIT_AVAILABLE = "a decay-rate fit is available for a non-degenerate run"
-
-
-@_relation("estimates at one p")
-def _rate_fit(estimates: list[LpEstimate], exact_values, predicted_rho: float | None) -> list[Item]:
-    """The estimates' slack against any exact values, then their decay fit against the exact
-    curve's slope and the predicted rate, as `p<p>.<name>`. Each item's detail holds the per-p
-    section fields it settles: p, estimates, fit and fit_note, or predicted_rho."""
-    p = estimates[0].p
-    tag = _p_tag(p)
-    items = _exact_slack(estimates, exact_values)
-    section = {"p": p, "estimates": list(estimates), "fit": None}
-    if all(e.value <= estimators.ROUNDOFF_DISTANCE**p for e in estimates):
-        note = "degenerate: all distances are zero up to rounding, nothing to fit"
-        statement = "a deterministic population has zero distances and no decay rate to fit"
-        return items + [Item(f"{tag}.degenerate-no-fit", statement, True,
-                             {"estimates_checked": len(estimates)}, section | {"fit_note": note})]
-    try:
-        fit = fit_decay(estimates)
-    except FitUnavailableError as exc:
-        return items + [Item(f"{tag}.fit-available", _FIT_AVAILABLE, False, {"error": str(exc)},
-                             section | {"fit_note": str(exc)})]
-    section["fit"] = {key: getattr(fit, key) for key in _FIT_PAYLOAD}
-    items.append(Item(f"{tag}.fit-available", _FIT_AVAILABLE, True, {"fitted_rho": fit.fitted_rho}, section))
-
-    if exact_values is not None:
-        lo, hi = fit.window
-        sel = [(e, x) for e, x in zip(estimates, exact_values) if lo <= e.n <= hi and x > 0]
-        if len(sel) >= 2:
-            ns = [e.n for e, _ in sel]
-            ys = [math.log(x) / p for _, x in sel]
-            sds = [e.stderr / (p * e.value) for e, _ in sel]
-            slope_exact = float(estimators.wls_line(ns, ys, sds)[0][1])
-            statement = "the fitted decay slope agrees with the exact curve's slope within slack"
-            items.append(Item(
-                f"{tag}.fit-matches-exact", statement,
-                abs(fit.slope - slope_exact) <= estimators.SLACK_SIGMAS * fit.slope_se + ROUNDING,
-                {"fitted_rho": fit.fitted_rho, "exact_rho": math.exp(-slope_exact),
-                 "slack_sigmas": estimators.SLACK_SIGMAS},
-            ))
-    if predicted_rho is not None:
-        statement = "the fitted rate's confidence interval contains the predicted critical rate"
-        items.append(Item(f"{tag}.ci-contains-predicted", statement,
-                          fit.ci_low <= predicted_rho <= fit.ci_high,
-                          {"predicted": predicted_rho, "ci": [fit.ci_low, fit.ci_high]},
-                          {"predicted_rho": predicted_rho}))
-    return items
 
 
 def _section(items: list[Item]) -> dict:
@@ -504,12 +270,13 @@ def _section(items: list[Item]) -> dict:
     return section
 
 
-def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, predicted_rho):
+def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, **p2):
     """The per-p body of both rate suites: yields (p, p's recorded items).
 
     Only p = 2 has an oracle: the gap sums of the increment second moments
-    `inc`, the bias bound `bias(n + gap)` and the rate `predicted_rho` the fit
-    should bracket.
+    `inc`, the bias bound `bias(n + gap)` and the keyword arguments `p2` of
+    its rate_fit (the rate `predicted_rho` the fit should bracket, or the
+    `unbounded_q1` that leaves nothing to fit).
     """
     gap = ctx.cfg.gap
     for p in ctx.cfg.p:
@@ -519,10 +286,10 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, pre
             for est in estimates:
                 est.bias_bound = bias(est.n + gap)
         rows = [f"{e.p!r},{e.n},{e.value!r},{e.stderr!r}" for e in estimates]
-        ctx.add_csv(f"{suite.replace('-', '_')}_{_p_tag(p)}.csv", "p,n,value,stderr", rows)
+        ctx.add_csv(f"{suite.replace('-', '_')}_{p_tag(p)}.csv", "p,n,value,stderr", rows)
         # exact E|W_{n+gap} - W_n|^2 is the sum of the increments' second moments
         exact_vals = [math.fsum(inc[e.n : e.n + gap]) for e in estimates] if at_p2 else None
-        yield p, ctx.record(suite, _rate_fit(estimates, exact_vals, predicted_rho if at_p2 else None))
+        yield p, ctx.record(suite, relations.rate_fit(estimates, exact_vals, **(p2 if at_p2 else {})))
 
 
 def _suite_quenched_rate(ctx: _Context) -> dict:
@@ -535,7 +302,7 @@ def _suite_quenched_rate(ctx: _Context) -> dict:
 
     section: dict = {
         "path_means": [float(m) for m in path.means],
-        "per_p": [_section(items) for _, items in _rate_fits(ctx, "quenched-rate", batch, inc, bias, None)],
+        "per_p": [_section(items) for _, items in _rate_fits(ctx, "quenched-rate", batch, inc, bias)],
     }
     if ctx.is_mixture:
         spread = []
@@ -560,18 +327,13 @@ def _suite_annealed_rate(ctx: _Context) -> dict:
     batch = ctx.batch(MODE_ANNEALED)
     forms = exact_moments.p2_closed_forms(ctx.env)
     inc = [forms.increment_second_moment(k) for k in range(batch.n_max)]
-    bias = predicted = None
     if forms.summable:
-        bias = forms.tail
-        predicted = 1.0 / math.sqrt(forms.q1) if forms.q1 > 0 else None
+        bias, p2 = forms.tail, {"predicted_rho": 1.0 / math.sqrt(forms.q1) if forms.q1 > 0 else None}
+    else:
+        bias, p2 = None, {"unbounded_q1": forms.q1}
 
     section: dict = {"per_p": []}
-    for p, items in _rate_fits(ctx, "annealed-rate", batch, inc, bias, predicted):
-        if p == 2.0 and not forms.summable:
-            statement = "an environment without bounded second moments is reported, not fitted"
-            note = "second moments are unbounded here; no finite rate predicted"
-            items += ctx.record("annealed-rate", [Item(f"{_p_tag(p)}.l2-unbounded-reported", statement, True,
-                                                       {"q1": forms.q1}, {"fit_note": note})])
+    for p, items in _rate_fits(ctx, "annealed-rate", batch, inc, bias, **p2):
         per_p = _section(items)
         if 1.0 < p < 2.0:
             per_p["bias_label"] = "oracle-unbounded bias"
@@ -587,7 +349,7 @@ def _suite_burkholder(ctx: _Context) -> dict:
     batch = ctx.batch(ctx.default_mode())
     last = batch.n_max - 1
     ns = sorted({min(2, last), last // 2, last})
-    items = _sandwiches(batch, ctx.cfg.p, ctx.rho_grid(), ns)
+    items = relations.sandwiches(batch, ctx.cfg.p, ctx.rho_grid(), ns)
     results = [item.detail for item in ctx.record("burkholder", items)]
     ctx.add_csv(
         "burkholder.csv",
@@ -616,11 +378,11 @@ def _suite_criteria(ctx: _Context) -> dict:
     if ctx.is_mixture:
         crits = section["lp_criteria"] = [rates.annealed_lp_criterion(ctx.env, p) for p in cfg.p]
         statement = "the moment-shrinkage criterion evaluates on the stationary law"
-        ctx.record("criteria", [Item(f"{_p_tag(c.p)}.lp-criterion", statement, True,
+        ctx.record("criteria", [Item(f"{p_tag(c.p)}.lp-criterion", statement, True,
                                      {"value": c.mean_power_value, "holds": c.holds}) for c in crits])
         conds = [rates.annealed_critical_conditions(ctx.env, p) for p in cfg.p if 1.0 < p < 2.0]
         statement = "the critical-rate hypotheses evaluate on the stationary law"
-        ctx.record("criteria", [Item(f"{_p_tag(c.p)}.critical-conditions", statement, True,
+        ctx.record("criteria", [Item(f"{p_tag(c.p)}.critical-conditions", statement, True,
                                      {"all_hold": c.all_hold}) for c in conds])
         if conds:
             section["critical_conditions"] = conds
@@ -675,7 +437,7 @@ def _suite_criteria(ctx: _Context) -> dict:
 def _suite_identity(ctx: _Context) -> dict:
     batch = ctx.batch(ctx.default_mode())
     ns = sorted({1, batch.n_max // 2, batch.n_max - 2})
-    items = _identity(batch, ctx.rho_grid(), ns)
+    items = relations.identity(batch, ctx.rho_grid(), ns)
     return {"results": [item.detail for item in ctx.record("identity", items)]}
 
 
@@ -787,33 +549,33 @@ def _verify_batch(ctx: _Context, n: int) -> TrajectoryBatch:
 # verify runs every name, in this order
 _VERIFY = {
     "p2-closed-forms": (
-        "closed-form second moments match the recursion tables", _p2_partial_sums,
+        "closed-form second moments match the recursion tables", relations.p2_partial_sums,
         lambda ctx, n: dict(env=ctx.env, n=n, path=None if ctx.is_mixture else ctx.series_path(n),
                             a_hat_rho=1.05),
     ),
     "recursion-inequality": (
-        "the split-moment recursion inequality has non-negative slack", _recursion_slack,
+        "the split-moment recursion inequality has non-negative slack", relations.recursion_slack,
         lambda ctx, n: dict(env=ctx.env, n=n),
     ),
     "growth-envelope": (
-        "scaled moments stay under the polynomial-times-base envelope", _growth_envelope,
+        "scaled moments stay under the polynomial-times-base envelope", relations.growth_envelope,
         lambda ctx, n: dict(env=ctx.env, n=n, orders=(2, 3, 4, 5)),
     ),
     "increment-identity": (
-        "the telescoped and accumulator forms agree to rounding", _identity,
+        "the telescoped and accumulator forms agree to rounding", relations.identity,
         lambda ctx, n: dict(batch=_verify_batch(ctx, n), rhos=_VERIFY_RHOS, ns=sorted({1, n - 2})),
     ),
     "burkholder-sandwich": (
-        _BRACKET, _sandwiches,
+        relations.BRACKET, relations.sandwiches,
         lambda ctx, n: dict(batch=_verify_batch(ctx, n), ps=ctx.cfg.p[:1], rhos=_VERIFY_RHOS[:1],
                             ns=(n - 1,)),
     ),
     "rate-orderings": (
-        "computed rates obey their proven orderings", _rate_orderings,
+        "computed rates obey their proven orderings", relations.rate_orderings,
         lambda ctx, n: dict(reports=ctx.rate_reports()),
     ),
     "quenched-increments": (
-        "simulated squared increments match the exact path values", _exact_slack,
+        "simulated squared increments match the exact path values", relations.exact_slack,
         lambda ctx, n: dict(
             estimates=[lp_norm(_verify_batch(ctx, n), 2.0, k, 1) for k in range(min(6, n))],
             exact_values=exact_moments.quenched_increment_second_moments(

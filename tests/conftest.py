@@ -13,7 +13,6 @@ from bprelab import (
     OffspringLaw,
     SimConfig,
     run,
-    single_state,
 )
 
 GW_PMF = {0: 0.25, 2: 0.75}
@@ -26,7 +25,7 @@ def gw_law():
 
 @pytest.fixture(scope="session")
 def gw_env(gw_law):
-    return single_state(gw_law)
+    return IIDMixture([gw_law], [1.0])
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +55,7 @@ def gw_batch(gw_env):
 @pytest.fixture(scope="session")
 def degenerate_batch():
     cfg = SimConfig(
-        env=single_state(OffspringLaw({2: 1.0})),
+        env=IIDMixture([OffspringLaw({2: 1.0})], [1.0]),
         mode="annealed",
         n_max=20,
         replicas=300,

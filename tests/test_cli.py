@@ -185,9 +185,11 @@ def test_negative_seed_is_a_config_error(gw_cfg, tmp_path, capsys, command):
 
 
 def test_bad_threads_value(gw_cfg, capsys):
-    for command in ("run", "verify"):
-        assert main([command, str(gw_cfg), "--threads", "0"]) == 1
-        assert capsys.readouterr().err == f"bprelab: error: {gw_cfg}: threads: must be >= 1\n"
+    assert main(["run", str(gw_cfg), "--threads", "0"]) == 1
+    assert capsys.readouterr().err == f"bprelab: error: {gw_cfg}: threads: must be >= 1\n"
+    # verify simulates one small batch and takes no --threads
+    assert main(["verify", str(gw_cfg), "--threads", "1"]) == 1
+    assert capsys.readouterr().err.startswith("bprelab: error: usage: unrecognized arguments: --threads")
 
 
 def test_n_max_beyond_a_fixed_path_exits_1(tmp_path, capsys):

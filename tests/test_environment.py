@@ -13,7 +13,6 @@ from bprelab import (
     ParameterError,
     UnsupportedOperationError,
     quenched_bounds,
-    single_state,
 )
 
 GW = OffspringLaw({0: 0.25, 2: 0.75})
@@ -98,11 +97,15 @@ class TestIIDMixture:
         assert env.geo_mean() == pytest.approx(math.sqrt(6), rel=1e-14)
         assert env.mean_power(-1.0) == pytest.approx(5 / 12, rel=1e-14)
         assert env.expect(lambda law: law.max_support) == pytest.approx(2.5)
+        one = IIDMixture([GW], [1.0])
+        assert one.states == (GW,)
+        assert one.geo_mean() == pytest.approx(1.5, rel=1e-15)
+        assert one.mean_power(2.0) == pytest.approx(2.25, rel=1e-15)
 
     def test_supercritical_and_degenerate_flags(self):
         assert IIDMixture([DET2, DET3], [0.5, 0.5]).is_supercritical
         assert IIDMixture([DET2, DET3], [0.5, 0.5]).is_degenerate
-        assert not single_state(GW).is_degenerate
+        assert not IIDMixture([GW], [1.0]).is_degenerate
         sub = IIDMixture(
             [OffspringLaw({0: 0.5, 1: 0.5}), OffspringLaw({1: 0.5, 2: 0.5})], [0.5, 0.5]
         )
@@ -136,9 +139,3 @@ class TestIIDMixture:
         a = env.sample_path(50, np.random.default_rng(9))
         b = env.sample_path(50, np.random.default_rng(9))
         assert a.laws == b.laws
-
-    def test_single_state_helper(self):
-        env = single_state(GW)
-        assert env.states == (GW,)
-        assert env.geo_mean() == pytest.approx(1.5, rel=1e-15)
-        assert env.mean_power(2.0) == pytest.approx(2.25, rel=1e-15)

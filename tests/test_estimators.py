@@ -8,11 +8,11 @@ import pytest
 from bprelab import (
     EstimateUnavailableError,
     FitUnavailableError,
+    IIDMixture,
     OffspringLaw,
     ParameterError,
     SimConfig,
     run,
-    single_state,
 )
 from bprelab.estimators import (
     N_BATCHES,
@@ -49,7 +49,7 @@ def synthetic_estimates(
 @pytest.fixture(scope="module")
 def capped_batch():
     cfg = SimConfig(
-        env=single_state(OffspringLaw({4: 1.0})),
+        env=IIDMixture([OffspringLaw({4: 1.0})], [1.0]),
         mode="annealed",
         n_max=10,
         replicas=150,
@@ -64,7 +64,7 @@ def capped_batch():
 def partly_capped_batch():
     """Binary-law batch whose cap stops most rows but leaves more than 100 uncapped."""
     cfg = SimConfig(
-        env=single_state(OffspringLaw({0: 0.25, 2: 0.75})),
+        env=IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0]),
         mode="annealed",
         n_max=20,
         replicas=600,
@@ -255,7 +255,7 @@ class TestBurkholder:
 
     def test_any_rho_on_a_batch_without_accumulators(self):
         # the partly capped batch, simulated without a rho grid
-        b = run(SimConfig(env=single_state(OffspringLaw({0: 0.25, 2: 0.75})), mode="annealed",
+        b = run(SimConfig(env=IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0]), mode="annealed",
                           n_max=20, replicas=600, master_seed=1, pop_cap=1000))
         assert b.a_hat.size == 0
         rho, n = 1.17, 12

@@ -15,7 +15,6 @@ from bprelab import (
     ParameterError,
     TableOverflowError,
     UnsupportedOperationError,
-    single_state,
 )
 from bprelab.exact_moments import (
     a_hat_second_moment_partial,
@@ -146,7 +145,7 @@ class TestAnnealedTables:
             annealed_moment_table(FixedPath([GW]), 0.0, 2, 4)
 
     def test_single_state_equals_quenched(self):
-        env = single_state(GW)
+        env = IIDMixture([GW], [1.0])
         table = annealed_moment_table(env, 0.0, 4, 6)
         quenched = quenched_moments(EnvPath([GW] * 6), 4, 6)
         assert table.values == pytest.approx(quenched.values, rel=1e-12)
@@ -195,7 +194,7 @@ class TestAnnealedTables:
         assert u == pytest.approx(np.ones(9), rel=1e-11)
 
     def test_annealed_overflow(self):
-        env = single_state(OffspringLaw(DET3_PMF))
+        env = IIDMixture([OffspringLaw(DET3_PMF)], [1.0])
         with pytest.raises(TableOverflowError) as exc:
             annealed_moment_table(env, 0.0, 6, 120)
         assert exc.value.n == 105 and exc.value.order == 6
@@ -228,7 +227,7 @@ class TestP2ClosedForms:
             assert u2[n] == pytest.approx(partial, rel=1e-12)
 
     def test_degenerate_environment(self):
-        forms = p2_closed_forms(single_state(OffspringLaw({2: 1.0})))
+        forms = p2_closed_forms(IIDMixture([OffspringLaw({2: 1.0})], [1.0]))
         assert forms.b2 == 0.0
         assert forms.sup_w2() == 1.0
         assert forms.tail(3) == 0.0
@@ -266,7 +265,7 @@ class TestP2ClosedForms:
                 gap = forms.sup_a_hat2(rho) - a_hat_second_moment_partial(TWO_STATE, rho, n)
                 assert forms.a_hat2_tail(rho, n) == pytest.approx(gap, rel=1e-11)
         assert forms.a_hat2_tail(math.sqrt(2.0), 3) == math.inf
-        assert p2_closed_forms(single_state(OffspringLaw({2: 1.0}))).a_hat2_tail(1.5, 3) == 0.0
+        assert p2_closed_forms(IIDMixture([OffspringLaw({2: 1.0})], [1.0])).a_hat2_tail(1.5, 3) == 0.0
 
 
 class TestQuenchedTail:
@@ -329,13 +328,13 @@ class TestQuenchedIncrements:
 
 class TestGrowthEnvelope:
     def test_exponent_formula(self):
-        env = single_state(GW)
+        env = IIDMixture([GW], [1.0])
         assert growth_envelope(env, 0.0, 2, 12).gamma == pytest.approx(1.0)
         assert growth_envelope(env, 0.0, 3, 12).gamma == pytest.approx(3.0)
         assert growth_envelope(env, 0.0, 4, 12).gamma == pytest.approx(6.0)
 
     def test_holds_on_test_environments(self):
-        for env in (single_state(GW), TWO_STATE):
+        for env in (IIDMixture([GW], [1.0]), TWO_STATE):
             for s in (0.0, 1.0, 2.0):
                 for r in (2, 3, 4):
                     res = growth_envelope(env, s, r, 24)
@@ -343,7 +342,7 @@ class TestGrowthEnvelope:
                     assert res.max_excess <= 1e-9
 
     def test_degenerate_environment_holds(self):
-        env = single_state(OffspringLaw({2: 1.0}))
+        env = IIDMixture([OffspringLaw({2: 1.0})], [1.0])
         assert growth_envelope_check(env, 0.0, 3, 20)
 
     def test_validation(self):
@@ -355,7 +354,7 @@ class TestGrowthEnvelope:
 
 class TestRecursionInequality:
     def test_nonnegative_slack_on_test_environments(self):
-        for env in (single_state(GW), TWO_STATE):
+        for env in (IIDMixture([GW], [1.0]), TWO_STATE):
             for s in (0.0, 1.0, 2.0):
                 for r in (3, 4, 5, 6):
                     slacks = recursion_inequality_slacks(env, s, r, 12)

@@ -13,7 +13,6 @@ from bprelab import (
     OffspringLaw,
     ParameterError,
     UnsupportedOperationError,
-    single_state,
 )
 from bprelab.harness import jsonable
 from bprelab.rates import (
@@ -26,7 +25,7 @@ from bprelab.rates import (
     series_diagnostic,
 )
 
-GW = single_state(OffspringLaw({0: 0.25, 2: 0.75}))
+GW = IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0])
 M23 = IIDMixture([OffspringLaw({2: 1.0}), OffspringLaw({3: 1.0})], [0.5, 0.5])
 HALF_FOUR = IIDMixture([OffspringLaw({0: 0.5, 1: 0.5}), OffspringLaw({4: 1.0})], [0.5, 0.5])
 
@@ -55,7 +54,7 @@ def supercritical_mixtures():
 class TestQuenchedBounds:
     def test_frozen_single_state(self):
         # m = 2, p = 1.5: sufficient 2^(1/3), critical sqrt 2
-        suff, crit = quenched_bounds(single_state(OffspringLaw({2: 1.0})), 1.5)
+        suff, crit = quenched_bounds(IIDMixture([OffspringLaw({2: 1.0})], [1.0]), 1.5)
         assert suff == pytest.approx(2 ** (1 / 3), rel=1e-14)
         assert crit == pytest.approx(math.sqrt(2), rel=1e-14)
 
@@ -72,7 +71,7 @@ class TestQuenchedBounds:
         with pytest.raises(ParameterError):
             quenched_bounds(GW, 1.0)
         with pytest.raises(ParameterError, match="supercritical"):
-            quenched_bounds(single_state(OffspringLaw({0: 0.5, 1: 0.5})), 2.0)
+            quenched_bounds(IIDMixture([OffspringLaw({0: 0.5, 1: 0.5})], [1.0]), 2.0)
         with pytest.raises(UnsupportedOperationError):
             quenched_bounds(FixedPath([OffspringLaw({2: 1.0})]), 2.0)
 

@@ -16,7 +16,6 @@ from bprelab import (
     TrajectoryBatch,
     increment_identity_check,
     run,
-    single_state,
 )
 from bprelab.simulate import (
     BLOCK_ROWS,
@@ -28,7 +27,7 @@ from bprelab.simulate import (
 )
 
 GW_PMF = {0: 0.25, 2: 0.75}
-GW_ENV = single_state(OffspringLaw(GW_PMF))
+GW_ENV = IIDMixture([OffspringLaw(GW_PMF)], [1.0])
 M23 = IIDMixture([OffspringLaw({2: 1.0}), OffspringLaw({3: 1.0})], [0.5, 0.5])
 
 
@@ -189,7 +188,7 @@ class TestTrajectories:
 
     def test_capping_freezes_at_the_cap_generation(self):
         # deterministic quadrupling crosses pop_cap = 1000 at generation 5
-        env = single_state(OffspringLaw({4: 1.0}))
+        env = IIDMixture([OffspringLaw({4: 1.0})], [1.0])
         batch = run(small_cfg(env=env, pop_cap=1000, replicas=8))
         assert np.all(batch.status == STATUS_CAPPED)
         assert np.all(batch.status_gen == 5)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimateUnavailableError, FitUnavailableError, ParameterError
-from .simulate import TrajectoryBatch, weighted_increment_sum
+from .simulate import TrajectoryBatch, row_sums, weighted_increment_sum
 
 N_BATCHES = 30
 MIN_REPLICAS = 100
@@ -41,14 +41,18 @@ def _stderr_of(means: np.ndarray) -> float:
     return float(means.std(ddof=1) / math.sqrt(len(means)))
 
 
-def _rows_used(batch: TrajectoryBatch) -> np.ndarray:
-    """Mask of the rows every estimate uses: the uncapped ones, at least MIN_REPLICAS."""
+def _rows_used(batch: TrajectoryBatch) -> np.ndarray | slice:
+    """Index of the rows every estimate uses: the uncapped ones, at least MIN_REPLICAS.
+
+    With no row capped it is a slice over every row, so indexing takes a
+    view of w rather than a copy.
+    """
     mask = batch.uncapped
     if int(mask.sum()) < MIN_REPLICAS:
         raise EstimateUnavailableError(
             f"only {int(mask.sum())} uncapped replicas; need >= {MIN_REPLICAS}"
         )
-    return mask
+    return slice(None) if mask.all() else mask
 
 
 @dataclass
@@ -294,10 +298,12 @@ def burkholder_sandwich(batch: TrajectoryBatch, p: float, rho: float, n: int) ->
         raise ParameterError(f"rho must be finite and >= 1, got {rho}")
     if not 0 <= n <= batch.n_max - 1:
         raise ParameterError(f"need 0 <= n <= {batch.n_max - 1}")
-    mask = _rows_used(batch)
-    diffs = np.diff(batch.w[mask, : n + 2], axis=1)
-    a_vals = weighted_increment_sum(diffs, rho)
-    q_vals = np.sqrt((rho ** (2 * np.arange(n + 1)) * diffs**2).sum(axis=1))
+    rows = _rows_used(batch)
+    diffs = batch.increments[:, : n + 1]
+    weights = rho ** (2 * np.arange(n + 1))
+    # sum every row, then keep the rows used: no row's sum depends on another row
+    a_vals = weighted_increment_sum(diffs, rho)[rows]
+    q_vals = np.sqrt(row_sums(lambda block: weights * diffs[block] ** 2, len(diffs)))[rows]
     a_norm, a_se = _norm_with_stderr(a_vals, p)
     q_norm, q_se = _norm_with_stderr(q_vals, p)
     lower, upper = a_p * q_norm, b_p * q_norm

@@ -6,15 +6,23 @@ batch depends only on its config and is bit-identical at any ``threads``
 value; no thread pool is used, since the sampler is vectorized over a block.
 Within a block, an annealed batch first draws every row's environment states
 with one ``choice`` call; each generation is then one multinomial call over
-the block's live rows against a table of the laws on their union support.
-Generation totals are drawn exactly (multinomial category counts of the
-parent population dotted with the support, which is the exact law of the
-sum of per-individual draws); populations above pop_cap stop simulating and
-are flagged.
+the block's live rows against a table of the laws on their union support,
+or against the one pmf row of that generation's law when every row shares
+its path (a quenched path, a one-state mixture), whose P_n is then computed
+once. Generation totals are drawn exactly (multinomial category counts of
+the parent population dotted with the support, which is the exact law of
+the sum of per-individual draws); populations above pop_cap stop simulating
+and are flagged.
+
+Reductions over a batch read its increments W_{n+1} - W_n from
+``TrajectoryBatch.increments``, derived once per batch, and take row sums
+BLOCK_ROWS rows at a time (``row_sums``), so no temporary is the size of the
+batch and every row is still summed by numpy's own reduction.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -120,6 +128,17 @@ class TrajectoryBatch:
     path: EnvPath | None = None
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # increments is cached from w, so w must not change under it
+        self.w.flags.writeable = False
+
+    @functools.cached_property
+    def increments(self) -> np.ndarray:
+        """W_{n+1} - W_n on every row for n = 0..n_max-1, derived once per batch."""
+        diffs = np.diff(self.w, axis=1)
+        diffs.flags.writeable = False
+        return diffs
+
     @property
     def uncapped(self) -> np.ndarray:
         return self.status != STATUS_CAPPED
@@ -205,18 +224,23 @@ def _simulate_block(rng: np.random.Generator, state: np.ndarray, support: np.nda
                     status: np.ndarray, status_gen: np.ndarray) -> None:
     """Fill one block's rows, one multinomial call per generation over live rows.
 
-    state[i, n] indexes the law row i uses at generation n, pinv[i, n] is
-    1 / P_n on row i's path; rows that die out or pass pop_cap stay frozen.
+    state[i, n] indexes the law row i uses at generation n (a stride-0 state
+    shares one path across rows), pinv[i, n] is 1 / P_n on row i's path;
+    rows that die out or pass pop_cap stay frozen.
     w[:, 0], status and status_gen arrive holding 1, completed and -1.
     """
     rows, n_max = state.shape
+    # a stride-0 state gives every row one law per generation: pass its pmf
+    # row, not a table of copies; numpy draws the same stream from either
+    one_law = state.strides[0] == 0
     live = np.arange(rows)
     z = np.ones(rows, dtype=np.int64)
     for n in range(n_max):
         w[:, n + 1] = w[:, n]
         if not live.size:
             continue
-        z = rng.multinomial(z, pvals[state[live, n]]) @ support
+        law = pvals[state[0, n]] if one_law else pvals[state[live, n]]
+        z = rng.multinomial(z, law) @ support
         w[live, n + 1] = z * pinv[live, n + 1]
         stop = (z == 0) | (z > pop_cap)
         if stop.any():
@@ -252,13 +276,18 @@ def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
     for block, lo in enumerate(range(0, replicas, BLOCK_ROWS)):
         hi = min(lo + BLOCK_ROWS, replicas)
         rng = np.random.default_rng(cfg.block_seed(block))
-        if shared is None:
-            state = rng.choice(len(laws), size=(hi - lo, n_max), p=cfg.env.weights)
+        if shared is not None:
+            state = np.arange(n_max)[None, :]
         else:
-            state = np.broadcast_to(np.arange(n_max), (hi - lo, n_max))
-        log_p = np.zeros((hi - lo, n_max + 1))
+            state = rng.choice(len(laws), size=(hi - lo, n_max), p=cfg.env.weights)
+            if len(laws) == 1:
+                # every row draws the one law; the choice call only advances the stream
+                state = state[:1]
+        # one state row is every row's path: its P_n is computed once
+        log_p = np.zeros((len(state), n_max + 1))
         np.cumsum(law_log_means[state], axis=1, out=log_p[:, 1:])
-        _simulate_block(rng, state, support, pvals, np.exp(-log_p), cfg.pop_cap,
+        _simulate_block(rng, np.broadcast_to(state, (hi - lo, n_max)), support, pvals,
+                        np.broadcast_to(np.exp(-log_p), (hi - lo, n_max + 1)), cfg.pop_cap,
                         w[lo:hi], status[lo:hi], status_gen[lo:hi])
         if rho_pows.size:
             a_hat[lo:hi] = np.cumsum(rho_pows * np.diff(w[lo:hi], axis=1)[:, None, :], axis=2)
@@ -293,14 +322,28 @@ def weighted_increment_sum(diffs: np.ndarray, rho: float) -> np.ndarray:
     return total
 
 
+def row_sums(terms, rows: int) -> np.ndarray:
+    """terms(block).sum(axis=1) over row slices of BLOCK_ROWS rows, in row order.
+
+    terms maps a slice of rows to their (rows, k) terms. Each row is summed
+    by numpy's own reduction, as in the whole-batch expression, so the result
+    equals it bit for bit without a temporary the size of the batch.
+    """
+    total = np.empty(rows)
+    for lo in range(0, rows, BLOCK_ROWS):
+        block = slice(lo, lo + BLOCK_ROWS)
+        total[block] = terms(block).sum(axis=1)
+    return total
+
+
 def increment_identity_check(batch: TrajectoryBatch, rho: float, n: int) -> float:
     """Largest relative residual of the accumulator identity across replicas.
 
     With W replaced by the proxy W_N, N = n_max, A_n = sum_{k<=n} rho^k
     (W_N - W_k) must equal rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1)
     (W_N - W_{n+1}) - (W_N - 1)/(rho-1) exactly. A_n is summed from w
-    directly, A_hat_n by weighted_increment_sum; the residual is normalized
-    by max(1, term magnitude).
+    directly, A_hat_n by weighted_increment_sum over the batch's increments;
+    the residual is normalized by max(1, term magnitude).
     """
     if rho <= 1.0:
         raise ParameterError("identity requires rho > 1")
@@ -308,8 +351,9 @@ def increment_identity_check(batch: TrajectoryBatch, rho: float, n: int) -> floa
         raise ParameterError(f"need 0 <= n < {batch.n_max - 1}")
     w = batch.w
     w_proxy = w[:, batch.n_max]
-    lhs = (rho ** np.arange(n + 1) * (w_proxy[:, None] - w[:, : n + 1])).sum(axis=1)
-    a_hat_n = weighted_increment_sum(np.diff(w[:, : n + 2], axis=1), rho)
+    weights = rho ** np.arange(n + 1)
+    lhs = row_sums(lambda rows: weights * (w_proxy[rows, None] - w[rows, : n + 1]), len(w))
+    a_hat_n = weighted_increment_sum(batch.increments[:, : n + 1], rho)
     rhs = (
         rho / (rho - 1.0) * a_hat_n
         + rho ** (n + 1) / (rho - 1.0) * (w_proxy - w[:, n + 1])

@@ -12,6 +12,7 @@ from bprelab import (
     OffspringLaw,
     ParameterError,
     SimConfig,
+    increment_identity_check,
     run,
 )
 from bprelab.estimators import (
@@ -23,7 +24,7 @@ from bprelab.estimators import (
     lp_norm,
     w_moment,
 )
-from bprelab.simulate import STATUS_CAPPED
+from bprelab.simulate import BLOCK_ROWS, STATUS_CAPPED, weighted_increment_sum
 
 
 def gw_tail(n):
@@ -109,6 +110,80 @@ class TestCappedRows:
             check = burkholder_sandwich(b, p, rho, n)
             assert check.a_norm == float(np.mean(np.abs(a) ** p)) ** (1 / p)
             assert check.q_norm == float(np.mean(np.abs(q) ** p)) ** (1 / p)
+
+
+def norm_and_stderr(x, p):
+    """Plain numpy: (mean |x|^p)^(1/p) and its delta-method stderr."""
+    m, se = mean_and_stderr(np.abs(x) ** p)
+    norm = m ** (1 / p)
+    return norm, se * norm / (p * m)
+
+
+@pytest.fixture(scope="module", params=[1000, 10_000_000], ids=["partly-capped", "uncapped"])
+def seam_batch(request):
+    """Binary-law batch of two full row blocks and a one-row partial block."""
+    cfg = SimConfig(
+        env=IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0]),
+        mode="annealed",
+        n_max=20,
+        replicas=2 * BLOCK_ROWS + 1,
+        master_seed=1,
+        pop_cap=request.param,
+    )
+    return run(cfg)
+
+
+def seam_kept(b):
+    """The uncapped rows; a cap of 1000 must stop rows in a full block and the partial one."""
+    kept = b.status != STATUS_CAPPED
+    if b.pop_cap == 1000:
+        assert not kept[:BLOCK_ROWS].all() and not kept[-1] and kept.sum() >= 100
+    else:
+        assert kept.all()
+    return kept
+
+
+class TestBlockSeams:
+    """Block-wise row sums and the rows-used index equal the whole-batch numpy expressions."""
+
+    def test_burkholder_sandwich(self, seam_batch):
+        b = seam_batch
+        kept = seam_kept(b)
+        for rho, n in ((1.1, 3), (1.3, 12), (1.0, b.n_max - 1)):
+            diffs = np.diff(b.w[kept, : n + 2], axis=1)
+            a = weighted_increment_sum(diffs, rho)
+            q = np.sqrt((rho ** (2 * np.arange(n + 1)) * diffs**2).sum(axis=1))
+            for p in (1.5, 2.0):
+                check = burkholder_sandwich(b, p, rho, n)
+                assert (check.a_norm, check.a_stderr) == norm_and_stderr(a, p)
+                assert (check.q_norm, check.q_stderr) == norm_and_stderr(q, p)
+
+    def test_identity_residual(self, seam_batch):
+        b = seam_batch
+        w = b.w
+        w_proxy = w[:, b.n_max]
+        for rho, n in ((1.1, 1), (1.3, 9), (1.2, b.n_max - 2)):
+            lhs = (rho ** np.arange(n + 1) * (w_proxy[:, None] - w[:, : n + 1])).sum(axis=1)
+            a_hat_n = weighted_increment_sum(np.diff(w[:, : n + 2], axis=1), rho)
+            rhs = (
+                rho / (rho - 1.0) * a_hat_n
+                + rho ** (n + 1) / (rho - 1.0) * (w_proxy - w[:, n + 1])
+                - (w_proxy - 1.0) / (rho - 1.0)
+            )
+            scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+            assert increment_identity_check(b, rho, n) == float(np.abs(lhs - rhs).max() / scale)
+
+    def test_lp_norm_and_w_moment(self, seam_batch):
+        b = seam_batch
+        kept = seam_kept(b)
+        for p, n, gap in ((2.0, 10, 8), (1.5, 0, 20)):
+            est = lp_norm(b, p, n, gap)
+            x = np.abs(b.w[kept, n + gap] - b.w[kept, n]) ** p
+            assert (est.value, est.stderr) == mean_and_stderr(x)
+            assert est.replicas_used == kept.sum()
+        for p, n in ((2.0, 20), (1.5, 7)):
+            est = w_moment(b, p, n)
+            assert (est.value, est.stderr) == mean_and_stderr(b.w[kept, n] ** p)
 
 
 class TestNorms:

@@ -7,6 +7,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bprelab.estimators
@@ -82,6 +83,22 @@ class TestRunExperiment:
         first = strip_timings(run_experiment(small_gw())[0])
         second = strip_timings(run_experiment(small_gw())[0])
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_increments_are_derived_once_per_batch(self, monkeypatch):
+        # the sandwich and the identity slice one cached diff, not one per (p, rho, n)
+        calls = []
+        real = np.diff
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "diff", counted)
+        report, _, code = run_experiment(small_gw(suites=["burkholder", "identity"], p=[1.5, 2.0]))
+        assert code == 0
+        assert len(report["suites"]["burkholder"]["results"]) > 1
+        assert len(report["suites"]["identity"]["results"]) > 1
+        assert calls == [(8000, 17)]
 
     def test_colliding_check_ids_are_refused(self, monkeypatch):
         # a relation that yields one suffix twice gives its suite one check id twice

@@ -23,6 +23,8 @@ from bprelab.simulate import (
     STATUS_COMPLETED,
     STATUS_EXTINCT,
     STREAM_SCHEME,
+    _law_table,
+    _simulate_block,
     weighted_increment_sum,
 )
 
@@ -296,6 +298,83 @@ class TestGenerationLawOracle:
             assert pvalue > CHI2_ALPHA, (n, pvalue)
 
 
+class RecordingRng:
+    """A generator that records the dimension of every pmf argument it is given."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.pmf_ndims = set()
+
+    def multinomial(self, n, pvals):
+        self.pmf_ndims.add(np.ndim(pvals))
+        return self.rng.multinomial(n, pvals)
+
+
+def simulate_block(rng, state, support, pvals, pinv, pop_cap):
+    """_simulate_block on fresh outputs; returns (w, status, status_gen)."""
+    rows, n_max = state.shape
+    w = np.empty((rows, n_max + 1))
+    w[:, 0] = 1.0
+    status = np.full(rows, STATUS_COMPLETED, dtype=np.int8)
+    status_gen = np.full(rows, -1, dtype=np.int32)
+    _simulate_block(rng, state, support, pvals, pinv, pop_cap, w, status, status_gen)
+    return w, status, status_gen
+
+
+def assert_same_outputs(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestOnePmfPerGeneration:
+    """When every row shares a law, its one pmf row draws what the per-row table draws."""
+
+    def assert_same_draws(self, state, support, one_pvals, table_pvals):
+        # a stride-0 state takes the one-pmf path, its contiguous copy the table path
+        assert state.strides[0] == 0
+        rows, n_max = state.shape
+        pinv = np.broadcast_to(1.5 ** -np.arange(n_max + 1.0), (rows, n_max + 1))
+        one, table = RecordingRng(41), RecordingRng(41)
+        got = simulate_block(one, state, support, one_pvals, pinv, 60)
+        want = simulate_block(table, np.ascontiguousarray(state), support, table_pvals, pinv, 60)
+        assert (one.pmf_ndims, table.pmf_ndims) == ({1}, {2})
+        assert_same_outputs(got, want)
+        assert {STATUS_EXTINCT, STATUS_CAPPED} <= set(got[1].tolist())
+
+    def test_quenched_path(self):
+        support, pvals = _law_table([OffspringLaw(q) for q in PATH_PMFS])
+        state = np.broadcast_to(np.arange(12) % len(pvals), (300, 12))
+        self.assert_same_draws(state, support, pvals, pvals)
+
+    def test_one_state_mixture(self):
+        # an unused second law: the table holds more than the one law drawn
+        support, pvals = _law_table([OffspringLaw(GW_PMF), OffspringLaw({1: 0.5, 3: 0.5})])
+        state = np.broadcast_to(np.zeros(12, dtype=np.int64), (300, 12))
+        self.assert_same_draws(state, support, pvals[:1], pvals)
+
+    @pytest.mark.parametrize("mode", ["annealed", "quenched"])
+    def test_run_equals_the_per_row_table(self, mode):
+        # run's shared path (one state row, one P_n row) against every row's own
+        env = GW_ENV if mode == "annealed" else FixedPath([OffspringLaw(q) for q in PATH_PMFS * 3])
+        cfg = small_cfg(env=env, mode=mode, replicas=BLOCK_ROWS + 7)
+        batch = run(cfg)
+        laws = GW_ENV.states if mode == "annealed" else batch.path.laws
+        support, pvals = _law_table(laws)
+        log_means = np.array([law.log_mean for law in laws])
+        for block, lo in enumerate(range(0, cfg.replicas, BLOCK_ROWS)):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            size = (len(batch.w[rows]), cfg.n_max)
+            rng = np.random.default_rng(cfg.block_seed(block))
+            if mode == "annealed":
+                state = rng.choice(1, size=size, p=[1.0])
+            else:
+                state = np.tile(np.arange(cfg.n_max), (size[0], 1))
+            log_p = np.zeros((size[0], cfg.n_max + 1))
+            np.cumsum(log_means[state], axis=1, out=log_p[:, 1:])
+            want = simulate_block(rng, state, support, pvals, np.exp(-log_p), cfg.pop_cap)
+            assert_same_outputs((batch.w[rows], batch.status[rows], batch.status_gen[rows]), want)
+
+
 class TestWeightedIncrementSum:
     def test_equals_runs_accumulator_across_row_blocks(self):
         # 10,001 rows: two full blocks of BLOCK_ROWS and a partial third
@@ -337,6 +416,16 @@ class TestDumps:
         assert (loaded.meta["stream_scheme"], loaded.meta["block_rows"]) == (STREAM_SCHEME, BLOCK_ROWS)
         # the reloaded batch is usable downstream
         assert increment_identity_check(loaded, 1.2, 5) < 1e-12
+
+    def test_w_is_read_only_after_run_and_load(self, tmp_path):
+        batch = run(small_cfg(replicas=20))
+        target = tmp_path / "batch.npz"
+        batch.save(target)
+        for b in (batch, TrajectoryBatch.load(target)):
+            with pytest.raises(ValueError, match="read-only"):
+                b.w[0, 1] = 2.0
+            assert np.array_equal(b.increments, np.diff(b.w, axis=1))
+            assert b.increments is b.increments
 
     def test_load_rejects_unknown_format(self, tmp_path, monkeypatch):
         batch = run(small_cfg(replicas=5))

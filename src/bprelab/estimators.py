@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimateUnavailableError, FitUnavailableError, ParameterError
-from .simulate import TrajectoryBatch, row_sums, weighted_increment_sum
+from .simulate import TrajectoryBatch, sums_at
 
 N_BATCHES = 30
 MIN_REPLICAS = 100
@@ -299,11 +299,9 @@ def burkholder_sandwich(batch: TrajectoryBatch, p: float, rho: float, n: int) ->
     if not 0 <= n <= batch.n_max - 1:
         raise ParameterError(f"need 0 <= n <= {batch.n_max - 1}")
     rows = _rows_used(batch)
-    diffs = batch.increments[:, : n + 1]
-    weights = rho ** (2 * np.arange(n + 1))
-    # sum every row, then keep the rows used: no row's sum depends on another row
-    a_vals = weighted_increment_sum(diffs, rho)[rows]
-    q_vals = np.sqrt(row_sums(lambda block: weights * diffs[block] ** 2, len(diffs)))[rows]
+    # every row's sums, then the rows used: no row's sum depends on another row
+    a_hat, q2 = sums_at(batch, rho, n)
+    a_vals, q_vals = a_hat[rows], np.sqrt(q2[rows])
     a_norm, a_se = _norm_with_stderr(a_vals, p)
     q_norm, q_se = _norm_with_stderr(q_vals, p)
     lower, upper = a_p * q_norm, b_p * q_norm

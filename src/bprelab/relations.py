@@ -150,7 +150,8 @@ def recursion_slack(env: Environment, n: int) -> list[Item]:
 @relation("some rho > 1 and some n < n_max - 1")
 def identity(batch: TrajectoryBatch, rhos, ns) -> list[Item]:
     """The telescoped and accumulator forms of A_hat_n(rho) within IDENTITY_TOL, at each rho and n
-    that increment_identity_check admits for this batch."""
+    that increment_identity_check admits for this batch, from one pass over the batch."""
+    simulate.increment_sums(batch, [(rho, n) for rho in rhos for n in ns])
     items = []
     for rho in rhos:
         for n in ns:
@@ -172,6 +173,7 @@ BRACKET = "the weighted-increment norm sits inside the square-function bracket"
 @relation("rho >= 1 and n < n_max")
 def sandwiches(batch: TrajectoryBatch, ps, rhos, ns) -> list[Item]:
     """The square-function bracket of A_hat_n(rho) with SLACK_SIGMAS slack, at each p, rho and n."""
+    simulate.increment_sums(batch, [(rho, n) for rho in rhos for n in ns])
     items = []
     for p in ps:
         for rho in rhos:

@@ -14,16 +14,16 @@ the parent population dotted with the support, which is the exact law of
 the sum of per-individual draws); populations above pop_cap stop simulating
 and are flagged.
 
-Reductions over a batch read its increments W_{n+1} - W_n from
-``TrajectoryBatch.increments``, derived once per batch, and take row sums
-BLOCK_ROWS rows at a time (``row_sums``), so no temporary is the size of the
-batch and every row is still summed by numpy's own reduction.
+The weighted increment sums A_hat_n(rho) and Q_n(rho)^2 at every (rho, n) a
+relation asks for come from one pass over w, BLOCK_ROWS rows at a time, as
+matrix products of the increments with the weights rho^k [k <= n]
+(``increment_sums``); the batch keeps the last pass's sums in one slot.
 """
 
 from __future__ import annotations
 
-import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,9 +110,9 @@ class TrajectoryBatch:
     w[i, n] is replica i's W_n for n = 0..n_max. a_hat[i, j, n] is
     A_hat_n(rho_j) = sum_{k<=n} rho_j^k (W_{k+1} - W_k) for n = 0..n_max-1,
     filled only for a SimConfig.rho_grid. bprelab's own batches leave both
-    empty and take A_hat_n from weighted_increment_sum; rho_grid and a_hat
-    remain only because the benchmark under bench/ still reads them, and go
-    with that use.
+    empty and take A_hat_n from increment_sums, whose last pass is sums;
+    rho_grid and a_hat remain only because the benchmark under bench/ still
+    reads them, and go with that use.
     """
 
     mode: str
@@ -127,17 +127,11 @@ class TrajectoryBatch:
     status_gen: np.ndarray
     path: EnvPath | None = None
     meta: dict = field(default_factory=dict)
+    sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # increments is cached from w, so w must not change under it
+        # sums are cached from w, so w must not change under them
         self.w.flags.writeable = False
-
-    @functools.cached_property
-    def increments(self) -> np.ndarray:
-        """W_{n+1} - W_n on every row for n = 0..n_max-1, derived once per batch."""
-        diffs = np.diff(self.w, axis=1)
-        diffs.flags.writeable = False
-        return diffs
 
     @property
     def uncapped(self) -> np.ndarray:
@@ -307,33 +301,37 @@ def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
     )
 
 
-def weighted_increment_sum(diffs: np.ndarray, rho: float) -> np.ndarray:
-    """A_hat_n = sum_{k<=n} rho^k diffs[:, k] per row, with n = diffs.shape[1] - 1.
+def _weights(keys, top: int) -> np.ndarray:
+    """The K x (top+1) matrix of rho^k [k <= n], one row per (rho, n) key."""
+    return np.array([[rho**k if k <= n else 0.0 for k in range(top + 1)] for rho, n in keys])
 
-    diffs[:, k] is W_{k+1} - W_k. Terms are added column by column in k
-    order, the order of run's cumulative sum, so the two agree bit for bit;
-    BLOCK_ROWS-row chunks keep the columns in cache and change no row's sum.
+
+def increment_sums(batch: TrajectoryBatch, keys) -> dict:
+    """Refill the slot batch.sums: (rho, n) -> every row's A_hat_n(rho) and Q_n(rho)^2.
+
+    Per BLOCK_ROWS rows, the increments d_k = W_{k+1} - W_k are multiplied by the
+    K x (top+1) matrix W of rho^k [k <= n], and d*d by W*W. Keys outside finite
+    rho >= 1 and 0 <= n < n_max are left out, for the per-key call to refuse.
     """
-    total = np.zeros(len(diffs))
-    for lo in range(0, len(diffs), BLOCK_ROWS):
-        rows, out = diffs[lo : lo + BLOCK_ROWS], total[lo : lo + BLOCK_ROWS]
-        for k in range(diffs.shape[1]):
-            out += rho**k * rows[:, k]
-    return total
+    keys = [(rho, n) for rho, n in dict.fromkeys(keys)
+            if math.isfinite(rho) and rho >= 1.0 and 0 <= n < batch.n_max]
+    batch.sums = {}
+    if keys:
+        top = max(n for _, n in keys)
+        weights = _weights(keys, top)
+        squares = weights * weights
+        a_hat, q2 = np.empty((2, len(keys), len(batch.w)))
+        for lo in range(0, len(batch.w), BLOCK_ROWS):
+            block = slice(lo, lo + BLOCK_ROWS)
+            d = np.diff(batch.w[block, : top + 2], axis=1)
+            a_hat[:, block], q2[:, block] = weights @ d.T, squares @ (d * d).T
+        batch.sums = {key: (a_hat[j], q2[j]) for j, key in enumerate(keys)}
+    return batch.sums
 
 
-def row_sums(terms, rows: int) -> np.ndarray:
-    """terms(block).sum(axis=1) over row slices of BLOCK_ROWS rows, in row order.
-
-    terms maps a slice of rows to their (rows, k) terms. Each row is summed
-    by numpy's own reduction, as in the whole-batch expression, so the result
-    equals it bit for bit without a temporary the size of the batch.
-    """
-    total = np.empty(rows)
-    for lo in range(0, rows, BLOCK_ROWS):
-        block = slice(lo, lo + BLOCK_ROWS)
-        total[block] = terms(block).sum(axis=1)
-    return total
+def sums_at(batch: TrajectoryBatch, rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A_hat_n(rho), Q_n(rho)^2) on every row: from the batch's slot, else a one-key pass."""
+    return batch.sums.get((rho, n)) or increment_sums(batch, [(rho, n)])[rho, n]
 
 
 def increment_identity_check(batch: TrajectoryBatch, rho: float, n: int) -> float:
@@ -342,18 +340,19 @@ def increment_identity_check(batch: TrajectoryBatch, rho: float, n: int) -> floa
     With W replaced by the proxy W_N, N = n_max, A_n = sum_{k<=n} rho^k
     (W_N - W_k) must equal rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1)
     (W_N - W_{n+1}) - (W_N - 1)/(rho-1) exactly. A_n is summed from w
-    directly, A_hat_n by weighted_increment_sum over the batch's increments;
-    the residual is normalized by max(1, term magnitude).
+    directly, BLOCK_ROWS rows at a time, and A_hat_n comes from sums_at; the
+    residual is normalized by max(1, term magnitude).
     """
-    if rho <= 1.0:
-        raise ParameterError("identity requires rho > 1")
+    if not (math.isfinite(rho) and rho > 1.0):
+        raise ParameterError(f"identity requires a finite rho > 1, got {rho}")
     if not 0 <= n < batch.n_max - 1:
         raise ParameterError(f"need 0 <= n < {batch.n_max - 1}")
     w = batch.w
     w_proxy = w[:, batch.n_max]
     weights = rho ** np.arange(n + 1)
-    lhs = row_sums(lambda rows: weights * (w_proxy[rows, None] - w[rows, : n + 1]), len(w))
-    a_hat_n = weighted_increment_sum(batch.increments[:, : n + 1], rho)
+    blocks = (slice(lo, lo + BLOCK_ROWS) for lo in range(0, len(w), BLOCK_ROWS))
+    lhs = np.concatenate([(w_proxy[b, None] - w[b, : n + 1]) @ weights for b in blocks])
+    a_hat_n = sums_at(batch, rho, n)[0]
     rhs = (
         rho / (rho - 1.0) * a_hat_n
         + rho ** (n + 1) / (rho - 1.0) * (w_proxy - w[:, n + 1])

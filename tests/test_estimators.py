@@ -24,7 +24,7 @@ from bprelab.estimators import (
     lp_norm,
     w_moment,
 )
-from bprelab.simulate import BLOCK_ROWS, STATUS_CAPPED, weighted_increment_sum
+from bprelab.simulate import BLOCK_ROWS, STATUS_CAPPED, increment_sums, sums_at
 
 
 def gw_tail(n):
@@ -103,13 +103,11 @@ class TestCappedRows:
         b = partly_capped_batch
         kept = b.status != STATUS_CAPPED
         rho, n = 1.1, 12
-        a = b.a_hat[kept, 0, n]
-        diffs = np.diff(b.w[kept, : n + 2], axis=1)
-        q = np.sqrt((rho ** (2 * np.arange(n + 1)) * diffs**2).sum(axis=1))
+        a, q2 = fsum_sums(b, rho, n)
         for p in (1.5, 2.0):
             check = burkholder_sandwich(b, p, rho, n)
-            assert check.a_norm == float(np.mean(np.abs(a) ** p)) ** (1 / p)
-            assert check.q_norm == float(np.mean(np.abs(q) ** p)) ** (1 / p)
+            assert_close((check.a_norm, check.a_stderr), norm_and_stderr(a[kept], p))
+            assert_close((check.q_norm, check.q_stderr), norm_and_stderr(np.sqrt(q2[kept]), p))
 
 
 def norm_and_stderr(x, p):
@@ -117,6 +115,26 @@ def norm_and_stderr(x, p):
     m, se = mean_and_stderr(np.abs(x) ** p)
     norm = m ** (1 / p)
     return norm, se * norm / (p * m)
+
+
+def assert_close(got, want):
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def fsum_sums(b, rho, n):
+    """A_hat_n(rho) and Q_n(rho)^2 on every row by math.fsum, after checking the batch's own.
+
+    The batch's sums (from its slot, else a one-key pass) must lie within
+    1e-12 of the fsum oracle per row, relative to the sum of the terms'
+    magnitudes: sum_k rho^k |d_k| for A_hat_n, sum_k rho^{2k} d_k^2 for Q_n^2.
+    """
+    terms = rho ** np.arange(n + 1) * np.diff(b.w[:, : n + 2], axis=1)
+    a = np.array([math.fsum(row) for row in terms.tolist()])
+    q2 = np.array([math.fsum(row) for row in (terms * terms).tolist()])
+    got_a, got_q2 = sums_at(b, rho, n)
+    assert np.all(np.abs(got_a - a) <= 1e-12 * np.abs(terms).sum(axis=1))
+    assert np.all(np.abs(got_q2 - q2) <= 1e-12 * (terms * terms).sum(axis=1))
+    return a, q2
 
 
 @pytest.fixture(scope="module", params=[1000, 10_000_000], ids=["partly-capped", "uncapped"])
@@ -144,34 +162,39 @@ def seam_kept(b):
 
 
 class TestBlockSeams:
-    """Block-wise row sums and the rows-used index equal the whole-batch numpy expressions."""
+    """One pass over row blocks matches a per-row fsum oracle; the rows-used index equals numpy."""
+
+    SANDWICH_KEYS = ((1.1, 3), (1.3, 12), (1.0, 19))
+    IDENTITY_KEYS = ((1.1, 1), (1.3, 9), (1.2, 18))
 
     def test_burkholder_sandwich(self, seam_batch):
         b = seam_batch
         kept = seam_kept(b)
-        for rho, n in ((1.1, 3), (1.3, 12), (1.0, b.n_max - 1)):
-            diffs = np.diff(b.w[kept, : n + 2], axis=1)
-            a = weighted_increment_sum(diffs, rho)
-            q = np.sqrt((rho ** (2 * np.arange(n + 1)) * diffs**2).sum(axis=1))
+        increment_sums(b, self.SANDWICH_KEYS)
+        for rho, n in self.SANDWICH_KEYS:
+            a, q2 = fsum_sums(b, rho, n)
             for p in (1.5, 2.0):
                 check = burkholder_sandwich(b, p, rho, n)
-                assert (check.a_norm, check.a_stderr) == norm_and_stderr(a, p)
-                assert (check.q_norm, check.q_stderr) == norm_and_stderr(q, p)
+                assert_close((check.a_norm, check.a_stderr), norm_and_stderr(a[kept], p))
+                assert_close((check.q_norm, check.q_stderr), norm_and_stderr(np.sqrt(q2[kept]), p))
 
     def test_identity_residual(self, seam_batch):
         b = seam_batch
         w = b.w
-        w_proxy = w[:, b.n_max]
-        for rho, n in ((1.1, 1), (1.3, 9), (1.2, b.n_max - 2)):
-            lhs = (rho ** np.arange(n + 1) * (w_proxy[:, None] - w[:, : n + 1])).sum(axis=1)
-            a_hat_n = weighted_increment_sum(np.diff(w[:, : n + 2], axis=1), rho)
+        increment_sums(b, self.IDENTITY_KEYS)
+        for rho, n in self.IDENTITY_KEYS:
+            a_hat_n = fsum_sums(b, rho, n)[0]
+            telescoped = rho ** np.arange(n + 1) * (w[:, -1:] - w[:, : n + 1])
+            lhs = np.array([math.fsum(row) for row in telescoped.tolist()])
             rhs = (
                 rho / (rho - 1.0) * a_hat_n
-                + rho ** (n + 1) / (rho - 1.0) * (w_proxy - w[:, n + 1])
-                - (w_proxy - 1.0) / (rho - 1.0)
+                + rho ** (n + 1) / (rho - 1.0) * (w[:, -1] - w[:, n + 1])
+                - (w[:, -1] - 1.0) / (rho - 1.0)
             )
             scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-            assert increment_identity_check(b, rho, n) == float(np.abs(lhs - rhs).max() / scale)
+            # the identity holds on the oracle's sums, and on the batch's to rounding
+            assert float(np.abs(lhs - rhs).max() / scale) <= 1e-13
+            assert increment_identity_check(b, rho, n) <= 1e-13
 
     def test_lp_norm_and_w_moment(self, seam_batch):
         b = seam_batch
@@ -342,10 +365,9 @@ class TestBurkholder:
             q2 += rho ** (2 * k) * step**2
         for p in (1.5, 2.0):
             check = burkholder_sandwich(b, p, rho, n)
-            assert check.a_norm == float(np.mean(np.abs(a) ** p)) ** (1 / p)
-            # the sandwich sums Q_n^2 pairwise, this loop in k order
-            q_norm = float(np.mean(q2 ** (p / 2))) ** (1 / p)
-            assert check.q_norm == pytest.approx(q_norm, rel=1e-12)
+            # the sandwich sums each row in a matrix product, this loop in k order
+            assert_close(check.a_norm, float(np.mean(np.abs(a) ** p)) ** (1 / p))
+            assert_close(check.q_norm, float(np.mean(q2 ** (p / 2))) ** (1 / p))
         assert burkholder_sandwich(b, 2.0, 1.0, n).ok
         for bad in (0.5, math.inf, math.nan):
             with pytest.raises(ParameterError, match="rho"):

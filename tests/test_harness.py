@@ -5,6 +5,9 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,17 @@ import bprelab.estimators
 import bprelab.exact_moments
 import bprelab.rates
 import bprelab.simulate
-from bprelab import BpreLabError, ConfigError, EstimateUnavailableError, config, harness, relations
+from bprelab import (
+    BpreLabError,
+    ConfigError,
+    EstimateUnavailableError,
+    IIDMixture,
+    OffspringLaw,
+    SimConfig,
+    config,
+    harness,
+    relations,
+)
 from bprelab.config import load_config, parse_config
 from bprelab.harness import run_experiment, verify_suite, write_outputs
 from bprelab.simulate import MODE_QUENCHED
@@ -31,7 +44,11 @@ def verify_check(report, name):
 
 
 def small_gw(**overrides):
-    data = {
+    return parse_config(small_gw_data(**overrides))
+
+
+def small_gw_data(**overrides):
+    return {
         "schema": 1,
         "name": "small-gw",
         "environment": {
@@ -45,7 +62,6 @@ def small_gw(**overrides):
         "replicas": 8000,
         "master_seed": 21,
     } | overrides
-    return parse_config(data)
 
 
 class TestRunExperiment:
@@ -84,21 +100,55 @@ class TestRunExperiment:
         second = strip_timings(run_experiment(small_gw())[0])
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
-    def test_increments_are_derived_once_per_batch(self, monkeypatch):
-        # the sandwich and the identity slice one cached diff, not one per (p, rho, n)
-        calls = []
-        real = np.diff
+    def test_one_pass_per_relation_call(self, monkeypatch):
+        # every p, rho and n of a relation call reads the one pass that the relation runs
+        passes = []
+        real = bprelab.simulate.increment_sums
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return real(*args, **kwargs)
+        def spy(batch, keys):
+            passes.append(list(keys))
+            return real(batch, keys)
 
-        monkeypatch.setattr(np, "diff", counted)
+        monkeypatch.setattr(bprelab.simulate, "increment_sums", spy)
         report, _, code = run_experiment(small_gw(suites=["burkholder", "identity"], p=[1.5, 2.0]))
         assert code == 0
-        assert len(report["suites"]["burkholder"]["results"]) > 1
-        assert len(report["suites"]["identity"]["results"]) > 1
-        assert calls == [(8000, 17)]
+        assert len(report["suites"]["burkholder"]["results"]) == 18
+        assert len(report["suites"]["identity"]["results"]) == 9
+        assert [len(keys) for keys in passes] == [9, 9]
+
+    def test_keys_outside_a_relation_are_skipped_not_raised_by_the_pass(self):
+        # with n_max 2 the identity suite asks for n = 0 and n = 1, and only n = 0 is in its domain
+        report, _, code = run_experiment(small_gw(suites=["identity"], n_max=2, gap=1))
+        assert code == 0
+        assert [c["id"].rsplit(".", 1)[-1] for c in report["checks"]] == ["n0"] * 3
+        batch = bprelab.simulate.run(SimConfig(env=IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0]),
+                                               mode="annealed", n_max=2, replicas=200, master_seed=3))
+        items = relations.identity(batch, (0.5, 1.0, 1.2, math.nan), (-1, 0, 1, 5))
+        assert [item.suffix for item in items] == ["rho1.2.n0"]
+        assert all(item.passed for item in items)
+
+    def test_report_is_the_same_at_any_blas_thread_count(self):
+        # the pass's matrix products give the same bytes on one BLAS thread as on the default
+        script = (
+            "import ast, json, sys\n"
+            "from bprelab.config import parse_config\n"
+            "from bprelab.harness import run_experiment\n"
+            "report = run_experiment(parse_config(ast.literal_eval(sys.argv[1])))[0]\n"
+            "report.pop('timings')\n"
+            "print(json.dumps(report, sort_keys=True))\n"
+        )
+        data = small_gw_data(suites=["burkholder", "identity"], p=[1.5, 2.0])
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        env = {key: value for key, value in os.environ.items() if key not in threads}
+        src = str(Path(bprelab.simulate.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        reports = [
+            subprocess.run([sys.executable, "-c", script, repr(data)], env=env | extra,
+                           capture_output=True, text=True, check=True).stdout
+            for extra in (dict.fromkeys(threads, "1"), {})
+        ]
+        assert '"burkholder"' in reports[0]
+        assert reports[0] == reports[1]
 
     def test_colliding_check_ids_are_refused(self, monkeypatch):
         # a relation that yields one suffix twice gives its suite one check id twice
@@ -297,12 +347,8 @@ class TestSharedChecks:
         assert code == 2
         assert verify_check(report, "quenched-increments")["passed"] is False
 
-    def test_shifted_weights_fail_both(self, monkeypatch):
-        # rho^{k+1} weights in the A_hat_n helper that the sandwich also uses
-        real = bprelab.simulate.weighted_increment_sum
-        monkeypatch.setattr(
-            bprelab.simulate, "weighted_increment_sum", lambda diffs, rho: rho * real(diffs, rho)
-        )
+    @staticmethod
+    def assert_identity_fails_both():
         report, _, code = run_experiment(small_gw(suites=["identity"]))
         assert code == 2
         assert report["checks"] and not any(c["passed"] for c in report["checks"])
@@ -310,6 +356,24 @@ class TestSharedChecks:
         report, _, code = verify_suite(small_gw())
         assert code == 2
         assert verify_check(report, "increment-identity")["passed"] is False
+
+    def test_shifted_weights_fail_both(self, monkeypatch):
+        # rho^{k+1} in the weight matrix of the pass that the sandwich also reads
+        real = bprelab.simulate._weights
+        monkeypatch.setattr(
+            bprelab.simulate, "_weights",
+            lambda keys, top: np.array([rho for rho, _ in keys])[:, None] * real(keys, top),
+        )
+        self.assert_identity_fails_both()
+
+    def test_one_off_mask_fails_both(self, monkeypatch):
+        # k < n in place of k <= n: every A_hat_n loses its last term
+        def weights(keys, top):
+            ks = np.arange(top + 1)
+            return np.array([np.where(ks < n, rho**ks, 0.0) for rho, n in keys])
+
+        monkeypatch.setattr(bprelab.simulate, "_weights", weights)
+        self.assert_identity_fails_both()
 
 
 TWO_STATE = {"kind": "mixture", "states": [{"law": {1: 0.5, 3: 0.5}}, {"law": {2: 1.0}}]}

@@ -25,7 +25,8 @@ from bprelab.simulate import (
     STREAM_SCHEME,
     _law_table,
     _simulate_block,
-    weighted_increment_sum,
+    increment_sums,
+    sums_at,
 )
 
 GW_PMF = {0: 0.25, 2: 0.75}
@@ -375,15 +376,46 @@ class TestOnePmfPerGeneration:
             assert_same_outputs((batch.w[rows], batch.status[rows], batch.status_gen[rows]), want)
 
 
-class TestWeightedIncrementSum:
-    def test_equals_runs_accumulator_across_row_blocks(self):
+def within(got, want, terms):
+    """Per row, got and want differ by at most 1e-12 of the summed terms' magnitudes."""
+    return np.all(np.abs(got - want) <= 1e-12 * np.abs(terms).sum(axis=1))
+
+
+class TestIncrementSums:
+    def test_matches_runs_accumulator_across_row_blocks(self):
         # 10,001 rows: two full blocks of BLOCK_ROWS and a partial third
         batch = run(small_cfg(n_max=6, replicas=10_001, rho_grid=(1.1, 1.3)))
         assert batch.replicas > 2 * BLOCK_ROWS and batch.replicas % BLOCK_ROWS
+        keys = [(rho, n) for rho in batch.rho_grid for n in range(batch.n_max)]
+        sums = increment_sums(batch, keys)
+        assert list(sums) == keys
         for j, rho in enumerate(batch.rho_grid):
             for n in range(batch.n_max):
-                diffs = np.diff(batch.w[:, : n + 2], axis=1)
-                assert np.array_equal(weighted_increment_sum(diffs, rho), batch.a_hat[:, j, n])
+                terms = rho ** np.arange(n + 1) * np.diff(batch.w[:, : n + 2], axis=1)
+                a_hat, q2 = sums[rho, n]
+                # run's cumulative sum and the pass add the same terms in another order
+                assert within(a_hat, batch.a_hat[:, j, n], terms)
+                assert within(q2, (terms * terms).sum(axis=1), terms * terms)
+
+    def test_one_slot_per_batch(self):
+        batch = run(small_cfg(replicas=50))
+        first = increment_sums(batch, [(1.2, 3), (1.2, 3), (1.5, 0)])
+        assert list(first) == [(1.2, 3), (1.5, 0)]
+        assert batch.sums is first
+        assert sums_at(batch, 1.5, 0)[0] is first[1.5, 0][0]
+        # a miss runs a one-key pass that replaces the slot
+        a_hat, q2 = sums_at(batch, 1.1, 4)
+        assert list(batch.sums) == [(1.1, 4)]
+        terms = 1.1 ** np.arange(5) * np.diff(batch.w[:, :6], axis=1)
+        assert within(a_hat, terms.sum(axis=1), terms)
+        assert within(q2, (terms * terms).sum(axis=1), terms * terms)
+
+    def test_keys_outside_the_pass_are_left_out(self):
+        batch = run(small_cfg(replicas=50))
+        bad = [(0.5, 2), (math.inf, 2), (math.nan, 2), (1.2, -1), (1.2, batch.n_max)]
+        assert increment_sums(batch, bad + [(1.0, batch.n_max - 1)]) is batch.sums
+        assert list(batch.sums) == [(1.0, batch.n_max - 1)]
+        assert increment_sums(batch, bad) == {} and batch.sums == {}
 
 
 class TestIdentity:
@@ -393,8 +425,9 @@ class TestIdentity:
                 assert increment_identity_check(gw_batch, rho, n) < 1e-12
 
     def test_validation(self, gw_batch):
-        with pytest.raises(ParameterError, match="rho"):
-            increment_identity_check(gw_batch, 1.0, 2)
+        for bad in (1.0, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="rho"):
+                increment_identity_check(gw_batch, bad, 2)
         with pytest.raises(ParameterError):
             increment_identity_check(gw_batch, 1.2, gw_batch.n_max - 1)
 
@@ -424,8 +457,7 @@ class TestDumps:
         for b in (batch, TrajectoryBatch.load(target)):
             with pytest.raises(ValueError, match="read-only"):
                 b.w[0, 1] = 2.0
-            assert np.array_equal(b.increments, np.diff(b.w, axis=1))
-            assert b.increments is b.increments
+            assert b.sums == {}
 
     def test_load_rejects_unknown_format(self, tmp_path, monkeypatch):
         batch = run(small_cfg(replicas=5))

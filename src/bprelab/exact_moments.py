@@ -143,8 +143,10 @@ class P2ClosedForms:
     """Closed second-moment forms for an i.i.d. mixture.
 
     q1 = E[1/m_0] and b2 = E[bar m_0(2)] (the mean normalized offspring
-    variance). All three quantities are geometric sums of
-    E|W_{k+1} - W_k|^2 = q1^k * b2; divergent cases are returned as inf.
+    variance). The squared increments are E|W_{k+1} - W_k|^2 = b2 * q1^k, so
+    sup E[W_n^2], the tail E|W - W_n|^2 and sup E[A_hat_n(rho)^2] are all
+    geometric tails of ratio q1 or rho^2 q1; `_tail` alone decides where one
+    is finite, and a divergent one is inf.
     """
 
     q1: float
@@ -154,41 +156,33 @@ class P2ClosedForms:
     def summable(self) -> bool:
         return self.q1 < 1.0
 
+    def _tail(self, ratio: float, n: int) -> float:
+        """b2 * ratio^n / (1 - ratio): 0 when b2 = 0, inf when ratio >= 1."""
+        if self.b2 == 0.0:
+            return 0.0
+        if ratio >= 1.0:
+            return math.inf
+        return self.b2 * ratio**n / (1.0 - ratio)
+
     def sup_w2(self) -> float:
         """sup_n E[W_n^2] = 1 + b2/(1 - q1)."""
-        if self.b2 == 0.0:
-            return 1.0
-        if not self.summable:
-            return math.inf
-        return 1.0 + self.b2 / (1.0 - self.q1)
+        return 1.0 + self.tail(0)
 
     def tail(self, n: int) -> float:
         """E|W - W_n|^2 = b2 * q1^n / (1 - q1)."""
-        if self.b2 == 0.0:
-            return 0.0
-        if not self.summable:
-            return math.inf
-        return self.b2 * self.q1**n / (1.0 - self.q1)
+        return self._tail(self.q1, n)
 
     def increment_second_moment(self, n: int) -> float:
         """E|W_{n+1} - W_n|^2 = q1^n * b2."""
         return self.q1**n * self.b2
 
     def sup_a_hat2(self, rho: float) -> float:
-        """sup_n E[A_hat_n(rho)^2] = b2/(1 - rho^2 q1), inf when rho^2 q1 >= 1."""
-        if self.b2 == 0.0:
-            return 0.0
-        if rho * rho * self.q1 >= 1.0:
-            return math.inf
-        return self.b2 / (1.0 - rho * rho * self.q1)
+        """sup_n E[A_hat_n(rho)^2] = b2/(1 - rho^2 q1)."""
+        return self.a_hat2_tail(rho, 0)
 
     def a_hat2_tail(self, rho: float, n: int) -> float:
         """sup_k E[A_hat_k(rho)^2] less its first n terms: b2 (rho^2 q1)^n / (1 - rho^2 q1)."""
-        if self.b2 == 0.0:
-            return 0.0
-        if rho * rho * self.q1 >= 1.0:
-            return math.inf
-        return self.b2 * (rho * rho * self.q1) ** n / (1.0 - rho * rho * self.q1)
+        return self._tail(rho * rho * self.q1, n)
 
 
 def p2_closed_forms(env: Environment) -> P2ClosedForms:

@@ -328,7 +328,7 @@ def _suite_annealed_rate(ctx: _Context) -> dict:
     forms = exact_moments.p2_closed_forms(ctx.env)
     inc = [forms.increment_second_moment(k) for k in range(batch.n_max)]
     if forms.summable:
-        bias, p2 = forms.tail, {"predicted_rho": 1.0 / math.sqrt(forms.q1) if forms.q1 > 0 else None}
+        bias, p2 = forms.tail, {"predicted_rho": 1.0 / math.sqrt(forms.q1)}
     else:
         bias, p2 = None, {"unbounded_q1": forms.q1}
 

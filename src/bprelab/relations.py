@@ -94,7 +94,8 @@ def p2_partial_sums(env: Environment, n: int, path: EnvPath | None = None,
     increments up to generation n, within relative EXACT_REL: along `path` when one is
     given, else on the stationary law. There `a_hat_rho` adds the gap between
     sup_k E[A_hat_k(rho)^2] and the table's partial sum against the closed-form tail, at
-    the lesser of a_hat_rho and the critical rate 1/sqrt(q1)."""
+    rho = min(a_hat_rho, q1^(-1/4)), the geometric midpoint of 1 and the critical rate
+    1/sqrt(q1), where rho^2 q1 = sqrt(q1) < 1 on every summable mixture."""
     if path is not None:
         worst = partial_sum_error(
             exact_moments.quenched_moments(path, 2, n).w_moments(2),
@@ -112,14 +113,14 @@ def p2_partial_sums(env: Environment, n: int, path: EnvPath | None = None,
                   worst <= EXACT_REL, {"max_rel_error": worst})]
     if a_hat_rho is None or not forms.summable:
         return items
-    rho = min(a_hat_rho, 1.0 / math.sqrt(forms.q1))
-    if forms.q1 * rho**2 < 1.0:
-        sup = forms.sup_a_hat2(rho)
-        gap = sup - exact_moments.a_hat_second_moment_partial(env, rho, n)
-        remainder = forms.a_hat2_tail(rho, n)
-        statement = "the weighted-increment second moments approach their closed-form sup within its tail"
-        items.append(Item("a-hat-partial-sums", statement, abs(gap - remainder) <= EXACT_REL * max(sup, 1.0),
-                          {"a_hat_gap": gap, "a_hat_remainder_bound": remainder}))
+    # two correctly rounded roots: q1 ** -0.25 rounds rho^2 q1 up to 1 at q1 = 1 - 2^-51
+    rho = min(a_hat_rho, math.sqrt(math.sqrt(1.0 / forms.q1)))
+    sup = forms.sup_a_hat2(rho)
+    gap = sup - exact_moments.a_hat_second_moment_partial(env, rho, n)
+    remainder = forms.a_hat2_tail(rho, n)
+    statement = "the weighted-increment second moments approach their closed-form sup within its tail"
+    items.append(Item("a-hat-partial-sums", statement, abs(gap - remainder) <= EXACT_REL * max(sup, 1.0),
+                      {"a_hat_gap": gap, "a_hat_remainder_bound": remainder}))
     return items
 
 

@@ -5,14 +5,16 @@ own generator seeded by ``SeedSequence(master_seed, spawn_key=(b,))``, so a
 batch depends only on its config and is bit-identical at any ``threads``
 value; no thread pool is used, since the sampler is vectorized over a block.
 Within a block, an annealed batch first draws every row's environment states
-with one ``choice`` call; each generation is then one multinomial call over
-the block's live rows against a table of the laws on their union support,
-or against the one pmf row of that generation's law when every row shares
-its path (a quenched path, a one-state mixture), whose P_n is then computed
-once. Generation totals are drawn exactly (multinomial category counts of
-the parent population dotted with the support, which is the exact law of
-the sum of per-individual draws); populations above pop_cap stop simulating
-and are flagged.
+with one ``choice`` call, which takes one 64-bit output per state; a
+one-state mixture needs no draw, so it advances the stream past those outputs
+instead. Each generation is then one multinomial call over the block's live
+rows against a table of the laws on their union support, or against the one
+pmf row of that generation's law when every row shares its path (a quenched
+path, a one-state mixture), whose P_n is then computed once. Generation
+totals are drawn exactly (multinomial category counts of the parent
+population dotted with the support, which is the exact law of the sum of
+per-individual draws); populations above pop_cap stop simulating and are
+flagged.
 
 The weighted increment sums A_hat_n(rho) and Q_n(rho)^2 at every (rho, n) a
 relation asks for come from one pass over w, BLOCK_ROWS rows at a time, as
@@ -272,11 +274,12 @@ def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
         rng = np.random.default_rng(cfg.block_seed(block))
         if shared is not None:
             state = np.arange(n_max)[None, :]
+        elif len(laws) == 1:
+            # every row draws the one law; skip the one double per state that choice would take
+            rng.bit_generator.advance((hi - lo) * n_max)
+            state = np.zeros((1, n_max), dtype=np.int64)
         else:
             state = rng.choice(len(laws), size=(hi - lo, n_max), p=cfg.env.weights)
-            if len(laws) == 1:
-                # every row draws the one law; the choice call only advances the stream
-                state = state[:1]
         # one state row is every row's path: its P_n is computed once
         log_p = np.zeros((len(state), n_max + 1))
         np.cumsum(law_log_means[state], axis=1, out=log_p[:, 1:])

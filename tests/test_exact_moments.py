@@ -227,11 +227,13 @@ class TestP2ClosedForms:
             assert u2[n] == pytest.approx(partial, rel=1e-12)
 
     def test_degenerate_environment(self):
-        forms = p2_closed_forms(IIDMixture([OffspringLaw({2: 1.0})], [1.0]))
-        assert forms.b2 == 0.0
-        assert forms.sup_w2() == 1.0
-        assert forms.tail(3) == 0.0
-        assert forms.sup_a_hat2(1.5) == 0.0
+        # W_n = 1 for every n when no state has offspring variance, also at q1 = 1
+        for pmf in ({2: 1.0}, {1: 1.0}):
+            forms = p2_closed_forms(IIDMixture([OffspringLaw(pmf)], [1.0]))
+            assert forms.b2 == 0.0
+            assert forms.sup_w2() == 1.0
+            assert forms.tail(3) == 0.0
+            assert forms.sup_a_hat2(1.5) == 0.0
 
     def test_unbounded_case(self):
         env = IIDMixture(

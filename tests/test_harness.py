@@ -282,19 +282,48 @@ class TestVerifySuite:
         with pytest.raises(BpreLabError, match=r"^verify\.rate-orderings: suffix 'twice' is repeated$"):
             verify_suite(small_gw())
 
-    @pytest.mark.parametrize("name", ["gw_binary", "two_state"])
-    def test_a_partial_sum_of_one_term_too_many_fails(self, monkeypatch, name):
-        # the gap to the sup must equal the closed-form tail, not merely stay under it
+    @pytest.mark.parametrize("name", ["gw_binary", "two_state", "gw_binary-0.45", "gw_binary-0.47"])
+    def test_a_partial_sum_of_one_term_too_many_fails(self, monkeypatch, tmp_path, name):
+        # the gap to the sup must equal the closed-form tail, not merely stay under it; the
+        # "-<p0>" names are one-state mixtures {0: p0, 2: 1 - p0} with q1 = 1/m in (0.82, 1),
+        # where the item's rho sits below the critical rate rather than on it
+        name, _, p0 = name.partition("-")
+        path = Path(f"configs/{name}.cfg")
+        if p0:
+            law = f"{{0: {p0}, 2: {1 - float(p0):.2f}}}"
+            path = tmp_path / "near-critical.cfg"
+            path.write_text(Path("configs/gw_binary.cfg").read_text().replace("{0: 0.25, 2: 0.75}", law))
+        report, _, _ = verify_suite(load_config(path))
+        assert verify_check(report, "p2-closed-forms")["observed"]["a-hat-partial-sums"]["passed"] is True
+
         real = bprelab.exact_moments.a_hat_second_moment_partial
         monkeypatch.setattr(
             bprelab.exact_moments, "a_hat_second_moment_partial",
             lambda env, rho, n_terms: real(env, rho, n_terms + 1),
         )
-        report, _, code = verify_suite(load_config(f"configs/{name}.cfg"))
+        report, _, code = verify_suite(load_config(path))
         assert code == 2
         check = verify_check(report, "p2-closed-forms")
         assert check["passed"] is False
         assert check["observed"]["a-hat-partial-sums"]["passed"] is False
+
+    @pytest.mark.parametrize("q1", [0.5, 0.9, 0.99, 1 - 2**-51, 1 - 2**-52])
+    def test_the_a_hat_rate_stays_summable_up_to_the_boundary(self, monkeypatch, q1):
+        # the relation keeps no domain branch of its own: its rho must give rho^2 q1 < 1
+        forms = bprelab.exact_moments.P2ClosedForms(q1=q1, b2=1.0)
+        rhos = []
+
+        def partial(env, rho, n_terms):
+            rhos.append(rho)
+            return forms.sup_a_hat2(rho) - forms.a_hat2_tail(rho, n_terms)
+
+        monkeypatch.setattr(bprelab.exact_moments, "p2_closed_forms", lambda env: forms)
+        monkeypatch.setattr(bprelab.exact_moments, "a_hat_second_moment_partial", partial)
+        env = IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0])
+        items = {item.suffix: item for item in relations.p2_partial_sums(env, 4, a_hat_rho=1.05)}
+        (rho,) = rhos
+        assert 1.0 <= rho <= 1.05 and rho * rho * q1 < 1.0
+        assert math.isfinite(items["a-hat-partial-sums"].observed["a_hat_remainder_bound"])
 
 
 class TestSharedChecks:

@@ -353,6 +353,10 @@ class TestOnePmfPerGeneration:
         state = np.broadcast_to(np.zeros(12, dtype=np.int64), (300, 12))
         self.assert_same_draws(state, support, pvals[:1], pvals)
 
+    def test_the_block_streams_are_pcg64(self):
+        # run skips a one-state mixture's choice call with advance, which counts PCG64 outputs
+        assert isinstance(np.random.default_rng(0).bit_generator, np.random.PCG64)
+
     @pytest.mark.parametrize("mode", ["annealed", "quenched"])
     def test_run_equals_the_per_row_table(self, mode):
         # run's shared path (one state row, one P_n row) against every row's own

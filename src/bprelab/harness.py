@@ -21,8 +21,11 @@ from . import exact_moments, rates, relations
 from ._version import __version__
 from .config import ExperimentConfig
 from .environment import EnvPath, Environment, FixedPath, IIDMixture
-from .errors import BpreLabError, ConfigError, FitUnavailableError
-from .estimators import LpEstimate, fit_decay, lp_norm
+from .errors import BpreLabError, ConfigError
+from .estimators import (
+    fit_decay,  # bound only so the benchmark's trace wraps it here (ROADMAP item 1)
+    lp_norm,
+)
 from .relations import EXACT_REL, Item, p_tag
 from .simulate import (
     MODE_ANNEALED,
@@ -257,11 +260,6 @@ def _suite_exact(ctx: _Context) -> dict:
 # suites: quenched-rate / annealed-rate
 
 
-def _rate_estimates(ctx: _Context, batch: TrajectoryBatch, p: float) -> list[LpEstimate]:
-    gap = ctx.cfg.gap
-    return [lp_norm(batch, p, n, gap) for n in range(batch.n_max - gap + 1)]
-
-
 def _section(items: list[Item]) -> dict:
     """The fields the items' details hold, a later item's over an earlier one's."""
     section: dict = {}
@@ -281,7 +279,7 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, **p
     gap = ctx.cfg.gap
     for p in ctx.cfg.p:
         at_p2 = p == 2.0
-        estimates = _rate_estimates(ctx, batch, p)
+        estimates = [lp_norm(batch, p, n, gap) for n in range(batch.n_max - gap + 1)]
         if at_p2 and bias is not None:
             for est in estimates:
                 est.bias_bound = bias(est.n + gap)
@@ -293,34 +291,16 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, **p
 
 
 def _suite_quenched_rate(ctx: _Context) -> dict:
-    cfg = ctx.cfg
     batch = ctx.batch(MODE_QUENCHED)
     path = batch.path
     inc = exact_moments.quenched_increment_second_moments(path, batch.n_max)
     remainder = exact_moments.quenched_p2_tail(path, 0, batch.n_max - 1).remainder
     bias = lambda upto: math.fsum(inc[upto:]) + remainder
 
-    section: dict = {
+    return {
         "path_means": [float(m) for m in path.means],
         "per_p": [_section(items) for _, items in _rate_fits(ctx, "quenched-rate", batch, inc, bias)],
     }
-    if ctx.is_mixture:
-        spread = []
-        replicas = max(2_000, min(cfg.replicas // 4, 10_000))
-        for offset in (1, 2):
-            extra = ctx.batch(MODE_QUENCHED, replicas=replicas, path_seed=cfg.path_seed + offset)
-            try:
-                fit = fit_decay(_rate_estimates(ctx, extra, cfg.p[0]))
-                spread.append(fit.fitted_rho)
-            except FitUnavailableError:
-                spread.append(None)
-        fits = [s for s in spread if s is not None]
-        section["path_spread"] = {
-            "extra_paths": spread,
-            "range": (max(fits) - min(fits)) if len(fits) >= 2 else None,
-            "note": "single-path heuristic: spread across independently drawn paths",
-        }
-    return section
 
 
 def _suite_annealed_rate(ctx: _Context) -> dict:

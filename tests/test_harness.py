@@ -116,6 +116,23 @@ class TestRunExperiment:
         assert len(report["suites"]["identity"]["results"]) == 9
         assert [len(keys) for keys in passes] == [9, 9]
 
+    @pytest.mark.parametrize("name", ["two_state", "deterministic"])
+    def test_a_mixture_simulates_the_path_seed_path_and_the_annealed_batch_only(self, monkeypatch, name):
+        # every suite runs; quenched-rate simulates only the path drawn from path_seed
+        sims, real = [], harness.run
+
+        def spy(sim, **kwargs):
+            sims.append(sim)
+            return real(sim, **kwargs)
+
+        monkeypatch.setattr(harness, "run", spy)
+        cfg = load_config(f"configs/{name}.cfg", {"replicas": 2000, "n_max": 12, "gap": 6})
+        run_experiment(cfg)  # the exit code is not the point: small sizes may miss a Monte Carlo check
+        assert sorted((s.mode, s.path_seed, s.replicas) for s in sims) == [
+            ("annealed", cfg.path_seed, 2000),
+            ("quenched", cfg.path_seed, 2000),
+        ]
+
     def test_keys_outside_a_relation_are_skipped_not_raised_by_the_pass(self):
         # with n_max 2 the identity suite asks for n = 0 and n = 1, and only n = 0 is in its domain
         report, _, code = run_experiment(small_gw(suites=["identity"], n_max=2, gap=1))
@@ -366,6 +383,7 @@ class TestSharedChecks:
         assert code == 2
         by_id = {c["id"]: c["passed"] for c in report["checks"]}
         assert by_id["quenched-rate.p2.estimates-match-exact"] is False
+        assert set(report["suites"]["quenched-rate"]) == {"path_means", "per_p"}
 
         # the exact tables along the path sum the same increments
         report, _, code = run_experiment(small_gw(suites=["exact"], path_seed=7))

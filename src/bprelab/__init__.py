@@ -11,6 +11,7 @@ from .errors import (
     EstimateUnavailableError,
     FitUnavailableError,
     ParameterError,
+    SimulationError,
     TableOverflowError,
     UnsupportedOperationError,
 )

@@ -35,8 +35,9 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--out", help="output directory (default: from config, else <name>-report)")
     p_run.add_argument("--seed", type=int, help="override master_seed")
     p_run.add_argument("--threads", type=int, help=(
-        "thread count, checked to be >= 1; the simulator is vectorized and uses no "
-        "threads, so the value changes neither the results nor the speed"))
+        "thread count, checked to be >= 1 and otherwise unused; the simulator forks one "
+        "worker per usable CPU, and neither this value nor the worker count changes "
+        "the results"))
 
     p_verify = sub.add_parser("verify", help="run the cross-module consistency checks")
     p_verify.add_argument("config")

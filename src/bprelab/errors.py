@@ -39,3 +39,12 @@ class EstimateUnavailableError(BpreLabError):
 
 class FitUnavailableError(BpreLabError):
     """Decay fit has no admissible window (e.g. degenerate all-zero data)."""
+
+
+class SimulationError(RuntimeError):
+    """A forked simulation worker failed; its traceback went to stderr.
+
+    Not a BpreLabError: a dead worker is a fault of the run, not of the input,
+    so it propagates like an exception raised in-process instead of being
+    read as a usage error or a failing check.
+    """

@@ -2,8 +2,14 @@
 
 Replicas are simulated in blocks of BLOCK_ROWS rows. Block b draws from its
 own generator seeded by ``SeedSequence(master_seed, spawn_key=(b,))``, so a
-batch depends only on its config and is bit-identical at any ``threads``
-value; no thread pool is used, since the sampler is vectorized over a block.
+batch depends only on its config, not on which process draws a block. The
+blocks are dealt round-robin to min(usable CPUs, blocks) workers, the calling
+process and ``os.fork`` children, which write w, status and status_gen into
+one shared anonymous mapping; a batch is bit-identical at any worker count
+and at any ``threads`` value. Threads would not help: numpy's multinomial
+sampler holds the GIL. Workers are forked, not spawned, because a spawned
+interpreter would pay a fresh numpy import, a large share of a batch's time.
+
 Within a block, an annealed batch first draws every row's environment states
 with one ``choice`` call, which takes one 64-bit output per state; a
 one-state mixture needs no draw, so it advances the stream past those outputs
@@ -26,12 +32,15 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .environment import EnvPath, Environment, FixedPath, IIDMixture
-from .errors import ParameterError
+from .errors import ParameterError, SimulationError
 from .offspring import OffspringLaw
 
 STATUS_COMPLETED = 0
@@ -246,11 +255,53 @@ def _simulate_block(rng: np.random.Generator, state: np.ndarray, support: np.nda
             live, z = live[~stop], z[~stop]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where os.fork or the affinity mask is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _shared_outputs(replicas: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """w, status_gen and status as views of one anonymous mapping that forked children share."""
+    w_bytes, gen_bytes = replicas * (n_max + 1) * 8, replicas * 4
+    # an anonymous mmap is MAP_SHARED by default: a child's writes land in the parent's pages
+    buf = mmap.mmap(-1, w_bytes + gen_bytes + replicas)
+    w = np.frombuffer(buf, dtype=np.float64, count=replicas * (n_max + 1)).reshape(replicas, n_max + 1)
+    status_gen = np.frombuffer(buf, dtype=np.int32, count=replicas, offset=w_bytes)
+    status = np.frombuffer(buf, dtype=np.int8, count=replicas, offset=w_bytes + gen_bytes)
+    return w, status_gen, status
+
+
+def _fork_worker(fill, worker: int) -> int:
+    """Fork a child that runs fill(worker) and leaves by os._exit; returns its pid.
+
+    The child exits 0 on success, else 1 after writing its traceback to fd 2.
+    It never returns into the caller, flushes the parent's inherited stdio
+    buffers or runs atexit hooks, so nothing the parent printed is repeated.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        fill(worker)
+        code = 0
+    except BaseException:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
 def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
     """Simulate the batch block by block, each block from its own seed stream.
 
-    threads must be >= 1 and is otherwise ignored: the sampler is vectorized
-    over a block, so the output is bit-identical at any thread count.
+    Blocks go round-robin to min(usable CPUs, blocks) workers: this process
+    takes blocks 0, k, 2k, ... and forked children the others, all writing
+    into one shared mapping; every child is reaped before run returns or
+    raises, and a failed child raises SimulationError. Since each block has
+    its own stream, the output is bit-identical at any worker count. threads
+    must be >= 1 and is otherwise ignored.
     """
     if threads < 1:
         raise ParameterError("threads must be >= 1")
@@ -259,34 +310,55 @@ def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
         shared = quenched_path(cfg.env, cfg.n_max, cfg.path_seed)
 
     replicas, n_max = cfg.replicas, cfg.n_max
-    w = np.empty((replicas, n_max + 1))
+    w, status_gen, status = _shared_outputs(replicas, n_max)
     w[:, 0] = 1.0
-    status = np.full(replicas, STATUS_COMPLETED, dtype=np.int8)
-    status_gen = np.full(replicas, -1, dtype=np.int32)
-    a_hat = np.empty((replicas, len(cfg.rho_grid), n_max))
-    rho_pows = np.array([[r**k for k in range(n_max)] for r in cfg.rho_grid])
+    status[:] = STATUS_COMPLETED
+    status_gen[:] = -1
 
     laws = cfg.env.states if shared is None else shared.laws
     support, pvals = _law_table(laws)
     law_log_means = np.array([law.log_mean for law in laws])
-    for block, lo in enumerate(range(0, replicas, BLOCK_ROWS)):
-        hi = min(lo + BLOCK_ROWS, replicas)
-        rng = np.random.default_rng(cfg.block_seed(block))
-        if shared is not None:
-            state = np.arange(n_max)[None, :]
-        elif len(laws) == 1:
-            # every row draws the one law; skip the one double per state that choice would take
-            rng.bit_generator.advance((hi - lo) * n_max)
-            state = np.zeros((1, n_max), dtype=np.int64)
-        else:
-            state = rng.choice(len(laws), size=(hi - lo, n_max), p=cfg.env.weights)
-        # one state row is every row's path: its P_n is computed once
-        log_p = np.zeros((len(state), n_max + 1))
-        np.cumsum(law_log_means[state], axis=1, out=log_p[:, 1:])
-        _simulate_block(rng, np.broadcast_to(state, (hi - lo, n_max)), support, pvals,
-                        np.broadcast_to(np.exp(-log_p), (hi - lo, n_max + 1)), cfg.pop_cap,
-                        w[lo:hi], status[lo:hi], status_gen[lo:hi])
-        if rho_pows.size:
+    starts = range(0, replicas, BLOCK_ROWS)
+    workers = min(_usable_cpus(), len(starts))
+
+    def fill(worker: int) -> None:
+        for block in range(worker, len(starts), workers):
+            lo = starts[block]
+            hi = min(lo + BLOCK_ROWS, replicas)
+            rng = np.random.default_rng(cfg.block_seed(block))
+            if shared is not None:
+                state = np.arange(n_max)[None, :]
+            elif len(laws) == 1:
+                # every row draws the one law; skip the one double per state that choice would take
+                rng.bit_generator.advance((hi - lo) * n_max)
+                state = np.zeros((1, n_max), dtype=np.int64)
+            else:
+                state = rng.choice(len(laws), size=(hi - lo, n_max), p=cfg.env.weights)
+            # one state row is every row's path: its P_n is computed once
+            log_p = np.zeros((len(state), n_max + 1))
+            np.cumsum(law_log_means[state], axis=1, out=log_p[:, 1:])
+            _simulate_block(rng, np.broadcast_to(state, (hi - lo, n_max)), support, pvals,
+                            np.broadcast_to(np.exp(-log_p), (hi - lo, n_max + 1)), cfg.pop_cap,
+                            w[lo:hi], status[lo:hi], status_gen[lo:hi])
+
+    children: list[int] = []
+    try:
+        for worker in range(1, workers):
+            children.append(_fork_worker(fill, worker))
+        fill(0)
+    finally:
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+    failed = {worker: code for worker, code in enumerate(codes, 1) if code}
+    if failed:
+        raise SimulationError(
+            f"{len(failed)} of {workers - 1} forked simulation workers failed "
+            f"(exit status by worker: {failed}); each printed its traceback to stderr")
+
+    a_hat = np.empty((replicas, len(cfg.rho_grid), n_max))
+    rho_pows = np.array([[r**k for k in range(n_max)] for r in cfg.rho_grid])
+    if rho_pows.size:
+        for lo in starts:
+            hi = min(lo + BLOCK_ROWS, replicas)
             a_hat[lo:hi] = np.cumsum(rho_pows * np.diff(w[lo:hi], axis=1)[:, None, :], axis=2)
 
     return TrajectoryBatch(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import bprelab
 import bprelab.estimators
 from bprelab import __version__, harness
 from bprelab.cli import main
@@ -128,6 +130,25 @@ def test_thread_override_changes_nothing_but_timings(gw_cfg, tmp_path, capsys):
     a.pop("timings"), b.pop("timings")
     a["config"]["values"].pop("threads", None), b["config"]["values"].pop("threads", None)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_run_prints_each_line_once_with_forked_workers(tmp_path):
+    # three seed-stream blocks, so run forks workers on a multi-core machine;
+    # piped stdout is block-buffered, and no child may flush or repeat it
+    cfg = tmp_path / "blocks.cfg"
+    cfg.write_text(GW_RUN_CFG.replace("replicas: 2000", "replicas: 9000"))
+    src = str(Path(bprelab.__file__).parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bprelab", "run", str(cfg), "--out", str(tmp_path / "out")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    checks = [line for line in lines if line.startswith(("[PASS]", "[FAIL]"))]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(checks) == len(set(checks)) == report["summary"]["checks"] > 0
+    assert sum(line.startswith("summary:") for line in lines) == 1
 
 
 def test_seed_override_lands_in_simulation(gw_cfg, tmp_path, capsys):

@@ -1,6 +1,11 @@
 """Trajectory engine: reproducibility, statuses, dumps, the A/A-hat identity."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +18,12 @@ from bprelab import (
     OffspringLaw,
     ParameterError,
     SimConfig,
+    SimulationError,
     TrajectoryBatch,
     increment_identity_check,
     run,
 )
+from bprelab import simulate
 from bprelab.simulate import (
     BLOCK_ROWS,
     STATUS_CAPPED,
@@ -378,6 +385,119 @@ class TestOnePmfPerGeneration:
             np.cumsum(log_means[state], axis=1, out=log_p[:, 1:])
             want = simulate_block(rng, state, support, pvals, np.exp(-log_p), cfg.pop_cap)
             assert_same_outputs((batch.w[rows], batch.status[rows], batch.status_gen[rows]), want)
+
+
+TWO_LAWS = IIDMixture([OffspringLaw(GW_PMF), OffspringLaw({1: 0.2, 4: 0.8})], [0.6, 0.4])
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children run forks, recorded in the parent."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                    reason="forked workers need os.fork and os.sched_getaffinity")
+class TestWorkers:
+    """Blocks are dealt to forked workers; the worker count changes no output."""
+
+    @pytest.mark.parametrize("cfg", [
+        # four blocks, two laws, extinct and capped rows, a rho grid for a_hat
+        small_cfg(env=TWO_LAWS, n_max=10, replicas=3 * BLOCK_ROWS + 5, pop_cap=1000,
+                  rho_grid=(1.1, 1.3)),
+        small_cfg(env=TWO_LAWS, mode="quenched", path_seed=3, replicas=2 * BLOCK_ROWS + 1),
+        small_cfg(replicas=2 * BLOCK_ROWS + 3),
+    ], ids=["annealed-two-laws", "quenched-mixture", "one-state-mixture"])
+    def test_worker_count_changes_no_output(self, cfg, forks, monkeypatch):
+        blocks = -(-cfg.replicas // BLOCK_ROWS)
+        default = run(cfg)
+        assert len(forks) == min(len(os.sched_getaffinity(0)), blocks) - 1
+        forks.clear()
+        set_cpus(monkeypatch, 1)
+        one = run(cfg)
+        assert forks == []
+        # three workers for four or three blocks, on any number of cores
+        set_cpus(monkeypatch, 3)
+        three = run(cfg)
+        assert len(forks) == 2
+        assert_no_child_left()
+        for batch in (default, one, three):
+            assert batch.w.dtype == batch.a_hat.dtype == np.float64
+            assert (batch.status.dtype, batch.status_gen.dtype) == (np.int8, np.int32)
+            with pytest.raises(ValueError, match="read-only"):
+                batch.w[0, 1] = 2.0
+            for name in ("w", "status", "status_gen", "a_hat"):
+                assert np.array_equal(getattr(batch, name), getattr(one, name)), name
+        if cfg.mode == "annealed" and len(cfg.env.states) == 2:
+            assert {STATUS_EXTINCT, STATUS_CAPPED, STATUS_COMPLETED} <= set(one.status.tolist())
+            assert one.a_hat.shape == (cfg.replicas, 2, cfg.n_max)
+
+    def test_children_neither_return_nor_flush_the_parents_stdio(self):
+        # piped stdout is block-buffered: a child that flushed it, ran atexit
+        # hooks or returned from run would print a line twice
+        script = textwrap.dedent(f"""
+            import atexit, os
+            from bprelab import IIDMixture, OffspringLaw, SimConfig, run
+            os.sched_getaffinity = lambda pid: {{0, 1, 2}}
+            atexit.register(print, "atexit")
+            print("before")
+            run(SimConfig(env=IIDMixture([OffspringLaw({GW_PMF})], [1.0]), mode="annealed",
+                          n_max=8, replicas={3 * BLOCK_ROWS}, master_seed=1))
+            print("after")
+        """)
+        src = str(Path(simulate.__file__).parents[1])
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == ["before", "after", "atexit"]
+
+    def fail_in(self, monkeypatch, where):
+        """Make _simulate_block raise in the parent ("parent") or in any forked child."""
+        parent, real = os.getpid(), simulate._simulate_block
+
+        def block(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise RuntimeError(f"block failed in the {where}")
+            real(*args)
+
+        monkeypatch.setattr(simulate, "_simulate_block", block)
+
+    def test_a_failed_child_raises_after_every_child_is_reaped(self, forks, monkeypatch, capfd):
+        set_cpus(monkeypatch, 3)
+        self.fail_in(monkeypatch, "child")
+        with pytest.raises(SimulationError, match=r"2 of 2 forked simulation workers failed"):
+            run(small_cfg(replicas=3 * BLOCK_ROWS))
+        assert len(forks) == 2
+        assert_no_child_left()
+        assert capfd.readouterr().err.count("RuntimeError: block failed in the child") == 2
+
+    def test_a_failed_parent_share_still_reaps_every_child(self, forks, monkeypatch):
+        set_cpus(monkeypatch, 3)
+        self.fail_in(monkeypatch, "parent")
+        with pytest.raises(RuntimeError, match="block failed in the parent"):
+            run(small_cfg(replicas=3 * BLOCK_ROWS))
+        assert len(forks) == 2
+        assert_no_child_left()
 
 
 def within(got, want, terms):

@@ -32,7 +32,16 @@ ROUNDOFF_DISTANCE = 1e-10
 
 
 def _batch_means(x: np.ndarray) -> np.ndarray:
-    return np.array([chunk.mean() for chunk in np.array_split(x, min(N_BATCHES, len(x)))])
+    """Means of min(N_BATCHES, len(x)) contiguous chunks, split as np.array_split splits.
+
+    The first r chunks hold s + 1 values and the rest s; each group is one
+    reshape, whose row means round as the per-chunk means do.
+    """
+    chunks = min(N_BATCHES, len(x))
+    s, r = divmod(len(x), chunks)
+    cut = r * (s + 1)
+    return np.concatenate([x[:cut].reshape(r, s + 1).mean(axis=1),
+                           x[cut:].reshape(chunks - r, s).mean(axis=1)])
 
 
 def _stderr_of(means: np.ndarray) -> float:

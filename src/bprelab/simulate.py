@@ -6,9 +6,13 @@ batch depends only on its config, not on which process draws a block. The
 blocks are dealt round-robin to min(usable CPUs, blocks) workers, the calling
 process and ``os.fork`` children, which write w, status and status_gen into
 one shared anonymous mapping; a batch is bit-identical at any worker count
-and at any ``threads`` value. Threads would not help: numpy's multinomial
-sampler holds the GIL. Workers are forked, not spawned, because a spawned
-interpreter would pay a fresh numpy import, a large share of a batch's time.
+and at any ``threads`` value. The mapping holds w generation-major: w[i, n]
+is replica i's W_n, but generation n's values for all replicas are one
+contiguous run, so the simulator's per-generation writes and every reduction
+over one generation touch contiguous memory. Threads would not help: numpy's
+multinomial sampler holds the GIL. Workers are forked, not spawned, because a
+spawned interpreter would pay a fresh numpy import, a large share of a
+batch's time.
 
 Within a block, an annealed batch first draws every row's environment states
 with one ``choice`` call, which takes one 64-bit output per state; a
@@ -118,7 +122,9 @@ class SimConfig:
 class TrajectoryBatch:
     """Simulated W_n trajectories.
 
-    w[i, n] is replica i's W_n for n = 0..n_max. a_hat[i, j, n] is
+    w[i, n] is replica i's W_n for n = 0..n_max. A simulated w is stored
+    generation-major (w.T is C-contiguous), so a column w[:, n] is contiguous;
+    a loaded one keeps its dump's order and reads the same. a_hat[i, j, n] is
     A_hat_n(rho_j) = sum_{k<=n} rho_j^k (W_{k+1} - W_k) for n = 0..n_max-1,
     filled only for a SimConfig.rho_grid. bprelab's own batches leave both
     empty and take A_hat_n from increment_sums, whose last pass is sums;
@@ -217,7 +223,8 @@ def quenched_path(env: Environment, length: int, seed: int | None) -> EnvPath:
 
 def _law_table(laws) -> tuple[np.ndarray, np.ndarray]:
     """Union support of the laws, and one pmf row per law over that support."""
-    support = np.unique(np.concatenate([law.values for law in laws]))
+    # a sorted set, not np.unique, whose first call imports numpy.ma (13-17 ms)
+    support = np.array(sorted({int(v) for law in laws for v in law.values}), dtype=np.int64)
     pvals = np.zeros((len(laws), support.size))
     for row, law in zip(pvals, laws):
         row[np.searchsorted(support, law.values)] = law.probs
@@ -263,11 +270,17 @@ def _usable_cpus() -> int:
 
 
 def _shared_outputs(replicas: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """w, status_gen and status as views of one anonymous mapping that forked children share."""
+    """w, status_gen and status as views of one anonymous mapping that forked children share.
+
+    w is laid out generation-major: the mapping holds n_max + 1 rows of
+    replicas values, and w is their transpose, so w[i, n] is replica i's W_n
+    and w[:, n] is one contiguous row. A page is first touched by the worker
+    that writes it, so each worker faults in its own pages.
+    """
     w_bytes, gen_bytes = replicas * (n_max + 1) * 8, replicas * 4
     # an anonymous mmap is MAP_SHARED by default: a child's writes land in the parent's pages
     buf = mmap.mmap(-1, w_bytes + gen_bytes + replicas)
-    w = np.frombuffer(buf, dtype=np.float64, count=replicas * (n_max + 1)).reshape(replicas, n_max + 1)
+    w = np.frombuffer(buf, dtype=np.float64, count=replicas * (n_max + 1)).reshape(n_max + 1, replicas).T
     status_gen = np.frombuffer(buf, dtype=np.int32, count=replicas, offset=w_bytes)
     status = np.frombuffer(buf, dtype=np.int8, count=replicas, offset=w_bytes + gen_bytes)
     return w, status_gen, status
@@ -398,7 +411,9 @@ def increment_sums(batch: TrajectoryBatch, keys) -> dict:
         a_hat, q2 = np.empty((2, len(keys), len(batch.w)))
         for lo in range(0, len(batch.w), BLOCK_ROWS):
             block = slice(lo, lo + BLOCK_ROWS)
-            d = np.diff(batch.w[block, : top + 2], axis=1)
+            # C order keeps the products' BLAS layout, and so their rounding,
+            # whatever w's own layout is
+            d = np.subtract(batch.w[block, 1 : top + 2], batch.w[block, : top + 1], order="C")
             a_hat[:, block], q2[:, block] = weights @ d.T, squares @ (d * d).T
         batch.sums = {key: (a_hat[j], q2[j]) for j, key in enumerate(keys)}
     return batch.sums
@@ -426,7 +441,9 @@ def increment_identity_check(batch: TrajectoryBatch, rho: float, n: int) -> floa
     w_proxy = w[:, batch.n_max]
     weights = rho ** np.arange(n + 1)
     blocks = (slice(lo, lo + BLOCK_ROWS) for lo in range(0, len(w), BLOCK_ROWS))
-    lhs = np.concatenate([(w_proxy[b, None] - w[b, : n + 1]) @ weights for b in blocks])
+    # a C-order temporary, as in increment_sums, keeps the product's rounding
+    lhs = np.concatenate([np.subtract(w_proxy[b, None], w[b, : n + 1], order="C") @ weights
+                          for b in blocks])
     a_hat_n = sums_at(batch, rho, n)[0]
     rhs = (
         rho / (rho - 1.0) * a_hat_n

@@ -151,6 +151,26 @@ def test_run_prints_each_line_once_with_forked_workers(tmp_path):
     assert sum(line.startswith("summary:") for line in lines) == 1
 
 
+def test_run_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs 13-17 ms to import, and nothing a run computes needs it
+    cfg = tmp_path / "all-suites.cfg"
+    cfg.write_text(GW_RUN_CFG.replace(
+        "suites: [exact, criteria, burkholder, identity]",
+        "suites: [rates, exact, annealed-rate, criteria, burkholder, identity]"))
+    src = str(Path(bprelab.__file__).parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import sys\n"
+        "from bprelab.cli import main\n"
+        f"code = main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_seed_override_lands_in_simulation(gw_cfg, tmp_path, capsys):
     main(["run", str(gw_cfg), "--out", str(tmp_path / "a"), "--seed", "11"])
     main(["run", str(gw_cfg), "--out", str(tmp_path / "b"), "--seed", "999"])

@@ -1,5 +1,6 @@
 """Monte Carlo reductions: norms, decay fits, the sandwich, rate diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from bprelab import (
 from bprelab.estimators import (
     N_BATCHES,
     LpEstimate,
+    _batch_means,
     burkholder_constants,
     burkholder_sandwich,
     fit_decay,
@@ -207,6 +209,60 @@ class TestBlockSeams:
         for p, n in ((2.0, 20), (1.5, 7)):
             est = w_moment(b, p, n)
             assert (est.value, est.stderr) == mean_and_stderr(b.w[kept, n] ** p)
+
+
+def assert_bit_equal(got, want):
+    """Two results of one estimator hold the same fields, arrays and floats alike, bit for bit."""
+    for key, value in vars(want).items():
+        assert np.array_equal(getattr(got, key), value), key
+
+
+class TestLayout:
+    """A simulated w is generation-major; every reduction reads it as it reads a row-major copy."""
+
+    @pytest.mark.parametrize("cpus", [None, 1], ids=["default-workers", "one-worker"])
+    def test_a_simulated_w_is_generation_major(self, cpus, monkeypatch):
+        if cpus is not None:
+            monkeypatch.setattr("bprelab.simulate._usable_cpus", lambda: cpus)
+        b = run(SimConfig(env=IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0]),
+                          mode="annealed", n_max=8, replicas=2 * BLOCK_ROWS + 1, master_seed=2))
+        assert b.w.T.flags.c_contiguous and not b.w.flags.c_contiguous
+
+    def test_reductions_match_a_row_major_copy(self, seam_batch):
+        b = seam_batch
+        assert b.w.T.flags.c_contiguous
+        copy = dataclasses.replace(b, w=np.ascontiguousarray(b.w))
+        assert copy.w.flags.c_contiguous and copy.sums == {}
+        # a one-key pass is a matrix-vector product, whose rounding follows the layout it is given
+        for keys in ([(rho, n) for rho in (1.0, 1.1, 1.3) for n in range(b.n_max)], [(1.3, 12)]):
+            want, got = increment_sums(b, keys), increment_sums(copy, keys)
+            assert list(got) == keys
+            for key in keys:
+                assert all(map(np.array_equal, got[key], want[key])), key
+        for p, n, gap in ((2.0, 10, 8), (1.5, 0, 20), (3.0, 19, 1)):
+            assert_bit_equal(lp_norm(copy, p, n, gap), lp_norm(b, p, n, gap))
+        for p, n in ((2.0, 20), (1.5, 7), (0.5, 0)):
+            assert_bit_equal(w_moment(copy, p, n), w_moment(b, p, n))
+        for p, rho, n in ((2.0, 1.1, 3), (1.5, 1.3, 12), (2.0, 1.0, 19)):
+            assert_bit_equal(burkholder_sandwich(copy, p, rho, n), burkholder_sandwich(b, p, rho, n))
+        for rho, n in ((1.1, 1), (1.3, 9), (1.2, 18)):
+            assert increment_identity_check(copy, rho, n) == increment_identity_check(b, rho, n)
+
+
+def array_split_means(x):
+    """The reference: the mean of each of np.array_split's min(N_BATCHES, len(x)) chunks."""
+    return np.array([chunk.mean() for chunk in np.array_split(x, min(N_BATCHES, len(x)))])
+
+
+class TestBatchMeans:
+    @pytest.mark.parametrize("length", [1, 2, 29, 30, 31, 59, 101, 1000, 4097, 19_999, 99_871, 100_000])
+    def test_bit_equal_to_array_split(self, length):
+        rng = np.random.default_rng(length)
+        for x in (rng.random(length), rng.standard_cauchy(length) ** 2,
+                  np.abs(rng.normal(size=length)) ** 1.5 * 1e3):
+            got, want = _batch_means(x), array_split_means(x)
+            assert got.shape == want.shape == (min(N_BATCHES, length),)
+            assert np.array_equal(got, want)
 
 
 class TestNorms:

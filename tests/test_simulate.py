@@ -505,6 +505,18 @@ def within(got, want, terms):
     return np.all(np.abs(got - want) <= 1e-12 * np.abs(terms).sum(axis=1))
 
 
+class TestLawTable:
+    def test_support_is_the_sorted_union(self):
+        laws = [OffspringLaw({0: 0.25, 2: 0.75}), OffspringLaw({1: 0.2, 2: 0.3, 4: 0.5}),
+                OffspringLaw({2: 1.0}), OffspringLaw({7: 0.5, 0: 0.5})]
+        support, pvals = _law_table(laws)
+        want = np.unique(np.concatenate([law.values for law in laws]))
+        assert support.dtype == np.int64 and np.array_equal(support, want)
+        assert pvals.shape == (len(laws), support.size)
+        for row, law in zip(pvals, laws):
+            assert row.tolist() == [law.as_mapping().get(v, 0.0) for v in support.tolist()]
+
+
 class TestIncrementSums:
     def test_matches_runs_accumulator_across_row_blocks(self):
         # 10,001 rows: two full blocks of BLOCK_ROWS and a partial third

@@ -71,12 +71,8 @@ _INT_MINIMUMS = {
 }
 
 
-def _line_index(text: str) -> dict[str, int]:
-    """Map dotted key paths to 1-based line numbers via the YAML composer."""
-    try:
-        node = yaml.compose(text)
-    except yaml.YAMLError:
-        return {}
+def _line_index(node: yaml.Node | None) -> dict[str, int]:
+    """Map dotted key paths to 1-based line numbers from the composed YAML node."""
     index: dict[str, int] = {}
 
     def walk(node, path):
@@ -94,6 +90,17 @@ def _line_index(text: str) -> dict[str, int]:
     if node is not None:
         walk(node, "")
     return index
+
+
+def _parse_yaml(text: str) -> tuple[yaml.Node | None, object]:
+    """The node of a one-document YAML text (None if it is empty) and the data constructed
+    from that node, as yaml.safe_load constructs it, from one parse."""
+    loader = yaml.SafeLoader(text)
+    try:
+        node = loader.get_single_node()
+        return node, None if node is None else loader.construct_document(node)
+    finally:
+        loader.dispose()
 
 
 class _Checker:
@@ -228,12 +235,12 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        node, data = _parse_yaml(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         anchor = f"{path}:{mark.line + 1}" if mark else path
         raise ConfigError(f"{anchor}: not valid YAML: {exc}") from exc
-    lines = _line_index(text)
+    lines = _line_index(node)
     if overrides and isinstance(data, dict):
         data = {**data, **overrides}
         lines = {key: line for key, line in lines.items()

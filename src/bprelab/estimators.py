@@ -107,7 +107,9 @@ def lp_norm(batch: TrajectoryBatch, p: float, n: int, proxy_gap: int) -> LpEstim
             f"need 0 <= n and 1 <= gap with n+gap <= {batch.n_max}"
         )
     rows = _rows_used(batch)
-    x = np.abs(batch.w[rows, n + proxy_gap] - batch.w[rows, n]) ** p
+    x = np.subtract(batch.w[rows, n + proxy_gap], batch.w[rows, n])
+    np.abs(x, out=x)
+    x **= p
     return _estimate_from(x, batch, p, n, proxy_gap)
 
 
@@ -286,7 +288,8 @@ class SandwichCheck:
 
 def _norm_with_stderr(x: np.ndarray, p: float) -> tuple[float, float]:
     """(mean |x|^p)^{1/p} with a delta-method stderr."""
-    powered = np.abs(x) ** p
+    powered = np.abs(x)
+    powered **= p
     m = float(powered.mean())
     se_m = _stderr_of(_batch_means(powered))
     if m == 0.0:

@@ -152,7 +152,7 @@ def recursion_slack(env: Environment, n: int) -> list[Item]:
 def identity(batch: TrajectoryBatch, rhos, ns) -> list[Item]:
     """The telescoped and accumulator forms of A_hat_n(rho) within IDENTITY_TOL, at each rho and n
     that increment_identity_check admits for this batch, from one pass over the batch."""
-    simulate.increment_sums(batch, [(rho, n) for rho in rhos for n in ns])
+    simulate.identity_residuals(batch, [(rho, n) for rho in rhos for n in ns])
     items = []
     for rho in rhos:
         for n in ns:

@@ -28,8 +28,13 @@ flagged.
 
 The weighted increment sums A_hat_n(rho) and Q_n(rho)^2 at every (rho, n) a
 relation asks for come from one pass over w, BLOCK_ROWS rows at a time, as
-matrix products of the increments with the weights rho^k [k <= n]
-(``increment_sums``); the batch keeps the last pass's sums in one slot.
+matrix products of the increments with the weights rho^k [k <= n], written
+straight into the result rows (``increment_sums``). The accumulator
+identity's residuals at every (rho, n) come from a pass of their own
+(``identity_residuals``) that keeps only running maxima past a block, so no
+per-row array outlives one. Each pass allocates its scratch once and reuses
+it for every block, and the batch keeps each pass's last result in a slot of
+its own: ``sums`` and ``residuals``.
 """
 
 from __future__ import annotations
@@ -127,9 +132,9 @@ class TrajectoryBatch:
     a loaded one keeps its dump's order and reads the same. a_hat[i, j, n] is
     A_hat_n(rho_j) = sum_{k<=n} rho_j^k (W_{k+1} - W_k) for n = 0..n_max-1,
     filled only for a SimConfig.rho_grid. bprelab's own batches leave both
-    empty and take A_hat_n from increment_sums, whose last pass is sums;
-    rho_grid and a_hat remain only because the benchmark under bench/ still
-    reads them, and go with that use.
+    empty and take A_hat_n from increment_sums, whose last pass is sums
+    (identity_residuals' is residuals); rho_grid and a_hat remain only
+    because the benchmark under bench/ still reads them, and go with that use.
     """
 
     mode: str
@@ -145,9 +150,10 @@ class TrajectoryBatch:
     path: EnvPath | None = None
     meta: dict = field(default_factory=dict)
     sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    residuals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # sums are cached from w, so w must not change under them
+        # sums and residuals are cached from w, so w must not change under them
         self.w.flags.writeable = False
 
     @property
@@ -394,12 +400,28 @@ def _weights(keys, top: int) -> np.ndarray:
     return np.array([[rho**k if k <= n else 0.0 for k in range(top + 1)] for rho, n in keys])
 
 
+def _blocks(rows: int):
+    """(lo, hi) of each BLOCK_ROWS slice of rows."""
+    return ((lo, min(lo + BLOCK_ROWS, rows)) for lo in range(0, rows, BLOCK_ROWS))
+
+
+def _increments(w: np.ndarray, top: int, out: np.ndarray) -> np.ndarray:
+    """d_k = W_{k+1} - W_k, k <= top, of a block of w's rows, written into the C-order out.
+
+    C order keeps the products' BLAS layout, and so their rounding, whatever
+    w's own layout is.
+    """
+    return np.subtract(w[:, 1 : top + 2], w[:, : top + 1], out=out[: len(w)])
+
+
 def increment_sums(batch: TrajectoryBatch, keys) -> dict:
     """Refill the slot batch.sums: (rho, n) -> every row's A_hat_n(rho) and Q_n(rho)^2.
 
     Per BLOCK_ROWS rows, the increments d_k = W_{k+1} - W_k are multiplied by the
-    K x (top+1) matrix W of rho^k [k <= n], and d*d by W*W. Keys outside finite
-    rho >= 1 and 0 <= n < n_max are left out, for the per-key call to refuse.
+    K x (top+1) matrix W of rho^k [k <= n], then squared in place and multiplied
+    by W*W, straight into the result rows; d is one block of scratch that every
+    block reuses. Keys outside finite rho >= 1 and 0 <= n < n_max are left out,
+    for the per-key call to refuse.
     """
     keys = [(rho, n) for rho, n in dict.fromkeys(keys)
             if math.isfinite(rho) and rho >= 1.0 and 0 <= n < batch.n_max]
@@ -409,12 +431,11 @@ def increment_sums(batch: TrajectoryBatch, keys) -> dict:
         weights = _weights(keys, top)
         squares = weights * weights
         a_hat, q2 = np.empty((2, len(keys), len(batch.w)))
-        for lo in range(0, len(batch.w), BLOCK_ROWS):
-            block = slice(lo, lo + BLOCK_ROWS)
-            # C order keeps the products' BLAS layout, and so their rounding,
-            # whatever w's own layout is
-            d = np.subtract(batch.w[block, 1 : top + 2], batch.w[block, : top + 1], order="C")
-            a_hat[:, block], q2[:, block] = weights @ d.T, squares @ (d * d).T
+        d_buf = np.empty((min(BLOCK_ROWS, len(batch.w)), top + 1))
+        for lo, hi in _blocks(len(batch.w)):
+            d = _increments(batch.w[lo:hi], top, d_buf)
+            np.matmul(weights, d.T, out=a_hat[:, lo:hi])
+            np.matmul(squares, np.multiply(d, d, out=d).T, out=q2[:, lo:hi])
         batch.sums = {key: (a_hat[j], q2[j]) for j, key in enumerate(keys)}
     return batch.sums
 
@@ -424,31 +445,84 @@ def sums_at(batch: TrajectoryBatch, rho: float, n: int) -> tuple[np.ndarray, np.
     return batch.sums.get((rho, n)) or increment_sums(batch, [(rho, n)])[rho, n]
 
 
-def increment_identity_check(batch: TrajectoryBatch, rho: float, n: int) -> float:
-    """Largest relative residual of the accumulator identity across replicas.
+def identity_residuals(batch: TrajectoryBatch, keys) -> dict:
+    """Refill the slot batch.residuals: (rho, n) -> the accumulator identity's residual.
 
     With W replaced by the proxy W_N, N = n_max, A_n = sum_{k<=n} rho^k
     (W_N - W_k) must equal rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1)
-    (W_N - W_{n+1}) - (W_N - 1)/(rho-1) exactly. A_n is summed from w
-    directly, BLOCK_ROWS rows at a time, and A_hat_n comes from sums_at; the
-    residual is normalized by max(1, term magnitude).
+    (W_N - W_{n+1}) - (W_N - 1)/(rho-1) exactly. The residual is the largest
+    |A_n - rhs| over rows, relative to max(1, largest |A_n|, largest |rhs|).
+
+    One pass, BLOCK_ROWS rows at a time, into scratch reused by every block:
+    A_hat_n for every key is one matrix product of the increments, as in
+    increment_sums but with at least two weight rows (numpy hands a one-row
+    product to a matrix-vector kernel, whose rounding differs), so a key's
+    residual does not depend on the other keys of its pass. A_n is one
+    matrix-vector product per key over a C-order W_N - W_k that every rho at
+    one n shares; the right-hand side is formed for all keys at once, each
+    element in the order of the formula, and only running maxima outlive a
+    block. Keys outside finite rho > 1 and 0 <= n < n_max - 1 are left out,
+    for the per-key call to refuse.
+    """
+    keys = [(rho, n) for rho, n in dict.fromkeys(keys)
+            if math.isfinite(rho) and rho > 1.0 and 0 <= n < batch.n_max - 1]
+    batch.residuals = {}
+    if not keys:
+        return batch.residuals
+    w, n_max, k = batch.w, batch.n_max, len(keys)
+    top = max(n for _, n in keys)
+    weights = _weights(keys, top)
+    if k == 1:
+        weights = np.vstack([weights, np.zeros(top + 1)])
+    lhs_weights = [rho ** np.arange(n + 1) for rho, n in keys]
+    by_n: dict[int, list[int]] = {}
+    for j, (_, n) in enumerate(keys):
+        by_n.setdefault(n, []).append(j)
+    c_hat = np.array([[rho / (rho - 1.0)] for rho, _ in keys])
+    c_tail = np.array([[rho ** (n + 1) / (rho - 1.0)] for rho, n in keys])
+    c_one = np.array([[rho - 1.0] for rho, _ in keys])
+
+    # flat scratch, viewed C-order at each block's size; the increments' buffer
+    # holds each n's telescoped W_N - W_k once the product has read them
+    rows = min(BLOCK_ROWS, len(w))
+    d_buf, excess_buf = np.empty(rows * (top + 1)), np.empty(rows)
+    rhs_buf, lhs_buf, tmp_buf = np.empty(len(weights) * rows), np.empty(k * rows), np.empty(k * rows)
+    maxima, block_max = np.full((2, 3, k), -np.inf)
+    for lo, hi in _blocks(len(w)):
+        size = hi - lo
+        w_block, w_proxy = w[lo:hi], w[lo:hi, n_max]
+        d = _increments(w_block, top, d_buf.reshape(rows, top + 1))
+        rhs = np.matmul(weights, d.T, out=rhs_buf[: len(weights) * size].reshape(-1, size))[:k]
+        lhs, tmp = lhs_buf[: k * size].reshape(k, size), tmp_buf[: k * size].reshape(k, size)
+        for n, js in by_n.items():
+            telescoped = np.subtract(w_proxy[:, None], w_block[:, : n + 1],
+                                     out=d_buf[: size * (n + 1)].reshape(size, n + 1))
+            for j in js:
+                np.matmul(telescoped, lhs_weights[j], out=lhs[j])
+        # rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1) (W_N - W_{n+1}) - (W_N - 1)/(rho-1)
+        rhs *= c_hat
+        for j, (_, n) in enumerate(keys):
+            np.subtract(w_proxy, w_block[:, n + 1], out=tmp[j])
+        tmp *= c_tail
+        rhs += tmp
+        rhs -= np.divide(np.subtract(w_proxy, 1.0, out=excess_buf[:size]), c_one, out=tmp)
+        for i, x in enumerate((np.subtract(lhs, rhs, out=tmp), lhs, rhs)):
+            np.max(np.abs(x, out=x), axis=1, out=block_max[i])
+        np.maximum(maxima, block_max, out=maxima)
+    diff, lhs_max, rhs_max = maxima.tolist()
+    batch.residuals = {key: diff[j] / max(1.0, lhs_max[j], rhs_max[j]) for j, key in enumerate(keys)}
+    return batch.residuals
+
+
+def increment_identity_check(batch: TrajectoryBatch, rho: float, n: int) -> float:
+    """Largest relative residual of the accumulator identity across replicas.
+
+    From the batch's slot (see identity_residuals), else a one-key pass that
+    replaces it.
     """
     if not (math.isfinite(rho) and rho > 1.0):
         raise ParameterError(f"identity requires a finite rho > 1, got {rho}")
     if not 0 <= n < batch.n_max - 1:
         raise ParameterError(f"need 0 <= n < {batch.n_max - 1}")
-    w = batch.w
-    w_proxy = w[:, batch.n_max]
-    weights = rho ** np.arange(n + 1)
-    blocks = (slice(lo, lo + BLOCK_ROWS) for lo in range(0, len(w), BLOCK_ROWS))
-    # a C-order temporary, as in increment_sums, keeps the product's rounding
-    lhs = np.concatenate([np.subtract(w_proxy[b, None], w[b, : n + 1], order="C") @ weights
-                          for b in blocks])
-    a_hat_n = sums_at(batch, rho, n)[0]
-    rhs = (
-        rho / (rho - 1.0) * a_hat_n
-        + rho ** (n + 1) / (rho - 1.0) * (w_proxy - w[:, n + 1])
-        - (w_proxy - 1.0) / (rho - 1.0)
-    )
-    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    return float(np.abs(lhs - rhs).max() / scale)
+    residual = batch.residuals.get((rho, n))
+    return identity_residuals(batch, [(rho, n)])[rho, n] if residual is None else residual

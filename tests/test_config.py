@@ -4,6 +4,7 @@ import glob
 import math
 
 import pytest
+import yaml
 
 from bprelab import ConfigError, config
 from bprelab.config import load_config, parse_config
@@ -102,6 +103,39 @@ class TestLoading:
         path = write_cfg(tmp_path, "schema: 1\nname: [unclosed\n")
         with pytest.raises(ConfigError, match="not valid YAML"):
             load_config(path)
+
+
+class TestOneParse:
+    def test_each_load_composes_the_text_once(self, tmp_path, monkeypatch):
+        # the data and the line index come from one composed node
+        composed = []
+        real = yaml.composer.Composer.compose_document
+
+        def spy(loader):
+            composed.append(type(loader))
+            return real(loader)
+
+        monkeypatch.setattr(yaml.composer.Composer, "compose_document", spy)
+        path = write_cfg(tmp_path, FULL_TEXT)
+        load_config(path)
+        assert composed == [yaml.SafeLoader]
+        load_config(path, {"replicas": 500})
+        assert len(composed) == 2
+
+    @pytest.mark.parametrize("name", sorted(glob.glob("configs/*.cfg")))
+    def test_data_is_what_safe_load_builds(self, name):
+        with open(name) as fh:
+            text = fh.read()
+        assert config._parse_yaml(text)[1] == yaml.safe_load(text)
+
+    def test_yaml_error_keeps_its_line(self, tmp_path):
+        text = "schema: 1\nname: round-trip\nsuites: [exact\nreplicas: 5\n"
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(yaml.YAMLError) as want:
+            yaml.safe_load(text)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}:{want.value.problem_mark.line + 1}: not valid YAML: {want.value}"
 
 
 class TestLineAnchors:

@@ -211,6 +211,27 @@ class TestBlockSeams:
             assert (est.value, est.stderr) == mean_and_stderr(b.w[kept, n] ** p)
 
 
+class TestInPlacePowers:
+    """The reductions' in-place abs and powers give the plain numpy expressions' bits."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_values_and_stderrs_are_bit_equal(self, seam_batch, p):
+        b = seam_batch
+        kept = seam_kept(b)
+        w = b.w[kept]
+        for n, gap in ((0, 20), (10, 8), (19, 1)):
+            est = lp_norm(b, p, n, gap)
+            assert (est.value, est.stderr) == mean_and_stderr(np.abs(w[:, n + gap] - w[:, n]) ** p)
+        for n in (0, 7, 20):
+            est = w_moment(b, p, n)
+            assert (est.value, est.stderr) == mean_and_stderr(w[:, n] ** p)
+        for rho, n in ((1.0, 19), (1.3, 12)):
+            a_hat, q2 = sums_at(b, rho, n)
+            check = burkholder_sandwich(b, p, rho, n)
+            assert (check.a_norm, check.a_stderr) == norm_and_stderr(a_hat[kept], p)
+            assert (check.q_norm, check.q_stderr) == norm_and_stderr(np.sqrt(q2[kept]), p)
+
+
 def assert_bit_equal(got, want):
     """Two results of one estimator hold the same fields, arrays and floats alike, bit for bit."""
     for key, value in vars(want).items():

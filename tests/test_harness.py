@@ -103,18 +103,24 @@ class TestRunExperiment:
     def test_one_pass_per_relation_call(self, monkeypatch):
         # every p, rho and n of a relation call reads the one pass that the relation runs
         passes = []
-        real = bprelab.simulate.increment_sums
 
-        def spy(batch, keys):
-            passes.append(list(keys))
-            return real(batch, keys)
+        def spy(name):
+            real = getattr(bprelab.simulate, name)
 
-        monkeypatch.setattr(bprelab.simulate, "increment_sums", spy)
+            def pass_(batch, keys):
+                keys = list(keys)
+                passes.append((name, len(keys)))
+                return real(batch, keys)
+
+            monkeypatch.setattr(bprelab.simulate, name, pass_)
+
+        spy("increment_sums")
+        spy("identity_residuals")
         report, _, code = run_experiment(small_gw(suites=["burkholder", "identity"], p=[1.5, 2.0]))
         assert code == 0
         assert len(report["suites"]["burkholder"]["results"]) == 18
         assert len(report["suites"]["identity"]["results"]) == 9
-        assert [len(keys) for keys in passes] == [9, 9]
+        assert passes == [("increment_sums", 9), ("identity_residuals", 9)]
 
     @pytest.mark.parametrize("name", ["two_state", "deterministic"])
     def test_a_mixture_simulates_the_path_seed_path_and_the_annealed_batch_only(self, monkeypatch, name):

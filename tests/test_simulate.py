@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from bprelab.simulate import (
     STREAM_SCHEME,
     _law_table,
     _simulate_block,
+    identity_residuals,
     increment_sums,
     sums_at,
 )
@@ -546,12 +548,130 @@ class TestIncrementSums:
         assert within(a_hat, terms.sum(axis=1), terms)
         assert within(q2, (terms * terms).sum(axis=1), terms * terms)
 
+    def test_scratch_is_one_block_of_increments(self):
+        batch = run(small_cfg(replicas=6 * BLOCK_ROWS))
+        # more keys than increments a row: a K-row temporary per block would break the bound
+        keys = [(rho, n) for rho in (1.0, 1.1, 1.3) for n in range(batch.n_max)]
+        top = batch.n_max - 1
+        sums, peak = traced_peak(lambda: increment_sums(batch, keys))
+        results = 2 * len(keys) * batch.replicas * 8
+        assert len(sums) == len(keys) > top + 2
+        assert peak - results <= BLOCK_ROWS * (top + 2) * 8 + SLACK_BYTES, (peak, results)
+
     def test_keys_outside_the_pass_are_left_out(self):
         batch = run(small_cfg(replicas=50))
         bad = [(0.5, 2), (math.inf, 2), (math.nan, 2), (1.2, -1), (1.2, batch.n_max)]
         assert increment_sums(batch, bad + [(1.0, batch.n_max - 1)]) is batch.sums
         assert list(batch.sums) == [(1.0, batch.n_max - 1)]
         assert increment_sums(batch, bad) == {} and batch.sums == {}
+
+
+def reference_residual(batch, rho, n, a_hat_n):
+    """The residual as one whole-batch expression per key, with A_hat_n given.
+
+    The accumulator form is evaluated on every row at once, in the order of
+    the identity's formula; the telescoped sum is one matrix-vector product
+    per BLOCK_ROWS rows over a C-order W_N - W_k, as the identity pass forms it.
+    """
+    w = batch.w
+    w_proxy = w[:, batch.n_max]
+    weights = rho ** np.arange(n + 1)
+    blocks = (slice(lo, lo + BLOCK_ROWS) for lo in range(0, len(w), BLOCK_ROWS))
+    lhs = np.concatenate([np.subtract(w_proxy[b, None], w[b, : n + 1], order="C") @ weights
+                          for b in blocks])
+    rhs = (
+        rho / (rho - 1.0) * a_hat_n
+        + rho ** (n + 1) / (rho - 1.0) * (w_proxy - w[:, n + 1])
+        - (w_proxy - 1.0) / (rho - 1.0)
+    )
+    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+    return float(np.abs(lhs - rhs).max() / scale)
+
+
+def fsum_residual(batch, rho, n):
+    """The residual with both sides summed row by row by math.fsum."""
+    w = batch.w
+    w_proxy = w[:, batch.n_max]
+    powers = rho ** np.arange(n + 1)
+    lhs = np.array([math.fsum(row) for row in (powers * (w_proxy[:, None] - w[:, : n + 1])).tolist()])
+    a_hat = np.array([math.fsum(row) for row in (powers * np.diff(w[:, : n + 2], axis=1)).tolist()])
+    tail = rho ** (n + 1) / (rho - 1.0) * (w_proxy - w[:, n + 1])
+    rhs = np.array([math.fsum(terms) for terms in zip(
+        (rho / (rho - 1.0) * a_hat).tolist(), tail.tolist(), (-(w_proxy - 1.0) / (rho - 1.0)).tolist())])
+    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+    return float(np.abs(lhs - rhs).max() / scale)
+
+
+# what a pass may hold besides its scratch: numpy's ufunc iteration buffers,
+# np.getbufsize() elements for each of three operands, and small objects
+SLACK_BYTES = 3 * 8 * np.getbufsize() + 64 * 1024
+
+
+def traced_peak(fn):
+    """fn's result and the most memory that tracemalloc saw held during fn, above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestIdentityPass:
+    """The one-pass residuals against the whole-batch reference and a row-by-row fsum oracle."""
+
+    RHOS = (1.0, 1.1, 1.3, 1.7)
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        # two full blocks of BLOCK_ROWS and a partial third
+        batch = run(small_cfg(replicas=10_001))
+        assert batch.replicas > 2 * BLOCK_ROWS and batch.replicas % BLOCK_ROWS
+        return batch
+
+    def keys(self, batch):
+        return [(rho, n) for rho in self.RHOS for n in (0, 1, 6, batch.n_max - 2, batch.n_max - 1)]
+
+    def test_primed_cold_and_reference_agree_bit_for_bit(self, batch):
+        keys = self.keys(batch)
+        primed = dict(identity_residuals(batch, keys))
+        assert batch.residuals == primed
+        # rho = 1 and n = n_max - 1 are left out, for the per-key call to refuse
+        assert list(primed) == [(rho, n) for rho, n in keys if rho > 1.0 and n < batch.n_max - 1]
+        # the reference reads A_hat_n from one increment pass over every key
+        sums = increment_sums(batch, keys)
+        for (rho, n), residual in primed.items():
+            assert increment_identity_check(batch, rho, n) == residual
+            cold = identity_residuals(batch, [(rho, n)])
+            assert cold == {(rho, n): residual} and batch.residuals is cold
+            assert reference_residual(batch, rho, n, sums[rho, n][0]) == residual, (rho, n)
+            # a miss in the slot runs a one-key pass that replaces it
+            batch.residuals = {}
+            assert increment_identity_check(batch, rho, n) == residual
+            assert list(batch.residuals) == [(rho, n)]
+
+    def test_matches_a_row_by_row_fsum_oracle(self, batch):
+        for rho, n in ((1.1, 0), (1.3, 6), (1.7, batch.n_max - 2)):
+            want = fsum_residual(batch, rho, n)
+            assert want <= 1e-12
+            assert abs(increment_identity_check(batch, rho, n) - want) <= 1e-12
+
+    def test_keys_outside_the_pass_are_left_out(self, batch):
+        bad = [(1.0, 2), (0.5, 2), (math.inf, 2), (math.nan, 2), (1.2, -1), (1.2, batch.n_max - 1)]
+        assert identity_residuals(batch, bad) == {} and batch.residuals == {}
+
+    def test_holds_no_per_row_array(self):
+        # twelve blocks: per-row sums of nine keys would take 2 x 9 x 8 bytes a row
+        batch = run(small_cfg(n_max=8, replicas=12 * BLOCK_ROWS))
+        keys = [(rho, n) for rho in (1.1, 1.3, 1.7) for n in (0, 3, 6)]
+        top = 6
+        residuals, peak = traced_peak(lambda: identity_residuals(batch, keys))
+        assert len(residuals) == len(keys)
+        # the increments (then the telescoped sums), W_N - 1 and three K-row buffers
+        scratch = 8 * BLOCK_ROWS * (top + 2 + 3 * len(keys))
+        assert peak <= scratch + SLACK_BYTES, (peak, scratch)
 
 
 class TestIdentity:

@@ -39,9 +39,9 @@ def _build_parser() -> _Parser:
         "worker per usable CPU, and neither this value nor the worker count changes "
         "the results"))
 
-    p_verify = sub.add_parser("verify", help="run the cross-module consistency checks")
+    p_verify = sub.add_parser("verify", help="run the suites' checks at small sizes")
     p_verify.add_argument("config")
-    p_verify.add_argument("--out", help="also write report.json to this directory")
+    p_verify.add_argument("--out", help="also write report.json and the CSV tables to this directory")
     p_verify.add_argument("--seed", type=int, help="override master_seed")
 
     p_rates = sub.add_parser("rates", help="print the computed rate report")

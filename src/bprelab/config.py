@@ -37,9 +37,9 @@ class ExperimentConfig:
     Each field is a top-level key of the config file, under the name in its
     ``key`` metadata if it has one (``source`` and ``raw`` are not keys); a
     key the file leaves out takes the field's default. The rho values of the
-    burkholder and identity suites, the checks' tolerances and verify's checks
-    are not keys: the harness derives the first from the environment and
-    holds the others as constants.
+    burkholder and identity suites, the checks' tolerances and verify's suites
+    and sizes are not keys: the harness derives the first from the environment
+    and holds the others as constants.
     """
 
     name: str

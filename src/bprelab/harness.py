@@ -4,7 +4,9 @@ A report is deterministic for a given config (the timings block aside): suites
 execute in declared order, every verdict lands in `checks` as
 {id, suite, statement, passed, observed}, and the exit code is 0 when all
 checks pass, 2 when any fails, 1 for config or precondition errors (decided
-by the CLI, which maps raised errors).
+by the CLI, which maps raised errors). `run` runs the config's suites at its
+sizes; `verify` runs the fixed list `_VERIFY_SUITES` through the same loop at
+small sizes, and names the suites it could not run instead of refusing.
 """
 
 from __future__ import annotations
@@ -46,10 +48,14 @@ EXACT_TABLE_LEN = 12
 
 
 class _Context:
-    """Per-experiment scratch: cached batches, checks, and CSV side tables."""
+    """Per-experiment scratch: cached batches, checks, and CSV side tables. `verify` passes
+    `a_hat_rho`, the rate of the exact suite's A_hat partial sums, and `fit=False`, which
+    leaves the rate suites only their estimates' slack against exact values."""
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, a_hat_rho: float | None = None, fit: bool = True):
         self.cfg = cfg
+        self.a_hat_rho = a_hat_rho
+        self.fit = fit
         self.checks: list[dict] = []
         self.csv: dict[str, list[str]] = {}
         self._batches: dict = {}
@@ -164,13 +170,21 @@ def _check_p_tags(cfg: ExperimentConfig) -> None:
                 )
 
 
+def _refusal(ctx: _Context, suite: str) -> str | None:
+    """`<file>: <key>: ...` for the first need of `suite` that the config fails, else None."""
+    for needed_by, key, holds, refusal in _NEEDS:
+        if suite in needed_by and not holds(ctx):
+            return f"{ctx.cfg.source}: {key}: " + refusal.format(suite=suite, cfg=ctx.cfg, ctx=ctx)
+    return None
+
+
 def check_suite_needs(cfg: ExperimentConfig, suites) -> None:
-    """Raise ConfigError `<file>: <key>: ...` for the first need of `suites` the config fails."""
+    """Raise ConfigError with the refusal of the first need of `suites` the config fails."""
     ctx = _Context(cfg)
     for suite in suites:
-        for needed_by, key, holds, refusal in _NEEDS:
-            if suite in needed_by and not holds(ctx):
-                raise ConfigError(f"{cfg.source}: {key}: " + refusal.format(suite=suite, cfg=cfg, ctx=ctx))
+        refusal = _refusal(ctx, suite)
+        if refusal is not None:
+            raise ConfigError(refusal)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +245,7 @@ def _suite_exact(ctx: _Context) -> dict:
             "summable": forms.summable,
             "sup_w2": forms.sup_w2(),
         }
-        ctx.record("exact", relations.p2_partial_sums(ctx.env, n_table))
+        ctx.record("exact", relations.p2_partial_sums(ctx.env, n_table, a_hat_rho=ctx.a_hat_rho))
         ctx.record("exact", relations.growth_envelope(ctx.env, n_table, range(2, EXACT_TABLE_ORDER + 1)))
         ctx.record("exact", relations.recursion_slack(ctx.env, n_table))
 
@@ -274,7 +288,8 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, **p
     Only p = 2 has an oracle: the gap sums of the increment second moments
     `inc`, the bias bound `bias(n + gap)` and the keyword arguments `p2` of
     its rate_fit (the rate `predicted_rho` the fit should bracket, or the
-    `unbounded_q1` that leaves nothing to fit).
+    `unbounded_q1` that leaves nothing to fit). Without `ctx.fit` only the
+    estimates' slack against the exact values is recorded.
     """
     gap = ctx.cfg.gap
     for p in ctx.cfg.p:
@@ -287,7 +302,11 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, **p
         ctx.add_csv(f"{suite.replace('-', '_')}_{p_tag(p)}.csv", "p,n,value,stderr", rows)
         # exact E|W_{n+gap} - W_n|^2 is the sum of the increments' second moments
         exact_vals = [math.fsum(inc[e.n : e.n + gap]) for e in estimates] if at_p2 else None
-        yield p, ctx.record(suite, relations.rate_fit(estimates, exact_vals, **(p2 if at_p2 else {})))
+        if ctx.fit:
+            items = relations.rate_fit(estimates, exact_vals, **(p2 if at_p2 else {}))
+        else:
+            items = relations.exact_slack(estimates, exact_vals)
+        yield p, ctx.record(suite, items)
 
 
 def _suite_quenched_rate(ctx: _Context) -> dict:
@@ -458,8 +477,15 @@ def jsonable(obj):
     return obj
 
 
-def _build_report(ctx: _Context, suites: dict, timings: dict, t_start: float):
-    """Close the timings; returns (report, csv tables, exit code 2 if any check failed else 0)."""
+def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list[str]], int]:
+    """Run `suites` in order, each section into `body`; returns (report, csv tables, exit code
+    2 if any check failed, else 0)."""
+    timings: dict = {}
+    t_start = time.perf_counter()
+    for suite in suites:
+        t0 = time.perf_counter()
+        body[suite] = _SUITES[suite](ctx)
+        timings[suite] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
     checks = ctx.checks
     failed = sum(1 for c in checks if not c["passed"])
@@ -468,7 +494,7 @@ def _build_report(ctx: _Context, suites: dict, timings: dict, t_start: float):
             "schema": 1,
             "tool": {"name": "bprelab", "version": __version__},
             "config": {"source": ctx.cfg.source, "values": ctx.cfg.raw},
-            "suites": suites,
+            "suites": body,
             "checks": checks,
             "summary": {
                 "checks": len(checks),
@@ -496,103 +522,36 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], i
     """Execute the config's suites in order; returns (report, csv tables, exit code)."""
     _check_p_tags(cfg)
     check_suite_needs(cfg, cfg.suites)
-    ctx = _Context(cfg)
-    suites: dict = {}
-    timings: dict = {}
-    t_start = time.perf_counter()
-    for suite in cfg.suites:
-        t0 = time.perf_counter()
-        suites[suite] = _SUITES[suite](ctx)
-        timings[suite] = time.perf_counter() - t0
-    return _build_report(ctx, suites, timings, t_start)
+    return _run_suites(_Context(cfg), cfg.suites, {})
 
 
-# ---------------------------------------------------------------------------
-# verify: each name is a relation called at small sizes, folded into one check
-
-
-# the rho values of verify's identity and sandwich checks
-_VERIFY_RHOS = (1.1, 1.3)
-
-
-def _verify_batch(ctx: _Context, n: int) -> TrajectoryBatch:
-    """A small quenched batch of n generations along the series path, shared by the batch checks."""
-    return ctx.batch(
-        MODE_QUENCHED,
-        n_max=n,
-        replicas=max(1_000, min(ctx.cfg.replicas, 4_000)),
-        path_seed=ctx.series_seed,
-    )
-
-
-# name -> (statement, relation, its keyword arguments at verify's n generations);
-# verify runs every name, in this order
-_VERIFY = {
-    "p2-closed-forms": (
-        "closed-form second moments match the recursion tables", relations.p2_partial_sums,
-        lambda ctx, n: dict(env=ctx.env, n=n, path=None if ctx.is_mixture else ctx.series_path(n),
-                            a_hat_rho=1.05),
-    ),
-    "recursion-inequality": (
-        "the split-moment recursion inequality has non-negative slack", relations.recursion_slack,
-        lambda ctx, n: dict(env=ctx.env, n=n),
-    ),
-    "growth-envelope": (
-        "scaled moments stay under the polynomial-times-base envelope", relations.growth_envelope,
-        lambda ctx, n: dict(env=ctx.env, n=n, orders=(2, 3, 4, 5)),
-    ),
-    "increment-identity": (
-        "the telescoped and accumulator forms agree to rounding", relations.identity,
-        lambda ctx, n: dict(batch=_verify_batch(ctx, n), rhos=_VERIFY_RHOS, ns=sorted({1, n - 2})),
-    ),
-    "burkholder-sandwich": (
-        relations.BRACKET, relations.sandwiches,
-        lambda ctx, n: dict(batch=_verify_batch(ctx, n), ps=ctx.cfg.p[:1], rhos=_VERIFY_RHOS[:1],
-                            ns=(n - 1,)),
-    ),
-    "rate-orderings": (
-        "computed rates obey their proven orderings", relations.rate_orderings,
-        lambda ctx, n: dict(reports=ctx.rate_reports()),
-    ),
-    "quenched-increments": (
-        "simulated squared increments match the exact path values", relations.exact_slack,
-        lambda ctx, n: dict(
-            estimates=[lp_norm(_verify_batch(ctx, n), 2.0, k, 1) for k in range(min(6, n))],
-            exact_values=exact_moments.quenched_increment_second_moments(
-                _verify_batch(ctx, n).path, min(6, n)
-            ),
-        ),
-    ),
-}
+# the suites verify runs, in the order of _SUITES (a test holds it a subsequence)
+_VERIFY_SUITES = ("rates", "exact", "quenched-rate", "burkholder", "identity")
 
 
 def verify_suite(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], int]:
-    """Run every cross-module consistency check at small sizes; errors are recorded per check.
+    """Run `_VERIFY_SUITES` at small sizes; returns (report, csv tables, exit code).
 
-    Each name's relation items fold into the one check `verify.<name>`: it
-    passes when every item does, and its observed values map each item's
-    suffix to its verdict and observed values (a suffix that repeats is
-    refused); with no item it passes as skipped, naming the relation's domain.
+    The sizes are 4 to 12 generations (no more than a fixed path has), gap 1,
+    1,000 to 4,000 replicas and the quenched batch on the series path. Every
+    suite that records no check, because the small config fails its needs or
+    for want of exact values, is named with the reason in
+    `suites.verify.not_applicable`.
     """
     _check_p_tags(cfg)
     ctx = _Context(cfg)
-    # 4 to 12 generations, and no more than a fixed path has
-    n_small = min(max(4, min(cfg.n_max, 12)), ctx.path_states)
-    timings: dict = {}
-    t_start = time.perf_counter()
-    for name, (statement, relation, kwargs) in _VERIFY.items():
-        t0 = time.perf_counter()
-        try:
-            items = relation(**kwargs(ctx, n_small))
-        except BpreLabError as exc:
-            ctx.record("verify", [Item(name, statement, False, {"error": str(exc)})])
-        else:
-            observed = {}
-            for item in items:
-                if item.suffix in observed:
-                    raise BpreLabError(f"verify.{name}: suffix {item.suffix!r} is repeated")
-                observed[item.suffix] = {"passed": item.passed} | item.observed
-            observed = observed or {"skipped": f"needs {relation.domain}"}
-            ctx.record("verify", [Item(name, statement, all(item.passed for item in items), observed)])
-        timings[name] = time.perf_counter() - t0
-    return _build_report(ctx, {"verify": {"checks_run": list(_VERIFY)}}, timings, t_start)
+    small = dataclasses.replace(
+        cfg, n_max=min(max(4, min(cfg.n_max, 12)), ctx.path_states), gap=1,
+        replicas=max(1_000, min(cfg.replicas, 4_000)), path_seed=ctx.series_seed,
+    )
+    ctx = _Context(small, a_hat_rho=1.05, fit=False)
+    refusals = {suite: _refusal(ctx, suite) for suite in _VERIFY_SUITES}
+    sizes = {key: getattr(small, key) for key in ("n_max", "gap", "replicas", "path_seed")}
+    admitted = [suite for suite, refusal in refusals.items() if refusal is None]
+    report, tables, code = _run_suites(ctx, admitted, {"verify": {"sizes": sizes}})
+    recorded = {check["suite"] for check in report["checks"]}
+    empty = f"records no check at n_max {small.n_max}, gap 1 and p {list(small.p)}"
+    report["suites"]["verify"]["not_applicable"] = {
+        suite: refusal or f"{suite} {empty}" for suite, refusal in refusals.items() if suite not in recorded
+    }
+    return report, tables, code

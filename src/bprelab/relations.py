@@ -1,9 +1,9 @@
 """Relations: pure functions from an environment, a path, a batch or estimates,
 and sizes, to the check items that judge them.
 
-A relation returns its items, and none outside its domain. The suites and
-`verify` call the same relations at their own sizes; `harness._Context.record`
-writes the items as checks. The simulation and estimator layers are called
+A relation returns its items, and none outside its domain. The suites call
+them, at `run`'s sizes or at `verify`'s; `harness._Context.record` writes the
+items as checks. The simulation and estimator layers are called
 through their modules, so a wrapper installed on a module attribute sees
 every call.
 """
@@ -42,17 +42,6 @@ def p_tag(p: float) -> str:
     return f"p{p:g}"
 
 
-def relation(domain: str):
-    """Name the domain outside which a relation yields no item; verify's skipped checks cite it."""
-
-    def mark(fn):
-        fn.domain = domain
-        return fn
-
-    return mark
-
-
-@relation("a supercritical stationary mixture")
 def rate_orderings(reports: list[rates.RateReport]) -> list[Item]:
     """The proven orderings among each report's rates, as `p<p>.<name>`."""
     items = []
@@ -87,7 +76,6 @@ def partial_sum_error(moments, inc) -> float:
     return worst
 
 
-@relation("a stationary mixture or an environment path")
 def p2_partial_sums(env: Environment, n: int, path: EnvPath | None = None,
                     a_hat_rho: float | None = None) -> list[Item]:
     """Second moments from the recursion tables against the partial sums of the squared
@@ -124,7 +112,6 @@ def p2_partial_sums(env: Environment, n: int, path: EnvPath | None = None,
     return items
 
 
-@relation("a stationary mixture")
 def growth_envelope(env: Environment, n: int, orders) -> list[Item]:
     """Whether each order's scaled moments stay under the envelope up to max(n, 10)."""
     if not isinstance(env, IIDMixture):
@@ -134,7 +121,6 @@ def growth_envelope(env: Environment, n: int, orders) -> list[Item]:
     return [Item("growth-envelope", statement, all(holds), {"orders": list(orders)})]
 
 
-@relation("a stationary mixture")
 def recursion_slack(env: Environment, n: int) -> list[Item]:
     """Least slack of the split-moment recursion (orders 3-4, s in {0, 1}) up to max(n, 10)."""
     if not isinstance(env, IIDMixture):
@@ -148,7 +134,6 @@ def recursion_slack(env: Environment, n: int) -> list[Item]:
     return [Item("recursion-slack", statement, min_slack >= -ROUNDING, {"min_slack": min_slack})]
 
 
-@relation("some rho > 1 and some n < n_max - 1")
 def identity(batch: TrajectoryBatch, rhos, ns) -> list[Item]:
     """The telescoped and accumulator forms of A_hat_n(rho) within IDENTITY_TOL, at each rho and n
     that increment_identity_check admits for this batch, from one pass over the batch."""
@@ -167,25 +152,20 @@ def identity(batch: TrajectoryBatch, rhos, ns) -> list[Item]:
     return items
 
 
-# shared by the burkholder items and verify's burkholder-sandwich check
-BRACKET = "the weighted-increment norm sits inside the square-function bracket"
-
-
-@relation("rho >= 1 and n < n_max")
 def sandwiches(batch: TrajectoryBatch, ps, rhos, ns) -> list[Item]:
     """The square-function bracket of A_hat_n(rho) with SLACK_SIGMAS slack, at each p, rho and n."""
     simulate.increment_sums(batch, [(rho, n) for rho in rhos for n in ns])
+    statement = "the weighted-increment norm sits inside the square-function bracket"
     items = []
     for p in ps:
         for rho in rhos:
             for n in ns:
                 sc = estimators.burkholder_sandwich(batch, p, rho, n)
                 observed = {"a_norm": sc.a_norm, "lower": sc.lower, "upper": sc.upper}
-                items.append(Item(f"{p_tag(p)}.rho{rho:.4g}.n{n}", BRACKET, sc.ok, observed, sc))
+                items.append(Item(f"{p_tag(p)}.rho{rho:.4g}.n{n}", statement, sc.ok, observed, sc))
     return items
 
 
-@relation("exact values, which only p = 2 has")
 def exact_slack(estimates: list[LpEstimate], exact_values) -> list[Item]:
     """Each estimate within SLACK_SIGMAS standard errors of its exact value; none without exact values."""
     if exact_values is None:
@@ -204,7 +184,6 @@ FIT_PAYLOAD = ("fitted_rho", "ci_low", "ci_high", "window", "r_squared", "points
 FIT_AVAILABLE = "a decay-rate fit is available for a non-degenerate run"
 
 
-@relation("estimates at one p")
 def rate_fit(estimates: list[LpEstimate], exact_values, predicted_rho: float | None = None,
              unbounded_q1: float | None = None) -> list[Item]:
     """The estimates' slack against any exact values, then their decay fit against the exact

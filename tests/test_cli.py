@@ -228,7 +228,7 @@ def test_negative_seed_is_a_config_error(gw_cfg, tmp_path, capsys, command):
 def test_bad_threads_value(gw_cfg, capsys):
     assert main(["run", str(gw_cfg), "--threads", "0"]) == 1
     assert capsys.readouterr().err == f"bprelab: error: {gw_cfg}: threads: must be >= 1\n"
-    # verify simulates one small batch and takes no --threads
+    # verify runs at its own small sizes and takes no --threads
     assert main(["verify", str(gw_cfg), "--threads", "1"]) == 1
     assert capsys.readouterr().err.startswith("bprelab: error: usage: unrecognized arguments: --threads")
 

@@ -280,7 +280,7 @@ class TestValidation:
         self.fails(minimal() | {"out": ""}, "out: expected a non-empty string")
 
     # the harness derives the suites' rho from the environment and holds the
-    # tolerances and verify's checks as constants, so none of them is a key
+    # tolerances and verify's suites as constants, so none of them is a key
     def test_rho(self, tmp_path):
         path = write_cfg(tmp_path, FULL_TEXT + "rho: [1.1]\n")
         line = len(FULL_TEXT.splitlines()) + 1

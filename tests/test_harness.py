@@ -28,6 +28,7 @@ from bprelab import (
     harness,
     relations,
 )
+from bprelab.cli import main
 from bprelab.config import load_config, parse_config
 from bprelab.harness import run_experiment, verify_suite, write_outputs
 from bprelab.simulate import MODE_QUENCHED
@@ -39,8 +40,12 @@ def strip_timings(report):
     return out
 
 
-def verify_check(report, name):
-    return {c["id"]: c for c in report["checks"]}[f"verify.{name}"]
+def check(report, check_id):
+    return {c["id"]: c for c in report["checks"]}[check_id]
+
+
+def failed_ids(report):
+    return {c["id"] for c in report["checks"] if not c["passed"]}
 
 
 def small_gw(**overrides):
@@ -196,8 +201,6 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "run", ran)
         monkeypatch.setattr(harness, "_SUITES", dict.fromkeys(harness._SUITES, ran))
-        verify = {name: (statement, relation, ran) for name, (statement, relation, _) in harness._VERIFY.items()}
-        monkeypatch.setattr(harness, "_VERIFY", verify)
         with pytest.raises(ConfigError) as exc:
             entry(small_gw(p=[2.0, 2.0000001]))
         assert str(exc.value) == "<memory>: p: 2.0 and 2.0000001 give check ids the same tag 'p2'"
@@ -226,13 +229,39 @@ class TestRunExperiment:
 
 class TestVerifySuite:
     def test_all_checks_pass_in_config_order(self):
-        # every config runs every check, in the order of the table
+        # verify records the items of _VERIFY_SUITES as `<suite>.<suffix>`, in the suites' order
         report, tables, code = verify_suite(small_gw())
         assert code == 0
-        ids = [c["id"] for c in report["checks"]]
-        assert ids == [f"verify.{name}" for name in harness._VERIFY]
         assert all(c["passed"] for c in report["checks"])
-        assert report["suites"]["verify"]["checks_run"] == list(harness._VERIFY)
+        suites = [c["suite"] for c in report["checks"]]
+        assert list(dict.fromkeys(suites)) == list(harness._VERIFY_SUITES)
+        assert all(c["id"].startswith(c["suite"] + ".") for c in report["checks"])
+        assert report["suites"]["verify"] == {
+            "sizes": {"n_max": 12, "gap": 1, "replicas": 4000, "path_seed": 21},
+            "not_applicable": {},
+        }
+        assert "quenched_rate_p2.csv" in tables
+        # the A_hat partial sums are verify's; the fit is run's
+        ids = {c["id"] for c in report["checks"]}
+        assert "exact.a-hat-partial-sums" in ids
+        assert not any(".fit-" in check_id or "ci-contains" in check_id for check_id in ids)
+
+    def test_rate_items_and_identity_keys(self):
+        report, tables, code = verify_suite(small_gw(environment=TWO_STATE))
+        assert code == 0
+        ids = [c["id"] for c in report["checks"]]
+        assert [i for i in ids if i.startswith("rates.")] == [
+            "rates.p2.sufficient-le-critical", "rates.p2.annealed-le-quenched", "rates.p2.rates-collapse"
+        ]
+        # the suite's rho grid at n = 1, n_max // 2 and n_max - 2 of a 12-generation batch
+        identity = [c for c in report["checks"] if c["suite"] == "identity"]
+        assert [c["id"].rsplit(".", 1)[1] for c in identity] == ["n1", "n6", "n10"] * 3
+        assert all(c["observed"]["residual"] <= c["observed"]["tolerance"] for c in identity)
+        # the gap-1 distances at every k < n_max, compared with the exact path values
+        (slack,) = [c for c in report["checks"] if c["suite"] == "quenched-rate"]
+        assert slack["id"] == "quenched-rate.p2.estimates-match-exact"
+        assert [row.split(",")[1] for row in tables["quenched_rate_p2.csv"][1:]] == [str(k) for k in range(12)]
+        assert len(report["suites"]["quenched-rate"]["path_means"]) == 12
 
     def test_corrupted_constant_is_caught(self, monkeypatch):
         monkeypatch.setattr(
@@ -240,17 +269,26 @@ class TestVerifySuite:
         )
         report, _, code = verify_suite(small_gw())
         assert code == 2
-        by_id = {c["id"]: c for c in report["checks"]}
-        assert by_id["verify.burkholder-sandwich"]["passed"] is False
-        others = [c for c in report["checks"] if c["id"] != "verify.burkholder-sandwich"]
-        assert all(c["passed"] for c in others)
+        failed = {c["suite"] for c in report["checks"] if not c["passed"]}
+        assert failed == {"burkholder"}
 
     def test_short_fixed_path_is_verified_at_its_length(self):
-        # the batch checks ask for four generations; a 3-state path gives them three
-        env = {"kind": "fixed_path", "path": [{0: 0.25, 2: 0.75}, {3: 1.0}, {0: 0.25, 2: 0.75}]}
-        report, _, code = verify_suite(small_gw(environment=env))
+        # a 3-state path gives the small config 3 generations: no stationary law, no fit of 4 points;
+        # each refused suite is named with its refusal
+        report, _, code = verify_suite(small_gw(environment=FIXED3))
         assert code == 0
-        assert [c["passed"] for c in report["checks"]] == [True] * len(harness._VERIFY)
+        not_applicable = report["suites"]["verify"]["not_applicable"]
+        assert not_applicable == {
+            "rates": "<memory>: environment: rates needs a 'kind: mixture' environment; "
+                     "a fixed path has no stationary law",
+            "quenched-rate": "<memory>: gap: quenched-rate needs n_max - gap >= 3 for a fit of 4 points; "
+                             "n_max is 3",
+        }
+        assert report["suites"]["verify"]["sizes"]["n_max"] == 3
+        suites = {c["suite"] for c in report["checks"]}
+        assert suites == {"exact", "burkholder", "identity"}
+        assert not suites & set(not_applicable)
+        assert all(c["passed"] for c in report["checks"])
 
     @pytest.mark.parametrize("states", [1, 2])
     def test_one_and_two_state_paths_pass_every_check(self, states):
@@ -259,51 +297,39 @@ class TestVerifySuite:
         env = {"kind": "fixed_path", "path": [{0: 0.25, 2: 0.75}, {3: 1.0}][:states]}
         report, _, code = verify_suite(small_gw(environment=env))
         assert code == 0
-        assert [c["passed"] for c in report["checks"]] == [True] * len(harness._VERIFY)
-        identity = verify_check(report, "increment-identity")["observed"]
-        assert ("skipped" in identity) == (states == 1)
+        assert all(c["passed"] for c in report["checks"])
+        not_applicable = report["suites"]["verify"]["not_applicable"]
+        assert ("identity" in not_applicable) == (states == 1)
+        assert set(not_applicable) - {"identity"} == {"rates", "quenched-rate"}
+        if states == 1:
+            assert not_applicable["identity"] == (
+                "<memory>: n_max: identity needs n_max >= 2 for an n < n_max - 1; n_max is 1"
+            )
+        else:
+            identity = [c["id"] for c in report["checks"] if c["suite"] == "identity"]
+            assert identity and all(i.endswith(".n0") for i in identity)
 
-    def test_items_fold_into_one_check_per_name(self):
-        report, _, code = verify_suite(small_gw(environment=TWO_STATE))
+    def test_a_suite_without_a_check_is_not_applicable(self):
+        # at p = 1.5 alone the rate suite has no exact values to compare, and verify fits nothing
+        report, tables, code = verify_suite(small_gw(environment=TWO_STATE, p=[1.5]))
         assert code == 0
-        orderings, identity = (verify_check(report, name)["observed"]
-                               for name in ("rate-orderings", "increment-identity"))
-        assert list(orderings) == [
-            "p2.sufficient-le-critical", "p2.annealed-le-quenched", "p2.rates-collapse"
-        ]
-        assert orderings["p2.rates-collapse"]["passed"] is True
-        assert set(orderings["p2.rates-collapse"]) == {"passed", "rho0", "rhoc"}
-        # rho 1.1 and 1.3 at n = 1 and n_max - 2 of a 12-generation batch
-        assert list(identity) == ["rho1.1.n1", "rho1.1.n10", "rho1.3.n1", "rho1.3.n10"]
-        assert all(item["residual"] <= item["tolerance"] for item in identity.values())
+        assert report["suites"]["verify"]["not_applicable"] == {
+            "quenched-rate": "quenched-rate records no check at n_max 12, gap 1 and p [1.5]"
+        }
+        assert not any(c["suite"] == "quenched-rate" for c in report["checks"])
+        assert report["summary"]["checks"] == len(report["checks"]) > 0
 
-    def test_a_relation_without_items_is_skipped_with_its_domain(self):
-        report, _, code = verify_suite(small_gw(environment=FIXED3))
-        assert code == 0
-        assert [verify_check(report, name)["observed"] for name in ("rate-orderings", "growth-envelope")] == [
-            {"skipped": "needs a supercritical stationary mixture"},
-            {"skipped": "needs a stationary mixture"},
-        ]
-
-    def test_component_errors_become_failed_checks(self, monkeypatch):
+    def test_component_errors_propagate(self, monkeypatch, capsys):
+        # an error inside a suite is the run's error, as in `run`: exit 1, not a failed check
         def boom(*args, **kwargs):
             raise EstimateUnavailableError("boom")
 
         monkeypatch.setattr(bprelab.estimators, "burkholder_sandwich", boom)
-        report, _, code = verify_suite(small_gw())
-        assert code == 2
-        check = verify_check(report, "burkholder-sandwich")
-        assert check["passed"] is False
-        assert check["observed"]["error"] == "boom"
-
-    def test_a_repeated_suffix_is_refused(self, monkeypatch):
-        # the fold keys a check's observed values by suffix; a repeat would overwrite one
-        item = relations.Item("twice", "holds", True, {})
-        statement, _, _ = harness._VERIFY["rate-orderings"]
-        repeating = (statement, lambda: [item, item], lambda ctx, n: {})
-        monkeypatch.setitem(harness._VERIFY, "rate-orderings", repeating)
-        with pytest.raises(BpreLabError, match=r"^verify\.rate-orderings: suffix 'twice' is repeated$"):
+        with pytest.raises(EstimateUnavailableError, match=r"^boom$"):
             verify_suite(small_gw())
+        assert main(["verify", "configs/gw_binary.cfg"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "bprelab: error: boom\n"
 
     @pytest.mark.parametrize("name", ["gw_binary", "two_state", "gw_binary-0.45", "gw_binary-0.47"])
     def test_a_partial_sum_of_one_term_too_many_fails(self, monkeypatch, tmp_path, name):
@@ -317,7 +343,7 @@ class TestVerifySuite:
             path = tmp_path / "near-critical.cfg"
             path.write_text(Path("configs/gw_binary.cfg").read_text().replace("{0: 0.25, 2: 0.75}", law))
         report, _, _ = verify_suite(load_config(path))
-        assert verify_check(report, "p2-closed-forms")["observed"]["a-hat-partial-sums"]["passed"] is True
+        assert check(report, "exact.a-hat-partial-sums")["passed"] is True
 
         real = bprelab.exact_moments.a_hat_second_moment_partial
         monkeypatch.setattr(
@@ -326,9 +352,11 @@ class TestVerifySuite:
         )
         report, _, code = verify_suite(load_config(path))
         assert code == 2
-        check = verify_check(report, "p2-closed-forms")
-        assert check["passed"] is False
-        assert check["observed"]["a-hat-partial-sums"]["passed"] is False
+        assert failed_ids(report) == {"exact.a-hat-partial-sums"}
+        # run's exact suite has no such item, and passes
+        report, _, code = run_experiment(load_config(path, {"suites": ["exact"]}))
+        assert code == 0
+        assert "exact.a-hat-partial-sums" not in {c["id"] for c in report["checks"]}
 
     @pytest.mark.parametrize("q1", [0.5, 0.9, 0.99, 1 - 2**-51, 1 - 2**-52])
     def test_the_a_hat_rate_stays_summable_up_to_the_boundary(self, monkeypatch, q1):
@@ -349,8 +377,42 @@ class TestVerifySuite:
         assert math.isfinite(items["a-hat-partial-sums"].observed["a_hat_remainder_bound"])
 
 
+class TestVerifyBundledConfigs:
+    """`verify` on each bundled config: every suite has checks or a reason, never both."""
+
+    @pytest.mark.parametrize(
+        "name, not_applicable",
+        [
+            ("deterministic", set()),
+            ("fixed_path", {"rates"}),
+            ("gw_binary", set()),
+            ("subcritical", {"rates", "quenched-rate"}),
+            ("two_state", set()),
+        ],
+    )
+    def test_every_suite_has_checks_or_a_reason(self, name, not_applicable):
+        report, _, code = verify_suite(load_config(f"configs/{name}.cfg"))
+        assert code == 0
+        ids = [c["id"] for c in report["checks"]]
+        assert len(ids) == len(set(ids))
+        reasons = report["suites"]["verify"]["not_applicable"]
+        assert set(reasons) == not_applicable
+        with_checks = {c["suite"] for c in report["checks"]}
+        assert with_checks | set(reasons) == set(harness._VERIFY_SUITES)
+        assert not with_checks & set(reasons)
+
+
 class TestSharedChecks:
-    """`run` and `verify` derive a relation from one function, so they fail together."""
+    """`run` and `verify` run the same suites, so a fault fails the same check id in both."""
+
+    @staticmethod
+    def assert_fails_both(run_cfg, ids):
+        report, _, code = run_experiment(run_cfg)
+        assert code == 2
+        assert ids <= failed_ids(report)
+        report, _, code = verify_suite(small_gw())
+        assert code == 2
+        assert ids <= failed_ids(report)
 
     @pytest.mark.parametrize(
         "field, broken, name",
@@ -368,14 +430,7 @@ class TestSharedChecks:
             return dataclasses.replace(rep, **{field: broken(rep)})
 
         monkeypatch.setattr(bprelab.rates, "rate_report", rate_report)
-        report, _, code = run_experiment(small_gw(suites=["rates"]))
-        assert code == 2
-        by_id = {c["id"]: c["passed"] for c in report["checks"]}
-        assert by_id[f"rates.p2.{name}"] is False
-
-        report, _, code = verify_suite(small_gw())
-        assert code == 2
-        assert verify_check(report, "rate-orderings")["passed"] is False
+        self.assert_fails_both(small_gw(suites=["rates"]), {f"rates.p2.{name}"})
 
     def test_wrong_exact_increments_fail_both(self, monkeypatch):
         # one slack comparison judges the simulated distances in run and verify
@@ -387,28 +442,25 @@ class TestSharedChecks:
         )
         report, _, code = run_experiment(small_gw(suites=["quenched-rate"], path_seed=7))
         assert code == 2
-        by_id = {c["id"]: c["passed"] for c in report["checks"]}
-        assert by_id["quenched-rate.p2.estimates-match-exact"] is False
+        assert check(report, "quenched-rate.p2.estimates-match-exact")["passed"] is False
         assert set(report["suites"]["quenched-rate"]) == {"path_means", "per_p"}
 
         # the exact tables along the path sum the same increments
         report, _, code = run_experiment(small_gw(suites=["exact"], path_seed=7))
         assert code == 2
-        assert [c["id"] for c in report["checks"] if not c["passed"]] == ["exact.quenched-p2-tail"]
+        assert failed_ids(report) == {"exact.quenched-p2-tail"}
 
         report, _, code = verify_suite(small_gw())
         assert code == 2
-        assert verify_check(report, "quenched-increments")["passed"] is False
+        assert failed_ids(report) == {"quenched-rate.p2.estimates-match-exact", "exact.quenched-p2-tail"}
 
-    @staticmethod
-    def assert_identity_fails_both():
-        report, _, code = run_experiment(small_gw(suites=["identity"]))
-        assert code == 2
-        assert report["checks"] and not any(c["passed"] for c in report["checks"])
-
-        report, _, code = verify_suite(small_gw())
-        assert code == 2
-        assert verify_check(report, "increment-identity")["passed"] is False
+    @classmethod
+    def assert_identity_fails_both(cls):
+        # at n_max 12 run's identity keys are verify's
+        report, _, _ = run_experiment(small_gw(suites=["identity"], n_max=12))
+        identity = {c["id"] for c in report["checks"]}
+        assert len(identity) == 9
+        cls.assert_fails_both(small_gw(suites=["identity"], n_max=12), identity)
 
     def test_shifted_weights_fail_both(self, monkeypatch):
         # rho^{k+1} in the weight matrix of the pass that the sandwich also reads
@@ -427,6 +479,13 @@ class TestSharedChecks:
 
         monkeypatch.setattr(bprelab.simulate, "_weights", weights)
         self.assert_identity_fails_both()
+
+    def test_corrupted_constant_fails_both(self, monkeypatch):
+        monkeypatch.setattr(bprelab.estimators, "burkholder_constants", lambda p: (10.0, 0.01))
+        # at n_max 12 run's sandwich keys are verify's
+        report, _, _ = run_experiment(small_gw(suites=["burkholder"], n_max=12))
+        self.assert_fails_both(small_gw(suites=["burkholder"], n_max=12),
+                               {c["id"] for c in report["checks"]})
 
 
 TWO_STATE = {"kind": "mixture", "states": [{"law": {1: 0.5, 3: 0.5}}, {"law": {2: 1.0}}]}
@@ -623,6 +682,11 @@ class TestOneOwner:
 
     def test_registries_match_the_config_schema(self):
         assert tuple(harness._SUITES) == config.KNOWN_SUITES
+        # verify runs a subsequence of the suites, in their order
+        order = list(harness._SUITES)
+        assert [order.index(suite) for suite in harness._VERIFY_SUITES] == sorted(
+            order.index(suite) for suite in harness._VERIFY_SUITES
+        )
 
     def test_relations_import_no_orchestration(self):
         # relations are called without a config or a _Context, so they sit below both

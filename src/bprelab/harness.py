@@ -92,12 +92,6 @@ class _Context:
             return self.env.geo_mean()
         return float(np.exp(np.mean([law.log_mean for law in self.env.laws])))
 
-    def rate_reports(self) -> list[rates.RateReport]:
-        """The rate report at each configured p; none without a supercritical stationary law."""
-        if not (self.is_mixture and self.env.is_supercritical):
-            return []
-        return [rates.rate_report(self.env, p) for p in self.cfg.p]
-
     def rho_grid(self) -> tuple[float, ...]:
         """The burkholder and identity suites' rho: the first, middle and last default-grid points."""
         grid = rates.default_rho_grid(math.sqrt(max(self.geo_mean(), 1.0)))
@@ -119,14 +113,13 @@ class _Context:
 
     # -- cached simulation batches ----------------------------------------
 
-    def batch(self, mode: str, **overrides) -> TrajectoryBatch:
-        """The config's batch in `mode`, with SimConfig fields overridden; one run per SimConfig."""
+    def batch(self, mode: str) -> TrajectoryBatch:
+        """The config's batch in `mode`; one run per SimConfig."""
         cfg = self.cfg
-        fields = dict(
-            env=cfg.env, n_max=cfg.n_max, replicas=cfg.replicas, master_seed=cfg.master_seed,
+        sim = SimConfig(
+            mode=mode, env=cfg.env, n_max=cfg.n_max, replicas=cfg.replicas, master_seed=cfg.master_seed,
             path_seed=cfg.path_seed, pop_cap=cfg.pop_cap,
-        ) | overrides
-        sim = SimConfig(mode=mode, **fields)
+        )
         if sim not in self._batches:
             self._batches[sim] = run(sim, threads=cfg.threads)
         return self._batches[sim]
@@ -192,7 +185,7 @@ def check_suite_needs(cfg: ExperimentConfig, suites) -> None:
 
 
 def _suite_rates(ctx: _Context) -> dict:
-    reports = ctx.rate_reports()
+    reports = [rates.rate_report(ctx.env, p) for p in ctx.cfg.p]
     ctx.record("rates", relations.rate_orderings(reports))
     ctx.add_csv(
         "rates.csv",
@@ -274,24 +267,18 @@ def _suite_exact(ctx: _Context) -> dict:
 # suites: quenched-rate / annealed-rate
 
 
-def _section(items: list[Item]) -> dict:
-    """The fields the items' details hold, a later item's over an earlier one's."""
-    section: dict = {}
-    for item in items:
-        section |= item.detail or {}
-    return section
-
-
-def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, **p2):
-    """The per-p body of both rate suites: yields (p, p's recorded items).
+def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, **p2) -> list[dict]:
+    """The per-p body of both rate suites: records each p's items; returns the per-p sections.
 
     Only p = 2 has an oracle: the gap sums of the increment second moments
     `inc`, the bias bound `bias(n + gap)` and the keyword arguments `p2` of
     its rate_fit (the rate `predicted_rho` the fit should bracket, or the
     `unbounded_q1` that leaves nothing to fit). Without `ctx.fit` only the
-    estimates' slack against the exact values is recorded.
+    estimates' slack against the exact values is recorded, and a section
+    holds p and the estimates.
     """
     gap = ctx.cfg.gap
+    sections = []
     for p in ctx.cfg.p:
         at_p2 = p == 2.0
         estimates = [lp_norm(batch, p, n, gap) for n in range(batch.n_max - gap + 1)]
@@ -303,10 +290,12 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, **p
         # exact E|W_{n+gap} - W_n|^2 is the sum of the increments' second moments
         exact_vals = [math.fsum(inc[e.n : e.n + gap]) for e in estimates] if at_p2 else None
         if ctx.fit:
-            items = relations.rate_fit(estimates, exact_vals, **(p2 if at_p2 else {}))
+            items, section = relations.rate_fit(estimates, exact_vals, **(p2 if at_p2 else {}))
         else:
-            items = relations.exact_slack(estimates, exact_vals)
-        yield p, ctx.record(suite, items)
+            items, section = relations.exact_slack(estimates, exact_vals), {"p": p, "estimates": estimates}
+        ctx.record(suite, items)
+        sections.append(section)
+    return sections
 
 
 def _suite_quenched_rate(ctx: _Context) -> dict:
@@ -318,7 +307,7 @@ def _suite_quenched_rate(ctx: _Context) -> dict:
 
     return {
         "path_means": [float(m) for m in path.means],
-        "per_p": [_section(items) for _, items in _rate_fits(ctx, "quenched-rate", batch, inc, bias)],
+        "per_p": _rate_fits(ctx, "quenched-rate", batch, inc, bias),
     }
 
 
@@ -331,13 +320,11 @@ def _suite_annealed_rate(ctx: _Context) -> dict:
     else:
         bias, p2 = None, {"unbounded_q1": forms.q1}
 
-    section: dict = {"per_p": []}
-    for p, items in _rate_fits(ctx, "annealed-rate", batch, inc, bias, **p2):
-        per_p = _section(items)
-        if 1.0 < p < 2.0:
-            per_p["bias_label"] = "oracle-unbounded bias"
-        section["per_p"].append(per_p)
-    return section
+    sections = _rate_fits(ctx, "annealed-rate", batch, inc, bias, **p2)
+    for section in sections:
+        if 1.0 < section["p"] < 2.0:
+            section["bias_label"] = "oracle-unbounded bias"
+    return {"per_p": sections}
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Relations: pure functions from an environment, a path, a batch or estimates,
 and sizes, to the check items that judge them.
 
-A relation returns its items, and none outside its domain. The suites call
-them, at `run`'s sizes or at `verify`'s; `harness._Context.record` writes the
-items as checks. The simulation and estimator layers are called
+The suites decide where a relation applies (`harness._NEEDS` and the exact
+suite's mixture branch) and call it there, at `run`'s sizes or at `verify`'s;
+`harness._Context.record` writes the items as checks. `identity` keeps only
+the keys that its pass admits. The simulation and estimator layers are called
 through their modules, so a wrapper installed on a module attribute sees
 every call.
 """
@@ -14,8 +15,8 @@ import math
 from typing import NamedTuple
 
 from . import estimators, exact_moments, rates, simulate
-from .environment import EnvPath, Environment, IIDMixture
-from .errors import FitUnavailableError, ParameterError
+from .environment import EnvPath, Environment
+from .errors import FitUnavailableError
 from .estimators import LpEstimate
 from .simulate import TrajectoryBatch
 
@@ -28,7 +29,7 @@ ROUNDING = 1e-12
 
 
 class Item(NamedTuple):
-    """One check, recorded as `<suite>.<suffix>` by `_Context.record`; a suite's section keeps `detail`."""
+    """One check, recorded as `<suite>.<suffix>` by `_Context.record`; `detail` is a whole section entry."""
 
     suffix: str
     statement: str
@@ -114,8 +115,6 @@ def p2_partial_sums(env: Environment, n: int, path: EnvPath | None = None,
 
 def growth_envelope(env: Environment, n: int, orders) -> list[Item]:
     """Whether each order's scaled moments stay under the envelope up to max(n, 10)."""
-    if not isinstance(env, IIDMixture):
-        return []
     holds = [exact_moments.growth_envelope_check(env, 0.0, r, max(n, 10)) for r in orders]
     statement = "scaled moment sequences stay under the polynomial-times-base envelope"
     return [Item("growth-envelope", statement, all(holds), {"orders": list(orders)})]
@@ -123,8 +122,6 @@ def growth_envelope(env: Environment, n: int, orders) -> list[Item]:
 
 def recursion_slack(env: Environment, n: int) -> list[Item]:
     """Least slack of the split-moment recursion (orders 3-4, s in {0, 1}) up to max(n, 10)."""
-    if not isinstance(env, IIDMixture):
-        return []
     min_slack = min(
         float(exact_moments.recursion_inequality_slacks(env, s, r, max(n, 10)).min())
         for r in (3, 4)
@@ -135,20 +132,15 @@ def recursion_slack(env: Environment, n: int) -> list[Item]:
 
 
 def identity(batch: TrajectoryBatch, rhos, ns) -> list[Item]:
-    """The telescoped and accumulator forms of A_hat_n(rho) within IDENTITY_TOL, at each rho and n
-    that increment_identity_check admits for this batch, from one pass over the batch."""
-    simulate.identity_residuals(batch, [(rho, n) for rho in rhos for n in ns])
+    """The telescoped and accumulator forms of A_hat_n(rho) within IDENTITY_TOL, at each (rho, n)
+    that identity_residuals admits for this batch, once each, from one pass over the batch."""
+    statement = "the telescoped and accumulator forms of the weighted sum agree"
     items = []
-    for rho in rhos:
-        for n in ns:
-            try:
-                residual = simulate.increment_identity_check(batch, rho, n)
-            except ParameterError:
-                continue
-            statement = "the telescoped and accumulator forms of the weighted sum agree"
-            items.append(Item(f"rho{rho:.4g}.n{n}", statement, residual <= IDENTITY_TOL,
-                              {"residual": residual, "tolerance": IDENTITY_TOL},
-                              {"rho": rho, "n": n, "residual": residual}))
+    for rho, n in simulate.identity_residuals(batch, [(rho, n) for rho in rhos for n in ns]):
+        residual = simulate.increment_identity_check(batch, rho, n)
+        items.append(Item(f"rho{rho:.4g}.n{n}", statement, residual <= IDENTITY_TOL,
+                          {"residual": residual, "tolerance": IDENTITY_TOL},
+                          {"rho": rho, "n": n, "residual": residual}))
     return items
 
 
@@ -185,32 +177,31 @@ FIT_AVAILABLE = "a decay-rate fit is available for a non-degenerate run"
 
 
 def rate_fit(estimates: list[LpEstimate], exact_values, predicted_rho: float | None = None,
-             unbounded_q1: float | None = None) -> list[Item]:
+             unbounded_q1: float | None = None) -> tuple[list[Item], dict]:
     """The estimates' slack against any exact values, then their decay fit against the exact
     curve's slope and the predicted rate, as `p<p>.<name>`; with `unbounded_q1`, the q1 >= 1
-    of unbounded second moments, the estimates are reported and not fitted. Each item's detail
-    holds the per-p section fields it settles: p, estimates, fit and fit_note, or predicted_rho."""
+    of unbounded second moments, the estimates are reported and not fitted. Returns the items
+    and the per-p section: p, estimates, fit, and fit_note or predicted_rho where they apply."""
     p = estimates[0].p
     tag = p_tag(p)
     items = exact_slack(estimates, exact_values)
     section = {"p": p, "estimates": list(estimates), "fit": None}
     if unbounded_q1 is not None:
-        note = "second moments are unbounded here; no finite rate predicted"
+        section["fit_note"] = "second moments are unbounded here; no finite rate predicted"
         statement = "an environment without bounded second moments is reported, not fitted"
-        return items + [Item(f"{tag}.l2-unbounded-reported", statement, True, {"q1": unbounded_q1},
-                             section | {"fit_note": note})]
+        return items + [Item(f"{tag}.l2-unbounded-reported", statement, True, {"q1": unbounded_q1})], section
     if all(e.value <= estimators.ROUNDOFF_DISTANCE**p for e in estimates):
-        note = "degenerate: all distances are zero up to rounding, nothing to fit"
+        section["fit_note"] = "degenerate: all distances are zero up to rounding, nothing to fit"
         statement = "a deterministic population has zero distances and no decay rate to fit"
         return items + [Item(f"{tag}.degenerate-no-fit", statement, True,
-                             {"estimates_checked": len(estimates)}, section | {"fit_note": note})]
+                             {"estimates_checked": len(estimates)})], section
     try:
         fit = estimators.fit_decay(estimates)
     except FitUnavailableError as exc:
-        return items + [Item(f"{tag}.fit-available", FIT_AVAILABLE, False, {"error": str(exc)},
-                             section | {"fit_note": str(exc)})]
+        section["fit_note"] = str(exc)
+        return items + [Item(f"{tag}.fit-available", FIT_AVAILABLE, False, {"error": str(exc)})], section
     section["fit"] = {key: getattr(fit, key) for key in FIT_PAYLOAD}
-    items.append(Item(f"{tag}.fit-available", FIT_AVAILABLE, True, {"fitted_rho": fit.fitted_rho}, section))
+    items.append(Item(f"{tag}.fit-available", FIT_AVAILABLE, True, {"fitted_rho": fit.fitted_rho}))
 
     if exact_values is not None:
         lo, hi = fit.window
@@ -228,9 +219,9 @@ def rate_fit(estimates: list[LpEstimate], exact_values, predicted_rho: float | N
                  "slack_sigmas": estimators.SLACK_SIGMAS},
             ))
     if predicted_rho is not None:
+        section["predicted_rho"] = predicted_rho
         statement = "the fitted rate's confidence interval contains the predicted critical rate"
         items.append(Item(f"{tag}.ci-contains-predicted", statement,
                           fit.ci_low <= predicted_rho <= fit.ci_high,
-                          {"predicted": predicted_rho, "ci": [fit.ci_low, fit.ci_high]},
-                          {"predicted_rho": predicted_rho}))
-    return items
+                          {"predicted": predicted_rho, "ci": [fit.ci_low, fit.ci_high]}))
+    return items, section

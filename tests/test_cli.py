@@ -275,6 +275,52 @@ def test_a_late_suite_need_is_refused_before_simulating(tmp_path, capsys, monkey
     assert calls == []
 
 
+DEST_CFG = """\
+schema: 1
+name: dest
+environment:
+  kind: mixture
+  states:
+    - law: {0: 0.25, 2: 0.75}
+suites: [rates, exact, quenched-rate, burkholder]
+p: [2.0]
+n_max: 6
+gap: 1
+replicas: 1000
+master_seed: 3
+path_seed: 4
+"""
+
+
+@pytest.mark.parametrize(
+    "command, cfg_out, out, written",
+    [
+        ("run", "from-config", "from-flag", "from-flag"),
+        ("run", "from-config", None, "from-config"),
+        ("run", None, None, "dest-report"),
+        ("verify", "from-config", None, None),
+        ("verify", "from-config", "from-flag", "from-flag"),
+    ],
+)
+def test_output_destination(tmp_path, monkeypatch, capsys, command, cfg_out, out, written):
+    # run writes to --out, else the config's out, else <name>-report; verify writes only to --out
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg").mkdir()
+    cfg = tmp_path / "cfg" / "dest.cfg"
+    cfg.write_text(DEST_CFG + (f"out: {cfg_out}\n" if cfg_out else ""))
+    main([command, str(cfg)] + (["--out", out] if out else []))
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg"] + ([written] if written else []))
+    if written is None:
+        assert not any(line.startswith("report:") for line in lines)
+        return
+    assert lines[-1] == f"report: {Path(written) / 'report.json'}"
+    assert sorted(p.name for p in (tmp_path / written).iterdir()) == [
+        "burkholder.csv", "exact_annealed.csv", "exact_quenched.csv", "quenched_rate_p2.csv", "rates.csv",
+        "report.json",
+    ]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

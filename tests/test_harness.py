@@ -24,12 +24,14 @@ from bprelab import (
     IIDMixture,
     OffspringLaw,
     SimConfig,
+    UnsupportedOperationError,
     config,
     harness,
     relations,
 )
 from bprelab.cli import main
 from bprelab.config import load_config, parse_config
+from bprelab.estimators import LpEstimate
 from bprelab.harness import run_experiment, verify_suite, write_outputs
 from bprelab.simulate import MODE_QUENCHED
 
@@ -154,6 +156,9 @@ class TestRunExperiment:
         items = relations.identity(batch, (0.5, 1.0, 1.2, math.nan), (-1, 0, 1, 5))
         assert [item.suffix for item in items] == ["rho1.2.n0"]
         assert all(item.passed for item in items)
+        # a repeated key is one check
+        items = relations.identity(batch, (1.2, 1.5, 1.2), (0, 0))
+        assert [item.suffix for item in items] == ["rho1.2.n0", "rho1.5.n0"]
 
     def test_report_is_the_same_at_any_blas_thread_count(self):
         # the pass's matrix products give the same bytes on one BLAS thread as on the default
@@ -377,6 +382,21 @@ class TestVerifySuite:
         assert math.isfinite(items["a-hat-partial-sums"].observed["a_hat_remainder_bound"])
 
 
+def assert_rate_sections(report, tables, ps):
+    """Each rate suite's per_p holds, for each p in order, p and the estimates of its CSV table."""
+    for suite in ("quenched-rate", "annealed-rate"):
+        if suite not in report["suites"]:
+            continue
+        sections = report["suites"][suite]["per_p"]
+        assert [section["p"] for section in sections] == list(ps)
+        for section in sections:
+            rows = tables[f"{suite.replace('-', '_')}_{relations.p_tag(section['p'])}.csv"][1:]
+            assert section["estimates"]
+            assert [(e["value"], e["stderr"]) for e in section["estimates"]] == [
+                tuple(float(x) for x in row.split(",")[2:]) for row in rows
+            ]
+
+
 class TestVerifyBundledConfigs:
     """`verify` on each bundled config: every suite has checks or a reason, never both."""
 
@@ -391,7 +411,8 @@ class TestVerifyBundledConfigs:
         ],
     )
     def test_every_suite_has_checks_or_a_reason(self, name, not_applicable):
-        report, _, code = verify_suite(load_config(f"configs/{name}.cfg"))
+        cfg = load_config(f"configs/{name}.cfg")
+        report, tables, code = verify_suite(cfg)
         assert code == 0
         ids = [c["id"] for c in report["checks"]]
         assert len(ids) == len(set(ids))
@@ -400,6 +421,16 @@ class TestVerifyBundledConfigs:
         with_checks = {c["suite"] for c in report["checks"]}
         assert with_checks | set(reasons) == set(harness._VERIFY_SUITES)
         assert not with_checks & set(reasons)
+        # quenched-rate's section names each p and its estimates, though verify fits nothing
+        assert ("quenched-rate" in report["suites"]) == ("quenched-rate" not in reasons)
+        assert_rate_sections(report, tables, cfg.p)
+
+    @pytest.mark.parametrize("name", ["deterministic", "fixed_path", "gw_binary", "two_state"])
+    def test_run_rate_sections_hold_the_estimates(self, name):
+        cfg = load_config(f"configs/{name}.cfg", {"replicas": 2000, "n_max": 12, "gap": 6})
+        report, tables, _ = run_experiment(cfg)  # small sizes may miss a Monte Carlo check
+        assert {"quenched-rate", "annealed-rate"} & set(report["suites"])
+        assert_rate_sections(report, tables, cfg.p)
 
 
 class TestSharedChecks:
@@ -652,6 +683,34 @@ class TestRateFitPaths:
         assert sections[1.5]["bias_label"] == "oracle-unbounded bias"
         assert "bias_label" not in sections[2.0]
 
+    @pytest.mark.parametrize("degenerate", [True, False])
+    def test_rate_fit_returns_the_section(self, degenerate):
+        # geometric distances at rate 1.25 (zero when degenerate), with exact values equal to them
+        estimates = [
+            LpEstimate(p=2.0, n=n, value=0.0 if degenerate else 1.25 ** (-2 * n),
+                       stderr=1e-8 * 1.25 ** (-2 * n), proxy_gap=20, capped_fraction=0.0,
+                       replicas_used=1000, bias_bound=0.0)
+            for n in range(10)
+        ]
+        exact = [e.value for e in estimates]
+        items, section = relations.rate_fit(estimates, exact, predicted_rho=1.25)
+        assert all(item.detail is None for item in items)
+        assert section["p"] == 2.0 and section["estimates"] == estimates
+        if degenerate:
+            assert [item.suffix for item in items] == ["p2.estimates-match-exact", "p2.degenerate-no-fit"]
+            assert set(section) == {"p", "estimates", "fit", "fit_note"}
+            assert section["fit"] is None
+        else:
+            assert [item.suffix for item in items] == [
+                "p2.estimates-match-exact", "p2.fit-available", "p2.fit-matches-exact",
+                "p2.ci-contains-predicted",
+            ]
+            assert all(item.passed for item in items)
+            assert set(section) == {"p", "estimates", "fit", "predicted_rho"}
+            assert set(section["fit"]) == set(relations.FIT_PAYLOAD)
+            assert section["fit"]["fitted_rho"] == pytest.approx(1.25)
+            assert section["predicted_rho"] == 1.25
+
     def test_a_fit_without_an_admissible_window_is_a_failed_check(self):
         cfg = small_gw(suites=["annealed-rate"], n_max=13, gap=10, p=[1.5, 2.0], master_seed=1)
         report, _, code = run_experiment(cfg)
@@ -704,11 +763,21 @@ class TestOneOwner:
     def test_series_path_is_the_quenched_batch_path(self, path_seed):
         ctx = harness._Context(small_gw(environment=TWO_STATE, path_seed=path_seed))
         assert ctx.series_seed == (21 if path_seed is None else path_seed)
-        batch = ctx.batch(MODE_QUENCHED, n_max=12, replicas=200, path_seed=ctx.series_seed)
+        # a small config on the series seed, as verify builds it
+        small = dataclasses.replace(ctx.cfg, n_max=12, replicas=200, path_seed=ctx.series_seed)
+        batch = harness._Context(small).batch(MODE_QUENCHED)
         assert batch.path.laws == ctx.series_path(12).laws
         # the seed decides the path: another seed draws another one
         other = harness._Context(small_gw(environment=TWO_STATE, path_seed=ctx.series_seed + 1))
         assert other.series_path(12).laws != batch.path.laws
+
+    def test_stationary_law_relations_refuse_a_fixed_path(self):
+        # the exact suite calls them on a mixture only; a fixed path has no stationary law
+        env = load_config("configs/fixed_path.cfg").env
+        with pytest.raises(UnsupportedOperationError):
+            relations.growth_envelope(env, 12, (2, 3, 4))
+        with pytest.raises(UnsupportedOperationError):
+            relations.recursion_slack(env, 12)
 
     def test_short_fixed_path_is_clamped(self):
         pmfs = [{2: 1.0}, {0: 0.25, 2: 0.75}, {3: 1.0}, {1: 0.5, 3: 0.5}, {2: 1.0}]

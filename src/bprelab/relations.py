@@ -145,14 +145,22 @@ def identity(batch: TrajectoryBatch, rhos, ns) -> list[Item]:
 
 
 def sandwiches(batch: TrajectoryBatch, ps, rhos, ns) -> list[Item]:
-    """The square-function bracket of A_hat_n(rho) with SLACK_SIGMAS slack, at each p, rho and n."""
-    simulate.increment_sums(batch, [(rho, n) for rho in rhos for n in ns])
+    """The square-function bracket of A_hat_n(rho) with SLACK_SIGMAS slack, at each p, rho and n,
+    in that order. One increment_sums pass per distinct n, over that n's rho keys, serves every
+    bracket at that n before the next pass replaces it, so the batch never holds more than one
+    n's sums."""
+    checks = {}
+    for n in dict.fromkeys(ns):
+        simulate.increment_sums(batch, [(rho, n) for rho in rhos])
+        for p in ps:
+            for rho in rhos:
+                checks[p, rho, n] = estimators.burkholder_sandwich(batch, p, rho, n)
     statement = "the weighted-increment norm sits inside the square-function bracket"
     items = []
     for p in ps:
         for rho in rhos:
             for n in ns:
-                sc = estimators.burkholder_sandwich(batch, p, rho, n)
+                sc = checks[p, rho, n]
                 observed = {"a_norm": sc.a_norm, "lower": sc.lower, "upper": sc.upper}
                 items.append(Item(f"{p_tag(p)}.rho{rho:.4g}.n{n}", statement, sc.ok, observed, sc))
     return items

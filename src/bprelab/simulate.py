@@ -26,15 +26,19 @@ population dotted with the support, which is the exact law of the sum of
 per-individual draws); populations above pop_cap stop simulating and are
 flagged.
 
-The weighted increment sums A_hat_n(rho) and Q_n(rho)^2 at every (rho, n) a
-relation asks for come from one pass over w, BLOCK_ROWS rows at a time, as
-matrix products of the increments with the weights rho^k [k <= n], written
-straight into the result rows (``increment_sums``). The accumulator
-identity's residuals at every (rho, n) come from a pass of their own
-(``identity_residuals``) that keeps only running maxima past a block, so no
-per-row array outlives one. Each pass allocates its scratch once and reuses
-it for every block, and the batch keeps each pass's last result in a slot of
-its own: ``sums`` and ``residuals``.
+The weighted increment sums A_hat_n(rho) and Q_n(rho)^2 at the (rho, n) keys
+of one call come from one pass over w, BLOCK_ROWS rows at a time, as matrix
+products of the increments with the weights rho^k [k <= n], written straight
+into the result rows (``increment_sums``); the square-function bracket runs
+one such pass per n, so a batch holds one n's sums at a time. The
+accumulator identity's residuals at every (rho, n) come from a pass of their
+own (``identity_residuals``) that keeps only running maxima past a block, so
+no per-row array outlives one. Both passes read the increments straight from
+generation-major w into one C-order block and pad a lone key's weights with
+a zero row, so a key's bits do not depend on the other keys of its pass.
+Each pass allocates its scratch once and reuses it for every block, and the
+batch keeps each pass's last result in a slot of its own: ``sums`` and
+``residuals``.
 """
 
 from __future__ import annotations
@@ -396,8 +400,16 @@ def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
 
 
 def _weights(keys, top: int) -> np.ndarray:
-    """The K x (top+1) matrix of rho^k [k <= n], one row per (rho, n) key."""
-    return np.array([[rho**k if k <= n else 0.0 for k in range(top + 1)] for rho, n in keys])
+    """The matrix of rho^k [k <= n] over k <= top, one row per (rho, n) key, and a zero row
+    after a lone key.
+
+    numpy hands a one-row product to a matrix-vector kernel, whose rounding
+    follows the layout it is given; with at least two rows every pass runs the
+    matrix-matrix kernel, so a key's sums do not depend on the other keys of
+    its pass.
+    """
+    rows = [[rho**k if k <= n else 0.0 for k in range(top + 1)] for rho, n in keys]
+    return np.array(rows + [[0.0] * (top + 1)] * (len(rows) == 1))
 
 
 def _blocks(rows: int):
@@ -405,37 +417,31 @@ def _blocks(rows: int):
     return ((lo, min(lo + BLOCK_ROWS, rows)) for lo in range(0, rows, BLOCK_ROWS))
 
 
-def _increments(w: np.ndarray, top: int, out: np.ndarray) -> np.ndarray:
-    """d_k = W_{k+1} - W_k, k <= top, of a block of w's rows, written into the C-order out.
-
-    C order keeps the products' BLAS layout, and so their rounding, whatever
-    w's own layout is.
-    """
-    return np.subtract(w[:, 1 : top + 2], w[:, : top + 1], out=out[: len(w)])
-
-
 def increment_sums(batch: TrajectoryBatch, keys) -> dict:
     """Refill the slot batch.sums: (rho, n) -> every row's A_hat_n(rho) and Q_n(rho)^2.
 
-    Per BLOCK_ROWS rows, the increments d_k = W_{k+1} - W_k are multiplied by the
-    K x (top+1) matrix W of rho^k [k <= n], then squared in place and multiplied
-    by W*W, straight into the result rows; d is one block of scratch that every
-    block reuses. Keys outside finite rho >= 1 and 0 <= n < n_max are left out,
-    for the per-key call to refuse.
+    Per BLOCK_ROWS rows, the increments d_k = W_{k+1} - W_k, k <= top (the
+    largest n), are read straight from generation-major w into one C-order
+    (top+1) x rows block of scratch that every block reuses. The matrix W of
+    rho^k [k <= n], padded by _weights to two rows for a lone key, multiplies
+    them, then the squared increments are multiplied by W*W, straight into the
+    result rows; the slot holds 2 x len(W) rows of float64. Keys outside finite
+    rho >= 1 and 0 <= n < n_max are left out, for the per-key call to refuse.
     """
     keys = [(rho, n) for rho, n in dict.fromkeys(keys)
             if math.isfinite(rho) and rho >= 1.0 and 0 <= n < batch.n_max]
     batch.sums = {}
     if keys:
-        top = max(n for _, n in keys)
+        w, top = batch.w, max(n for _, n in keys)
         weights = _weights(keys, top)
         squares = weights * weights
-        a_hat, q2 = np.empty((2, len(keys), len(batch.w)))
-        d_buf = np.empty((min(BLOCK_ROWS, len(batch.w)), top + 1))
-        for lo, hi in _blocks(len(batch.w)):
-            d = _increments(batch.w[lo:hi], top, d_buf)
-            np.matmul(weights, d.T, out=a_hat[:, lo:hi])
-            np.matmul(squares, np.multiply(d, d, out=d).T, out=q2[:, lo:hi])
+        a_hat, q2 = np.empty((2, len(weights), len(w)))
+        d_buf = np.empty((top + 1) * min(BLOCK_ROWS, len(w)))
+        for lo, hi in _blocks(len(w)):
+            d = np.subtract(w.T[1 : top + 2, lo:hi], w.T[: top + 1, lo:hi],
+                            out=d_buf[: (top + 1) * (hi - lo)].reshape(top + 1, hi - lo))
+            np.matmul(weights, d, out=a_hat[:, lo:hi])
+            np.matmul(squares, np.multiply(d, d, out=d), out=q2[:, lo:hi])
         batch.sums = {key: (a_hat[j], q2[j]) for j, key in enumerate(keys)}
     return batch.sums
 
@@ -454,15 +460,15 @@ def identity_residuals(batch: TrajectoryBatch, keys) -> dict:
     |A_n - rhs| over rows, relative to max(1, largest |A_n|, largest |rhs|).
 
     One pass, BLOCK_ROWS rows at a time, into scratch reused by every block:
-    A_hat_n for every key is one matrix product of the increments, as in
-    increment_sums but with at least two weight rows (numpy hands a one-row
-    product to a matrix-vector kernel, whose rounding differs), so a key's
-    residual does not depend on the other keys of its pass. A_n is one
-    matrix-vector product per key over a C-order W_N - W_k that every rho at
-    one n shares; the right-hand side is formed for all keys at once, each
-    element in the order of the formula, and only running maxima outlive a
-    block. Keys outside finite rho > 1 and 0 <= n < n_max - 1 are left out,
-    for the per-key call to refuse.
+    A_hat_n for every key is one matrix product of the increments, read from
+    generation-major w and weighted as in increment_sums (a lone key padded to
+    two weight rows), so a key's residual does not depend on the other keys of
+    its pass. A_n is one matrix-vector product per key over one C-order
+    W_N - W_k at the largest n, which each smaller n reads through a view of
+    its first n + 1 columns; the right-hand side is formed for all keys at
+    once, each element in the order of the formula, and only running maxima
+    outlive a block. Keys outside finite rho > 1 and 0 <= n < n_max - 1 are
+    left out, for the per-key call to refuse.
     """
     keys = [(rho, n) for rho, n in dict.fromkeys(keys)
             if math.isfinite(rho) and rho > 1.0 and 0 <= n < batch.n_max - 1]
@@ -472,18 +478,13 @@ def identity_residuals(batch: TrajectoryBatch, keys) -> dict:
     w, n_max, k = batch.w, batch.n_max, len(keys)
     top = max(n for _, n in keys)
     weights = _weights(keys, top)
-    if k == 1:
-        weights = np.vstack([weights, np.zeros(top + 1)])
     lhs_weights = [rho ** np.arange(n + 1) for rho, n in keys]
-    by_n: dict[int, list[int]] = {}
-    for j, (_, n) in enumerate(keys):
-        by_n.setdefault(n, []).append(j)
     c_hat = np.array([[rho / (rho - 1.0)] for rho, _ in keys])
     c_tail = np.array([[rho ** (n + 1) / (rho - 1.0)] for rho, n in keys])
     c_one = np.array([[rho - 1.0] for rho, _ in keys])
 
     # flat scratch, viewed C-order at each block's size; the increments' buffer
-    # holds each n's telescoped W_N - W_k once the product has read them
+    # holds the telescoped W_N - W_k once the product has read them
     rows = min(BLOCK_ROWS, len(w))
     d_buf, excess_buf = np.empty(rows * (top + 1)), np.empty(rows)
     rhs_buf, lhs_buf, tmp_buf = np.empty(len(weights) * rows), np.empty(k * rows), np.empty(k * rows)
@@ -491,14 +492,14 @@ def identity_residuals(batch: TrajectoryBatch, keys) -> dict:
     for lo, hi in _blocks(len(w)):
         size = hi - lo
         w_block, w_proxy = w[lo:hi], w[lo:hi, n_max]
-        d = _increments(w_block, top, d_buf.reshape(rows, top + 1))
-        rhs = np.matmul(weights, d.T, out=rhs_buf[: len(weights) * size].reshape(-1, size))[:k]
+        d = np.subtract(w.T[1 : top + 2, lo:hi], w.T[: top + 1, lo:hi],
+                        out=d_buf[: (top + 1) * size].reshape(top + 1, size))
+        rhs = np.matmul(weights, d, out=rhs_buf[: len(weights) * size].reshape(-1, size))[:k]
         lhs, tmp = lhs_buf[: k * size].reshape(k, size), tmp_buf[: k * size].reshape(k, size)
-        for n, js in by_n.items():
-            telescoped = np.subtract(w_proxy[:, None], w_block[:, : n + 1],
-                                     out=d_buf[: size * (n + 1)].reshape(size, n + 1))
-            for j in js:
-                np.matmul(telescoped, lhs_weights[j], out=lhs[j])
+        telescoped = np.subtract(w_proxy[:, None], w_block[:, : top + 1],
+                                 out=d_buf[: size * (top + 1)].reshape(size, top + 1))
+        for j, (_, n) in enumerate(keys):
+            np.matmul(telescoped[:, : n + 1], lhs_weights[j], out=lhs[j])
         # rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1) (W_N - W_{n+1}) - (W_N - 1)/(rho-1)
         rhs *= c_hat
         for j, (_, n) in enumerate(keys):

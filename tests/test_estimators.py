@@ -16,6 +16,7 @@ from bprelab import (
     increment_identity_check,
     run,
 )
+from bprelab import relations
 from bprelab.estimators import (
     N_BATCHES,
     LpEstimate,
@@ -238,6 +239,30 @@ def assert_bit_equal(got, want):
         assert np.array_equal(getattr(got, key), value), key
 
 
+class TestPerNPasses:
+    """relations.sandwiches runs one pass per n; every field equals one all-keys pass's, bit for bit."""
+
+    PS, RHOS = (1.5, 2.0), (1.0, 1.1, 1.3)
+
+    def test_fields_match_one_all_keys_pass(self, seam_batch):
+        b = seam_batch
+        ns = (0, 12, b.n_max - 1)
+        seam_kept(b)
+        per_n = relations.sandwiches(b, self.PS, self.RHOS, ns)
+        # one key per n: every pass is a padded one-key pass
+        lone = {rho: relations.sandwiches(b, self.PS, (rho,), ns) for rho in self.RHOS}
+        increment_sums(b, [(rho, n) for rho in self.RHOS for n in ns])
+        order = [(p, rho, n) for p in self.PS for rho in self.RHOS for n in ns]
+        assert [item.suffix for item in per_n] == [
+            f"{relations.p_tag(p)}.rho{rho:.4g}.n{n}" for p, rho, n in order]
+        for item, (p, rho, n) in zip(per_n, order):
+            want = burkholder_sandwich(b, p, rho, n)
+            assert_bit_equal(item.detail, want)
+            assert item.passed == want.ok
+            assert item.observed == {"a_norm": want.a_norm, "lower": want.lower, "upper": want.upper}
+            assert_bit_equal(lone[rho][self.PS.index(p) * len(ns) + ns.index(n)].detail, want)
+
+
 class TestLayout:
     """A simulated w is generation-major; every reduction reads it as it reads a row-major copy."""
 
@@ -254,7 +279,8 @@ class TestLayout:
         assert b.w.T.flags.c_contiguous
         copy = dataclasses.replace(b, w=np.ascontiguousarray(b.w))
         assert copy.w.flags.c_contiguous and copy.sums == {}
-        # a one-key pass is a matrix-vector product, whose rounding follows the layout it is given
+        # a pass reads its increments into one C-order block, whatever w's layout; the second
+        # key set is a lone key, whose pass is padded to two weight rows
         for keys in ([(rho, n) for rho in (1.0, 1.1, 1.3) for n in range(b.n_max)], [(1.3, 12)]):
             want, got = increment_sums(b, keys), increment_sums(copy, keys)
             assert list(got) == keys

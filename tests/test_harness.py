@@ -108,7 +108,7 @@ class TestRunExperiment:
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
     def test_one_pass_per_relation_call(self, monkeypatch):
-        # every p, rho and n of a relation call reads the one pass that the relation runs
+        # every p and rho at one n reads that n's increment pass; every key of the identity reads its one pass
         passes = []
 
         def spy(name):
@@ -127,7 +127,7 @@ class TestRunExperiment:
         assert code == 0
         assert len(report["suites"]["burkholder"]["results"]) == 18
         assert len(report["suites"]["identity"]["results"]) == 9
-        assert passes == [("increment_sums", 9), ("identity_residuals", 9)]
+        assert passes == [("increment_sums", 3)] * 3 + [("identity_residuals", 9)]
 
     @pytest.mark.parametrize("name", ["two_state", "deterministic"])
     def test_a_mixture_simulates_the_path_seed_path_and_the_annealed_batch_only(self, monkeypatch, name):

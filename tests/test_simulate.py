@@ -24,7 +24,7 @@ from bprelab import (
     increment_identity_check,
     run,
 )
-from bprelab import simulate
+from bprelab import relations, simulate
 from bprelab.simulate import (
     BLOCK_ROWS,
     STATUS_CAPPED,
@@ -557,6 +557,27 @@ class TestIncrementSums:
         results = 2 * len(keys) * batch.replicas * 8
         assert len(sums) == len(keys) > top + 2
         assert peak - results <= BLOCK_ROWS * (top + 2) * 8 + SLACK_BYTES, (peak, results)
+
+    def test_a_lone_key_pass_equals_its_rows_of_a_multi_key_pass(self):
+        # two full blocks of BLOCK_ROWS and a partial third
+        batch = run(small_cfg(replicas=2 * BLOCK_ROWS + 7))
+        keys = [(rho, n) for rho in (1.0, 1.1, 1.3) for n in (0, 5, batch.n_max - 1)]
+        multi = increment_sums(batch, keys)
+        for key in keys:
+            lone = increment_sums(batch, [key])
+            assert list(lone) == [key]
+            assert all(map(np.array_equal, lone[key], multi[key])), key
+
+    def test_sandwiches_hold_one_n_of_sums(self):
+        # twelve blocks: nine keys at once would hold 2 x 9 rows of float64
+        batch = run(small_cfg(replicas=12 * BLOCK_ROWS))
+        rhos, ns = (1.0, 1.1, 1.3), (0, 5, batch.n_max - 1)
+        items, peak = traced_peak(lambda: relations.sandwiches(batch, (1.5, 2.0), rhos, ns))
+        row = 8 * batch.replicas
+        # one n's sums, one block of its increments, and the sandwich's two row-length temporaries
+        bound = 2 * max(len(rhos), 2) * row + 8 * BLOCK_ROWS * (max(ns) + 1) + 2 * row + SLACK_BYTES
+        assert peak <= bound, (peak, bound)
+        assert len(items) == 18 and list(batch.sums) == [(rho, ns[-1]) for rho in rhos]
 
     def test_keys_outside_the_pass_are_left_out(self):
         batch = run(small_cfg(replicas=50))

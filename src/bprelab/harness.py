@@ -50,7 +50,7 @@ EXACT_TABLE_LEN = 12
 class _Context:
     """Per-experiment scratch: cached batches, checks, and CSV side tables. `verify` passes
     `a_hat_rho`, the rate of the exact suite's A_hat partial sums, and `fit=False`, which
-    leaves the rate suites only their estimates' slack against exact values."""
+    leaves the rate suites only their estimates' slack against their oracles' exact values."""
 
     def __init__(self, cfg: ExperimentConfig, a_hat_rho: float | None = None, fit: bool = True):
         self.cfg = cfg
@@ -267,32 +267,27 @@ def _suite_exact(ctx: _Context) -> dict:
 # suites: quenched-rate / annealed-rate
 
 
-def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, **p2) -> list[dict]:
+def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, oracles) -> list[dict]:
     """The per-p body of both rate suites: records each p's items; returns the per-p sections.
 
-    Only p = 2 has an oracle: the gap sums of the increment second moments
-    `inc`, the bias bound `bias(n + gap)` and the keyword arguments `p2` of
-    its rate_fit (the rate `predicted_rho` the fit should bracket, or the
-    `unbounded_q1` that leaves nothing to fit). Without `ctx.fit` only the
-    estimates' slack against the exact values is recorded, and a section
-    holds p and the estimates.
+    `oracles` maps each p to its `relations.RateOracle`, which says what is
+    exact there; its bias, where it has one, is each estimate's bias_bound.
+    Without `ctx.fit` only the estimates' slack against the oracle's exact
+    values is recorded, and a section holds p and the estimates.
     """
     gap = ctx.cfg.gap
     sections = []
-    for p in ctx.cfg.p:
-        at_p2 = p == 2.0
+    for p, oracle in oracles.items():
         estimates = [lp_norm(batch, p, n, gap) for n in range(batch.n_max - gap + 1)]
-        if at_p2 and bias is not None:
+        if oracle.bias is not None:
             for est in estimates:
-                est.bias_bound = bias(est.n + gap)
+                est.bias_bound = oracle.bias(est.n + gap)
         rows = [f"{e.p!r},{e.n},{e.value!r},{e.stderr!r}" for e in estimates]
         ctx.add_csv(f"{suite.replace('-', '_')}_{p_tag(p)}.csv", "p,n,value,stderr", rows)
-        # exact E|W_{n+gap} - W_n|^2 is the sum of the increments' second moments
-        exact_vals = [math.fsum(inc[e.n : e.n + gap]) for e in estimates] if at_p2 else None
         if ctx.fit:
-            items, section = relations.rate_fit(estimates, exact_vals, **(p2 if at_p2 else {}))
+            items, section = relations.rate_fit(estimates, oracle)
         else:
-            items, section = relations.exact_slack(estimates, exact_vals), {"p": p, "estimates": estimates}
+            items, section = relations.exact_slack(estimates, oracle), {"p": p, "estimates": estimates}
         ctx.record(suite, items)
         sections.append(section)
     return sections
@@ -300,31 +295,15 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, inc, bias, **p
 
 def _suite_quenched_rate(ctx: _Context) -> dict:
     batch = ctx.batch(MODE_QUENCHED)
-    path = batch.path
-    inc = exact_moments.quenched_increment_second_moments(path, batch.n_max)
-    remainder = exact_moments.quenched_p2_tail(path, 0, batch.n_max - 1).remainder
-    bias = lambda upto: math.fsum(inc[upto:]) + remainder
-
-    return {
-        "path_means": [float(m) for m in path.means],
-        "per_p": _rate_fits(ctx, "quenched-rate", batch, inc, bias),
-    }
+    oracles = relations.quenched_oracles(ctx.env, batch.path, batch.n_max, ctx.cfg.p)
+    return {"path_means": [float(m) for m in batch.path.means],
+            "per_p": _rate_fits(ctx, "quenched-rate", batch, oracles)}
 
 
 def _suite_annealed_rate(ctx: _Context) -> dict:
     batch = ctx.batch(MODE_ANNEALED)
-    forms = exact_moments.p2_closed_forms(ctx.env)
-    inc = [forms.increment_second_moment(k) for k in range(batch.n_max)]
-    if forms.summable:
-        bias, p2 = forms.tail, {"predicted_rho": 1.0 / math.sqrt(forms.q1)}
-    else:
-        bias, p2 = None, {"unbounded_q1": forms.q1}
-
-    sections = _rate_fits(ctx, "annealed-rate", batch, inc, bias, **p2)
-    for section in sections:
-        if 1.0 < section["p"] < 2.0:
-            section["bias_label"] = "oracle-unbounded bias"
-    return {"per_p": sections}
+    oracles = relations.annealed_oracles(ctx.env, batch.n_max, ctx.cfg.p)
+    return {"per_p": _rate_fits(ctx, "annealed-rate", batch, oracles)}
 
 
 # ---------------------------------------------------------------------------

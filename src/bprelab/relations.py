@@ -3,6 +3,7 @@ and sizes, to the check items that judge them.
 
 The suites decide where a relation applies (`harness._NEEDS` and the exact
 suite's mixture branch) and call it there, at `run`'s sizes or at `verify`'s;
+the rate oracles decide what is exact for the rate suites at each (mode, p);
 `harness._Context.record` writes the items as checks. `identity` keeps only
 the keys that its pass admits. The simulation and estimator layers are called
 through their modules, so a wrapper installed on a module attribute sees
@@ -12,10 +13,10 @@ every call.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import estimators, exact_moments, rates, simulate
-from .environment import EnvPath, Environment
+from .environment import EnvPath, Environment, IIDMixture
 from .errors import FitUnavailableError
 from .estimators import LpEstimate
 from .simulate import TrajectoryBatch
@@ -166,13 +167,62 @@ def sandwiches(batch: TrajectoryBatch, ps, rhos, ns) -> list[Item]:
     return items
 
 
-def exact_slack(estimates: list[LpEstimate], exact_values) -> list[Item]:
-    """Each estimate within SLACK_SIGMAS standard errors of its exact value; none without exact values."""
-    if exact_values is None:
+class RateOracle(NamedTuple):
+    """What is exact about E|W_{n+gap} - W_n|^p at one (mode, p); a None field is not known.
+    `exact(n, gap)` is that moment and `bias(upto)` the bias of the proxy W_upto; the fit's
+    interval should contain `predicted_rho`; `unbounded_q1`, a q1 >= 1, leaves nothing to fit;
+    `bias_label` says how to read the section's bias values."""
+
+    exact: Callable[[int, int], float] | None = None
+    bias: Callable[[int], float] | None = None
+    predicted_rho: float | None = None
+    unbounded_q1: float | None = None
+    bias_label: str | None = None
+
+
+def _gap_sums(inc) -> Callable[[int, int], float]:
+    """exact(n, gap): E|W_{n+gap} - W_n|^2 is the sum of the increments' second moments `inc`."""
+    return lambda n, gap: math.fsum(inc[n : n + gap])
+
+
+def quenched_oracles(env: Environment, path: EnvPath, n_max: int, ps) -> dict[float, RateOracle]:
+    """Each p's oracle along `path` to generation n_max: exact values and bias bounds at p = 2.
+    The bias adds the path's increments from `upto` to its remainder beyond n_max; where that
+    is infinite (a mean <= 1 on the path) on a mixture with q1 < 1, the remainder is the
+    expectation over the i.i.d. future, b2 / (P_{n_max} (1 - q1)), labelled as not a bound."""
+    inc = exact_moments.quenched_increment_second_moments(path, n_max)
+    remainder = exact_moments.quenched_p2_tail(path, 0, n_max - 1).remainder
+    label = None
+    if math.isinf(remainder) and isinstance(env, IIDMixture):
+        forms = exact_moments.p2_closed_forms(env)
+        if forms.summable:
+            remainder = forms.b2 * math.exp(-path.log_means[n_max]) / (1.0 - forms.q1)
+            label = "expected tail over the i.i.d. future"
+    p2 = RateOracle(exact=_gap_sums(inc), bias=lambda upto: math.fsum(inc[upto:]) + remainder,
+                    bias_label=label)
+    return {p: p2 if p == 2.0 else RateOracle() for p in ps}
+
+
+def annealed_oracles(env: Environment, n_max: int, ps) -> dict[float, RateOracle]:
+    """Each p's oracle on the stationary law: at p = 2 the closed forms give the exact values,
+    and either the tail as bias and the rate 1/sqrt(q1) or, where q1 >= 1, unbounded second
+    moments; at p < 2 the bias has no oracle, which the label says."""
+    forms = exact_moments.p2_closed_forms(env)
+    exact = _gap_sums([forms.increment_second_moment(k) for k in range(n_max)])
+    p2 = (RateOracle(exact=exact, bias=forms.tail, predicted_rho=1.0 / math.sqrt(forms.q1))
+          if forms.summable else RateOracle(exact=exact, unbounded_q1=forms.q1))
+    small_p = RateOracle(bias_label="oracle-unbounded bias")
+    return {p: p2 if p == 2.0 else small_p if p < 2.0 else RateOracle() for p in ps}
+
+
+def exact_slack(estimates: list[LpEstimate], oracle: RateOracle) -> list[Item]:
+    """Each estimate within SLACK_SIGMAS standard errors of the oracle's exact value, if it has one."""
+    if oracle.exact is None:
         return []
     ok, worst = True, 0.0
-    for est, exact in zip(estimates, exact_values):
-        dev, slack = abs(est.value - exact), estimators.SLACK_SIGMAS * est.stderr
+    for est in estimates:
+        dev = abs(est.value - oracle.exact(est.n, est.proxy_gap))
+        slack = estimators.SLACK_SIGMAS * est.stderr
         ok = ok and dev <= slack + ROUNDING
         worst = max(worst, dev - slack)
     statement = "sampled moment distances sit within the Monte Carlo slack of the exact curve"
@@ -184,20 +234,22 @@ FIT_PAYLOAD = ("fitted_rho", "ci_low", "ci_high", "window", "r_squared", "points
 FIT_AVAILABLE = "a decay-rate fit is available for a non-degenerate run"
 
 
-def rate_fit(estimates: list[LpEstimate], exact_values, predicted_rho: float | None = None,
-             unbounded_q1: float | None = None) -> tuple[list[Item], dict]:
-    """The estimates' slack against any exact values, then their decay fit against the exact
-    curve's slope and the predicted rate, as `p<p>.<name>`; with `unbounded_q1`, the q1 >= 1
-    of unbounded second moments, the estimates are reported and not fitted. Returns the items
-    and the per-p section: p, estimates, fit, and fit_note or predicted_rho where they apply."""
+def rate_fit(estimates: list[LpEstimate], oracle: RateOracle) -> tuple[list[Item], dict]:
+    """The estimates' slack against the oracle's exact values, then their decay fit against the
+    exact curve's slope and the predicted rate, as `p<p>.<name>`; with the oracle's
+    `unbounded_q1` the estimates are reported and not fitted. Returns the items and the per-p
+    section: p, estimates, fit, and bias_label, fit_note or predicted_rho where they apply."""
     p = estimates[0].p
     tag = p_tag(p)
-    items = exact_slack(estimates, exact_values)
+    items = exact_slack(estimates, oracle)
     section = {"p": p, "estimates": list(estimates), "fit": None}
-    if unbounded_q1 is not None:
+    if oracle.bias_label is not None:
+        section["bias_label"] = oracle.bias_label
+    if oracle.unbounded_q1 is not None:
         section["fit_note"] = "second moments are unbounded here; no finite rate predicted"
         statement = "an environment without bounded second moments is reported, not fitted"
-        return items + [Item(f"{tag}.l2-unbounded-reported", statement, True, {"q1": unbounded_q1})], section
+        return items + [Item(f"{tag}.l2-unbounded-reported", statement, True,
+                             {"q1": oracle.unbounded_q1})], section
     if all(e.value <= estimators.ROUNDOFF_DISTANCE**p for e in estimates):
         section["fit_note"] = "degenerate: all distances are zero up to rounding, nothing to fit"
         statement = "a deterministic population has zero distances and no decay rate to fit"
@@ -211,9 +263,10 @@ def rate_fit(estimates: list[LpEstimate], exact_values, predicted_rho: float | N
     section["fit"] = {key: getattr(fit, key) for key in FIT_PAYLOAD}
     items.append(Item(f"{tag}.fit-available", FIT_AVAILABLE, True, {"fitted_rho": fit.fitted_rho}))
 
-    if exact_values is not None:
+    if oracle.exact is not None:
         lo, hi = fit.window
-        sel = [(e, x) for e, x in zip(estimates, exact_values) if lo <= e.n <= hi and x > 0]
+        window = [(e, oracle.exact(e.n, e.proxy_gap)) for e in estimates if lo <= e.n <= hi]
+        sel = [(e, x) for e, x in window if x > 0]
         if len(sel) >= 2:
             ns = [e.n for e, _ in sel]
             ys = [math.log(x) / p for _, x in sel]
@@ -226,10 +279,10 @@ def rate_fit(estimates: list[LpEstimate], exact_values, predicted_rho: float | N
                 {"fitted_rho": fit.fitted_rho, "exact_rho": math.exp(-slope_exact),
                  "slack_sigmas": estimators.SLACK_SIGMAS},
             ))
-    if predicted_rho is not None:
-        section["predicted_rho"] = predicted_rho
+    if oracle.predicted_rho is not None:
+        section["predicted_rho"] = oracle.predicted_rho
         statement = "the fitted rate's confidence interval contains the predicted critical rate"
         items.append(Item(f"{tag}.ci-contains-predicted", statement,
-                          fit.ci_low <= predicted_rho <= fit.ci_high,
-                          {"predicted": predicted_rho, "ci": [fit.ci_low, fit.ci_high]}))
+                          fit.ci_low <= oracle.predicted_rho <= fit.ci_high,
+                          {"predicted": oracle.predicted_rho, "ci": [fit.ci_low, fit.ci_high]}))
     return items, section

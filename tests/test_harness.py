@@ -692,8 +692,8 @@ class TestRateFitPaths:
                        replicas_used=1000, bias_bound=0.0)
             for n in range(10)
         ]
-        exact = [e.value for e in estimates]
-        items, section = relations.rate_fit(estimates, exact, predicted_rho=1.25)
+        oracle = relations.RateOracle(exact=lambda n, gap: estimates[n].value, predicted_rho=1.25)
+        items, section = relations.rate_fit(estimates, oracle)
         assert all(item.detail is None for item in items)
         assert section["p"] == 2.0 and section["estimates"] == estimates
         if degenerate:
@@ -734,6 +734,121 @@ class TestRateFitPaths:
         assert sections[1.5]["bias_label"] == "oracle-unbounded bias"
         assert set(sections[2.0]) == {"p", "estimates", "fit", "predicted_rho"}
         assert sections[2.0]["predicted_rho"] == pytest.approx(math.sqrt(1.5))
+
+
+    def test_a_p_without_an_oracle_is_fitted_as_a_diagnostic(self):
+        # p = 3 has no exact values, bias bound, predicted rate or label in either mode
+        cfg = small_gw(environment=TWO_STATE, suites=["quenched-rate", "annealed-rate"], p=[3.0],
+                       n_max=13, gap=6, path_seed=7, master_seed=1)
+        report, _, _ = run_experiment(cfg)
+        assert [c["id"] for c in report["checks"]] == [
+            "quenched-rate.p3.fit-available", "annealed-rate.p3.fit-available"]
+        for suite in ("quenched-rate", "annealed-rate"):
+            (section,) = report["suites"][suite]["per_p"]
+            assert not {"bias_label", "predicted_rho"} & set(section)
+            assert all(e["bias_bound"] is None for e in section["estimates"])
+
+    def test_a_new_oracle_needs_no_harness_change(self, monkeypatch):
+        # an oracle that gives p = 4 exact values is all it takes to check p = 4 against them
+        real = relations.annealed_oracles
+
+        def annealed_oracles(env, n_max, ps):
+            oracles = real(env, n_max, ps)
+            oracles[4.0] = relations.RateOracle(exact=lambda n, gap: 0.0)
+            return oracles
+
+        monkeypatch.setattr(relations, "annealed_oracles", annealed_oracles)
+        report, _, _ = run_experiment(small_gw(suites=["annealed-rate"], p=[2.0, 4.0]))
+        by_id = {c["id"]: c for c in report["checks"]}
+        assert "annealed-rate.p4.estimates-match-exact" in by_id
+        assert set(by_id["annealed-rate.p4.estimates-match-exact"]["observed"]) == {"worst_excess"}
+
+
+def two_means(**overrides):
+    """The bundled mixture of a subcritical law (mean 0.9) and {3: 1} at equal weights: q1 = 13/18."""
+    return load_config("configs/two_means.cfg", overrides)
+
+
+class TestRateOracles:
+    """What each (mode, p) oracle knows, read off the exact layer."""
+
+    def test_annealed_exact_is_the_difference_of_closed_form_tails(self):
+        env = two_means().env
+        forms = bprelab.exact_moments.p2_closed_forms(env)
+        exact = relations.annealed_oracles(env, 30, [2.0])[2.0].exact
+        for n in range(10):
+            assert exact(n, 20) == pytest.approx(forms.tail(n) - forms.tail(n + 20), rel=1e-12)
+
+    def test_quenched_exact_is_the_difference_of_path_tails(self):
+        env = two_means().env
+        path = bprelab.simulate.quenched_path(env, 31, 7)
+        exact = relations.quenched_oracles(env, path, 30, [2.0])[2.0].exact
+        for n in range(10):
+            lower = [bprelab.exact_moments.quenched_p2_tail(path, k, 30).lower for k in (n, n + 20)]
+            assert exact(n, 20) == pytest.approx(lower[0] - lower[1], rel=1e-12)
+
+    def test_fields_set_at_each_p(self):
+        env = load_config("configs/two_state.cfg").env
+        annealed = relations.annealed_oracles(env, 12, [1.5, 2.0, 3.0])
+        path = bprelab.simulate.quenched_path(env, 12, 11)
+        quenched = relations.quenched_oracles(env, path, 12, [1.5, 2.0, 3.0])
+        set_fields = lambda oracle: {name for name, value in oracle._asdict().items() if value is not None}
+        assert {p: set_fields(o) for p, o in annealed.items()} == {
+            1.5: {"bias_label"}, 2.0: {"exact", "bias", "predicted_rho"}, 3.0: set()}
+        assert annealed[1.5].bias_label == "oracle-unbounded bias"
+        assert annealed[2.0].predicted_rho == 1.0 / math.sqrt(bprelab.exact_moments.p2_closed_forms(env).q1)
+        # every mean on this path exceeds 1, so its own remainder bounds the tail
+        assert {p: set_fields(o) for p, o in quenched.items()} == {
+            1.5: set(), 2.0: {"exact", "bias"}, 3.0: set()}
+
+    def test_unbounded_second_moments_give_no_predicted_rate(self):
+        env = small_gw(environment={"kind": "mixture", "states": [
+            {"law": {0: 0.5, 1: 0.5}}, {"law": {3: 1.0}}]}).env
+        oracle = relations.annealed_oracles(env, 12, [2.0])[2.0]
+        assert oracle.unbounded_q1 == pytest.approx(7 / 6)
+        assert oracle.predicted_rho is None and oracle.bias is None
+        # the quenched bias keeps the infinite path remainder: q1 >= 1 has no finite expectation
+        path = bprelab.simulate.quenched_path(env, 12, 7)
+        assert min(law.mean for law in path.laws[:12]) <= 1.0
+        quenched = relations.quenched_oracles(env, path, 12, [2.0])[2.0]
+        assert quenched.bias(12) == math.inf and quenched.bias_label is None
+
+    def test_a_subcritical_state_takes_the_expected_tail_on_a_mixture_only(self):
+        env, n_max = two_means().env, 30
+        path = bprelab.simulate.quenched_path(env, n_max, 7)
+        assert bprelab.exact_moments.quenched_p2_tail(path, 0, n_max - 1).remainder == math.inf
+        oracle = relations.quenched_oracles(env, path, n_max, [2.0])[2.0]
+        assert oracle.bias_label == "expected tail over the i.i.d. future"
+        forms = bprelab.exact_moments.p2_closed_forms(env)
+        expected = forms.b2 * math.exp(-path.log_means[n_max]) / (1.0 - forms.q1)
+        assert oracle.bias(n_max) == expected
+        # the same laws as a fixed path have no i.i.d. future: the remainder stays infinite
+        fixed = small_gw(environment={"kind": "fixed_path", "path": [law.as_mapping() for law in path.laws]})
+        oracle = relations.quenched_oracles(fixed.env, path, n_max, [2.0])[2.0]
+        assert oracle.bias(n_max) == math.inf and oracle.bias_label is None
+
+
+class TestTwoMeans:
+    """The bundled mixture whose annealed and quenched p = 2 rates differ."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_quenched_p2_fit_through_a_subcritical_state(self, seed):
+        report, _, code = run_experiment(two_means(suites=["quenched-rate"], replicas=5000, master_seed=seed))
+        assert code == 0
+        section = report["suites"]["quenched-rate"]["per_p"][1]
+        assert section["p"] == 2.0 and section["fit"] is not None
+        assert section["bias_label"] == "expected tail over the i.i.d. future"
+        assert all(math.isfinite(e["bias_bound"]) for e in section["estimates"])
+
+    def test_run_and_verify_pass_and_the_annealed_rate_is_not_the_quenched_one(self):
+        cfg = two_means()
+        report, _, code = run_experiment(cfg)
+        assert code == 0 and report["summary"]["checks"] == 54
+        assert verify_suite(cfg)[2] == 0
+        (section,) = [s for s in report["suites"]["annealed-rate"]["per_p"] if s["p"] == 2.0]
+        quenched_critical = bprelab.rates.quenched_bounds(cfg.env, 2.0)[1]
+        assert section["fit"]["ci_low"] <= section["predicted_rho"] <= section["fit"]["ci_high"]
+        assert not section["fit"]["ci_low"] <= quenched_critical <= section["fit"]["ci_high"]
 
 
 class TestOneOwner:

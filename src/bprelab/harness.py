@@ -273,7 +273,8 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, oracles) -> li
     `oracles` maps each p to its `relations.RateOracle`, which says what is
     exact there; its bias, where it has one, is each estimate's bias_bound.
     Without `ctx.fit` only the estimates' slack against the oracle's exact
-    values is recorded, and a section holds p and the estimates.
+    values is recorded, and a section holds p, the estimates and the
+    oracle's bias_label, where it has one.
     """
     gap = ctx.cfg.gap
     sections = []
@@ -287,7 +288,8 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, oracles) -> li
         if ctx.fit:
             items, section = relations.rate_fit(estimates, oracle)
         else:
-            items, section = relations.exact_slack(estimates, oracle), {"p": p, "estimates": estimates}
+            items = relations.exact_slack(estimates, oracle)
+            section = relations.rate_section(estimates, oracle)
         ctx.record(suite, items)
         sections.append(section)
     return sections

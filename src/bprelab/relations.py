@@ -149,13 +149,14 @@ def sandwiches(batch: TrajectoryBatch, ps, rhos, ns) -> list[Item]:
     """The square-function bracket of A_hat_n(rho) with SLACK_SIGMAS slack, at each p, rho and n,
     in that order. One increment_sums pass per distinct n, over that n's rho keys, serves every
     bracket at that n before the next pass replaces it, so the batch never holds more than one
-    n's sums."""
+    n's sums, and the slot is emptied after the last bracket."""
     checks = {}
     for n in dict.fromkeys(ns):
         simulate.increment_sums(batch, [(rho, n) for rho in rhos])
         for p in ps:
             for rho in rhos:
                 checks[p, rho, n] = estimators.burkholder_sandwich(batch, p, rho, n)
+    batch.sums = {}
     statement = "the weighted-increment norm sits inside the square-function bracket"
     items = []
     for p in ps:
@@ -229,6 +230,15 @@ def exact_slack(estimates: list[LpEstimate], oracle: RateOracle) -> list[Item]:
     return [Item(f"{p_tag(estimates[0].p)}.estimates-match-exact", statement, ok, {"worst_excess": worst})]
 
 
+def rate_section(estimates: list[LpEstimate], oracle: RateOracle) -> dict:
+    """The per-p section of a rate suite without its fit: p, the estimates, and the oracle's
+    bias_label where it has one, which says how to read the estimates' bias values."""
+    section = {"p": estimates[0].p, "estimates": list(estimates)}
+    if oracle.bias_label is not None:
+        section["bias_label"] = oracle.bias_label
+    return section
+
+
 # the DecayFit fields a rate section reports
 FIT_PAYLOAD = ("fitted_rho", "ci_low", "ci_high", "window", "r_squared", "points_used")
 FIT_AVAILABLE = "a decay-rate fit is available for a non-degenerate run"
@@ -242,9 +252,7 @@ def rate_fit(estimates: list[LpEstimate], oracle: RateOracle) -> tuple[list[Item
     p = estimates[0].p
     tag = p_tag(p)
     items = exact_slack(estimates, oracle)
-    section = {"p": p, "estimates": list(estimates), "fit": None}
-    if oracle.bias_label is not None:
-        section["bias_label"] = oracle.bias_label
+    section = rate_section(estimates, oracle) | {"fit": None}
     if oracle.unbounded_q1 is not None:
         section["fit_note"] = "second moments are unbounded here; no finite rate predicted"
         statement = "an environment without bounded second moments is reported, not fitted"

@@ -15,30 +15,34 @@ spawned interpreter would pay a fresh numpy import, a large share of a
 batch's time.
 
 Within a block, an annealed batch first draws every row's environment states
-with one ``choice`` call, which takes one 64-bit output per state; a
-one-state mixture needs no draw, so it advances the stream past those outputs
-instead. Each generation is then one multinomial call over the block's live
-rows against a table of the laws on their union support, or against the one
-pmf row of that generation's law when every row shares its path (a quenched
-path, a one-state mixture), whose P_n is then computed once. Generation
-totals are drawn exactly (multinomial category counts of the parent
-population dotted with the support, which is the exact law of the sum of
-per-individual draws); populations above pop_cap stop simulating and are
-flagged.
+from the same rows x n_max uniforms that ``Generator.choice`` would draw,
+mapped to generation-major one-byte law indices by counting the cut points of
+choice's cdf (computed once per batch) at or below each uniform; a one-state
+mixture needs no draw, so it advances the stream past those uniforms instead.
+Each generation is then one multinomial call over the block's live rows, a
+slice until the first row stops and an index after, against a table of their
+laws taken from the union-support pmf rows, while each live row's log P_n is
+one running vector of the law log means and exp(-log P_n) is taken on the
+live rows only. Where every row shares its path (a quenched path, a one-state
+mixture), each generation draws against one pmf row and scales by one 1/P_n
+vector. Generation totals are drawn exactly (multinomial category counts of
+the parent population dotted with the support, which is the exact law of the
+sum of per-individual draws); populations above pop_cap stop simulating and
+are flagged.
 
 The weighted increment sums A_hat_n(rho) and Q_n(rho)^2 at the (rho, n) keys
 of one call come from one pass over w, BLOCK_ROWS rows at a time, as matrix
 products of the increments with the weights rho^k [k <= n], written straight
 into the result rows (``increment_sums``); the square-function bracket runs
-one such pass per n, so a batch holds one n's sums at a time. The
-accumulator identity's residuals at every (rho, n) come from a pass of their
-own (``identity_residuals``) that keeps only running maxima past a block, so
-no per-row array outlives one. Both passes read the increments straight from
-generation-major w into one C-order block and pad a lone key's weights with
-a zero row, so a key's bits do not depend on the other keys of its pass.
-Each pass allocates its scratch once and reuses it for every block, and the
-batch keeps each pass's last result in a slot of its own: ``sums`` and
-``residuals``.
+one such pass per n, so a batch holds one n's sums at a time, and empties the
+slot after its last bracket. The accumulator identity's residuals at every
+(rho, n) come from a pass of their own (``identity_residuals``) that keeps
+only running maxima past a block, so no per-row array outlives one. Both
+passes read the increments straight from generation-major w into one C-order
+block and pad a lone key's weights with a zero row, so a key's bits do not
+depend on the other keys of its pass. Each pass allocates its scratch once
+and reuses it for every block, and the batch keeps each pass's last result in
+a slot of its own: ``sums`` and ``residuals``.
 """
 
 from __future__ import annotations
@@ -241,35 +245,75 @@ def _law_table(laws) -> tuple[np.ndarray, np.ndarray]:
     return support, pvals
 
 
-def _simulate_block(rng: np.random.Generator, state: np.ndarray, support: np.ndarray,
-                    pvals: np.ndarray, pinv: np.ndarray, pop_cap: int, w: np.ndarray,
-                    status: np.ndarray, status_gen: np.ndarray) -> None:
-    """Fill one block's rows, one multinomial call per generation over live rows.
+def _choice_cdf(weights) -> np.ndarray:
+    """The cdf that ``Generator.choice`` searches for a draw with probabilities weights."""
+    cdf = np.cumsum(weights, dtype=np.float64)
+    cdf /= cdf[-1]
+    return cdf
 
-    state[i, n] indexes the law row i uses at generation n (a stride-0 state
-    shares one path across rows), pinv[i, n] is 1 / P_n on row i's path;
-    rows that die out or pass pop_cap stay frozen.
-    w[:, 0], status and status_gen arrive holding 1, completed and -1.
+
+def _draw_states(rng: np.random.Generator, cdf: np.ndarray, rows: int, n_max: int) -> np.ndarray:
+    """Generation-major law indices: states[n, i] is row i's law at generation n.
+
+    The same rows x n_max uniforms that ``rng.choice(len(cdf), size=(rows, n_max),
+    p=weights)`` draws, each mapped to the number of cdf[:-1] entries at or
+    below it: choice's ``searchsorted(cdf, u, side="right")``, since every u < 1
+    = cdf[-1]. One byte per state while there are at most 256 laws.
     """
-    rows, n_max = state.shape
-    # a stride-0 state gives every row one law per generation: pass its pmf
-    # row, not a table of copies; numpy draws the same stream from either
-    one_law = state.strides[0] == 0
-    live = np.arange(rows)
-    z = np.ones(rows, dtype=np.int64)
-    for n in range(n_max):
-        w[:, n + 1] = w[:, n]
-        if not live.size:
+    u = rng.random((rows, n_max)).T
+    states = np.zeros((n_max, rows), dtype=np.min_scalar_type(len(cdf) - 1))
+    above = np.empty((n_max, rows), dtype=bool)
+    for cut in cdf[:-1]:
+        states += np.greater_equal(u, cut, out=above)
+    return states
+
+
+def _simulate_block(rng: np.random.Generator, states: np.ndarray, support: np.ndarray,
+                    pvals: np.ndarray, log_means: np.ndarray, pop_cap: int, w: np.ndarray,
+                    status: np.ndarray, status_gen: np.ndarray) -> None:
+    """Fill one block's rows, one multinomial call per generation over the live rows.
+
+    states[n] is the law of generation n: one index into pvals and log_means
+    for every row when states is 1-D (a shared path, drawn against its one
+    pmf row, which numpy draws from as from a table of its copies, and scaled
+    by one 1/P_n vector), else one index per row. Per-row laws keep each live
+    row's log P_n as one running vector, adding the law log means generation
+    by generation, as a cumulative sum would. Rows that die out or pass
+    pop_cap stay frozen; the live rows are a slice until the first row stops,
+    then an index. w[:, 0], status and status_gen arrive holding 1, completed
+    and -1.
+    """
+    shared = states.ndim == 1
+    if shared:
+        pinv = np.exp(-np.cumsum(log_means[states]))
+    else:
+        log_p = np.zeros(len(status))
+    live = slice(None)
+    z = np.ones(len(status), dtype=np.int64)
+    for n in range(len(states)):
+        # frozen rows carry their last value; while every row lives, the draw writes the column
+        if not isinstance(live, slice):
+            w[:, n + 1] = w[:, n]
+        if not z.size:
             continue
-        law = pvals[state[0, n]] if one_law else pvals[state[live, n]]
-        z = rng.multinomial(z, law) @ support
-        w[live, n + 1] = z * pinv[live, n + 1]
+        if shared:
+            z = rng.multinomial(z, pvals[states[n]]) @ support
+            w[live, n + 1] = z * pinv[n]
+        else:
+            law = states[n, live]
+            log_p += np.take(log_means, law)
+            z = rng.multinomial(z, np.take(pvals, law, axis=0)) @ support
+            w[live, n + 1] = z * np.exp(-log_p)
         stop = (z == 0) | (z > pop_cap)
         if stop.any():
-            gone = live[stop]
+            if isinstance(live, slice):
+                live = np.arange(len(status))
+            gone, keep = live[stop], ~stop
             status[gone] = np.where(z[stop] == 0, STATUS_EXTINCT, STATUS_CAPPED)
             status_gen[gone] = n + 1
-            live, z = live[~stop], z[~stop]
+            live, z = live[keep], z[keep]
+            if not shared:
+                log_p = log_p[keep]
 
 
 def _usable_cpus() -> int:
@@ -340,7 +384,11 @@ def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
 
     laws = cfg.env.states if shared is None else shared.laws
     support, pvals = _law_table(laws)
-    law_log_means = np.array([law.log_mean for law in laws])
+    log_means = np.array([law.log_mean for law in laws])
+    # the one law index per generation where every row shares its path: law n
+    # of a quenched path at generation n, law 0 of a one-state mixture throughout
+    path_states = np.arange(n_max) if shared is not None else np.zeros(n_max, dtype=np.intp)
+    cdf = None if shared is not None else _choice_cdf(cfg.env.weights)
     starts = range(0, replicas, BLOCK_ROWS)
     workers = min(_usable_cpus(), len(starts))
 
@@ -350,18 +398,14 @@ def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
             hi = min(lo + BLOCK_ROWS, replicas)
             rng = np.random.default_rng(cfg.block_seed(block))
             if shared is not None:
-                state = np.arange(n_max)[None, :]
+                states = path_states
             elif len(laws) == 1:
                 # every row draws the one law; skip the one double per state that choice would take
                 rng.bit_generator.advance((hi - lo) * n_max)
-                state = np.zeros((1, n_max), dtype=np.int64)
+                states = path_states
             else:
-                state = rng.choice(len(laws), size=(hi - lo, n_max), p=cfg.env.weights)
-            # one state row is every row's path: its P_n is computed once
-            log_p = np.zeros((len(state), n_max + 1))
-            np.cumsum(law_log_means[state], axis=1, out=log_p[:, 1:])
-            _simulate_block(rng, np.broadcast_to(state, (hi - lo, n_max)), support, pvals,
-                            np.broadcast_to(np.exp(-log_p), (hi - lo, n_max + 1)), cfg.pop_cap,
+                states = _draw_states(rng, cdf, hi - lo, n_max)
+            _simulate_block(rng, states, support, pvals, log_means, cfg.pop_cap,
                             w[lo:hi], status[lo:hi], status_gen[lo:hi])
 
     children: list[int] = []

@@ -851,6 +851,18 @@ class TestTwoMeans:
         assert not section["fit"]["ci_low"] <= quenched_critical <= section["fit"]["ci_high"]
 
 
+    def test_verify_labels_its_rate_sections_as_run_does(self):
+        # the small quenched batch's path passes the subcritical state, so its p = 2 bias is
+        # the expectation over the i.i.d. future, not a bound
+        report, _, code = verify_suite(two_means())
+        assert code == 0
+        quenched = {s["p"]: s for s in report["suites"]["quenched-rate"]["per_p"]}
+        assert set(quenched[2.0]) == {"p", "estimates", "bias_label"}
+        assert quenched[2.0]["bias_label"] == "expected tail over the i.i.d. future"
+        assert all(math.isfinite(e["bias_bound"]) for e in quenched[2.0]["estimates"])
+        assert set(quenched[1.5]) == {"p", "estimates"}
+
+
 class TestOneOwner:
     """A decision that run and verify both depend on is made in one place."""
 

@@ -31,6 +31,8 @@ from bprelab.simulate import (
     STATUS_COMPLETED,
     STATUS_EXTINCT,
     STREAM_SCHEME,
+    _choice_cdf,
+    _draw_states,
     _law_table,
     _simulate_block,
     identity_residuals,
@@ -121,18 +123,34 @@ def row_by_row_reference(cfg):
     return w, status, status_gen
 
 
+TWO_LAWS = IIDMixture([OffspringLaw(GW_PMF), OffspringLaw({1: 0.2, 4: 0.8})], [0.6, 0.4])
+# three states after the zero-weight one is dropped, one of them deterministic
+THREE_LAWS = IIDMixture(
+    [OffspringLaw({2: 1.0}), OffspringLaw({1: 0.5, 3: 0.5}), OffspringLaw({5: 1.0}),
+     OffspringLaw({0: 0.05, 2: 0.95})],
+    [0.3, 0.3, 0.0, 0.4],
+)
+
+
 class TestDeterminism:
     def test_matches_row_by_row_reference(self):
-        # two blocks, two laws on different supports, extinction and capping
-        env = IIDMixture([OffspringLaw(GW_PMF), OffspringLaw({1: 0.2, 4: 0.8})], [0.6, 0.4])
-        cfg = small_cfg(env=env, n_max=10, replicas=BLOCK_ROWS + 300, pop_cap=1000)
-        batch = run(cfg)
-        w, status, status_gen = row_by_row_reference(cfg)
-        assert {STATUS_EXTINCT, STATUS_CAPPED, STATUS_COMPLETED} <= set(status.tolist())
-        assert np.array_equal(batch.status, status)
-        assert np.array_equal(batch.status_gen, status_gen)
-        # the engine's exp/cumsum of log P_n may differ from math.exp in the last bits
-        assert np.allclose(batch.w, w, rtol=1e-14, atol=0)
+        cases = [
+            # extinction and capping in both blocks
+            (TWO_LAWS, 1000, 300, [{STATUS_EXTINCT, STATUS_CAPPED, STATUS_COMPLETED}] * 2),
+            # no capping, and a second block in which no row stops: it stays on the slice path
+            (THREE_LAWS, 10**7, 8, [{STATUS_EXTINCT, STATUS_COMPLETED}, {STATUS_COMPLETED}]),
+        ]
+        for env, pop_cap, tail, statuses in cases:
+            # a full block and a partial one, laws on different supports
+            cfg = small_cfg(env=env, n_max=10, replicas=BLOCK_ROWS + tail, pop_cap=pop_cap)
+            batch = run(cfg)
+            w, status, status_gen = row_by_row_reference(cfg)
+            blocks = (slice(0, BLOCK_ROWS), slice(BLOCK_ROWS, None))
+            assert [set(status[rows].tolist()) for rows in blocks] == statuses
+            assert np.array_equal(batch.status, status)
+            assert np.array_equal(batch.status_gen, status_gen)
+            # the engine's exp of a running log P_n may differ from math.exp in the last bits
+            assert np.allclose(batch.w, w, rtol=1e-14, atol=0)
 
     def test_same_config_bitwise_identical(self):
         a = run(small_cfg())
@@ -320,14 +338,13 @@ class RecordingRng:
         return self.rng.multinomial(n, pvals)
 
 
-def simulate_block(rng, state, support, pvals, pinv, pop_cap):
-    """_simulate_block on fresh outputs; returns (w, status, status_gen)."""
-    rows, n_max = state.shape
-    w = np.empty((rows, n_max + 1))
+def simulate_block(rng, states, support, pvals, log_means, pop_cap, rows):
+    """_simulate_block on fresh generation-major outputs; returns (w, status, status_gen)."""
+    w = np.empty((len(states) + 1, rows)).T
     w[:, 0] = 1.0
     status = np.full(rows, STATUS_COMPLETED, dtype=np.int8)
     status_gen = np.full(rows, -1, dtype=np.int32)
-    _simulate_block(rng, state, support, pvals, pinv, pop_cap, w, status, status_gen)
+    _simulate_block(rng, states, support, pvals, log_means, pop_cap, w, status, status_gen)
     return w, status, status_gen
 
 
@@ -339,28 +356,29 @@ def assert_same_outputs(got, want):
 class TestOnePmfPerGeneration:
     """When every row shares a law, its one pmf row draws what the per-row table draws."""
 
-    def assert_same_draws(self, state, support, one_pvals, table_pvals):
-        # a stride-0 state takes the one-pmf path, its contiguous copy the table path
-        assert state.strides[0] == 0
-        rows, n_max = state.shape
-        pinv = np.broadcast_to(1.5 ** -np.arange(n_max + 1.0), (rows, n_max + 1))
+    def assert_same_draws(self, path, support, pvals, log_means):
+        # a 1-D path takes the one-pmf path, the same law repeated on every row the table path
+        rows = 300
+        per_row = np.repeat(path[:, None], rows, axis=1).astype(np.uint8)
         one, table = RecordingRng(41), RecordingRng(41)
-        got = simulate_block(one, state, support, one_pvals, pinv, 60)
-        want = simulate_block(table, np.ascontiguousarray(state), support, table_pvals, pinv, 60)
+        got = simulate_block(one, path, support, pvals, log_means, 60, rows)
+        want = simulate_block(table, per_row, support, pvals, log_means, 60, rows)
         assert (one.pmf_ndims, table.pmf_ndims) == ({1}, {2})
         assert_same_outputs(got, want)
         assert {STATUS_EXTINCT, STATUS_CAPPED} <= set(got[1].tolist())
 
     def test_quenched_path(self):
-        support, pvals = _law_table([OffspringLaw(q) for q in PATH_PMFS])
-        state = np.broadcast_to(np.arange(12) % len(pvals), (300, 12))
-        self.assert_same_draws(state, support, pvals, pvals)
+        laws = [OffspringLaw(q) for q in PATH_PMFS]
+        support, pvals = _law_table(laws)
+        path = np.arange(12) % len(laws)
+        self.assert_same_draws(path, support, pvals, np.array([law.log_mean for law in laws]))
 
     def test_one_state_mixture(self):
         # an unused second law: the table holds more than the one law drawn
-        support, pvals = _law_table([OffspringLaw(GW_PMF), OffspringLaw({1: 0.5, 3: 0.5})])
-        state = np.broadcast_to(np.zeros(12, dtype=np.int64), (300, 12))
-        self.assert_same_draws(state, support, pvals[:1], pvals)
+        laws = [OffspringLaw(GW_PMF), OffspringLaw({1: 0.5, 3: 0.5})]
+        support, pvals = _law_table(laws)
+        path = np.zeros(12, dtype=np.intp)
+        self.assert_same_draws(path, support, pvals, np.array([law.log_mean for law in laws]))
 
     def test_the_block_streams_are_pcg64(self):
         # run skips a one-state mixture's choice call with advance, which counts PCG64 outputs
@@ -368,7 +386,7 @@ class TestOnePmfPerGeneration:
 
     @pytest.mark.parametrize("mode", ["annealed", "quenched"])
     def test_run_equals_the_per_row_table(self, mode):
-        # run's shared path (one state row, one P_n row) against every row's own
+        # run's shared path (one pmf row, one 1/P_n vector) against every row's own
         env = GW_ENV if mode == "annealed" else FixedPath([OffspringLaw(q) for q in PATH_PMFS * 3])
         cfg = small_cfg(env=env, mode=mode, replicas=BLOCK_ROWS + 7)
         batch = run(cfg)
@@ -380,16 +398,122 @@ class TestOnePmfPerGeneration:
             size = (len(batch.w[rows]), cfg.n_max)
             rng = np.random.default_rng(cfg.block_seed(block))
             if mode == "annealed":
-                state = rng.choice(1, size=size, p=[1.0])
+                states = rng.choice(1, size=size, p=[1.0]).T.astype(np.uint8)
             else:
-                state = np.tile(np.arange(cfg.n_max), (size[0], 1))
-            log_p = np.zeros((size[0], cfg.n_max + 1))
-            np.cumsum(log_means[state], axis=1, out=log_p[:, 1:])
-            want = simulate_block(rng, state, support, pvals, np.exp(-log_p), cfg.pop_cap)
+                states = np.tile(np.arange(cfg.n_max)[:, None], (1, size[0]))
+            want = simulate_block(rng, states, support, pvals, log_means, cfg.pop_cap, size[0])
             assert_same_outputs((batch.w[rows], batch.status[rows], batch.status_gen[rows]), want)
 
 
-TWO_LAWS = IIDMixture([OffspringLaw(GW_PMF), OffspringLaw({1: 0.2, 4: 0.8})], [0.6, 0.4])
+def old_block(rng, state, support, pvals, pinv, pop_cap, w, status, status_gen):
+    """The earlier block formulation, one multinomial call per generation over the live rows.
+
+    state[i, n] indexes the law row i uses at generation n; a stride-0 state
+    shares one path across rows and is drawn against its one pmf row, else
+    the live rows' laws are fancy-indexed into a per-row table. pinv[i, n] is
+    1 / P_n on row i's path.
+    """
+    rows, n_max = state.shape
+    one_law = state.strides[0] == 0
+    live = np.arange(rows)
+    z = np.ones(rows, dtype=np.int64)
+    for n in range(n_max):
+        w[:, n + 1] = w[:, n]
+        if not live.size:
+            continue
+        law = pvals[state[0, n]] if one_law else pvals[state[live, n]]
+        z = rng.multinomial(z, law) @ support
+        w[live, n + 1] = z * pinv[live, n + 1]
+        stop = (z == 0) | (z > pop_cap)
+        if stop.any():
+            gone = live[stop]
+            status[gone] = np.where(z[stop] == 0, STATUS_EXTINCT, STATUS_CAPPED)
+            status_gen[gone] = n + 1
+            live, z = live[~stop], z[~stop]
+
+
+def old_run(cfg):
+    """run's w, status and status_gen by the earlier formulation, block by block in one process.
+
+    choice draws every row's states (a one-state mixture advances past them),
+    a cumsum/exp matrix gives 1/P_n, and the block is drawn by old_block with
+    a per-row state, or a stride-0 one where every row shares its path.
+    """
+    shared = simulate.quenched_path(cfg.env, cfg.n_max, cfg.path_seed) if cfg.mode == "quenched" else None
+    laws = cfg.env.states if shared is None else shared.laws
+    support, pvals = _law_table(laws)
+    log_means = np.array([law.log_mean for law in laws])
+    w = np.empty((cfg.replicas, cfg.n_max + 1))
+    w[:, 0] = 1.0
+    status = np.full(cfg.replicas, STATUS_COMPLETED, dtype=np.int8)
+    status_gen = np.full(cfg.replicas, -1, dtype=np.int32)
+    for block, lo in enumerate(range(0, cfg.replicas, BLOCK_ROWS)):
+        hi = min(lo + BLOCK_ROWS, cfg.replicas)
+        rng = np.random.default_rng(cfg.block_seed(block))
+        if shared is not None:
+            state = np.arange(cfg.n_max)[None, :]
+        elif len(laws) == 1:
+            rng.bit_generator.advance((hi - lo) * cfg.n_max)
+            state = np.zeros((1, cfg.n_max), dtype=np.int64)
+        else:
+            state = rng.choice(len(laws), size=(hi - lo, cfg.n_max), p=cfg.env.weights)
+        log_p = np.zeros((len(state), cfg.n_max + 1))
+        np.cumsum(log_means[state], axis=1, out=log_p[:, 1:])
+        old_block(rng, np.broadcast_to(state, (hi - lo, cfg.n_max)), support, pvals,
+                  np.broadcast_to(np.exp(-log_p), (hi - lo, cfg.n_max + 1)), cfg.pop_cap,
+                  w[lo:hi], status[lo:hi], status_gen[lo:hi])
+    return w, status, status_gen
+
+
+class TestOldFormulation:
+    """run against the earlier block formulation, bit for bit."""
+
+    @pytest.mark.parametrize("cfg", [
+        small_cfg(env=TWO_LAWS, n_max=10, replicas=2 * BLOCK_ROWS + 300, pop_cap=1000),
+        small_cfg(env=THREE_LAWS, n_max=10, replicas=BLOCK_ROWS + 8),
+        small_cfg(env=FixedPath([OffspringLaw(q) for q in PATH_PMFS * 3]), mode="quenched",
+                  replicas=BLOCK_ROWS + 7, pop_cap=1000),
+        small_cfg(replicas=BLOCK_ROWS + 7),
+    ], ids=["two-state-mixture", "three-state-mixture", "quenched-fixed-path", "one-state-mixture"])
+    def test_run_equals_the_old_formulation(self, cfg):
+        batch = run(cfg)
+        assert_same_outputs((batch.w, batch.status, batch.status_gen), old_run(cfg))
+        assert len(set(batch.status.tolist())) > 1
+
+
+class TestStateDraw:
+    """The generation-major states are choice's draws, transposed, and leave the stream where choice does."""
+
+    @pytest.mark.parametrize("weights", [
+        [0.6, 0.4],
+        [0.2, 0.5, 0.3],
+        [0.1, 0.15, 0.2, 0.25, 0.3],
+        [0.5, 0.0, 0.5],
+        [0.0, 0.7, 0.3],
+        [0.3, 0.3, 0.4, 0.0],
+        [0.4, 0.3, 0.2, 0.1],
+        [0.05] * 20,
+    ], ids=["K2", "K3", "K5", "zero-inside", "zero-first", "zero-last", "cumsum-below-1",
+            "cumsum-above-1"])
+    @pytest.mark.parametrize("seed", [0, 1, 29])
+    @pytest.mark.parametrize("rows", [BLOCK_ROWS, 301])
+    def test_equals_choice(self, weights, seed, rows):
+        n_max = 13
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        states = _draw_states(mine, _choice_cdf(np.array(weights)), rows, n_max)
+        want = theirs.choice(len(weights), size=(rows, n_max), p=weights).T
+        assert states.shape == (n_max, rows) and states.dtype.itemsize == 1
+        assert states.flags.c_contiguous
+        assert np.array_equal(states, want)
+        assert mine.random() == theirs.random()
+        zero = [k for k, p in enumerate(weights) if p == 0.0]
+        assert not np.isin(states, zero).any()
+
+    @pytest.mark.parametrize("weights", [[0.4, 0.3, 0.2, 0.1], [0.05] * 20])
+    def test_a_cumsum_that_does_not_end_at_one(self, weights):
+        # the cdf is normalised by its last entry, as choice normalises it
+        assert np.cumsum(weights)[-1] != 1.0
+        assert _choice_cdf(np.array(weights))[-1] == 1.0
 
 
 @pytest.fixture
@@ -502,6 +626,23 @@ class TestWorkers:
         assert_no_child_left()
 
 
+class TestBlockMemory:
+    def test_an_annealed_block_holds_its_uniforms_and_per_row_scratch(self, monkeypatch):
+        # one worker, so tracemalloc sees every block; three blocks of 40 generations, no a_hat
+        set_cpus(monkeypatch, 1)
+        cfg = small_cfg(env=TWO_LAWS, n_max=40, replicas=3 * BLOCK_ROWS, pop_cap=10**7, rho_grid=())
+        support, _ = _law_table(TWO_LAWS.states)
+        run(cfg)
+        batch, peak = traced_peak(lambda: run(cfg))
+        assert {STATUS_EXTINCT, STATUS_CAPPED} <= set(batch.status.tolist())
+        # choice's uniforms, a byte per state for the states and for one comparison
+        # mask, then per generation a pmf table, its counts and a few row vectors;
+        # a rows x (n_max + 1) float64 matrix of log P_n alone would pass it
+        uniforms = 8 * BLOCK_ROWS * cfg.n_max
+        bound = uniforms + 2 * BLOCK_ROWS * cfg.n_max + 8 * BLOCK_ROWS * (2 * support.size + 8)
+        assert peak <= bound + SLACK_BYTES, (peak, bound)
+
+
 def within(got, want, terms):
     """Per row, got and want differ by at most 1e-12 of the summed terms' magnitudes."""
     return np.all(np.abs(got - want) <= 1e-12 * np.abs(terms).sum(axis=1))
@@ -577,7 +718,8 @@ class TestIncrementSums:
         # one n's sums, one block of its increments, and the sandwich's two row-length temporaries
         bound = 2 * max(len(rhos), 2) * row + 8 * BLOCK_ROWS * (max(ns) + 1) + 2 * row + SLACK_BYTES
         assert peak <= bound, (peak, bound)
-        assert len(items) == 18 and list(batch.sums) == [(rho, ns[-1]) for rho in rhos]
+        # the slot is emptied after the last bracket
+        assert len(items) == 18 and batch.sums == {}
 
     def test_keys_outside_the_pass_are_left_out(self):
         batch = run(small_cfg(replicas=50))

@@ -25,6 +25,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"usage: {message}")
 
 
+def _thread_count(text: str) -> int:
+    """The value of run's --threads: an integer >= 1."""
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bprelab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bprelab {__version__}")
@@ -34,10 +41,9 @@ def _build_parser() -> _Parser:
     p_run.add_argument("config")
     p_run.add_argument("--out", help="output directory (default: from config, else <name>-report)")
     p_run.add_argument("--seed", type=int, help="override master_seed")
-    p_run.add_argument("--threads", type=int, help=(
-        "thread count, checked to be >= 1 and otherwise unused; the simulator forks one "
-        "worker per usable CPU, and neither this value nor the worker count changes "
-        "the results"))
+    p_run.add_argument("--threads", type=_thread_count, help=(
+        "an integer >= 1 that nothing reads; the simulator forks one worker per usable CPU, "
+        "and the results are the same at any worker count"))
 
     p_verify = sub.add_parser("verify", help="run the suites' checks at small sizes")
     p_verify.add_argument("config")
@@ -51,7 +57,7 @@ def _build_parser() -> _Parser:
 
 
 # command-line option -> the config key it overrides
-_OVERRIDES = {"seed": "master_seed", "threads": "threads", "p": "p"}
+_OVERRIDES = {"seed": "master_seed", "p": "p"}
 
 
 def _overrides(args) -> dict:

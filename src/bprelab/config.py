@@ -1,8 +1,8 @@
 """Experiment config files: YAML schema, validation, line-anchored errors.
 
 Configs are the repo's experiment fixtures, so the loader is strict: a fixed
-schema version, no unknown keys, and every complaint carries the file name,
-the offending key path, and (when the composer can supply it) the line.
+schema version, no unknown keys, no two values of p with one check-id tag, and
+every complaint carries the file name, the key path and, where known, the line.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import yaml
 from .environment import Environment, FixedPath, IIDMixture
 from .errors import BpreLabError, ConfigError
 from .offspring import OffspringLaw
+from .relations import p_tag
 
 SCHEMA_VERSION = 1
 
@@ -53,7 +54,6 @@ class ExperimentConfig:
     path_seed: int | None = None
     pop_cap: int = 10_000_000
     out: str | None = None
-    threads: int = 1
     source: str = field(default="<memory>", metadata={"key": None})
     raw: dict = field(default_factory=dict, metadata={"key": None})
 
@@ -65,10 +65,7 @@ _TOP_KEYS = {"schema"} | {f.metadata.get("key", f.name) for f in fields(Experime
 _NULLABLE = {f.name for f in fields(ExperimentConfig) if f.default is None}
 
 # integer keys and their least admissible value
-_INT_MINIMUMS = {
-    "n_max": 1, "gap": 1, "replicas": 1, "master_seed": 0, "path_seed": 0,
-    "pop_cap": 1000, "threads": 1,
-}
+_INT_MINIMUMS = {"n_max": 1, "gap": 1, "replicas": 1, "master_seed": 0, "path_seed": 0, "pop_cap": 1000}
 
 
 def _line_index(node: yaml.Node | None) -> dict[str, int]:
@@ -208,7 +205,12 @@ def parse_config(data: dict, source: str = "<memory>", lines: dict[str, int] | N
         p_list = _check_list(
             chk, given["p"], "p", lambda p: _is_number(p) and math.isfinite(p) and p > 1, "each p must be a number > 1"
         )
-        values["p"] = tuple(float(p) for p in p_list)
+        ps = values["p"] = tuple(float(p) for p in p_list)
+        # check ids carry p's tag, so two values that print alike would repeat ids
+        tags = [p_tag(p) for p in ps]
+        for i, tag in enumerate(tags):
+            first = tags.index(tag)
+            chk.require(first == i, f"p[{i}]", f"{ps[first]!r} and {ps[i]!r} give check ids the same tag {tag!r}")
     for key, minimum in _INT_MINIMUMS.items():
         if key in given:
             value = given[key]

@@ -179,7 +179,7 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
     prelim = [e for e in est if usable(e)]
     rho_prelim = 1.0
     if len(prelim) >= 2:
-        slope = np.polyfit([e.n for e in prelim], np.log([e.value for e in prelim]) / p, 1)[0]
+        slope = wls_line([e.n for e in prelim], np.log([e.value for e in prelim]) / p, np.ones(len(prelim)))[0][1]
         if slope < 0:
             rho_prelim = float(np.exp(-slope))
 

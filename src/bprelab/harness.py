@@ -28,7 +28,7 @@ from .estimators import (
     fit_decay,  # bound only so the benchmark's trace wraps it here (ROADMAP item 1)
     lp_norm,
 )
-from .relations import EXACT_REL, Item, p_tag
+from .relations import TABLE_REL, Item, p_tag
 from .simulate import (
     MODE_ANNEALED,
     MODE_QUENCHED,
@@ -121,7 +121,7 @@ class _Context:
             path_seed=cfg.path_seed, pop_cap=cfg.pop_cap,
         )
         if sim not in self._batches:
-            self._batches[sim] = run(sim, threads=cfg.threads)
+            self._batches[sim] = run(sim)
         return self._batches[sim]
 
     def default_mode(self) -> str:
@@ -151,16 +151,6 @@ _NEEDS = (
      "{suite} on a fixed path needs at least 8 states and a supercritical path average "
      "for its series probes; the path has {ctx.path_states} states"),
 )
-
-
-def _check_p_tags(cfg: ExperimentConfig) -> None:
-    """Raise ConfigError `<file>: p: ...` when two values of p key the same check ids."""
-    for i, p in enumerate(cfg.p):
-        for q in cfg.p[:i]:
-            if p_tag(p) == p_tag(q):
-                raise ConfigError(
-                    f"{cfg.source}: p: {q!r} and {p!r} give check ids the same tag {p_tag(p)!r}"
-                )
 
 
 def _refusal(ctx: _Context, suite: str) -> str | None:
@@ -227,10 +217,8 @@ def _suite_exact(ctx: _Context) -> dict:
             for r in range(1, EXACT_TABLE_ORDER + 1)
         ])
         section["annealed_table"] = _exact_table(ctx, "exact_annealed.csv", u)
-        mean_err = float(np.abs(u[:, 0] - 1.0).max())
         statement = "the normalized population has exact mean one at every generation"
-        ctx.record("exact", [Item("martingale-mean", statement, mean_err <= EXACT_REL,
-                                  {"max_abs_error": mean_err})])
+        ctx.record("exact", relations.unit_mean("martingale-mean", statement, u[:, 0]))
         forms = exact_moments.p2_closed_forms(ctx.env)
         section["p2_closed_forms"] = {
             "q1": forms.q1,
@@ -247,10 +235,8 @@ def _suite_exact(ctx: _Context) -> dict:
         path = ctx.series_path(n_table)
         qtable = exact_moments.quenched_moments(path, EXACT_TABLE_ORDER, len(path))
         section["quenched_table"] = _exact_table(ctx, "exact_quenched.csv", qtable.values[:, 1:])
-        w_mean_err = float(np.abs(qtable.w_moments(1) - 1.0).max())
         statement = "along the realized path the normalized mean stays exactly one"
-        ctx.record("exact", [Item("quenched-mean", statement, w_mean_err <= EXACT_REL,
-                                  {"max_abs_error": w_mean_err})])
+        ctx.record("exact", relations.unit_mean("quenched-mean", statement, qtable.w_moments(1)))
         if len(path) >= 3:
             ctx.record("exact", relations.p2_partial_sums(ctx.env, len(path), path))
 
@@ -258,7 +244,7 @@ def _suite_exact(ctx: _Context) -> dict:
         table = exact_moments.annealed_moment_table(ctx.env, 0.0, EXACT_TABLE_ORDER, len(path))
         diff = float(np.max(np.abs(qtable.values - table.values) / np.maximum(np.abs(table.values), 1.0)))
         statement = "with one state the annealed and path tables coincide"
-        ctx.record("exact", [Item("single-state-consistency", statement, diff <= 1e-10,
+        ctx.record("exact", [Item("single-state-consistency", statement, diff <= TABLE_REL,
                                   {"max_rel_diff": diff})])
     return section
 
@@ -488,7 +474,6 @@ def write_outputs(report: dict, csv_tables: dict[str, list[str]], out_dir) -> Pa
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], int]:
     """Execute the config's suites in order; returns (report, csv tables, exit code)."""
-    _check_p_tags(cfg)
     check_suite_needs(cfg, cfg.suites)
     return _run_suites(_Context(cfg), cfg.suites, {})
 
@@ -506,7 +491,6 @@ def verify_suite(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], int
     for want of exact values, is named with the reason in
     `suites.verify.not_applicable`.
     """
-    _check_p_tags(cfg)
     ctx = _Context(cfg)
     small = dataclasses.replace(
         cfg, n_max=min(max(4, min(cfg.n_max, 12)), ctx.path_states), gap=1,

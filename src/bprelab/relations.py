@@ -25,6 +25,8 @@ from .simulate import TrajectoryBatch
 # increment identity's residual, and a relative error between exact values
 IDENTITY_TOL = 1e-9
 EXACT_REL = 1e-9
+# the relative gap allowed between two routes to one exact moment table
+TABLE_REL = 1e-10
 # the rounding allowance of an inequality between two computed values
 ROUNDING = 1e-12
 
@@ -67,6 +69,12 @@ def rate_orderings(reports: list[rates.RateReport]) -> list[Item]:
             statement = "under a positive tilt the sufficient annealed rate is below the critical one"
             items.append(Item(f"{tag}.rho0-le-rhoc", statement, rho0 <= rhoc + ROUNDING, pair))
     return items
+
+
+def unit_mean(suffix: str, statement: str, means) -> list[Item]:
+    """The item that every entry of the array `means`, exact means of a normalized population, is one."""
+    err = float(abs(means - 1.0).max())
+    return [Item(suffix, statement, err <= EXACT_REL, {"max_abs_error": err})]
 
 
 def partial_sum_error(moments, inc) -> float:

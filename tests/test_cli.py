@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 import bprelab
+import bprelab.cli
 import bprelab.estimators
 from bprelab import __version__, harness
 from bprelab.cli import main
@@ -101,6 +102,7 @@ def test_rates_p_override_appends(capsys):
     [
         (["--p", "inf"], "p[0]: each p must be a number > 1"),
         (["--p", "2", "--p", "2"], "p[1]: duplicate entry 2.0"),
+        (["--p", "2", "--p", "2.0000001"], "p[1]: 2.0 and 2.0000001 give check ids the same tag 'p2'"),
     ],
 )
 def test_rates_p_is_checked_like_a_config_value(capsys, extra, message):
@@ -109,6 +111,25 @@ def test_rates_p_is_checked_like_a_config_value(capsys, extra, message):
     # the value came from the command line, so the message has no file line
     assert captured.err == f"bprelab: error: configs/gw_binary.cfg: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "rates"])
+def test_p_values_with_one_tag_are_refused_before_anything_runs(tmp_path, monkeypatch, capsys, command):
+    # distinct exponents that print alike would give the same check ids; the loader refuses them
+    def ran(*args, **kwargs):
+        pytest.fail("a suite, simulation or rate report ran")
+
+    monkeypatch.setattr(harness, "run", ran)
+    monkeypatch.setattr(harness, "_SUITES", dict.fromkeys(harness._SUITES, ran))
+    monkeypatch.setattr(bprelab.cli, "rate_report", ran)
+    cfg, out_dir = tmp_path / "tags.cfg", tmp_path / "out"
+    cfg.write_text(GW_RUN_CFG.replace("p: [2.0]", "p: [2.0, 2.0000001]"))
+    line = GW_RUN_CFG.splitlines().index("p: [2.0]") + 1
+    assert main([command, str(cfg)] + (["--out", str(out_dir)] if command != "rates" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"bprelab: error: {cfg}:{line}: p[1]: 2.0 and 2.0000001 give check ids the same tag 'p2'\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_rates_needs_a_mixture(capsys):
@@ -128,7 +149,7 @@ def test_thread_override_changes_nothing_but_timings(gw_cfg, tmp_path, capsys):
     a = json.loads((tmp_path / "a" / "report.json").read_text())
     b = json.loads((tmp_path / "b" / "report.json").read_text())
     a.pop("timings"), b.pop("timings")
-    a["config"]["values"].pop("threads", None), b["config"]["values"].pop("threads", None)
+    assert "threads" not in a["config"]["values"]
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -194,7 +215,8 @@ def test_overrides_are_recorded_in_the_report(gw_cfg, tmp_path, capsys):
     assert _report(tmp_path / "file")["config"]["values"] == jsonable(file_values)
     values = _report(tmp_path / "cli")["config"]["values"]
     assert values["master_seed"] == 99
-    assert values == jsonable(file_values | {"master_seed": 99, "threads": 2})
+    # --threads is checked by the parser and read by nothing, so it is no config value
+    assert values == jsonable(file_values | {"master_seed": 99})
 
 
 def test_report_config_reproduces_the_report(gw_cfg, tmp_path, capsys):
@@ -226,8 +248,11 @@ def test_negative_seed_is_a_config_error(gw_cfg, tmp_path, capsys, command):
 
 
 def test_bad_threads_value(gw_cfg, capsys):
-    assert main(["run", str(gw_cfg), "--threads", "0"]) == 1
-    assert capsys.readouterr().err == f"bprelab: error: {gw_cfg}: threads: must be >= 1\n"
+    for bad in ("0", "-2", "x"):
+        assert main(["run", str(gw_cfg), "--threads", bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"bprelab: error: usage: argument --threads: expected an integer >= 1, got {bad!r}\n"
+        assert captured.out == ""
     # verify runs at its own small sizes and takes no --threads
     assert main(["verify", str(gw_cfg), "--threads", "1"]) == 1
     assert capsys.readouterr().err.startswith("bprelab: error: usage: unrecognized arguments: --threads")

@@ -29,7 +29,6 @@ master_seed: 9
 path_seed: 4
 pop_cap: 5000
 out: results
-threads: 2
 """
 
 
@@ -62,7 +61,6 @@ class TestLoading:
         # a key that no config sets is an option with one value in use: make it a constant
         exempt = {
             "out": "a deployment path, which the command line's --out also sets",
-            "threads": "the benchmark sets it with --threads, and it goes with simulate.run's threads",
         }
         used = set().union(*(load_config(path).raw for path in glob.glob("configs/*.cfg")))
         assert config._TOP_KEYS - {"schema"} - used <= set(exempt)
@@ -76,7 +74,7 @@ class TestLoading:
         assert cfg.p == (1.5, 2.0)
         assert (cfg.n_max, cfg.gap, cfg.replicas) == (12, 6, 2000)
         assert (cfg.master_seed, cfg.path_seed) == (9, 4)
-        assert (cfg.pop_cap, cfg.out, cfg.threads) == (5000, "results", 2)
+        assert (cfg.pop_cap, cfg.out) == (5000, "results")
 
     def test_fixed_path_environment(self, tmp_path):
         text = (
@@ -93,7 +91,7 @@ class TestLoading:
         assert cfg.p == (2.0,)
         assert (cfg.n_max, cfg.gap, cfg.replicas) == (30, 20, 10_000)
         assert (cfg.master_seed, cfg.path_seed) == (0, None)
-        assert (cfg.pop_cap, cfg.threads, cfg.out) == (10_000_000, 1, None)
+        assert (cfg.pop_cap, cfg.out) == (10_000_000, None)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
@@ -194,6 +192,20 @@ class TestLineAnchors:
         with pytest.raises(ConfigError, match=rf"case\.cfg:{number}: {anchor}$"):
             load_config(path)
 
+    def test_p_values_with_one_tag_are_anchored(self, tmp_path):
+        # distinct exponents that print alike would give the same check ids
+        text = FULL_TEXT.replace("p: [1.5, 2.0]", "p: [2, 1.5, 2.0000001]")
+        path = write_cfg(tmp_path, text)
+        line = text.splitlines().index("p: [2, 1.5, 2.0000001]") + 1
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}:{line}: p[2]: 2.0 and 2.0000001 give check ids the same tag 'p2'"
+        # an override is not in the file, so its refusal names no line
+        with pytest.raises(ConfigError) as exc:
+            load_config(path, {"p": [2.0, 2.0000001]})
+        assert str(exc.value) == f"{path}: p[1]: 2.0 and 2.0000001 give check ids the same tag 'p2'"
+        assert load_config(path, {"p": [2.0, 2.01]}).p == (2.0, 2.01)
+
     def test_duplicate_entries_are_anchored(self, tmp_path):
         text = FULL_TEXT.replace("p: [1.5, 2.0]", "p: [2.0, 2.0]")
         path = write_cfg(tmp_path, text)
@@ -276,7 +288,6 @@ class TestValidation:
         self.fails(minimal() | {"n_max": 0}, "n_max: must be >= 1")
         self.fails(minimal() | {"replicas": 0}, "replicas: must be >= 1")
         self.fails(minimal() | {"pop_cap": 999}, "pop_cap: must be >= 1000")
-        self.fails(minimal() | {"threads": True}, "threads: expected an integer")
         self.fails(minimal() | {"out": ""}, "out: expected a non-empty string")
 
     # the harness derives the suites' rho from the environment and holds the
@@ -287,6 +298,14 @@ class TestValidation:
         with pytest.raises(ConfigError) as exc:
             load_config(path)
         assert str(exc.value) == f"{path}:{line}: rho: unknown keys ['rho']"
+
+    def test_threads(self, tmp_path):
+        # the simulator forks one worker per usable CPU whatever it says, so it is no key
+        path = write_cfg(tmp_path, FULL_TEXT + "threads: 2\n")
+        line = len(FULL_TEXT.splitlines()) + 1
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}:{line}: threads: unknown keys ['threads']"
 
     def test_tolerances(self):
         refusal = r"^<memory>: tolerances: unknown keys \['tolerances'\]$"

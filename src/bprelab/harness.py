@@ -48,9 +48,10 @@ EXACT_TABLE_LEN = 12
 
 
 class _Context:
-    """Per-experiment scratch: cached batches, checks, and CSV side tables. `verify` passes
-    `a_hat_rho`, the rate of the exact suite's A_hat partial sums, and `fit=False`, which
-    leaves the rate suites only their estimates' slack against their oracles' exact values."""
+    """Per-experiment scratch: the batches held for later readers, checks, and CSV side tables.
+    `verify` passes `a_hat_rho`, the rate of the exact suite's A_hat partial sums, and
+    `fit=False`, which leaves the rate suites only their estimates' slack against their
+    oracles' exact values."""
 
     def __init__(self, cfg: ExperimentConfig, a_hat_rho: float | None = None, fit: bool = True):
         self.cfg = cfg
@@ -58,7 +59,7 @@ class _Context:
         self.fit = fit
         self.checks: list[dict] = []
         self.csv: dict[str, list[str]] = {}
-        self._batches: dict = {}
+        self._batches: dict[str, TrajectoryBatch | None] = {}
 
     # -- verdict and side-table collection ------------------------------
 
@@ -111,18 +112,23 @@ class _Context:
         """The path a quenched batch at series_seed shares; a fixed path is clamped to its length."""
         return quenched_path(self.env, min(length, self.path_states), self.series_seed)
 
-    # -- cached simulation batches ----------------------------------------
+    # -- simulation batches, held until their last reader returns ----------
 
     def batch(self, mode: str) -> TrajectoryBatch:
-        """The config's batch in `mode`; one run per SimConfig."""
-        cfg = self.cfg
-        sim = SimConfig(
-            mode=mode, env=cfg.env, n_max=cfg.n_max, replicas=cfg.replicas, master_seed=cfg.master_seed,
-            path_seed=cfg.path_seed, pop_cap=cfg.pop_cap,
-        )
-        if sim not in self._batches:
-            self._batches[sim] = run(sim)
-        return self._batches[sim]
+        """The config's batch in `mode`, simulated once; a released batch is refused, not run again."""
+        if mode not in self._batches:
+            cfg = self.cfg
+            self._batches[mode] = run(SimConfig(
+                mode=mode, env=cfg.env, n_max=cfg.n_max, replicas=cfg.replicas,
+                master_seed=cfg.master_seed, path_seed=cfg.path_seed, pop_cap=cfg.pop_cap,
+            ))
+        if self._batches[mode] is None:
+            raise BpreLabError(f"the {mode} batch was released after its last reader returned")
+        return self._batches[mode]
+
+    def release(self, mode: str) -> None:
+        """Drop the `mode` batch, so its shared mapping is unmapped now; a later batch(mode) raises."""
+        self._batches[mode] = None
 
     def default_mode(self) -> str:
         return MODE_ANNEALED if self.is_mixture else MODE_QUENCHED
@@ -151,6 +157,16 @@ _NEEDS = (
      "{suite} on a fixed path needs at least 8 states and a supercritical path average "
      "for its series probes; the path has {ctx.path_states} states"),
 )
+
+
+# the batch each suite reads, by mode: _run_suites, this table's one reader, hands each suite its
+# batch and releases a batch once no later suite of the run reads it
+_READS = {
+    "quenched-rate": lambda ctx: MODE_QUENCHED,
+    "annealed-rate": lambda ctx: MODE_ANNEALED,
+    "burkholder": _Context.default_mode,
+    "identity": _Context.default_mode,
+}
 
 
 def _refusal(ctx: _Context, suite: str) -> str | None:
@@ -281,15 +297,13 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, oracles) -> li
     return sections
 
 
-def _suite_quenched_rate(ctx: _Context) -> dict:
-    batch = ctx.batch(MODE_QUENCHED)
+def _suite_quenched_rate(ctx: _Context, batch: TrajectoryBatch) -> dict:
     oracles = relations.quenched_oracles(ctx.env, batch.path, batch.n_max, ctx.cfg.p)
     return {"path_means": [float(m) for m in batch.path.means],
             "per_p": _rate_fits(ctx, "quenched-rate", batch, oracles)}
 
 
-def _suite_annealed_rate(ctx: _Context) -> dict:
-    batch = ctx.batch(MODE_ANNEALED)
+def _suite_annealed_rate(ctx: _Context, batch: TrajectoryBatch) -> dict:
     oracles = relations.annealed_oracles(ctx.env, batch.n_max, ctx.cfg.p)
     return {"per_p": _rate_fits(ctx, "annealed-rate", batch, oracles)}
 
@@ -298,8 +312,7 @@ def _suite_annealed_rate(ctx: _Context) -> dict:
 # suite: burkholder
 
 
-def _suite_burkholder(ctx: _Context) -> dict:
-    batch = ctx.batch(ctx.default_mode())
+def _suite_burkholder(ctx: _Context, batch: TrajectoryBatch) -> dict:
     last = batch.n_max - 1
     ns = sorted({min(2, last), last // 2, last})
     items = relations.sandwiches(batch, ctx.cfg.p, ctx.rho_grid(), ns)
@@ -387,8 +400,7 @@ def _suite_criteria(ctx: _Context) -> dict:
 # suite: identity
 
 
-def _suite_identity(ctx: _Context) -> dict:
-    batch = ctx.batch(ctx.default_mode())
+def _suite_identity(ctx: _Context, batch: TrajectoryBatch) -> dict:
     ns = sorted({1, batch.n_max // 2, batch.n_max - 2})
     items = relations.identity(batch, ctx.rho_grid(), ns)
     return {"results": [item.detail for item in ctx.record("identity", items)]}
@@ -433,13 +445,21 @@ def jsonable(obj):
 
 def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list[str]], int]:
     """Run `suites` in order, each section into `body`; returns (report, csv tables, exit code
-    2 if any check failed, else 0)."""
+    2 if any check failed, else 0).
+
+    A suite in `_READS` is handed its batch. Once a suite returns, every batch
+    that no later suite reads is released, so the run holds a batch only while
+    a reader is still to come.
+    """
+    reads = [_READS[suite](ctx) if suite in _READS else None for suite in suites]
     timings: dict = {}
     t_start = time.perf_counter()
-    for suite in suites:
+    for i, suite in enumerate(suites):
         t0 = time.perf_counter()
-        body[suite] = _SUITES[suite](ctx)
+        body[suite] = _SUITES[suite](ctx, ctx.batch(reads[i])) if reads[i] else _SUITES[suite](ctx)
         timings[suite] = time.perf_counter() - t0
+        if reads[i] and reads[i] not in reads[i + 1:]:
+            ctx.release(reads[i])
     timings["total"] = time.perf_counter() - t_start
     checks = ctx.checks
     failed = sum(1 for c in checks if not c["passed"])

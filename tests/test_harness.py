@@ -3,11 +3,14 @@
 import ast
 import copy
 import dataclasses
+import gc
 import json
 import math
+import mmap
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +37,7 @@ from bprelab.cli import main
 from bprelab.config import load_config, parse_config
 from bprelab.estimators import LpEstimate
 from bprelab.harness import run_experiment, verify_suite, write_outputs
-from bprelab.simulate import MODE_QUENCHED
+from bprelab.simulate import MODE_ANNEALED, MODE_QUENCHED
 
 
 def strip_timings(report):
@@ -852,6 +855,91 @@ class TestTwoMeans:
         assert set(quenched[1.5]) == {"p", "estimates"}
 
 
+class TestBatchLifetime:
+    """Each batch is simulated once and held only until the last suite that reads it returns."""
+
+    @pytest.mark.parametrize("name, command, modes", [
+        ("two_state", "run", ["quenched", "annealed"]),
+        ("two_state", "verify", ["quenched", "annealed"]),
+        ("two_means", "run", ["quenched", "annealed"]),
+        ("two_means", "verify", ["quenched", "annealed"]),
+        ("deterministic", "run", ["quenched", "annealed"]),
+        ("deterministic", "verify", ["quenched", "annealed"]),
+        ("gw_binary", "run", ["annealed"]),
+        ("gw_binary", "verify", ["quenched", "annealed"]),
+        ("fixed_path", "run", ["quenched"]),
+        ("fixed_path", "verify", ["quenched"]),
+        ("subcritical", "run", None),  # refused before any suite runs: exit 1
+        ("subcritical", "verify", ["annealed"]),
+    ])
+    def test_each_batch_is_simulated_once_for_the_admitted_suites(self, monkeypatch, name, command, modes):
+        sims, reads, real_run, real_loop = [], [], harness.run, harness._run_suites
+
+        def spy(sim, **kwargs):
+            sims.append(sim)
+            return real_run(sim, **kwargs)
+
+        def loop(ctx, suites, body):
+            reads.extend(harness._READS[suite](ctx) for suite in suites if suite in harness._READS)
+            return real_loop(ctx, suites, body)
+
+        monkeypatch.setattr(harness, "run", spy)
+        monkeypatch.setattr(harness, "_run_suites", loop)
+        # the replica count decides no suite's admission or batch
+        cfg = load_config(f"configs/{name}.cfg", {"replicas": 2000})
+        if modes is None:
+            with pytest.raises(ConfigError):
+                run_experiment(cfg)
+            modes = []
+        else:
+            (run_experiment if command == "run" else verify_suite)(cfg)
+        assert len(set(sims)) == len(sims)
+        assert [sim.mode for sim in sims] == modes == list(dict.fromkeys(reads))
+
+    def test_a_batch_is_released_once_its_last_reader_returns(self, monkeypatch):
+        # refcounting alone must free a released batch and unmap its shared mapping: with the
+        # collector off, a cycle or a section that kept the batch would keep it alive
+        refs, dead_at_entry, real = {}, {}, harness.run
+
+        def mapping(w):
+            while isinstance(w, np.ndarray):
+                w = w.base
+            assert isinstance(w.obj, mmap.mmap)  # w's base is a memoryview of the mapping
+            return w.obj
+
+        def spy(sim, **kwargs):
+            dead_at_entry[sim.mode] = {key: ref() is None for key, ref in refs.items()}
+            batch = real(sim, **kwargs)
+            refs[sim.mode] = weakref.ref(batch)
+            refs[f"{sim.mode} mapping"] = weakref.ref(mapping(batch.w))
+            return batch
+
+        monkeypatch.setattr(harness, "run", spy)
+        suites = ["quenched-rate", "annealed-rate", "burkholder", "identity"]
+        cfg = load_config("configs/two_state.cfg", {"replicas": 2000, "n_max": 12, "gap": 6, "suites": suites})
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            report, _, _ = run_experiment(cfg)
+        finally:
+            if enabled:
+                gc.enable()
+        assert dead_at_entry == {"quenched": {}, "annealed": {"quenched": True, "quenched mapping": True}}
+        assert {key: ref() is None for key, ref in refs.items()} == dict.fromkeys(refs, True)
+        assert list(report["suites"]) == suites
+
+    def test_a_released_batch_is_refused_not_simulated_again(self, monkeypatch):
+        ctx = harness._Context(small_gw(n_max=6, gap=2, replicas=1000))
+        harness._run_suites(ctx, ["annealed-rate"], {})
+
+        def ran(*args, **kwargs):
+            pytest.fail("a released batch was simulated again")
+
+        monkeypatch.setattr(harness, "run", ran)
+        with pytest.raises(BpreLabError, match=r"^the annealed batch was released"):
+            ctx.batch(MODE_ANNEALED)
+
+
 class TestOneOwner:
     """A decision that run and verify both depend on is made in one place."""
 
@@ -889,6 +977,19 @@ class TestOneOwner:
             elif getattr(node, name_field.get(type(node), ""), None) in {"threads", "a_hat"}:
                 found.append((node.lineno, getattr(node, name_field[type(node)])))
         assert found == []
+
+    def test_only_the_suite_loop_asks_for_a_batch(self):
+        # _READS alone says which batch a suite reads; a suite or helper that called ctx.batch
+        # itself would say it a second time, and hold a batch the loop means to release
+        callers = {
+            fn.name
+            for fn in ast.parse(Path(harness.__file__).read_text()).body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "batch"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "ctx"
+        }
+        assert callers == {"_run_suites"}
+        assert set(harness._READS) < set(harness._SUITES)
 
     @pytest.mark.parametrize("path_seed", [None, 7])
     def test_series_path_is_the_quenched_batch_path(self, path_seed):

@@ -1,10 +1,12 @@
 """Environment models: fixed offspring-law sequences and i.i.d. mixtures.
 
 A realized environment is an :class:`EnvPath`, a finite sequence of offspring
-laws together with the cumulative log mean-products log P_n. Stationary
-quantities (geometric mean, mean-power functionals) only exist for the
-i.i.d. mixture model; asking a fixed path for them raises
-:class:`~bprelab.errors.UnsupportedOperationError`.
+laws together with the cumulative log mean-products log P_n, whose one growth
+rule, ``EnvPath.is_supercritical``, is the mixture's: geometric mean growth
+above 1. A fixed path is an environment that is its own path, so
+:class:`FixedPath` is an EnvPath. Stationary quantities (geometric mean,
+mean-power functionals) only exist for the i.i.d. mixture model; asking a
+fixed path for them raises :class:`~bprelab.errors.UnsupportedOperationError`.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ class EnvPath:
     so W_n = Z_n / exp(log_means[n]).
     """
 
-    def __init__(self, laws: Sequence[OffspringLaw], seed: int | None = None):
-        if not laws:
-            raise ParameterError("environment path must have at least one state")
+    def __init__(self, laws: Iterable[OffspringLaw], seed: int | None = None):
         self.laws = tuple(laws)
+        if not self.laws:
+            raise ParameterError("environment path must have at least one state")
         self.seed = seed
         self.log_means = np.concatenate(
             ([0.0], np.cumsum([law.log_mean for law in self.laws]))
@@ -42,9 +44,14 @@ class EnvPath:
         return np.array([law.mean for law in self.laws])
 
     @property
+    def mean_growth(self) -> float:
+        """exp of the average log mean, the path's geometric mean offspring mean."""
+        return float(np.exp(np.mean([law.log_mean for law in self.laws])))
+
+    @property
     def is_supercritical(self) -> bool:
-        """Whether the average log mean over the stored path is positive."""
-        return float(self.log_means[-1]) / len(self) > 0.0
+        """mean_growth > 1, the mixture's test; an average log mean of rounding size is critical."""
+        return self.mean_growth > 1.0
 
 
 class Environment:
@@ -68,13 +75,8 @@ class Environment:
         )
 
 
-class FixedPath(Environment):
-    """A deterministic, finite sequence of environment states."""
-
-    def __init__(self, laws: Iterable[OffspringLaw]):
-        self.laws = tuple(laws)
-        if not self.laws:
-            raise ParameterError("fixed path needs at least one state")
+class FixedPath(EnvPath, Environment):
+    """A deterministic, finite sequence of environment states: an environment that is its own path."""
 
     def sample_path(self, length: int, rng: np.random.Generator | None = None) -> EnvPath:
         """The stored prefix of the given length; rng is ignored."""
@@ -83,10 +85,6 @@ class FixedPath(Environment):
                 f"requested path length {length} outside 1..{len(self.laws)}"
             )
         return EnvPath(self.laws[:length])
-
-    @property
-    def is_supercritical(self) -> bool:
-        return EnvPath(self.laws).is_supercritical
 
     @property
     def is_degenerate(self) -> bool:

@@ -301,18 +301,14 @@ def _norm_with_stderr(x: np.ndarray, p: float) -> tuple[float, float]:
 def burkholder_sandwich(batch: TrajectoryBatch, p: float, rho: float, n: int) -> SandwichCheck:
     """Check a_p ||Q_n||_p <= ||A_hat_n||_p <= b_p ||Q_n||_p on the batch.
 
-    rho is any finite value >= 1. Both inequalities get a slack of
-    SLACK_SIGMAS combined standard errors, so a pass is Monte Carlo
+    (rho, n) is any key that sums_at admits. Both inequalities get a slack
+    of SLACK_SIGMAS combined standard errors, so a pass is Monte Carlo
     evidence rather than an exact certificate.
     """
     a_p, b_p = burkholder_constants(p)
-    if not (math.isfinite(rho) and rho >= 1.0):
-        raise ParameterError(f"rho must be finite and >= 1, got {rho}")
-    if not 0 <= n <= batch.n_max - 1:
-        raise ParameterError(f"need 0 <= n <= {batch.n_max - 1}")
-    rows = _rows_used(batch)
     # every row's sums, then the rows used: no row's sum depends on another row
     a_hat, q2 = sums_at(batch, rho, n)
+    rows = _rows_used(batch)
     a_vals, q_vals = a_hat[rows], np.sqrt(q2[rows])
     a_norm, a_se = _norm_with_stderr(a_vals, p)
     q_norm, q_se = _norm_with_stderr(q_vals, p)

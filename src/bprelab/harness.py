@@ -25,6 +25,7 @@ from .config import ExperimentConfig
 from .environment import EnvPath, Environment, FixedPath, IIDMixture
 from .errors import BpreLabError, ConfigError
 from .estimators import (
+    MIN_REPLICAS,
     fit_decay,  # bound only so the benchmark's trace wraps it here (ROADMAP item 1)
     lp_norm,
 )
@@ -35,6 +36,7 @@ from .simulate import (
     SimConfig,
     TrajectoryBatch,
     increment_identity_check,  # bound only so the benchmark's trace wraps it here (ROADMAP item 1)
+    pop_cap_fits,
     quenched_path,
     run,
 )
@@ -88,10 +90,8 @@ class _Context:
         return isinstance(self.env, IIDMixture)
 
     def geo_mean(self) -> float:
-        """Stationary geometric mean, or the stored path's partial version."""
-        if self.is_mixture:
-            return self.env.geo_mean()
-        return float(np.exp(np.mean([law.log_mean for law in self.env.laws])))
+        """Stationary geometric mean, or the fixed path's mean growth."""
+        return self.env.geo_mean() if self.is_mixture else self.env.mean_growth
 
     def rho_grid(self) -> tuple[float, ...]:
         """The burkholder and identity suites' rho: the first, middle and last default-grid points."""
@@ -134,6 +134,16 @@ class _Context:
         return MODE_ANNEALED if self.is_mixture else MODE_QUENCHED
 
 
+# the batch each suite reads, by mode: _run_suites, this table's one reader, hands each suite its
+# batch and releases a batch once no later suite of the run reads it
+_READS = {
+    "quenched-rate": lambda ctx: MODE_QUENCHED,
+    "annealed-rate": lambda ctx: MODE_ANNEALED,
+    "burkholder": _Context.default_mode,
+    "identity": _Context.default_mode,
+}
+
+
 # ---------------------------------------------------------------------------
 # suite needs, checked before any suite runs: (suites, config key, whether the
 # config meets the need, refusal naming the {suite}, the {cfg} or the {ctx})
@@ -153,20 +163,15 @@ _NEEDS = (
     (("quenched-rate", "burkholder", "identity"), "n_max", lambda ctx: ctx.cfg.n_max <= ctx.path_states,
      "{cfg.n_max} exceeds the fixed path's {ctx.path_states} states"),
     (("criteria",), "environment",
-     lambda ctx: ctx.is_mixture or (ctx.path_states >= 8 and ctx.geo_mean() > 1.0),
+     lambda ctx: ctx.is_mixture or (ctx.path_states >= 8 and ctx.env.is_supercritical),
      "{suite} on a fixed path needs at least 8 states and a supercritical path average "
      "for its series probes; the path has {ctx.path_states} states"),
+    (("quenched-rate", "annealed-rate", "burkholder"), "replicas", lambda ctx: ctx.cfg.replicas >= MIN_REPLICAS,
+     f"{{suite}} needs at least {MIN_REPLICAS} replicas for its estimates; replicas is {{cfg.replicas}}"),
+    (tuple(_READS), "pop_cap", lambda ctx: pop_cap_fits(ctx.env, ctx.cfg.pop_cap),
+     "{suite} needs pop_cap times the largest offspring count below 2**62 for exact int64 totals; "
+     "pop_cap is {cfg.pop_cap}"),
 )
-
-
-# the batch each suite reads, by mode: _run_suites, this table's one reader, hands each suite its
-# batch and releases a batch once no later suite of the run reads it
-_READS = {
-    "quenched-rate": lambda ctx: MODE_QUENCHED,
-    "annealed-rate": lambda ctx: MODE_ANNEALED,
-    "burkholder": _Context.default_mode,
-    "identity": _Context.default_mode,
-}
 
 
 def _refusal(ctx: _Context, suite: str) -> str | None:
@@ -358,10 +363,10 @@ def _suite_criteria(ctx: _Context) -> dict:
 
     # a fixed path has at least 8 states and a supercritical average (see _NEEDS)
     path = ctx.series_path(max(12, min(cfg.n_max, 40)) if ctx.is_mixture else ctx.path_states)
-    m_geo = ctx.geo_mean()
-    if m_geo <= 1.0:
+    if not ctx.env.is_supercritical:
         section["series_note"] = "path is not supercritical on average; no probes run"
         return section
+    m_geo = ctx.geo_mean()
     items = []
 
     def probe(name, statement, wrong_verdict, p, at_rho, variant, r=None, **observed):

@@ -42,7 +42,10 @@ passes read the increments straight from generation-major w into one C-order
 block and pad a lone key's weights with a zero row, so a key's bits do not
 depend on the other keys of its pass. Each pass allocates its scratch once
 and reuses it for every block, and the batch keeps each pass's last result in
-a slot of its own: ``sums`` and ``residuals``.
+a slot of its own: ``sums`` and ``residuals``. Each pass's key domain has one
+owner, ``_sums_refusal`` and ``_residual_refusal``: it decides the keys the
+pass leaves out and the keys its per-key call (``sums_at``,
+``increment_identity_check``) refuses, leaving the slot as it was.
 """
 
 from __future__ import annotations
@@ -76,6 +79,12 @@ MODE_ANNEALED = "annealed"
 # Generation totals use counts dotted with the support; keep the worst-case
 # total inside int64 so the dot product cannot wrap.
 _INT64_SAFE = 2**62
+
+
+def pop_cap_fits(env: Environment, pop_cap: int) -> bool:
+    """Whether pop_cap times env's largest offspring count stays below _INT64_SAFE (see above)."""
+    laws = env.states if isinstance(env, IIDMixture) else env.laws
+    return pop_cap * max(law.max_support for law in laws) < _INT64_SAFE
 
 
 @dataclass(frozen=True)
@@ -117,13 +126,7 @@ class SimConfig:
             and self.path_seed is None
         ):
             raise ParameterError("quenched mode on a mixture needs a path_seed")
-        max_support = max(
-            law.max_support
-            for law in (
-                self.env.states if isinstance(self.env, IIDMixture) else self.env.laws
-            )
-        )
-        if self.pop_cap * max_support >= _INT64_SAFE:
+        if not pop_cap_fits(self.env, self.pop_cap):
             raise ParameterError("pop_cap too large for exact int64 totals")
 
     def block_seed(self, block: int) -> np.random.SeedSequence:
@@ -461,6 +464,18 @@ def _blocks(rows: int):
     return ((lo, min(lo + BLOCK_ROWS, rows)) for lo in range(0, rows, BLOCK_ROWS))
 
 
+def _sums_refusal(batch: TrajectoryBatch, rho: float, n: int) -> str | None:
+    """increment_sums' key domain, finite rho >= 1 and 0 <= n < n_max: None inside, else the refusal."""
+    inside = math.isfinite(rho) and rho >= 1.0 and 0 <= n < batch.n_max
+    return None if inside else f"increment sums need a finite rho >= 1 and 0 <= n < {batch.n_max}; got ({rho}, {n})"
+
+
+def _residual_refusal(batch: TrajectoryBatch, rho: float, n: int) -> str | None:
+    """identity_residuals' key domain, finite rho > 1 and 0 <= n < n_max - 1: None inside, else the refusal."""
+    inside = math.isfinite(rho) and rho > 1.0 and 0 <= n < batch.n_max - 1
+    return None if inside else f"the identity needs a finite rho > 1 and 0 <= n < {batch.n_max - 1}; got ({rho}, {n})"
+
+
 def increment_sums(batch: TrajectoryBatch, keys) -> dict:
     """Refill the slot batch.sums: (rho, n) -> every row's A_hat_n(rho) and Q_n(rho)^2.
 
@@ -469,11 +484,9 @@ def increment_sums(batch: TrajectoryBatch, keys) -> dict:
     (top+1) x rows block of scratch that every block reuses. The matrix W of
     rho^k [k <= n], padded by _weights to two rows for a lone key, multiplies
     them, then the squared increments are multiplied by W*W, straight into the
-    result rows; the slot holds 2 x len(W) rows of float64. Keys outside finite
-    rho >= 1 and 0 <= n < n_max are left out, for the per-key call to refuse.
+    result rows; the slot holds 2 x len(W) rows of float64.
     """
-    keys = [(rho, n) for rho, n in dict.fromkeys(keys)
-            if math.isfinite(rho) and rho >= 1.0 and 0 <= n < batch.n_max]
+    keys = [key for key in dict.fromkeys(keys) if _sums_refusal(batch, *key) is None]
     batch.sums = {}
     if keys:
         w, top = batch.w, max(n for _, n in keys)
@@ -492,6 +505,8 @@ def increment_sums(batch: TrajectoryBatch, keys) -> dict:
 
 def sums_at(batch: TrajectoryBatch, rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(A_hat_n(rho), Q_n(rho)^2) on every row: from the batch's slot, else a one-key pass."""
+    if refusal := _sums_refusal(batch, rho, n):
+        raise ParameterError(refusal)
     return batch.sums.get((rho, n)) or increment_sums(batch, [(rho, n)])[rho, n]
 
 
@@ -511,11 +526,9 @@ def identity_residuals(batch: TrajectoryBatch, keys) -> dict:
     W_N - W_k at the largest n, which each smaller n reads through a view of
     its first n + 1 columns; the right-hand side is formed for all keys at
     once, each element in the order of the formula, and only running maxima
-    outlive a block. Keys outside finite rho > 1 and 0 <= n < n_max - 1 are
-    left out, for the per-key call to refuse.
+    outlive a block.
     """
-    keys = [(rho, n) for rho, n in dict.fromkeys(keys)
-            if math.isfinite(rho) and rho > 1.0 and 0 <= n < batch.n_max - 1]
+    keys = [key for key in dict.fromkeys(keys) if _residual_refusal(batch, *key) is None]
     batch.residuals = {}
     if not keys:
         return batch.residuals
@@ -563,11 +576,9 @@ def increment_identity_check(batch: TrajectoryBatch, rho: float, n: int) -> floa
     """Largest relative residual of the accumulator identity across replicas.
 
     From the batch's slot (see identity_residuals), else a one-key pass that
-    replaces it.
+    replaces it; a key outside the pass's domain leaves the slot as it was.
     """
-    if not (math.isfinite(rho) and rho > 1.0):
-        raise ParameterError(f"identity requires a finite rho > 1, got {rho}")
-    if not 0 <= n < batch.n_max - 1:
-        raise ParameterError(f"need 0 <= n < {batch.n_max - 1}")
+    if refusal := _residual_refusal(batch, rho, n):
+        raise ParameterError(refusal)
     residual = batch.residuals.get((rho, n))
     return identity_residuals(batch, [(rho, n)])[rho, n] if residual is None else residual

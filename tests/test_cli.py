@@ -300,6 +300,45 @@ def test_a_late_suite_need_is_refused_before_simulating(tmp_path, capsys, monkey
     assert calls == []
 
 
+@pytest.mark.parametrize("a, b", [(5, 2), (5, 4), (6, 5), (7, 5), (8, 5), (9, 5), (10, 4), (10, 8), (10, 9)])
+def test_a_critical_fixed_path_is_refused_before_simulating(tmp_path, capsys, monkeypatch, a, b):
+    # laws of mean a/b and b/a: the mean product is exactly 1, and the float sum of log means is positive
+    monkeypatch.setattr(harness, "run", lambda *args, **kwargs: pytest.fail("a batch was simulated"))
+    data = yaml.safe_load(Path("configs/fixed_path.cfg").read_text())
+    data["environment"]["path"] = [{0: 1 - 1 / b, a: 1 / b}, {0: 1 - b / a, 1: b / a}] * 6
+    data["suites"] = ["quenched-rate"]
+    path = tmp_path / "critical.cfg"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"bprelab: error: {path}: environment: quenched-rate needs a supercritical environment\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("config, line, refusal", [
+    ("gw_binary", "replicas: 50",
+     "replicas: annealed-rate needs at least 100 replicas for its estimates; replicas is 50"),
+    ("two_state", "pop_cap: 3000000000000000000",
+     "pop_cap: quenched-rate needs pop_cap times the largest offspring count below 2**62 for exact "
+     "int64 totals; pop_cap is 3000000000000000000"),
+])
+def test_a_replicas_or_pop_cap_the_suites_cannot_use_is_refused_first(tmp_path, capsys, monkeypatch,
+                                                                       config, line, refusal):
+    def ran(*args, **kwargs):
+        pytest.fail("a suite ran or simulated")
+
+    monkeypatch.setattr(harness, "run", ran)
+    monkeypatch.setattr(harness, "_SUITES", dict.fromkeys(harness._SUITES, ran))
+    key = line.split(":")[0]
+    text = [row for row in Path(f"configs/{config}.cfg").read_text().splitlines() if not row.startswith(key)]
+    path = tmp_path / f"{config}.cfg"
+    path.write_text("\n".join(text + [line]) + "\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"bprelab: error: {path}: {refusal}\n"
+    assert captured.out == ""
+
+
 DEST_CFG = """\
 schema: 1
 name: dest

@@ -19,6 +19,15 @@ GW = OffspringLaw({0: 0.25, 2: 0.75})
 DET2 = OffspringLaw({2: 1.0})
 DET3 = OffspringLaw({3: 1.0})
 
+# (a, b) whose laws of mean a/b and b/a give a path of mean product exactly 1, and a
+# positive float sum of its log means
+CRITICAL_PAIRS = [(5, 2), (5, 4), (6, 5), (7, 5), (8, 5), (9, 5), (10, 4), (10, 8), (10, 9)]
+
+
+def critical_path_pmfs(a, b):
+    """The 12-state path alternating {0: 1 - 1/b, a: 1/b} and {0: 1 - b/a, 1: b/a}."""
+    return [{0: 1 - 1 / b, a: 1 / b}, {0: 1 - b / a, 1: b / a}] * 6
+
 
 class TestEnvPath:
     def test_log_means_are_prefix_sums(self):
@@ -43,8 +52,25 @@ class TestEnvPath:
         with pytest.raises(ParameterError):
             EnvPath([])
 
+    @pytest.mark.parametrize("a, b", CRITICAL_PAIRS)
+    def test_critical_path_is_not_supercritical(self, a, b):
+        laws = [OffspringLaw(pmf) for pmf in critical_path_pmfs(a, b)]
+        for path in (EnvPath(laws), FixedPath(laws)):
+            # the rounding residue of log P_12 is positive; the growth rule still reads critical
+            assert path.log_means[-1] > 0.0
+            assert path.mean_growth == 1.0
+            assert not path.is_supercritical
+
 
 class TestFixedPath:
+    def test_is_its_own_path(self):
+        env = FixedPath(iter([GW, DET3, DET2]))
+        assert isinstance(env, EnvPath)
+        assert env.laws == (GW, DET3, DET2) and len(env) == 3
+        assert np.array_equal(env.log_means, EnvPath([GW, DET3, DET2]).log_means)
+        assert env.mean_growth == EnvPath(env.laws).mean_growth == pytest.approx(9.0 ** (1 / 3), rel=1e-14)
+        assert env.is_supercritical
+
     def test_prefix_sampling_ignores_rng(self):
         env = FixedPath([GW, DET3, DET2])
         path = env.sample_path(2, np.random.default_rng(0))

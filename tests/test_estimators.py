@@ -27,7 +27,7 @@ from bprelab.estimators import (
     lp_norm,
     w_moment,
 )
-from bprelab.simulate import BLOCK_ROWS, STATUS_CAPPED, increment_sums, sums_at
+from bprelab.simulate import BLOCK_ROWS, STATUS_CAPPED, identity_residuals, increment_sums, sums_at
 
 
 def gw_tail(n):
@@ -481,3 +481,31 @@ class TestBurkholder:
             burkholder_sandwich(gw_batch, 2.0, 1.1, gw_batch.n_max)
         with pytest.raises(EstimateUnavailableError):
             burkholder_sandwich(capped_batch, 2.0, 1.2, 3)
+
+
+# each per-key call, the pass whose keys it reads, and that pass's domain: the rho values
+# outside it and the first n past it (n = -1 is outside every domain)
+PER_KEY_CALLS = {
+    "sums_at": (sums_at, increment_sums, (0.5, math.inf, math.nan), lambda b: b.n_max),
+    "burkholder_sandwich": (lambda b, rho, n: burkholder_sandwich(b, 2.0, rho, n), increment_sums,
+                            (0.5, math.inf, math.nan), lambda b: b.n_max),
+    "increment_identity_check": (increment_identity_check, identity_residuals,
+                                 (0.5, math.inf, math.nan, 1.0), lambda b: b.n_max - 1),
+}
+
+
+@pytest.mark.parametrize("call, fill, bad_rhos, past", PER_KEY_CALLS.values(), ids=PER_KEY_CALLS)
+def test_a_per_key_call_refuses_the_keys_its_pass_leaves_out(gw_env, call, fill, bad_rhos, past):
+    b = run(SimConfig(env=gw_env, mode="annealed", n_max=8, replicas=300, master_seed=4))
+    bad = [(rho, 2) for rho in bad_rhos] + [(1.2, -1), (1.2, past(b))]
+    inside, held = (1.2, past(b) - 1), [(1.1, 1), (1.3, 2)]
+    sums, residuals = increment_sums(b, held), identity_residuals(b, held)
+    for rho, n in bad:
+        with pytest.raises(ParameterError, match="rho"):
+            call(b, rho, n)
+        # a refused key leaves both slots as they were
+        assert b.sums is sums and b.residuals is residuals
+        assert list(sums) == list(residuals) == held
+    # the pass leaves out exactly the keys the per-key call refuses
+    assert list(fill(b, bad + [inside])) == [inside]
+    call(b, *inside)

@@ -287,6 +287,16 @@ class TestVerifySuite:
         assert not suites & set(not_applicable)
         assert all(c["passed"] for c in report["checks"])
 
+    def test_an_overflowing_pop_cap_leaves_the_simulating_suites_not_applicable(self, monkeypatch):
+        monkeypatch.setattr(harness, "run", lambda *args, **kwargs: pytest.fail("a batch was simulated"))
+        report, _, code = verify_suite(small_gw(pop_cap=3 * 10**18))
+        assert code == 0
+        refusal = ("<memory>: pop_cap: {} needs pop_cap times the largest offspring count below 2**62 "
+                   "for exact int64 totals; pop_cap is 3000000000000000000")
+        simulating = [suite for suite in harness._VERIFY_SUITES if suite in harness._READS]
+        assert report["suites"]["verify"]["not_applicable"] == {suite: refusal.format(suite) for suite in simulating}
+        assert {c["suite"] for c in report["checks"]} == {"rates", "exact"}
+
     @pytest.mark.parametrize("states", [1, 2])
     def test_one_and_two_state_paths_pass_every_check(self, states):
         # the identity needs n < n_max - 1, so a 1-state path leaves it no n
@@ -550,6 +560,17 @@ class TestSuiteNeeds:
         ("criteria", "environment", {"environment": SUBCRITICAL12},
          "criteria on a fixed path needs at least 8 states and a supercritical path average "
          "for its series probes; the path has 12 states"),
+        ("quenched-rate", "replicas", {"replicas": 50, "path_seed": 3},
+         "quenched-rate needs at least 100 replicas for its estimates; replicas is 50"),
+        ("annealed-rate", "replicas", {"replicas": 50},
+         "annealed-rate needs at least 100 replicas for its estimates; replicas is 50"),
+        ("burkholder", "replicas", {"replicas": 99},
+         "burkholder needs at least 100 replicas for its estimates; replicas is 99"),
+    ] + [
+        (suite, "pop_cap", {"pop_cap": 3 * 10**18, "path_seed": 3},
+         f"{suite} needs pop_cap times the largest offspring count below 2**62 for exact int64 totals; "
+         "pop_cap is 3000000000000000000")
+        for suite in ("quenched-rate", "annealed-rate", "burkholder", "identity")
     ]
 
     def test_cases_cover_the_table(self):

@@ -31,10 +31,11 @@ def _require_p(p: float) -> None:
 
 
 def _require_supercritical(env: Environment) -> None:
-    # geo_mean raises UnsupportedOperationError for fixed paths
-    if not env.geo_mean() > 1.0:
+    # geo_mean raises UnsupportedOperationError for a fixed path, before its growth rule is asked
+    env.geo_mean()
+    if not env.is_supercritical:
         raise ParameterError(
-            "environment is not supercritical (E log m_0 <= 0); rates undefined"
+            "environment is not supercritical (geometric mean offspring mean not above 1); rates undefined"
         )
 
 

@@ -37,12 +37,11 @@ into the result rows (``increment_sums``); the square-function bracket runs
 one such pass per n, so a batch holds one n's sums at a time, and empties the
 slot after its last bracket. The accumulator identity's residuals at every
 (rho, n) come from a pass of their own (``identity_residuals``) that keeps
-only running maxima past a block, so no per-row array outlives one. Both
-passes read the increments straight from generation-major w into one C-order
-block and pad a lone key's weights with a zero row, so a key's bits do not
-depend on the other keys of its pass. Each pass allocates its scratch once
-and reuses it for every block, and the batch keeps each pass's last result in
-a slot of its own: ``sums`` and ``residuals``. Each pass's key domain has one
+only running maxima past a block. Both passes read the increments straight
+from generation-major w into one C-order block that every block reuses, and
+pad a lone key's weights with a zero row, so a key's bits do not depend on
+the other keys of its pass. The batch keeps each pass's last result in a slot
+of its own: ``sums`` and ``residuals``. Each pass's key domain has one
 owner, ``_sums_refusal`` and ``_residual_refusal``: it decides the keys the
 pass leaves out and the keys its per-key call (``sums_at``,
 ``increment_identity_check``) refuses, leaving the slot as it was.
@@ -518,57 +517,36 @@ def identity_residuals(batch: TrajectoryBatch, keys) -> dict:
     (W_N - W_{n+1}) - (W_N - 1)/(rho-1) exactly. The residual is the largest
     |A_n - rhs| over rows, relative to max(1, largest |A_n|, largest |rhs|).
 
-    One pass, BLOCK_ROWS rows at a time, into scratch reused by every block:
-    A_hat_n for every key is one matrix product of the increments, read from
-    generation-major w and weighted as in increment_sums (a lone key padded to
-    two weight rows), so a key's residual does not depend on the other keys of
-    its pass. A_n is one matrix-vector product per key over one C-order
-    W_N - W_k at the largest n, which each smaller n reads through a view of
-    its first n + 1 columns; the right-hand side is formed for all keys at
-    once, each element in the order of the formula, and only running maxima
-    outlive a block.
+    Per BLOCK_ROWS rows, one reused buffer holds the increments, whose product
+    with _weights gives every key's A_hat_n as in increment_sums, and then the
+    C-order W_N - W_k. Key by key, A_n is one matrix-vector product over its
+    first n + 1 columns, the right-hand side follows the formula's order, and
+    only running maxima outlive a block.
     """
     keys = [key for key in dict.fromkeys(keys) if _residual_refusal(batch, *key) is None]
     batch.residuals = {}
     if not keys:
         return batch.residuals
-    w, n_max, k = batch.w, batch.n_max, len(keys)
-    top = max(n for _, n in keys)
+    w, n_max, top = batch.w, batch.n_max, max(n for _, n in keys)
     weights = _weights(keys, top)
-    lhs_weights = [rho ** np.arange(n + 1) for rho, n in keys]
-    c_hat = np.array([[rho / (rho - 1.0)] for rho, _ in keys])
-    c_tail = np.array([[rho ** (n + 1) / (rho - 1.0)] for rho, n in keys])
-    c_one = np.array([[rho - 1.0] for rho, _ in keys])
-
-    # flat scratch, viewed C-order at each block's size; the increments' buffer
-    # holds the telescoped W_N - W_k once the product has read them
     rows = min(BLOCK_ROWS, len(w))
-    d_buf, excess_buf = np.empty(rows * (top + 1)), np.empty(rows)
-    rhs_buf, lhs_buf, tmp_buf = np.empty(len(weights) * rows), np.empty(k * rows), np.empty(k * rows)
-    maxima, block_max = np.full((2, 3, k), -np.inf)
+    buf, a_hat = np.empty((top + 1) * rows), np.empty((len(weights), rows))
+    maxima = np.full((len(keys), 3), -np.inf)
     for lo, hi in _blocks(len(w)):
-        size = hi - lo
-        w_block, w_proxy = w[lo:hi], w[lo:hi, n_max]
-        d = np.subtract(w.T[1 : top + 2, lo:hi], w.T[: top + 1, lo:hi],
-                        out=d_buf[: (top + 1) * size].reshape(top + 1, size))
-        rhs = np.matmul(weights, d, out=rhs_buf[: len(weights) * size].reshape(-1, size))[:k]
-        lhs, tmp = lhs_buf[: k * size].reshape(k, size), tmp_buf[: k * size].reshape(k, size)
-        telescoped = np.subtract(w_proxy[:, None], w_block[:, : top + 1],
-                                 out=d_buf[: size * (top + 1)].reshape(size, top + 1))
-        for j, (_, n) in enumerate(keys):
-            np.matmul(telescoped[:, : n + 1], lhs_weights[j], out=lhs[j])
-        # rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1) (W_N - W_{n+1}) - (W_N - 1)/(rho-1)
-        rhs *= c_hat
-        for j, (_, n) in enumerate(keys):
-            np.subtract(w_proxy, w_block[:, n + 1], out=tmp[j])
-        tmp *= c_tail
-        rhs += tmp
-        rhs -= np.divide(np.subtract(w_proxy, 1.0, out=excess_buf[:size]), c_one, out=tmp)
-        for i, x in enumerate((np.subtract(lhs, rhs, out=tmp), lhs, rhs)):
-            np.max(np.abs(x, out=x), axis=1, out=block_max[i])
-        np.maximum(maxima, block_max, out=maxima)
-    diff, lhs_max, rhs_max = maxima.tolist()
-    batch.residuals = {key: diff[j] / max(1.0, lhs_max[j], rhs_max[j]) for j, key in enumerate(keys)}
+        size, w_proxy = hi - lo, w[lo:hi, n_max]
+        block = buf[: (top + 1) * size]
+        d = np.subtract(w.T[1 : top + 2, lo:hi], w.T[: top + 1, lo:hi], out=block.reshape(top + 1, size))
+        np.matmul(weights, d, out=a_hat[:, :size])
+        telescoped = np.subtract(w_proxy[:, None], w[lo:hi, : top + 1], out=block.reshape(size, top + 1))
+        for j, (rho, n) in enumerate(keys):
+            lhs = telescoped[:, : n + 1] @ rho ** np.arange(n + 1)
+            rhs = (a_hat[j, :size] * (rho / (rho - 1.0))
+                   + (w_proxy - w[lo:hi, n + 1]) * (rho ** (n + 1) / (rho - 1.0))
+                   - (w_proxy - 1.0) / (rho - 1.0))
+            sides = np.abs(lhs - rhs).max(), np.abs(lhs).max(), np.abs(rhs).max()
+            np.maximum(maxima[j], sides, out=maxima[j])
+    batch.residuals = {key: diff / max(1.0, lhs_max, rhs_max)
+                       for key, (diff, lhs_max, rhs_max) in zip(keys, maxima.tolist())}
     return batch.residuals
 
 

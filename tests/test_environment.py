@@ -144,7 +144,8 @@ class TestIIDMixture:
         env = IIDMixture(laws, [1 / 3] * 3)
         assert env.expected_log_mean() > 0.0
         assert not env.is_supercritical
-        with pytest.raises(ParameterError, match="not supercritical"):
+        with pytest.raises(ParameterError, match=r"^environment is not supercritical "
+                           r"\(geometric mean offspring mean not above 1\); rates undefined$"):
             quenched_bounds(env, 2.0)
 
     def test_sampling_needs_rng(self):

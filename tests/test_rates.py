@@ -72,8 +72,11 @@ class TestQuenchedBounds:
             quenched_bounds(GW, 1.0)
         with pytest.raises(ParameterError, match="supercritical"):
             quenched_bounds(IIDMixture([OffspringLaw({0: 0.5, 1: 0.5})], [1.0]), 2.0)
-        with pytest.raises(UnsupportedOperationError):
-            quenched_bounds(FixedPath([OffspringLaw({2: 1.0})]), 2.0)
+        # a fixed path has no stationary law, whether or not its own growth rule holds
+        for law in (OffspringLaw({2: 1.0}), OffspringLaw({1: 1.0})):
+            for rates_of in (quenched_bounds, annealed_rates):
+                with pytest.raises(UnsupportedOperationError, match="FixedPath has no stationary law"):
+                    rates_of(FixedPath([law]), 2.0)
 
 
 class TestAnnealedRates:

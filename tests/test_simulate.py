@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from bprelab import (
@@ -25,6 +26,7 @@ from bprelab import (
     run,
 )
 from bprelab import relations, simulate
+from bprelab.relations import IDENTITY_TOL
 from bprelab.simulate import (
     BLOCK_ROWS,
     STATUS_CAPPED,
@@ -661,20 +663,19 @@ class TestLawTable:
 
 
 class TestIncrementSums:
-    def test_matches_runs_accumulator_across_row_blocks(self):
+    def test_matches_per_row_sums_across_row_blocks(self):
         # 10,001 rows: two full blocks of BLOCK_ROWS and a partial third
-        batch = run(small_cfg(n_max=6, replicas=10_001, rho_grid=(1.1, 1.3)))
+        batch = run(small_cfg(n_max=6, replicas=10_001, rho_grid=()))
         assert batch.replicas > 2 * BLOCK_ROWS and batch.replicas % BLOCK_ROWS
-        keys = [(rho, n) for rho in batch.rho_grid for n in range(batch.n_max)]
+        keys = [(rho, n) for rho in (1.1, 1.3) for n in range(batch.n_max)]
         sums = increment_sums(batch, keys)
         assert list(sums) == keys
-        for j, rho in enumerate(batch.rho_grid):
-            for n in range(batch.n_max):
-                terms = rho ** np.arange(n + 1) * np.diff(batch.w[:, : n + 2], axis=1)
-                a_hat, q2 = sums[rho, n]
-                # run's cumulative sum and the pass add the same terms in another order
-                assert within(a_hat, batch.a_hat[:, j, n], terms)
-                assert within(q2, (terms * terms).sum(axis=1), terms * terms)
+        for rho, n in keys:
+            terms = rho ** np.arange(n + 1) * np.diff(batch.w[:, : n + 2], axis=1)
+            a_hat, q2 = sums[rho, n]
+            # numpy's row sums and the pass add the same terms in another order
+            assert within(a_hat, terms.sum(axis=1), terms)
+            assert within(q2, (terms * terms).sum(axis=1), terms * terms)
 
     def test_one_slot_per_batch(self):
         batch = run(small_cfg(replicas=50))
@@ -782,6 +783,34 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+@st.composite
+def small_laws(draw):
+    """A law on at most four of 0..3 with extra mass at 1, so its mean lies in [0.2, 2.6], or a point mass."""
+    if draw(st.booleans()):
+        return OffspringLaw({draw(st.sampled_from((1, 2))): 1.0})
+    counts = draw(st.lists(st.integers(0, 4), min_size=4, max_size=4))
+    counts[1] += draw(st.integers(1, 12))
+    return OffspringLaw({v: c / sum(counts) for v, c in enumerate(counts) if c})
+
+
+@st.composite
+def small_batches(draw):
+    """A batch of at most 300 rows to n_max <= 8 on a drawn mixture (annealed or quenched) or fixed path."""
+    n_max = draw(st.integers(2, 8))
+    laws = draw(st.lists(small_laws(), min_size=1, max_size=3))
+    kind = draw(st.sampled_from(("annealed", "quenched", "fixed")))
+    if kind == "fixed":
+        env = FixedPath(draw(st.lists(small_laws(), min_size=n_max, max_size=n_max)))
+    else:
+        weights = draw(st.lists(st.integers(1, 20), min_size=len(laws), max_size=len(laws)))
+        env = IIDMixture(laws, [x / sum(weights) for x in weights])
+    return run(SimConfig(
+        env=env, mode="annealed" if kind == "annealed" else "quenched", n_max=n_max,
+        replicas=draw(st.integers(1, 300)), master_seed=draw(st.integers(0, 2**32 - 1)),
+        path_seed=draw(st.integers(0, 2**32 - 1)) if kind == "quenched" else None,
+    ))
+
+
 class TestIdentityPass:
     """The one-pass residuals against the whole-batch reference and a row-by-row fsum oracle."""
 
@@ -825,15 +854,30 @@ class TestIdentityPass:
         bad = [(1.0, 2), (0.5, 2), (math.inf, 2), (math.nan, 2), (1.2, -1), (1.2, batch.n_max - 1)]
         assert identity_residuals(batch, bad) == {} and batch.residuals == {}
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(small_batches(), st.data())
+    def test_drawn_batches_match_the_reference_and_lone_key_passes(self, batch, data):
+        keys = data.draw(st.lists(st.tuples(st.floats(1.01, 3.0), st.integers(0, batch.n_max - 2)),
+                                  min_size=1, max_size=6))
+        residuals = dict(identity_residuals(batch, keys))
+        assert list(residuals) == list(dict.fromkeys(keys))
+        sums = increment_sums(batch, keys)
+        for (rho, n), residual in residuals.items():
+            assert reference_residual(batch, rho, n, sums[rho, n][0]) == residual, (rho, n)
+            assert identity_residuals(batch, [(rho, n)]) == {(rho, n): residual}
+            assert residual <= IDENTITY_TOL
+
     def test_holds_no_per_row_array(self):
-        # twelve blocks: per-row sums of nine keys would take 2 x 9 x 8 bytes a row
+        # twelve blocks: per-row sums of eighteen keys would take 2 x 18 x 8 bytes a row
         batch = run(small_cfg(n_max=8, replicas=12 * BLOCK_ROWS))
-        keys = [(rho, n) for rho in (1.1, 1.3, 1.7) for n in (0, 3, 6)]
+        keys = [(rho, n) for rho in (1.1, 1.2, 1.3, 1.5, 1.7, 1.9) for n in (0, 3, 6)]
         top = 6
         residuals, peak = traced_peak(lambda: identity_residuals(batch, keys))
         assert len(residuals) == len(keys)
-        # the increments (then the telescoped sums), W_N - 1 and three K-row buffers
-        scratch = 8 * BLOCK_ROWS * (top + 2 + 3 * len(keys))
+        # one block of increments (then of W_N - W_k), the product with the K weight rows, and
+        # six key rows: A_n, the right-hand side and its terms' temporaries; a K-row temporary
+        # per block breaks the bound
+        scratch = 8 * BLOCK_ROWS * ((top + 1) + len(keys) + 6)
         assert peak <= scratch + SLACK_BYTES, (peak, scratch)
 
 

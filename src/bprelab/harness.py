@@ -1,11 +1,11 @@
 """Suite orchestration: run configured check suites and write versioned reports.
 
-A report is deterministic for a given config (the timings block aside): suites
-execute in declared order, every verdict lands in `checks` as
-{id, suite, statement, passed, observed}, and the exit code is 0 when all
-checks pass, 2 when any fails, 1 for config or precondition errors (decided
-by the CLI, which maps raised errors). `run` runs the config's suites at its
-sizes; `verify` runs the fixed list `_VERIFY_SUITES` through the same loop at
+A report is deterministic for a given config (the timings block aside): suites execute in
+declared order, every verdict lands in `checks` as {id, suite, statement, passed, observed}, and
+the exit code is 0 when all checks pass, 2 when any fails, 1 for config or precondition errors
+(decided by the CLI, which maps raised errors). The suite loop simulates each batch a suite
+reads (`_READS`) for its first reader and drops it after its last. `run` runs the config's
+suites at its sizes; `verify` runs the fixed list `_VERIFY_SUITES` through the same loop at
 small sizes, and names the suites it could not run instead of refusing.
 """
 
@@ -50,7 +50,7 @@ EXACT_TABLE_LEN = 12
 
 
 class _Context:
-    """Per-experiment scratch: the batches held for later readers, checks, and CSV side tables.
+    """Per-experiment scratch: config geometry, checks and CSV side tables.
     `verify` passes `a_hat_rho`, the rate of the exact suite's A_hat partial sums, and
     `fit=False`, which leaves the rate suites only their estimates' slack against their
     oracles' exact values."""
@@ -61,7 +61,6 @@ class _Context:
         self.fit = fit
         self.checks: list[dict] = []
         self.csv: dict[str, list[str]] = {}
-        self._batches: dict[str, TrajectoryBatch | None] = {}
 
     # -- verdict and side-table collection ------------------------------
 
@@ -112,30 +111,12 @@ class _Context:
         """The path a quenched batch at series_seed shares; a fixed path is clamped to its length."""
         return quenched_path(self.env, min(length, self.path_states), self.series_seed)
 
-    # -- simulation batches, held until their last reader returns ----------
-
-    def batch(self, mode: str) -> TrajectoryBatch:
-        """The config's batch in `mode`, simulated once; a released batch is refused, not run again."""
-        if mode not in self._batches:
-            cfg = self.cfg
-            self._batches[mode] = run(SimConfig(
-                mode=mode, env=cfg.env, n_max=cfg.n_max, replicas=cfg.replicas,
-                master_seed=cfg.master_seed, path_seed=cfg.path_seed, pop_cap=cfg.pop_cap,
-            ))
-        if self._batches[mode] is None:
-            raise BpreLabError(f"the {mode} batch was released after its last reader returned")
-        return self._batches[mode]
-
-    def release(self, mode: str) -> None:
-        """Drop the `mode` batch, so its shared mapping is unmapped now; a later batch(mode) raises."""
-        self._batches[mode] = None
-
     def default_mode(self) -> str:
         return MODE_ANNEALED if self.is_mixture else MODE_QUENCHED
 
 
-# the batch each suite reads, by mode: _run_suites, this table's one reader, hands each suite its
-# batch and releases a batch once no later suite of the run reads it
+# the batch each suite reads, by mode: _run_suites, this table's one reader, simulates each batch
+# for its first reader and drops it once no later suite of the run reads it
 _READS = {
     "quenched-rate": lambda ctx: MODE_QUENCHED,
     "annealed-rate": lambda ctx: MODE_ANNEALED,
@@ -452,19 +433,26 @@ def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list
     """Run `suites` in order, each section into `body`; returns (report, csv tables, exit code
     2 if any check failed, else 0).
 
-    A suite in `_READS` is handed its batch. Once a suite returns, every batch
-    that no later suite reads is released, so the run holds a batch only while
-    a reader is still to come.
+    A suite in `_READS` is handed its batch, simulated in its first reader's
+    timed span. Once a suite returns, a batch that no later suite reads is
+    dropped, so the run holds a batch only while a reader is still to come.
     """
+    cfg = ctx.cfg
     reads = [_READS[suite](ctx) if suite in _READS else None for suite in suites]
+    batches: dict[str, TrajectoryBatch] = {}
     timings: dict = {}
     t_start = time.perf_counter()
-    for i, suite in enumerate(suites):
+    for i, (suite, mode) in enumerate(zip(suites, reads)):
         t0 = time.perf_counter()
-        body[suite] = _SUITES[suite](ctx, ctx.batch(reads[i])) if reads[i] else _SUITES[suite](ctx)
+        if mode and mode not in batches:
+            batches[mode] = run(SimConfig(
+                mode=mode, env=cfg.env, n_max=cfg.n_max, replicas=cfg.replicas,
+                master_seed=cfg.master_seed, path_seed=cfg.path_seed, pop_cap=cfg.pop_cap,
+            ))
+        body[suite] = _SUITES[suite](ctx, batches[mode]) if mode else _SUITES[suite](ctx)
         timings[suite] = time.perf_counter() - t0
-        if reads[i] and reads[i] not in reads[i + 1:]:
-            ctx.release(reads[i])
+        if mode and mode not in reads[i + 1:]:
+            del batches[mode]
     timings["total"] = time.perf_counter() - t_start
     checks = ctx.checks
     failed = sum(1 for c in checks if not c["passed"])

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bprelab import rates
 from bprelab.config import load_config
 from bprelab.harness import run_experiment
 
@@ -23,6 +24,22 @@ def rho_k_plus_one_weights(keys, top):
     """simulate._weights with rho^{k+1} in place of rho^k, so every A_hat_n is rho times too large."""
     rows = [[rho ** (k + 1) if k <= n else 0.0 for k in range(top + 1)] for rho, n in keys]
     return np.array(rows + [[0.0] * (top + 1)] * (len(rows) == 1))
+
+
+class SquaredGrowthPath:
+    """A path's laws with 2 log P_n as its log_means, so a series reads P_n^2 where P_n is."""
+
+    def __init__(self, path):
+        self.laws = path.laws
+        self.log_means = 2 * path.log_means
+
+    def __len__(self):
+        return len(self.laws)
+
+
+def squared_growth_series(path, *args, real=rates.series_diagnostic, **kwargs):
+    """rates.series_diagnostic on SquaredGrowthPath(path): the quadratic series weighs P_n^{-2}."""
+    return real(SquaredGrowthPath(path), *args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -37,6 +54,8 @@ class Fault:
 FAULTS = {
     "identity": Fault("rho^{k+1} weights", "bprelab.simulate._weights", rho_k_plus_one_weights,
                       "gw_binary.cfg", {"suites": ["identity"], "replicas": 2_000}),
+    "criteria.series.super-rho": Fault("P_n^{-2} in the quadratic series", "bprelab.rates.series_diagnostic",
+                                       squared_growth_series, "gw_binary.cfg", {"suites": ["criteria"]}),
 }
 
 

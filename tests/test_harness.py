@@ -37,7 +37,7 @@ from bprelab.cli import main
 from bprelab.config import load_config, parse_config
 from bprelab.estimators import LpEstimate
 from bprelab.harness import run_experiment, verify_suite, write_outputs
-from bprelab.simulate import MODE_ANNEALED, MODE_QUENCHED
+from bprelab.simulate import MODE_QUENCHED
 
 
 def strip_timings(report):
@@ -917,9 +917,11 @@ class TestBatchLifetime:
         assert len(set(sims)) == len(sims)
         assert [sim.mode for sim in sims] == modes == list(dict.fromkeys(reads))
 
-    def test_a_batch_is_released_once_its_last_reader_returns(self, monkeypatch):
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_a_batch_is_released_once_its_last_reader_returns(self, monkeypatch, command):
         # refcounting alone must free a released batch and unmap its shared mapping: with the
-        # collector off, a cycle or a section that kept the batch would keep it alive
+        # collector off, a cycle or a section that kept the batch would keep it alive; on a
+        # mixture verify reads the quenched batch, then the annealed one, as run does here
         refs, dead_at_entry, real = {}, {}, harness.run
 
         def mapping(w):
@@ -941,24 +943,14 @@ class TestBatchLifetime:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            report, _, _ = run_experiment(cfg)
+            report, _, _ = (run_experiment if command == "run" else verify_suite)(cfg)
         finally:
             if enabled:
                 gc.enable()
         assert dead_at_entry == {"quenched": {}, "annealed": {"quenched": True, "quenched mapping": True}}
         assert {key: ref() is None for key, ref in refs.items()} == dict.fromkeys(refs, True)
-        assert list(report["suites"]) == suites
-
-    def test_a_released_batch_is_refused_not_simulated_again(self, monkeypatch):
-        ctx = harness._Context(small_gw(n_max=6, gap=2, replicas=1000))
-        harness._run_suites(ctx, ["annealed-rate"], {})
-
-        def ran(*args, **kwargs):
-            pytest.fail("a released batch was simulated again")
-
-        monkeypatch.setattr(harness, "run", ran)
-        with pytest.raises(BpreLabError, match=r"^the annealed batch was released"):
-            ctx.batch(MODE_ANNEALED)
+        ran = suites if command == "run" else ["verify", *harness._VERIFY_SUITES]
+        assert list(report["suites"]) == ran
 
 
 class TestOneOwner:
@@ -1000,16 +992,15 @@ class TestOneOwner:
         assert found == []
 
     def test_only_the_suite_loop_asks_for_a_batch(self):
-        # _READS alone says which batch a suite reads; a suite or helper that called ctx.batch
-        # itself would say it a second time, and hold a batch the loop means to release
-        callers = {
-            fn.name
-            for fn in ast.parse(Path(harness.__file__).read_text()).body if isinstance(fn, ast.FunctionDef)
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "batch"
-            and isinstance(node.func.value, ast.Name) and node.func.value.id == "ctx"
-        }
-        assert callers == {"_run_suites"}
+        # _READS alone says which batch a suite reads; a suite or helper that called run itself
+        # would say it a second time, and hold a batch the loop means to drop
+        callers = [
+            getattr(stmt, "name", "<module>")
+            for stmt in ast.parse(Path(harness.__file__).read_text()).body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "run"
+        ]
+        assert callers == ["_run_suites"]
         assert set(harness._READS) < set(harness._SUITES)
 
     @pytest.mark.parametrize("path_seed", [None, 7])
@@ -1018,7 +1009,10 @@ class TestOneOwner:
         assert ctx.series_seed == (21 if path_seed is None else path_seed)
         # a small config on the series seed, as verify builds it
         small = dataclasses.replace(ctx.cfg, n_max=12, replicas=200, path_seed=ctx.series_seed)
-        batch = harness._Context(small).batch(MODE_QUENCHED)
+        batch = bprelab.simulate.run(SimConfig(
+            mode=MODE_QUENCHED, env=small.env, n_max=small.n_max, replicas=small.replicas,
+            master_seed=small.master_seed, path_seed=small.path_seed, pop_cap=small.pop_cap,
+        ))
         assert batch.path.laws == ctx.series_path(12).laws
         # the seed decides the path: another seed draws another one
         other = harness._Context(small_gw(environment=TWO_STATE, path_seed=ctx.series_seed + 1))

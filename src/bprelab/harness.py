@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import time
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -75,8 +76,9 @@ class _Context:
                                 "passed": bool(item.passed), "observed": item.observed})
         return items
 
-    def add_csv(self, name: str, header: str, rows: list[str]) -> None:
-        self.csv[name] = [header] + rows
+    def add_csv(self, name: str, fields: tuple[str, ...], rows) -> None:
+        """The one writer of CSV `name`: a header of the field names, then each row's values by `repr`."""
+        self.csv[name] = [",".join(fields)] + [",".join(map(repr, row)) for row in rows]
 
     # -- environment geometry --------------------------------------------
 
@@ -179,15 +181,8 @@ def check_suite_needs(cfg: ExperimentConfig, suites) -> None:
 def _suite_rates(ctx: _Context) -> dict:
     reports = [rates.rate_report(ctx.env, p) for p in ctx.cfg.p]
     ctx.record("rates", relations.rate_orderings(reports))
-    ctx.add_csv(
-        "rates.csv",
-        "p,m_geo,quenched_sufficient_bound,quenched_critical,annealed_rho0,annealed_rhoc",
-        [
-            f"{rep.p!r},{rep.m_geo!r},{rep.quenched_sufficient_bound!r},"
-            f"{rep.quenched_critical!r},{rep.annealed_rho0!r},{rep.annealed_rhoc!r}"
-            for rep in reports
-        ],
-    )
+    fields = ("p", "m_geo", "quenched_sufficient_bound", "quenched_critical", "annealed_rho0", "annealed_rhoc")
+    ctx.add_csv("rates.csv", fields, map(attrgetter(*fields), reports))
     return {"reports": reports}
 
 
@@ -197,11 +192,8 @@ def _suite_rates(ctx: _Context) -> dict:
 
 def _exact_table(ctx: _Context, name: str, values: np.ndarray) -> dict:
     """Write values[n, j-1], the order-j moment at generation n, as CSV `name`; return its summary."""
-    ctx.add_csv(
-        name,
-        "n,j,value",
-        [f"{n},{j},{float(v)!r}" for n, row in enumerate(values) for j, v in enumerate(row, 1)],
-    )
+    ctx.add_csv(name, ("n", "j", "value"),
+                [(n, j, float(v)) for n, row in enumerate(values) for j, v in enumerate(row, 1)])
     return {
         "orders": values.shape[1],
         "n_max": len(values) - 1,
@@ -271,8 +263,8 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, oracles) -> li
         if oracle.bias is not None:
             for est in estimates:
                 est.bias_bound = oracle.bias(est.n + gap)
-        rows = [f"{e.p!r},{e.n},{e.value!r},{e.stderr!r}" for e in estimates]
-        ctx.add_csv(f"{suite.replace('-', '_')}_{p_tag(p)}.csv", "p,n,value,stderr", rows)
+        fields = ("p", "n", "value", "stderr")
+        ctx.add_csv(f"{suite.replace('-', '_')}_{p_tag(p)}.csv", fields, map(attrgetter(*fields), estimates))
         if ctx.fit:
             items, section = relations.rate_fit(estimates, oracle)
         else:
@@ -303,15 +295,8 @@ def _suite_burkholder(ctx: _Context, batch: TrajectoryBatch) -> dict:
     ns = sorted({min(2, last), last // 2, last})
     items = relations.sandwiches(batch, ctx.cfg.p, ctx.rho_grid(), ns)
     results = [item.detail for item in ctx.record("burkholder", items)]
-    ctx.add_csv(
-        "burkholder.csv",
-        "p,rho,n,a_norm,q_norm,lower,upper,ok",
-        [
-            f"{sc.p!r},{sc.rho!r},{sc.n},{sc.a_norm!r},{sc.q_norm!r},"
-            f"{sc.lower!r},{sc.upper!r},{sc.lower_ok and sc.upper_ok}"
-            for sc in results
-        ],
-    )
+    fields = ("p", "rho", "n", "a_norm", "q_norm", "lower", "upper", "ok")
+    ctx.add_csv("burkholder.csv", fields, map(attrgetter(*fields), results))
     return {"results": results}
 
 
@@ -409,9 +394,9 @@ _SUITES = {
 
 
 def jsonable(obj):
-    """Make a structure JSON-safe: dataclasses to dicts, numpy to Python, non-finite to strings."""
+    """Make a structure JSON-safe: a dataclass's fields read in place, numpy to Python, non-finite to strings."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(dataclasses.asdict(obj))
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

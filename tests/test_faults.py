@@ -6,6 +6,7 @@ bundled config, with top-level overrides, on which every check of the family
 passes as shipped and fails under the fault.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bprelab import rates
+from bprelab import rates, relations
 from bprelab.config import load_config
 from bprelab.harness import run_experiment
 
@@ -42,6 +43,23 @@ def squared_growth_series(path, *args, real=rates.series_diagnostic, **kwargs):
     return real(SquaredGrowthPath(path), *args, **kwargs)
 
 
+def sqrt_m_geo_predicted(env, *args, real=relations.annealed_oracles):
+    """relations.annealed_oracles with sqrt(m_geo), the quenched rate, as each predicted_rho."""
+    quenched = math.sqrt(env.geo_mean())
+    return {p: oracle if oracle.predicted_rho is None else oracle._replace(predicted_rho=quenched)
+            for p, oracle in real(env, *args).items()}
+
+
+def late_gap_sums(inc):
+    """relations._gap_sums with its window of increments starting one generation late."""
+    return lambda n, gap: math.fsum(inc[n + 1 : n + 1 + gap])
+
+
+def late_increment_second_moment(forms, n):
+    """P2ClosedForms.increment_second_moment one term late: q1^(n+1) b2."""
+    return forms.q1 ** (n + 1) * forms.b2
+
+
 @dataclass(frozen=True)
 class Fault:
     name: str
@@ -56,6 +74,16 @@ FAULTS = {
                       "gw_binary.cfg", {"suites": ["identity"], "replicas": 2_000}),
     "criteria.series.super-rho": Fault("P_n^{-2} in the quadratic series", "bprelab.rates.series_diagnostic",
                                        squared_growth_series, "gw_binary.cfg", {"suites": ["criteria"]}),
+    "annealed-rate.ci-contains-predicted": Fault(
+        "the annealed oracle predicts sqrt(m_geo)", "bprelab.relations.annealed_oracles", sqrt_m_geo_predicted,
+        "two_means.cfg", {"suites": ["annealed-rate"], "replicas": 20_000}),
+    "annealed-rate.estimates-match-exact": Fault(
+        "the exact window starts one generation late", "bprelab.relations._gap_sums", late_gap_sums,
+        "gw_binary.cfg", {"suites": ["annealed-rate"], "replicas": 20_000}),
+    "exact.p2-partial-sums": Fault(
+        "the increment second moment is one term late",
+        "bprelab.exact_moments.P2ClosedForms.increment_second_moment", late_increment_second_moment,
+        "gw_binary.cfg", {"suites": ["exact"]}),
 }
 
 

@@ -54,6 +54,13 @@ def failed_ids(report):
     return {c["id"] for c in report["checks"] if not c["passed"]}
 
 
+def parse_cell(cell: str):
+    """A CSV value back to the bool, int or float whose repr it is."""
+    if cell in ("True", "False"):
+        return cell == "True"
+    return int(cell) if cell.lstrip("-").isdigit() else float(cell)
+
+
 def small_gw(**overrides):
     return parse_config(small_gw_data(**overrides))
 
@@ -222,6 +229,33 @@ class TestRunExperiment:
             text = (tmp_path / "out" / name).read_text()
             assert text.splitlines()[0] == lines[0]
             assert "," in lines[0]
+
+    def test_side_tables_parse_back_to_the_report(self):
+        # each CSV row holds the field values of its record in the report, and each exact table
+        # ends in its section's last_row
+        report, tables, _ = run_experiment(load_config("configs/two_state.cfg", {"replicas": 3000}))
+        suites = report["suites"]
+
+        def cells(name):
+            return [[parse_cell(cell) for cell in line.split(",")] for line in tables[name][1:]]
+
+        records = {"rates.csv": suites["rates"]["reports"], "burkholder.csv": [
+            sc | {"ok": sc["lower_ok"] and sc["upper_ok"]} for sc in suites["burkholder"]["results"]]}
+        for suite in ("quenched-rate", "annealed-rate"):
+            for section in suites[suite]["per_p"]:
+                name = f"{suite.replace('-', '_')}_{relations.p_tag(section['p'])}.csv"
+                records[name] = section["estimates"]
+        for name, recs in records.items():
+            fields = tables[name][0].split(",")
+            # jsonable writes a non-finite float as its repr
+            values = [[float(r[f]) if isinstance(r[f], str) else r[f] for f in fields] for r in recs]
+            assert cells(name) == values
+        for key, name in (("annealed_table", "exact_annealed.csv"), ("quenched_table", "exact_quenched.csv")):
+            section = suites["exact"][key]
+            assert tables[name][0] == "n,j,value"
+            assert cells(name)[-section["orders"]:] == [
+                [section["n_max"], j, value] for j, value in enumerate(section["last_row"], 1)]
+        assert set(tables) == set(records) | {"exact_annealed.csv", "exact_quenched.csv"}
 
 
 class TestVerifySuite:
@@ -1002,6 +1036,27 @@ class TestOneOwner:
         ]
         assert callers == ["_run_suites"]
         assert set(harness._READS) < set(harness._SUITES)
+
+    def test_only_add_csv_builds_a_csv_line(self):
+        # _Context.add_csv alone turns field names and values into CSV lines; a suite that built
+        # its own rows, by a "," join or an f-string with "," between its values, would choose a
+        # second format
+        builders = []
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                name = f"{owner}.{child.name}" if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else owner
+                joins = (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                         and child.func.attr == "join" and isinstance(child.func.value, ast.Constant)
+                         and child.func.value.value == ",")
+                row_fstring = isinstance(child, ast.JoinedStr) and any(
+                    isinstance(part, ast.Constant) and part.value == "," for part in child.values)
+                if joins or row_fstring:
+                    builders.append(name)
+                visit(child, name)
+
+        visit(ast.parse(Path(harness.__file__).read_text()), "harness")
+        assert builders and set(builders) == {"harness._Context.add_csv"}
 
     @pytest.mark.parametrize("path_seed", [None, 7])
     def test_series_path_is_the_quenched_batch_path(self, path_seed):

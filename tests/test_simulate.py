@@ -182,6 +182,22 @@ class TestDeterminism:
         again = run(cfg)
         assert again.path.laws == batch.path.laws
 
+    @pytest.mark.parametrize("env", [
+        # two_state.cfg, two_means.cfg, and three states with unequal weights
+        IIDMixture([OffspringLaw({1: 0.5, 3: 0.5}), OffspringLaw({2: 1.0})], [0.5, 0.5]),
+        IIDMixture([OffspringLaw({0: 0.55, 2: 0.45}), OffspringLaw({3: 1.0})], [0.5, 0.5]),
+        IIDMixture([OffspringLaw(GW_PMF), OffspringLaw({2: 1.0}), OffspringLaw({1: 0.5, 4: 0.5})],
+                   [0.2, 0.5, 0.3]),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7, 11, 2**40 + 3])
+    def test_a_realized_path_is_the_prefix_of_every_longer_one(self, env, seed):
+        # a quenched quantity may extend the path it shares beyond n_max by drawing a longer one
+        longest = simulate.quenched_path(env, 3000, seed)
+        for length in (1, 12, 30, 400):
+            path = simulate.quenched_path(env, length, seed)
+            assert path.laws == longest.laws[:length]
+            assert path.log_means.tobytes() == longest.log_means[: length + 1].tobytes()
+
     def test_fixed_path_prefix_used_verbatim(self):
         laws = tuple(OffspringLaw(q) for q in ([GW_PMF, {3: 1.0}] * 6))
         batch = run(small_cfg(env=FixedPath(laws), mode="quenched"))

@@ -3,10 +3,11 @@
 A report is deterministic for a given config (the timings block aside): suites execute in
 declared order, every verdict lands in `checks` as {id, suite, statement, passed, observed}, and
 the exit code is 0 when all checks pass, 2 when any fails, 1 for config or precondition errors
-(decided by the CLI, which maps raised errors). The suite loop simulates each batch a suite
-reads (`_READS`) for its first reader and drops it after its last. `run` runs the config's
-suites at its sizes; `verify` runs the fixed list `_VERIFY_SUITES` through the same loop at
-small sizes, and names the suites it could not run instead of refusing.
+(decided by the CLI, which maps raised errors). `_SUITES` declares each suite once: its body,
+the batch it reads and whether `verify` runs it. The suite loop simulates each batch for its
+first reader and drops it after its last. `run` runs the config's suites at its sizes;
+`verify` runs the suites marked for it through the same loop at small sizes, under
+`_Context(verify=True)`, and names the suites it could not run instead of refusing.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import time
 from operator import attrgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,18 +50,18 @@ EXIT_CHECK_FAILED = 2
 
 EXACT_TABLE_ORDER = 4
 EXACT_TABLE_LEN = 12
+# the rate rho of verify's A_hat partial sums, capped at q1^(-1/4) by the relation
+VERIFY_A_HAT_RHO = 1.05
 
 
 class _Context:
-    """Per-experiment scratch: config geometry, checks and CSV side tables.
-    `verify` passes `a_hat_rho`, the rate of the exact suite's A_hat partial sums, and
-    `fit=False`, which leaves the rate suites only their estimates' slack against their
-    oracles' exact values."""
+    """Per-experiment scratch: config geometry, checks and CSV side tables. `verify=True`
+    adds the exact suite's A_hat partial sums at VERIFY_A_HAT_RHO and leaves the rate suites
+    only their estimates' slack against their oracles' exact values."""
 
-    def __init__(self, cfg: ExperimentConfig, a_hat_rho: float | None = None, fit: bool = True):
+    def __init__(self, cfg: ExperimentConfig, verify: bool = False):
         self.cfg = cfg
-        self.a_hat_rho = a_hat_rho
-        self.fit = fit
+        self.verify = verify
         self.checks: list[dict] = []
         self.csv: dict[str, list[str]] = {}
 
@@ -117,63 +119,6 @@ class _Context:
         return MODE_ANNEALED if self.is_mixture else MODE_QUENCHED
 
 
-# the batch each suite reads, by mode: _run_suites, this table's one reader, simulates each batch
-# for its first reader and drops it once no later suite of the run reads it
-_READS = {
-    "quenched-rate": lambda ctx: MODE_QUENCHED,
-    "annealed-rate": lambda ctx: MODE_ANNEALED,
-    "burkholder": _Context.default_mode,
-    "identity": _Context.default_mode,
-}
-
-
-# ---------------------------------------------------------------------------
-# suite needs, checked before any suite runs: (suites, config key, whether the
-# config meets the need, refusal naming the {suite}, the {cfg} or the {ctx})
-
-
-_NEEDS = (
-    (("rates", "annealed-rate"), "environment", lambda ctx: ctx.is_mixture,
-     "{suite} needs a 'kind: mixture' environment; a fixed path has no stationary law"),
-    (("rates", "quenched-rate", "annealed-rate"), "environment",
-     lambda ctx: ctx.env.is_supercritical, "{suite} needs a supercritical environment"),
-    (("quenched-rate",), "path_seed", lambda ctx: not ctx.is_mixture or ctx.cfg.path_seed is not None,
-     "{suite} on a mixture needs a path_seed"),
-    (("quenched-rate", "annealed-rate"), "gap", lambda ctx: ctx.cfg.n_max - ctx.cfg.gap >= 3,
-     "{suite} needs n_max - gap >= 3 for a fit of 4 points; n_max is {cfg.n_max}"),
-    (("identity",), "n_max", lambda ctx: ctx.cfg.n_max >= 2,
-     "{suite} needs n_max >= 2 for an n < n_max - 1; n_max is {cfg.n_max}"),
-    (("quenched-rate", "burkholder", "identity"), "n_max", lambda ctx: ctx.cfg.n_max <= ctx.path_states,
-     "{cfg.n_max} exceeds the fixed path's {ctx.path_states} states"),
-    (("criteria",), "environment",
-     lambda ctx: ctx.is_mixture or (ctx.path_states >= 8 and ctx.env.is_supercritical),
-     "{suite} on a fixed path needs at least 8 states and a supercritical path average "
-     "for its series probes; the path has {ctx.path_states} states"),
-    (("quenched-rate", "annealed-rate", "burkholder"), "replicas", lambda ctx: ctx.cfg.replicas >= MIN_REPLICAS,
-     f"{{suite}} needs at least {MIN_REPLICAS} replicas for its estimates; replicas is {{cfg.replicas}}"),
-    (tuple(_READS), "pop_cap", lambda ctx: pop_cap_fits(ctx.env, ctx.cfg.pop_cap),
-     "{suite} needs pop_cap times the largest offspring count below 2**62 for exact int64 totals; "
-     "pop_cap is {cfg.pop_cap}"),
-)
-
-
-def _refusal(ctx: _Context, suite: str) -> str | None:
-    """`<file>: <key>: ...` for the first need of `suite` that the config fails, else None."""
-    for needed_by, key, holds, refusal in _NEEDS:
-        if suite in needed_by and not holds(ctx):
-            return f"{ctx.cfg.source}: {key}: " + refusal.format(suite=suite, cfg=ctx.cfg, ctx=ctx)
-    return None
-
-
-def check_suite_needs(cfg: ExperimentConfig, suites) -> None:
-    """Raise ConfigError with the refusal of the first need of `suites` the config fails."""
-    ctx = _Context(cfg)
-    for suite in suites:
-        refusal = _refusal(ctx, suite)
-        if refusal is not None:
-            raise ConfigError(refusal)
-
-
 # ---------------------------------------------------------------------------
 # suite: rates
 
@@ -220,7 +165,9 @@ def _suite_exact(ctx: _Context) -> dict:
             "summable": forms.summable,
             "sup_w2": forms.sup_w2(),
         }
-        ctx.record("exact", relations.p2_partial_sums(ctx.env, n_table, a_hat_rho=ctx.a_hat_rho))
+        ctx.record("exact", relations.annealed_p2_partial_sums(ctx.env, n_table))
+        if ctx.verify:
+            ctx.record("exact", relations.a_hat_partial_sums(ctx.env, n_table, VERIFY_A_HAT_RHO))
         ctx.record("exact", relations.growth_envelope(ctx.env, n_table, range(2, EXACT_TABLE_ORDER + 1)))
         ctx.record("exact", relations.recursion_slack(ctx.env, n_table))
 
@@ -232,7 +179,7 @@ def _suite_exact(ctx: _Context) -> dict:
         statement = "along the realized path the normalized mean stays exactly one"
         ctx.record("exact", relations.unit_mean("quenched-mean", statement, qtable.w_moments(1)))
         if len(path) >= 3:
-            ctx.record("exact", relations.p2_partial_sums(ctx.env, len(path), path))
+            ctx.record("exact", relations.quenched_p2_partial_sums(path, len(path)))
 
     if ctx.is_mixture and len(ctx.env.states) == 1 and path is not None:
         table = exact_moments.annealed_moment_table(ctx.env, 0.0, EXACT_TABLE_ORDER, len(path))
@@ -252,7 +199,7 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, oracles) -> li
 
     `oracles` maps each p to its `relations.RateOracle`, which says what is
     exact there; its bias, where it has one, is each estimate's bias_bound.
-    Without `ctx.fit` only the estimates' slack against the oracle's exact
+    Under `ctx.verify` only the estimates' slack against the oracle's exact
     values is recorded, and a section holds p, the estimates and the
     oracle's bias_label, where it has one.
     """
@@ -265,11 +212,11 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, oracles) -> li
                 est.bias_bound = oracle.bias(est.n + gap)
         fields = ("p", "n", "value", "stderr")
         ctx.add_csv(f"{suite.replace('-', '_')}_{p_tag(p)}.csv", fields, map(attrgetter(*fields), estimates))
-        if ctx.fit:
-            items, section = relations.rate_fit(estimates, oracle)
-        else:
+        if ctx.verify:
             items = relations.exact_slack(estimates, oracle)
             section = relations.rate_section(estimates, oracle)
+        else:
+            items, section = relations.rate_fit(estimates, oracle)
         ctx.record(suite, items)
         sections.append(section)
     return sections
@@ -377,16 +324,74 @@ def _suite_identity(ctx: _Context, batch: TrajectoryBatch) -> dict:
     return {"results": [item.detail for item in ctx.record("identity", items)]}
 
 
+class _Suite(NamedTuple):
+    """A suite's body, the mode of the batch it reads (None: none) and whether `verify` runs
+    it. _run_suites simulates a batch for its first reader, hands it to each reader's body and
+    drops it once no later suite of the run reads it."""
+
+    body: Callable
+    reads: Callable[[_Context], str] | None
+    verify: bool
+
+
 # in the order of config.KNOWN_SUITES (a test holds them equal)
 _SUITES = {
-    "rates": _suite_rates,
-    "exact": _suite_exact,
-    "quenched-rate": _suite_quenched_rate,
-    "annealed-rate": _suite_annealed_rate,
-    "burkholder": _suite_burkholder,
-    "criteria": _suite_criteria,
-    "identity": _suite_identity,
+    "rates": _Suite(_suite_rates, None, True),
+    "exact": _Suite(_suite_exact, None, True),
+    "quenched-rate": _Suite(_suite_quenched_rate, lambda ctx: MODE_QUENCHED, True),
+    "annealed-rate": _Suite(_suite_annealed_rate, lambda ctx: MODE_ANNEALED, False),
+    "burkholder": _Suite(_suite_burkholder, _Context.default_mode, True),
+    "criteria": _Suite(_suite_criteria, None, False),
+    "identity": _Suite(_suite_identity, _Context.default_mode, True),
 }
+
+
+# ---------------------------------------------------------------------------
+# suite needs, checked before any suite runs: (suites, config key, whether the
+# config meets the need, refusal naming the {suite}, the {cfg} or the {ctx})
+
+
+_NEEDS = (
+    (("rates", "annealed-rate"), "environment", lambda ctx: ctx.is_mixture,
+     "{suite} needs a 'kind: mixture' environment; a fixed path has no stationary law"),
+    (("rates", "quenched-rate", "annealed-rate"), "environment",
+     lambda ctx: ctx.env.is_supercritical, "{suite} needs a supercritical environment"),
+    (("quenched-rate",), "path_seed", lambda ctx: not ctx.is_mixture or ctx.cfg.path_seed is not None,
+     "{suite} on a mixture needs a path_seed"),
+    (("quenched-rate", "annealed-rate"), "gap", lambda ctx: ctx.cfg.n_max - ctx.cfg.gap >= 3,
+     "{suite} needs n_max - gap >= 3 for a fit of 4 points; n_max is {cfg.n_max}"),
+    (("identity",), "n_max", lambda ctx: ctx.cfg.n_max >= 2,
+     "{suite} needs n_max >= 2 for an n < n_max - 1; n_max is {cfg.n_max}"),
+    (("quenched-rate", "burkholder", "identity"), "n_max", lambda ctx: ctx.cfg.n_max <= ctx.path_states,
+     "{cfg.n_max} exceeds the fixed path's {ctx.path_states} states"),
+    (("criteria",), "environment",
+     lambda ctx: ctx.is_mixture or (ctx.path_states >= 8 and ctx.env.is_supercritical),
+     "{suite} on a fixed path needs at least 8 states and a supercritical path average "
+     "for its series probes; the path has {ctx.path_states} states"),
+    (("quenched-rate", "annealed-rate", "burkholder"), "replicas", lambda ctx: ctx.cfg.replicas >= MIN_REPLICAS,
+     f"{{suite}} needs at least {MIN_REPLICAS} replicas for its estimates; replicas is {{cfg.replicas}}"),
+    (tuple(suite for suite, row in _SUITES.items() if row.reads), "pop_cap",
+     lambda ctx: pop_cap_fits(ctx.env, ctx.cfg.pop_cap),
+     "{suite} needs pop_cap times the largest offspring count below 2**62 for exact int64 totals; "
+     "pop_cap is {cfg.pop_cap}"),
+)
+
+
+def _refusal(ctx: _Context, suite: str) -> str | None:
+    """`<file>: <key>: ...` for the first need of `suite` that the config fails, else None."""
+    for needed_by, key, holds, refusal in _NEEDS:
+        if suite in needed_by and not holds(ctx):
+            return f"{ctx.cfg.source}: {key}: " + refusal.format(suite=suite, cfg=ctx.cfg, ctx=ctx)
+    return None
+
+
+def check_suite_needs(cfg: ExperimentConfig, suites) -> None:
+    """Raise ConfigError with the refusal of the first need of `suites` the config fails."""
+    ctx = _Context(cfg)
+    for suite in suites:
+        refusal = _refusal(ctx, suite)
+        if refusal is not None:
+            raise ConfigError(refusal)
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +423,12 @@ def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list
     """Run `suites` in order, each section into `body`; returns (report, csv tables, exit code
     2 if any check failed, else 0).
 
-    A suite in `_READS` is handed its batch, simulated in its first reader's
-    timed span. Once a suite returns, a batch that no later suite reads is
-    dropped, so the run holds a batch only while a reader is still to come.
+    A suite whose row reads a batch is handed it, simulated in its first
+    reader's timed span. Once a suite returns, a batch that no later suite
+    reads is dropped, so the run holds a batch only while a reader is still to come.
     """
     cfg = ctx.cfg
-    reads = [_READS[suite](ctx) if suite in _READS else None for suite in suites]
+    reads = [_SUITES[suite].reads and _SUITES[suite].reads(ctx) for suite in suites]
     batches: dict[str, TrajectoryBatch] = {}
     timings: dict = {}
     t_start = time.perf_counter()
@@ -434,7 +439,7 @@ def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list
                 mode=mode, env=cfg.env, n_max=cfg.n_max, replicas=cfg.replicas,
                 master_seed=cfg.master_seed, path_seed=cfg.path_seed, pop_cap=cfg.pop_cap,
             ))
-        body[suite] = _SUITES[suite](ctx, batches[mode]) if mode else _SUITES[suite](ctx)
+        body[suite] = _SUITES[suite].body(ctx, batches[mode]) if mode else _SUITES[suite].body(ctx)
         timings[suite] = time.perf_counter() - t0
         if mode and mode not in reads[i + 1:]:
             del batches[mode]
@@ -476,12 +481,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], i
     return _run_suites(_Context(cfg), cfg.suites, {})
 
 
-# the suites verify runs, in the order of _SUITES (a test holds it a subsequence)
-_VERIFY_SUITES = ("rates", "exact", "quenched-rate", "burkholder", "identity")
-
-
 def verify_suite(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], int]:
-    """Run `_VERIFY_SUITES` at small sizes; returns (report, csv tables, exit code).
+    """Run the suites whose `_SUITES` row has `verify` at small sizes; returns (report, csv tables, exit code).
 
     The sizes are 4 to 12 generations (no more than a fixed path has), gap 1,
     1,000 to 4,000 replicas and the quenched batch on the series path. Every
@@ -494,8 +495,8 @@ def verify_suite(cfg: ExperimentConfig) -> tuple[dict, dict[str, list[str]], int
         cfg, n_max=min(max(4, min(cfg.n_max, 12)), ctx.path_states), gap=1,
         replicas=max(1_000, min(cfg.replicas, 4_000)), path_seed=ctx.series_seed,
     )
-    ctx = _Context(small, a_hat_rho=1.05, fit=False)
-    refusals = {suite: _refusal(ctx, suite) for suite in _VERIFY_SUITES}
+    ctx = _Context(small, verify=True)
+    refusals = {suite: _refusal(ctx, suite) for suite, row in _SUITES.items() if row.verify}
     sizes = {key: getattr(small, key) for key in ("n_max", "gap", "replicas", "path_seed")}
     admitted = [suite for suite, refusal in refusals.items() if refusal is None]
     report, tables, code = _run_suites(ctx, admitted, {"verify": {"sizes": sizes}})

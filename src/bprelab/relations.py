@@ -86,40 +86,43 @@ def partial_sum_error(moments, inc) -> float:
     return worst
 
 
-def p2_partial_sums(env: Environment, n: int, path: EnvPath | None = None,
-                    a_hat_rho: float | None = None) -> list[Item]:
-    """Second moments from the recursion tables against the partial sums of the squared
-    increments up to generation n, within relative EXACT_REL: along `path` when one is
-    given, else on the stationary law. There `a_hat_rho` adds the gap between
-    sup_k E[A_hat_k(rho)^2] and the table's partial sum against the closed-form tail, at
-    rho = min(a_hat_rho, q1^(-1/4)), the geometric midpoint of 1 and the critical rate
-    1/sqrt(q1), where rho^2 q1 = sqrt(q1) < 1 on every summable mixture."""
-    if path is not None:
-        worst = partial_sum_error(
-            exact_moments.quenched_moments(path, 2, n).w_moments(2),
-            exact_moments.quenched_increment_second_moments(path, n),
-        )
-        statement = (
-            "along the realized path the second moments match the partial sums of the squared increments"
-        )
-        return [Item("quenched-p2-tail", statement, worst <= EXACT_REL, {"max_rel_error": worst})]
+def annealed_p2_partial_sums(env: Environment, n: int) -> list[Item]:
+    """Second moments from the recursion table on the stationary law against the closed-form
+    partial sums of the squared increments up to generation n, within relative EXACT_REL."""
     forms = exact_moments.p2_closed_forms(env)
     worst = partial_sum_error(
         exact_moments.annealed_u(env, 0.0, 2, n), [forms.increment_second_moment(k) for k in range(n)]
     )
-    items = [Item("p2-partial-sums", "second moments from the recursion match the closed-form partial sums",
-                  worst <= EXACT_REL, {"max_rel_error": worst})]
-    if a_hat_rho is None or not forms.summable:
-        return items
+    statement = "second moments from the recursion match the closed-form partial sums"
+    return [Item("p2-partial-sums", statement, worst <= EXACT_REL, {"max_rel_error": worst})]
+
+
+def quenched_p2_partial_sums(path: EnvPath, n: int) -> list[Item]:
+    """Second moments from the recursion table along `path` against the partial sums of its
+    squared increments up to generation n, within relative EXACT_REL."""
+    worst = partial_sum_error(
+        exact_moments.quenched_moments(path, 2, n).w_moments(2),
+        exact_moments.quenched_increment_second_moments(path, n),
+    )
+    statement = "along the realized path the second moments match the partial sums of the squared increments"
+    return [Item("quenched-p2-tail", statement, worst <= EXACT_REL, {"max_rel_error": worst})]
+
+
+def a_hat_partial_sums(env: Environment, n: int, rho: float) -> list[Item]:
+    """On a mixture with q1 < 1, the gap between sup_k E[A_hat_k^2] and the table's partial sum
+    to n against the closed-form tail, at min(rho, q1^(-1/4)): q1^(-1/4) is the geometric
+    midpoint of 1 and the critical rate 1/sqrt(q1), so rho^2 q1 < 1 there; no item otherwise."""
+    forms = exact_moments.p2_closed_forms(env)
+    if not forms.summable:
+        return []
     # two correctly rounded roots: q1 ** -0.25 rounds rho^2 q1 up to 1 at q1 = 1 - 2^-51
-    rho = min(a_hat_rho, math.sqrt(math.sqrt(1.0 / forms.q1)))
+    rho = min(rho, math.sqrt(math.sqrt(1.0 / forms.q1)))
     sup = forms.sup_a_hat2(rho)
     gap = sup - exact_moments.a_hat_second_moment_partial(env, rho, n)
     remainder = forms.a_hat2_tail(rho, n)
     statement = "the weighted-increment second moments approach their closed-form sup within its tail"
-    items.append(Item("a-hat-partial-sums", statement, abs(gap - remainder) <= EXACT_REL * max(sup, 1.0),
-                      {"a_hat_gap": gap, "a_hat_remainder_bound": remainder}))
-    return items
+    return [Item("a-hat-partial-sums", statement, abs(gap - remainder) <= EXACT_REL * max(sup, 1.0),
+                 {"a_hat_gap": gap, "a_hat_remainder_bound": remainder})]
 
 
 def growth_envelope(env: Environment, n: int, orders) -> list[Item]:

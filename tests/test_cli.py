@@ -120,7 +120,8 @@ def test_p_values_with_one_tag_are_refused_before_anything_runs(tmp_path, monkey
         pytest.fail("a suite, simulation or rate report ran")
 
     monkeypatch.setattr(harness, "run", ran)
-    monkeypatch.setattr(harness, "_SUITES", dict.fromkeys(harness._SUITES, ran))
+    bodies = {name: row._replace(body=ran) for name, row in harness._SUITES.items()}
+    monkeypatch.setattr(harness, "_SUITES", bodies)
     monkeypatch.setattr(bprelab.cli, "rate_report", ran)
     cfg, out_dir = tmp_path / "tags.cfg", tmp_path / "out"
     cfg.write_text(GW_RUN_CFG.replace("p: [2.0]", "p: [2.0, 2.0000001]"))
@@ -328,7 +329,8 @@ def test_a_replicas_or_pop_cap_the_suites_cannot_use_is_refused_first(tmp_path, 
         pytest.fail("a suite ran or simulated")
 
     monkeypatch.setattr(harness, "run", ran)
-    monkeypatch.setattr(harness, "_SUITES", dict.fromkeys(harness._SUITES, ran))
+    bodies = {name: row._replace(body=ran) for name, row in harness._SUITES.items()}
+    monkeypatch.setattr(harness, "_SUITES", bodies)
     key = line.split(":")[0]
     text = [row for row in Path(f"configs/{config}.cfg").read_text().splitlines() if not row.startswith(key)]
     path = tmp_path / f"{config}.cfg"

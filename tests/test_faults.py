@@ -1,22 +1,22 @@
 """Committed faults: every check family fails under a named fault of one src/ function.
 
 A check family is a check id without its p, rho and n parts. FAULTS maps a
-family to one fault: a replacement for one attribute under src/, and a
-bundled config, with top-level overrides, on which every check of the family
-passes as shipped and fails under the fault.
+family to one fault: a replacement for one attribute under src/, a bundled
+config with top-level overrides, and the command, `run` or `verify`, under
+which every check of the family passes as shipped and fails under the fault.
 """
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bprelab import rates, relations
+from bprelab import exact_moments, rates, relations
 from bprelab.config import load_config
-from bprelab.harness import run_experiment
+from bprelab.harness import run_experiment, verify_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,6 +60,25 @@ def late_increment_second_moment(forms, n):
     return forms.q1 ** (n + 1) * forms.b2
 
 
+def late_quenched_increments(path, n_max, real=exact_moments.quenched_increment_second_moments):
+    """exact_moments.quenched_increment_second_moments one generation late: entry n holds
+    generation n + 1's increment, and the last entry, which the path cannot give, is 0."""
+    return np.append(real(path, n_max)[1:], 0.0)
+
+
+def scaled_growth_table(env, s, r_max, n_max, real=exact_moments.annealed_moment_table):
+    """exact_moments.annealed_moment_table with each state's mean taken as (1 + 1e-6) m in its
+    m^{-s} weight, so P_n is scaled by (1 + 1e-6)^n and row n by (1 + 1e-6)^{-s n}."""
+    table = real(env, s, r_max, n_max)
+    scale = (1.0 + 1e-6) ** (-s * np.arange(n_max + 1))
+    return replace(table, values=table.values * scale[:, None])
+
+
+def late_a_hat2_tail(forms, rho, n, real=exact_moments.P2ClosedForms.a_hat2_tail):
+    """P2ClosedForms.a_hat2_tail starting one term late: b2 (rho^2 q1)^(n+1) / (1 - rho^2 q1)."""
+    return real(forms, rho, n + 1)
+
+
 @dataclass(frozen=True)
 class Fault:
     name: str
@@ -67,6 +86,7 @@ class Fault:
     replacement: object
     config: str
     overrides: dict
+    command: str = "run"
 
 
 FAULTS = {
@@ -84,6 +104,19 @@ FAULTS = {
         "the increment second moment is one term late",
         "bprelab.exact_moments.P2ClosedForms.increment_second_moment", late_increment_second_moment,
         "gw_binary.cfg", {"suites": ["exact"]}),
+    "quenched-rate.estimates-match-exact": Fault(
+        "the exact window starts one generation late", "bprelab.relations._gap_sums", late_gap_sums,
+        "two_state.cfg", {"suites": ["quenched-rate"], "replicas": 20_000}),
+    "exact.quenched-p2-tail": Fault(
+        "the path's increment second moments are one generation late",
+        "bprelab.exact_moments.quenched_increment_second_moments", late_quenched_increments,
+        "two_state.cfg", {"suites": ["exact"]}),
+    "exact.martingale-mean": Fault(
+        "P_n scaled by 1 + 1e-6", "bprelab.exact_moments.annealed_moment_table", scaled_growth_table,
+        "gw_binary.cfg", {"suites": ["exact"]}),
+    "exact.a-hat-partial-sums": Fault(
+        "the A_hat tail starts one term late", "bprelab.exact_moments.P2ClosedForms.a_hat2_tail",
+        late_a_hat2_tail, "gw_binary.cfg", {}, command="verify"),
 }
 
 
@@ -93,7 +126,8 @@ def family(check_id: str) -> str:
 
 
 def family_checks(fault: Fault, name: str) -> list[dict]:
-    report, _, _ = run_experiment(load_config(ROOT / "configs" / fault.config, fault.overrides))
+    command = {"run": run_experiment, "verify": verify_suite}[fault.command]
+    report, _, _ = command(load_config(ROOT / "configs" / fault.config, fault.overrides))
     return [check for check in report["checks"] if family(check["id"]) == name]
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bprelab.cli
 import bprelab.estimators
@@ -38,6 +39,10 @@ from bprelab.config import load_config, parse_config
 from bprelab.estimators import LpEstimate
 from bprelab.harness import run_experiment, verify_suite, write_outputs
 from bprelab.simulate import MODE_QUENCHED
+
+
+# the suites verify runs, in the order of the suite table
+VERIFY_SUITES = [suite for suite, row in harness._SUITES.items() if row.verify]
 
 
 def strip_timings(report):
@@ -260,12 +265,12 @@ class TestRunExperiment:
 
 class TestVerifySuite:
     def test_all_checks_pass_in_config_order(self):
-        # verify records the items of _VERIFY_SUITES as `<suite>.<suffix>`, in the suites' order
+        # verify records the items of its suites as `<suite>.<suffix>`, in the suites' order
         report, tables, code = verify_suite(small_gw())
         assert code == 0
         assert all(c["passed"] for c in report["checks"])
         suites = [c["suite"] for c in report["checks"]]
-        assert list(dict.fromkeys(suites)) == list(harness._VERIFY_SUITES)
+        assert list(dict.fromkeys(suites)) == VERIFY_SUITES
         assert all(c["id"].startswith(c["suite"] + ".") for c in report["checks"])
         assert report["suites"]["verify"] == {
             "sizes": {"n_max": 12, "gap": 1, "replicas": 4000, "path_seed": 21},
@@ -327,7 +332,7 @@ class TestVerifySuite:
         assert code == 0
         refusal = ("<memory>: pop_cap: {} needs pop_cap times the largest offspring count below 2**62 "
                    "for exact int64 totals; pop_cap is 3000000000000000000")
-        simulating = [suite for suite in harness._VERIFY_SUITES if suite in harness._READS]
+        simulating = [suite for suite in VERIFY_SUITES if harness._SUITES[suite].reads]
         assert report["suites"]["verify"]["not_applicable"] == {suite: refusal.format(suite) for suite in simulating}
         assert {c["suite"] for c in report["checks"]} == {"rates", "exact"}
 
@@ -412,7 +417,7 @@ class TestVerifySuite:
         monkeypatch.setattr(bprelab.exact_moments, "p2_closed_forms", lambda env: forms)
         monkeypatch.setattr(bprelab.exact_moments, "a_hat_second_moment_partial", partial)
         env = IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0])
-        items = {item.suffix: item for item in relations.p2_partial_sums(env, 4, a_hat_rho=1.05)}
+        items = {item.suffix: item for item in relations.a_hat_partial_sums(env, 4, 1.05)}
         (rho,) = rhos
         assert 1.0 <= rho <= 1.05 and rho * rho * q1 < 1.0
         assert math.isfinite(items["a-hat-partial-sums"].observed["a_hat_remainder_bound"])
@@ -455,7 +460,7 @@ class TestVerifyBundledConfigs:
         reasons = report["suites"]["verify"]["not_applicable"]
         assert set(reasons) == not_applicable
         with_checks = {c["suite"] for c in report["checks"]}
-        assert with_checks | set(reasons) == set(harness._VERIFY_SUITES)
+        assert with_checks | set(reasons) == set(VERIFY_SUITES)
         assert not with_checks & set(reasons)
         # quenched-rate's section names each p and its estimates, though verify fits nothing
         assert ("quenched-rate" in report["suites"]) == ("quenched-rate" not in reasons)
@@ -624,7 +629,8 @@ class TestSuiteNeeds:
             pytest.fail("a suite ran or simulated")
 
         monkeypatch.setattr(harness, "run", ran)
-        monkeypatch.setattr(harness, "_SUITES", dict.fromkeys(harness._SUITES, ran))
+        bodies = {name: row._replace(body=ran) for name, row in harness._SUITES.items()}
+        monkeypatch.setattr(harness, "_SUITES", bodies)
         # a later suite's need is refused before the first suite runs
         cfg = small_gw(suites=["exact", suite], **overrides)
         with pytest.raises(ConfigError) as exc:
@@ -688,6 +694,54 @@ class TestEverySuiteGivesAVerdict:
                 assert any(c["suite"] == suite for c in report["checks"]), (suite, n_max)
                 ran.add(suite)
         assert ran == admitted
+
+
+@st.composite
+def admission_laws(draw):
+    """A point mass at 1 or 2, or a law on at most four of 0..3 with extra mass at 1, so its
+    mean lies near 1 on either side."""
+    if draw(st.booleans()):
+        return {draw(st.sampled_from((1, 2))): 1.0}
+    counts = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    counts[1] += draw(st.integers(1, 40))
+    return {v: c / sum(counts) for v, c in enumerate(counts) if c}
+
+
+@st.composite
+def admission_environments(draw):
+    """A mixture of one to three drawn laws, a weight possibly near 0, or a fixed path of 1 to 10."""
+    if draw(st.booleans()):
+        return {"kind": "fixed_path", "path": draw(st.lists(admission_laws(), min_size=1, max_size=10))}
+    laws = draw(st.lists(admission_laws(), min_size=1, max_size=3))
+    weights = draw(st.lists(st.sampled_from((1e-6, 0.01, 0.5, 1.0)), min_size=len(laws), max_size=len(laws)))
+    return {"kind": "mixture",
+            "states": [{"law": law, "weight": w / sum(weights)} for law, w in zip(laws, weights)]}
+
+
+class TestAdmissionSweep:
+    """Over drawn small environments, `_NEEDS` admits a suite exactly where it gives a verdict."""
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(environment=admission_environments(), n_max=st.integers(1, 4),
+           p=st.sampled_from(([2.0], [1.5, 2.0])))
+    def test_admitted_suites_record_a_check_and_refused_ones_raise_config_error(self, environment, n_max, p):
+        def cfg(suites):
+            return small_gw(environment=environment, suites=suites, n_max=n_max, gap=1, replicas=300,
+                            path_seed=3, p=p)
+
+        admitted = []
+        for suite in harness._SUITES:
+            try:
+                harness.check_suite_needs(cfg([suite]), [suite])
+            except ConfigError:
+                with pytest.raises(ConfigError):
+                    run_experiment(cfg([suite]))
+            else:
+                admitted.append(suite)
+        if admitted:
+            report, _, _ = run_experiment(cfg(admitted))
+            recorded = {c["suite"] for c in report["checks"]}
+            assert [suite for suite in admitted if suite not in recorded] == []
 
 
 class TestRateFitPaths:
@@ -935,7 +989,8 @@ class TestBatchLifetime:
             return real_run(sim, **kwargs)
 
         def loop(ctx, suites, body):
-            reads.extend(harness._READS[suite](ctx) for suite in suites if suite in harness._READS)
+            rows = [harness._SUITES[suite] for suite in suites]
+            reads.extend(row.reads(ctx) for row in rows if row.reads)
             return real_loop(ctx, suites, body)
 
         monkeypatch.setattr(harness, "run", spy)
@@ -983,7 +1038,7 @@ class TestBatchLifetime:
                 gc.enable()
         assert dead_at_entry == {"quenched": {}, "annealed": {"quenched": True, "quenched mapping": True}}
         assert {key: ref() is None for key, ref in refs.items()} == dict.fromkeys(refs, True)
-        ran = suites if command == "run" else ["verify", *harness._VERIFY_SUITES]
+        ran = suites if command == "run" else ["verify", *VERIFY_SUITES]
         assert list(report["suites"]) == ran
 
 
@@ -992,11 +1047,29 @@ class TestOneOwner:
 
     def test_registries_match_the_config_schema(self):
         assert tuple(harness._SUITES) == config.KNOWN_SUITES
-        # verify runs a subsequence of the suites, in their order
-        order = list(harness._SUITES)
-        assert [order.index(suite) for suite in harness._VERIFY_SUITES] == sorted(
-            order.index(suite) for suite in harness._VERIFY_SUITES
-        )
+
+    def test_readme_suite_table_is_the_suite_table(self):
+        # README's table of suite, batch read and verify, row for row, as _SUITES declares them
+        lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+        start = lines.index("| suite | reads | `verify` runs it |") + 2
+        documented = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            documented.append(tuple(cell.strip().strip("`") for cell in line.strip("|").split("|")))
+
+        contexts = [harness._Context(small_gw(environment=env)) for env in (TWO_STATE, FIXED4)]
+
+        def reads(row):
+            if row.reads is None:
+                return "no batch"
+            mixture, path = (row.reads(ctx) for ctx in contexts)
+            other = "" if mixture == path else f" on a mixture, else the {path} batch"
+            return f"the {mixture} batch{other}"
+
+        declared = [(suite, reads(row), "yes" if row.verify else "no")
+                    for suite, row in harness._SUITES.items()]
+        assert documented == declared
 
     def test_relations_import_no_orchestration(self):
         # relations are called without a config or a _Context, so they sit below both
@@ -1026,7 +1099,7 @@ class TestOneOwner:
         assert found == []
 
     def test_only_the_suite_loop_asks_for_a_batch(self):
-        # _READS alone says which batch a suite reads; a suite or helper that called run itself
+        # the _SUITES rows alone say which batch a suite reads; a suite or helper that called run itself
         # would say it a second time, and hold a batch the loop means to drop
         callers = [
             getattr(stmt, "name", "<module>")
@@ -1035,7 +1108,6 @@ class TestOneOwner:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "run"
         ]
         assert callers == ["_run_suites"]
-        assert set(harness._READS) < set(harness._SUITES)
 
     def test_only_add_csv_builds_a_csv_line(self):
         # _Context.add_csv alone turns field names and values into CSV lines; a suite that built

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimateUnavailableError, FitUnavailableError, ParameterError
-from .simulate import TrajectoryBatch, sums_at
+from .simulate import BRACKET, MOMENT, N_BATCHES, TrajectoryBatch, partials, piece_grid  # noqa: F401
 
-N_BATCHES = 30
 MIN_REPLICAS = 100
 CI_Z = 1.96
 
@@ -31,17 +30,16 @@ SLACK_SIGMAS = 4.0
 ROUNDOFF_DISTANCE = 1e-10
 
 
-def _batch_means(x: np.ndarray) -> np.ndarray:
-    """Means of min(N_BATCHES, len(x)) contiguous chunks, split as np.array_split splits.
+def _means(batch: TrajectoryBatch, sums: np.ndarray) -> tuple[float, np.ndarray]:
+    """The mean over the uncapped rows and the batch means, from per-piece sums over them.
 
-    The first r chunks hold s + 1 values and the rest s; each group is one
-    reshape, whose row means round as the per-chunk means do.
+    math.fsum adds the pieces of all rows, and of each batch-means chunk,
+    whose mean is over its uncapped rows; a chunk without one has no mean.
     """
-    chunks = min(N_BATCHES, len(x))
-    s, r = divmod(len(x), chunks)
-    cut = r * (s + 1)
-    return np.concatenate([x[:cut].reshape(r, s + 1).mean(axis=1),
-                           x[cut:].reshape(chunks - r, s).mean(axis=1)])
+    bounds, chunk = piece_grid(batch.replicas)
+    counts = np.add.reduceat(batch.uncapped, bounds[:-1], dtype=np.intp)
+    means = [math.fsum(sums[chunk == j]) / used for j, used in enumerate(np.bincount(chunk, counts)) if used]
+    return math.fsum(sums) / int(counts.sum()), np.array(means)
 
 
 def _stderr_of(means: np.ndarray) -> float:
@@ -50,18 +48,12 @@ def _stderr_of(means: np.ndarray) -> float:
     return float(means.std(ddof=1) / math.sqrt(len(means)))
 
 
-def _rows_used(batch: TrajectoryBatch) -> np.ndarray | slice:
-    """Index of the rows every estimate uses: the uncapped ones, at least MIN_REPLICAS.
-
-    With no row capped it is a slice over every row, so indexing takes a
-    view of w rather than a copy.
-    """
-    mask = batch.uncapped
-    if int(mask.sum()) < MIN_REPLICAS:
-        raise EstimateUnavailableError(
-            f"only {int(mask.sum())} uncapped replicas; need >= {MIN_REPLICAS}"
-        )
-    return slice(None) if mask.all() else mask
+def _rows_used(batch: TrajectoryBatch) -> int:
+    """How many rows every estimate uses: the uncapped ones, at least MIN_REPLICAS."""
+    used = int(batch.uncapped.sum())
+    if used < MIN_REPLICAS:
+        raise EstimateUnavailableError(f"only {used} uncapped replicas; need >= {MIN_REPLICAS}")
+    return used
 
 
 @dataclass
@@ -84,16 +76,17 @@ class LpEstimate:
     batch_values: np.ndarray | None = None
 
 
-def _estimate_from(x: np.ndarray, batch: TrajectoryBatch, p: float, n: int, gap: int) -> LpEstimate:
-    means = _batch_means(x)
+def _estimate_from(batch: TrajectoryBatch, p: float, n: int, gap: int) -> LpEstimate:
+    used = _rows_used(batch)
+    value, means = _means(batch, partials(batch, (MOMENT, p, n, gap)))
     return LpEstimate(
         p=p,
         n=n,
-        value=float(x.mean()),
+        value=value,
         stderr=_stderr_of(means),
         proxy_gap=gap,
         capped_fraction=batch.capped_fraction,
-        replicas_used=len(x),
+        replicas_used=used,
         batch_values=means,
     )
 
@@ -106,11 +99,7 @@ def lp_norm(batch: TrajectoryBatch, p: float, n: int, proxy_gap: int) -> LpEstim
         raise ParameterError(
             f"need 0 <= n and 1 <= gap with n+gap <= {batch.n_max}"
         )
-    rows = _rows_used(batch)
-    x = np.subtract(batch.w[rows, n + proxy_gap], batch.w[rows, n])
-    np.abs(x, out=x)
-    x **= p
-    return _estimate_from(x, batch, p, n, proxy_gap)
+    return _estimate_from(batch, p, n, proxy_gap)
 
 
 def w_moment(batch: TrajectoryBatch, p: float, n: int) -> LpEstimate:
@@ -119,8 +108,7 @@ def w_moment(batch: TrajectoryBatch, p: float, n: int) -> LpEstimate:
         raise ParameterError("p must be > 0")
     if not 0 <= n <= batch.n_max:
         raise ParameterError(f"need 0 <= n <= {batch.n_max}")
-    x = batch.w[_rows_used(batch), n] ** p
-    return _estimate_from(x, batch, p, n, 0)
+    return _estimate_from(batch, p, n, 0)
 
 
 @dataclass
@@ -286,32 +274,27 @@ class SandwichCheck:
         return self.lower_ok and self.upper_ok
 
 
-def _norm_with_stderr(x: np.ndarray, p: float) -> tuple[float, float]:
-    """(mean |x|^p)^{1/p} with a delta-method stderr."""
-    powered = np.abs(x)
-    powered **= p
-    m = float(powered.mean())
-    se_m = _stderr_of(_batch_means(powered))
+def _norm_with_stderr(batch: TrajectoryBatch, sums: np.ndarray, p: float) -> tuple[float, float]:
+    """(mean |x|^p)^{1/p} with a delta-method stderr, from the per-piece sums of |x|^p."""
+    m, means = _means(batch, sums)
     if m == 0.0:
         return 0.0, 0.0
     norm = m ** (1.0 / p)
-    return norm, se_m * norm / (p * m)
+    return norm, _stderr_of(means) * norm / (p * m)
 
 
 def burkholder_sandwich(batch: TrajectoryBatch, p: float, rho: float, n: int) -> SandwichCheck:
     """Check a_p ||Q_n||_p <= ||A_hat_n||_p <= b_p ||Q_n||_p on the batch.
 
-    (rho, n) is any key that sums_at admits. Both inequalities get a slack
-    of SLACK_SIGMAS combined standard errors, so a pass is Monte Carlo
-    evidence rather than an exact certificate.
+    (rho, n) is any key that the reducer's bracket domain admits. Both
+    inequalities get a slack of SLACK_SIGMAS combined standard errors, so a
+    pass is Monte Carlo evidence rather than an exact certificate.
     """
     a_p, b_p = burkholder_constants(p)
-    # every row's sums, then the rows used: no row's sum depends on another row
-    a_hat, q2 = sums_at(batch, rho, n)
-    rows = _rows_used(batch)
-    a_vals, q_vals = a_hat[rows], np.sqrt(q2[rows])
-    a_norm, a_se = _norm_with_stderr(a_vals, p)
-    q_norm, q_se = _norm_with_stderr(q_vals, p)
+    a_sums, q_sums = partials(batch, (BRACKET, p, rho, n))
+    _rows_used(batch)
+    a_norm, a_se = _norm_with_stderr(batch, a_sums, p)
+    q_norm, q_se = _norm_with_stderr(batch, q_sums, p)
     lower, upper = a_p * q_norm, b_p * q_norm
     lower_ok = lower <= a_norm + SLACK_SIGMAS * math.hypot(a_p * q_se, a_se)
     upper_ok = a_norm <= upper + SLACK_SIGMAS * math.hypot(b_p * q_se, a_se)

@@ -145,10 +145,10 @@ def recursion_slack(env: Environment, n: int) -> list[Item]:
 
 def identity(batch: TrajectoryBatch, rhos, ns) -> list[Item]:
     """The telescoped and accumulator forms of A_hat_n(rho) within IDENTITY_TOL, at each (rho, n)
-    that identity_residuals admits for this batch, once each, from one pass over the batch."""
+    inside the reducer's identity domain for this batch, once each."""
     statement = "the telescoped and accumulator forms of the weighted sum agree"
     items = []
-    for rho, n in simulate.identity_residuals(batch, [(rho, n) for rho in rhos for n in ns]):
+    for _, rho, n in simulate.reduce_batch(batch, [(simulate.IDENTITY, rho, n) for rho in rhos for n in ns]):
         residual = simulate.increment_identity_check(batch, rho, n)
         items.append(Item(f"rho{rho:.4g}.n{n}", statement, residual <= IDENTITY_TOL,
                           {"residual": residual, "tolerance": IDENTITY_TOL},
@@ -158,24 +158,15 @@ def identity(batch: TrajectoryBatch, rhos, ns) -> list[Item]:
 
 def sandwiches(batch: TrajectoryBatch, ps, rhos, ns) -> list[Item]:
     """The square-function bracket of A_hat_n(rho) with SLACK_SIGMAS slack, at each p, rho and n,
-    in that order. One increment_sums pass per distinct n, over that n's rho keys, serves every
-    bracket at that n before the next pass replaces it, so the batch never holds more than one
-    n's sums, and the slot is emptied after the last bracket."""
-    checks = {}
-    for n in dict.fromkeys(ns):
-        simulate.increment_sums(batch, [(rho, n) for rho in rhos])
-        for p in ps:
-            for rho in rhos:
-                checks[p, rho, n] = estimators.burkholder_sandwich(batch, p, rho, n)
-    batch.sums = {}
+    in that order, from one reduction of every bracket."""
+    keys = [(simulate.BRACKET, p, rho, n) for p in ps for rho in rhos for n in ns]
     statement = "the weighted-increment norm sits inside the square-function bracket"
     items = []
-    for p in ps:
-        for rho in rhos:
-            for n in ns:
-                sc = checks[p, rho, n]
-                observed = {"a_norm": sc.a_norm, "lower": sc.lower, "upper": sc.upper}
-                items.append(Item(f"{p_tag(p)}.rho{rho:.4g}.n{n}", statement, sc.ok, observed, sc))
+    simulate.reduce_batch(batch, keys)
+    for _, p, rho, n in keys:
+        sc = estimators.burkholder_sandwich(batch, p, rho, n)
+        observed = {"a_norm": sc.a_norm, "lower": sc.lower, "upper": sc.upper}
+        items.append(Item(f"{p_tag(p)}.rho{rho:.4g}.n{n}", statement, sc.ok, observed, sc))
     return items
 
 

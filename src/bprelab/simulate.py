@@ -75,6 +75,13 @@ STREAM_SCHEME = "SeedSequence(master_seed, spawn_key=(block,))"
 MODE_QUENCHED = "quenched"
 MODE_ANNEALED = "annealed"
 
+# the reducer's key kinds: ("moment", p, n, gap), ("bracket", p, rho, n), ("identity", rho, n)
+MOMENT, BRACKET, IDENTITY = "moment", "bracket", "identity"
+# contiguous batch-means chunks behind every standard error
+N_BATCHES = 30
+# rows of one reducer matrix product: below OpenBLAS's threading threshold at every bundled size
+PRODUCT_ROWS = 1024
+
 # Generation totals use counts dotted with the support; keep the worst-case
 # total inside int64 so the dot product cannot wrap.
 _INT64_SAFE = 2**62
@@ -159,11 +166,10 @@ class TrajectoryBatch:
     status_gen: np.ndarray
     path: EnvPath | None = None
     meta: dict = field(default_factory=dict)
-    sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    residuals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    partials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # sums and residuals are cached from w, so w must not change under them
+        # partials are reduced from w, so w must not change under them
         self.w.flags.writeable = False
 
     @property
@@ -450,9 +456,9 @@ def _weights(keys, top: int) -> np.ndarray:
     after a lone key.
 
     numpy hands a one-row product to a matrix-vector kernel, whose rounding
-    follows the layout it is given; with at least two rows every pass runs the
-    matrix-matrix kernel, so a key's sums do not depend on the other keys of
-    its pass.
+    follows the layout it is given; with at least two rows every product runs
+    the matrix-matrix kernel, so a key's sums do not depend on the other keys
+    reduced with it.
     """
     rows = [[rho**k if k <= n else 0.0 for k in range(top + 1)] for rho, n in keys]
     return np.array(rows + [[0.0] * (top + 1)] * (len(rows) == 1))
@@ -463,100 +469,157 @@ def _blocks(rows: int):
     return ((lo, min(lo + BLOCK_ROWS, rows)) for lo in range(0, rows, BLOCK_ROWS))
 
 
-def _sums_refusal(batch: TrajectoryBatch, rho: float, n: int) -> str | None:
-    """increment_sums' key domain, finite rho >= 1 and 0 <= n < n_max: None inside, else the refusal."""
-    inside = math.isfinite(rho) and rho >= 1.0 and 0 <= n < batch.n_max
-    return None if inside else f"increment sums need a finite rho >= 1 and 0 <= n < {batch.n_max}; got ({rho}, {n})"
+def piece_grid(replicas: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block grid of a batch's sums: the row bounds of its pieces, and each piece's chunk.
 
-
-def _residual_refusal(batch: TrajectoryBatch, rho: float, n: int) -> str | None:
-    """identity_residuals' key domain, finite rho > 1 and 0 <= n < n_max - 1: None inside, else the refusal."""
-    inside = math.isfinite(rho) and rho > 1.0 and 0 <= n < batch.n_max - 1
-    return None if inside else f"the identity needs a finite rho > 1 and 0 <= n < {batch.n_max - 1}; got ({rho}, {n})"
-
-
-def increment_sums(batch: TrajectoryBatch, keys) -> dict:
-    """Refill the slot batch.sums: (rho, n) -> every row's A_hat_n(rho) and Q_n(rho)^2.
-
-    Per BLOCK_ROWS rows, the increments d_k = W_{k+1} - W_k, k <= top (the
-    largest n), are read straight from generation-major w into one C-order
-    (top+1) x rows block of scratch that every block reuses. The matrix W of
-    rho^k [k <= n], padded by _weights to two rows for a lone key, multiplies
-    them, then the squared increments are multiplied by W*W, straight into the
-    result rows; the slot holds 2 x len(W) rows of float64.
+    The batch-means chunks are np.array_split's min(N_BATCHES, replicas) row
+    ranges of all rows. A piece is the rows of one chunk inside one block, so
+    the bounds are every chunk start and every block start in row order, then
+    replicas.
     """
-    keys = [key for key in dict.fromkeys(keys) if _sums_refusal(batch, *key) is None]
-    batch.sums = {}
-    if keys:
-        w, top = batch.w, max(n for _, n in keys)
-        weights = _weights(keys, top)
+    chunks = min(N_BATCHES, replicas)
+    s, r = divmod(replicas, chunks)
+    starts = [j * s + min(j, r) for j in range(chunks)]
+    bounds = np.array(sorted({*starts, *range(0, replicas, BLOCK_ROWS)}) + [replicas])
+    return bounds, np.searchsorted(starts, bounds[:-1], side="right") - 1
+
+
+def _refusal(key, n_max: int) -> str | None:
+    """The reducer's key domain: None for a key inside it, else the refusal.
+
+    A moment needs 0 <= n <= n + gap <= n_max, a bracket a finite rho >= 1 and
+    0 <= n < n_max, an identity a finite rho > 1 and 0 <= n < n_max - 1.
+    """
+    kind, *args = key
+    if kind == MOMENT:
+        inside = 0 <= args[1] <= args[1] + args[2] <= n_max
+        return None if inside else f"a moment needs 0 <= n <= n + gap <= {n_max}; got {key}"
+    rho, n = args[-2:]
+    if kind == BRACKET:
+        inside = math.isfinite(rho) and rho >= 1.0 and 0 <= n < n_max
+        return None if inside else f"increment sums need a finite rho >= 1 and 0 <= n < {n_max}; got ({rho}, {n})"
+    inside = kind == IDENTITY and math.isfinite(rho) and rho > 1.0 and 0 <= n < n_max - 1
+    return None if inside else f"the identity needs a finite rho > 1 and 0 <= n < {n_max - 1}; got ({rho}, {n})"
+
+
+def _partial_shapes(keys, replicas: int) -> dict:
+    """Each key's partials: per-piece sums for a moment, a row of them for each side of a
+    bracket, and three maxima per block for an identity."""
+    pieces, blocks = len(piece_grid(replicas)[0]) - 1, -(-replicas // BLOCK_ROWS)
+    return {key: {MOMENT: (pieces,), BRACKET: (2, pieces), IDENTITY: (blocks, 3)}[key[0]] for key in keys}
+
+
+def _views(shapes: dict, buf: np.ndarray | None = None) -> dict:
+    """One view of each key's shape into consecutive stretches of buf (a fresh array where None)."""
+    buf = np.empty(sum(map(math.prod, shapes.values()))) if buf is None else buf
+    views, at = {}, 0
+    for key, shape in shapes.items():
+        views[key] = buf[at : at + math.prod(shape)].reshape(shape)
+        at += math.prod(shape)
+    return views
+
+
+def _reduce_block(w: np.ndarray, lo: int, status: np.ndarray, bounds: np.ndarray, out: dict) -> None:
+    """Reduce the batch rows lo .. lo + len(w) - 1, whose W_n is w[i, n], into the views out.
+
+    Each sum is one row of a C-order array, capped rows zeroed, summed
+    pairwise over each of the block's pieces (bounds as piece_grid gives
+    them): |W_{n+gap} - W_n|^p for a moment (W_n^p at gap 0), and
+    |A_hat_n(rho)|^p and Q_n(rho)^p for a bracket. A_hat_n and Q_n^2 at every
+    (rho, n) of the brackets and identities are matrix products of the
+    C-order increments with their _weights and its squares, PRODUCT_ROWS
+    rows at a time. An identity writes its block's maxima over every row of
+    |A_n - rhs|, |A_n| and |rhs|: A_n = sum_{k<=n} rho^k (W_N - W_k), N =
+    n_max, is one matrix-vector product over the C-order W_N - W_k, and
+    rhs = rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1) (W_N - W_{n+1}) -
+    (W_N - 1)/(rho-1) follows the formula's order.
+    """
+    size = len(w)
+    pairs = list(dict.fromkeys(key[-2:] for key in out if key[0] != MOMENT))
+    if pairs:
+        top = max(n for _, n in pairs)
+        weights = _weights(pairs, top)
         squares = weights * weights
-        a_hat, q2 = np.empty((2, len(weights), len(w)))
-        d_buf = np.empty((top + 1) * min(BLOCK_ROWS, len(w)))
-        for lo, hi in _blocks(len(w)):
-            d = np.subtract(w.T[1 : top + 2, lo:hi], w.T[: top + 1, lo:hi],
-                            out=d_buf[: (top + 1) * (hi - lo)].reshape(top + 1, hi - lo))
-            np.matmul(weights, d, out=a_hat[:, lo:hi])
-            np.matmul(squares, np.multiply(d, d, out=d), out=q2[:, lo:hi])
-        batch.sums = {key: (a_hat[j], q2[j]) for j, key in enumerate(keys)}
-    return batch.sums
-
-
-def sums_at(batch: TrajectoryBatch, rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A_hat_n(rho), Q_n(rho)^2) on every row: from the batch's slot, else a one-key pass."""
-    if refusal := _sums_refusal(batch, rho, n):
-        raise ParameterError(refusal)
-    return batch.sums.get((rho, n)) or increment_sums(batch, [(rho, n)])[rho, n]
-
-
-def identity_residuals(batch: TrajectoryBatch, keys) -> dict:
-    """Refill the slot batch.residuals: (rho, n) -> the accumulator identity's residual.
-
-    With W replaced by the proxy W_N, N = n_max, A_n = sum_{k<=n} rho^k
-    (W_N - W_k) must equal rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1)
-    (W_N - W_{n+1}) - (W_N - 1)/(rho-1) exactly. The residual is the largest
-    |A_n - rhs| over rows, relative to max(1, largest |A_n|, largest |rhs|).
-
-    Per BLOCK_ROWS rows, one reused buffer holds the increments, whose product
-    with _weights gives every key's A_hat_n as in increment_sums, and then the
-    C-order W_N - W_k. Key by key, A_n is one matrix-vector product over its
-    first n + 1 columns, the right-hand side follows the formula's order, and
-    only running maxima outlive a block.
-    """
-    keys = [key for key in dict.fromkeys(keys) if _residual_refusal(batch, *key) is None]
-    batch.residuals = {}
-    if not keys:
-        return batch.residuals
-    w, n_max, top = batch.w, batch.n_max, max(n for _, n in keys)
-    weights = _weights(keys, top)
-    rows = min(BLOCK_ROWS, len(w))
-    buf, a_hat = np.empty((top + 1) * rows), np.empty((len(weights), rows))
-    maxima = np.full((len(keys), 3), -np.inf)
-    for lo, hi in _blocks(len(w)):
-        size, w_proxy = hi - lo, w[lo:hi, n_max]
-        block = buf[: (top + 1) * size]
-        d = np.subtract(w.T[1 : top + 2, lo:hi], w.T[: top + 1, lo:hi], out=block.reshape(top + 1, size))
-        np.matmul(weights, d, out=a_hat[:, :size])
-        telescoped = np.subtract(w_proxy[:, None], w[lo:hi, : top + 1], out=block.reshape(size, top + 1))
-        for j, (rho, n) in enumerate(keys):
+        a_hat, q2 = np.empty((2, len(weights), size))
+        for at in range(0, size, PRODUCT_ROWS):
+            rows = slice(at, at + PRODUCT_ROWS)
+            d = np.subtract(w.T[1 : top + 2, rows], w.T[: top + 1, rows], order="C")
+            np.matmul(weights, d, out=a_hat[:, rows])
+            np.matmul(squares, np.multiply(d, d, out=d), out=q2[:, rows])
+    sums = [key for key in out if key[0] != IDENTITY]
+    values = np.empty((len(sums) + sum(key[0] == BRACKET for key in sums), size))
+    rows = iter(values)
+    for key in sums:
+        if key[0] == MOMENT:
+            _, p, n, gap = key
+            sides = [np.subtract(w[:, n + gap], w[:, n] if gap else 0.0, out=next(rows))]
+        else:
+            p, j = key[1], pairs.index(key[2:])
+            sides = [np.abs(a_hat[j], out=next(rows)), np.sqrt(q2[j], out=next(rows))]
+        for x in sides:
+            np.abs(x, out=x)
+            x **= p
+    if sums:
+        capped = status == STATUS_CAPPED
+        if capped.any():
+            values[:, capped] = 0.0
+        i0, i1 = np.searchsorted(bounds, (lo, lo + size))
+        cuts = bounds[i0 : i1 + 1] - lo
+        piece_sums = np.stack([values[:, a:b].sum(axis=1) for a, b in zip(cuts[:-1], cuts[1:])], axis=1)
+        at = 0
+        for key in sums:
+            sides = 1 + (key[0] == BRACKET)
+            out[key][..., i0:i1] = piece_sums[at : at + sides]
+            at += sides
+    identities = [key for key in out if key[0] == IDENTITY]
+    if identities:
+        w_proxy = w[:, -1]
+        telescoped = np.subtract(w_proxy[:, None], w[:, : max(key[2] for key in identities) + 1], order="C")
+        for key in identities:
+            _, rho, n = key
             lhs = telescoped[:, : n + 1] @ rho ** np.arange(n + 1)
-            rhs = (a_hat[j, :size] * (rho / (rho - 1.0))
-                   + (w_proxy - w[lo:hi, n + 1]) * (rho ** (n + 1) / (rho - 1.0))
+            rhs = (a_hat[pairs.index((rho, n))] * (rho / (rho - 1.0))
+                   + (w_proxy - w[:, n + 1]) * (rho ** (n + 1) / (rho - 1.0))
                    - (w_proxy - 1.0) / (rho - 1.0))
-            sides = np.abs(lhs - rhs).max(), np.abs(lhs).max(), np.abs(rhs).max()
-            np.maximum(maxima[j], sides, out=maxima[j])
-    batch.residuals = {key: diff / max(1.0, lhs_max, rhs_max)
-                       for key, (diff, lhs_max, rhs_max) in zip(keys, maxima.tolist())}
-    return batch.residuals
+            out[key][lo // BLOCK_ROWS] = np.abs(lhs - rhs).max(), np.abs(lhs).max(), np.abs(rhs).max()
+
+
+def reduce_batch(batch: TrajectoryBatch, keys) -> list:
+    """The keys inside the reducer's domain (see _refusal), once each; each is then in batch.partials.
+
+    A batch that stores w reduces the keys it does not hold in one pass over
+    its stored blocks, through the reducer that run's workers use; a reduced
+    batch holds the keys handed to run and raises ParameterError naming the
+    first other key.
+    """
+    keys = [key for key in dict.fromkeys(keys) if _refusal(key, batch.n_max) is None]
+    missing = [key for key in keys if key not in batch.partials]
+    if missing and not len(batch.w):
+        raise ParameterError(f"reduction {missing[0]} was not declared for this reduced batch")
+    if missing:
+        out, bounds = _views(_partial_shapes(missing, batch.replicas)), piece_grid(batch.replicas)[0]
+        for lo, hi in _blocks(batch.replicas):
+            _reduce_block(batch.w[lo:hi], lo, batch.status[lo:hi], bounds, out)
+        batch.partials.update(out)
+    return keys
+
+
+def partials(batch: TrajectoryBatch, key) -> np.ndarray:
+    """batch.partials[key], reduced by reduce_batch; a key outside the reducer's domain raises ParameterError."""
+    if refusal := _refusal(key, batch.n_max):
+        raise ParameterError(refusal)
+    reduce_batch(batch, [key])
+    return batch.partials[key]
 
 
 def increment_identity_check(batch: TrajectoryBatch, rho: float, n: int) -> float:
     """Largest relative residual of the accumulator identity across replicas.
 
-    From the batch's slot (see identity_residuals), else a one-key pass that
-    replaces it; a key outside the pass's domain leaves the slot as it was.
+    With W replaced by the proxy W_N, N = n_max, A_n = sum_{k<=n} rho^k
+    (W_N - W_k) must equal rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1)
+    (W_N - W_{n+1}) - (W_N - 1)/(rho-1) exactly. The residual is the largest
+    |A_n - rhs| over rows, relative to max(1, largest |A_n|, largest |rhs|),
+    from the reducer's per-block maxima.
     """
-    if refusal := _residual_refusal(batch, rho, n):
-        raise ParameterError(refusal)
-    residual = batch.residuals.get((rho, n))
-    return identity_residuals(batch, [(rho, n)])[rho, n] if residual is None else residual
+    diff, lhs_max, rhs_max = partials(batch, (IDENTITY, rho, n)).max(axis=0).tolist()
+    return diff / max(1.0, lhs_max, rhs_max)

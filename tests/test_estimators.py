@@ -20,14 +20,22 @@ from bprelab import relations
 from bprelab.estimators import (
     N_BATCHES,
     LpEstimate,
-    _batch_means,
     burkholder_constants,
     burkholder_sandwich,
     fit_decay,
     lp_norm,
     w_moment,
 )
-from bprelab.simulate import BLOCK_ROWS, STATUS_CAPPED, identity_residuals, increment_sums, sums_at
+from bprelab.simulate import (
+    BLOCK_ROWS,
+    BRACKET,
+    IDENTITY,
+    MOMENT,
+    STATUS_CAPPED,
+    partials,
+    piece_grid,
+    reduce_batch,
+)
 
 
 def gw_tail(n):
@@ -79,10 +87,17 @@ def partly_capped_batch():
     return run(cfg)
 
 
-def mean_and_stderr(x):
-    """Plain numpy: the sample mean and the stderr of N_BATCHES contiguous batch means."""
-    means = np.array([chunk.mean() for chunk in np.array_split(x, N_BATCHES)])
-    return float(np.mean(x)), float(np.std(means, ddof=1) / math.sqrt(N_BATCHES))
+def batch_means(x, kept=None):
+    """Plain numpy: the mean of each of np.array_split's chunks of all rows, over its kept rows."""
+    kept = np.ones(len(x), dtype=bool) if kept is None else kept
+    parts = zip(np.array_split(x, min(N_BATCHES, len(x))), np.array_split(kept, min(N_BATCHES, len(x))))
+    return np.array([chunk[used].mean() for chunk, used in parts if used.any()])
+
+
+def mean_and_stderr(x, kept=None):
+    """Plain numpy: the mean over the kept rows (all where None) and the stderr of the batch means."""
+    means = batch_means(x, kept)
+    return float(np.mean(x if kept is None else x[kept])), float(np.std(means, ddof=1) / math.sqrt(len(means)))
 
 
 class TestCappedRows:
@@ -90,15 +105,15 @@ class TestCappedRows:
 
     def test_lp_norm_and_w_moment(self, partly_capped_batch):
         b = partly_capped_batch
-        w = b.w[b.status != STATUS_CAPPED]
-        assert 100 <= len(w) < b.replicas
+        kept, w = b.status != STATUS_CAPPED, b.w
+        assert 100 <= kept.sum() < b.replicas
         for p, n, gap in ((2.0, 10, 8), (1.5, 3, 12)):
             est = lp_norm(b, p, n, gap)
-            assert (est.value, est.stderr) == mean_and_stderr(np.abs(w[:, n + gap] - w[:, n]) ** p)
-            assert est.replicas_used == len(w)
+            assert_close((est.value, est.stderr), mean_and_stderr(np.abs(w[:, n + gap] - w[:, n]) ** p, kept))
+            assert est.replicas_used == kept.sum()
         for p, n in ((2.0, 18), (1.5, 7)):
             est = w_moment(b, p, n)
-            assert (est.value, est.stderr) == mean_and_stderr(w[:, n] ** p)
+            assert_close((est.value, est.stderr), mean_and_stderr(w[:, n] ** p, kept))
         # the capped rows would change the answer
         assert lp_norm(b, 2.0, 10, 8).value != float(np.mean((b.w[:, 18] - b.w[:, 10]) ** 2))
 
@@ -109,13 +124,13 @@ class TestCappedRows:
         a, q2 = fsum_sums(b, rho, n)
         for p in (1.5, 2.0):
             check = burkholder_sandwich(b, p, rho, n)
-            assert_close((check.a_norm, check.a_stderr), norm_and_stderr(a[kept], p))
-            assert_close((check.q_norm, check.q_stderr), norm_and_stderr(np.sqrt(q2[kept]), p))
+            assert_close((check.a_norm, check.a_stderr), norm_and_stderr(a, p, kept))
+            assert_close((check.q_norm, check.q_stderr), norm_and_stderr(np.sqrt(q2), p, kept))
 
 
-def norm_and_stderr(x, p):
-    """Plain numpy: (mean |x|^p)^(1/p) and its delta-method stderr."""
-    m, se = mean_and_stderr(np.abs(x) ** p)
+def norm_and_stderr(x, p, kept=None):
+    """Plain numpy: (mean |x|^p)^(1/p) over the kept rows and its delta-method stderr."""
+    m, se = mean_and_stderr(np.abs(x) ** p, kept)
     norm = m ** (1 / p)
     return norm, se * norm / (p * m)
 
@@ -125,18 +140,10 @@ def assert_close(got, want):
 
 
 def fsum_sums(b, rho, n):
-    """A_hat_n(rho) and Q_n(rho)^2 on every row by math.fsum, after checking the batch's own.
-
-    The batch's sums (from its slot, else a one-key pass) must lie within
-    1e-12 of the fsum oracle per row, relative to the sum of the terms'
-    magnitudes: sum_k rho^k |d_k| for A_hat_n, sum_k rho^{2k} d_k^2 for Q_n^2.
-    """
+    """A_hat_n(rho) and Q_n(rho)^2 on every row by math.fsum."""
     terms = rho ** np.arange(n + 1) * np.diff(b.w[:, : n + 2], axis=1)
     a = np.array([math.fsum(row) for row in terms.tolist()])
     q2 = np.array([math.fsum(row) for row in (terms * terms).tolist()])
-    got_a, got_q2 = sums_at(b, rho, n)
-    assert np.all(np.abs(got_a - a) <= 1e-12 * np.abs(terms).sum(axis=1))
-    assert np.all(np.abs(got_q2 - q2) <= 1e-12 * (terms * terms).sum(axis=1))
     return a, q2
 
 
@@ -173,18 +180,16 @@ class TestBlockSeams:
     def test_burkholder_sandwich(self, seam_batch):
         b = seam_batch
         kept = seam_kept(b)
-        increment_sums(b, self.SANDWICH_KEYS)
         for rho, n in self.SANDWICH_KEYS:
             a, q2 = fsum_sums(b, rho, n)
             for p in (1.5, 2.0):
                 check = burkholder_sandwich(b, p, rho, n)
-                assert_close((check.a_norm, check.a_stderr), norm_and_stderr(a[kept], p))
-                assert_close((check.q_norm, check.q_stderr), norm_and_stderr(np.sqrt(q2[kept]), p))
+                assert_close((check.a_norm, check.a_stderr), norm_and_stderr(a, p, kept))
+                assert_close((check.q_norm, check.q_stderr), norm_and_stderr(np.sqrt(q2), p, kept))
 
     def test_identity_residual(self, seam_batch):
         b = seam_batch
         w = b.w
-        increment_sums(b, self.IDENTITY_KEYS)
         for rho, n in self.IDENTITY_KEYS:
             a_hat_n = fsum_sums(b, rho, n)[0]
             telescoped = rho ** np.arange(n + 1) * (w[:, -1:] - w[:, : n + 1])
@@ -204,33 +209,34 @@ class TestBlockSeams:
         kept = seam_kept(b)
         for p, n, gap in ((2.0, 10, 8), (1.5, 0, 20)):
             est = lp_norm(b, p, n, gap)
-            x = np.abs(b.w[kept, n + gap] - b.w[kept, n]) ** p
-            assert (est.value, est.stderr) == mean_and_stderr(x)
+            x = np.abs(b.w[:, n + gap] - b.w[:, n]) ** p
+            assert_close((est.value, est.stderr), mean_and_stderr(x, kept))
             assert est.replicas_used == kept.sum()
         for p, n in ((2.0, 20), (1.5, 7)):
             est = w_moment(b, p, n)
-            assert (est.value, est.stderr) == mean_and_stderr(b.w[kept, n] ** p)
+            assert_close((est.value, est.stderr), mean_and_stderr(b.w[:, n] ** p, kept))
 
 
-class TestInPlacePowers:
-    """The reductions' in-place abs and powers give the plain numpy expressions' bits."""
+class TestPlainNumpy:
+    """Every value, stderr and batch mean of the block-grid sums agrees with plain numpy within 1e-12."""
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_values_and_stderrs_are_bit_equal(self, seam_batch, p):
+    def test_values_stderrs_and_batch_means(self, seam_batch, p):
         b = seam_batch
-        kept = seam_kept(b)
-        w = b.w[kept]
+        kept, w = seam_kept(b), b.w
         for n, gap in ((0, 20), (10, 8), (19, 1)):
-            est = lp_norm(b, p, n, gap)
-            assert (est.value, est.stderr) == mean_and_stderr(np.abs(w[:, n + gap] - w[:, n]) ** p)
+            est, x = lp_norm(b, p, n, gap), np.abs(w[:, n + gap] - w[:, n]) ** p
+            assert_close((est.value, est.stderr), mean_and_stderr(x, kept))
+            assert_close(list(est.batch_values), list(batch_means(x, kept)))
         for n in (0, 7, 20):
             est = w_moment(b, p, n)
-            assert (est.value, est.stderr) == mean_and_stderr(w[:, n] ** p)
+            assert_close((est.value, est.stderr), mean_and_stderr(w[:, n] ** p, kept))
+            assert_close(list(est.batch_values), list(batch_means(w[:, n] ** p, kept)))
         for rho, n in ((1.0, 19), (1.3, 12)):
-            a_hat, q2 = sums_at(b, rho, n)
+            a_hat, q2 = fsum_sums(b, rho, n)
             check = burkholder_sandwich(b, p, rho, n)
-            assert (check.a_norm, check.a_stderr) == norm_and_stderr(a_hat[kept], p)
-            assert (check.q_norm, check.q_stderr) == norm_and_stderr(np.sqrt(q2[kept]), p)
+            assert_close((check.a_norm, check.a_stderr), norm_and_stderr(a_hat, p, kept))
+            assert_close((check.q_norm, check.q_stderr), norm_and_stderr(np.sqrt(q2), p, kept))
 
 
 def assert_bit_equal(got, want):
@@ -239,24 +245,28 @@ def assert_bit_equal(got, want):
         assert np.array_equal(getattr(got, key), value), key
 
 
-class TestPerNPasses:
-    """relations.sandwiches runs one pass per n; every field equals one all-keys pass's, bit for bit."""
+def fresh(b):
+    """b without the partials it holds, so its next read reduces again."""
+    return dataclasses.replace(b)
+
+
+class TestKeysReducedTogether:
+    """A bracket's fields do not depend on the other keys reduced with it, bit for bit."""
 
     PS, RHOS = (1.5, 2.0), (1.0, 1.1, 1.3)
 
-    def test_fields_match_one_all_keys_pass(self, seam_batch):
-        b = seam_batch
+    def test_fields_match_lone_key_reductions(self, seam_batch):
+        b = fresh(seam_batch)
         ns = (0, 12, b.n_max - 1)
         seam_kept(b)
-        per_n = relations.sandwiches(b, self.PS, self.RHOS, ns)
-        # one key per n: every pass is a padded one-key pass
-        lone = {rho: relations.sandwiches(b, self.PS, (rho,), ns) for rho in self.RHOS}
-        increment_sums(b, [(rho, n) for rho in self.RHOS for n in ns])
+        together = relations.sandwiches(b, self.PS, self.RHOS, ns)
+        # one rho: every reduction holds one (rho, n) per n
+        lone = {rho: relations.sandwiches(fresh(b), self.PS, (rho,), ns) for rho in self.RHOS}
         order = [(p, rho, n) for p in self.PS for rho in self.RHOS for n in ns]
-        assert [item.suffix for item in per_n] == [
+        assert [item.suffix for item in together] == [
             f"{relations.p_tag(p)}.rho{rho:.4g}.n{n}" for p, rho, n in order]
-        for item, (p, rho, n) in zip(per_n, order):
-            want = burkholder_sandwich(b, p, rho, n)
+        for item, (p, rho, n) in zip(together, order):
+            want = burkholder_sandwich(fresh(b), p, rho, n)
             assert_bit_equal(item.detail, want)
             assert item.passed == want.ok
             assert item.observed == {"a_norm": want.a_norm, "lower": want.lower, "upper": want.upper}
@@ -275,17 +285,19 @@ class TestLayout:
         assert b.w.T.flags.c_contiguous and not b.w.flags.c_contiguous
 
     def test_reductions_match_a_row_major_copy(self, seam_batch):
-        b = seam_batch
+        b = fresh(seam_batch)
         assert b.w.T.flags.c_contiguous
         copy = dataclasses.replace(b, w=np.ascontiguousarray(b.w))
-        assert copy.w.flags.c_contiguous and copy.sums == {}
-        # a pass reads its increments into one C-order block, whatever w's layout; the second
-        # key set is a lone key, whose pass is padded to two weight rows
-        for keys in ([(rho, n) for rho in (1.0, 1.1, 1.3) for n in range(b.n_max)], [(1.3, 12)]):
-            want, got = increment_sums(b, keys), increment_sums(copy, keys)
-            assert list(got) == keys
+        assert copy.w.flags.c_contiguous and copy.partials == {}
+        # the reducer reads its increments into C-order blocks, whatever w's layout; the second
+        # key set is a lone (rho, n), whose product is padded to two weight rows
+        for keys in ([(BRACKET, 2.0, rho, n) for rho in (1.0, 1.1, 1.3) for n in range(b.n_max)]
+                     + [(MOMENT, 1.5, n, 3) for n in range(b.n_max - 2)]
+                     + [(IDENTITY, 1.2, n) for n in range(b.n_max - 1)],
+                     [(BRACKET, 1.5, 1.3, 12)]):
+            assert reduce_batch(copy, keys) == reduce_batch(b, keys) == keys
             for key in keys:
-                assert all(map(np.array_equal, got[key], want[key])), key
+                assert np.array_equal(copy.partials[key], b.partials[key]), key
         for p, n, gap in ((2.0, 10, 8), (1.5, 0, 20), (3.0, 19, 1)):
             assert_bit_equal(lp_norm(copy, p, n, gap), lp_norm(b, p, n, gap))
         for p, n in ((2.0, 20), (1.5, 7), (0.5, 0)):
@@ -296,20 +308,25 @@ class TestLayout:
             assert increment_identity_check(copy, rho, n) == increment_identity_check(b, rho, n)
 
 
-def array_split_means(x):
-    """The reference: the mean of each of np.array_split's min(N_BATCHES, len(x)) chunks."""
-    return np.array([chunk.mean() for chunk in np.array_split(x, min(N_BATCHES, len(x)))])
-
-
-class TestBatchMeans:
+class TestPieceGrid:
     @pytest.mark.parametrize("length", [1, 2, 29, 30, 31, 59, 101, 1000, 4097, 19_999, 99_871, 100_000])
-    def test_bit_equal_to_array_split(self, length):
-        rng = np.random.default_rng(length)
-        for x in (rng.random(length), rng.standard_cauchy(length) ** 2,
-                  np.abs(rng.normal(size=length)) ** 1.5 * 1e3):
-            got, want = _batch_means(x), array_split_means(x)
-            assert got.shape == want.shape == (min(N_BATCHES, length),)
-            assert np.array_equal(got, want)
+    def test_pieces_split_array_split_chunks_at_block_starts(self, length):
+        bounds, chunk = piece_grid(length)
+        chunks = np.array_split(np.arange(length), min(N_BATCHES, length))
+        assert bounds[0] == 0 and bounds[-1] == length and np.all(np.diff(bounds) > 0)
+        assert set(range(0, length, BLOCK_ROWS)) | {c[0] for c in chunks} == set(bounds[:-1].tolist())
+        for lo, hi, j in zip(bounds[:-1], bounds[1:], chunk):
+            # each piece lies in one chunk and one block
+            assert chunks[j][0] <= lo and hi - 1 <= chunks[j][-1]
+            assert lo // BLOCK_ROWS == (hi - 1) // BLOCK_ROWS
+
+    def test_one_block_batch_means_are_array_splits_bit_for_bit(self, gw_batch):
+        # a chunk inside one block is one piece: its pairwise sum is numpy's
+        b = fresh(gw_batch)
+        assert b.replicas <= BLOCK_ROWS
+        x = np.abs(b.w[:, 12] - b.w[:, 2]) ** 2.0
+        est = lp_norm(b, 2.0, 2, 10)
+        assert np.array_equal(est.batch_values, [c.mean() for c in np.array_split(x, N_BATCHES)])
 
 
 class TestNorms:
@@ -483,29 +500,30 @@ class TestBurkholder:
             burkholder_sandwich(capped_batch, 2.0, 1.2, 3)
 
 
-# each per-key call, the pass whose keys it reads, and that pass's domain: the rho values
-# outside it and the first n past it (n = -1 is outside every domain)
+# each per-key call, the kind of key it reads, and that kind's domain: the rho values outside
+# it and the first n past it (n = -1 is outside every domain)
 PER_KEY_CALLS = {
-    "sums_at": (sums_at, increment_sums, (0.5, math.inf, math.nan), lambda b: b.n_max),
-    "burkholder_sandwich": (lambda b, rho, n: burkholder_sandwich(b, 2.0, rho, n), increment_sums,
-                            (0.5, math.inf, math.nan), lambda b: b.n_max),
-    "increment_identity_check": (increment_identity_check, identity_residuals,
+    "partials": (lambda b, rho, n: partials(b, (BRACKET, 2.0, rho, n)), lambda rho, n: (BRACKET, 2.0, rho, n),
+                 (0.5, math.inf, math.nan), lambda b: b.n_max),
+    "burkholder_sandwich": (lambda b, rho, n: burkholder_sandwich(b, 2.0, rho, n),
+                            lambda rho, n: (BRACKET, 2.0, rho, n), (0.5, math.inf, math.nan), lambda b: b.n_max),
+    "increment_identity_check": (increment_identity_check, lambda rho, n: (IDENTITY, rho, n),
                                  (0.5, math.inf, math.nan, 1.0), lambda b: b.n_max - 1),
 }
 
 
-@pytest.mark.parametrize("call, fill, bad_rhos, past", PER_KEY_CALLS.values(), ids=PER_KEY_CALLS)
-def test_a_per_key_call_refuses_the_keys_its_pass_leaves_out(gw_env, call, fill, bad_rhos, past):
+@pytest.mark.parametrize("call, key, bad_rhos, past", PER_KEY_CALLS.values(), ids=PER_KEY_CALLS)
+def test_a_per_key_call_refuses_the_keys_its_pass_leaves_out(gw_env, call, key, bad_rhos, past):
     b = run(SimConfig(env=gw_env, mode="annealed", n_max=8, replicas=300, master_seed=4))
     bad = [(rho, 2) for rho in bad_rhos] + [(1.2, -1), (1.2, past(b))]
-    inside, held = (1.2, past(b) - 1), [(1.1, 1), (1.3, 2)]
-    sums, residuals = increment_sums(b, held), identity_residuals(b, held)
+    inside, held = (1.2, past(b) - 1), [key(1.1, 1), key(1.3, 2)]
+    assert reduce_batch(b, held) == held
+    before = dict(b.partials)
     for rho, n in bad:
         with pytest.raises(ParameterError, match="rho"):
             call(b, rho, n)
-        # a refused key leaves both slots as they were
-        assert b.sums is sums and b.residuals is residuals
-        assert list(sums) == list(residuals) == held
-    # the pass leaves out exactly the keys the per-key call refuses
-    assert list(fill(b, bad + [inside])) == [inside]
+        # a refused key leaves the held partials as they were
+        assert b.partials == before
+    # the reducer leaves out exactly the keys the per-key call refuses
+    assert reduce_batch(b, [key(*k) for k in bad + [inside]]) == [key(*inside)]
     call(b, *inside)

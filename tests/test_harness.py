@@ -124,26 +124,21 @@ class TestRunExperiment:
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
     def test_one_pass_per_relation_call(self, monkeypatch):
-        # every p and rho at one n reads that n's increment pass; every key of the identity reads its one pass
-        passes = []
+        # every p, rho and n of the sandwiches reads one reduction; every key of the identity reads one
+        passes, real = [], bprelab.simulate.reduce_batch
 
-        def spy(name):
-            real = getattr(bprelab.simulate, name)
+        def reduce_batch(batch, keys):
+            keys = list(keys)
+            if len(keys) > 1:
+                passes.append((keys[0][0], len(keys)))
+            return real(batch, keys)
 
-            def pass_(batch, keys):
-                keys = list(keys)
-                passes.append((name, len(keys)))
-                return real(batch, keys)
-
-            monkeypatch.setattr(bprelab.simulate, name, pass_)
-
-        spy("increment_sums")
-        spy("identity_residuals")
+        monkeypatch.setattr(bprelab.simulate, "reduce_batch", reduce_batch)
         report, _, code = run_experiment(small_gw(suites=["burkholder", "identity"], p=[1.5, 2.0]))
         assert code == 0
         assert len(report["suites"]["burkholder"]["results"]) == 18
         assert len(report["suites"]["identity"]["results"]) == 9
-        assert passes == [("increment_sums", 3)] * 3 + [("identity_residuals", 9)]
+        assert passes == [("bracket", 18), ("identity", 9)]
 
     @pytest.mark.parametrize("name", ["two_state", "deterministic"])
     def test_a_mixture_simulates_the_path_seed_path_and_the_annealed_batch_only(self, monkeypatch, name):

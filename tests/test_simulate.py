@@ -1,5 +1,6 @@
 """Trajectory engine: reproducibility, statuses, dumps, the A/A-hat identity."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -36,10 +37,15 @@ from bprelab.simulate import (
     _choice_cdf,
     _draw_states,
     _law_table,
+    BRACKET,
+    IDENTITY,
+    MOMENT,
+    PRODUCT_ROWS,
     _simulate_block,
-    identity_residuals,
-    increment_sums,
-    sums_at,
+    _weights,
+    partials,
+    piece_grid,
+    reduce_batch,
 )
 
 GW_PMF = {0: 0.25, 2: 0.75}
@@ -678,72 +684,76 @@ class TestLawTable:
             assert row.tolist() == [law.as_mapping().get(v, 0.0) for v in support.tolist()]
 
 
-class TestIncrementSums:
+def piece_sums(batch, terms):
+    """Plain numpy: each piece's sum of terms[i] over the uncapped rows i, one row per side."""
+    kept = np.where(batch.uncapped, np.atleast_2d(terms), 0.0)
+    return np.add.reduceat(kept, piece_grid(batch.replicas)[0][:-1], axis=1)
+
+
+class TestBracketSums:
     def test_matches_per_row_sums_across_row_blocks(self):
         # 10,001 rows: two full blocks of BLOCK_ROWS and a partial third
         batch = run(small_cfg(n_max=6, replicas=10_001, rho_grid=()))
         assert batch.replicas > 2 * BLOCK_ROWS and batch.replicas % BLOCK_ROWS
-        keys = [(rho, n) for rho in (1.1, 1.3) for n in range(batch.n_max)]
-        sums = increment_sums(batch, keys)
-        assert list(sums) == keys
-        for rho, n in keys:
+        keys = [(BRACKET, p, rho, n) for p in (1.5, 2.0) for rho in (1.1, 1.3) for n in range(batch.n_max)]
+        assert reduce_batch(batch, keys) == keys
+        for key in keys:
+            _, p, rho, n = key
             terms = rho ** np.arange(n + 1) * np.diff(batch.w[:, : n + 2], axis=1)
-            a_hat, q2 = sums[rho, n]
-            # numpy's row sums and the pass add the same terms in another order
-            assert within(a_hat, terms.sum(axis=1), terms)
-            assert within(q2, (terms * terms).sum(axis=1), terms * terms)
+            want = piece_sums(batch, [np.abs(terms.sum(axis=1)) ** p, np.sqrt((terms * terms).sum(axis=1)) ** p])
+            assert batch.partials[key].shape == want.shape
+            assert np.allclose(batch.partials[key], want, rtol=1e-12, atol=0), key
 
-    def test_one_slot_per_batch(self):
+    def test_partials_are_held_per_batch(self):
         batch = run(small_cfg(replicas=50))
-        first = increment_sums(batch, [(1.2, 3), (1.2, 3), (1.5, 0)])
-        assert list(first) == [(1.2, 3), (1.5, 0)]
-        assert batch.sums is first
-        assert sums_at(batch, 1.5, 0)[0] is first[1.5, 0][0]
-        # a miss runs a one-key pass that replaces the slot
-        a_hat, q2 = sums_at(batch, 1.1, 4)
-        assert list(batch.sums) == [(1.1, 4)]
-        terms = 1.1 ** np.arange(5) * np.diff(batch.w[:, :6], axis=1)
-        assert within(a_hat, terms.sum(axis=1), terms)
-        assert within(q2, (terms * terms).sum(axis=1), terms * terms)
+        first, second = (BRACKET, 2.0, 1.2, 3), (BRACKET, 2.0, 1.5, 0)
+        assert reduce_batch(batch, [first, first, second]) == [first, second]
+        held = batch.partials[first]
+        assert partials(batch, first) is held
+        # a miss reduces that key alone and keeps the others
+        partials(batch, (MOMENT, 2.0, 1, 3))
+        assert list(batch.partials) == [first, second, (MOMENT, 2.0, 1, 3)]
+        assert batch.partials[first] is held
 
     def test_scratch_is_one_block_of_increments(self):
         batch = run(small_cfg(replicas=6 * BLOCK_ROWS))
-        # more keys than increments a row: a K-row temporary per block would break the bound
-        keys = [(rho, n) for rho in (1.0, 1.1, 1.3) for n in range(batch.n_max)]
+        # more keys than increments a row: a K-row temporary per row of the batch would break the bound
+        keys = [(BRACKET, 2.0, rho, n) for rho in (1.0, 1.1, 1.3) for n in range(batch.n_max)]
         top = batch.n_max - 1
-        sums, peak = traced_peak(lambda: increment_sums(batch, keys))
-        results = 2 * len(keys) * batch.replicas * 8
-        assert len(sums) == len(keys) > top + 2
-        assert peak - results <= BLOCK_ROWS * (top + 2) * 8 + SLACK_BYTES, (peak, results)
+        held, peak = traced_peak(lambda: reduce_batch(batch, keys))
+        assert len(held) == len(keys) > top + 2
+        # A_hat and Q^2 of every key, both sides' terms, one product's increments, the capped mask
+        scratch = 8 * BLOCK_ROWS * 4 * len(keys) + 8 * PRODUCT_ROWS * (top + 1) + 2 * BLOCK_ROWS
+        assert peak <= scratch + SLACK_BYTES, (peak, scratch)
 
     def test_a_lone_key_pass_equals_its_rows_of_a_multi_key_pass(self):
         # two full blocks of BLOCK_ROWS and a partial third
         batch = run(small_cfg(replicas=2 * BLOCK_ROWS + 7))
-        keys = [(rho, n) for rho in (1.0, 1.1, 1.3) for n in (0, 5, batch.n_max - 1)]
-        multi = increment_sums(batch, keys)
+        keys = [(BRACKET, 2.0, rho, n) for rho in (1.0, 1.1, 1.3) for n in (0, 5, batch.n_max - 1)]
+        reduce_batch(batch, keys)
         for key in keys:
-            lone = increment_sums(batch, [key])
-            assert list(lone) == [key]
-            assert all(map(np.array_equal, lone[key], multi[key])), key
+            lone = dataclasses.replace(batch)
+            assert reduce_batch(lone, [key]) == [key]
+            assert np.array_equal(lone.partials[key], batch.partials[key]), key
 
-    def test_sandwiches_hold_one_n_of_sums(self):
-        # twelve blocks: nine keys at once would hold 2 x 9 rows of float64
+    def test_sandwiches_hold_no_per_row_array(self):
+        # twelve blocks: per-row sums of nine (rho, n) would take 2 x 9 x 8 bytes a row
         batch = run(small_cfg(replicas=12 * BLOCK_ROWS))
         rhos, ns = (1.0, 1.1, 1.3), (0, 5, batch.n_max - 1)
         items, peak = traced_peak(lambda: relations.sandwiches(batch, (1.5, 2.0), rhos, ns))
-        row = 8 * batch.replicas
-        # one n's sums, one block of its increments, and the sandwich's two row-length temporaries
-        bound = 2 * max(len(rhos), 2) * row + 8 * BLOCK_ROWS * (max(ns) + 1) + 2 * row + SLACK_BYTES
-        assert peak <= bound, (peak, bound)
-        # the slot is emptied after the last bracket
-        assert len(items) == 18 and batch.sums == {}
+        pairs, keys = len(rhos) * len(ns), 2 * len(rhos) * len(ns)
+        # one block's A_hat and Q^2, its terms and one product's increments, and the capped masks
+        scratch = 8 * BLOCK_ROWS * (2 * pairs + 2 * keys) + 8 * PRODUCT_ROWS * max(ns) + 2 * batch.replicas
+        assert peak <= scratch + SLACK_BYTES, (peak, scratch)
+        assert len(items) == 18
 
     def test_keys_outside_the_pass_are_left_out(self):
         batch = run(small_cfg(replicas=50))
-        bad = [(0.5, 2), (math.inf, 2), (math.nan, 2), (1.2, -1), (1.2, batch.n_max)]
-        assert increment_sums(batch, bad + [(1.0, batch.n_max - 1)]) is batch.sums
-        assert list(batch.sums) == [(1.0, batch.n_max - 1)]
-        assert increment_sums(batch, bad) == {} and batch.sums == {}
+        bad = [(BRACKET, 2.0, *key) for key in [(0.5, 2), (math.inf, 2), (math.nan, 2), (1.2, -1), (1.2, batch.n_max)]]
+        good = (BRACKET, 2.0, 1.0, batch.n_max - 1)
+        assert reduce_batch(batch, bad + [good]) == [good]
+        assert list(batch.partials) == [good]
+        assert reduce_batch(batch, bad) == [] and list(batch.partials) == [good]
 
 
 def reference_residual(batch, rho, n, a_hat_n):
@@ -827,8 +837,15 @@ def small_batches(draw):
     ))
 
 
+def lone_a_hat(batch, rho, n):
+    """A_hat_n(rho) on every row: the padded two-row product of _weights with each block's C-order increments."""
+    weights = _weights([(rho, n)], n)
+    return np.concatenate([weights @ np.diff(batch.w[lo : lo + BLOCK_ROWS, : n + 2], axis=1).T.copy()
+                           for lo in range(0, batch.replicas, BLOCK_ROWS)], axis=1)[0]
+
+
 class TestIdentityPass:
-    """The one-pass residuals against the whole-batch reference and a row-by-row fsum oracle."""
+    """The reducer's residuals against the whole-batch reference and a row-by-row fsum oracle."""
 
     RHOS = (1.0, 1.1, 1.3, 1.7)
 
@@ -840,25 +857,19 @@ class TestIdentityPass:
         return batch
 
     def keys(self, batch):
-        return [(rho, n) for rho in self.RHOS for n in (0, 1, 6, batch.n_max - 2, batch.n_max - 1)]
+        return [(IDENTITY, rho, n) for rho in self.RHOS for n in (0, 1, 6, batch.n_max - 2, batch.n_max - 1)]
 
     def test_primed_cold_and_reference_agree_bit_for_bit(self, batch):
-        keys = self.keys(batch)
-        primed = dict(identity_residuals(batch, keys))
-        assert batch.residuals == primed
+        primed = dataclasses.replace(batch)
+        held = reduce_batch(primed, self.keys(batch))
         # rho = 1 and n = n_max - 1 are left out, for the per-key call to refuse
-        assert list(primed) == [(rho, n) for rho, n in keys if rho > 1.0 and n < batch.n_max - 1]
-        # the reference reads A_hat_n from one increment pass over every key
-        sums = increment_sums(batch, keys)
-        for (rho, n), residual in primed.items():
-            assert increment_identity_check(batch, rho, n) == residual
-            cold = identity_residuals(batch, [(rho, n)])
-            assert cold == {(rho, n): residual} and batch.residuals is cold
-            assert reference_residual(batch, rho, n, sums[rho, n][0]) == residual, (rho, n)
-            # a miss in the slot runs a one-key pass that replaces it
-            batch.residuals = {}
-            assert increment_identity_check(batch, rho, n) == residual
-            assert list(batch.residuals) == [(rho, n)]
+        assert held == [(kind, rho, n) for kind, rho, n in self.keys(batch) if rho > 1.0 and n < batch.n_max - 1]
+        for _, rho, n in held:
+            residual = increment_identity_check(primed, rho, n)
+            cold = dataclasses.replace(batch)
+            assert increment_identity_check(cold, rho, n) == residual
+            assert list(cold.partials) == [(IDENTITY, rho, n)]
+            assert reference_residual(batch, rho, n, lone_a_hat(batch, rho, n)) == residual, (rho, n)
 
     def test_matches_a_row_by_row_fsum_oracle(self, batch):
         for rho, n in ((1.1, 0), (1.3, 6), (1.7, batch.n_max - 2)):
@@ -868,32 +879,33 @@ class TestIdentityPass:
 
     def test_keys_outside_the_pass_are_left_out(self, batch):
         bad = [(1.0, 2), (0.5, 2), (math.inf, 2), (math.nan, 2), (1.2, -1), (1.2, batch.n_max - 1)]
-        assert identity_residuals(batch, bad) == {} and batch.residuals == {}
+        fresh = dataclasses.replace(batch)
+        assert reduce_batch(fresh, [(IDENTITY, *key) for key in bad]) == [] and fresh.partials == {}
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(small_batches(), st.data())
     def test_drawn_batches_match_the_reference_and_lone_key_passes(self, batch, data):
-        keys = data.draw(st.lists(st.tuples(st.floats(1.01, 3.0), st.integers(0, batch.n_max - 2)),
+        keys = data.draw(st.lists(st.tuples(st.just(IDENTITY), st.floats(1.01, 3.0), st.integers(0, batch.n_max - 2)),
                                   min_size=1, max_size=6))
-        residuals = dict(identity_residuals(batch, keys))
-        assert list(residuals) == list(dict.fromkeys(keys))
-        sums = increment_sums(batch, keys)
-        for (rho, n), residual in residuals.items():
-            assert reference_residual(batch, rho, n, sums[rho, n][0]) == residual, (rho, n)
-            assert identity_residuals(batch, [(rho, n)]) == {(rho, n): residual}
+        assert reduce_batch(batch, keys) == list(dict.fromkeys(keys))
+        for key in dict.fromkeys(keys):
+            _, rho, n = key
+            residual = increment_identity_check(batch, rho, n)
+            assert reference_residual(batch, rho, n, lone_a_hat(batch, rho, n)) == residual, (rho, n)
+            lone = dataclasses.replace(batch)
+            assert increment_identity_check(lone, rho, n) == residual
             assert residual <= IDENTITY_TOL
 
     def test_holds_no_per_row_array(self):
         # twelve blocks: per-row sums of eighteen keys would take 2 x 18 x 8 bytes a row
         batch = run(small_cfg(n_max=8, replicas=12 * BLOCK_ROWS))
-        keys = [(rho, n) for rho in (1.1, 1.2, 1.3, 1.5, 1.7, 1.9) for n in (0, 3, 6)]
+        keys = [(IDENTITY, rho, n) for rho in (1.1, 1.2, 1.3, 1.5, 1.7, 1.9) for n in (0, 3, 6)]
         top = 6
-        residuals, peak = traced_peak(lambda: identity_residuals(batch, keys))
-        assert len(residuals) == len(keys)
-        # one block of increments (then of W_N - W_k), the product with the K weight rows, and
-        # six key rows: A_n, the right-hand side and its terms' temporaries; a K-row temporary
-        # per block breaks the bound
-        scratch = 8 * BLOCK_ROWS * ((top + 1) + len(keys) + 6)
+        held, peak = traced_peak(lambda: reduce_batch(batch, keys))
+        assert len(held) == len(keys)
+        # one block's A_hat and Q^2 of every key, its W_N - W_k and six key rows (A_n, the
+        # right-hand side and its terms' temporaries), and one product's increments
+        scratch = 8 * BLOCK_ROWS * (2 * len(keys) + (top + 1) + 6) + 8 * PRODUCT_ROWS * (top + 1)
         assert peak <= scratch + SLACK_BYTES, (peak, scratch)
 
 
@@ -936,7 +948,7 @@ class TestDumps:
         for b in (batch, TrajectoryBatch.load(target)):
             with pytest.raises(ValueError, match="read-only"):
                 b.w[0, 1] = 2.0
-            assert b.sums == {}
+            assert b.partials == {}
 
     def test_load_rejects_unknown_format(self, tmp_path, monkeypatch):
         batch = run(small_cfg(replicas=5))

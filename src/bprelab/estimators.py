@@ -2,8 +2,11 @@
 
 Every estimator drops capped replicas (their trajectories are frozen, not
 simulated) and reports the dropped fraction; extinct replicas stay in, since
-W = 0 is genuine mass of the limit law. Standard errors come from 30
-contiguous batch means.
+W = 0 is genuine mass of the limit law. An estimate is built from the
+simulator's per-piece sums (simulate.partials): its mean is their
+math.fsum over the uncapped rows, and its standard error comes from the
+means of N_BATCHES fixed row ranges of all replicas (np.array_split's
+chunks), each over its uncapped rows; a chunk without one has no mean.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimateUnavailableError, FitUnavailableError, ParameterError
-from .simulate import BRACKET, MOMENT, N_BATCHES, TrajectoryBatch, partials, piece_grid  # noqa: F401
+from .simulate import BRACKET, MOMENT, N_BATCHES, TrajectoryBatch, partials  # N_BATCHES: the chunks' count
 
 MIN_REPLICAS = 100
 CI_Z = 1.96
@@ -36,10 +39,10 @@ def _means(batch: TrajectoryBatch, sums: np.ndarray) -> tuple[float, np.ndarray]
     math.fsum adds the pieces of all rows, and of each batch-means chunk,
     whose mean is over its uncapped rows; a chunk without one has no mean.
     """
-    bounds, chunk = piece_grid(batch.replicas)
-    counts = np.add.reduceat(batch.uncapped, bounds[:-1], dtype=np.intp)
-    means = [math.fsum(sums[chunk == j]) / used for j, used in enumerate(np.bincount(chunk, counts)) if used]
-    return math.fsum(sums) / int(counts.sum()), np.array(means)
+    firsts, counts = batch.chunk_pieces
+    values = sums.tolist()
+    means = [math.fsum(values[a:b]) / sum(counts[a:b]) for a, b in zip(firsts, firsts[1:]) if sum(counts[a:b])]
+    return math.fsum(values) / sum(counts), np.array(means)
 
 
 def _stderr_of(means: np.ndarray) -> float:
@@ -50,7 +53,7 @@ def _stderr_of(means: np.ndarray) -> float:
 
 def _rows_used(batch: TrajectoryBatch) -> int:
     """How many rows every estimate uses: the uncapped ones, at least MIN_REPLICAS."""
-    used = int(batch.uncapped.sum())
+    used = sum(batch.chunk_pieces[1])
     if used < MIN_REPLICAS:
         raise EstimateUnavailableError(f"only {used} uncapped replicas; need >= {MIN_REPLICAS}")
     return used
@@ -77,8 +80,9 @@ class LpEstimate:
 
 
 def _estimate_from(batch: TrajectoryBatch, p: float, n: int, gap: int) -> LpEstimate:
+    sums = partials(batch, (MOMENT, p, n, gap))
     used = _rows_used(batch)
-    value, means = _means(batch, partials(batch, (MOMENT, p, n, gap)))
+    value, means = _means(batch, sums)
     return LpEstimate(
         p=p,
         n=n,

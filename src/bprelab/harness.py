@@ -4,8 +4,9 @@ A report is deterministic for a given config (the timings block aside): suites e
 declared order, every verdict lands in `checks` as {id, suite, statement, passed, observed}, and
 the exit code is 0 when all checks pass, 2 when any fails, 1 for config or precondition errors
 (decided by the CLI, which maps raised errors). `_SUITES` declares each suite once: its body,
-the batch it reads and whether `verify` runs it. The suite loop simulates each batch for its
-first reader and drops it after its last. `run` runs the config's suites at its sizes;
+the batch it reads, whether `verify` runs it and the reducer keys it reads of that batch. The
+suite loop simulates each batch, reduced at its readers' keys, for its first reader and drops
+it after its last. `run` runs the config's suites at its sizes;
 `verify` runs the suites marked for it through the same loop at small sizes, under
 `_Context(verify=True)`, and names the suites it could not run instead of refusing.
 """
@@ -34,6 +35,9 @@ from .estimators import (
 )
 from .relations import TABLE_REL, Item, p_tag
 from .simulate import (
+    BRACKET,
+    IDENTITY,
+    MOMENT,
     MODE_ANNEALED,
     MODE_QUENCHED,
     SimConfig,
@@ -194,6 +198,12 @@ def _suite_exact(ctx: _Context) -> dict:
 # suites: quenched-rate / annealed-rate
 
 
+def _moment_keys(ctx: _Context) -> list[tuple]:
+    """The reducer keys both rate suites read: |W_{n+gap} - W_n|^p at each p and n."""
+    gap = ctx.cfg.gap
+    return [(MOMENT, p, n, gap) for p in ctx.cfg.p for n in range(ctx.cfg.n_max - gap + 1)]
+
+
 def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, oracles) -> list[dict]:
     """The per-p body of both rate suites: records each p's items; returns the per-p sections.
 
@@ -237,10 +247,15 @@ def _suite_annealed_rate(ctx: _Context, batch: TrajectoryBatch) -> dict:
 # suite: burkholder
 
 
-def _suite_burkholder(ctx: _Context, batch: TrajectoryBatch) -> dict:
-    last = batch.n_max - 1
+def _bracket_keys(ctx: _Context) -> list[tuple]:
+    """The burkholder suite's reducer keys, at each p, rho and n in that order."""
+    last = ctx.cfg.n_max - 1
     ns = sorted({min(2, last), last // 2, last})
-    items = relations.sandwiches(batch, ctx.cfg.p, ctx.rho_grid(), ns)
+    return [(BRACKET, p, rho, n) for p in ctx.cfg.p for rho in ctx.rho_grid() for n in ns]
+
+
+def _suite_burkholder(ctx: _Context, batch: TrajectoryBatch) -> dict:
+    items = relations.sandwiches(batch, _bracket_keys(ctx))
     results = [item.detail for item in ctx.record("burkholder", items)]
     fields = ("p", "rho", "n", "a_norm", "q_norm", "lower", "upper", "ok")
     ctx.add_csv("burkholder.csv", fields, map(attrgetter(*fields), results))
@@ -318,31 +333,38 @@ def _suite_criteria(ctx: _Context) -> dict:
 # suite: identity
 
 
+def _identity_keys(ctx: _Context) -> list[tuple]:
+    """The identity suite's reducer keys, at each rho and n in that order."""
+    ns = sorted({1, ctx.cfg.n_max // 2, ctx.cfg.n_max - 2})
+    return [(IDENTITY, rho, n) for rho in ctx.rho_grid() for n in ns]
+
+
 def _suite_identity(ctx: _Context, batch: TrajectoryBatch) -> dict:
-    ns = sorted({1, batch.n_max // 2, batch.n_max - 2})
-    items = relations.identity(batch, ctx.rho_grid(), ns)
+    items = relations.identity(batch, _identity_keys(ctx))
     return {"results": [item.detail for item in ctx.record("identity", items)]}
 
 
 class _Suite(NamedTuple):
-    """A suite's body, the mode of the batch it reads (None: none) and whether `verify` runs
-    it. _run_suites simulates a batch for its first reader, hands it to each reader's body and
+    """A suite's body, the mode of the batch it reads (None: none), whether `verify` runs it,
+    and the reducer keys it reads of that batch. _run_suites simulates a batch for its first
+    reader, reduced at every key its readers declare, hands it to each reader's body and
     drops it once no later suite of the run reads it."""
 
     body: Callable
     reads: Callable[[_Context], str] | None
     verify: bool
+    keys: Callable[[_Context], list] | None = None
 
 
 # in the order of config.KNOWN_SUITES (a test holds them equal)
 _SUITES = {
     "rates": _Suite(_suite_rates, None, True),
     "exact": _Suite(_suite_exact, None, True),
-    "quenched-rate": _Suite(_suite_quenched_rate, lambda ctx: MODE_QUENCHED, True),
-    "annealed-rate": _Suite(_suite_annealed_rate, lambda ctx: MODE_ANNEALED, False),
-    "burkholder": _Suite(_suite_burkholder, _Context.default_mode, True),
+    "quenched-rate": _Suite(_suite_quenched_rate, lambda ctx: MODE_QUENCHED, True, _moment_keys),
+    "annealed-rate": _Suite(_suite_annealed_rate, lambda ctx: MODE_ANNEALED, False, _moment_keys),
+    "burkholder": _Suite(_suite_burkholder, _Context.default_mode, True, _bracket_keys),
     "criteria": _Suite(_suite_criteria, None, False),
-    "identity": _Suite(_suite_identity, _Context.default_mode, True),
+    "identity": _Suite(_suite_identity, _Context.default_mode, True, _identity_keys),
 }
 
 
@@ -423,26 +445,33 @@ def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list
     """Run `suites` in order, each section into `body`; returns (report, csv tables, exit code
     2 if any check failed, else 0).
 
-    A suite whose row reads a batch is handed it, simulated in its first
-    reader's timed span. Once a suite returns, a batch that no later suite
-    reads is dropped, so the run holds a batch only while a reader is still to come.
+    A suite whose row reads a batch is handed it, simulated before its
+    first reader and reduced at every key that the run's readers of it
+    declare; `timings.batches` holds each batch's seconds and a suite's
+    timing its own. Once a suite returns, a batch that no later suite reads
+    is dropped, so the run holds a batch only while a reader is still to come.
     """
     cfg = ctx.cfg
     reads = [_SUITES[suite].reads and _SUITES[suite].reads(ctx) for suite in suites]
+    keys = {mode: [key for suite, read in zip(suites, reads) if read == mode for key in _SUITES[suite].keys(ctx)]
+            for mode in filter(None, reads)}
     batches: dict[str, TrajectoryBatch] = {}
-    timings: dict = {}
-    t_start = time.perf_counter()
+    timings: dict = {"batches": {}}
+    # consecutive clock readings: every second of the loop lands in one batch's or one suite's entry
+    t_start = t0 = time.perf_counter()
     for i, (suite, mode) in enumerate(zip(suites, reads)):
-        t0 = time.perf_counter()
         if mode and mode not in batches:
             batches[mode] = run(SimConfig(
                 mode=mode, env=cfg.env, n_max=cfg.n_max, replicas=cfg.replicas,
                 master_seed=cfg.master_seed, path_seed=cfg.path_seed, pop_cap=cfg.pop_cap,
-            ))
+            ), reductions=keys[mode])
+            t1 = time.perf_counter()
+            timings["batches"][mode], t0 = t1 - t0, t1
         body[suite] = _SUITES[suite].body(ctx, batches[mode]) if mode else _SUITES[suite].body(ctx)
-        timings[suite] = time.perf_counter() - t0
         if mode and mode not in reads[i + 1:]:
             del batches[mode]
+        t1 = time.perf_counter()
+        timings[suite], t0 = t1 - t0, t1
     timings["total"] = time.perf_counter() - t_start
     checks = ctx.checks
     failed = sum(1 for c in checks if not c["passed"])

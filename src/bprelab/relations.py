@@ -143,12 +143,12 @@ def recursion_slack(env: Environment, n: int) -> list[Item]:
     return [Item("recursion-slack", statement, min_slack >= -ROUNDING, {"min_slack": min_slack})]
 
 
-def identity(batch: TrajectoryBatch, rhos, ns) -> list[Item]:
-    """The telescoped and accumulator forms of A_hat_n(rho) within IDENTITY_TOL, at each (rho, n)
-    inside the reducer's identity domain for this batch, once each."""
+def identity(batch: TrajectoryBatch, keys) -> list[Item]:
+    """The telescoped and accumulator forms of A_hat_n(rho) within IDENTITY_TOL, at each
+    ("identity", rho, n) key inside the reducer's domain for this batch, once each."""
     statement = "the telescoped and accumulator forms of the weighted sum agree"
     items = []
-    for _, rho, n in simulate.reduce_batch(batch, [(simulate.IDENTITY, rho, n) for rho in rhos for n in ns]):
+    for _, rho, n in simulate.reduce_batch(batch, keys):
         residual = simulate.increment_identity_check(batch, rho, n)
         items.append(Item(f"rho{rho:.4g}.n{n}", statement, residual <= IDENTITY_TOL,
                           {"residual": residual, "tolerance": IDENTITY_TOL},
@@ -156,13 +156,12 @@ def identity(batch: TrajectoryBatch, rhos, ns) -> list[Item]:
     return items
 
 
-def sandwiches(batch: TrajectoryBatch, ps, rhos, ns) -> list[Item]:
-    """The square-function bracket of A_hat_n(rho) with SLACK_SIGMAS slack, at each p, rho and n,
-    in that order, from one reduction of every bracket."""
-    keys = [(simulate.BRACKET, p, rho, n) for p in ps for rho in rhos for n in ns]
+def sandwiches(batch: TrajectoryBatch, keys) -> list[Item]:
+    """The square-function bracket of A_hat_n(rho) with SLACK_SIGMAS slack, at each
+    ("bracket", p, rho, n) key in order, from one reduction of every key."""
+    simulate.reduce_batch(batch, keys)
     statement = "the weighted-increment norm sits inside the square-function bracket"
     items = []
-    simulate.reduce_batch(batch, keys)
     for _, p, rho, n in keys:
         sc = estimators.burkholder_sandwich(batch, p, rho, n)
         observed = {"a_norm": sc.a_norm, "lower": sc.lower, "upper": sc.upper}

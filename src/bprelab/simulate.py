@@ -1,18 +1,15 @@
-"""Monte Carlo trajectory engine for (Z_n, W_n) paths and weighted increment sums.
+"""Monte Carlo trajectory engine for (Z_n, W_n) paths and their per-block reductions.
 
 Replicas are simulated in blocks of BLOCK_ROWS rows. Block b draws from its
 own generator seeded by ``SeedSequence(master_seed, spawn_key=(b,))``, so a
 batch depends only on its config, not on which process draws a block. The
 blocks are dealt round-robin to min(usable CPUs, blocks) workers, the calling
-process and ``os.fork`` children, which write w, status and status_gen into
-one shared anonymous mapping; a batch is bit-identical at any worker count
-and at any ``threads`` value. The mapping holds w generation-major: w[i, n]
-is replica i's W_n, but generation n's values for all replicas are one
-contiguous run, so the simulator's per-generation writes and every reduction
-over one generation touch contiguous memory. Threads would not help: numpy's
-multinomial sampler holds the GIL. Workers are forked, not spawned, because a
-spawned interpreter would pay a fresh numpy import, a large share of a
-batch's time.
+process and ``os.fork`` children, which write status, status_gen and the
+batch's partial results into one shared anonymous mapping; a batch is
+bit-identical at any worker count and at any ``threads`` value. Threads
+would not help: numpy's multinomial sampler holds the GIL. Workers are
+forked, not spawned, because a spawned interpreter would pay a fresh numpy
+import, a large share of a batch's time.
 
 Within a block, an annealed batch first draws every row's environment states
 from the same rows x n_max uniforms that ``Generator.choice`` would draw,
@@ -24,31 +21,29 @@ slice until the first row stops and an index after, against a table of their
 laws taken from the union-support pmf rows, while each live row's log P_n is
 one running vector of the law log means and exp(-log P_n) is taken on the
 live rows only. Where every row shares its path (a quenched path, a one-state
-mixture), each generation draws against one pmf row and scales by one 1/P_n
-vector. Generation totals are drawn exactly (multinomial category counts of
-the parent population dotted with the support, which is the exact law of the
-sum of per-individual draws); populations above pop_cap stop simulating and
-are flagged.
+mixture), each generation draws against one pmf row, or skips the draw of a
+point mass, and scales by one 1/P_n vector. Generation totals are drawn
+exactly (multinomial category counts of the parent population dotted with
+the support, which is the exact law of the sum of per-individual draws);
+populations above pop_cap stop simulating and are flagged.
 
-The weighted increment sums A_hat_n(rho) and Q_n(rho)^2 at the (rho, n) keys
-of one call come from one pass over w, BLOCK_ROWS rows at a time, as matrix
-products of the increments with the weights rho^k [k <= n], written straight
-into the result rows (``increment_sums``); the square-function bracket runs
-one such pass per n, so a batch holds one n's sums at a time, and empties the
-slot after its last bracket. The accumulator identity's residuals at every
-(rho, n) come from a pass of their own (``identity_residuals``) that keeps
-only running maxima past a block. Both passes read the increments straight
-from generation-major w into one C-order block that every block reuses, and
-pad a lone key's weights with a zero row, so a key's bits do not depend on
-the other keys of its pass. The batch keeps each pass's last result in a slot
-of its own: ``sums`` and ``residuals``. Each pass's key domain has one
-owner, ``_sums_refusal`` and ``_residual_refusal``: it decides the keys the
-pass leaves out and the keys its per-key call (``sums_at``,
-``increment_identity_check``) refuses, leaving the slot as it was.
+Every estimate is a reduction that splits by row, so one reducer
+(``_reduce_block``) turns a block into partials: per-piece sums for
+moments and brackets, per-block maxima for the accumulator identity. A
+piece is the rows of one batch-means chunk (``piece_grid``) inside one
+block; a sum is pairwise within a piece and ``math.fsum`` across pieces, so
+no sum depends on which worker reduced which block. ``run`` with
+reductions has each worker fill one private generation-major block at a
+time and reduce it there, so no w matrix is ever held; without them the
+mapping stores w generation-major (w.T is C-contiguous) and
+``reduce_batch`` runs the same reducer over its stored blocks. The keys are
+tagged tuples: ("moment", p, n, gap), ("bracket", p, rho, n) and
+("identity", rho, n); ``_refusal`` owns their domains.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import mmap
@@ -99,9 +94,11 @@ class SimConfig:
 
     mode "quenched" samples a single environment path from path_seed (or the
     fixed path's prefix) shared by every replica; "annealed" gives each
-    replica its own i.i.d. path from its block's stream. bprelab itself asks
+    replica its own i.i.d. path from its block's stream. The reductions a
+    batch is reduced at are run's, not the config's. bprelab itself asks
     for no accumulators and leaves rho_grid empty; the field remains only
-    because the benchmark under bench/ still sets it, and goes with that use.
+    because the benchmark under bench/ still sets it, and goes with that use;
+    its a_hat needs the stored w.
     """
 
     env: Environment
@@ -142,15 +139,17 @@ class SimConfig:
 
 @dataclass
 class TrajectoryBatch:
-    """Simulated W_n trajectories.
+    """Simulated W_n trajectories, stored or reduced.
 
-    w[i, n] is replica i's W_n for n = 0..n_max. A simulated w is stored
-    generation-major (w.T is C-contiguous), so a column w[:, n] is contiguous;
-    a loaded one keeps its dump's order and reads the same. a_hat[i, j, n] is
-    A_hat_n(rho_j) = sum_{k<=n} rho_j^k (W_{k+1} - W_k) for n = 0..n_max-1,
-    filled only for a SimConfig.rho_grid. bprelab's own batches leave both
-    empty and take A_hat_n from increment_sums, whose last pass is sums
-    (identity_residuals' is residuals); rho_grid and a_hat remain only
+    A stored batch's w[i, n] is replica i's W_n for n = 0..n_max. A simulated
+    w is stored generation-major (w.T is C-contiguous), so a column w[:, n]
+    is contiguous; a loaded one keeps its dump's order and reads the same.
+    A reduced batch (run with reductions) has a w of no rows; its partials
+    hold the declared keys, and status and status_gen every row. partials
+    maps each reducer key to its per-piece sums or per-block maxima (see
+    reduce_batch). a_hat[i, j, n] is A_hat_n(rho_j) = sum_{k<=n} rho_j^k
+    (W_{k+1} - W_k) for n = 0..n_max-1, filled only for a SimConfig.rho_grid;
+    bprelab's own batches leave it empty, and rho_grid and a_hat remain only
     because the benchmark under bench/ still reads them, and go with that use.
     """
 
@@ -179,6 +178,13 @@ class TrajectoryBatch:
     @property
     def capped_fraction(self) -> float:
         return float(np.mean(self.status == STATUS_CAPPED))
+
+    @functools.cached_property
+    def chunk_pieces(self) -> tuple[list[int], list[int]]:
+        """The first piece of each batch-means chunk, then the piece count (see piece_grid); and
+        each piece's uncapped rows."""
+        bounds, firsts = piece_grid(self.replicas)
+        return firsts, np.add.reduceat(self.uncapped, bounds[:-1], dtype=np.intp).tolist()
 
     def save(self, path) -> None:
         """Versioned binary dump (npz)."""
@@ -284,7 +290,8 @@ def _simulate_block(rng: np.random.Generator, states: np.ndarray, support: np.nd
     states[n] is the law of generation n: one index into pvals and log_means
     for every row when states is 1-D (a shared path, drawn against its one
     pmf row, which numpy draws from as from a table of its copies, and scaled
-    by one 1/P_n vector), else one index per row. Per-row laws keep each live
+    by one 1/P_n vector; a point mass skips the draw and advances the stream
+    as far as the draw would), else one index per row. Per-row laws keep each live
     row's log P_n as one running vector, adding the law log means generation
     by generation, as a cumulative sum would. Rows that die out or pass
     pop_cap stay frozen; the live rows are a slice until the first row stops,
@@ -305,7 +312,12 @@ def _simulate_block(rng: np.random.Generator, states: np.ndarray, support: np.nd
         if not z.size:
             continue
         if shared:
-            z = rng.multinomial(z, pvals[states[n]]) @ support
+            # a point mass gives multinomial's counts without it, then skips its one double a row
+            # (none where the mass is the support's last value)
+            mass = np.flatnonzero(pvals[states[n]])
+            z = rng.multinomial(z, pvals[states[n]]) @ support if len(mass) > 1 else z * support[mass[0]]
+            if len(mass) == 1 and mass[0] < len(support) - 1:
+                rng.bit_generator.advance(len(z))
             w[live, n + 1] = z * pinv[n]
         else:
             law = states[n, live]
@@ -331,18 +343,19 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _shared_outputs(replicas: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """w, status_gen and status as views of one anonymous mapping that forked children share.
+def _shared_outputs(replicas: int, n_max: int, stored: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """w, status_gen and status as views of one anonymous mapping that forked children share;
+    w has no rows unless stored.
 
     w is laid out generation-major: the mapping holds n_max + 1 rows of
     replicas values, and w is their transpose, so w[i, n] is replica i's W_n
     and w[:, n] is one contiguous row. A page is first touched by the worker
     that writes it, so each worker faults in its own pages.
     """
-    w_bytes, gen_bytes = replicas * (n_max + 1) * 8, replicas * 4
+    w_bytes, gen_bytes = replicas * (n_max + 1) * 8 * stored, replicas * 4
     # an anonymous mmap is MAP_SHARED by default: a child's writes land in the parent's pages
     buf = mmap.mmap(-1, w_bytes + gen_bytes + replicas)
-    w = np.frombuffer(buf, dtype=np.float64, count=replicas * (n_max + 1)).reshape(n_max + 1, replicas).T
+    w = np.frombuffer(buf, dtype=np.float64, count=w_bytes // 8).reshape(n_max + 1, -1).T
     status_gen = np.frombuffer(buf, dtype=np.int32, count=replicas, offset=w_bytes)
     status = np.frombuffer(buf, dtype=np.int8, count=replicas, offset=w_bytes + gen_bytes)
     return w, status_gen, status
@@ -368,7 +381,7 @@ def _fork_worker(fill, worker: int) -> int:
         os._exit(code)
 
 
-def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
+def run(cfg: SimConfig, threads: int = 1, reductions=()) -> TrajectoryBatch:
     """Simulate the batch block by block, each block from its own seed stream.
 
     Blocks go round-robin to min(usable CPUs, blocks) workers: this process
@@ -377,16 +390,24 @@ def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
     raises, and a failed child raises SimulationError. Since each block has
     its own stream, the output is bit-identical at any worker count. threads
     must be >= 1 and is otherwise ignored.
+
+    Without reductions the batch stores w. With them, each worker fills one
+    private block at a time, reduces it (see reduce_batch) and writes only
+    the partials of the keys inside the reducer's domain to the mapping; the
+    batch then holds those partials and a w of no rows.
     """
     if threads < 1:
         raise ParameterError("threads must be >= 1")
+    keys = [key for key in dict.fromkeys(reductions) if _refusal(key, cfg.n_max) is None]
+    if keys and cfg.rho_grid:
+        raise ParameterError("a rho grid needs the stored w; declare no reductions with it")
     shared: EnvPath | None = None
     if cfg.mode == MODE_QUENCHED:
         shared = quenched_path(cfg.env, cfg.n_max, cfg.path_seed)
 
     replicas, n_max = cfg.replicas, cfg.n_max
-    w, status_gen, status = _shared_outputs(replicas, n_max)
-    w[:, 0] = 1.0
+    w, status_gen, status = _shared_outputs(replicas, n_max, not keys)
+    out, bounds = _partial_views(keys, replicas, shared=True), piece_grid(replicas)[0]
     status[:] = STATUS_COMPLETED
     status_gen[:] = -1
 
@@ -401,9 +422,12 @@ def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
     workers = min(_usable_cpus(), len(starts))
 
     def fill(worker: int) -> None:
+        private = np.empty((n_max + 1, BLOCK_ROWS)) if keys else None
         for block in range(worker, len(starts), workers):
             lo = starts[block]
             hi = min(lo + BLOCK_ROWS, replicas)
+            rows = private[:, : hi - lo].T if keys else w[lo:hi]
+            rows[:, 0] = 1.0
             rng = np.random.default_rng(cfg.block_seed(block))
             if shared is not None:
                 states = path_states
@@ -414,7 +438,9 @@ def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
             else:
                 states = _draw_states(rng, cdf, hi - lo, n_max)
             _simulate_block(rng, states, support, pvals, log_means, cfg.pop_cap,
-                            w[lo:hi], status[lo:hi], status_gen[lo:hi])
+                            rows, status[lo:hi], status_gen[lo:hi])
+            if keys:
+                _reduce_block(rows, lo, status[lo:hi], bounds, out)
 
     children: list[int] = []
     try:
@@ -436,7 +462,7 @@ def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
             hi = min(lo + BLOCK_ROWS, replicas)
             a_hat[lo:hi] = np.cumsum(rho_pows * np.diff(w[lo:hi], axis=1)[:, None, :], axis=2)
 
-    return TrajectoryBatch(
+    batch = TrajectoryBatch(
         mode=cfg.mode,
         n_max=n_max,
         replicas=replicas,
@@ -449,6 +475,8 @@ def run(cfg: SimConfig, threads: int = 1) -> TrajectoryBatch:
         status_gen=status_gen,
         path=shared,
     )
+    batch.partials.update(out)
+    return batch
 
 
 def _weights(keys, top: int) -> np.ndarray:
@@ -464,24 +492,20 @@ def _weights(keys, top: int) -> np.ndarray:
     return np.array(rows + [[0.0] * (top + 1)] * (len(rows) == 1))
 
 
-def _blocks(rows: int):
-    """(lo, hi) of each BLOCK_ROWS slice of rows."""
-    return ((lo, min(lo + BLOCK_ROWS, rows)) for lo in range(0, rows, BLOCK_ROWS))
+def piece_grid(replicas: int) -> tuple[np.ndarray, list[int]]:
+    """The block grid of a batch's sums: the row bounds of its pieces, and the first piece of
+    each batch-means chunk, then the piece count.
 
-
-def piece_grid(replicas: int) -> tuple[np.ndarray, np.ndarray]:
-    """The block grid of a batch's sums: the row bounds of its pieces, and each piece's chunk.
-
-    The batch-means chunks are np.array_split's min(N_BATCHES, replicas) row
-    ranges of all rows. A piece is the rows of one chunk inside one block, so
-    the bounds are every chunk start and every block start in row order, then
+    The chunks are np.array_split's min(N_BATCHES, replicas) row ranges of
+    all rows. A piece is the rows of one chunk inside one block, so the
+    bounds are every chunk start and every block start in row order, then
     replicas.
     """
     chunks = min(N_BATCHES, replicas)
     s, r = divmod(replicas, chunks)
     starts = [j * s + min(j, r) for j in range(chunks)]
     bounds = np.array(sorted({*starts, *range(0, replicas, BLOCK_ROWS)}) + [replicas])
-    return bounds, np.searchsorted(starts, bounds[:-1], side="right") - 1
+    return bounds, np.searchsorted(bounds, starts + [replicas]).tolist()
 
 
 def _refusal(key, n_max: int) -> str | None:
@@ -494,84 +518,69 @@ def _refusal(key, n_max: int) -> str | None:
     if kind == MOMENT:
         inside = 0 <= args[1] <= args[1] + args[2] <= n_max
         return None if inside else f"a moment needs 0 <= n <= n + gap <= {n_max}; got {key}"
-    rho, n = args[-2:]
-    if kind == BRACKET:
-        inside = math.isfinite(rho) and rho >= 1.0 and 0 <= n < n_max
-        return None if inside else f"increment sums need a finite rho >= 1 and 0 <= n < {n_max}; got ({rho}, {n})"
-    inside = kind == IDENTITY and math.isfinite(rho) and rho > 1.0 and 0 <= n < n_max - 1
-    return None if inside else f"the identity needs a finite rho > 1 and 0 <= n < {n_max - 1}; got ({rho}, {n})"
+    (rho, n), bracket = args[-2:], kind == BRACKET
+    inside = math.isfinite(rho) and (rho >= 1.0 if bracket else rho > 1.0) and 0 <= n < n_max - (not bracket)
+    return None if inside else (f"a {kind} needs a finite rho {'>=' if bracket else '>'} 1 and "
+                                f"0 <= n < {n_max - (not bracket)}; got ({rho}, {n})")
 
 
-def _partial_shapes(keys, replicas: int) -> dict:
-    """Each key's partials: per-piece sums for a moment, a row of them for each side of a
-    bracket, and three maxima per block for an identity."""
+def _partial_views(keys, replicas: int, shared: bool = False) -> dict:
+    """Each key's partials, as views of one fresh array, or of one anonymous mapping that forked
+    children share: per-piece sums for a moment, a row of them for each side of a bracket, and
+    three maxima per block for an identity."""
     pieces, blocks = len(piece_grid(replicas)[0]) - 1, -(-replicas // BLOCK_ROWS)
-    return {key: {MOMENT: (pieces,), BRACKET: (2, pieces), IDENTITY: (blocks, 3)}[key[0]] for key in keys}
-
-
-def _views(shapes: dict, buf: np.ndarray | None = None) -> dict:
-    """One view of each key's shape into consecutive stretches of buf (a fresh array where None)."""
-    buf = np.empty(sum(map(math.prod, shapes.values()))) if buf is None else buf
-    views, at = {}, 0
-    for key, shape in shapes.items():
-        views[key] = buf[at : at + math.prod(shape)].reshape(shape)
-        at += math.prod(shape)
-    return views
+    shapes = [{MOMENT: (pieces,), BRACKET: (2, pieces), IDENTITY: (blocks, 3)}[key[0]] for key in keys]
+    sizes = [math.prod(shape) for shape in shapes]
+    # a mapping needs at least one byte; the spare float is never read
+    buf = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes) + 8)) if shared else np.empty(sum(sizes))
+    return {key: buf[at : at + size].reshape(shape)
+            for key, shape, size, at in zip(keys, shapes, sizes, np.cumsum([0] + sizes).tolist())}
 
 
 def _reduce_block(w: np.ndarray, lo: int, status: np.ndarray, bounds: np.ndarray, out: dict) -> None:
     """Reduce the batch rows lo .. lo + len(w) - 1, whose W_n is w[i, n], into the views out.
 
-    Each sum is one row of a C-order array, capped rows zeroed, summed
+    A sum fills one row of scratch, zeroes the capped rows and sums it
     pairwise over each of the block's pieces (bounds as piece_grid gives
     them): |W_{n+gap} - W_n|^p for a moment (W_n^p at gap 0), and
-    |A_hat_n(rho)|^p and Q_n(rho)^p for a bracket. A_hat_n and Q_n^2 at every
-    (rho, n) of the brackets and identities are matrix products of the
-    C-order increments with their _weights and its squares, PRODUCT_ROWS
-    rows at a time. An identity writes its block's maxima over every row of
-    |A_n - rhs|, |A_n| and |rhs|: A_n = sum_{k<=n} rho^k (W_N - W_k), N =
-    n_max, is one matrix-vector product over the C-order W_N - W_k, and
-    rhs = rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1) (W_N - W_{n+1}) -
-    (W_N - 1)/(rho-1) follows the formula's order.
+    |A_hat_n(rho)|^p and Q_n(rho)^p for a bracket. A_hat_n at every (rho, n)
+    of the brackets and identities, and the brackets' Q_n^2, are matrix
+    products of the C-order increments with their _weights and its squares,
+    PRODUCT_ROWS rows at a time. An identity writes its block's maxima over
+    every row of |A_n - rhs|, |A_n| and |rhs|: A_n = sum_{k<=n} rho^k
+    (W_N - W_k), N = n_max, is one matrix-vector product over the C-order
+    W_N - W_k, and rhs = rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1)
+    (W_N - W_{n+1}) - (W_N - 1)/(rho-1) follows the formula's order.
     """
-    size = len(w)
-    pairs = list(dict.fromkeys(key[-2:] for key in out if key[0] != MOMENT))
+    brackets = list(dict.fromkeys(key[2:] for key in out if key[0] == BRACKET))
+    identities = [key for key in out if key[0] == IDENTITY]
+    pairs = brackets + [key[1:] for key in identities if key[1:] not in brackets]
     if pairs:
         top = max(n for _, n in pairs)
-        weights = _weights(pairs, top)
-        squares = weights * weights
-        a_hat, q2 = np.empty((2, len(weights), size))
-        for at in range(0, size, PRODUCT_ROWS):
+        weights, squares = _weights(pairs, top), _weights(brackets, top) ** 2
+        a_hat, q2 = np.empty((len(weights), len(w))), np.empty((len(squares), len(w)))
+        for at in range(0, len(w), PRODUCT_ROWS):
             rows = slice(at, at + PRODUCT_ROWS)
             d = np.subtract(w.T[1 : top + 2, rows], w.T[: top + 1, rows], order="C")
             np.matmul(weights, d, out=a_hat[:, rows])
-            np.matmul(squares, np.multiply(d, d, out=d), out=q2[:, rows])
-    sums = [key for key in out if key[0] != IDENTITY]
-    values = np.empty((len(sums) + sum(key[0] == BRACKET for key in sums), size))
-    rows = iter(values)
-    for key in sums:
-        if key[0] == MOMENT:
-            _, p, n, gap = key
-            sides = [np.subtract(w[:, n + gap], w[:, n] if gap else 0.0, out=next(rows))]
-        else:
-            p, j = key[1], pairs.index(key[2:])
-            sides = [np.abs(a_hat[j], out=next(rows)), np.sqrt(q2[j], out=next(rows))]
-        for x in sides:
+            if brackets:
+                np.matmul(squares, np.multiply(d, d, out=d), out=q2[:, rows])
+    i0, i1 = np.searchsorted(bounds, (lo, lo + len(w)))
+    cuts = (bounds[i0 : i1 + 1] - lo).tolist()
+    capped, x = np.flatnonzero(status == STATUS_CAPPED), np.empty(len(w))
+    for key in (key for key in out if key[0] != IDENTITY):
+        j = pairs.index(key[2:]) if key[0] == BRACKET else None
+        for side, sums in enumerate(out[key].reshape(-1, out[key].shape[-1])):
+            if key[0] == MOMENT:
+                np.subtract(w[:, key[2] + key[3]], w[:, key[2]] if key[3] else 0.0, out=x)
+            elif side == 0:
+                np.copyto(x, a_hat[j])
+            else:
+                np.sqrt(q2[j], out=x)
             np.abs(x, out=x)
-            x **= p
-    if sums:
-        capped = status == STATUS_CAPPED
-        if capped.any():
-            values[:, capped] = 0.0
-        i0, i1 = np.searchsorted(bounds, (lo, lo + size))
-        cuts = bounds[i0 : i1 + 1] - lo
-        piece_sums = np.stack([values[:, a:b].sum(axis=1) for a, b in zip(cuts[:-1], cuts[1:])], axis=1)
-        at = 0
-        for key in sums:
-            sides = 1 + (key[0] == BRACKET)
-            out[key][..., i0:i1] = piece_sums[at : at + sides]
-            at += sides
-    identities = [key for key in out if key[0] == IDENTITY]
+            x **= key[1]
+            x[capped] = 0.0
+            sums[i0:i1] = [x[a:b].sum() for a, b in zip(cuts, cuts[1:])]
     if identities:
         w_proxy = w[:, -1]
         telescoped = np.subtract(w_proxy[:, None], w[:, : max(key[2] for key in identities) + 1], order="C")
@@ -597,9 +606,9 @@ def reduce_batch(batch: TrajectoryBatch, keys) -> list:
     if missing and not len(batch.w):
         raise ParameterError(f"reduction {missing[0]} was not declared for this reduced batch")
     if missing:
-        out, bounds = _views(_partial_shapes(missing, batch.replicas)), piece_grid(batch.replicas)[0]
-        for lo, hi in _blocks(batch.replicas):
-            _reduce_block(batch.w[lo:hi], lo, batch.status[lo:hi], bounds, out)
+        out, bounds = _partial_views(missing, batch.replicas), piece_grid(batch.replicas)[0]
+        for lo in range(0, batch.replicas, BLOCK_ROWS):
+            _reduce_block(batch.w[lo : lo + BLOCK_ROWS], lo, batch.status[lo : lo + BLOCK_ROWS], bounds, out)
         batch.partials.update(out)
     return keys
 

@@ -38,6 +38,11 @@ from bprelab.simulate import (
 )
 
 
+def bracket_keys(ps, rhos, ns):
+    """The reducer's bracket key at each p, rho and n, in that order."""
+    return [(BRACKET, p, rho, n) for p in ps for rho in rhos for n in ns]
+
+
 def gw_tail(n):
     """Exact E|W - W_n|^2 for the binary law: q1 = 2/3, b2 = 1/3."""
     return (2 / 3) ** n
@@ -259,9 +264,9 @@ class TestKeysReducedTogether:
         b = fresh(seam_batch)
         ns = (0, 12, b.n_max - 1)
         seam_kept(b)
-        together = relations.sandwiches(b, self.PS, self.RHOS, ns)
+        together = relations.sandwiches(b, bracket_keys(self.PS, self.RHOS, ns))
         # one rho: every reduction holds one (rho, n) per n
-        lone = {rho: relations.sandwiches(fresh(b), self.PS, (rho,), ns) for rho in self.RHOS}
+        lone = {rho: relations.sandwiches(fresh(b), bracket_keys(self.PS, (rho,), ns)) for rho in self.RHOS}
         order = [(p, rho, n) for p in self.PS for rho in self.RHOS for n in ns]
         assert [item.suffix for item in together] == [
             f"{relations.p_tag(p)}.rho{rho:.4g}.n{n}" for p, rho, n in order]
@@ -311,14 +316,16 @@ class TestLayout:
 class TestPieceGrid:
     @pytest.mark.parametrize("length", [1, 2, 29, 30, 31, 59, 101, 1000, 4097, 19_999, 99_871, 100_000])
     def test_pieces_split_array_split_chunks_at_block_starts(self, length):
-        bounds, chunk = piece_grid(length)
+        bounds, firsts = piece_grid(length)
         chunks = np.array_split(np.arange(length), min(N_BATCHES, length))
         assert bounds[0] == 0 and bounds[-1] == length and np.all(np.diff(bounds) > 0)
         assert set(range(0, length, BLOCK_ROWS)) | {c[0] for c in chunks} == set(bounds[:-1].tolist())
-        for lo, hi, j in zip(bounds[:-1], bounds[1:], chunk):
-            # each piece lies in one chunk and one block
-            assert chunks[j][0] <= lo and hi - 1 <= chunks[j][-1]
-            assert lo // BLOCK_ROWS == (hi - 1) // BLOCK_ROWS
+        assert len(firsts) == len(chunks) + 1 and firsts[-1] == len(bounds) - 1
+        for chunk, first, end in zip(chunks, firsts, firsts[1:]):
+            # a chunk's pieces tile it, each inside one block
+            assert (bounds[first], bounds[end]) == (chunk[0], chunk[-1] + 1)
+            for lo, hi in zip(bounds[first:end], bounds[first + 1 : end + 1]):
+                assert lo // BLOCK_ROWS == (hi - 1) // BLOCK_ROWS
 
     def test_one_block_batch_means_are_array_splits_bit_for_bit(self, gw_batch):
         # a chunk inside one block is one piece: its pairwise sum is numpy's

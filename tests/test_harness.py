@@ -38,7 +38,7 @@ from bprelab.cli import main
 from bprelab.config import load_config, parse_config
 from bprelab.estimators import LpEstimate
 from bprelab.harness import run_experiment, verify_suite, write_outputs
-from bprelab.simulate import MODE_QUENCHED
+from bprelab.simulate import IDENTITY, MODE_QUENCHED
 
 
 # the suites verify runs, in the order of the suite table
@@ -123,22 +123,35 @@ class TestRunExperiment:
         second = strip_timings(run_experiment(small_gw())[0])
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
-    def test_one_pass_per_relation_call(self, monkeypatch):
-        # every p, rho and n of the sandwiches reads one reduction; every key of the identity reads one
-        passes, real = [], bprelab.simulate.reduce_batch
+    def test_each_block_is_reduced_once_at_every_declared_key(self, monkeypatch):
+        # one worker, so this process reduces every block of the one annealed batch
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        calls, real = [], bprelab.simulate._reduce_block
 
-        def reduce_batch(batch, keys):
-            keys = list(keys)
-            if len(keys) > 1:
-                passes.append((keys[0][0], len(keys)))
-            return real(batch, keys)
+        def spy(w, lo, status, bounds, out):
+            calls.append((lo, list(out)))
+            return real(w, lo, status, bounds, out)
 
-        monkeypatch.setattr(bprelab.simulate, "reduce_batch", reduce_batch)
-        report, _, code = run_experiment(small_gw(suites=["burkholder", "identity"], p=[1.5, 2.0]))
+        monkeypatch.setattr(bprelab.simulate, "_reduce_block", spy)
+        cfg = small_gw(suites=["burkholder", "identity"], p=[1.5, 2.0])
+        report, _, code = run_experiment(cfg)
         assert code == 0
         assert len(report["suites"]["burkholder"]["results"]) == 18
         assert len(report["suites"]["identity"]["results"]) == 9
-        assert passes == [("bracket", 18), ("identity", 9)]
+        assert [lo for lo, _ in calls] == list(range(0, cfg.replicas, bprelab.simulate.BLOCK_ROWS))
+        assert all(keys == calls[0][1] for _, keys in calls)
+        assert [key[0] for key in calls[0][1]] == ["bracket"] * 18 + ["identity"] * 9
+
+    def test_timings_charge_each_batch_to_itself(self):
+        cfg = load_config("configs/two_state.cfg", {"replicas": 2000, "n_max": 12, "gap": 6})
+        timings = run_experiment(cfg)[0]["timings"]
+        assert set(timings) == {*cfg.suites, "batches", "total"}
+        assert set(timings["batches"]) == {"quenched", "annealed"}
+        covered = sum(timings[suite] for suite in cfg.suites) + sum(timings["batches"].values())
+        # the entries tile the loop; only its exit is left out
+        assert 0.99 * timings["total"] <= covered <= timings["total"]
+        # a reader's timing leaves its batch out: the identity suite reads a held batch
+        assert timings["identity"] < timings["batches"]["annealed"]
 
     @pytest.mark.parametrize("name", ["two_state", "deterministic"])
     def test_a_mixture_simulates_the_path_seed_path_and_the_annealed_batch_only(self, monkeypatch, name):
@@ -164,11 +177,12 @@ class TestRunExperiment:
         assert [c["id"].rsplit(".", 1)[-1] for c in report["checks"]] == ["n0"] * 3
         batch = bprelab.simulate.run(SimConfig(env=IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0]),
                                                mode="annealed", n_max=2, replicas=200, master_seed=3))
-        items = relations.identity(batch, (0.5, 1.0, 1.2, math.nan), (-1, 0, 1, 5))
+        keys = [(IDENTITY, rho, n) for rho in (0.5, 1.0, 1.2, math.nan) for n in (-1, 0, 1, 5)]
+        items = relations.identity(batch, keys)
         assert [item.suffix for item in items] == ["rho1.2.n0"]
         assert all(item.passed for item in items)
         # a repeated key is one check
-        items = relations.identity(batch, (1.2, 1.5, 1.2), (0, 0))
+        items = relations.identity(batch, [(IDENTITY, rho, n) for rho in (1.2, 1.5, 1.2) for n in (0, 0)])
         assert [item.suffix for item in items] == ["rho1.2.n0", "rho1.5.n0"]
 
     def test_report_is_the_same_at_any_blas_thread_count(self):

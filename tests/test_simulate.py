@@ -3,10 +3,12 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,9 @@ from bprelab import (
     run,
 )
 from bprelab import relations, simulate
+from bprelab.config import load_config
+from bprelab.estimators import MIN_REPLICAS, N_BATCHES, burkholder_sandwich, lp_norm, w_moment
+from bprelab.harness import run_experiment
 from bprelab.relations import IDENTITY_TOL
 from bprelab.simulate import (
     BLOCK_ROWS,
@@ -48,9 +53,15 @@ from bprelab.simulate import (
     reduce_batch,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 GW_PMF = {0: 0.25, 2: 0.75}
 GW_ENV = IIDMixture([OffspringLaw(GW_PMF)], [1.0])
 M23 = IIDMixture([OffspringLaw({2: 1.0}), OffspringLaw({3: 1.0})], [0.5, 0.5])
+
+
+def bracket_keys(ps, rhos, ns):
+    """The reducer's bracket key at each p, rho and n, in that order."""
+    return [(BRACKET, p, rho, n) for p in ps for rho in rhos for n in ns]
 
 
 def small_cfg(**overrides):
@@ -351,14 +362,17 @@ class TestGenerationLawOracle:
 
 
 class RecordingRng:
-    """A generator that records the dimension of every pmf argument it is given."""
+    """A generator that records the dimension and the fewest nonzero entries of every pmf it is given."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
         self.pmf_ndims = set()
+        self.fewest_nonzero = math.inf
 
     def multinomial(self, n, pvals):
         self.pmf_ndims.add(np.ndim(pvals))
+        self.fewest_nonzero = min(self.fewest_nonzero, np.count_nonzero(pvals, axis=-1).min())
         return self.rng.multinomial(n, pvals)
 
 
@@ -487,6 +501,28 @@ def old_run(cfg):
                   np.broadcast_to(np.exp(-log_p), (hi - lo, cfg.n_max + 1)), cfg.pop_cap,
                   w[lo:hi], status[lo:hi], status_gen[lo:hi])
     return w, status, status_gen
+
+
+class TestPointMass:
+    """A point-mass generation on a shared path skips multinomial: same outputs, same stream position."""
+
+    @pytest.mark.parametrize("mass", [2, 3], ids=["inner-value", "last-value"])
+    def test_outputs_and_stream_match_the_multinomial_route(self, mass):
+        laws = [OffspringLaw(GW_PMF), OffspringLaw({1: 0.5, 3: 0.5}), OffspringLaw({mass: 1.0})]
+        support, pvals = _law_table(laws)
+        assert support.tolist() == [0, 1, 2, 3]
+        log_means = np.array([law.log_mean for law in laws])
+        path = np.array([2, 0, 2, 1, 2, 2, 0, 2, 1, 2, 0, 2])
+        rows = 300
+        per_row = np.repeat(path[:, None], rows, axis=1).astype(np.uint8)
+        one, table = RecordingRng(43), RecordingRng(43)
+        got = simulate_block(one, path, support, pvals, log_means, 10**6, rows)
+        want = simulate_block(table, per_row, support, pvals, log_means, 10**6, rows)
+        assert_same_outputs(got, want)
+        assert (one.fewest_nonzero, table.fewest_nonzero) == (2, 1)
+        assert {STATUS_EXTINCT, STATUS_COMPLETED} <= set(got[1].tolist())
+        # the skip advanced the stream to where the draws left it
+        assert one.rng.random() == table.rng.random()
 
 
 class TestOldFormulation:
@@ -650,6 +686,108 @@ class TestWorkers:
         assert_no_child_left()
 
 
+# laws for the reducer sweep: one grows past a pop_cap of 1000 within a few generations and
+# dies out with mass 0.3, two are point masses (W_n stays 1 up to rounding)
+REDUCER_LAWS = [{0: 0.3, 6: 0.7}, GW_PMF, {1: 1.0}, {2: 1.0}, {1: 0.5, 3: 0.5}]
+
+
+def reducer_keys(n_max, gap):
+    """Moments at gaps 0 and gap, brackets at two p, rho and n, and every identity n at rho 1.2."""
+    return ([(MOMENT, p, n, g) for p in (1.5, 2.0) for g in (0, gap) for n in range(n_max - g + 1)]
+            + [(BRACKET, p, rho, n) for p in (1.5, 3.0) for rho in (1.0, 1.2) for n in (0, n_max - 1)]
+            + [(IDENTITY, 1.2, n) for n in range(n_max - 1)])
+
+
+@st.composite
+def reduced_configs(draw):
+    """A mixture batch (annealed, or quenched along a drawn path) or a fixed-path batch of 150 to
+    400 rows to n_max <= 8, pop_cap 1000, with its reducer keys."""
+    n_max = draw(st.integers(3, 8))
+    kind = draw(st.sampled_from(("annealed", "quenched", "fixed")))
+    picks = draw(st.lists(st.sampled_from(REDUCER_LAWS), min_size=1, max_size=3))
+    laws = [OffspringLaw(pmf) for pmf in picks]
+    if kind == "fixed":
+        env = FixedPath([laws[k % len(laws)] for k in range(n_max)])
+    else:
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(laws), max_size=len(laws)))
+        env = IIDMixture(laws, [x / sum(weights) for x in weights])
+    cfg = SimConfig(env=env, mode="annealed" if kind == "annealed" else "quenched", n_max=n_max,
+                    replicas=draw(st.integers(150, 400)), master_seed=draw(st.integers(0, 2**32 - 1)),
+                    path_seed=draw(st.integers(0, 2**32 - 1)) if kind == "quenched" else None, pop_cap=1000)
+    return cfg, reducer_keys(n_max, draw(st.integers(1, n_max - 1)))
+
+
+def close(got, want, scale=0.0):
+    """got within 1e-12 of want, relative to max(|want|, scale)."""
+    return bool(np.all(np.abs(np.subtract(got, want)) <= 1e-12 * np.maximum(np.abs(want), scale)))
+
+
+def plain_means(x, kept):
+    """Plain numpy: the mean over the kept rows, and np.array_split's chunk means over their kept rows."""
+    parts = zip(np.array_split(x, N_BATCHES), np.array_split(kept, N_BATCHES))
+    return x[kept].mean(), np.array([chunk[used].mean() for chunk, used in parts if used.any()])
+
+
+def assert_workers_reduce_the_stored_batch(cfg, keys, mp):
+    """run's worker-reduced partials at 1, 2 and 3 workers against the stored batch's, bit for bit;
+    its estimates against plain numpy on the stored w; an undeclared key refused by name."""
+    stored = run(cfg)
+    assert reduce_batch(stored, keys) == keys
+    for cpus in (1, 2, 3):
+        set_cpus(mp, cpus)
+        reduced = run(cfg, reductions=keys)
+        assert reduced.w.shape == (0, cfg.n_max + 1) and reduced.replicas == cfg.replicas
+        assert np.array_equal(reduced.status, stored.status)
+        assert list(reduced.partials) == keys
+        for key in keys:
+            assert np.array_equal(reduced.partials[key], stored.partials[key]), (cpus, key)
+    w, kept = stored.w, stored.uncapped
+    if kept.sum() >= MIN_REPLICAS:
+        for _, p, n, gap in (key for key in keys if key[0] == MOMENT):
+            est = lp_norm(reduced, p, n, gap) if gap else w_moment(reduced, p, n)
+            value, means = plain_means((np.abs(w[:, n + gap] - w[:, n]) if gap else w[:, n]) ** p, kept)
+            stderr = np.std(means, ddof=1) / math.sqrt(len(means))
+            assert close(est.value, value) and close(est.batch_values, means), (p, n, gap)
+            # the spread of the means cancels their common part: rounding of the value bounds its error
+            assert close(est.stderr, stderr, value), (p, n, gap)
+        for _, p, rho, n in (key for key in keys if key[0] == BRACKET):
+            terms = rho ** np.arange(n + 1) * np.diff(w[:, : n + 2], axis=1)
+            q_norm, q_means = plain_means(np.sqrt((terms * terms).sum(axis=1)) ** p, kept)
+            if q_norm ** (1 / p) > 1e-6:  # increments above rounding: A_hat_n is no cancellation residue
+                sc = burkholder_sandwich(reduced, p, rho, n)
+                a_norm, _ = plain_means(np.abs(terms.sum(axis=1)) ** p, kept)
+                assert close(sc.a_norm, a_norm ** (1 / p)) and close(sc.q_norm, q_norm ** (1 / p)), (p, rho, n)
+    undeclared = (MOMENT, 2.0, 0, cfg.n_max)
+    with pytest.raises(ParameterError, match=re.escape(repr(undeclared))):
+        lp_norm(reduced, 2.0, 0, cfg.n_max)
+    assert undeclared not in reduced.partials
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                    reason="forked workers need os.fork and os.sched_getaffinity")
+class TestWorkerReductions:
+    """Workers reduce each block as the stored batch's reducer does, whatever the worker count."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(reduced_configs())
+    def test_drawn_batches_on_small_blocks(self, drawn):
+        cfg, keys = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            # 64-row blocks, so a few hundred rows make three to seven blocks for three workers
+            mp.setattr(simulate, "BLOCK_ROWS", 64)
+            assert_workers_reduce_the_stored_batch(cfg, keys, mp)
+
+    def test_capped_and_extinct_rows_past_a_partial_block(self, monkeypatch):
+        cfg = small_cfg(env=TWO_LAWS, n_max=10, replicas=3 * BLOCK_ROWS + 5, pop_cap=1000, rho_grid=())
+        batch = run(cfg)
+        assert {STATUS_EXTINCT, STATUS_CAPPED, STATUS_COMPLETED} <= set(batch.status.tolist())
+        assert_workers_reduce_the_stored_batch(cfg, reducer_keys(cfg.n_max, 4), monkeypatch)
+
+    def test_a_rho_grid_needs_the_stored_w(self):
+        with pytest.raises(ParameterError, match="rho grid"):
+            run(small_cfg(), reductions=[(MOMENT, 2.0, 0, 1)])
+
+
 class TestBlockMemory:
     def test_an_annealed_block_holds_its_uniforms_and_per_row_scratch(self, monkeypatch):
         # one worker, so tracemalloc sees every block; three blocks of 40 generations, no a_hat
@@ -665,6 +803,41 @@ class TestBlockMemory:
         uniforms = 8 * BLOCK_ROWS * cfg.n_max
         bound = uniforms + 2 * BLOCK_ROWS * cfg.n_max + 8 * BLOCK_ROWS * (2 * support.size + 8)
         assert peak <= bound + SLACK_BYTES, (peak, bound)
+
+
+    def test_a_reduced_run_holds_one_block_whatever_the_batch_size(self, monkeypatch):
+        # one worker, so tracemalloc sees every block; the suites that read a batch
+        set_cpus(monkeypatch, 1)
+        maps, real = [], simulate.mmap.mmap
+        monkeypatch.setattr(simulate, "mmap", types.SimpleNamespace(
+            mmap=lambda fd, size: maps.append(size) or real(fd, size)))
+        n_max = 12
+        overrides = {"n_max": n_max, "gap": 4, "suites": ["annealed-rate", "burkholder", "identity"]}
+
+        def peak(blocks):
+            cfg = load_config(ROOT / "configs" / "gw_binary.cfg", overrides | {"replicas": blocks * BLOCK_ROWS})
+            maps.clear()
+            (report, _, _), peak = traced_peak(lambda: run_experiment(cfg))
+            assert len(report["checks"]) == 20
+            # the mappings hold statuses and partials, not one float64 column of the batch
+            assert len(maps) == 2 and sum(maps) < 8 * cfg.replicas, maps
+            return peak
+
+        peak(4)
+        small, large = peak(4), peak(16)
+        assert abs(large - small) < (n_max + 1) * BLOCK_ROWS * 8, (small, large)
+
+    def test_sub_block_products_equal_whole_block_products(self, monkeypatch):
+        batch = run(small_cfg(replicas=3 * BLOCK_ROWS))
+        keys = (bracket_keys((1.5, 2.0), (1.0, 1.1, 1.3), (0, 5, batch.n_max - 1))
+                + [(IDENTITY, rho, n) for rho in (1.1, 1.3, 1.7) for n in (1, 5, batch.n_max - 2)])
+        sub = dataclasses.replace(batch)
+        assert reduce_batch(sub, keys) == keys
+        monkeypatch.setattr(simulate, "PRODUCT_ROWS", BLOCK_ROWS)
+        whole = dataclasses.replace(batch)
+        assert reduce_batch(whole, keys) == keys
+        for key in keys:
+            assert np.array_equal(sub.partials[key], whole.partials[key]), key
 
 
 def within(got, want, terms):
@@ -722,8 +895,8 @@ class TestBracketSums:
         top = batch.n_max - 1
         held, peak = traced_peak(lambda: reduce_batch(batch, keys))
         assert len(held) == len(keys) > top + 2
-        # A_hat and Q^2 of every key, both sides' terms, one product's increments, the capped mask
-        scratch = 8 * BLOCK_ROWS * 4 * len(keys) + 8 * PRODUCT_ROWS * (top + 1) + 2 * BLOCK_ROWS
+        # A_hat and Q^2 of every key, one row of terms, one product's increments, the capped rows
+        scratch = 8 * BLOCK_ROWS * (2 * len(keys) + 2) + 8 * PRODUCT_ROWS * (top + 1)
         assert peak <= scratch + SLACK_BYTES, (peak, scratch)
 
     def test_a_lone_key_pass_equals_its_rows_of_a_multi_key_pass(self):
@@ -740,10 +913,10 @@ class TestBracketSums:
         # twelve blocks: per-row sums of nine (rho, n) would take 2 x 9 x 8 bytes a row
         batch = run(small_cfg(replicas=12 * BLOCK_ROWS))
         rhos, ns = (1.0, 1.1, 1.3), (0, 5, batch.n_max - 1)
-        items, peak = traced_peak(lambda: relations.sandwiches(batch, (1.5, 2.0), rhos, ns))
+        items, peak = traced_peak(lambda: relations.sandwiches(batch, bracket_keys((1.5, 2.0), rhos, ns)))
         pairs, keys = len(rhos) * len(ns), 2 * len(rhos) * len(ns)
-        # one block's A_hat and Q^2, its terms and one product's increments, and the capped masks
-        scratch = 8 * BLOCK_ROWS * (2 * pairs + 2 * keys) + 8 * PRODUCT_ROWS * max(ns) + 2 * batch.replicas
+        # one block's A_hat and Q^2, a row of terms and one product's increments, and the capped masks
+        scratch = 8 * BLOCK_ROWS * (2 * pairs + 2) + 8 * PRODUCT_ROWS * max(ns) + 2 * batch.replicas
         assert peak <= scratch + SLACK_BYTES, (peak, scratch)
         assert len(items) == 18
 
@@ -903,9 +1076,9 @@ class TestIdentityPass:
         top = 6
         held, peak = traced_peak(lambda: reduce_batch(batch, keys))
         assert len(held) == len(keys)
-        # one block's A_hat and Q^2 of every key, its W_N - W_k and six key rows (A_n, the
-        # right-hand side and its terms' temporaries), and one product's increments
-        scratch = 8 * BLOCK_ROWS * (2 * len(keys) + (top + 1) + 6) + 8 * PRODUCT_ROWS * (top + 1)
+        # one block's A_hat of every key, its W_N - W_k and six key rows (A_n, the right-hand
+        # side and its terms' temporaries), and one product's increments
+        scratch = 8 * BLOCK_ROWS * (len(keys) + (top + 1) + 6) + 8 * PRODUCT_ROWS * (top + 1)
         assert peak <= scratch + SLACK_BYTES, (peak, scratch)
 
 

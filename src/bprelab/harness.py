@@ -3,7 +3,9 @@
 A report is deterministic for a given config (the timings block aside): suites execute in
 declared order, every verdict lands in `checks` as {id, suite, statement, passed, observed}, and
 the exit code is 0 when all checks pass, 2 when any fails, 1 for config or precondition errors
-(decided by the CLI, which maps raised errors). `_SUITES` declares each suite once: its body,
+(decided by the CLI, which maps raised errors). The relations build each suite's items, and
+`_Context.record` turns them into checks by the id grammar and `relations.FAMILIES`; a suite
+body only orchestrates. `_SUITES` declares each suite once: its body,
 the batch it reads, whether `verify` runs it and the reducer keys it reads of that batch. The
 suite loop simulates each batch, reduced at its readers' keys, for its first reader and drops
 it after its last. `run` runs the config's suites at its sizes;
@@ -28,25 +30,11 @@ from ._version import __version__
 from .config import ExperimentConfig
 from .environment import EnvPath, Environment, FixedPath, IIDMixture
 from .errors import BpreLabError, ConfigError
-from .estimators import (
-    MIN_REPLICAS,
-    fit_decay,  # bound only so the benchmark's trace wraps it here (ROADMAP item 1)
-    lp_norm,
-)
-from .relations import TABLE_REL, Item, p_tag
-from .simulate import (
-    BRACKET,
-    IDENTITY,
-    MOMENT,
-    MODE_ANNEALED,
-    MODE_QUENCHED,
-    SimConfig,
-    TrajectoryBatch,
-    increment_identity_check,  # bound only so the benchmark's trace wraps it here (ROADMAP item 1)
-    pop_cap_fits,
-    quenched_path,
-    run,
-)
+# fit_decay and increment_identity_check are bound only so the benchmark's trace wraps them here (ROADMAP item 1)
+from .estimators import MIN_REPLICAS, fit_decay, lp_norm
+from .relations import FAMILIES, Item, p_tag
+from .simulate import BRACKET, IDENTITY, MODE_ANNEALED, MODE_QUENCHED, MOMENT, SimConfig, TrajectoryBatch
+from .simulate import increment_identity_check, pop_cap_fits, quenched_path, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,14 +60,21 @@ class _Context:
     # -- verdict and side-table collection ------------------------------
 
     def record(self, suite: str, items: list[Item]) -> list[Item]:
-        """Record each item as the check `<suite>.<suffix>`, the one writer of `checks`; an id
-        recorded before is refused at once, before any later suite simulates. Returns the items."""
+        """Record each item as the check `<suite>[.p<p:g>][.rho<rho:.4g>][.n<n>][.<name>]` with its
+        family's statement from `FAMILIES`, the one writer of `checks`. An id whose family
+        `<suite>[.<name>]` is not registered, or that is repeated, is refused before any item is
+        written and before any later suite simulates. Returns the items."""
+        checks = []
         for item in items:
-            check_id = f"{suite}.{item.suffix}"
-            if any(c["id"] == check_id for c in self.checks):
+            check_id = ".".join(filter(None, (suite, item.suffix)))
+            family = ".".join(filter(None, (suite, item.name)))
+            if family not in FAMILIES:
+                raise BpreLabError(f"check id {check_id!r}: its family {family!r} is not in relations.FAMILIES")
+            if any(c["id"] == check_id for c in self.checks + checks):
                 raise BpreLabError(f"check id {check_id!r} is repeated; ids must identify one check")
-            self.checks.append({"id": check_id, "suite": suite, "statement": item.statement,
-                                "passed": bool(item.passed), "observed": item.observed})
+            checks.append({"id": check_id, "suite": suite, "statement": FAMILIES[family],
+                           "passed": bool(item.passed), "observed": item.observed})
+        self.checks += checks
         return items
 
     def add_csv(self, name: str, fields: tuple[str, ...], rows) -> None:
@@ -160,8 +155,7 @@ def _suite_exact(ctx: _Context) -> dict:
             for r in range(1, EXACT_TABLE_ORDER + 1)
         ])
         section["annealed_table"] = _exact_table(ctx, "exact_annealed.csv", u)
-        statement = "the normalized population has exact mean one at every generation"
-        ctx.record("exact", relations.unit_mean("martingale-mean", statement, u[:, 0]))
+        ctx.record("exact", relations.unit_mean("martingale-mean", u[:, 0]))
         forms = exact_moments.p2_closed_forms(ctx.env)
         section["p2_closed_forms"] = {
             "q1": forms.q1,
@@ -180,17 +174,12 @@ def _suite_exact(ctx: _Context) -> dict:
         path = ctx.series_path(n_table)
         qtable = exact_moments.quenched_moments(path, EXACT_TABLE_ORDER, len(path))
         section["quenched_table"] = _exact_table(ctx, "exact_quenched.csv", qtable.values[:, 1:])
-        statement = "along the realized path the normalized mean stays exactly one"
-        ctx.record("exact", relations.unit_mean("quenched-mean", statement, qtable.w_moments(1)))
+        ctx.record("exact", relations.unit_mean("quenched-mean", qtable.w_moments(1)))
         if len(path) >= 3:
             ctx.record("exact", relations.quenched_p2_partial_sums(path, len(path)))
 
     if ctx.is_mixture and len(ctx.env.states) == 1 and path is not None:
-        table = exact_moments.annealed_moment_table(ctx.env, 0.0, EXACT_TABLE_ORDER, len(path))
-        diff = float(np.max(np.abs(qtable.values - table.values) / np.maximum(np.abs(table.values), 1.0)))
-        statement = "with one state the annealed and path tables coincide"
-        ctx.record("exact", [Item("single-state-consistency", statement, diff <= TABLE_REL,
-                                  {"max_rel_diff": diff})])
+        ctx.record("exact", relations.single_state_consistency(ctx.env, qtable))
     return section
 
 
@@ -222,11 +211,7 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, oracles) -> li
                 est.bias_bound = oracle.bias(est.n + gap)
         fields = ("p", "n", "value", "stderr")
         ctx.add_csv(f"{suite.replace('-', '_')}_{p_tag(p)}.csv", fields, map(attrgetter(*fields), estimates))
-        if ctx.verify:
-            items = relations.exact_slack(estimates, oracle)
-            section = relations.rate_section(estimates, oracle)
-        else:
-            items, section = relations.rate_fit(estimates, oracle)
+        items, section = relations.rate_fit(estimates, oracle, fitting=not ctx.verify)
         ctx.record(suite, items)
         sections.append(section)
     return sections
@@ -266,23 +251,14 @@ def _suite_burkholder(ctx: _Context, batch: TrajectoryBatch) -> dict:
 # suite: criteria
 
 
-# the SeriesDiagnostic fields a probe reports, with the last partial sum
-_SERIES_PAYLOAD = ("variant", "p", "r", "rho", "margin", "root_stat", "verdict")
-
-
 def _suite_criteria(ctx: _Context) -> dict:
     cfg = ctx.cfg
     section: dict = {}
 
     if ctx.is_mixture:
         crits = section["lp_criteria"] = [rates.annealed_lp_criterion(ctx.env, p) for p in cfg.p]
-        statement = "the moment-shrinkage criterion evaluates on the stationary law"
-        ctx.record("criteria", [Item(f"{p_tag(c.p)}.lp-criterion", statement, True,
-                                     {"value": c.mean_power_value, "holds": c.holds}) for c in crits])
         conds = [rates.annealed_critical_conditions(ctx.env, p) for p in cfg.p if 1.0 < p < 2.0]
-        statement = "the critical-rate hypotheses evaluate on the stationary law"
-        ctx.record("criteria", [Item(f"{p_tag(c.p)}.critical-conditions", statement, True,
-                                     {"all_hold": c.all_hold}) for c in conds])
+        ctx.record("criteria", relations.stationary_criteria(crits, conds))
         if conds:
             section["critical_conditions"] = conds
     else:
@@ -294,37 +270,7 @@ def _suite_criteria(ctx: _Context) -> dict:
     if not ctx.env.is_supercritical:
         section["series_note"] = "path is not supercritical on average; no probes run"
         return section
-    m_geo = ctx.geo_mean()
-    items = []
-
-    def probe(name, statement, wrong_verdict, p, at_rho, variant, r=None, **observed):
-        """The item that one series diagnostic avoids `wrong_verdict`; its detail is the payload."""
-        diag = rates.series_diagnostic(path, p, at_rho, variant, r=r)
-        payload = {key: getattr(diag, key) for key in _SERIES_PAYLOAD}
-        items.append(Item(f"series.{name}", statement, diag.verdict != wrong_verdict,
-                           {"verdict": diag.verdict, "root_stat": diag.root_stat} | observed,
-                           payload | {"partial_sum": float(diag.partial_sums[-1])}))
-
-    rho_sub = max(1.0, 0.9 * math.sqrt(m_geo))
-    rho_super = 1.2 * math.sqrt(m_geo)
-    probe(
-        "sub-rho",
-        "below the critical rate the rate series shows no divergence",
-        "diverging", 2.0, rho_sub, rates.VARIANT_QUADRATIC, rho=rho_sub,
-    )
-    if not ctx.env.is_degenerate:
-        probe(
-            "super-rho",
-            "above the critical rate the rate series shows no convergence",
-            "converging", 2.0, rho_super, rates.VARIANT_QUADRATIC, rho=rho_super,
-        )
-    small_p = [p for p in cfg.p if 1.0 < p < 2.0]
-    if small_p:
-        probe(
-            "increment-sub-rho",
-            "the increment-variant series shows no divergence below the critical rate",
-            "diverging", small_p[0], rho_sub, rates.VARIANT_INCREMENT, r=2.0,
-        )
+    items = relations.series_probes(ctx.env, path, ctx.geo_mean(), cfg.p)
     section["series_probes"] = [item.detail for item in ctx.record("criteria", items)]
     return section
 

@@ -1,13 +1,17 @@
-"""Relations: pure functions from an environment, a path, a batch or estimates,
-and sizes, to the check items that judge them.
+"""Relations: pure functions from an environment, a path, a batch, a table or
+estimates, and sizes, to the check items that judge them, and `FAMILIES`, the
+one list of check families and their statements.
 
-The suites decide where a relation applies (`harness._NEEDS` and the exact
+A check id is `<suite>[.p<p:g>][.rho<rho:.4g>][.n<n>][.<name>]`, and its
+family is the id without its p, rho and n parts: `<suite>[.<name>]`. An item
+carries the name and the parts; `harness._Context.record` formats the id,
+takes the statement from `FAMILIES` and refuses a family not in it. The
+suites decide where a relation applies (`harness._NEEDS` and the exact
 suite's mixture branch) and call it there, at `run`'s sizes or at `verify`'s;
-the rate oracles decide what is exact for the rate suites at each (mode, p);
-`harness._Context.record` writes the items as checks. `identity` keeps only
-the keys that its pass admits. The simulation and estimator layers are called
-through their modules, so a wrapper installed on a module attribute sees
-every call.
+the rate oracles decide what is exact for the rate suites at each (mode, p).
+`identity` keeps only the keys that its pass admits. The simulation, rate
+and estimator layers are called through their modules, so a wrapper
+installed on a module attribute sees every call.
 """
 
 from __future__ import annotations
@@ -15,10 +19,13 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import estimators, exact_moments, rates, simulate
 from .environment import EnvPath, Environment, IIDMixture
 from .errors import FitUnavailableError
 from .estimators import LpEstimate
+from .exact_moments import MomentTable
 from .simulate import TrajectoryBatch
 
 # the tolerances of checks whose two sides differ only by rounding: the
@@ -31,14 +38,38 @@ TABLE_REL = 1e-10
 ROUNDING = 1e-12
 
 
-class Item(NamedTuple):
-    """One check, recorded as `<suite>.<suffix>` by `_Context.record`; `detail` is a whole section entry."""
-
-    suffix: str
-    statement: str
-    passed: bool
-    observed: dict
-    detail: object = None
+# every check family, `<suite>[.<name>]`, with its statement, in the suites' order
+FAMILIES = {
+    "rates.sufficient-le-critical": "the sufficient quenched rate bound never exceeds the critical one",
+    "rates.annealed-le-quenched": "the annealed critical rate never exceeds the quenched critical rate",
+    "rates.rates-collapse": "for p >= 2 the two annealed rate formulas agree",
+    "rates.rho0-le-rhoc": "under a positive tilt the sufficient annealed rate is below the critical one",
+    "exact.martingale-mean": "the normalized population has exact mean one at every generation",
+    "exact.p2-partial-sums": "second moments from the recursion match the closed-form partial sums",
+    "exact.a-hat-partial-sums": "the weighted-increment second moments approach their closed-form sup within its tail",
+    "exact.growth-envelope": "scaled moment sequences stay under the polynomial-times-base envelope",
+    "exact.recursion-slack": "the split-moment recursion inequality holds with non-negative slack",
+    "exact.quenched-mean": "along the realized path the normalized mean stays exactly one",
+    "exact.quenched-p2-tail":
+        "along the realized path the second moments match the partial sums of the squared increments",
+    "exact.single-state-consistency": "with one state the annealed and path tables coincide",
+    # the rate-fit families, which both rate suites record
+    **{f"{suite}.{name}": statement for suite in ("quenched-rate", "annealed-rate") for name, statement in (
+        ("estimates-match-exact", "sampled moment distances sit within the Monte Carlo slack of the exact curve"),
+        ("degenerate-no-fit", "a deterministic population has zero distances and no decay rate to fit"),
+        ("fit-available", "a decay-rate fit is available for a non-degenerate run"),
+        ("fit-matches-exact", "the fitted decay slope agrees with the exact curve's slope within slack"),
+    )},
+    "annealed-rate.l2-unbounded-reported": "an environment without bounded second moments is reported, not fitted",
+    "annealed-rate.ci-contains-predicted": "the fitted rate's confidence interval contains the predicted critical rate",
+    "burkholder": "the weighted-increment norm sits inside the square-function bracket",
+    "criteria.lp-criterion": "the moment-shrinkage criterion evaluates on the stationary law",
+    "criteria.critical-conditions": "the critical-rate hypotheses evaluate on the stationary law",
+    "criteria.series.sub-rho": "below the critical rate the rate series shows no divergence",
+    "criteria.series.super-rho": "above the critical rate the rate series shows no convergence",
+    "criteria.series.increment-sub-rho": "the increment-variant series shows no divergence below the critical rate",
+    "identity": "the telescoped and accumulator forms of the weighted sum agree",
+}
 
 
 def p_tag(p: float) -> str:
@@ -46,35 +77,49 @@ def p_tag(p: float) -> str:
     return f"p{p:g}"
 
 
+class Item(NamedTuple):
+    """One check of the family `<suite>[.<name>]` at the given p, rho and n parts, recorded by
+    `_Context.record`; `detail` is a whole section entry."""
+
+    name: str | None
+    passed: bool
+    observed: dict
+    detail: object = None
+    p: float | None = None
+    rho: float | None = None
+    n: int | None = None
+
+    @property
+    def suffix(self) -> str:
+        """The id after `<suite>.`: `p<p:g>`, `rho<rho:.4g>`, `n<n>` and the name, each where set, joined by dots."""
+        parts = (self.p is not None and p_tag(self.p), self.rho is not None and f"rho{self.rho:.4g}",
+                 self.n is not None and f"n{self.n}", self.name)
+        return ".".join(filter(None, parts))
+
+
 def rate_orderings(reports: list[rates.RateReport]) -> list[Item]:
-    """The proven orderings among each report's rates, as `p<p>.<name>`."""
+    """The proven orderings among each report's rates, at each report's p."""
     items = []
     for rep in reports:
-        tag = p_tag(rep.p)
-        suff, crit = rep.quenched_sufficient_bound, rep.quenched_critical
+        p, suff, crit = rep.p, rep.quenched_sufficient_bound, rep.quenched_critical
         rho0, rhoc = rep.annealed_rho0, rep.annealed_rhoc
         items += [
-            Item(f"{tag}.sufficient-le-critical",
-                 "the sufficient quenched rate bound never exceeds the critical one",
-                 suff <= crit + ROUNDING, {"sufficient": suff, "critical": crit}),
-            Item(f"{tag}.annealed-le-quenched",
-                 "the annealed critical rate never exceeds the quenched critical rate",
-                 rhoc <= crit + ROUNDING, {"annealed_rhoc": rhoc, "quenched_critical": crit}),
+            Item("sufficient-le-critical", suff <= crit + ROUNDING, {"sufficient": suff, "critical": crit}, p=p),
+            Item("annealed-le-quenched", rhoc <= crit + ROUNDING,
+                 {"annealed_rhoc": rhoc, "quenched_critical": crit}, p=p),
         ]
         pair = {"rho0": rho0, "rhoc": rhoc}
-        if rep.p >= 2.0:
-            items.append(Item(f"{tag}.rates-collapse", "for p >= 2 the two annealed rate formulas agree",
-                              math.isclose(rho0, rhoc, rel_tol=ROUNDING), pair))
+        if p >= 2.0:
+            items.append(Item("rates-collapse", math.isclose(rho0, rhoc, rel_tol=ROUNDING), pair, p=p))
         elif rep.condition_flags.get("tilt_positive"):
-            statement = "under a positive tilt the sufficient annealed rate is below the critical one"
-            items.append(Item(f"{tag}.rho0-le-rhoc", statement, rho0 <= rhoc + ROUNDING, pair))
+            items.append(Item("rho0-le-rhoc", rho0 <= rhoc + ROUNDING, pair, p=p))
     return items
 
 
-def unit_mean(suffix: str, statement: str, means) -> list[Item]:
+def unit_mean(name: str, means) -> list[Item]:
     """The item that every entry of the array `means`, exact means of a normalized population, is one."""
     err = float(abs(means - 1.0).max())
-    return [Item(suffix, statement, err <= EXACT_REL, {"max_abs_error": err})]
+    return [Item(name, err <= EXACT_REL, {"max_abs_error": err})]
 
 
 def partial_sum_error(moments, inc) -> float:
@@ -93,8 +138,7 @@ def annealed_p2_partial_sums(env: Environment, n: int) -> list[Item]:
     worst = partial_sum_error(
         exact_moments.annealed_u(env, 0.0, 2, n), [forms.increment_second_moment(k) for k in range(n)]
     )
-    statement = "second moments from the recursion match the closed-form partial sums"
-    return [Item("p2-partial-sums", statement, worst <= EXACT_REL, {"max_rel_error": worst})]
+    return [Item("p2-partial-sums", worst <= EXACT_REL, {"max_rel_error": worst})]
 
 
 def quenched_p2_partial_sums(path: EnvPath, n: int) -> list[Item]:
@@ -104,8 +148,7 @@ def quenched_p2_partial_sums(path: EnvPath, n: int) -> list[Item]:
         exact_moments.quenched_moments(path, 2, n).w_moments(2),
         exact_moments.quenched_increment_second_moments(path, n),
     )
-    statement = "along the realized path the second moments match the partial sums of the squared increments"
-    return [Item("quenched-p2-tail", statement, worst <= EXACT_REL, {"max_rel_error": worst})]
+    return [Item("quenched-p2-tail", worst <= EXACT_REL, {"max_rel_error": worst})]
 
 
 def a_hat_partial_sums(env: Environment, n: int, rho: float) -> list[Item]:
@@ -120,16 +163,14 @@ def a_hat_partial_sums(env: Environment, n: int, rho: float) -> list[Item]:
     sup = forms.sup_a_hat2(rho)
     gap = sup - exact_moments.a_hat_second_moment_partial(env, rho, n)
     remainder = forms.a_hat2_tail(rho, n)
-    statement = "the weighted-increment second moments approach their closed-form sup within its tail"
-    return [Item("a-hat-partial-sums", statement, abs(gap - remainder) <= EXACT_REL * max(sup, 1.0),
+    return [Item("a-hat-partial-sums", abs(gap - remainder) <= EXACT_REL * max(sup, 1.0),
                  {"a_hat_gap": gap, "a_hat_remainder_bound": remainder})]
 
 
 def growth_envelope(env: Environment, n: int, orders) -> list[Item]:
     """Whether each order's scaled moments stay under the envelope up to max(n, 10)."""
     holds = [exact_moments.growth_envelope_check(env, 0.0, r, max(n, 10)) for r in orders]
-    statement = "scaled moment sequences stay under the polynomial-times-base envelope"
-    return [Item("growth-envelope", statement, all(holds), {"orders": list(orders)})]
+    return [Item("growth-envelope", all(holds), {"orders": list(orders)})]
 
 
 def recursion_slack(env: Environment, n: int) -> list[Item]:
@@ -139,20 +180,25 @@ def recursion_slack(env: Environment, n: int) -> list[Item]:
         for r in (3, 4)
         for s in (0.0, 1.0)
     )
-    statement = "the split-moment recursion inequality holds with non-negative slack"
-    return [Item("recursion-slack", statement, min_slack >= -ROUNDING, {"min_slack": min_slack})]
+    return [Item("recursion-slack", min_slack >= -ROUNDING, {"min_slack": min_slack})]
+
+
+def single_state_consistency(env: Environment, qtable: MomentTable) -> list[Item]:
+    """On a one-state mixture, the annealed moment table against the path table `qtable` at
+    its orders and generations, within relative TABLE_REL."""
+    table = exact_moments.annealed_moment_table(env, 0.0, qtable.max_order, len(qtable.values) - 1)
+    diff = float(np.max(np.abs(qtable.values - table.values) / np.maximum(np.abs(table.values), 1.0)))
+    return [Item("single-state-consistency", diff <= TABLE_REL, {"max_rel_diff": diff})]
 
 
 def identity(batch: TrajectoryBatch, keys) -> list[Item]:
     """The telescoped and accumulator forms of A_hat_n(rho) within IDENTITY_TOL, at each
     ("identity", rho, n) key inside the reducer's domain for this batch, once each."""
-    statement = "the telescoped and accumulator forms of the weighted sum agree"
     items = []
     for _, rho, n in simulate.reduce_batch(batch, keys):
         residual = simulate.increment_identity_check(batch, rho, n)
-        items.append(Item(f"rho{rho:.4g}.n{n}", statement, residual <= IDENTITY_TOL,
-                          {"residual": residual, "tolerance": IDENTITY_TOL},
-                          {"rho": rho, "n": n, "residual": residual}))
+        items.append(Item(None, residual <= IDENTITY_TOL, {"residual": residual, "tolerance": IDENTITY_TOL},
+                          {"rho": rho, "n": n, "residual": residual}, rho=rho, n=n))
     return items
 
 
@@ -160,12 +206,43 @@ def sandwiches(batch: TrajectoryBatch, keys) -> list[Item]:
     """The square-function bracket of A_hat_n(rho) with SLACK_SIGMAS slack, at each
     ("bracket", p, rho, n) key in order, from one reduction of every key."""
     simulate.reduce_batch(batch, keys)
-    statement = "the weighted-increment norm sits inside the square-function bracket"
     items = []
     for _, p, rho, n in keys:
         sc = estimators.burkholder_sandwich(batch, p, rho, n)
         observed = {"a_norm": sc.a_norm, "lower": sc.lower, "upper": sc.upper}
-        items.append(Item(f"{p_tag(p)}.rho{rho:.4g}.n{n}", statement, sc.ok, observed, sc))
+        items.append(Item(None, sc.ok, observed, sc, p=p, rho=rho, n=n))
+    return items
+
+
+def stationary_criteria(crits, conds) -> list[Item]:
+    """Markers that each p's moment-shrinkage criterion in `crits`, then its critical-rate
+    hypotheses in `conds`, evaluate on the stationary law; they pass by construction and
+    observe the values."""
+    return ([Item("lp-criterion", True, {"value": c.mean_power_value, "holds": c.holds}, p=c.p) for c in crits]
+            + [Item("critical-conditions", True, {"all_hold": c.all_hold}, p=c.p) for c in conds])
+
+
+def series_probes(env: Environment, path: EnvPath, m_geo: float, ps) -> list[Item]:
+    """The quadratic rate series along `path` at p = 2 below the critical rate sqrt(m_geo) and,
+    unless the environment is degenerate, above it, then the increment variant below it at the
+    first configured p in (1, 2), as `series.<name>`. Each item holds that its series avoids the
+    verdict that the rate contradicts; its detail is the diagnostic's payload, with the last partial sum."""
+
+    def probe(name, wrong_verdict, p, at_rho, variant, r=None, **observed):
+        diag = rates.series_diagnostic(path, p, at_rho, variant, r=r)
+        payload = {key: getattr(diag, key) for key in ("variant", "p", "r", "rho", "margin", "root_stat", "verdict")}
+        return Item(f"series.{name}", diag.verdict != wrong_verdict,
+                    {"verdict": diag.verdict, "root_stat": diag.root_stat} | observed,
+                    payload | {"partial_sum": float(diag.partial_sums[-1])})
+
+    rho_sub = max(1.0, 0.9 * math.sqrt(m_geo))
+    rho_super = 1.2 * math.sqrt(m_geo)
+    items = [probe("sub-rho", "diverging", 2.0, rho_sub, rates.VARIANT_QUADRATIC, rho=rho_sub)]
+    if not env.is_degenerate:
+        items.append(probe("super-rho", "converging", 2.0, rho_super, rates.VARIANT_QUADRATIC, rho=rho_super))
+    small_p = [p for p in ps if 1.0 < p < 2.0]
+    if small_p:
+        items.append(probe("increment-sub-rho", "diverging", small_p[0], rho_sub, rates.VARIANT_INCREMENT, r=2.0))
     return items
 
 
@@ -227,50 +304,41 @@ def exact_slack(estimates: list[LpEstimate], oracle: RateOracle) -> list[Item]:
         slack = estimators.SLACK_SIGMAS * est.stderr
         ok = ok and dev <= slack + ROUNDING
         worst = max(worst, dev - slack)
-    statement = "sampled moment distances sit within the Monte Carlo slack of the exact curve"
-    return [Item(f"{p_tag(estimates[0].p)}.estimates-match-exact", statement, ok, {"worst_excess": worst})]
-
-
-def rate_section(estimates: list[LpEstimate], oracle: RateOracle) -> dict:
-    """The per-p section of a rate suite without its fit: p, the estimates, and the oracle's
-    bias_label where it has one, which says how to read the estimates' bias values."""
-    section = {"p": estimates[0].p, "estimates": list(estimates)}
-    if oracle.bias_label is not None:
-        section["bias_label"] = oracle.bias_label
-    return section
+    return [Item("estimates-match-exact", ok, {"worst_excess": worst}, p=estimates[0].p)]
 
 
 # the DecayFit fields a rate section reports
 FIT_PAYLOAD = ("fitted_rho", "ci_low", "ci_high", "window", "r_squared", "points_used")
-FIT_AVAILABLE = "a decay-rate fit is available for a non-degenerate run"
 
 
-def rate_fit(estimates: list[LpEstimate], oracle: RateOracle) -> tuple[list[Item], dict]:
-    """The estimates' slack against the oracle's exact values, then their decay fit against the
-    exact curve's slope and the predicted rate, as `p<p>.<name>`; with the oracle's
-    `unbounded_q1` the estimates are reported and not fitted. Returns the items and the per-p
-    section: p, estimates, fit, and bias_label, fit_note or predicted_rho where they apply."""
+def rate_fit(estimates: list[LpEstimate], oracle: RateOracle, fitting: bool = True) -> tuple[list[Item], dict]:
+    """The estimates' slack against the oracle's exact values, then, if `fitting`, their decay fit
+    against the exact curve's slope and the predicted rate, at the estimates' p; with the
+    oracle's `unbounded_q1` the estimates are reported and not fitted. Returns the items and the
+    per-p section: p, the estimates and the oracle's bias_label where it has one, which says how
+    to read the estimates' bias values; then, if `fitting`, fit, and fit_note or predicted_rho
+    where they apply."""
     p = estimates[0].p
-    tag = p_tag(p)
     items = exact_slack(estimates, oracle)
-    section = rate_section(estimates, oracle) | {"fit": None}
+    section = {"p": p, "estimates": list(estimates)}
+    if oracle.bias_label is not None:
+        section["bias_label"] = oracle.bias_label
+    if not fitting:
+        return items, section
+    section["fit"] = None
     if oracle.unbounded_q1 is not None:
         section["fit_note"] = "second moments are unbounded here; no finite rate predicted"
-        statement = "an environment without bounded second moments is reported, not fitted"
-        return items + [Item(f"{tag}.l2-unbounded-reported", statement, True,
-                             {"q1": oracle.unbounded_q1})], section
+        return items + [Item("l2-unbounded-reported", True, {"q1": oracle.unbounded_q1}, p=p)], section
     if all(e.value <= estimators.ROUNDOFF_DISTANCE**p for e in estimates):
         section["fit_note"] = "degenerate: all distances are zero up to rounding, nothing to fit"
-        statement = "a deterministic population has zero distances and no decay rate to fit"
-        return items + [Item(f"{tag}.degenerate-no-fit", statement, True,
-                             {"estimates_checked": len(estimates)})], section
+        return items + [Item("degenerate-no-fit", True, {"estimates_checked": len(estimates)}, p=p)], section
     try:
         fit = estimators.fit_decay(estimates)
     except FitUnavailableError as exc:
         section["fit_note"] = str(exc)
-        return items + [Item(f"{tag}.fit-available", FIT_AVAILABLE, False, {"error": str(exc)})], section
+        return items + [Item("fit-available", False, {"error": str(exc)}, p=p)], section
     section["fit"] = {key: getattr(fit, key) for key in FIT_PAYLOAD}
-    items.append(Item(f"{tag}.fit-available", FIT_AVAILABLE, True, {"fitted_rho": fit.fitted_rho}))
+    items.append(Item("fit-available", True, {"fitted_rho": fit.fitted_rho}, p=p))
 
     if oracle.exact is not None:
         lo, hi = fit.window
@@ -281,17 +349,14 @@ def rate_fit(estimates: list[LpEstimate], oracle: RateOracle) -> tuple[list[Item
             ys = [math.log(x) / p for _, x in sel]
             sds = [e.stderr / (p * e.value) for e, _ in sel]
             slope_exact = float(estimators.wls_line(ns, ys, sds)[0][1])
-            statement = "the fitted decay slope agrees with the exact curve's slope within slack"
             items.append(Item(
-                f"{tag}.fit-matches-exact", statement,
+                "fit-matches-exact",
                 abs(fit.slope - slope_exact) <= estimators.SLACK_SIGMAS * fit.slope_se + ROUNDING,
                 {"fitted_rho": fit.fitted_rho, "exact_rho": math.exp(-slope_exact),
-                 "slack_sigmas": estimators.SLACK_SIGMAS},
+                 "slack_sigmas": estimators.SLACK_SIGMAS}, p=p,
             ))
     if oracle.predicted_rho is not None:
         section["predicted_rho"] = oracle.predicted_rho
-        statement = "the fitted rate's confidence interval contains the predicted critical rate"
-        items.append(Item(f"{tag}.ci-contains-predicted", statement,
-                          fit.ci_low <= oracle.predicted_rho <= fit.ci_high,
-                          {"predicted": oracle.predicted_rho, "ci": [fit.ci_low, fit.ci_high]}))
+        items.append(Item("ci-contains-predicted", fit.ci_low <= oracle.predicted_rho <= fit.ci_high,
+                          {"predicted": oracle.predicted_rho, "ci": [fit.ci_low, fit.ci_high]}, p=p))
     return items, section

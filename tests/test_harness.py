@@ -209,10 +209,10 @@ class TestRunExperiment:
         assert reports[0] == reports[1]
 
     def test_colliding_check_ids_are_refused(self, monkeypatch):
-        # a relation that yields one suffix twice gives its suite one check id twice
-        item = relations.Item("twice", "holds", True, {})
+        # a relation that yields one item twice gives its suite one check id twice
+        item = relations.Item("rates-collapse", True, {}, p=2.0)
         monkeypatch.setattr(relations, "rate_orderings", lambda reports: [item, item])
-        with pytest.raises(BpreLabError, match=r"^check id 'rates\.twice' is repeated"):
+        with pytest.raises(BpreLabError, match=r"^check id 'rates\.p2\.rates-collapse' is repeated"):
             run_experiment(small_gw(suites=["rates"]))
 
         # the repeat is refused when it is recorded, before a later suite simulates
@@ -220,8 +220,20 @@ class TestRunExperiment:
             pytest.fail("a simulation ran")
 
         monkeypatch.setattr(harness, "run", ran)
-        with pytest.raises(BpreLabError, match=r"^check id 'rates\.twice' is repeated"):
+        with pytest.raises(BpreLabError, match=r"^check id 'rates\.p2\.rates-collapse' is repeated"):
             run_experiment(small_gw(suites=["rates", "annealed-rate"]))
+
+    def test_an_unregistered_family_is_refused_before_any_check_is_written(self):
+        assert relations.Item("name", True, {}, p=1.5, rho=1.23456, n=3).suffix == "p1.5.rho1.235.n3.name"
+        ctx = harness._Context(small_gw())
+        ctx.record("rates", [relations.Item("rates-collapse", True, {}, p=2.0)])
+        before = list(ctx.checks)
+        # a registered name under the wrong suite, after an item that alone would be recorded
+        items = [relations.Item(name, True, {}, p=2.0) for name in ("annealed-le-quenched", "fit-available")]
+        refusal = r"^check id 'rates\.p2\.fit-available': its family 'rates\.fit-available' is not in"
+        with pytest.raises(BpreLabError, match=refusal):
+            ctx.record("rates", items)
+        assert ctx.checks == before
 
     def test_duplicate_suites_run_once(self):
         # a repeated suite is refused when the config is parsed, so no
@@ -785,6 +797,8 @@ class TestRateFitPaths:
         assert reported["passed"] is True
         assert reported["observed"] == {"q1": pytest.approx(7 / 6)}
         assert reported["statement"] == "an environment without bounded second moments is reported, not fitted"
+        # no bundled config reaches this family (test_faults.NOT_BUNDLED); this test does
+        assert "annealed-rate.l2-unbounded-reported" in relations.FAMILIES
         assert set(by_id["annealed-rate.p2.estimates-match-exact"]["observed"]) == {"worst_excess"}
         sections = self.per_p(report)
         assert sections[2.0]["fit"] is None

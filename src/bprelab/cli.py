@@ -74,23 +74,15 @@ def _print_checks(report: dict) -> None:
     print(f"summary: {summary['passed']}/{summary['checks']} checks passed")
 
 
-def _cmd_run(args) -> int:
+def _cmd_report(args) -> int:
+    """run or verify: print the checks; write to --out, else, for run only, the config's out, else <name>-report."""
     cfg = load_config(args.config, _overrides(args))
-    report, csv_tables, code = run_experiment(cfg)
+    runner = run_experiment if args.command == "run" else verify_suite
+    report, csv_tables, code = runner(cfg)
     _print_checks(report)
-    out = args.out or cfg.out or f"{cfg.name}-report"
-    report_path = write_outputs(report, csv_tables, out)
-    print(f"report: {report_path}")
-    return code
-
-
-def _cmd_verify(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    report, csv_tables, code = verify_suite(cfg)
-    _print_checks(report)
-    if args.out:
-        report_path = write_outputs(report, csv_tables, args.out)
-        print(f"report: {report_path}")
+    out = args.out or (cfg.out or f"{cfg.name}-report" if args.command == "run" else None)
+    if out:
+        print(f"report: {write_outputs(report, csv_tables, out)}")
     return code
 
 
@@ -106,11 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_rates(args)
+        return _cmd_rates(args) if args.command == "rates" else _cmd_report(args)
     except BpreLabError as exc:
         print(f"bprelab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,20 +15,11 @@ import yaml
 
 from .environment import Environment, FixedPath, IIDMixture
 from .errors import BpreLabError, ConfigError
+from .harness import _SUITES
 from .offspring import OffspringLaw
 from .relations import p_tag
 
 SCHEMA_VERSION = 1
-
-KNOWN_SUITES = (
-    "rates",
-    "exact",
-    "quenched-rate",
-    "annealed-rate",
-    "burkholder",
-    "criteria",
-    "identity",
-)
 
 
 @dataclass(frozen=True)
@@ -197,8 +188,8 @@ def parse_config(data: dict, source: str = "<memory>", lines: dict[str, int] | N
         "name": name,
         "env": _parse_environment(given.get("environment"), chk),
         "suites": _check_list(
-            chk, given.get("suites"), "suites", lambda s: s in KNOWN_SUITES,
-            f"unknown suite {{!r}}; known: {list(KNOWN_SUITES)}",
+            chk, given.get("suites"), "suites", lambda s: s in _SUITES,
+            f"unknown suite {{!r}}; known: {list(_SUITES)}",
         ),
     }
     if "p" in given:

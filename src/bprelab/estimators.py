@@ -96,22 +96,18 @@ def _estimate_from(batch: TrajectoryBatch, p: float, n: int, gap: int) -> LpEsti
 
 
 def lp_norm(batch: TrajectoryBatch, p: float, n: int, proxy_gap: int) -> LpEstimate:
-    """Mean of |W_{n+gap} - W_n|^p over uncapped replicas."""
+    """Mean of |W_{n+gap} - W_n|^p over uncapped replicas; partials refuses an (n, gap) past n_max."""
     if p <= 1.0:
         raise ParameterError("p must be > 1")
-    if proxy_gap < 1 or n < 0 or n + proxy_gap > batch.n_max:
-        raise ParameterError(
-            f"need 0 <= n and 1 <= gap with n+gap <= {batch.n_max}"
-        )
+    if proxy_gap < 1:
+        raise ParameterError("gap must be >= 1")
     return _estimate_from(batch, p, n, proxy_gap)
 
 
 def w_moment(batch: TrajectoryBatch, p: float, n: int) -> LpEstimate:
-    """Mean of W_n^p over uncapped replicas (proxy_gap 0 marks a plain moment)."""
+    """Mean of W_n^p over uncapped replicas (proxy_gap 0 marks a plain moment); partials refuses an n past n_max."""
     if p <= 0.0:
         raise ParameterError("p must be > 0")
-    if not 0 <= n <= batch.n_max:
-        raise ParameterError(f"need 0 <= n <= {batch.n_max}")
     return _estimate_from(batch, p, n, 0)
 
 
@@ -242,12 +238,9 @@ def _batch_curve_slopes(
     if np.any(curves <= 0.0):
         return None
     gram = x_mat.T @ (wts[:, None] * x_mat)
+    # wls_line has solved this Gram matrix already, so it is not singular
     rhs = (wts * (np.log(curves) / p)) @ x_mat
-    try:
-        betas = np.linalg.solve(gram, rhs.T)
-    except np.linalg.LinAlgError:
-        return None
-    return betas[1]
+    return np.linalg.solve(gram, rhs.T)[1]
 
 
 def burkholder_constants(p: float) -> tuple[float, float]:

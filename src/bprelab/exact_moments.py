@@ -232,10 +232,8 @@ def quenched_p2_tail(path: EnvPath, n: int, horizon: int) -> QuenchedTail:
         raise ParameterError("need 0 <= n < horizon")
     if horizon >= len(path):
         raise ParameterError(f"horizon {horizon} needs a path longer than {len(path)}")
-    bar2 = np.array([law.centered_abs_moment(2.0) for law in path.laws[: horizon + 1]])
-    weights = np.exp(-path.log_means[: horizon + 1])
-    lower = float(math.fsum(bar2[n:] * weights[n:]))
-    bar2_max = float(bar2.max())
+    lower = float(math.fsum(quenched_increment_second_moments(path, horizon + 1)[n:]))
+    bar2_max = max(law.centered_abs_moment(2.0) for law in path.laws[: horizon + 1])
     mu_min = float(min(law.mean for law in path.laws[: horizon + 1]))
     if bar2_max == 0.0:
         remainder = 0.0

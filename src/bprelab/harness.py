@@ -21,20 +21,22 @@ import math
 import time
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from . import exact_moments, rates, relations
 from ._version import __version__
-from .config import ExperimentConfig
-from .environment import EnvPath, Environment, FixedPath, IIDMixture
+from .environment import EnvPath, Environment, IIDMixture
 from .errors import BpreLabError, ConfigError
 # fit_decay and increment_identity_check are bound only so the benchmark's trace wraps them here (ROADMAP item 1)
 from .estimators import MIN_REPLICAS, fit_decay, lp_norm
 from .relations import FAMILIES, Item, p_tag
 from .simulate import BRACKET, IDENTITY, MODE_ANNEALED, MODE_QUENCHED, MOMENT, SimConfig, TrajectoryBatch
 from .simulate import increment_identity_check, pop_cap_fits, quenched_path, run
+
+if TYPE_CHECKING:  # config imports this module for the suite names
+    from .config import ExperimentConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,7 +110,7 @@ class _Context:
     @property
     def path_states(self) -> float:
         """How many generations the environment can give a batch: a fixed path's length, else inf."""
-        return len(self.env.laws) if isinstance(self.env, FixedPath) else math.inf
+        return math.inf if self.is_mixture else len(self.env.laws)
 
     def series_path(self, length: int) -> EnvPath:
         """The path a quenched batch at series_seed shares; a fixed path is clamped to its length."""
@@ -170,7 +172,7 @@ def _suite_exact(ctx: _Context) -> dict:
         ctx.record("exact", relations.recursion_slack(ctx.env, n_table))
 
     path = None
-    if isinstance(ctx.env, FixedPath) or ctx.cfg.path_seed is not None:
+    if not ctx.is_mixture or ctx.cfg.path_seed is not None:
         path = ctx.series_path(n_table)
         qtable = exact_moments.quenched_moments(path, EXACT_TABLE_ORDER, len(path))
         section["quenched_table"] = _exact_table(ctx, "exact_quenched.csv", qtable.values[:, 1:])
@@ -302,7 +304,7 @@ class _Suite(NamedTuple):
     keys: Callable[[_Context], list] | None = None
 
 
-# in the order of config.KNOWN_SUITES (a test holds them equal)
+# the suite names a config may list, in the order the config loader names them
 _SUITES = {
     "rates": _Suite(_suite_rates, None, True),
     "exact": _Suite(_suite_exact, None, True),
@@ -376,14 +378,10 @@ def jsonable(obj):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 

@@ -397,6 +397,21 @@ class TestFitDecay:
         assert fit.ci_low == pytest.approx(fit.fitted_rho, rel=1e-9)
         assert fit.ci_high == pytest.approx(fit.fitted_rho, rel=1e-9)
 
+    @pytest.mark.parametrize("spoil", ["zero-batch-mean", "unequal-lengths"])
+    def test_wls_cov_ci_when_the_batch_means_form_no_curves(self, spoil):
+        # a zero batch mean has no log, and batch means of two lengths do not line up into curves;
+        # either way the fit is the one without batch means
+        ests = synthetic_estimates()
+        for e in ests:
+            e.batch_values = e.value * np.linspace(0.9, 1.1, 30)
+        if spoil == "zero-batch-mean":
+            ests[4].batch_values[7] = 0.0
+        else:
+            ests[4].batch_values = ests[4].batch_values[:29]
+        fit = fit_decay(ests)
+        assert fit.ci_method == "wls-cov"
+        assert fit == fit_decay(synthetic_estimates())
+
     def test_batch_curve_ci_widens_with_disagreeing_batches(self, gw_batch):
         ests = [lp_norm(gw_batch, 2.0, n, 12) for n in range(0, 9)]
         for e in ests:
@@ -505,6 +520,23 @@ class TestBurkholder:
             burkholder_sandwich(gw_batch, 2.0, 1.1, gw_batch.n_max)
         with pytest.raises(EstimateUnavailableError):
             burkholder_sandwich(capped_batch, 2.0, 1.2, 3)
+
+
+@pytest.mark.parametrize("stored", [True, False], ids=["stored", "reduced"])
+def test_a_moment_call_refuses_an_n_outside_the_reducers_domain(gw_env, stored):
+    # the reducer's key domain refuses the n; the estimators refuse only a gap < 1 and their own p
+    held = [(MOMENT, 2.0, 1, 2), (MOMENT, 2.0, 3, 0)]
+    cfg = SimConfig(env=gw_env, mode="annealed", n_max=8, replicas=300, master_seed=4)
+    b = run(cfg) if stored else run(cfg, reductions=held)
+    assert reduce_batch(b, held) == held
+    before = dict(b.partials)
+    refused = [lambda: lp_norm(b, 2.0, -1, 2), lambda: lp_norm(b, 2.0, 7, 2), lambda: w_moment(b, 2.0, -1),
+               lambda: w_moment(b, 2.0, 9), lambda: lp_norm(b, 2.0, 1, 0), lambda: lp_norm(b, 1.0, 1, 2)]
+    for call in refused:
+        with pytest.raises(ParameterError):
+            call()
+        assert b.partials == before
+    assert lp_norm(b, 2.0, 1, 2).n == w_moment(b, 2.0, 3).n - 2 == 1
 
 
 # each per-key call, the kind of key it reads, and that kind's domain: the rho values outside

@@ -284,6 +284,18 @@ class TestRunExperiment:
         assert set(tables) == set(records) | {"exact_annealed.csv", "exact_quenched.csv"}
 
 
+@pytest.mark.parametrize("wrap, unwrap", [(lambda x: x, lambda x: x), (lambda x: {"k": x}, lambda d: d["k"]),
+                                          (lambda x: [x], lambda seq: seq[0])], ids=["top", "dict", "list"])
+def test_jsonable_turns_numpy_scalars_into_json_values(wrap, unwrap):
+    # a numpy scalar becomes its Python value, a non-finite float its repr
+    cases = [(np.float64("nan"), "nan"), (np.float64("inf"), "inf"), (np.float64("-inf"), "-inf"),
+             (np.float64(0.25), 0.25), (np.float32(0.5), 0.5), (np.bool_(True), True), (np.int64(7), 7)]
+    for value, expected in cases:
+        out = harness.jsonable(wrap(value))
+        assert out == wrap(expected) and type(unwrap(out)) is type(expected), (value, out)
+        assert json.loads(json.dumps(out)) == wrap(expected)
+
+
 class TestVerifySuite:
     def test_all_checks_pass_in_config_order(self):
         # verify records the items of its suites as `<suite>.<suffix>`, in the suites' order
@@ -694,9 +706,9 @@ class TestEverySuiteGivesAVerdict:
     @pytest.mark.parametrize(
         "environment, admitted",
         [
-            (TWO_STATE, set(config.KNOWN_SUITES)),
-            (FIXED4, set(config.KNOWN_SUITES) - {"rates", "annealed-rate", "criteria"}),
-            (FIXED12, set(config.KNOWN_SUITES) - {"rates", "annealed-rate"}),
+            (TWO_STATE, set(harness._SUITES)),
+            (FIXED4, set(harness._SUITES) - {"rates", "annealed-rate", "criteria"}),
+            (FIXED12, set(harness._SUITES) - {"rates", "annealed-rate"}),
         ],
         ids=["mixture", "path4", "path12"],
     )
@@ -1068,9 +1080,6 @@ class TestBatchLifetime:
 class TestOneOwner:
     """A decision that run and verify both depend on is made in one place."""
 
-    def test_registries_match_the_config_schema(self):
-        assert tuple(harness._SUITES) == config.KNOWN_SUITES
-
     def test_readme_suite_table_is_the_suite_table(self):
         # README's table of suite, batch read and verify, row for row, as _SUITES declares them
         lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
@@ -1167,6 +1176,14 @@ class TestOneOwner:
         # the seed decides the path: another seed draws another one
         other = harness._Context(small_gw(environment=TWO_STATE, path_seed=ctx.series_seed + 1))
         assert other.series_path(12).laws != batch.path.laws
+
+    @pytest.mark.parametrize("module", ["bprelab.config", "bprelab.harness"])
+    def test_each_module_imports_first_in_a_fresh_interpreter(self, module):
+        # config reads the suite names from harness, so a runtime config import in harness
+        # would be a cycle that fails whichever of the two is imported first
+        result = subprocess.run([sys.executable, "-c", f"import {module}"], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(Path(bprelab.__file__).parent.parent)})
+        assert result.returncode == 0, result.stderr
 
     def test_stationary_law_relations_refuse_a_fixed_path(self):
         # the exact suite calls them on a mixture only; a fixed path has no stationary law

@@ -233,6 +233,17 @@ def test_the_fault_fails_every_check_of_its_family(name, monkeypatch):
     assert not any(check["passed"] for check in faulted), fault.name
 
 
+def test_a_faulted_growth_envelope_observes_how_far_it_escaped(monkeypatch):
+    # the check observes each order's largest excess over its envelope, not only the orders
+    fault = FAULTS["exact.growth-envelope"]
+    [shipped] = family_checks(fault, "exact.growth-envelope")
+    assert shipped["observed"] == {"orders": [2, 3, 4], "max_excess": [0.0, 0.0, 0.0]}
+    monkeypatch.setattr(fault.target, fault.replacement)
+    [faulted] = family_checks(fault, "exact.growth-envelope")
+    assert faulted["observed"]["orders"] == [2, 3, 4]
+    assert max(faulted["observed"]["max_excess"]) > 0.0, faulted["observed"]
+
+
 # the families that no bundled config reaches, each reached by a test elsewhere
 NOT_BUNDLED = ("annealed-rate.l2-unbounded-reported",)  # test_harness.py::test_unbounded_second_moments_are_reported
 

@@ -237,8 +237,8 @@ def _batch_curve_slopes(
     curves = np.stack(mats, axis=1)  # (batches, window length)
     if np.any(curves <= 0.0):
         return None
+    # wls_line has solved this Gram matrix, so it is not singular; its cov would round differently
     gram = x_mat.T @ (wts[:, None] * x_mat)
-    # wls_line has solved this Gram matrix already, so it is not singular
     rhs = (wts * (np.log(curves) / p)) @ x_mat
     return np.linalg.solve(gram, rhs.T)[1]
 

@@ -195,22 +195,18 @@ def _moment_keys(ctx: _Context) -> list[tuple]:
     return [(MOMENT, p, n, gap) for p in ctx.cfg.p for n in range(ctx.cfg.n_max - gap + 1)]
 
 
-def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, oracles) -> list[dict]:
+def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, oracles, keys) -> list[dict]:
     """The per-p body of both rate suites: records each p's items; returns the per-p sections.
 
     `oracles` maps each p to its `relations.RateOracle`, which says what is
-    exact there; its bias, where it has one, is each estimate's bias_bound.
-    Under `ctx.verify` only the estimates' slack against the oracle's exact
-    values is recorded, and a section holds p, the estimates and the
-    oracle's bias_label, where it has one.
+    exact there; each p's estimates are read at its moment keys, in their
+    declared order. Under `ctx.verify` only the estimates' slack against the
+    oracle's exact values is recorded, and a section holds p, the estimates
+    and the oracle's bias_label, where it has one.
     """
-    gap = ctx.cfg.gap
     sections = []
     for p, oracle in oracles.items():
-        estimates = [lp_norm(batch, p, n, gap) for n in range(batch.n_max - gap + 1)]
-        if oracle.bias is not None:
-            for est in estimates:
-                est.bias_bound = oracle.bias(est.n + gap)
+        estimates = [lp_norm(batch, *key[1:]) for key in keys if key[1] == p]
         fields = ("p", "n", "value", "stderr")
         ctx.add_csv(f"{suite.replace('-', '_')}_{p_tag(p)}.csv", fields, map(attrgetter(*fields), estimates))
         items, section = relations.rate_fit(estimates, oracle, fitting=not ctx.verify)
@@ -219,15 +215,15 @@ def _rate_fits(ctx: _Context, suite: str, batch: TrajectoryBatch, oracles) -> li
     return sections
 
 
-def _suite_quenched_rate(ctx: _Context, batch: TrajectoryBatch) -> dict:
+def _suite_quenched_rate(ctx: _Context, batch: TrajectoryBatch, keys) -> dict:
     oracles = relations.quenched_oracles(ctx.env, batch.path, batch.n_max, ctx.cfg.p)
     return {"path_means": [float(m) for m in batch.path.means],
-            "per_p": _rate_fits(ctx, "quenched-rate", batch, oracles)}
+            "per_p": _rate_fits(ctx, "quenched-rate", batch, oracles, keys)}
 
 
-def _suite_annealed_rate(ctx: _Context, batch: TrajectoryBatch) -> dict:
+def _suite_annealed_rate(ctx: _Context, batch: TrajectoryBatch, keys) -> dict:
     oracles = relations.annealed_oracles(ctx.env, batch.n_max, ctx.cfg.p)
-    return {"per_p": _rate_fits(ctx, "annealed-rate", batch, oracles)}
+    return {"per_p": _rate_fits(ctx, "annealed-rate", batch, oracles, keys)}
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +237,8 @@ def _bracket_keys(ctx: _Context) -> list[tuple]:
     return [(BRACKET, p, rho, n) for p in ctx.cfg.p for rho in ctx.rho_grid() for n in ns]
 
 
-def _suite_burkholder(ctx: _Context, batch: TrajectoryBatch) -> dict:
-    items = relations.sandwiches(batch, _bracket_keys(ctx))
+def _suite_burkholder(ctx: _Context, batch: TrajectoryBatch, keys) -> dict:
+    items = relations.sandwiches(batch, keys)
     results = [item.detail for item in ctx.record("burkholder", items)]
     fields = ("p", "rho", "n", "a_norm", "q_norm", "lower", "upper", "ok")
     ctx.add_csv("burkholder.csv", fields, map(attrgetter(*fields), results))
@@ -287,16 +283,17 @@ def _identity_keys(ctx: _Context) -> list[tuple]:
     return [(IDENTITY, rho, n) for rho in ctx.rho_grid() for n in ns]
 
 
-def _suite_identity(ctx: _Context, batch: TrajectoryBatch) -> dict:
-    items = relations.identity(batch, _identity_keys(ctx))
+def _suite_identity(ctx: _Context, batch: TrajectoryBatch, keys) -> dict:
+    items = relations.identity(batch, keys)
     return {"results": [item.detail for item in ctx.record("identity", items)]}
 
 
 class _Suite(NamedTuple):
     """A suite's body, the mode of the batch it reads (None: none), whether `verify` runs it,
     and the reducer keys it reads of that batch. _run_suites simulates a batch for its first
-    reader, reduced at every key its readers declare, hands it to each reader's body and
-    drops it once no later suite of the run reads it."""
+    reader, reduced at every key its readers declare, hands it and the reader's own declared
+    keys to each reader's body as body(ctx, batch, keys) and drops the batch once no later
+    suite of the run reads it; a body that reads no batch is called as body(ctx)."""
 
     body: Callable
     reads: Callable[[_Context], str] | None
@@ -391,14 +388,14 @@ def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list
 
     A suite whose row reads a batch is handed it, simulated before its
     first reader and reduced at every key that the run's readers of it
-    declare; `timings.batches` holds each batch's seconds and a suite's
+    declare, and the keys it declared itself, computed once per run;
+    `timings.batches` holds each batch's seconds and a suite's
     timing its own. Once a suite returns, a batch that no later suite reads
     is dropped, so the run holds a batch only while a reader is still to come.
     """
     cfg = ctx.cfg
     reads = [_SUITES[suite].reads and _SUITES[suite].reads(ctx) for suite in suites]
-    keys = {mode: [key for suite, read in zip(suites, reads) if read == mode for key in _SUITES[suite].keys(ctx)]
-            for mode in filter(None, reads)}
+    keys = [_SUITES[suite].keys(ctx) if read else () for suite, read in zip(suites, reads)]
     batches: dict[str, TrajectoryBatch] = {}
     timings: dict = {"batches": {}}
     # consecutive clock readings: every second of the loop lands in one batch's or one suite's entry
@@ -408,10 +405,10 @@ def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list
             batches[mode] = run(SimConfig(
                 mode=mode, env=cfg.env, n_max=cfg.n_max, replicas=cfg.replicas,
                 master_seed=cfg.master_seed, path_seed=cfg.path_seed, pop_cap=cfg.pop_cap,
-            ), reductions=keys[mode])
+            ), reductions=[key for read, own in zip(reads, keys) if read == mode for key in own])
             t1 = time.perf_counter()
             timings["batches"][mode], t0 = t1 - t0, t1
-        body[suite] = _SUITES[suite].body(ctx, batches[mode]) if mode else _SUITES[suite].body(ctx)
+        body[suite] = _SUITES[suite].body(ctx, batches[mode], keys[i]) if mode else _SUITES[suite].body(ctx)
         if mode and mode not in reads[i + 1:]:
             del batches[mode]
         t1 = time.perf_counter()

@@ -9,7 +9,7 @@ takes the statement from `FAMILIES` and refuses a family not in it. The
 suites decide where a relation applies (`harness._NEEDS` and the exact
 suite's mixture branch) and call it there, at `run`'s sizes or at `verify`'s;
 the rate oracles decide what is exact for the rate suites at each (mode, p).
-`identity` keeps only the keys that its pass admits. The simulation, rate
+`identity` and `sandwiches` keep only the keys that the reducer admits. The simulation, rate
 and estimator layers are called through their modules, so a wrapper
 installed on a module attribute sees every call.
 """
@@ -206,10 +206,10 @@ def identity(batch: TrajectoryBatch, keys) -> list[Item]:
 
 def sandwiches(batch: TrajectoryBatch, keys) -> list[Item]:
     """The square-function bracket of A_hat_n(rho) with SLACK_SIGMAS slack, at each
-    ("bracket", p, rho, n) key in order, from one reduction of every key."""
-    simulate.reduce_batch(batch, keys)
+    ("bracket", p, rho, n) key inside the reducer's domain for this batch, once each, in
+    order, from one reduction of every key."""
     items = []
-    for _, p, rho, n in keys:
+    for _, p, rho, n in simulate.reduce_batch(batch, keys):
         sc = estimators.burkholder_sandwich(batch, p, rho, n)
         observed = {"a_norm": sc.a_norm, "lower": sc.lower, "upper": sc.upper}
         items.append(Item(None, sc.ok, observed, sc, p=p, rho=rho, n=n))
@@ -315,12 +315,17 @@ FIT_PAYLOAD = ("fitted_rho", "ci_low", "ci_high", "window", "r_squared", "points
 
 def rate_fit(estimates: list[LpEstimate], oracle: RateOracle, fitting: bool = True) -> tuple[list[Item], dict]:
     """The estimates' slack against the oracle's exact values, then, if `fitting`, their decay fit
-    against the exact curve's slope and the predicted rate, at the estimates' p; with the
+    against the exact curve's slope and the predicted rate, at the estimates' p. The oracle's
+    bias, where it has one, at each estimate's proxy W_{n+gap} is set as its bias_bound first,
+    so a section that is not fitted still reports it. With the
     oracle's `unbounded_q1` the estimates are reported and not fitted. Returns the items and the
     per-p section: p, the estimates and the oracle's bias_label where it has one, which says how
     to read the estimates' bias values; then, if `fitting`, fit, and fit_note or predicted_rho
     where they apply."""
     p = estimates[0].p
+    if oracle.bias is not None:
+        for est in estimates:
+            est.bias_bound = oracle.bias(est.n + est.proxy_gap)
     items = exact_slack(estimates, oracle)
     section = {"p": p, "estimates": list(estimates)}
     if oracle.bias_label is not None:

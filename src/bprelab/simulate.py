@@ -343,24 +343,6 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _shared_outputs(replicas: int, n_max: int, stored: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """w, status_gen and status as views of one anonymous mapping that forked children share;
-    w has no rows unless stored.
-
-    w is laid out generation-major: the mapping holds n_max + 1 rows of
-    replicas values, and w is their transpose, so w[i, n] is replica i's W_n
-    and w[:, n] is one contiguous row. A page is first touched by the worker
-    that writes it, so each worker faults in its own pages.
-    """
-    w_bytes, gen_bytes = replicas * (n_max + 1) * 8 * stored, replicas * 4
-    # an anonymous mmap is MAP_SHARED by default: a child's writes land in the parent's pages
-    buf = mmap.mmap(-1, w_bytes + gen_bytes + replicas)
-    w = np.frombuffer(buf, dtype=np.float64, count=w_bytes // 8).reshape(n_max + 1, -1).T
-    status_gen = np.frombuffer(buf, dtype=np.int32, count=replicas, offset=w_bytes)
-    status = np.frombuffer(buf, dtype=np.int8, count=replicas, offset=w_bytes + gen_bytes)
-    return w, status_gen, status
-
-
 def _fork_worker(fill, worker: int) -> int:
     """Fork a child that runs fill(worker) and leaves by os._exit; returns its pid.
 
@@ -406,8 +388,8 @@ def run(cfg: SimConfig, threads: int = 1, reductions=()) -> TrajectoryBatch:
         shared = quenched_path(cfg.env, cfg.n_max, cfg.path_seed)
 
     replicas, n_max = cfg.replicas, cfg.n_max
-    w, status_gen, status = _shared_outputs(replicas, n_max, not keys)
-    out, bounds = _partial_views(keys, replicas, shared=True), piece_grid(replicas)[0]
+    w, status_gen, status, out = _outputs(keys, replicas, n_max, stored=not keys)
+    bounds = piece_grid(replicas)[0]
     status[:] = STATUS_COMPLETED
     status_gen[:] = -1
 
@@ -524,17 +506,30 @@ def _refusal(key, n_max: int) -> str | None:
                                 f"0 <= n < {n_max - (not bracket)}; got ({rho}, {n})")
 
 
-def _partial_views(keys, replicas: int, shared: bool = False) -> dict:
-    """Each key's partials, as views of one fresh array, or of one anonymous mapping that forked
-    children share: per-piece sums for a moment, a row of them for each side of a bracket, and
-    three maxima per block for an identity."""
+def _outputs(keys, replicas: int, n_max: int, stored: bool = False) -> tuple:
+    """w, status_gen, status and each key's partials, as views of one anonymous mapping that
+    forked children share; w has no rows unless stored.
+
+    w is laid out generation-major: the mapping holds n_max + 1 rows of
+    replicas values, and w is their transpose, so w[i, n] is replica i's W_n
+    and w[:, n] is one contiguous row. A key's partials are per-piece sums for
+    a moment, a row of them for each side of a bracket, and three maxima per
+    block for an identity. The float64 views come first, so every view is
+    aligned. A page is first touched by the worker that writes it, so each
+    worker faults in its own pages, and a view nobody writes costs no memory.
+    """
     pieces, blocks = len(piece_grid(replicas)[0]) - 1, -(-replicas // BLOCK_ROWS)
     shapes = [{MOMENT: (pieces,), BRACKET: (2, pieces), IDENTITY: (blocks, 3)}[key[0]] for key in keys]
     sizes = [math.prod(shape) for shape in shapes]
-    # a mapping needs at least one byte; the spare float is never read
-    buf = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes) + 8)) if shared else np.empty(sum(sizes))
-    return {key: buf[at : at + size].reshape(shape)
-            for key, shape, size, at in zip(keys, shapes, sizes, np.cumsum([0] + sizes).tolist())}
+    w_size = replicas * (n_max + 1) * stored
+    starts = np.cumsum([w_size] + sizes).tolist()  # each key's first float, then the float count
+    # an anonymous mmap is MAP_SHARED by default: a child's writes land in the parent's pages
+    buf = mmap.mmap(-1, 8 * starts[-1] + 5 * replicas)
+    values = np.frombuffer(buf, dtype=np.float64, count=starts[-1])
+    status_gen = np.frombuffer(buf, dtype=np.int32, count=replicas, offset=8 * starts[-1])
+    status = np.frombuffer(buf, dtype=np.int8, count=replicas, offset=8 * starts[-1] + 4 * replicas)
+    out = {key: values[at : at + size].reshape(shape) for key, shape, size, at in zip(keys, shapes, sizes, starts)}
+    return values[:w_size].reshape(n_max + 1, -1).T, status_gen, status, out
 
 
 def _reduce_block(w: np.ndarray, lo: int, status: np.ndarray, bounds: np.ndarray, out: dict) -> None:
@@ -606,7 +601,7 @@ def reduce_batch(batch: TrajectoryBatch, keys) -> list:
     if missing and not len(batch.w):
         raise ParameterError(f"reduction {missing[0]} was not declared for this reduced batch")
     if missing:
-        out, bounds = _partial_views(missing, batch.replicas), piece_grid(batch.replicas)[0]
+        out, bounds = _outputs(missing, batch.replicas, batch.n_max)[3], piece_grid(batch.replicas)[0]
         for lo in range(0, batch.replicas, BLOCK_ROWS):
             _reduce_block(batch.w[lo : lo + BLOCK_ROWS], lo, batch.status[lo : lo + BLOCK_ROWS], bounds, out)
         batch.partials.update(out)

@@ -819,13 +819,25 @@ class TestBlockMemory:
             maps.clear()
             (report, _, _), peak = traced_peak(lambda: run_experiment(cfg))
             assert len(report["checks"]) == 20
-            # the mappings hold statuses and partials, not one float64 column of the batch
-            assert len(maps) == 2 and sum(maps) < 8 * cfg.replicas, maps
+            # one mapping holds statuses and partials, not one float64 column of the batch
+            assert len(maps) == 1 and sum(maps) < 8 * cfg.replicas, maps
             return peak
 
         peak(4)
         small, large = peak(4), peak(16)
         assert abs(large - small) < (n_max + 1) * BLOCK_ROWS * 8, (small, large)
+
+    def test_a_stored_run_maps_w_and_its_statuses_once(self, monkeypatch):
+        maps, real = [], simulate.mmap.mmap
+        monkeypatch.setattr(simulate, "mmap", types.SimpleNamespace(
+            mmap=lambda fd, size: maps.append(size) or real(fd, size)))
+        cfg = small_cfg(replicas=2 * BLOCK_ROWS + 7, rho_grid=())
+        batch = run(cfg)
+        # w's float64 values, then status_gen's int32 and status's int8 per row, in one mapping
+        assert maps == [cfg.replicas * (8 * (cfg.n_max + 1) + 5)]
+        assert batch.w.shape == (cfg.replicas, cfg.n_max + 1) and not batch.partials
+        for view in (batch.w, batch.status_gen, batch.status):
+            assert view.flags.aligned
 
     def test_sub_block_products_equal_whole_block_products(self, monkeypatch):
         batch = run(small_cfg(replicas=3 * BLOCK_ROWS))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bprelab.cli
 import bprelab.estimators
@@ -38,7 +38,7 @@ from bprelab.cli import main
 from bprelab.config import load_config, parse_config
 from bprelab.estimators import LpEstimate
 from bprelab.harness import run_experiment, verify_suite, write_outputs
-from bprelab.simulate import IDENTITY, MODE_QUENCHED
+from bprelab.simulate import BRACKET, IDENTITY, MODE_QUENCHED
 
 
 # the suites verify runs, in the order of the suite table
@@ -184,6 +184,18 @@ class TestRunExperiment:
         # a repeated key is one check
         items = relations.identity(batch, [(IDENTITY, rho, n) for rho in (1.2, 1.5, 1.2) for n in (0, 0)])
         assert [item.suffix for item in items] == ["rho1.2.n0", "rho1.5.n0"]
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_both_batch_relations_keep_exactly_the_admitted_keys(self, reduced):
+        # at n_max 4 a bracket needs n < 4 and an identity n < 3: one key of each list is outside
+        brackets = [(BRACKET, 2.0, 1.1, 0), (BRACKET, 2.0, 1.1, 4), (BRACKET, 1.5, 1.2, 3)]
+        identities = [(IDENTITY, 1.3, 2), (IDENTITY, 1.3, 3), (IDENTITY, 1.1, 0)]
+        sim = SimConfig(env=IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0]), mode="annealed",
+                        n_max=4, replicas=1000, master_seed=5)
+        batch = bprelab.simulate.run(sim, reductions=brackets + identities if reduced else ())
+        sandwiches = relations.sandwiches(batch, brackets)
+        assert [(item.p, item.rho, item.n) for item in sandwiches] == [(2.0, 1.1, 0), (1.5, 1.2, 3)]
+        assert [(item.rho, item.n) for item in relations.identity(batch, identities)] == [(1.3, 2), (1.1, 0)]
 
     def test_report_is_the_same_at_any_blas_thread_count(self):
         # the pass's matrix products give the same bytes on one BLAS thread as on the default
@@ -777,6 +789,43 @@ class TestAdmissionSweep:
             assert [suite for suite in admitted if suite not in recorded] == []
 
 
+@st.composite
+def supercritical_mixtures(draw):
+    """A supercritical mixture of two or three admission_laws, at admission_environments' weights."""
+    laws = draw(st.lists(admission_laws(), min_size=2, max_size=3))
+    weights = draw(st.lists(st.sampled_from((1e-6, 0.01, 0.5, 1.0)), min_size=len(laws), max_size=len(laws)))
+    environment = {"kind": "mixture",
+                   "states": [{"law": law, "weight": w / sum(weights)} for law, w in zip(laws, weights)]}
+    assume(small_gw(environment=environment).env.is_supercritical)
+    return environment
+
+
+class TestExactPropertiesOverDrawnMixtures:
+    """The exact relations hold on drawn supercritical mixtures of 2-3 states with support <= 4."""
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(environment=supercritical_mixtures())
+    def test_the_exact_relations_hold(self, environment):
+        env = small_gw(environment=environment).env
+        items = relations.rate_orderings([bprelab.rates.rate_report(env, p) for p in (1.5, 2.0, 3.0)])
+        n = harness.EXACT_TABLE_LEN
+        items += relations.recursion_slack(env, n) + relations.growth_envelope(env, n, range(2, 5))
+        items += relations.annealed_p2_partial_sums(env, n)
+        assert [item.suffix for item in items if not item.passed] == []
+        (slack,) = relations.recursion_slack(env, n)
+        assert slack.observed["min_slack"] >= -relations.ROUNDING
+        (sums,) = relations.annealed_p2_partial_sums(env, n)
+        assert sums.observed["max_rel_error"] <= relations.EXACT_REL
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(environment=supercritical_mixtures())
+    def test_a_verify_repeats_no_check_id(self, environment):
+        # record refuses a repeated id, so the verify must also return
+        report, _, _ = verify_suite(small_gw(environment=environment, n_max=4, replicas=300, path_seed=3))
+        ids = [c["id"] for c in report["checks"]]
+        assert ids and len(set(ids)) == len(ids)
+
+
 class TestRateFitPaths:
     """Rate-fit paths that no bundled config reaches: ids, verdicts, observed keys and sections."""
 
@@ -997,6 +1046,37 @@ class TestTwoMeans:
         assert quenched[2.0]["bias_label"] == "expected tail over the i.i.d. future"
         assert all(math.isfinite(e["bias_bound"]) for e in quenched[2.0]["estimates"])
         assert set(quenched[1.5]) == {"p", "estimates"}
+
+
+class TestDeclaredKeys:
+    """Each suite that reads a batch reads back exactly the reducer keys its `_SUITES` row declares."""
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("name", ["gw_binary", "two_state"])
+    def test_each_reader_reads_its_declared_keys_once_in_order(self, monkeypatch, name, command):
+        declared, read, current, real = {}, {}, [], bprelab.simulate.partials
+
+        def spy(batch, key):
+            read.setdefault(current[-1], []).append(key)
+            return real(batch, key)
+
+        def reader(suite, row):
+            def body(ctx, batch, keys):
+                declared[suite] = row.keys(ctx)
+                current.append(suite)
+                return row.body(ctx, batch, keys)
+            return row._replace(body=body)
+
+        # estimators binds partials for the moment and bracket reads, simulate for the identity's
+        monkeypatch.setattr(bprelab.simulate, "partials", spy)
+        monkeypatch.setattr(bprelab.estimators, "partials", spy)
+        monkeypatch.setattr(harness, "_SUITES", {suite: reader(suite, row) if row.reads else row
+                                                 for suite, row in harness._SUITES.items()})
+        cfg = load_config(f"configs/{name}.cfg", {"replicas": 2000, "n_max": 12, "gap": 6})
+        (run_experiment if command == "run" else verify_suite)(cfg)
+        assert declared and set(read) == set(declared)
+        for suite, keys in declared.items():
+            assert read[suite] == keys, suite
 
 
 class TestBatchLifetime:

@@ -7,9 +7,9 @@ the exit code is 0 when all checks pass, 2 when any fails, 1 for config or preco
 `_Context.record` turns them into checks by the id grammar and `relations.FAMILIES`; a suite
 body only orchestrates. `_SUITES` declares each suite once: its body,
 the batch it reads, whether `verify` runs it and the reducer keys it reads of that batch. The
-suite loop simulates each batch, reduced at its readers' keys, for its first reader and drops
-it after its last. `run` runs the config's suites at its sizes;
-`verify` runs the suites marked for it through the same loop at small sizes, under
+suite loop simulates each batch, reduced at its readers' keys, for its first reader, hands
+each reader its own keys and drops the batch after its last. `run` runs the config's suites
+at its sizes; `verify` runs the suites marked for it through the same loop at small sizes, under
 `_Context(verify=True)`, and names the suites it could not run instead of refusing.
 """
 

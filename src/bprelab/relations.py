@@ -9,9 +9,9 @@ takes the statement from `FAMILIES` and refuses a family not in it. The
 suites decide where a relation applies (`harness._NEEDS` and the exact
 suite's mixture branch) and call it there, at `run`'s sizes or at `verify`'s;
 the rate oracles decide what is exact for the rate suites at each (mode, p).
-`identity` and `sandwiches` keep only the keys that the reducer admits. The simulation, rate
-and estimator layers are called through their modules, so a wrapper
-installed on a module attribute sees every call.
+`identity` and `sandwiches` keep only the keys that the reducer admits. The
+simulation, rate and estimator layers are called through their modules, so a
+wrapper installed on a module attribute sees every call.
 """
 
 from __future__ import annotations

@@ -592,9 +592,10 @@ def reduce_batch(batch: TrajectoryBatch, keys) -> list:
     """The keys inside the reducer's domain (see _refusal), once each; each is then in batch.partials.
 
     A batch that stores w reduces the keys it does not hold in one pass over
-    its stored blocks, through the reducer that run's workers use; a reduced
-    batch holds the keys handed to run and raises ParameterError naming the
-    first other key.
+    its stored blocks, through the reducer that run's workers use, into
+    partials that run's allocator maps (its status views stay unwritten); a
+    reduced batch holds the keys handed to run and raises ParameterError
+    naming the first other key.
     """
     keys = [key for key in dict.fromkeys(keys) if _refusal(key, batch.n_max) is None]
     missing = [key for key in keys if key not in batch.partials]

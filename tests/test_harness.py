@@ -806,15 +806,12 @@ class TestExactPropertiesOverDrawnMixtures:
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(environment=supercritical_mixtures())
     def test_the_exact_relations_hold(self, environment):
-        env = small_gw(environment=environment).env
+        env, n = small_gw(environment=environment).env, harness.EXACT_TABLE_LEN
+        (slack,), (sums,) = relations.recursion_slack(env, n), relations.annealed_p2_partial_sums(env, n)
         items = relations.rate_orderings([bprelab.rates.rate_report(env, p) for p in (1.5, 2.0, 3.0)])
-        n = harness.EXACT_TABLE_LEN
-        items += relations.recursion_slack(env, n) + relations.growth_envelope(env, n, range(2, 5))
-        items += relations.annealed_p2_partial_sums(env, n)
+        items += relations.growth_envelope(env, n, range(2, 5)) + [slack, sums]
         assert [item.suffix for item in items if not item.passed] == []
-        (slack,) = relations.recursion_slack(env, n)
         assert slack.observed["min_slack"] >= -relations.ROUNDING
-        (sums,) = relations.annealed_p2_partial_sums(env, n)
         assert sums.observed["max_rel_error"] <= relations.EXACT_REL
 
     @settings(max_examples=20, derandomize=True, deadline=None)

@@ -21,6 +21,7 @@ from .errors import EstimateUnavailableError, FitUnavailableError, ParameterErro
 from .simulate import BRACKET, MOMENT, N_BATCHES, TrajectoryBatch, partials  # N_BATCHES: the chunks' count
 
 MIN_REPLICAS = 100
+MIN_FIT_POINTS = 4  # the fewest consecutive points a decay fit takes
 CI_Z = 1.96
 
 # standard errors of slack a Monte Carlo check allows: the sandwich's, and the
@@ -77,6 +78,16 @@ class LpEstimate:
     replicas_used: int
     bias_bound: float | None = None
     batch_values: np.ndarray | None = None
+
+    @property
+    def at_rounding(self) -> bool:
+        """Whether the value is at most ROUNDOFF_DISTANCE to the power p: rounding size, carrying no rate."""
+        return self.value <= ROUNDOFF_DISTANCE**self.p
+
+    @property
+    def log_sd(self) -> float:
+        """The delta-method stderr of log(value)/p: the weight of the estimate's point in a log-linear fit."""
+        return self.stderr / (self.p * self.value)
 
 
 def _estimate_from(batch: TrajectoryBatch, p: float, n: int, gap: int) -> LpEstimate:
@@ -151,7 +162,7 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
     value: a caller-supplied bias_bound when available, otherwise the
     heuristic value * rho_prelim^{-gap} with rho_prelim from an unweighted
     pass. The fit uses the longest admissible run of consecutive points and
-    needs at least 4 of them.
+    needs at least MIN_FIT_POINTS of them.
     """
     if not estimates:
         raise FitUnavailableError("no estimates given")
@@ -159,10 +170,9 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
     if any(e.p != p for e in estimates):
         raise ParameterError("estimates mix different p values")
     est = sorted(estimates, key=lambda e: e.n)
-    floor = ROUNDOFF_DISTANCE**p
 
     def usable(e: LpEstimate) -> bool:
-        return e.value > floor and np.isfinite(e.value) and e.stderr < 0.5 * e.value
+        return not e.at_rounding and np.isfinite(e.value) and e.stderr < 0.5 * e.value
 
     prelim = [e for e in est if usable(e)]
     rho_prelim = 1.0
@@ -172,25 +182,20 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
             rho_prelim = float(np.exp(-slope))
 
     def admissible(e: LpEstimate) -> bool:
-        if not usable(e):
-            return False
         bias = e.bias_bound if e.bias_bound is not None else e.value * rho_prelim ** (-e.proxy_gap)
-        return bias < 0.1 * e.value
+        return usable(e) and bias < 0.1 * e.value
 
     window: list[LpEstimate] = []
     for ok, run in itertools.groupby(est, key=admissible):
         run = list(run)
         if ok and len(run) > len(window):  # strict: the first longest run wins
             window = run
-    if len(window) < 4:
-        raise FitUnavailableError(
-            f"longest admissible run has {len(window)} points; need >= 4"
-        )
+    if len(window) < MIN_FIT_POINTS:
+        raise FitUnavailableError(f"longest admissible run has {len(window)} points; need >= {MIN_FIT_POINTS}")
     xs = np.array([e.n for e in window], dtype=float)
     ys = np.log([e.value for e in window]) / p
-    sds = [e.stderr / (p * e.value) for e in window]
 
-    beta, cov, x_mat, wts = wls_line(xs, ys, sds)
+    beta, cov, x_mat, wts = wls_line(xs, ys, [e.log_sd for e in window])
     slope = float(beta[1])
     se_slope = math.sqrt(cov[1, 1])
     ci_method = "wls-cov"
@@ -229,10 +234,7 @@ def _batch_curve_slopes(
     the slopes measures that correlation instead of assuming it away.
     """
     mats = [e.batch_values for e in window]
-    if any(m is None for m in mats):
-        return None
-    counts = {len(m) for m in mats}
-    if len(counts) != 1 or counts.pop() < 8:
+    if any(m is None for m in mats) or len({len(m) for m in mats}) != 1 or len(mats[0]) < 8:
         return None
     curves = np.stack(mats, axis=1)  # (batches, window length)
     if np.any(curves <= 0.0):

@@ -24,6 +24,7 @@ from .offspring import OffspringLaw
 
 MAX_ORDER = 6
 OVERFLOW_LIMIT = 1e300
+ENVELOPE_HORIZON = 10  # the fewest generations a growth-envelope or recursion-slack check runs over
 
 
 @functools.cache
@@ -279,8 +280,8 @@ def growth_envelope(env: Environment, s: float, r: int, n_max: int) -> GrowthEnv
     """
     if r != int(r) or not 2 <= r <= MAX_ORDER:
         raise ParameterError(f"r must be an integer in 2..{MAX_ORDER}")
-    if n_max < 10:
-        raise ParameterError("n_max must be >= 10 for a meaningful envelope check")
+    if n_max < ENVELOPE_HORIZON:
+        raise ParameterError(f"n_max must be >= {ENVELOPE_HORIZON} for a meaningful envelope check")
     r = int(r)
     u = annealed_u(env, s, r, n_max)
     b = r - 1

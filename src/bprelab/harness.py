@@ -8,7 +8,8 @@ the exit code is 0 when all checks pass, 2 when any fails, 1 for config or preco
 body only orchestrates. `_SUITES` declares each suite once: its body,
 the batch it reads, whether `verify` runs it and the reducer keys it reads of that batch. The
 suite loop simulates each batch, reduced at its readers' keys, for its first reader, hands
-each reader its own keys and drops the batch after its last. `run` runs the config's suites
+each reader its own keys and holds the batch to the run's end: a reduced batch is only its
+statuses and partial sums, about 0.5 MB on gw-binary. `run` runs the config's suites
 at its sizes; `verify` runs the suites marked for it through the same loop at small sizes, under
 `_Context(verify=True)`, and names the suites it could not run instead of refusing.
 """
@@ -30,7 +31,7 @@ from ._version import __version__
 from .environment import EnvPath, Environment, IIDMixture
 from .errors import BpreLabError, ConfigError
 # fit_decay and increment_identity_check are bound only so the benchmark's trace wraps them here (ROADMAP item 1)
-from .estimators import MIN_REPLICAS, fit_decay, lp_norm
+from .estimators import MIN_FIT_POINTS, MIN_REPLICAS, fit_decay, lp_norm
 from .relations import FAMILIES, Item, p_tag
 from .simulate import BRACKET, IDENTITY, MODE_ANNEALED, MODE_QUENCHED, MOMENT, SimConfig, TrajectoryBatch
 from .simulate import increment_identity_check, pop_cap_fits, quenched_path, run
@@ -291,9 +292,9 @@ def _suite_identity(ctx: _Context, batch: TrajectoryBatch, keys) -> dict:
 class _Suite(NamedTuple):
     """A suite's body, the mode of the batch it reads (None: none), whether `verify` runs it,
     and the reducer keys it reads of that batch. _run_suites simulates a batch for its first
-    reader, reduced at every key its readers declare, hands it and the reader's own declared
-    keys to each reader's body as body(ctx, batch, keys) and drops the batch once no later
-    suite of the run reads it; a body that reads no batch is called as body(ctx)."""
+    reader, reduced at every key its readers declare, holds it to the run's end and hands it and
+    the reader's own declared keys to each reader's body as body(ctx, batch, keys); a body that
+    reads no batch is called as body(ctx)."""
 
     body: Callable
     reads: Callable[[_Context], str] | None
@@ -325,8 +326,9 @@ _NEEDS = (
      lambda ctx: ctx.env.is_supercritical, "{suite} needs a supercritical environment"),
     (("quenched-rate",), "path_seed", lambda ctx: not ctx.is_mixture or ctx.cfg.path_seed is not None,
      "{suite} on a mixture needs a path_seed"),
-    (("quenched-rate", "annealed-rate"), "gap", lambda ctx: ctx.cfg.n_max - ctx.cfg.gap >= 3,
-     "{suite} needs n_max - gap >= 3 for a fit of 4 points; n_max is {cfg.n_max}"),
+    (("quenched-rate", "annealed-rate"), "gap", lambda ctx: ctx.cfg.n_max - ctx.cfg.gap + 1 >= MIN_FIT_POINTS,
+     f"{{suite}} needs n_max - gap >= {MIN_FIT_POINTS - 1} for a fit of {MIN_FIT_POINTS} points; "
+     "n_max is {cfg.n_max}"),
     (("identity",), "n_max", lambda ctx: ctx.cfg.n_max >= 2,
      "{suite} needs n_max >= 2 for an n < n_max - 1; n_max is {cfg.n_max}"),
     (("quenched-rate", "burkholder", "identity"), "n_max", lambda ctx: ctx.cfg.n_max <= ctx.path_states,
@@ -390,8 +392,9 @@ def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list
     first reader and reduced at every key that the run's readers of it
     declare, and the keys it declared itself, computed once per run;
     `timings.batches` holds each batch's seconds and a suite's
-    timing its own. Once a suite returns, a batch that no later suite reads
-    is dropped, so the run holds a batch only while a reader is still to come.
+    timing its own. The batches live until the run returns: reduced at the
+    readers' keys, a batch holds no `w` rows, only 5 status bytes a replica
+    and its partial sums, so dropping it after its last reader saves little.
     """
     cfg = ctx.cfg
     reads = [_SUITES[suite].reads and _SUITES[suite].reads(ctx) for suite in suites]
@@ -400,7 +403,7 @@ def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list
     timings: dict = {"batches": {}}
     # consecutive clock readings: every second of the loop lands in one batch's or one suite's entry
     t_start = t0 = time.perf_counter()
-    for i, (suite, mode) in enumerate(zip(suites, reads)):
+    for suite, mode, own in zip(suites, reads, keys):
         if mode and mode not in batches:
             batches[mode] = run(SimConfig(
                 mode=mode, env=cfg.env, n_max=cfg.n_max, replicas=cfg.replicas,
@@ -408,9 +411,7 @@ def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list
             ), reductions=[key for read, own in zip(reads, keys) if read == mode for key in own])
             t1 = time.perf_counter()
             timings["batches"][mode], t0 = t1 - t0, t1
-        body[suite] = _SUITES[suite].body(ctx, batches[mode], keys[i]) if mode else _SUITES[suite].body(ctx)
-        if mode and mode not in reads[i + 1:]:
-            del batches[mode]
+        body[suite] = _SUITES[suite].body(ctx, batches[mode], own) if mode else _SUITES[suite].body(ctx)
         t1 = time.perf_counter()
         timings[suite], t0 = t1 - t0, t1
     timings["total"] = time.perf_counter() - t_start

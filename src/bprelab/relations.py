@@ -168,17 +168,18 @@ def a_hat_partial_sums(env: Environment, n: int, rho: float) -> list[Item]:
 
 
 def growth_envelope(env: Environment, n: int, orders) -> list[Item]:
-    """Whether each order's scaled moments stay under the envelope up to max(n, 10), observing
-    each order's largest relative excess over it."""
-    envelopes = [exact_moments.growth_envelope(env, 0.0, r, max(n, 10)) for r in orders]
+    """Whether each order's scaled moments stay under the envelope up to n, and at least up to
+    `exact_moments.ENVELOPE_HORIZON`, observing each order's largest relative excess over it."""
+    envelopes = [exact_moments.growth_envelope(env, 0.0, r, max(n, exact_moments.ENVELOPE_HORIZON)) for r in orders]
     return [Item("growth-envelope", all(e.holds for e in envelopes),
                  {"orders": list(orders), "max_excess": [e.max_excess for e in envelopes]})]
 
 
 def recursion_slack(env: Environment, n: int) -> list[Item]:
-    """Least slack of the split-moment recursion (orders 3-4, s in {0, 1}) up to max(n, 10)."""
+    """Least slack of the split-moment recursion (orders 3-4, s in {0, 1}) up to n, and at least up
+    to `exact_moments.ENVELOPE_HORIZON`."""
     min_slack = min(
-        float(exact_moments.recursion_inequality_slacks(env, s, r, max(n, 10)).min())
+        float(exact_moments.recursion_inequality_slacks(env, s, r, max(n, exact_moments.ENVELOPE_HORIZON)).min())
         for r in (3, 4)
         for s in (0.0, 1.0)
     )
@@ -336,7 +337,7 @@ def rate_fit(estimates: list[LpEstimate], oracle: RateOracle, fitting: bool = Tr
     if oracle.unbounded_q1 is not None:
         section["fit_note"] = "second moments are unbounded here; no finite rate predicted"
         return items + [Item("l2-unbounded-reported", True, {"q1": oracle.unbounded_q1}, p=p)], section
-    if all(e.value <= estimators.ROUNDOFF_DISTANCE**p for e in estimates):
+    if all(e.at_rounding for e in estimates):
         section["fit_note"] = "degenerate: all distances are zero up to rounding, nothing to fit"
         return items + [Item("degenerate-no-fit", True, {"estimates_checked": len(estimates)}, p=p)], section
     try:
@@ -352,10 +353,8 @@ def rate_fit(estimates: list[LpEstimate], oracle: RateOracle, fitting: bool = Tr
         window = [(e, oracle.exact(e.n, e.proxy_gap)) for e in estimates if lo <= e.n <= hi]
         sel = [(e, x) for e, x in window if x > 0]
         if len(sel) >= 2:
-            ns = [e.n for e, _ in sel]
             ys = [math.log(x) / p for _, x in sel]
-            sds = [e.stderr / (p * e.value) for e, _ in sel]
-            slope_exact = float(estimators.wls_line(ns, ys, sds)[0][1])
+            slope_exact = float(estimators.wls_line([e.n for e, _ in sel], ys, [e.log_sd for e, _ in sel])[0][1])
             items.append(Item(
                 "fit-matches-exact",
                 abs(fit.slope - slope_exact) <= estimators.SLACK_SIGMAS * fit.slope_se + ROUNDING,

@@ -8,6 +8,7 @@ import json
 import math
 import mmap
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -1077,7 +1078,7 @@ class TestDeclaredKeys:
 
 
 class TestBatchLifetime:
-    """Each batch is simulated once and held only until the last suite that reads it returns."""
+    """Each batch is simulated once, for its first reader, and held until the run returns."""
 
     @pytest.mark.parametrize("name, command, modes", [
         ("two_state", "run", ["quenched", "annealed"]),
@@ -1119,11 +1120,14 @@ class TestBatchLifetime:
         assert [sim.mode for sim in sims] == modes == list(dict.fromkeys(reads))
 
     @pytest.mark.parametrize("command", ["run", "verify"])
-    def test_a_batch_is_released_once_its_last_reader_returns(self, monkeypatch, command):
-        # refcounting alone must free a released batch and unmap its shared mapping: with the
-        # collector off, a cycle or a section that kept the batch would keep it alive; on a
-        # mixture verify reads the quenched batch, then the annealed one, as run does here
-        refs, dead_at_entry, real = {}, {}, harness.run
+    def test_a_batch_lives_until_its_run_returns(self, monkeypatch, command):
+        # a run holds each batch from its first reader to its end, and refcounting alone frees
+        # every batch and unmaps its shared mapping once the run returns: with the collector off,
+        # a cycle or a section that kept a batch would keep it alive; on a mixture verify reads
+        # the quenched batch, then the annealed one, as run does here
+        suites = ["quenched-rate", "annealed-rate", "burkholder", "identity"]
+        last = suites[-1]
+        refs, alive_at_last, real, real_body = {}, {}, harness.run, harness._SUITES[last].body
 
         def mapping(w):
             while isinstance(w, np.ndarray):
@@ -1132,14 +1136,17 @@ class TestBatchLifetime:
             return w.obj
 
         def spy(sim, **kwargs):
-            dead_at_entry[sim.mode] = {key: ref() is None for key, ref in refs.items()}
             batch = real(sim, **kwargs)
             refs[sim.mode] = weakref.ref(batch)
             refs[f"{sim.mode} mapping"] = weakref.ref(mapping(batch.w))
             return batch
 
+        def last_body(ctx, batch, keys):
+            alive_at_last.update({key: ref() is not None for key, ref in refs.items()})
+            return real_body(ctx, batch, keys)
+
         monkeypatch.setattr(harness, "run", spy)
-        suites = ["quenched-rate", "annealed-rate", "burkholder", "identity"]
+        monkeypatch.setitem(harness._SUITES, last, harness._SUITES[last]._replace(body=last_body))
         cfg = load_config("configs/two_state.cfg", {"replicas": 2000, "n_max": 12, "gap": 6, "suites": suites})
         enabled = gc.isenabled()
         gc.disable()
@@ -1148,7 +1155,7 @@ class TestBatchLifetime:
         finally:
             if enabled:
                 gc.enable()
-        assert dead_at_entry == {"quenched": {}, "annealed": {"quenched": True, "quenched mapping": True}}
+        assert alive_at_last == dict.fromkeys(["quenched", "quenched mapping", "annealed", "annealed mapping"], True)
         assert {key: ref() is None for key, ref in refs.items()} == dict.fromkeys(refs, True)
         ran = suites if command == "run" else ["verify", *VERIFY_SUITES]
         assert list(report["suites"]) == ran
@@ -1209,7 +1216,7 @@ class TestOneOwner:
 
     def test_only_the_suite_loop_asks_for_a_batch(self):
         # the _SUITES rows alone say which batch a suite reads; a suite or helper that called run itself
-        # would say it a second time, and hold a batch the loop means to drop
+        # would say it a second time, and simulate a batch the loop already holds
         callers = [
             getattr(stmt, "name", "<module>")
             for stmt in ast.parse(Path(harness.__file__).read_text()).body
@@ -1238,6 +1245,27 @@ class TestOneOwner:
 
         visit(ast.parse(Path(harness.__file__).read_text()), "harness")
         assert builders and set(builders) == {"harness._Context.add_csv"}
+
+    # each run-path rule's owner module and the forms the rule takes where it is written: the fit
+    # minimum (a constant, a window length, a fit need or its refusal), the rounding floor, the
+    # log-point weight, and the exact envelope horizon (a constant, a max or a refusal)
+    RULES = {
+        "fit-minimum": (bprelab.estimators,
+                        r"MIN_FIT_POINTS\s*=\s*\d|len\(window\)\s*<\s*\d|gap\s*>=?\s*\d|fit of \d|need >= \d"),
+        "rounding-floor": (bprelab.estimators, r"ROUNDOFF_DISTANCE\s*\*\*"),
+        "log-point-weight": (bprelab.estimators, r"stderr\s*/\s*\([\w.]*\bp\s*\*"),
+        "envelope-horizon": (bprelab.exact_moments,
+                             r"ENVELOPE_HORIZON\s*=\s*\d|max\(\s*n\s*,\s*\d+\s*\)|n_max\s*<\s*10\b|>= 10 for"),
+    }
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_each_run_path_rule_is_written_once_in_its_owner(self, rule):
+        # a rule written out in a second module, or a second time in its owner, is a second
+        # place to change it; every other module reads it from its owner by name
+        owner, form = self.RULES[rule]
+        written = {path.name: len(re.findall(form, path.read_text()))
+                   for path in sorted(Path(owner.__file__).parent.glob("*.py"))}
+        assert {name: count for name, count in written.items() if count} == {Path(owner.__file__).name: 1}
 
     @pytest.mark.parametrize("path_seed", [None, 7])
     def test_series_path_is_the_quenched_batch_path(self, path_seed):

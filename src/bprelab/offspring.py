@@ -23,7 +23,7 @@ class OffspringLaw:
     Parameters
     ----------
     pmf : mapping of non-negative int to probability. Probabilities must be
-        non-negative and sum to 1 within 1e-9; they are renormalized to sum
+        non-negative and sum to 1 within 1e-12; they are renormalized to sum
         to 1 exactly. Zero-probability entries are dropped. The mean must be
         positive (the law may be deterministic, but not all mass at zero).
     """

@@ -55,6 +55,17 @@ class TestConstruction:
         with pytest.raises(ParameterError, match="sum to"):
             OffspringLaw({0: 0.25, 2: 0.25})
 
+    def test_total_tolerance_is_1e_12(self):
+        # a total off by 2e-12 is refused with the bad-total message; one off by 5e-13 is kept
+        # and divided by its total, so the stored probabilities sum to 1
+        with pytest.raises(ParameterError, match=r"probabilities sum to 1\.000000000002\d*, not 1"):
+            OffspringLaw({0: 0.25, 2: 0.75 + 2e-12})
+        total = math.fsum([0.25, 0.75 + 5e-13])
+        law = OffspringLaw({0: 0.25, 2: 0.75 + 5e-13})
+        assert total != 1.0
+        assert law.probs.tolist() == [0.25 / total, (0.75 + 5e-13) / total]
+        assert math.fsum(law.probs) == pytest.approx(1.0, abs=1e-15)
+
     def test_all_mass_at_zero_rejected(self):
         with pytest.raises(ParameterError, match="mean must be positive"):
             OffspringLaw({0: 1.0})

@@ -21,7 +21,8 @@ from .errors import EstimateUnavailableError, FitUnavailableError, ParameterErro
 from .simulate import BRACKET, MOMENT, N_BATCHES, TrajectoryBatch, partials  # N_BATCHES: the chunks' count
 
 MIN_REPLICAS = 100
-MIN_FIT_POINTS = 4  # the fewest consecutive points a decay fit takes
+# the fewest consecutive points a decay fit takes
+MIN_FIT_POINTS = 4
 CI_Z = 1.96
 
 # standard errors of slack a Monte Carlo check allows: the sandwich's, and the

@@ -24,7 +24,8 @@ from .offspring import OffspringLaw
 
 MAX_ORDER = 6
 OVERFLOW_LIMIT = 1e300
-ENVELOPE_HORIZON = 10  # the fewest generations a growth-envelope or recursion-slack check runs over
+# the fewest generations a growth-envelope or recursion-slack check runs over
+ENVELOPE_HORIZON = 10
 
 
 @functools.cache

@@ -8,8 +8,8 @@ the exit code is 0 when all checks pass, 2 when any fails, 1 for config or preco
 body only orchestrates. `_SUITES` declares each suite once: its body,
 the batch it reads, whether `verify` runs it and the reducer keys it reads of that batch. The
 suite loop simulates each batch, reduced at its readers' keys, for its first reader, hands
-each reader its own keys and holds the batch to the run's end: a reduced batch is only its
-statuses and partial sums, about 0.5 MB on gw-binary. `run` runs the config's suites
+each reader its own keys and holds the batch to the run's end, since a reduced batch is only
+its statuses and partial sums. `run` runs the config's suites
 at its sizes; `verify` runs the suites marked for it through the same loop at small sizes, under
 `_Context(verify=True)`, and names the suites it could not run instead of refusing.
 """
@@ -392,7 +392,7 @@ def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list
     first reader and reduced at every key that the run's readers of it
     declare, and the keys it declared itself, computed once per run;
     `timings.batches` holds each batch's seconds and a suite's
-    timing its own. The batches live until the run returns: reduced at the
+    timing its own. The batches live until the run returns: reduced at its
     readers' keys, a batch holds no `w` rows, only 5 status bytes a replica
     and its partial sums, so dropping it after its last reader saves little.
     """
@@ -403,7 +403,7 @@ def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list
     timings: dict = {"batches": {}}
     # consecutive clock readings: every second of the loop lands in one batch's or one suite's entry
     t_start = t0 = time.perf_counter()
-    for suite, mode, own in zip(suites, reads, keys):
+    for suite, mode, declared in zip(suites, reads, keys):
         if mode and mode not in batches:
             batches[mode] = run(SimConfig(
                 mode=mode, env=cfg.env, n_max=cfg.n_max, replicas=cfg.replicas,
@@ -411,7 +411,7 @@ def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list
             ), reductions=[key for read, own in zip(reads, keys) if read == mode for key in own])
             t1 = time.perf_counter()
             timings["batches"][mode], t0 = t1 - t0, t1
-        body[suite] = _SUITES[suite].body(ctx, batches[mode], own) if mode else _SUITES[suite].body(ctx)
+        body[suite] = _SUITES[suite].body(ctx, batches[mode], declared) if mode else _SUITES[suite].body(ctx)
         t1 = time.perf_counter()
         timings[suite], t0 = t1 - t0, t1
     timings["total"] = time.perf_counter() - t_start

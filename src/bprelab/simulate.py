@@ -16,15 +16,19 @@ from the same rows x n_max uniforms that ``Generator.choice`` would draw,
 mapped to generation-major one-byte law indices by counting the cut points of
 choice's cdf (computed once per batch) at or below each uniform; a one-state
 mixture needs no draw, so it advances the stream past those uniforms instead.
-Each generation is then one multinomial call over the block's live rows, a
-slice until the first row stops and an index after, against a table of their
-laws taken from the union-support pmf rows, while each live row's log P_n is
-one running vector of the law log means and exp(-log P_n) is taken on the
-live rows only. Where every row shares its path (a quenched path, a one-state
-mixture), each generation draws against one pmf row, or skips the draw of a
-point mass, and scales by one 1/P_n vector. Generation totals are drawn
-exactly (multinomial category counts of the parent population dotted with
-the support, which is the exact law of the sum of per-individual draws);
+Every block then draws each generation by one rule: the laws in index order,
+each drawing its live rows, in row order, with one multinomial call against
+its union-support pmf row; a point mass skips the call and advances the
+stream as far as it would go. Where every row shares its path (a quenched
+path, a one-state mixture) that is one law over every live row, and log P_n
+is one scalar; else each live row's log P_n is one running vector of the law
+log means. The live rows are a slice until the first row stops and an index
+after. Where at most one law of a generation consumes the stream (every
+shared block, and a mixture in which every law but one is a point mass at
+the largest offspring value), the stream is that of a draw row by row; where
+two do, it runs law by law. Generation totals are drawn exactly
+(multinomial category counts of the parent population dotted with the
+support, which is the exact law of the sum of per-individual draws);
 populations above pop_cap stop simulating and are flagged.
 
 Every estimate is a reduction that splits by row, so one reducer
@@ -285,24 +289,22 @@ def _draw_states(rng: np.random.Generator, cdf: np.ndarray, rows: int, n_max: in
 def _simulate_block(rng: np.random.Generator, states: np.ndarray, support: np.ndarray,
                     pvals: np.ndarray, log_means: np.ndarray, pop_cap: int, w: np.ndarray,
                     status: np.ndarray, status_gen: np.ndarray) -> None:
-    """Fill one block's rows, one multinomial call per generation over the live rows.
+    """Fill one block's rows, one multinomial call per generation and law over its live rows.
 
     states[n] is the law of generation n: one index into pvals and log_means
-    for every row when states is 1-D (a shared path, drawn against its one
-    pmf row, which numpy draws from as from a table of its copies, and scaled
-    by one 1/P_n vector; a point mass skips the draw and advances the stream
-    as far as the draw would), else one index per row. Per-row laws keep each live
-    row's log P_n as one running vector, adding the law log means generation
-    by generation, as a cumulative sum would. Rows that die out or pass
-    pop_cap stay frozen; the live rows are a slice until the first row stops,
-    then an index. w[:, 0], status and status_gen arrive holding 1, completed
-    and -1.
+    for every row when states is 1-D (a shared path: a quenched path or a
+    one-state mixture), else one index per row. Every generation follows one
+    rule: the laws in index order, each drawing its live rows, in row order,
+    against its one union-support pmf row; a point mass skips the draw and
+    advances the stream as far as the draw would. log P_n runs generation by
+    generation, as a cumulative sum would: one scalar on a shared path, else
+    one vector over the live rows, and exp(-log P_n) is taken on those only.
+    Rows that die out or pass pop_cap stay frozen; the live rows are a slice
+    until the first row stops, then an index. w[:, 0], status and status_gen
+    arrive holding 1, completed and -1.
     """
     shared = states.ndim == 1
-    if shared:
-        pinv = np.exp(-np.cumsum(log_means[states]))
-    else:
-        log_p = np.zeros(len(status))
+    log_p = 0.0 if shared else np.zeros(len(status))
     live = slice(None)
     z = np.ones(len(status), dtype=np.int64)
     for n in range(len(states)):
@@ -311,19 +313,17 @@ def _simulate_block(rng: np.random.Generator, states: np.ndarray, support: np.nd
             w[:, n + 1] = w[:, n]
         if not z.size:
             continue
-        if shared:
+        law = states[n] if shared else states[n, live]
+        log_p += log_means[law]
+        for k in [law] if shared else range(len(pvals)):
+            rows = slice(None) if shared else np.flatnonzero(law == k)
             # a point mass gives multinomial's counts without it, then skips its one double a row
             # (none where the mass is the support's last value)
-            mass = np.flatnonzero(pvals[states[n]])
-            z = rng.multinomial(z, pvals[states[n]]) @ support if len(mass) > 1 else z * support[mass[0]]
+            mass, parents = np.flatnonzero(pvals[k]), z[rows]
+            z[rows] = rng.multinomial(parents, pvals[k]) @ support if len(mass) > 1 else parents * support[mass[0]]
             if len(mass) == 1 and mass[0] < len(support) - 1:
-                rng.bit_generator.advance(len(z))
-            w[live, n + 1] = z * pinv[n]
-        else:
-            law = states[n, live]
-            log_p += np.take(log_means, law)
-            z = rng.multinomial(z, np.take(pvals, law, axis=0)) @ support
-            w[live, n + 1] = z * np.exp(-log_p)
+                rng.bit_generator.advance(len(parents))
+        w[live, n + 1] = z * np.exp(-log_p)
         stop = (z == 0) | (z > pop_cap)
         if stop.any():
             if isinstance(live, slice):

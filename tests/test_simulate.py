@@ -1,5 +1,6 @@
 """Trajectory engine: reproducibility, statuses, dumps, the A/A-hat identity."""
 
+import ast
 import dataclasses
 import math
 import os
@@ -108,38 +109,47 @@ class TestSimConfig:
         assert cfg.block_seed(4).entropy == 17
 
 
-def row_by_row_reference(cfg):
-    """The block scheme replayed one replica at a time, as a plain loop.
+def row_by_row_block(rng, states, laws, pop_cap):
+    """One block replayed one replica at a time, as a plain loop; returns (w, status, status_gen).
 
-    Each block's stream first draws every row's states, then one multinomial
-    per live row and generation, over the sorted union support of the laws.
+    states[i, n] is row i's law at generation n. Generation by generation,
+    each law in index order draws its live rows in row order: one
+    multinomial per row over the sorted union support of the laws, a point
+    mass included, so the engine's skip must leave the stream where these
+    draws do.
     """
-    laws = cfg.env.states
     support = sorted({v for law in laws for v in law.as_mapping()})
     padded = [[law.as_mapping().get(v, 0.0) for v in support] for law in laws]
-    w = np.zeros((cfg.replicas, cfg.n_max + 1))
-    status = np.full(cfg.replicas, STATUS_COMPLETED)
-    status_gen = np.full(cfg.replicas, -1)
-    for block, lo in enumerate(range(0, cfg.replicas, BLOCK_ROWS)):
-        rows = range(lo, min(lo + BLOCK_ROWS, cfg.replicas))
-        rng = np.random.default_rng(cfg.block_seed(block))
-        states = rng.choice(len(laws), size=(len(rows), cfg.n_max), p=cfg.env.weights)
-        z = dict.fromkeys(rows, 1)
-        log_p = dict.fromkeys(rows, 0.0)
-        w[lo : rows.stop, 0] = 1.0
-        for n in range(cfg.n_max):
-            for i in rows:
-                w[i, n + 1] = w[i, n]
-                if status[i] != STATUS_COMPLETED:
+    rows, n_max = states.shape
+    w = np.ones((rows, n_max + 1))
+    status = np.full(rows, STATUS_COMPLETED)
+    status_gen = np.full(rows, -1)
+    z, log_p = [1] * rows, [0.0] * rows
+    for n in range(n_max):
+        w[:, n + 1] = w[:, n]
+        for state, law in enumerate(laws):
+            for i in range(rows):
+                if status[i] != STATUS_COMPLETED or states[i, n] != state:
                     continue
-                state = states[i - lo, n]
                 z[i] = int(rng.multinomial(z[i], padded[state]) @ support)
-                log_p[i] += laws[state].log_mean
+                log_p[i] += law.log_mean
                 w[i, n + 1] = z[i] * math.exp(-log_p[i])
-                if z[i] == 0 or z[i] > cfg.pop_cap:
+                if z[i] == 0 or z[i] > pop_cap:
                     status[i] = STATUS_EXTINCT if z[i] == 0 else STATUS_CAPPED
                     status_gen[i] = n + 1
     return w, status, status_gen
+
+
+def row_by_row_reference(cfg):
+    """The block scheme replayed by row_by_row_block: each block's stream first draws every row's
+    states by choice, then the block's generations."""
+    blocks = []
+    for block, lo in enumerate(range(0, cfg.replicas, BLOCK_ROWS)):
+        rng = np.random.default_rng(cfg.block_seed(block))
+        size = (min(BLOCK_ROWS, cfg.replicas - lo), cfg.n_max)
+        states = rng.choice(len(cfg.env.states), size=size, p=cfg.env.weights)
+        blocks.append(row_by_row_block(rng, states, cfg.env.states, cfg.pop_cap))
+    return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 TWO_LAWS = IIDMixture([OffspringLaw(GW_PMF), OffspringLaw({1: 0.2, 4: 0.8})], [0.6, 0.4])
@@ -285,6 +295,7 @@ CHI2_REPLICAS = 20_000
 CHI2_N_MAX = 4
 PATH_PMFS = [{0: 0.25, 2: 0.75}, {1: 0.5, 3: 0.5}, {0: 0.2, 1: 0.3, 3: 0.5}, {2: 1.0}]
 MEAN_TWO_PMFS = [{1: 0.5, 3: 0.5}, {2: 1.0}]
+DRAWING_PMFS = [{1: 0.5, 3: 0.5}, {0: 0.5, 4: 0.5}]
 
 
 def chi2_sf(x, df):
@@ -348,17 +359,25 @@ class TestGenerationLawOracle:
             pvalue = chi2_pvalue(np.rint(z).astype(np.int64), exact[n])
             assert pvalue > CHI2_ALPHA, (n, pvalue)
 
-    def test_annealed_mean_two_mixture(self):
+    def assert_annealed_laws(self, pmfs, master_seed):
         # both states have mean 2, so P_n = 2^n on every path and Z_n = 2^n W_n
-        env = IIDMixture([OffspringLaw(q) for q in MEAN_TWO_PMFS], [0.5, 0.5])
+        env = IIDMixture([OffspringLaw(q) for q in pmfs], [0.5, 0.5])
         batch = run(small_cfg(env=env, n_max=CHI2_N_MAX, replicas=CHI2_REPLICAS,
-                              master_seed=37))
-        exact = oracles.annealed_generation_distributions(MEAN_TWO_PMFS, [0.5, 0.5], CHI2_N_MAX)
+                              master_seed=master_seed))
+        exact = oracles.annealed_generation_distributions(pmfs, [0.5, 0.5], CHI2_N_MAX)
         for n in range(1, CHI2_N_MAX + 1):
             z = batch.w[:, n] * 2**n
             assert np.allclose(z, np.rint(z), rtol=0, atol=1e-6)
             pvalue = chi2_pvalue(np.rint(z).astype(np.int64), exact[n])
             assert pvalue > CHI2_ALPHA, (n, pvalue)
+
+    def test_annealed_mean_two_mixture(self):
+        # one law draws, the other is a point mass that skips its draw
+        self.assert_annealed_laws(MEAN_TWO_PMFS, 37)
+
+    def test_annealed_mixture_of_two_drawing_laws(self):
+        # both laws draw, so two law groups share each generation's stream
+        self.assert_annealed_laws(DRAWING_PMFS, 41)
 
 
 class RecordingRng:
@@ -392,16 +411,18 @@ def assert_same_outputs(got, want):
 
 
 class TestOnePmfPerGeneration:
-    """When every row shares a law, its one pmf row draws what the per-row table draws."""
+    """When every row shares a law, the shared path draws what a per-row block of that law draws."""
 
     def assert_same_draws(self, path, support, pvals, log_means):
-        # a 1-D path takes the one-pmf path, the same law repeated on every row the table path
+        # a 1-D path takes the shared path, the same law repeated on every row the per-row one
         rows = 300
         per_row = np.repeat(path[:, None], rows, axis=1).astype(np.uint8)
-        one, table = RecordingRng(41), RecordingRng(41)
+        one, each = RecordingRng(41), RecordingRng(41)
         got = simulate_block(one, path, support, pvals, log_means, 60, rows)
-        want = simulate_block(table, per_row, support, pvals, log_means, 60, rows)
-        assert (one.pmf_ndims, table.pmf_ndims) == ({1}, {2})
+        want = simulate_block(each, per_row, support, pvals, log_means, 60, rows)
+        # both hand multinomial one 1-D pmf row at a time, never a point mass
+        assert (one.pmf_ndims, each.pmf_ndims) == ({1}, {1})
+        assert one.fewest_nonzero >= 2 and each.fewest_nonzero >= 2
         assert_same_outputs(got, want)
         assert {STATUS_EXTINCT, STATUS_CAPPED} <= set(got[1].tolist())
 
@@ -412,7 +433,7 @@ class TestOnePmfPerGeneration:
         self.assert_same_draws(path, support, pvals, np.array([law.log_mean for law in laws]))
 
     def test_one_state_mixture(self):
-        # an unused second law: the table holds more than the one law drawn
+        # an unused second law: pvals holds more than the one law drawn
         laws = [OffspringLaw(GW_PMF), OffspringLaw({1: 0.5, 3: 0.5})]
         support, pvals = _law_table(laws)
         path = np.zeros(12, dtype=np.intp)
@@ -423,8 +444,8 @@ class TestOnePmfPerGeneration:
         assert isinstance(np.random.default_rng(0).bit_generator, np.random.PCG64)
 
     @pytest.mark.parametrize("mode", ["annealed", "quenched"])
-    def test_run_equals_the_per_row_table(self, mode):
-        # run's shared path (one pmf row, one 1/P_n vector) against every row's own
+    def test_run_equals_the_per_row_block(self, mode):
+        # run's shared path (one scalar log P_n) against every row's own law and log P_n
         env = GW_ENV if mode == "annealed" else FixedPath([OffspringLaw(q) for q in PATH_PMFS * 3])
         cfg = small_cfg(env=env, mode=mode, replicas=BLOCK_ROWS + 7)
         batch = run(cfg)
@@ -443,68 +464,58 @@ class TestOnePmfPerGeneration:
             assert_same_outputs((batch.w[rows], batch.status[rows], batch.status_gen[rows]), want)
 
 
-def old_block(rng, state, support, pvals, pinv, pop_cap, w, status, status_gen):
-    """The earlier block formulation, one multinomial call per generation over the live rows.
+def old_block(rng, path, support, pvals, log_means, pop_cap, rows):
+    """The earlier shared-path block formulation on fresh outputs; returns (w, status, status_gen).
 
-    state[i, n] indexes the law row i uses at generation n; a stride-0 state
-    shares one path across rows and is drawn against its one pmf row, else
-    the live rows' laws are fancy-indexed into a per-row table. pinv[i, n] is
-    1 / P_n on row i's path.
+    path[n] indexes the law every row uses at generation n. Each generation is
+    one multinomial call over the live rows against that law's pmf row, a
+    point mass included, and 1/P_n comes from one cumsum/exp vector.
     """
-    rows, n_max = state.shape
-    one_law = state.strides[0] == 0
+    pinv = np.exp(-np.cumsum(log_means[path]))
+    w = np.ones((rows, len(path) + 1))
+    status = np.full(rows, STATUS_COMPLETED, dtype=np.int8)
+    status_gen = np.full(rows, -1, dtype=np.int32)
     live = np.arange(rows)
     z = np.ones(rows, dtype=np.int64)
-    for n in range(n_max):
+    for n in range(len(path)):
         w[:, n + 1] = w[:, n]
         if not live.size:
             continue
-        law = pvals[state[0, n]] if one_law else pvals[state[live, n]]
-        z = rng.multinomial(z, law) @ support
-        w[live, n + 1] = z * pinv[live, n + 1]
+        z = rng.multinomial(z, pvals[path[n]]) @ support
+        w[live, n + 1] = z * pinv[n]
         stop = (z == 0) | (z > pop_cap)
         if stop.any():
             gone = live[stop]
             status[gone] = np.where(z[stop] == 0, STATUS_EXTINCT, STATUS_CAPPED)
             status_gen[gone] = n + 1
             live, z = live[~stop], z[~stop]
+    return w, status, status_gen
 
 
 def old_run(cfg):
     """run's w, status and status_gen by the earlier formulation, block by block in one process.
 
-    choice draws every row's states (a one-state mixture advances past them),
-    a cumsum/exp matrix gives 1/P_n, and the block is drawn by old_block with
-    a per-row state, or a stride-0 one where every row shares its path.
+    Only for batches whose rows share one path: a quenched path, or a
+    one-state mixture, which advances past the uniforms choice would draw.
     """
     shared = simulate.quenched_path(cfg.env, cfg.n_max, cfg.path_seed) if cfg.mode == "quenched" else None
     laws = cfg.env.states if shared is None else shared.laws
+    assert shared is not None or len(laws) == 1
     support, pvals = _law_table(laws)
     log_means = np.array([law.log_mean for law in laws])
-    w = np.empty((cfg.replicas, cfg.n_max + 1))
-    w[:, 0] = 1.0
-    status = np.full(cfg.replicas, STATUS_COMPLETED, dtype=np.int8)
-    status_gen = np.full(cfg.replicas, -1, dtype=np.int32)
+    path = np.arange(cfg.n_max) if shared is not None else np.zeros(cfg.n_max, dtype=np.intp)
+    parts = []
     for block, lo in enumerate(range(0, cfg.replicas, BLOCK_ROWS)):
-        hi = min(lo + BLOCK_ROWS, cfg.replicas)
+        rows = min(BLOCK_ROWS, cfg.replicas - lo)
         rng = np.random.default_rng(cfg.block_seed(block))
-        if shared is not None:
-            state = np.arange(cfg.n_max)[None, :]
-        elif len(laws) == 1:
-            rng.bit_generator.advance((hi - lo) * cfg.n_max)
-            state = np.zeros((1, cfg.n_max), dtype=np.int64)
-        else:
-            state = rng.choice(len(laws), size=(hi - lo, cfg.n_max), p=cfg.env.weights)
-        log_p = np.zeros((len(state), cfg.n_max + 1))
-        np.cumsum(log_means[state], axis=1, out=log_p[:, 1:])
-        old_block(rng, np.broadcast_to(state, (hi - lo, cfg.n_max)), support, pvals,
-                  np.broadcast_to(np.exp(-log_p), (hi - lo, cfg.n_max + 1)), cfg.pop_cap,
-                  w[lo:hi], status[lo:hi], status_gen[lo:hi])
-    return w, status, status_gen
+        if shared is None:
+            rng.bit_generator.advance(rows * cfg.n_max)
+        parts.append(old_block(rng, path, support, pvals, log_means, cfg.pop_cap, rows))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 class TestPointMass:
-    """A point-mass generation on a shared path skips multinomial: same outputs, same stream position."""
+    """A point-mass generation skips multinomial: same outputs, same stream position."""
 
     @pytest.mark.parametrize("mass", [2, 3], ids=["inner-value", "last-value"])
     def test_outputs_and_stream_match_the_multinomial_route(self, mass):
@@ -515,30 +526,69 @@ class TestPointMass:
         path = np.array([2, 0, 2, 1, 2, 2, 0, 2, 1, 2, 0, 2])
         rows = 300
         per_row = np.repeat(path[:, None], rows, axis=1).astype(np.uint8)
-        one, table = RecordingRng(43), RecordingRng(43)
+        one, each, drawn = RecordingRng(43), RecordingRng(43), RecordingRng(43)
         got = simulate_block(one, path, support, pvals, log_means, 10**6, rows)
-        want = simulate_block(table, per_row, support, pvals, log_means, 10**6, rows)
-        assert_same_outputs(got, want)
-        assert (one.fewest_nonzero, table.fewest_nonzero) == (2, 1)
+        assert_same_outputs(got, simulate_block(each, per_row, support, pvals, log_means, 10**6, rows))
+        assert_same_outputs(got, old_block(drawn, path, support, pvals, log_means, 10**6, rows))
+        # the shared and per-row blocks hand multinomial 1-D pmf rows, never the point mass
+        assert (one.pmf_ndims, each.pmf_ndims, drawn.pmf_ndims) == ({1}, {1}, {1})
+        assert (one.fewest_nonzero, each.fewest_nonzero, drawn.fewest_nonzero) == (2, 2, 1)
         assert {STATUS_EXTINCT, STATUS_COMPLETED} <= set(got[1].tolist())
         # the skip advanced the stream to where the draws left it
-        assert one.rng.random() == table.rng.random()
+        assert one.rng.random() == each.rng.random() == drawn.rng.random()
+
+    @pytest.mark.parametrize("mass", [2, 3], ids=["inner-value", "last-value"])
+    def test_a_per_row_block_matches_the_row_by_row_draws(self, mass):
+        # every row its own law, the point mass among them: the skip leaves the stream where a
+        # multinomial draw on each of its rows would
+        laws = [OffspringLaw(GW_PMF), OffspringLaw({1: 0.5, 3: 0.5}), OffspringLaw({mass: 1.0})]
+        support, pvals = _law_table(laws)
+        log_means = np.array([law.log_mean for law in laws])
+        states = np.random.default_rng(5).integers(len(laws), size=(300, 12))
+        rng, reference = RecordingRng(47), np.random.default_rng(47)
+        got = simulate_block(rng, states.T.astype(np.uint8), support, pvals, log_means, 1000, 300)
+        w, status, status_gen = row_by_row_block(reference, states, laws, 1000)
+        assert (rng.pmf_ndims, rng.fewest_nonzero) == ({1}, 2)
+        assert {STATUS_EXTINCT, STATUS_CAPPED, STATUS_COMPLETED} <= set(got[1].tolist())
+        assert np.array_equal(got[1], status) and np.array_equal(got[2], status_gen)
+        assert np.allclose(got[0], w, rtol=1e-14, atol=0)
+        assert rng.rng.random() == reference.random()
 
 
 class TestOldFormulation:
-    """run against the earlier block formulation, bit for bit."""
+    """run against the earlier block formulation, bit for bit, on the batches whose stream it kept.
+
+    The per-row mixtures' order, law by law within a generation, is held by
+    TestDeterminism::test_matches_row_by_row_reference.
+    """
 
     @pytest.mark.parametrize("cfg", [
-        small_cfg(env=TWO_LAWS, n_max=10, replicas=2 * BLOCK_ROWS + 300, pop_cap=1000),
-        small_cfg(env=THREE_LAWS, n_max=10, replicas=BLOCK_ROWS + 8),
         small_cfg(env=FixedPath([OffspringLaw(q) for q in PATH_PMFS * 3]), mode="quenched",
                   replicas=BLOCK_ROWS + 7, pop_cap=1000),
         small_cfg(replicas=BLOCK_ROWS + 7),
-    ], ids=["two-state-mixture", "three-state-mixture", "quenched-fixed-path", "one-state-mixture"])
+    ], ids=["quenched-fixed-path", "one-state-mixture"])
     def test_run_equals_the_old_formulation(self, cfg):
         batch = run(cfg)
         assert_same_outputs((batch.w, batch.status, batch.status_gen), old_run(cfg))
         assert len(set(batch.status.tolist())) > 1
+
+
+class TestOneOwner:
+    """Every simulated block draws its generation totals at one site, by one rule."""
+
+    def test_one_multinomial_draw_site(self):
+        # shared and per-row blocks alike draw each law's live rows against its one pmf row in
+        # _simulate_block; a second call, or a per-row pmf table taken from pvals, would be a second rule
+        source = Path(simulate.__file__).read_text()
+        owners = [
+            stmt.name
+            for stmt in ast.parse(source).body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "multinomial"
+        ]
+        assert owners == ["_simulate_block"]
+        assert "np.take(pvals" not in source
 
 
 class TestStateDraw:
@@ -798,10 +848,10 @@ class TestBlockMemory:
         batch, peak = traced_peak(lambda: run(cfg))
         assert {STATUS_EXTINCT, STATUS_CAPPED} <= set(batch.status.tolist())
         # choice's uniforms, a byte per state for the states and for one comparison
-        # mask, then per generation a pmf table, its counts and a few row vectors;
-        # a rows x (n_max + 1) float64 matrix of log P_n alone would pass it
+        # mask, then per generation one law's counts and a few row vectors; a rows x
+        # (n_max + 1) float64 matrix of log P_n alone would pass it
         uniforms = 8 * BLOCK_ROWS * cfg.n_max
-        bound = uniforms + 2 * BLOCK_ROWS * cfg.n_max + 8 * BLOCK_ROWS * (2 * support.size + 8)
+        bound = uniforms + 2 * BLOCK_ROWS * cfg.n_max + 8 * BLOCK_ROWS * (support.size + 8)
         assert peak <= bound + SLACK_BYTES, (peak, bound)
 
 

@@ -26,6 +26,8 @@ MAX_ORDER = 6
 OVERFLOW_LIMIT = 1e300
 # the fewest generations a growth-envelope or recursion-slack check runs over
 ENVELOPE_HORIZON = 10
+# a law's bar m(2) = E|X/m - 1|^2, computed once per distinct law
+_bar2 = functools.cache(functools.partial(OffspringLaw.centered_abs_moment, p=2.0))
 
 
 @functools.cache
@@ -190,9 +192,7 @@ class P2ClosedForms:
 def p2_closed_forms(env: Environment) -> P2ClosedForms:
     if not isinstance(env, IIDMixture):
         raise UnsupportedOperationError("closed p=2 forms need an i.i.d. mixture environment")
-    q1 = env.mean_power(-1.0)
-    b2 = env.expect(lambda law: law.centered_abs_moment(2.0))
-    return P2ClosedForms(q1=q1, b2=b2)
+    return P2ClosedForms(q1=env.mean_power(-1.0), b2=env.expect(_bar2))
 
 
 def a_hat_second_moment_partial(env: Environment, rho: float, n_terms: int) -> float:
@@ -235,7 +235,7 @@ def quenched_p2_tail(path: EnvPath, n: int, horizon: int) -> QuenchedTail:
     if horizon >= len(path):
         raise ParameterError(f"horizon {horizon} needs a path longer than {len(path)}")
     lower = float(math.fsum(quenched_increment_second_moments(path, horizon + 1)[n:]))
-    bar2_max = max(law.centered_abs_moment(2.0) for law in path.laws[: horizon + 1])
+    bar2_max = max(map(_bar2, path.laws[: horizon + 1]))
     mu_min = float(min(law.mean for law in path.laws[: horizon + 1]))
     if bar2_max == 0.0:
         remainder = 0.0
@@ -250,8 +250,7 @@ def quenched_increment_second_moments(path: EnvPath, n_max: int) -> np.ndarray:
     """E_xi|W_{n+1} - W_n|^2 = P_n^{-1} bar m_n(2) for n = 0..n_max-1."""
     if not 1 <= n_max <= len(path):
         raise ParameterError(f"n_max {n_max} outside 1..{len(path)}")
-    bar2 = np.array([law.centered_abs_moment(2.0) for law in path.laws[:n_max]])
-    return bar2 * np.exp(-path.log_means[:n_max])
+    return np.array([_bar2(law) for law in path.laws[:n_max]]) * np.exp(-path.log_means[:n_max])
 
 
 @dataclass(frozen=True)

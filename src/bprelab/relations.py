@@ -23,7 +23,7 @@ import numpy as np
 
 from . import estimators, exact_moments, rates, simulate
 from .environment import EnvPath, Environment, IIDMixture
-from .errors import FitUnavailableError
+from .errors import FitUnavailableError, ParameterError
 from .estimators import LpEstimate
 from .exact_moments import MomentTable
 from .simulate import TrajectoryBatch
@@ -36,6 +36,8 @@ EXACT_REL = 1e-9
 TABLE_REL = 1e-10
 # the rounding allowance of an inequality between two computed values
 ROUNDING = 1e-12
+# the most states a mixture's path is drawn to for its quenched p = 2 remainder
+TAIL_STATES = 2**16
 
 
 # every check family, `<suite>[.<name>]`, with its statement, in the suites' order
@@ -124,11 +126,8 @@ def unit_mean(name: str, means) -> list[Item]:
 
 def partial_sum_error(moments, inc) -> float:
     """Worst relative error of E[W_k^2] against 1 + sum_{j<k} E|W_{j+1} - W_j|^2 over k."""
-    worst = 0.0
-    for k, moment in enumerate(moments):
-        closed = 1.0 + math.fsum(inc[:k])
-        worst = max(worst, abs(moment - closed) / max(closed, 1.0))
-    return worst
+    closed = [1.0 + math.fsum(inc[:k]) for k in range(len(moments))]
+    return max(abs(moment - c) / max(c, 1.0) for moment, c in zip(moments, closed))
 
 
 def annealed_p2_partial_sums(env: Environment, n: int) -> list[Item]:
@@ -253,7 +252,8 @@ class RateOracle(NamedTuple):
     """What is exact about E|W_{n+gap} - W_n|^p at one (mode, p); a None field is not known.
     `exact(n, gap)` is that moment and `bias(upto)` the bias of the proxy W_upto; the fit's
     interval should contain `predicted_rho`; `unbounded_q1`, a q1 >= 1, leaves nothing to fit;
-    `bias_label` says how to read the section's bias values."""
+    `bias_label`, set only where the bias has no oracle (annealed p < 2), says how to read the
+    section's bias values."""
 
     exact: Callable[[int, int], float] | None = None
     bias: Callable[[int], float] | None = None
@@ -268,20 +268,32 @@ def _gap_sums(inc) -> Callable[[int, int], float]:
 
 
 def quenched_oracles(env: Environment, path: EnvPath, n_max: int, ps) -> dict[float, RateOracle]:
-    """Each p's oracle along `path` to generation n_max: exact values and bias bounds at p = 2.
-    The bias adds the path's increments from `upto` to its remainder beyond n_max; where that
-    is infinite (a mean <= 1 on the path) on a mixture with q1 < 1, the remainder is the
-    expectation over the i.i.d. future, b2 / (P_{n_max} (1 - q1)), labelled as not a bound."""
+    """Each p's oracle along `path` to generation n_max: exact values and the bias at p = 2,
+    which adds the path's increments from `upto` to its remainder beyond n_max.
+
+    A fixed path has no future: its remainder is `quenched_p2_tail`'s bound, inf where a mean
+    <= 1 is on the path. A mixture's quenched law conditions on the whole realized path, and
+    the increments are orthogonal, so its remainder is the exact sum of the increments
+    P_k^{-1} bar m_k(2), k >= n_max, along that path, extended by drawing it again from its own
+    seed (`quenched_path` is prefix-stable). The stopping rule: draw 2 n_max, 4 n_max, ...
+    states, and stop at the first doubling whose new states could not change the float sum even
+    if each had the mixture's largest bar m(2), so a run of deterministic states does not end it
+    early. The remainder is inf on a mixture that is not supercritical, whose sum need not
+    converge, and where the sum could still change at TAIL_STATES (2^16) states. A mixture path
+    without a seed raises ParameterError: it cannot be extended reproducibly."""
     inc = exact_moments.quenched_increment_second_moments(path, n_max)
-    remainder = exact_moments.quenched_p2_tail(path, 0, n_max - 1).remainder
-    label = None
-    if math.isinf(remainder) and isinstance(env, IIDMixture):
-        forms = exact_moments.p2_closed_forms(env)
-        if forms.summable:
-            remainder = forms.b2 * math.exp(-path.log_means[n_max]) / (1.0 - forms.q1)
-            label = "expected tail over the i.i.d. future"
-    p2 = RateOracle(exact=_gap_sums(inc), bias=lambda upto: math.fsum(inc[upto:]) + remainder,
-                    bias_label=label)
+    if not isinstance(env, IIDMixture):
+        remainder = exact_moments.quenched_p2_tail(path, 0, n_max - 1).remainder
+    elif path.seed is None:
+        raise ParameterError("a mixture's quenched tail extends the path from its seed, and this path has none")
+    else:
+        remainder, length, bar2_max = math.inf, 2 * n_max, max(law.centered_abs_moment(2.0) for law in env.states)
+        while env.is_supercritical and length <= TAIL_STATES and remainder == math.inf:
+            longer = simulate.quenched_path(env, length, path.seed)
+            tail = math.fsum(exact_moments.quenched_increment_second_moments(longer, length)[n_max:])
+            envelope = bar2_max * math.fsum(np.exp(-longer.log_means[length // 2 : length]))
+            remainder, length = (tail if tail + envelope == tail else math.inf), 2 * length
+    p2 = RateOracle(exact=_gap_sums(inc), bias=lambda upto: math.fsum(inc[upto:]) + remainder)
     return {p: p2 if p == 2.0 else RateOracle() for p in ps}
 
 
@@ -347,11 +359,9 @@ def rate_fit(estimates: list[LpEstimate], oracle: RateOracle, fitting: bool = Tr
         return items + [Item("fit-available", False, {"error": str(exc)}, p=p)], section
     section["fit"] = {key: getattr(fit, key) for key in FIT_PAYLOAD}
     items.append(Item("fit-available", True, {"fitted_rho": fit.fitted_rho}, p=p))
-
     if oracle.exact is not None:
         lo, hi = fit.window
-        window = [(e, oracle.exact(e.n, e.proxy_gap)) for e in estimates if lo <= e.n <= hi]
-        sel = [(e, x) for e, x in window if x > 0]
+        sel = [(e, x) for e in estimates if lo <= e.n <= hi and (x := oracle.exact(e.n, e.proxy_gap)) > 0]
         if len(sel) >= 2:
             ys = [math.log(x) / p for _, x in sel]
             slope_exact = float(estimators.wls_line([e.n for e, _ in sel], ys, [e.log_sd for e, _ in sel])[0][1])

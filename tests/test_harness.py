@@ -29,6 +29,7 @@ from bprelab import (
     EstimateUnavailableError,
     IIDMixture,
     OffspringLaw,
+    ParameterError,
     SimConfig,
     UnsupportedOperationError,
     config,
@@ -815,6 +816,23 @@ class TestExactPropertiesOverDrawnMixtures:
         assert slack.observed["min_slack"] >= -relations.ROUNDING
         assert sums.observed["max_rel_error"] <= relations.EXACT_REL
 
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(environment=supercritical_mixtures())
+    def test_the_quenched_p2_bias_is_the_realized_tail(self, environment):
+        env, n = small_gw(environment=environment).env, harness.EXACT_TABLE_LEN
+        path = bprelab.simulate.quenched_path(env, n, 3)
+        with pytest.MonkeyPatch.context() as patch:
+            drawn = record_path_draws(patch)
+            oracle = relations.quenched_oracles(env, path, n, [2.0])[2.0]
+        longest = drawn[-1][0]
+        assert oracle.bias_label is None
+        if math.isfinite(oracle.bias(n)):
+            # one fsum along a path twice as long as the oracle drew gives the same bits
+            assert oracle.bias(n) == realized_tail(env, 3, n, 2 * longest)
+        else:
+            # a slowly growing mixture: the sum could still change at the last doubling under the cap
+            assert 2 * longest > relations.TAIL_STATES
+
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(environment=supercritical_mixtures())
     def test_a_verify_repeats_no_check_id(self, environment):
@@ -952,6 +970,29 @@ def two_means(**overrides):
     return load_config("configs/two_means.cfg", overrides)
 
 
+def record_path_draws(patch) -> list[tuple[int, int]]:
+    """The (length, seed) of each `simulate.quenched_path` call made while `patch` is active."""
+    drawn, real = [], bprelab.simulate.quenched_path
+
+    def quenched_path(env, length, seed):
+        drawn.append((length, seed))
+        return real(env, length, seed)
+
+    patch.setattr(bprelab.simulate, "quenched_path", quenched_path)
+    return drawn
+
+
+def realized_tail(env, seed, n_max, length=2**12):
+    """sum_{n_max <= k < length} E_xi|W_{k+1} - W_k|^2 along the mixture's path at seed, in one
+    fsum over one long path: what a mixture's quenched p = 2 oracle takes for its remainder."""
+    path = bprelab.simulate.quenched_path(env, length, seed)
+    return math.fsum(bprelab.exact_moments.quenched_increment_second_moments(path, length)[n_max:])
+
+
+# the q1 = 7/6 mixture: its annealed second moments are unbounded, its quenched ones bounded
+SEVEN_SIXTHS = {"kind": "mixture", "states": [{"law": {0: 0.5, 1: 0.5}}, {"law": {3: 1.0}}]}
+
+
 class TestRateOracles:
     """What each (mode, p) oracle knows, read off the exact layer."""
 
@@ -985,30 +1026,77 @@ class TestRateOracles:
             1.5: set(), 2.0: {"exact", "bias"}, 3.0: set()}
 
     def test_unbounded_second_moments_give_no_predicted_rate(self):
-        env = small_gw(environment={"kind": "mixture", "states": [
-            {"law": {0: 0.5, 1: 0.5}}, {"law": {3: 1.0}}]}).env
+        env = small_gw(environment=SEVEN_SIXTHS).env
         oracle = relations.annealed_oracles(env, 12, [2.0])[2.0]
         assert oracle.unbounded_q1 == pytest.approx(7 / 6)
         assert oracle.predicted_rho is None and oracle.bias is None
-        # the quenched bias keeps the infinite path remainder: q1 >= 1 has no finite expectation
+        # the quenched bias sums the realized path past its mean <= 1 states: q1 >= 1 does not matter
         path = bprelab.simulate.quenched_path(env, 12, 7)
         assert min(law.mean for law in path.laws[:12]) <= 1.0
         quenched = relations.quenched_oracles(env, path, 12, [2.0])[2.0]
-        assert quenched.bias(12) == math.inf and quenched.bias_label is None
+        assert quenched.bias_label is None
+        assert math.isfinite(quenched.bias(12)) and quenched.bias(12) == realized_tail(env, 7, 12)
 
-    def test_a_subcritical_state_takes_the_expected_tail_on_a_mixture_only(self):
+    def test_a_subcritical_state_takes_the_realized_tail_on_a_mixture_only(self):
         env, n_max = two_means().env, 30
         path = bprelab.simulate.quenched_path(env, n_max, 7)
         assert bprelab.exact_moments.quenched_p2_tail(path, 0, n_max - 1).remainder == math.inf
         oracle = relations.quenched_oracles(env, path, n_max, [2.0])[2.0]
-        assert oracle.bias_label == "expected tail over the i.i.d. future"
-        forms = bprelab.exact_moments.p2_closed_forms(env)
-        expected = forms.b2 * math.exp(-path.log_means[n_max]) / (1.0 - forms.q1)
-        assert oracle.bias(n_max) == expected
-        # the same laws as a fixed path have no i.i.d. future: the remainder stays infinite
+        assert oracle.bias_label is None
+        assert oracle.bias(n_max) == realized_tail(env, 7, n_max) > 0.0
+        inc = bprelab.exact_moments.quenched_increment_second_moments(path, n_max)
+        assert oracle.bias(10) == math.fsum(inc[10:]) + realized_tail(env, 7, n_max)
+        # the same laws as a fixed path have no future: the remainder stays infinite
         fixed = small_gw(environment={"kind": "fixed_path", "path": [law.as_mapping() for law in path.laws]})
         oracle = relations.quenched_oracles(fixed.env, path, n_max, [2.0])[2.0]
         assert oracle.bias(n_max) == math.inf and oracle.bias_label is None
+
+    def test_a_fixed_path_keeps_the_geometric_remainder(self):
+        # every mean on the bundled fixed path exceeds 1, so its remainder is finite and positive
+        cfg = load_config("configs/fixed_path.cfg")
+        path = cfg.env.sample_path(cfg.n_max)
+        oracle = relations.quenched_oracles(cfg.env, path, cfg.n_max, [2.0])[2.0]
+        bar2 = max(law.centered_abs_moment(2.0) for law in path.laws)
+        mu_min = min(law.mean for law in path.laws)
+        assert oracle.bias(cfg.n_max) == bar2 * math.exp(-path.log_means[-1]) / (1.0 - 1.0 / mu_min) > 0.0
+
+    def test_the_realized_tail_is_reproducible_and_extends_the_path_itself(self, monkeypatch):
+        env = two_means().env
+        path = bprelab.simulate.quenched_path(env, 30, 7)
+        drawn = record_path_draws(monkeypatch)
+        bias = relations.quenched_oracles(env, path, 30, [2.0])[2.0].bias(30)
+        assert relations.quenched_oracles(env, path, 30, [2.0])[2.0].bias(30) == bias
+        # twice the same draws: 2 n_max, 4 n_max, ... states, each from the path's own seed
+        lengths = [length for length, _ in drawn[: len(drawn) // 2]]
+        assert drawn == 2 * [(length, 7) for length in lengths]
+        assert lengths == [60 * 2**k for k in range(len(lengths))] and len(lengths) >= 2
+        # the last doubling changed nothing
+        assert bias == realized_tail(env, 7, 30, lengths[-1]) == realized_tail(env, 7, 30, lengths[-2])
+
+    def test_a_mixture_that_is_not_supercritical_has_an_infinite_tail(self, monkeypatch):
+        # means 2 and 1/2 at equal weights: E[log m_0] is exactly 0, and log m_0 varies
+        env = small_gw(environment={"kind": "mixture", "states": [
+            {"law": {1: 0.5, 3: 0.5}}, {"law": {0: 0.5, 1: 0.5}}]}).env
+        assert env.geo_mean() == 1.0 and not env.is_supercritical
+        path = bprelab.simulate.quenched_path(env, 12, 7)
+        drawn = record_path_draws(monkeypatch)
+        assert relations.quenched_oracles(env, path, 12, [2.0])[2.0].bias(12) == math.inf
+        assert drawn == []
+
+    def test_a_tail_still_changing_at_the_cap_is_infinite(self, monkeypatch):
+        env = two_means().env
+        path = bprelab.simulate.quenched_path(env, 30, 7)
+        monkeypatch.setattr(relations, "TAIL_STATES", 120)
+        drawn = record_path_draws(monkeypatch)
+        assert relations.quenched_oracles(env, path, 30, [2.0])[2.0].bias(30) == math.inf
+        assert drawn == [(60, 7), (120, 7)]
+
+    def test_a_mixture_path_without_a_seed_is_refused(self):
+        env = two_means().env
+        path = bprelab.simulate.quenched_path(env, 30, 7)
+        path.seed = None
+        with pytest.raises(ParameterError, match="seed"):
+            relations.quenched_oracles(env, path, 30, [2.0])
 
 
 class TestTwoMeans:
@@ -1016,12 +1104,17 @@ class TestTwoMeans:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_quenched_p2_fit_through_a_subcritical_state(self, seed):
-        report, _, code = run_experiment(two_means(suites=["quenched-rate"], replicas=5000, master_seed=seed))
+        cfg = two_means(suites=["quenched-rate"], replicas=5000, master_seed=seed)
+        report, _, code = run_experiment(cfg)
         assert code == 0
         section = report["suites"]["quenched-rate"]["per_p"][1]
         assert section["p"] == 2.0 and section["fit"] is not None
-        assert section["bias_label"] == "expected tail over the i.i.d. future"
+        assert "bias_label" not in section
         assert all(math.isfinite(e["bias_bound"]) for e in section["estimates"])
+        # the last estimate's proxy is W_{n_max}: its bias is the realized tail alone
+        last = section["estimates"][-1]
+        assert last["n"] + last["proxy_gap"] == cfg.n_max
+        assert last["bias_bound"] == realized_tail(cfg.env, cfg.path_seed, cfg.n_max)
 
     def test_run_and_verify_pass_and_the_annealed_rate_is_not_the_quenched_one(self):
         cfg = two_means()
@@ -1034,16 +1127,24 @@ class TestTwoMeans:
         assert not section["fit"]["ci_low"] <= quenched_critical <= section["fit"]["ci_high"]
 
 
-    def test_verify_labels_its_rate_sections_as_run_does(self):
-        # the small quenched batch's path passes the subcritical state, so its p = 2 bias is
-        # the expectation over the i.i.d. future, not a bound
+    def test_verify_sections_carry_no_quenched_bias_label(self):
+        # the small quenched batch's path passes the subcritical state; its p = 2 bias is still
+        # the realized tail, a value and not an expectation, so no section needs a label
         report, _, code = verify_suite(two_means())
         assert code == 0
+        sizes = report["suites"]["verify"]["sizes"]
         quenched = {s["p"]: s for s in report["suites"]["quenched-rate"]["per_p"]}
-        assert set(quenched[2.0]) == {"p", "estimates", "bias_label"}
-        assert quenched[2.0]["bias_label"] == "expected tail over the i.i.d. future"
+        assert set(quenched[2.0]) == set(quenched[1.5]) == {"p", "estimates"}
         assert all(math.isfinite(e["bias_bound"]) for e in quenched[2.0]["estimates"])
-        assert set(quenched[1.5]) == {"p", "estimates"}
+        assert quenched[2.0]["estimates"][-1]["bias_bound"] == realized_tail(
+            two_means().env, sizes["path_seed"], sizes["n_max"])
+
+    def test_the_seven_sixths_mixture_fits_its_quenched_p2_rate(self):
+        # at master seed 11 a path-only remainder is infinite (a mean <= 1 is on the path), which
+        # admits no fit window; the realized tail admits one, and the fit matches the exact slope
+        report, _, _ = run_experiment(two_means(environment=SEVEN_SIXTHS, master_seed=11))
+        assert check(report, "quenched-rate.p2.fit-available")["passed"] is True
+        assert check(report, "quenched-rate.p2.fit-matches-exact")["passed"] is True
 
 
 class TestDeclaredKeys:

@@ -49,6 +49,9 @@ class OffspringLaw:
             raise ParameterError(f"probabilities sum to {total!r}, not 1")
         self.values = np.asarray(values, dtype=np.int64)
         self.probs = np.asarray(probs, dtype=np.float64) / total
+        # a law keys the exact tables' caches: its arrays are frozen and hashed once
+        self.values.flags.writeable = self.probs.flags.writeable = False
+        self._hash = hash((self.values.tobytes(), self.probs.tobytes()))
         self._mean = float(self.values @ self.probs)
         if self._mean <= 0.0:
             raise ParameterError("offspring mean must be positive")
@@ -115,7 +118,7 @@ class OffspringLaw:
         )
 
     def __hash__(self):
-        return hash((self.values.tobytes(), self.probs.tobytes()))
+        return self._hash
 
     def __repr__(self) -> str:
         atoms = ", ".join(f"{v}: {p:g}" for v, p in self.as_mapping().items())

@@ -287,7 +287,7 @@ def quenched_oracles(env: Environment, path: EnvPath, n_max: int, ps) -> dict[fl
     elif path.seed is None:
         raise ParameterError("a mixture's quenched tail extends the path from its seed, and this path has none")
     else:
-        remainder, length, bar2_max = math.inf, 2 * n_max, max(law.centered_abs_moment(2.0) for law in env.states)
+        remainder, length, bar2_max = math.inf, 2 * n_max, max(map(exact_moments._bar2, env.states))
         while env.is_supercritical and length <= TAIL_STATES and remainder == math.inf:
             longer = simulate.quenched_path(env, length, path.seed)
             tail = math.fsum(exact_moments.quenched_increment_second_moments(longer, length)[n_max:])

@@ -6,10 +6,11 @@ batch depends only on its config, not on which process draws a block. The
 blocks are dealt round-robin to min(usable CPUs, blocks) workers, the calling
 process and ``os.fork`` children, which write status, status_gen and the
 batch's partial results into one shared anonymous mapping; a batch is
-bit-identical at any worker count and at any ``threads`` value. Threads
-would not help: numpy's multinomial sampler holds the GIL. Workers are
-forked, not spawned, because a spawned interpreter would pay a fresh numpy
-import, a large share of a batch's time.
+bit-identical at any worker count and at any ``threads`` value. One
+function (``_block_filler``) owns a block's simulation: its stream, its
+states and its draws. Threads would not help: numpy's multinomial sampler
+holds the GIL. Workers are forked, not spawned, because a spawned
+interpreter would pay a fresh numpy import, a large share of a batch's time.
 
 Within a block, an annealed batch first draws every row's environment states
 from the same rows x n_max uniforms that ``Generator.choice`` would draw,
@@ -36,13 +37,13 @@ Every estimate is a reduction that splits by row, so one reducer
 moments and brackets, per-block maxima for the accumulator identity. A
 piece is the rows of one batch-means chunk (``piece_grid``) inside one
 block; a sum is pairwise within a piece and ``math.fsum`` across pieces, so
-no sum depends on which worker reduced which block. ``run`` with
-reductions has each worker fill one private generation-major block at a
-time and reduce it there, so no w matrix is ever held; without them the
-mapping stores w generation-major (w.T is C-contiguous) and
-``reduce_batch`` runs the same reducer over its stored blocks. The keys are
-tagged tuples: ("moment", p, n, gap), ("bracket", p, rho, n) and
-("identity", rho, n); ``_refusal`` owns their domains.
+no sum depends on which worker reduced which block. ``run`` has each
+worker fill one private generation-major block at a time and reduce it
+there, so no w matrix is ever held. A stored batch, loaded from a dump or
+built by hand, holds its w; ``reduce_batch`` runs the same reducer over its
+stored blocks. The keys are tagged tuples: ("moment", p, n, gap),
+("bracket", p, rho, n) and ("identity", rho, n); ``_refusal`` owns their
+domains.
 """
 
 from __future__ import annotations
@@ -99,10 +100,9 @@ class SimConfig:
     mode "quenched" samples a single environment path from path_seed (or the
     fixed path's prefix) shared by every replica; "annealed" gives each
     replica its own i.i.d. path from its block's stream. The reductions a
-    batch is reduced at are run's, not the config's. bprelab itself asks
-    for no accumulators and leaves rho_grid empty; the field remains only
-    because the benchmark under bench/ still sets it, and goes with that use;
-    its a_hat needs the stored w.
+    batch is reduced at are run's, not the config's. run ignores rho_grid;
+    bprelab itself leaves it empty, and the field remains only because the
+    benchmark under bench/ still sets it, and goes with that use.
     """
 
     env: Environment
@@ -143,18 +143,17 @@ class SimConfig:
 
 @dataclass
 class TrajectoryBatch:
-    """Simulated W_n trajectories, stored or reduced.
+    """Simulated W_n trajectories, reduced or stored.
 
-    A stored batch's w[i, n] is replica i's W_n for n = 0..n_max. A simulated
-    w is stored generation-major (w.T is C-contiguous), so a column w[:, n]
-    is contiguous; a loaded one keeps its dump's order and reads the same.
-    A reduced batch (run with reductions) has a w of no rows; its partials
-    hold the declared keys, and status and status_gen every row. partials
-    maps each reducer key to its per-piece sums or per-block maxima (see
-    reduce_batch). a_hat[i, j, n] is A_hat_n(rho_j) = sum_{k<=n} rho_j^k
-    (W_{k+1} - W_k) for n = 0..n_max-1, filled only for a SimConfig.rho_grid;
-    bprelab's own batches leave it empty, and rho_grid and a_hat remain only
-    because the benchmark under bench/ still reads them, and go with that use.
+    A batch from run is reduced: its w and a_hat have no rows, its partials
+    hold the keys declared to run, and status and status_gen every row. A
+    stored batch, loaded from a dump or built by hand, holds w[i, n], replica
+    i's W_n for n = 0..n_max, in any order. partials maps each reducer key
+    to its per-piece sums or per-block maxima (see reduce_batch).
+    a_hat[i, j, n] is A_hat_n(rho_j) = sum_{k<=n} rho_j^k (W_{k+1} - W_k)
+    for n = 0..n_max-1 over rho_grid; no batch of bprelab's fills it, and
+    rho_grid and a_hat remain only because the benchmark under bench/ still
+    builds and reads them, and go with that use.
     """
 
     mode: str
@@ -191,7 +190,10 @@ class TrajectoryBatch:
         return firsts, np.add.reduceat(self.uncapped, bounds[:-1], dtype=np.intp).tolist()
 
     def save(self, path) -> None:
-        """Versioned binary dump (npz)."""
+        """Versioned binary dump (npz) of a stored batch; a batch with no w rows raises
+        ParameterError, since its partials are not dumped."""
+        if not len(self.w):
+            raise ParameterError("only a batch that stores w can be saved; a reduced batch holds partials")
         meta = {
             "format": _DUMP_FORMAT,
             "mode": self.mode,
@@ -343,8 +345,8 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fork_worker(fill, worker: int) -> int:
-    """Fork a child that runs fill(worker) and leaves by os._exit; returns its pid.
+def _fork_worker(work, worker: int) -> int:
+    """Fork a child that runs work(worker) and leaves by os._exit; returns its pid.
 
     The child exits 0 on success, else 1 after writing its traceback to fd 2.
     It never returns into the caller, flushes the parent's inherited stdio
@@ -355,7 +357,7 @@ def _fork_worker(fill, worker: int) -> int:
         return pid
     code = 1
     try:
-        fill(worker)
+        work(worker)
         code = 0
     except BaseException:
         os.write(2, traceback.format_exc().encode())
@@ -363,72 +365,76 @@ def _fork_worker(fill, worker: int) -> int:
         os._exit(code)
 
 
-def run(cfg: SimConfig, threads: int = 1, reductions=()) -> TrajectoryBatch:
-    """Simulate the batch block by block, each block from its own seed stream.
+def _block_filler(cfg: SimConfig):
+    """The path every row of cfg's batch shares (None for an annealed batch), and
+    fill(block, w, status, status_gen), which simulates the rows of block number block into them.
 
-    Blocks go round-robin to min(usable CPUs, blocks) workers: this process
-    takes blocks 0, k, 2k, ... and forked children the others, all writing
-    into one shared mapping; every child is reaped before run returns or
-    raises, and a failed child raises SimulationError. Since each block has
-    its own stream, the output is bit-identical at any worker count. threads
-    must be >= 1 and is otherwise ignored.
-
-    Without reductions the batch stores w. With them, each worker fills one
-    private block at a time, reduces it (see reduce_batch) and writes only
-    the partials of the keys inside the reducer's domain to the mapping; the
-    batch then holds those partials and a w of no rows.
+    The law table and log means are built once per batch. fill seeds the
+    block's stream, chooses or draws its states (see the module docstring) and
+    hands them to _simulate_block; w holds the block's W_n, w[i, n], and
+    status and status_gen may arrive holding anything.
     """
-    if threads < 1:
-        raise ParameterError("threads must be >= 1")
-    keys = [key for key in dict.fromkeys(reductions) if _refusal(key, cfg.n_max) is None]
-    if keys and cfg.rho_grid:
-        raise ParameterError("a rho grid needs the stored w; declare no reductions with it")
-    shared: EnvPath | None = None
-    if cfg.mode == MODE_QUENCHED:
-        shared = quenched_path(cfg.env, cfg.n_max, cfg.path_seed)
-
-    replicas, n_max = cfg.replicas, cfg.n_max
-    w, status_gen, status, out = _outputs(keys, replicas, n_max, stored=not keys)
-    bounds = piece_grid(replicas)[0]
-    status[:] = STATUS_COMPLETED
-    status_gen[:] = -1
-
+    shared = quenched_path(cfg.env, cfg.n_max, cfg.path_seed) if cfg.mode == MODE_QUENCHED else None
     laws = cfg.env.states if shared is None else shared.laws
     support, pvals = _law_table(laws)
     log_means = np.array([law.log_mean for law in laws])
     # the one law index per generation where every row shares its path: law n
     # of a quenched path at generation n, law 0 of a one-state mixture throughout
-    path_states = np.arange(n_max) if shared is not None else np.zeros(n_max, dtype=np.intp)
+    path_states = np.arange(cfg.n_max) if shared is not None else np.zeros(cfg.n_max, dtype=np.intp)
     cdf = None if shared is not None else _choice_cdf(cfg.env.weights)
+
+    def fill(block: int, w: np.ndarray, status: np.ndarray, status_gen: np.ndarray) -> None:
+        w[:, 0], status[:], status_gen[:] = 1.0, STATUS_COMPLETED, -1
+        rng = np.random.default_rng(cfg.block_seed(block))
+        states = path_states
+        if shared is None and len(laws) == 1:
+            # every row draws the one law; skip the one double per state that choice would take
+            rng.bit_generator.advance(len(status) * cfg.n_max)
+        elif shared is None:
+            states = _draw_states(rng, cdf, len(status), cfg.n_max)
+        _simulate_block(rng, states, support, pvals, log_means, cfg.pop_cap, w, status, status_gen)
+
+    return shared, fill
+
+
+def run(cfg: SimConfig, threads: int = 1, reductions=()) -> TrajectoryBatch:
+    """Simulate the batch block by block, each block from its own seed stream, and reduce it.
+
+    Blocks go round-robin to min(usable CPUs, blocks) workers: this process
+    takes blocks 0, k, 2k, ... and forked children the others. Each worker
+    fills one private block at a time (see _block_filler), reduces it (see
+    reduce_batch) and writes its statuses and the partials of the keys inside
+    the reducer's domain into one shared mapping; every child is reaped before
+    run returns or raises, and a failed child raises SimulationError. Since
+    each block has its own stream, the output is bit-identical at any worker
+    count. The batch holds status, status_gen and those partials, and a w of
+    no rows. threads must be >= 1 and is otherwise ignored, as is
+    cfg.rho_grid.
+    """
+    if threads < 1:
+        raise ParameterError("threads must be >= 1")
+    keys = [key for key in dict.fromkeys(reductions) if _refusal(key, cfg.n_max) is None]
+    shared, fill = _block_filler(cfg)
+    replicas, n_max = cfg.replicas, cfg.n_max
+    status_gen, status, out = _outputs(keys, replicas)
+    bounds = piece_grid(replicas)[0]
     starts = range(0, replicas, BLOCK_ROWS)
     workers = min(_usable_cpus(), len(starts))
 
-    def fill(worker: int) -> None:
-        private = np.empty((n_max + 1, BLOCK_ROWS)) if keys else None
+    def work(worker: int) -> None:
+        private = np.empty((n_max + 1, BLOCK_ROWS))
         for block in range(worker, len(starts), workers):
             lo = starts[block]
             hi = min(lo + BLOCK_ROWS, replicas)
-            rows = private[:, : hi - lo].T if keys else w[lo:hi]
-            rows[:, 0] = 1.0
-            rng = np.random.default_rng(cfg.block_seed(block))
-            if shared is not None:
-                states = path_states
-            elif len(laws) == 1:
-                # every row draws the one law; skip the one double per state that choice would take
-                rng.bit_generator.advance((hi - lo) * n_max)
-                states = path_states
-            else:
-                states = _draw_states(rng, cdf, hi - lo, n_max)
-            _simulate_block(rng, states, support, pvals, log_means, cfg.pop_cap,
-                            rows, status[lo:hi], status_gen[lo:hi])
-            if keys:
-                _reduce_block(rows, lo, status[lo:hi], bounds, out)
+            rows = private[:, : hi - lo].T
+            fill(block, rows, status[lo:hi], status_gen[lo:hi])
+            _reduce_block(rows, lo, status[lo:hi], bounds, out)
 
     children: list[int] = []
     try:
         for worker in range(1, workers):
-            children.append(_fork_worker(fill, worker))
-        fill(0)
+            children.append(_fork_worker(work, worker))
+        work(0)
     finally:
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
     failed = {worker: code for worker, code in enumerate(codes, 1) if code}
@@ -437,22 +443,15 @@ def run(cfg: SimConfig, threads: int = 1, reductions=()) -> TrajectoryBatch:
             f"{len(failed)} of {workers - 1} forked simulation workers failed "
             f"(exit status by worker: {failed}); each printed its traceback to stderr")
 
-    a_hat = np.empty((replicas, len(cfg.rho_grid), n_max))
-    rho_pows = np.array([[r**k for k in range(n_max)] for r in cfg.rho_grid])
-    if rho_pows.size:
-        for lo in starts:
-            hi = min(lo + BLOCK_ROWS, replicas)
-            a_hat[lo:hi] = np.cumsum(rho_pows * np.diff(w[lo:hi], axis=1)[:, None, :], axis=2)
-
     batch = TrajectoryBatch(
         mode=cfg.mode,
         n_max=n_max,
         replicas=replicas,
         master_seed=cfg.master_seed,
         pop_cap=cfg.pop_cap,
-        rho_grid=tuple(cfg.rho_grid),
-        w=w,
-        a_hat=a_hat,
+        rho_grid=(),
+        w=np.empty((0, n_max + 1)),
+        a_hat=np.empty((0, 0, n_max)),
         status=status,
         status_gen=status_gen,
         path=shared,
@@ -506,30 +505,27 @@ def _refusal(key, n_max: int) -> str | None:
                                 f"0 <= n < {n_max - (not bracket)}; got ({rho}, {n})")
 
 
-def _outputs(keys, replicas: int, n_max: int, stored: bool = False) -> tuple:
-    """w, status_gen, status and each key's partials, as views of one anonymous mapping that
-    forked children share; w has no rows unless stored.
+def _outputs(keys, replicas: int) -> tuple:
+    """status_gen, status and each key's partials, as views of one anonymous mapping that forked
+    children share.
 
-    w is laid out generation-major: the mapping holds n_max + 1 rows of
-    replicas values, and w is their transpose, so w[i, n] is replica i's W_n
-    and w[:, n] is one contiguous row. A key's partials are per-piece sums for
-    a moment, a row of them for each side of a bracket, and three maxima per
-    block for an identity. The float64 views come first, so every view is
-    aligned. A page is first touched by the worker that writes it, so each
-    worker faults in its own pages, and a view nobody writes costs no memory.
+    A key's partials are per-piece sums for a moment, a row of them for each
+    side of a bracket, and three maxima per block for an identity. The
+    float64 views come first, so every view is aligned. A page is first
+    touched by the worker that writes it, so each worker faults in its own
+    pages, and a view nobody writes costs no memory.
     """
     pieces, blocks = len(piece_grid(replicas)[0]) - 1, -(-replicas // BLOCK_ROWS)
     shapes = [{MOMENT: (pieces,), BRACKET: (2, pieces), IDENTITY: (blocks, 3)}[key[0]] for key in keys]
     sizes = [math.prod(shape) for shape in shapes]
-    w_size = replicas * (n_max + 1) * stored
-    starts = np.cumsum([w_size] + sizes).tolist()  # each key's first float, then the float count
+    starts = np.cumsum([0] + sizes).tolist()  # each key's first float, then the float count
     # an anonymous mmap is MAP_SHARED by default: a child's writes land in the parent's pages
     buf = mmap.mmap(-1, 8 * starts[-1] + 5 * replicas)
     values = np.frombuffer(buf, dtype=np.float64, count=starts[-1])
     status_gen = np.frombuffer(buf, dtype=np.int32, count=replicas, offset=8 * starts[-1])
     status = np.frombuffer(buf, dtype=np.int8, count=replicas, offset=8 * starts[-1] + 4 * replicas)
     out = {key: values[at : at + size].reshape(shape) for key, shape, size, at in zip(keys, shapes, sizes, starts)}
-    return values[:w_size].reshape(n_max + 1, -1).T, status_gen, status, out
+    return status_gen, status, out
 
 
 def _reduce_block(w: np.ndarray, lo: int, status: np.ndarray, bounds: np.ndarray, out: dict) -> None:
@@ -594,7 +590,7 @@ def reduce_batch(batch: TrajectoryBatch, keys) -> list:
     A batch that stores w reduces the keys it does not hold in one pass over
     its stored blocks, through the reducer that run's workers use, into
     partials that run's allocator maps (its status views stay unwritten); a
-    reduced batch holds the keys handed to run and raises ParameterError
+    batch from run holds the keys handed to run and raises ParameterError
     naming the first other key.
     """
     keys = [key for key in dict.fromkeys(keys) if _refusal(key, batch.n_max) is None]
@@ -602,7 +598,7 @@ def reduce_batch(batch: TrajectoryBatch, keys) -> list:
     if missing and not len(batch.w):
         raise ParameterError(f"reduction {missing[0]} was not declared for this reduced batch")
     if missing:
-        out, bounds = _outputs(missing, batch.replicas, batch.n_max)[3], piece_grid(batch.replicas)[0]
+        out, bounds = _outputs(missing, batch.replicas)[2], piece_grid(batch.replicas)[0]
         for lo in range(0, batch.replicas, BLOCK_ROWS):
             _reduce_block(batch.w[lo : lo + BLOCK_ROWS], lo, batch.status[lo : lo + BLOCK_ROWS], bounds, out)
         batch.partials.update(out)

@@ -1,7 +1,8 @@
 """Shared fixtures: the standard test environments and a few reusable batches.
 
 Batches are session-scoped because simulation dominates the suite's runtime;
-tests must treat them as read-only.
+tests must treat them as read-only. They store w (see stored.py), so any
+reduction can be read from them.
 """
 
 import re
@@ -12,8 +13,8 @@ from bprelab import (
     IIDMixture,
     OffspringLaw,
     SimConfig,
-    run,
 )
+from stored import stored_batch
 
 GW_PMF = {0: 0.25, 2: 0.75}
 
@@ -47,9 +48,8 @@ def gw_batch(gw_env):
         n_max=25,
         replicas=4000,
         master_seed=101,
-        rho_grid=(1.1, 1.3),
     )
-    return run(cfg, threads=2)
+    return stored_batch(cfg)
 
 
 @pytest.fixture(scope="session")
@@ -60,9 +60,8 @@ def degenerate_batch():
         n_max=20,
         replicas=300,
         master_seed=5,
-        rho_grid=(1.05,),
     )
-    return run(cfg)
+    return stored_batch(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from bprelab import (
 from bprelab.cli import main as cli_main
 from bprelab.environment import EnvPath
 from bprelab.estimators import ROUNDOFF_DISTANCE
+from bprelab.simulate import BRACKET, IDENTITY, MOMENT
 
 SMALL_LAWS = [
     {1: 1.0},
@@ -52,8 +53,13 @@ SMALL_LAWS = [
     {0: 0.125, 3: 0.875},
 ]
 
-# batches built inside earlier acceptance tests, audited by AC-8
+# batches built inside earlier acceptance tests, each with its rho values, audited by AC-8
 _BATCHES = {}
+
+
+def identity_keys(n_max, rhos):
+    """The accumulator identities AC-8 audits on a batch: each rho > 1 at n = 1, n_max // 2 and n_max - 2."""
+    return [(IDENTITY, rho, n) for rho in rhos if rho > 1.0 for n in sorted({1, n_max // 2, n_max - 2})]
 
 
 def laws(pmfs):
@@ -128,6 +134,8 @@ def test_ac3_bundled_config_recovers_the_rate(tmp_path):
 
 def test_ac4_quenched_tail_matches_simulation(m23_env):
     t0 = time.perf_counter()
+    # Z_n >= 2^n passes the default pop_cap by generation 24 on every row, and an estimate
+    # drops capped rows; a cap above 3^30 keeps every row simulated to n_max
     cfg = SimConfig(
         env=m23_env,
         mode="quenched",
@@ -135,22 +143,23 @@ def test_ac4_quenched_tail_matches_simulation(m23_env):
         replicas=30_000,
         master_seed=424,
         path_seed=7,
-        rho_grid=(1.1,),
+        pop_cap=10**15,
     )
-    batch = run(cfg, threads=2)
-    _BATCHES["quenched-m23"] = batch
+    ns, rhos = (0, 2, 4, 6), (1.1,)
+    batch = run(cfg, threads=2,
+                reductions=[(MOMENT, 2.0, n, 30 - n) for n in ns] + identity_keys(cfg.n_max, rhos))
+    _BATCHES["quenched-m23"] = batch, rhos
     increments = quenched_increment_second_moments(batch.path, 30)
-    for n in (0, 2, 4, 6):
+    for n in ns:
         # E_xi|W_30 - W_n|^2 = tail(n) - tail(30); on this path both the
         # enclosure and the increment sum give it exactly
         exact = quenched_p2_tail(batch.path, n, 29).lower
         assert exact == pytest.approx(float(increments[n:].sum()), abs=1e-15)
-        diffs = (batch.w[:, 30] - batch.w[:, n]) ** 2
-        est = float(diffs.mean())
-        stderr = float(diffs.std(ddof=1)) / math.sqrt(len(diffs))
+        est = lp_norm(batch, 2.0, n, 30 - n)
+        assert est.replicas_used == cfg.replicas
         # the laws here are deterministic, so the MC side is pure float
         # roundoff; the squared-distance floor keeps 4 stderr meaningful
-        assert abs(est - exact) <= 4 * stderr + ROUNDOFF_DISTANCE**2, (n, est, exact)
+        assert abs(est.value - exact) <= 4 * est.stderr + ROUNDOFF_DISTANCE**2, (n, est.value, exact)
     assert time.perf_counter() - t0 < 60.0
 
 
@@ -195,12 +204,13 @@ def test_ac6_burkholder_sandwich_at_scale(gw_env):
         n_max=10,
         replicas=100_000,
         master_seed=606,
-        rho_grid=(1.0, 1.05),
     )
-    batch = run(cfg, threads=2)
-    _BATCHES["gw-large"] = batch
-    for p in (1.5, 3.0):
-        for rho in (1.0, 1.05):
+    ps, rhos = (1.5, 3.0), (1.0, 1.05)
+    keys = [(BRACKET, p, rho, 8) for p in ps for rho in rhos] + identity_keys(cfg.n_max, rhos)
+    batch = run(cfg, threads=2, reductions=keys)
+    _BATCHES["gw-large"] = batch, rhos
+    for p in ps:
+        for rho in rhos:
             check = burkholder_sandwich(batch, p, rho, 8)
             assert check.ok, (p, rho, vars(check))
     assert time.perf_counter() - t0 < 90.0
@@ -251,10 +261,11 @@ def test_ac10_supercritical_rho_makes_the_series_grow(gw_env):
         n_max=30,
         replicas=20_000,
         master_seed=1010,
-        rho_grid=(1.25,),
     )
-    batch = run(cfg, threads=2)
-    _BATCHES["gw-series"] = batch
+    rhos = (1.25,)
+    batch = run(cfg, threads=2,
+                reductions=[(MOMENT, 2.0, n, 20) for n in range(2, 11)] + identity_keys(cfg.n_max, rhos))
+    _BATCHES["gw-series"] = batch, rhos
     estimates = [lp_norm(batch, 2.0, n, 20) for n in range(2, 11)]
     curves = np.array(
         [rho ** (2 * e.n) * np.asarray(e.batch_values) for e in estimates]
@@ -272,12 +283,12 @@ def test_ac8_increment_identity_on_every_batch(gw_batch, degenerate_batch):
     produced = dict(_BATCHES)
     for name in ("quenched-m23", "gw-large", "gw-series"):
         assert name in produced, "earlier acceptance tests should have registered it"
-    produced["gw-shared"] = gw_batch
-    produced["degenerate"] = degenerate_batch
-    for name, batch in produced.items():
-        for rho in batch.rho_grid:
-            if rho <= 1.0:
-                continue
-            for n in sorted({1, batch.n_max // 2, batch.n_max - 2}):
-                residual = increment_identity_check(batch, rho, n)
-                assert residual < 1e-9, (name, rho, n, residual)
+    # the conftest batches store w, so their identities are reduced here
+    produced["gw-shared"] = gw_batch, (1.1, 1.3)
+    produced["degenerate"] = degenerate_batch, (1.05,)
+    for name, (batch, rhos) in produced.items():
+        keys = identity_keys(batch.n_max, rhos)
+        assert keys, name
+        for _, rho, n in keys:
+            residual = increment_identity_check(batch, rho, n)
+            assert residual < 1e-9, (name, rho, n, residual)

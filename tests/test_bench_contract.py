@@ -1,10 +1,12 @@
 """The benchmark's trace wraps program names where their callers bind them.
 
 `bench/workloads.py::install_trace` looks each name up on its module or
-class, so a change to `src/` that drops or renames one breaks
-`python3 bench/run.py --trace 1`; this test fails first.
+class, and `workloads.thread_speedup` calls `simulate.run` itself, so a
+change to `src/` that drops or renames one, or refuses what the probe
+passes, breaks `python3 bench/run.py --trace 1`; these tests fail first.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -44,3 +46,9 @@ def test_trace_sees_every_layer_a_relation_reaches():
     for name in ("simulate.run", "estimators.lp_norm", "estimators.fit_decay",
                  "estimators.burkholder_sandwich", "simulate.increment_identity_check"):
         assert calls.get(name, 0) > 0, name
+
+
+def test_the_traced_thread_probe_runs():
+    # bench/run.py --trace calls simulate.run with threads= and a SimConfig with a rho grid
+    ratio = workloads.thread_speedup(ROOT, 1)
+    assert math.isfinite(ratio) and ratio > 0

@@ -17,6 +17,7 @@ from bprelab import (
     run,
 )
 from bprelab import relations
+from stored import stored_batch
 from bprelab.estimators import (
     N_BATCHES,
     LpEstimate,
@@ -72,9 +73,8 @@ def capped_batch():
         replicas=150,
         master_seed=1,
         pop_cap=1000,
-        rho_grid=(1.2,),
     )
-    return run(cfg)
+    return stored_batch(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +87,8 @@ def partly_capped_batch():
         replicas=600,
         master_seed=1,
         pop_cap=1000,
-        rho_grid=(1.1,),
     )
-    return run(cfg)
+    return stored_batch(cfg)
 
 
 def batch_means(x, kept=None):
@@ -163,7 +162,7 @@ def seam_batch(request):
         master_seed=1,
         pop_cap=request.param,
     )
-    return run(cfg)
+    return stored_batch(cfg)
 
 
 def seam_kept(b):
@@ -279,15 +278,7 @@ class TestKeysReducedTogether:
 
 
 class TestLayout:
-    """A simulated w is generation-major; every reduction reads it as it reads a row-major copy."""
-
-    @pytest.mark.parametrize("cpus", [None, 1], ids=["default-workers", "one-worker"])
-    def test_a_simulated_w_is_generation_major(self, cpus, monkeypatch):
-        if cpus is not None:
-            monkeypatch.setattr("bprelab.simulate._usable_cpus", lambda: cpus)
-        b = run(SimConfig(env=IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0]),
-                          mode="annealed", n_max=8, replicas=2 * BLOCK_ROWS + 1, master_seed=2))
-        assert b.w.T.flags.c_contiguous and not b.w.flags.c_contiguous
+    """A stored batch's generation-major w reduces as a row-major copy of it does."""
 
     def test_reductions_match_a_row_major_copy(self, seam_batch):
         b = fresh(seam_batch)
@@ -481,7 +472,7 @@ class TestBurkholder:
 
     def test_sandwich_holds_on_binary_law(self, gw_batch):
         for p in (1.5, 2.0, 3.0):
-            for rho in gw_batch.rho_grid:
+            for rho in (1.1, 1.3):
                 check = burkholder_sandwich(gw_batch, p, rho, 8)
                 assert check.ok, (p, rho, vars(check))
                 assert check.lower <= check.upper
@@ -495,8 +486,8 @@ class TestBurkholder:
 
     def test_any_rho_on_a_batch_without_accumulators(self):
         # the partly capped batch, simulated without a rho grid
-        b = run(SimConfig(env=IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0]), mode="annealed",
-                          n_max=20, replicas=600, master_seed=1, pop_cap=1000))
+        b = stored_batch(SimConfig(env=IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0]), mode="annealed",
+                                   n_max=20, replicas=600, master_seed=1, pop_cap=1000))
         assert b.a_hat.size == 0
         rho, n = 1.17, 12
         w = b.w[b.status != STATUS_CAPPED]
@@ -527,7 +518,7 @@ def test_a_moment_call_refuses_an_n_outside_the_reducers_domain(gw_env, stored):
     # the reducer's key domain refuses the n; the estimators refuse only a gap < 1 and their own p
     held = [(MOMENT, 2.0, 1, 2), (MOMENT, 2.0, 3, 0)]
     cfg = SimConfig(env=gw_env, mode="annealed", n_max=8, replicas=300, master_seed=4)
-    b = run(cfg) if stored else run(cfg, reductions=held)
+    b = stored_batch(cfg) if stored else run(cfg, reductions=held)
     assert reduce_batch(b, held) == held
     before = dict(b.partials)
     refused = [lambda: lp_norm(b, 2.0, -1, 2), lambda: lp_norm(b, 2.0, 7, 2), lambda: w_moment(b, 2.0, -1),
@@ -553,7 +544,7 @@ PER_KEY_CALLS = {
 
 @pytest.mark.parametrize("call, key, bad_rhos, past", PER_KEY_CALLS.values(), ids=PER_KEY_CALLS)
 def test_a_per_key_call_refuses_the_keys_its_pass_leaves_out(gw_env, call, key, bad_rhos, past):
-    b = run(SimConfig(env=gw_env, mode="annealed", n_max=8, replicas=300, master_seed=4))
+    b = stored_batch(SimConfig(env=gw_env, mode="annealed", n_max=8, replicas=300, master_seed=4))
     bad = [(rho, 2) for rho in bad_rhos] + [(1.2, -1), (1.2, past(b))]
     inside, held = (1.2, past(b) - 1), [key(1.1, 1), key(1.3, 2)]
     assert reduce_batch(b, held) == held

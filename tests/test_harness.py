@@ -41,6 +41,7 @@ from bprelab.config import load_config, parse_config
 from bprelab.estimators import LpEstimate
 from bprelab.harness import run_experiment, verify_suite, write_outputs
 from bprelab.simulate import BRACKET, IDENTITY, MODE_QUENCHED
+from stored import stored_batch
 
 
 # the suites verify runs, in the order of the suite table
@@ -173,12 +174,12 @@ class TestRunExperiment:
         ]
 
     def test_keys_outside_a_relation_are_skipped_not_raised_by_the_pass(self):
-        # with n_max 2 the identity suite asks for n = 0 and n = 1, and only n = 0 is in its domain
+        # with n_max 2 only n = 0 is in the identity's domain, and the suite asks for it alone
         report, _, code = run_experiment(small_gw(suites=["identity"], n_max=2, gap=1))
         assert code == 0
         assert [c["id"].rsplit(".", 1)[-1] for c in report["checks"]] == ["n0"] * 3
-        batch = bprelab.simulate.run(SimConfig(env=IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0]),
-                                               mode="annealed", n_max=2, replicas=200, master_seed=3))
+        batch = stored_batch(SimConfig(env=IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0]),
+                                       mode="annealed", n_max=2, replicas=200, master_seed=3))
         keys = [(IDENTITY, rho, n) for rho in (0.5, 1.0, 1.2, math.nan) for n in (-1, 0, 1, 5)]
         items = relations.identity(batch, keys)
         assert [item.suffix for item in items] == ["rho1.2.n0"]
@@ -187,6 +188,17 @@ class TestRunExperiment:
         items = relations.identity(batch, [(IDENTITY, rho, n) for rho in (1.2, 1.5, 1.2) for n in (0, 0)])
         assert [item.suffix for item in items] == ["rho1.2.n0", "rho1.5.n0"]
 
+    @pytest.mark.parametrize("n_max", range(2, 7))
+    def test_every_declared_bracket_and_identity_key_is_one_check(self, n_max):
+        # a declared key outside the reducer's domain would be dropped without a check or a word
+        cfg = small_gw(suites=["burkholder", "identity"], n_max=n_max, gap=1, p=[1.5, 2.0])
+        ctx = harness._Context(cfg)
+        declared = ([f"burkholder.p{p:g}.rho{rho:.4g}.n{n}" for _, p, rho, n in harness._bracket_keys(ctx)]
+                    + [f"identity.rho{rho:.4g}.n{n}" for _, rho, n in harness._identity_keys(ctx)])
+        assert len(set(declared)) == len(declared)
+        report, _, _ = run_experiment(cfg)
+        assert sorted(c["id"] for c in report["checks"]) == sorted(declared)
+
     @pytest.mark.parametrize("reduced", [False, True])
     def test_both_batch_relations_keep_exactly_the_admitted_keys(self, reduced):
         # at n_max 4 a bracket needs n < 4 and an identity n < 3: one key of each list is outside
@@ -194,7 +206,7 @@ class TestRunExperiment:
         identities = [(IDENTITY, 1.3, 2), (IDENTITY, 1.3, 3), (IDENTITY, 1.1, 0)]
         sim = SimConfig(env=IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0]), mode="annealed",
                         n_max=4, replicas=1000, master_seed=5)
-        batch = bprelab.simulate.run(sim, reductions=brackets + identities if reduced else ())
+        batch = bprelab.simulate.run(sim, reductions=brackets + identities) if reduced else stored_batch(sim)
         sandwiches = relations.sandwiches(batch, brackets)
         assert [(item.p, item.rho, item.n) for item in sandwiches] == [(2.0, 1.1, 0), (1.5, 1.2, 3)]
         assert [(item.rho, item.n) for item in relations.identity(batch, identities)] == [(1.3, 2), (1.1, 0)]
@@ -1230,16 +1242,16 @@ class TestBatchLifetime:
         last = suites[-1]
         refs, alive_at_last, real, real_body = {}, {}, harness.run, harness._SUITES[last].body
 
-        def mapping(w):
-            while isinstance(w, np.ndarray):
-                w = w.base
-            assert isinstance(w.obj, mmap.mmap)  # w's base is a memoryview of the mapping
-            return w.obj
+        def mapping(status):
+            while isinstance(status, np.ndarray):
+                status = status.base
+            assert isinstance(status.obj, mmap.mmap)  # status's base is a memoryview of the mapping
+            return status.obj
 
         def spy(sim, **kwargs):
             batch = real(sim, **kwargs)
             refs[sim.mode] = weakref.ref(batch)
-            refs[f"{sim.mode} mapping"] = weakref.ref(mapping(batch.w))
+            refs[f"{sim.mode} mapping"] = weakref.ref(mapping(batch.status))
             return batch
 
         def last_body(ctx, batch, keys):

@@ -88,6 +88,14 @@ class TestConstruction:
         assert OffspringLaw(GW) != OffspringLaw({1: 1.0})
         assert hash(OffspringLaw(GW)) == hash(OffspringLaw(GW))
 
+    def test_the_hashed_arrays_are_read_only(self):
+        # the hash is taken once, so the values and probs it reads cannot change under it
+        law = OffspringLaw(GW)
+        for array in (law.values, law.probs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert hash(law) == hash((law.values.tobytes(), law.probs.tobytes()))
+
 
 class TestMoments:
     def test_moment_order_zero_is_one(self):

@@ -18,6 +18,7 @@ from .errors import BpreLabError, ConfigError
 from .harness import _SUITES
 from .offspring import OffspringLaw
 from .relations import p_tag
+from .simulate import BATCH_MINIMUMS
 
 SCHEMA_VERSION = 1
 
@@ -55,8 +56,8 @@ _TOP_KEYS = {"schema"} | {f.metadata.get("key", f.name) for f in fields(Experime
 # keys whose default is None accept an explicit null for it
 _NULLABLE = {f.name for f in fields(ExperimentConfig) if f.default is None}
 
-# integer keys and their least admissible value
-_INT_MINIMUMS = {"n_max": 1, "gap": 1, "replicas": 1, "master_seed": 0, "path_seed": 0, "pop_cap": 1000}
+# integer keys and their least admissible value, checked in field order; the batch sizes' are the simulator's
+_INT_MINIMUMS = {"gap": 1, "master_seed": 0, "path_seed": 0, **BATCH_MINIMUMS}
 
 
 def _line_index(node: yaml.Node | None) -> dict[str, int]:
@@ -202,12 +203,11 @@ def parse_config(data: dict, source: str = "<memory>", lines: dict[str, int] | N
         for i, tag in enumerate(tags):
             first = tags.index(tag)
             chk.require(first == i, f"p[{i}]", f"{ps[first]!r} and {ps[i]!r} give check ids the same tag {tag!r}")
-    for key, minimum in _INT_MINIMUMS.items():
-        if key in given:
-            value = given[key]
-            chk.require(isinstance(value, int) and not isinstance(value, bool), key, "expected an integer")
-            chk.require(value >= minimum, key, f"must be >= {minimum}")
-            values[key] = value
+    for key in (f.name for f in fields(ExperimentConfig) if f.name in _INT_MINIMUMS and f.name in given):
+        value, minimum = given[key], _INT_MINIMUMS[key]
+        chk.require(isinstance(value, int) and not isinstance(value, bool), key, "expected an integer")
+        chk.require(value >= minimum, key, f"must be >= {minimum}")
+        values[key] = value
     if "out" in given:
         chk.require(isinstance(given["out"], str) and given["out"] != "", "out", "expected a non-empty string")
         values["out"] = given["out"]

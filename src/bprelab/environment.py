@@ -7,6 +7,8 @@ above 1. A fixed path is an environment that is its own path, so
 :class:`FixedPath` is an EnvPath. Stationary quantities (geometric mean,
 mean-power functionals) only exist for the i.i.d. mixture model; asking a
 fixed path for them raises :class:`~bprelab.errors.UnsupportedOperationError`.
+A mixture draws its states by one rule, ``IIDMixture.draw_states``, for its
+sampled paths and for the simulator's annealed blocks alike.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError, UnsupportedOperationError
-from .offspring import OffspringLaw
+from .offspring import OffspringLaw, normalized_probs
 
 
 class EnvPath:
@@ -103,23 +105,35 @@ class IIDMixture(Environment):
             raise ParameterError("mixture needs at least one state")
         if len(states) != len(weights):
             raise ParameterError("states and weights must have equal length")
-        w = np.asarray(weights, dtype=np.float64)
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ParameterError("mixture weights must be finite and non-negative")
-        total = float(math.fsum(w))
-        if abs(total - 1.0) > 1e-12:
-            raise ParameterError(f"mixture weights sum to {total!r}, not 1")
-        keep = w > 0
+        keep, self.weights = normalized_probs(weights, "mixture weights")
         self.states = tuple(s for s, k in zip(states, keep) if k)
-        self.weights = w[keep] / total
+        # the cdf Generator.choice searches for a draw with p=weights
+        self._cdf = np.cumsum(self.weights)
+        self._cdf /= self._cdf[-1]
+
+    def draw_states(self, rng: np.random.Generator, rows: int, length: int) -> np.ndarray:
+        """Generation-major state indices: states[n, i] is row i's state at generation n.
+
+        The rows x length uniforms that ``rng.choice(len(self.states),
+        size=(rows, length), p=self.weights)`` draws, each mapped to the
+        number of its cdf's cuts (all entries but the last) at or below it:
+        choice's ``searchsorted(cdf, u, side="right")``, since every u < 1 =
+        cdf[-1]. So the indices and the stream are choice's, transposed, in
+        one byte per state while there are at most 256 states.
+        """
+        u = rng.random((rows, length)).T
+        states = np.zeros((length, rows), dtype=np.min_scalar_type(len(self.states) - 1))
+        above = np.empty((length, rows), dtype=bool)
+        for cut in self._cdf[:-1]:
+            states += np.greater_equal(u, cut, out=above)
+        return states
 
     def sample_path(self, length: int, rng: np.random.Generator | None = None) -> EnvPath:
         if length < 1:
             raise ParameterError("path length must be >= 1")
         if rng is None:
             raise ParameterError("sampling from a mixture requires an rng")
-        idx = rng.choice(len(self.states), size=length, p=self.weights)
-        return EnvPath([self.states[i] for i in idx])
+        return EnvPath([self.states[i] for i in self.draw_states(rng, 1, length)[:, 0]])
 
     def expected_log_mean(self) -> float:
         """E[log m_0] under the mixture."""

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from . import exact_moments, rates, relations
+from . import exact_moments, rates, relations, simulate
 from ._version import __version__
 from .environment import EnvPath, Environment, IIDMixture
 from .errors import BpreLabError, ConfigError
@@ -279,10 +279,12 @@ def _suite_criteria(ctx: _Context) -> dict:
 
 
 def _identity_keys(ctx: _Context) -> list[tuple]:
-    """The identity suite's reducer keys, at each rho and n in that order; every n is inside the
-    identity's domain n < n_max - 1, so each key is one check."""
-    ns = [n for n in sorted({1, ctx.cfg.n_max // 2, ctx.cfg.n_max - 2}) if n < ctx.cfg.n_max - 1]
-    return [(IDENTITY, rho, n) for rho in ctx.rho_grid() for n in ns]
+    """The identity suite's reducer keys, at each rho and n in that order: n at 1, n_max // 2 and
+    n_max - 2, each kept only inside the reducer's domain (simulate._refusal, the one statement of
+    the identity's 0 <= n < n_max - 1), so each key is one check and _NEEDS's identity row holds
+    where there is one."""
+    keys = [(IDENTITY, rho, n) for rho in ctx.rho_grid() for n in sorted({1, ctx.cfg.n_max // 2, ctx.cfg.n_max - 2})]
+    return [key for key in keys if simulate._refusal(key, ctx.cfg.n_max) is None]
 
 
 def _suite_identity(ctx: _Context, batch: TrajectoryBatch, keys) -> dict:
@@ -330,7 +332,7 @@ _NEEDS = (
     (("quenched-rate", "annealed-rate"), "gap", lambda ctx: ctx.cfg.n_max - ctx.cfg.gap + 1 >= MIN_FIT_POINTS,
      f"{{suite}} needs n_max - gap >= {MIN_FIT_POINTS - 1} for a fit of {MIN_FIT_POINTS} points; "
      "n_max is {cfg.n_max}"),
-    (("identity",), "n_max", lambda ctx: ctx.cfg.n_max >= 2,
+    (("identity",), "n_max", lambda ctx: bool(_identity_keys(ctx)),
      "{suite} needs n_max >= 2 for an n < n_max - 1; n_max is {cfg.n_max}"),
     (("quenched-rate", "burkholder", "identity"), "n_max", lambda ctx: ctx.cfg.n_max <= ctx.path_states,
      "{cfg.n_max} exceeds the fixed path's {ctx.path_states} states"),

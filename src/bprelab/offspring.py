@@ -8,6 +8,7 @@ cumulants; the simulator draws whole generations from its values and probs.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Mapping
 
 import numpy as np
@@ -17,38 +18,46 @@ from .errors import ParameterError
 MAX_CUMULANT_ORDER = 12
 
 
+def normalized_probs(probs, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rule for a probability vector: which entries are kept, and the kept entries renormalized.
+
+    Every entry must be a finite, non-negative real number (not a bool or a
+    string), and their total within 1e-12 of 1; else ParameterError names
+    `what`. Zero entries are dropped and the rest divided by the exact total,
+    so they sum to 1.
+    """
+    for prob in probs:
+        if isinstance(prob, bool) or not isinstance(prob, numbers.Real) or not (math.isfinite(prob) and prob >= 0):
+            raise ParameterError(f"{what} must be finite, non-negative real numbers; got {prob!r}")
+    probs = np.array(probs, dtype=np.float64)
+    total = math.fsum(probs)
+    if abs(total - 1.0) > 1e-12:
+        raise ParameterError(f"{what} sum to {total!r}, not 1")
+    keep = probs > 0.0
+    return keep, probs[keep] / total
+
+
 class OffspringLaw:
     """Probability law of a single offspring count, with finite support.
 
     Parameters
     ----------
-    pmf : mapping of non-negative int to probability. Probabilities must be
-        non-negative and sum to 1 within 1e-12; they are renormalized to sum
-        to 1 exactly. Zero-probability entries are dropped. The mean must be
-        positive (the law may be deterministic, but not all mass at zero).
+    pmf : mapping of non-negative int (not bool) to probability. The
+        probabilities follow normalized_probs: finite non-negative reals
+        whose total is within 1e-12 of 1, with zeros dropped and the rest
+        renormalized to sum to 1 exactly. The mean must be positive (the law
+        may be deterministic, but not all mass at zero).
     """
 
     def __init__(self, pmf: Mapping[int, float]):
         if not pmf:
             raise ParameterError("offspring law needs at least one atom")
-        values = []
-        probs = []
-        for value, prob in sorted(pmf.items()):
-            if not isinstance(value, (int, np.integer)) or value < 0:
+        values = sorted(pmf)
+        for value in values:
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
                 raise ParameterError(f"offspring value {value!r} is not a non-negative integer")
-            prob = float(prob)
-            if prob < 0.0 or not math.isfinite(prob):
-                raise ParameterError(f"probability {prob!r} for value {value} is invalid")
-            if prob > 0.0:
-                values.append(int(value))
-                probs.append(prob)
-        if not values:
-            raise ParameterError("offspring law has no positive-probability atom")
-        total = math.fsum(probs)
-        if abs(total - 1.0) > 1e-12:
-            raise ParameterError(f"probabilities sum to {total!r}, not 1")
-        self.values = np.asarray(values, dtype=np.int64)
-        self.probs = np.asarray(probs, dtype=np.float64) / total
+        keep, self.probs = normalized_probs([pmf[value] for value in values], "probabilities")
+        self.values = np.asarray(values, dtype=np.int64)[keep]
         # a law keys the exact tables' caches: its arrays are frozen and hashed once
         self.values.flags.writeable = self.probs.flags.writeable = False
         self._hash = hash((self.values.tobytes(), self.probs.tobytes()))

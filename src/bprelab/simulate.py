@@ -8,15 +8,19 @@ process and ``os.fork`` children, which write status, status_gen and the
 batch's partial results into one shared anonymous mapping; a batch is
 bit-identical at any worker count and at any ``threads`` value. One
 function (``_block_filler``) owns a block's simulation: its stream, its
-states and its draws. Threads would not help: numpy's multinomial sampler
-holds the GIL. Workers are forked, not spawned, because a spawned
+states and its draws. Workers are processes, not threads. numpy's
+multinomial sampler releases the GIL (on numpy 2.4.6 a pure-Python thread
+kept about half its idle pace during a call), but a two-thread ``run`` took
+no less wall time on the bundled configs, and its second worker's buffers
+raised the process's peak RSS by 2.4-3.9 MB (6-9%); a forked child's count
+in its own process. Workers are forked, not spawned, because a spawned
 interpreter would pay a fresh numpy import, a large share of a batch's time.
 
 Within a block, an annealed batch first draws every row's environment states
-from the same rows x n_max uniforms that ``Generator.choice`` would draw,
-mapped to generation-major one-byte law indices by counting the cut points of
-choice's cdf (computed once per batch) at or below each uniform; a one-state
-mixture needs no draw, so it advances the stream past those uniforms instead.
+by the mixture's one state draw, ``IIDMixture.draw_states``: the uniforms
+``Generator.choice`` would draw, as generation-major one-byte law indices. A
+one-state mixture needs no draw, so it advances the stream past those
+uniforms instead.
 Every block then draws each generation by one rule: the laws in index order,
 each drawing its live rows, in row order, with one multinomial call against
 its union-support pmf row; a point mass skips the call and advances the
@@ -74,6 +78,8 @@ STREAM_SCHEME = "SeedSequence(master_seed, spawn_key=(block,))"
 
 MODE_QUENCHED = "quenched"
 MODE_ANNEALED = "annealed"
+# the least batch sizes, which SimConfig and the config loader both hold
+BATCH_MINIMUMS = {"n_max": 1, "replicas": 1, "pop_cap": 1000}
 
 # the reducer's key kinds: ("moment", p, n, gap), ("bracket", p, rho, n), ("identity", rho, n)
 MOMENT, BRACKET, IDENTITY = "moment", "bracket", "identity"
@@ -117,12 +123,9 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in (MODE_QUENCHED, MODE_ANNEALED):
             raise ParameterError(f"unknown mode {self.mode!r}")
-        if self.n_max < 1:
-            raise ParameterError("n_max must be >= 1")
-        if self.replicas < 1:
-            raise ParameterError("replicas must be >= 1")
-        if self.pop_cap < 1000:
-            raise ParameterError("pop_cap must be >= 1000")
+        for name, least in BATCH_MINIMUMS.items():
+            if getattr(self, name) < least:
+                raise ParameterError(f"{name} must be >= {least}")
         if any(r < 1.0 for r in self.rho_grid):
             raise ParameterError("rho grid values must be >= 1")
         if self.mode == MODE_ANNEALED and not isinstance(self.env, IIDMixture):
@@ -265,29 +268,6 @@ def _law_table(laws) -> tuple[np.ndarray, np.ndarray]:
     return support, pvals
 
 
-def _choice_cdf(weights) -> np.ndarray:
-    """The cdf that ``Generator.choice`` searches for a draw with probabilities weights."""
-    cdf = np.cumsum(weights, dtype=np.float64)
-    cdf /= cdf[-1]
-    return cdf
-
-
-def _draw_states(rng: np.random.Generator, cdf: np.ndarray, rows: int, n_max: int) -> np.ndarray:
-    """Generation-major law indices: states[n, i] is row i's law at generation n.
-
-    The same rows x n_max uniforms that ``rng.choice(len(cdf), size=(rows, n_max),
-    p=weights)`` draws, each mapped to the number of cdf[:-1] entries at or
-    below it: choice's ``searchsorted(cdf, u, side="right")``, since every u < 1
-    = cdf[-1]. One byte per state while there are at most 256 laws.
-    """
-    u = rng.random((rows, n_max)).T
-    states = np.zeros((n_max, rows), dtype=np.min_scalar_type(len(cdf) - 1))
-    above = np.empty((n_max, rows), dtype=bool)
-    for cut in cdf[:-1]:
-        states += np.greater_equal(u, cut, out=above)
-    return states
-
-
 def _simulate_block(rng: np.random.Generator, states: np.ndarray, support: np.ndarray,
                     pvals: np.ndarray, log_means: np.ndarray, pop_cap: int, w: np.ndarray,
                     status: np.ndarray, status_gen: np.ndarray) -> None:
@@ -381,7 +361,6 @@ def _block_filler(cfg: SimConfig):
     # the one law index per generation where every row shares its path: law n
     # of a quenched path at generation n, law 0 of a one-state mixture throughout
     path_states = np.arange(cfg.n_max) if shared is not None else np.zeros(cfg.n_max, dtype=np.intp)
-    cdf = None if shared is not None else _choice_cdf(cfg.env.weights)
 
     def fill(block: int, w: np.ndarray, status: np.ndarray, status_gen: np.ndarray) -> None:
         w[:, 0], status[:], status_gen[:] = 1.0, STATUS_COMPLETED, -1
@@ -391,7 +370,7 @@ def _block_filler(cfg: SimConfig):
             # every row draws the one law; skip the one double per state that choice would take
             rng.bit_generator.advance(len(status) * cfg.n_max)
         elif shared is None:
-            states = _draw_states(rng, cdf, len(status), cfg.n_max)
+            states = cfg.env.draw_states(rng, len(status), cfg.n_max)
         _simulate_block(rng, states, support, pvals, log_means, cfg.pop_cap, w, status, status_gen)
 
     return shared, fill
@@ -493,7 +472,8 @@ def _refusal(key, n_max: int) -> str | None:
     """The reducer's key domain: None for a key inside it, else the refusal.
 
     A moment needs 0 <= n <= n + gap <= n_max, a bracket a finite rho >= 1 and
-    0 <= n < n_max, an identity a finite rho > 1 and 0 <= n < n_max - 1.
+    0 <= n < n_max, an identity a finite rho > 1 and 0 <= n < n_max - 1: the
+    one statement of each domain, which the harness reads too.
     """
     kind, *args = key
     if kind == MOMENT:

@@ -1,6 +1,7 @@
 """Environment models: realized paths, fixed sequences, i.i.d. mixtures."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,15 @@ class TestIIDMixture:
             IIDMixture([GW, DET2], [-0.5, 1.5])
         with pytest.raises(ParameterError):
             IIDMixture([], [])
+
+    @pytest.mark.parametrize("weights, refusal", [
+        ([True, False], "mixture weights must be finite, non-negative real numbers; got True"),
+        (["1.0"], "mixture weights must be finite, non-negative real numbers; got '1.0'"),
+    ], ids=["bool-weights", "string-weight"])
+    def test_what_the_config_loader_refuses_is_refused(self, weights, refusal):
+        # numpy reads True as 1.0 and "1.0" as 1.0, so both once made a mixture
+        with pytest.raises(ParameterError, match=re.escape(refusal)):
+            IIDMixture([GW, DET2][: len(weights)], weights)
 
     def test_zero_weight_states_dropped(self):
         env = IIDMixture([GW, DET2, DET3], [0.5, 0.0, 0.5])

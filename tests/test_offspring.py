@@ -1,6 +1,7 @@
 """Offspring-law construction and exact moments/cumulants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,15 @@ class TestConstruction:
     def test_negative_probability_rejected(self):
         with pytest.raises(ParameterError):
             OffspringLaw({0: -0.25, 2: 1.25})
+
+    @pytest.mark.parametrize("pmf, refusal", [
+        ({True: 0.5, 3: 0.5}, "offspring value True is not a non-negative integer"),
+        ({1: "0.5", 3: "0.5"}, "probabilities must be finite, non-negative real numbers; got '0.5'"),
+    ], ids=["bool-value", "string-probabilities"])
+    def test_what_the_config_loader_refuses_is_refused(self, pmf, refusal):
+        # a bool is an int and float("0.5") parses, so both once made a law
+        with pytest.raises(ParameterError, match=re.escape(refusal)):
+            OffspringLaw(pmf)
 
     def test_bad_total_rejected(self):
         with pytest.raises(ParameterError, match="sum to"):

@@ -29,7 +29,7 @@ from bprelab import (
     increment_identity_check,
     run,
 )
-from bprelab import relations, simulate
+from bprelab import harness, relations, simulate
 from bprelab.config import load_config
 from bprelab.estimators import MIN_REPLICAS, N_BATCHES, burkholder_sandwich, lp_norm, w_moment
 from bprelab.harness import run_experiment
@@ -40,8 +40,6 @@ from bprelab.simulate import (
     STATUS_COMPLETED,
     STATUS_EXTINCT,
     STREAM_SCHEME,
-    _choice_cdf,
-    _draw_states,
     _law_table,
     BRACKET,
     IDENTITY,
@@ -593,26 +591,109 @@ class TestStoredBatch:
         assert len(set(stored.status.tolist())) > 1
 
 
+def sites(hit) -> list[tuple[str, str]]:
+    """(module, scope) for each node of bprelab's source for which hit(node) is true.
+
+    The scope is the top-level function or class, Class.method for a method,
+    or the source of the target a module-level assignment binds.
+    """
+    found = []
+    for path in sorted(Path(simulate.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            members = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            for member in members:
+                if isinstance(member, (ast.FunctionDef, ast.ClassDef)):
+                    scope = f"{stmt.name}.{member.name}" if member is not stmt else member.name
+                elif isinstance(member, (ast.Assign, ast.AnnAssign)):
+                    scope = ast.unparse(getattr(member, "target", None) or member.targets[0])
+                else:
+                    scope = stmt.name if member is not stmt else "<module>"
+                found += [(path.stem, scope) for node in ast.walk(member) if hit(node)]
+    return found
+
+
+def named(node) -> str | None:
+    """The name a Name or an Attribute node reads, else None."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def calls(attr):
+    return lambda node: isinstance(node, ast.Call) and named(node.func) == attr
+
+
 class TestOneOwner:
-    """Every simulated block draws its generation totals at one site, by one rule."""
+    """Each rule of the simulator and of its inputs is stated at one site, which every user reads."""
 
     def test_one_multinomial_draw_site(self):
         # shared and per-row blocks alike draw each law's live rows against its one pmf row in
         # _simulate_block; a second call, or a per-row pmf table taken from pvals, would be a second rule
-        source = Path(simulate.__file__).read_text()
-        owners = [
-            stmt.name
-            for stmt in ast.parse(source).body
-            for node in ast.walk(stmt)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "multinomial"
-        ]
-        assert owners == ["_simulate_block"]
-        assert "np.take(pvals" not in source
+        assert sites(calls("multinomial")) == [("simulate", "_simulate_block")]
+        assert "np.take(pvals" not in Path(simulate.__file__).read_text()
+
+    def test_one_state_draw(self):
+        # environment states are drawn from a Generator at one site, which a mixture's paths and the
+        # annealed blocks both call; a second choice, or a second cdf search, would be a second draw
+        assert sites(lambda node: calls("choice")(node) or calls("random")(node)) == [
+            ("environment", "IIDMixture.draw_states")]
+        assert sites(lambda node: named(node) == "draw_states") == [
+            ("environment", "IIDMixture.sample_path"), ("simulate", "_block_filler")]
+        assert not {"_choice_cdf", "_draw_states"} & set(vars(simulate))
+
+    def test_one_pmf_rule(self):
+        # a probability vector's entries, its 1e-12 total, the "sum to" refusal, the dropped zeros and
+        # the renormalization are normalized_probs's, which every law and every mixture calls
+        tolerance = sites(lambda node: isinstance(node, ast.Compare) and any(
+            isinstance(c, ast.Constant) and c.value == 1e-12 for c in node.comparators))
+        refusal = sites(lambda node: isinstance(node, ast.JoinedStr) and "sum to" in ast.unparse(node))
+        assert tolerance == refusal == [("offspring", "normalized_probs")]
+        assert sites(calls("normalized_probs")) == [
+            ("environment", "IIDMixture.__init__"), ("offspring", "OffspringLaw.__init__")]
+
+    def test_one_set_of_batch_minimums(self):
+        # n_max >= 1, replicas >= 1 and pop_cap >= 1000 are BATCH_MINIMUMS, which SimConfig and the config
+        # loader read; no batch's or config's size is compared with a number, and no other table lists them
+        # (a bare n_max is an argument: the exact tables' horizon or the reducer's domain)
+        sizes = set(simulate.BATCH_MINIMUMS)
+
+        def bound(node):
+            operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+            return (any(isinstance(o, ast.Attribute) and o.attr in sizes for o in operands)
+                    and any(isinstance(o, ast.Constant) for o in operands))
+
+        def table(node):
+            return isinstance(node, ast.Dict) and any(
+                isinstance(k, ast.Constant) and k.value in sizes and isinstance(v, ast.Constant)
+                for k, v in zip(node.keys, node.values))
+
+        assert sites(bound) == []
+        assert sites(table) == [("simulate", "BATCH_MINIMUMS")]
+        assert sorted(set(sites(lambda node: named(node) == "BATCH_MINIMUMS"))) == [
+            ("config", "_INT_MINIMUMS"), ("simulate", "BATCH_MINIMUMS"), ("simulate", "SimConfig.__post_init__")]
+
+    def test_one_identity_domain(self):
+        # 0 <= n < n_max - 1 is stated in the reducer's _refusal alone: the identity suite keeps its keys
+        # by asking _refusal, its need holds where a key is kept, and neither orders an n against n_max
+        def ordering(node):
+            return isinstance(node, ast.Compare) and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                                                         for op in node.ops)
+
+        assert sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "_refusal") == [
+            ("harness", "_identity_keys")]
+        assert ("simulate", "_refusal") in sites(ordering)
+        assert ("harness", "_identity_keys") not in sites(ordering)
+        needs = next(stmt.value for stmt in ast.parse(Path(harness.__file__).read_text()).body
+                     if isinstance(stmt, ast.Assign) and named(stmt.targets[0]) == "_NEEDS")
+        (holds,) = [row.elts[2] for row in needs.elts if ast.unparse(row.elts[0]) == "('identity',)"]
+        assert "_identity_keys" in {named(node) for node in ast.walk(holds)}
+        assert not any(ordering(node) for node in ast.walk(holds))
 
 
 class TestStateDraw:
-    """The generation-major states are choice's draws, transposed, and leave the stream where choice does."""
+    """IIDMixture.draw_states gives choice's draws, transposed, and leaves the stream where choice does."""
+
+    @staticmethod
+    def mixture(weights):
+        return IIDMixture([OffspringLaw({k + 1: 1.0}) for k in range(len(weights))], weights)
 
     @pytest.mark.parametrize("weights", [
         [0.6, 0.4],
@@ -628,22 +709,31 @@ class TestStateDraw:
     @pytest.mark.parametrize("seed", [0, 1, 29])
     @pytest.mark.parametrize("rows", [BLOCK_ROWS, 301])
     def test_equals_choice(self, weights, seed, rows):
+        # the mixture drops its zero-weight states, so its index k is choice's kept[k]
         n_max = 13
         mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        states = _draw_states(mine, _choice_cdf(np.array(weights)), rows, n_max)
+        states = self.mixture(weights).draw_states(mine, rows, n_max)
         want = theirs.choice(len(weights), size=(rows, n_max), p=weights).T
         assert states.shape == (n_max, rows) and states.dtype.itemsize == 1
         assert states.flags.c_contiguous
-        assert np.array_equal(states, want)
+        assert np.array_equal(np.flatnonzero(weights)[states], want)
         assert mine.random() == theirs.random()
-        zero = [k for k, p in enumerate(weights) if p == 0.0]
-        assert not np.isin(states, zero).any()
 
     @pytest.mark.parametrize("weights", [[0.4, 0.3, 0.2, 0.1], [0.05] * 20])
     def test_a_cumsum_that_does_not_end_at_one(self, weights):
         # the cdf is normalised by its last entry, as choice normalises it
-        assert np.cumsum(weights)[-1] != 1.0
-        assert _choice_cdf(np.array(weights))[-1] == 1.0
+        mixture = self.mixture(weights)
+        assert np.cumsum(mixture.weights)[-1] != 1.0
+        assert mixture._cdf[-1] == 1.0
+
+    @pytest.mark.parametrize("weights", [[0.6, 0.4], [0.5, 0.0, 0.5], [1.0]])
+    def test_sample_path_is_one_row_of_the_draw(self, weights):
+        mixture = self.mixture(weights)
+        mine, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        path = mixture.sample_path(40, mine)
+        want = theirs.choice(len(mixture.states), size=40, p=mixture.weights)
+        assert path.laws == tuple(mixture.states[k] for k in want)
+        assert mine.random() == theirs.random()
 
 
 @pytest.fixture

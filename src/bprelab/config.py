@@ -56,6 +56,9 @@ _TOP_KEYS = {"schema"} | {f.metadata.get("key", f.name) for f in fields(Experime
 # keys whose default is None accept an explicit null for it
 _NULLABLE = {f.name for f in fields(ExperimentConfig) if f.default is None}
 
+# each environment kind and the key of its list of states: a mixture's weighted laws, a fixed path's laws
+_ENV_LISTS = {"mixture": "states", "fixed_path": "path"}
+
 # integer keys and their least admissible value, checked in field order; the batch sizes' are the simulator's
 _INT_MINIMUMS = {"gap": 1, "master_seed": 0, "path_seed": 0, **BATCH_MINIMUMS}
 
@@ -128,39 +131,30 @@ def _parse_law(data, path: str, chk: _Checker) -> OffspringLaw:
 
 
 def _parse_environment(data, chk: _Checker) -> Environment:
-    path = "environment"
-    chk.require(isinstance(data, dict), path, "expected a map")
+    chk.require(isinstance(data, dict), "environment", "expected a map")
     kind = data.get("kind")
-    if kind == "mixture":
-        extra = set(data) - {"kind", "states"}
-        chk.require(not extra, path, f"unknown keys {sorted(extra)}")
-        states = data.get("states")
-        chk.require(isinstance(states, list) and states, f"{path}.states", "expected a non-empty list")
-        laws, weights = [], []
-        for i, entry in enumerate(states):
-            epath = f"{path}.states[{i}]"
-            chk.require(isinstance(entry, dict), epath, "expected a map")
-            extra = set(entry) - {"law", "weight"}
-            chk.require(not extra, epath, f"unknown keys {sorted(extra)}")
-            laws.append(_parse_law(entry.get("law"), f"{epath}.law", chk))
-            weight = entry.get("weight", 1.0 / len(states))
-            chk.require(_is_number(weight), f"{epath}.weight", "expected a number")
-            weights.append(float(weight))
-        try:
-            return IIDMixture(laws, weights)
-        except BpreLabError as exc:
-            raise chk.fail(f"{path}.states", str(exc)) from exc
+    key = _ENV_LISTS.get(kind) if isinstance(kind, str) else None
+    chk.require(key is not None, "environment.kind", f"unknown environment kind {kind!r}")
+    extra = set(data) - {"kind", key}
+    chk.require(not extra, "environment", f"unknown keys {sorted(extra)}")
+    path, entries = f"environment.{key}", data.get(key)
+    chk.require(isinstance(entries, list) and entries, path, "expected a non-empty list")
     if kind == "fixed_path":
-        extra = set(data) - {"kind", "path"}
-        chk.require(not extra, path, f"unknown keys {sorted(extra)}")
-        seq = data.get("path")
-        chk.require(isinstance(seq, list) and seq, f"{path}.path", "expected a non-empty list")
-        laws = [_parse_law(entry, f"{path}.path[{i}]", chk) for i, entry in enumerate(seq)]
-        try:
-            return FixedPath(laws)
-        except BpreLabError as exc:
-            raise chk.fail(f"{path}.path", str(exc)) from exc
-    raise chk.fail(f"{path}.kind", f"unknown environment kind {kind!r}")
+        return FixedPath([_parse_law(entry, f"{path}[{i}]", chk) for i, entry in enumerate(entries)])
+    laws, weights = [], []
+    for i, entry in enumerate(entries):
+        epath = f"{path}[{i}]"
+        chk.require(isinstance(entry, dict), epath, "expected a map")
+        extra = set(entry) - {"law", "weight"}
+        chk.require(not extra, epath, f"unknown keys {sorted(extra)}")
+        laws.append(_parse_law(entry.get("law"), f"{epath}.law", chk))
+        weight = entry.get("weight", 1.0 / len(entries))
+        chk.require(_is_number(weight), f"{epath}.weight", "expected a number")
+        weights.append(float(weight))
+    try:
+        return IIDMixture(laws, weights)
+    except BpreLabError as exc:
+        raise chk.fail(path, str(exc)) from exc
 
 
 def _check_list(chk: _Checker, items, key: str, ok, msg: str) -> tuple:

@@ -60,12 +60,12 @@ def conditional_moment_coeffs(law: OffspringLaw, k_max: int) -> np.ndarray:
 class MomentTable:
     """Exact moments of Z_n, weighted by P_n^{-s}.
 
-    values[n, j] holds E[P_n^{-s} Z_n^j] in annealed mode and
-    P_n^{-s} * E_xi[Z_n^j] in quenched mode. Quenched tables carry the
-    path's log P_n so W_n moments can be recovered by normalization.
+    values[n, j] holds E[P_n^{-s} Z_n^j] in an annealed table and
+    P_n^{-s} * E_xi[Z_n^j] in a quenched one. A quenched table is the one
+    that carries the path's log P_n, so W_n moments can be recovered by
+    normalization.
     """
 
-    mode: str  # "quenched" | "annealed"
     s: float
     max_order: int
     values: np.ndarray  # shape (n_max+1, max_order+1)
@@ -73,7 +73,7 @@ class MomentTable:
 
     def w_moments(self, r: int) -> np.ndarray:
         """Quenched E_xi[W_n^r] for all n; requires a plain (s=0) quenched table."""
-        if self.mode != "quenched" or self.s != 0.0 or self.log_means is None:
+        if self.s != 0.0 or self.log_means is None:
             raise ParameterError("W-moment normalization needs a plain quenched table")
         if not 1 <= r <= self.max_order:
             raise ParameterError(f"order {r} outside table range 1..{self.max_order}")
@@ -90,6 +90,7 @@ def _check_overflow(row: np.ndarray, n: int) -> None:
 
 def quenched_moments(path: EnvPath, r_max: int, n_max: int) -> MomentTable:
     """Plain quenched moments M[n, k] = E_xi[Z_n^k] along a fixed path."""
+    # at n_max = 0 no coefficients are asked for, so the order range is refused here too
     if not 1 <= r_max <= MAX_ORDER:
         raise ParameterError(f"r_max must be in 1..{MAX_ORDER}")
     if n_max < 0 or n_max > len(path):
@@ -99,7 +100,6 @@ def quenched_moments(path: EnvPath, r_max: int, n_max: int) -> MomentTable:
         m[n + 1, 1:] = conditional_moment_coeffs(path.laws[n], r_max)[1:, 1:] @ m[n, 1:]
         _check_overflow(m[n + 1], n + 1)
     return MomentTable(
-        mode="quenched",
         s=0.0,
         max_order=r_max,
         values=m,
@@ -112,22 +112,20 @@ def annealed_moment_table(env: Environment, s: float, r_max: int, n_max: int) ->
 
     One linear transfer matrix T[k, j] = E[m_0^{-s} a_{k,j}(xi_0)] advances
     the whole row per generation; this is exact because xi_n is independent
-    of generation n's population.
+    of generation n's population. conditional_moment_coeffs refuses an order
+    r_max outside 1..MAX_ORDER.
     """
     if not isinstance(env, IIDMixture):
         raise UnsupportedOperationError("annealed tables need an i.i.d. mixture environment")
-    if not 1 <= r_max <= MAX_ORDER:
-        raise ParameterError(f"r_max must be in 1..{MAX_ORDER}")
     if n_max < 0:
         raise ParameterError("n_max must be >= 0")
-    t = np.zeros((r_max + 1, r_max + 1))
-    for state, weight in zip(env.states, env.weights):
-        t += weight * state.mean ** (-s) * conditional_moment_coeffs(state, r_max)
+    t = sum(weight * state.mean ** (-s) * conditional_moment_coeffs(state, r_max)
+            for state, weight in zip(env.states, env.weights))
     h = np.ones((n_max + 1, r_max + 1))
     for n in range(n_max):
         h[n + 1] = t @ h[n]
         _check_overflow(h[n + 1], n + 1)
-    return MomentTable(mode="annealed", s=float(s), max_order=r_max, values=h)
+    return MomentTable(s=float(s), max_order=r_max, values=h)
 
 
 def annealed_u(env: Environment, s: float, r: int, n_max: int) -> np.ndarray:
@@ -136,8 +134,6 @@ def annealed_u(env: Environment, s: float, r: int, n_max: int) -> np.ndarray:
     Since W_n^r = P_n^{-r} Z_n^r, this is the annealed table with exponent
     s + r read at order r.
     """
-    if not 1 <= r <= MAX_ORDER:
-        raise ParameterError(f"r must be in 1..{MAX_ORDER}")
     table = annealed_moment_table(env, s + r, r, n_max)
     return table.values[:, r].copy()
 
@@ -190,8 +186,7 @@ class P2ClosedForms:
 
 
 def p2_closed_forms(env: Environment) -> P2ClosedForms:
-    if not isinstance(env, IIDMixture):
-        raise UnsupportedOperationError("closed p=2 forms need an i.i.d. mixture environment")
+    """The closed p=2 forms of a mixture; a fixed path, which has no stationary law, refuses mean_power."""
     return P2ClosedForms(q1=env.mean_power(-1.0), b2=env.expect(_bar2))
 
 

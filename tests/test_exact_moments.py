@@ -83,6 +83,13 @@ class TestConditionalCoeffs:
             conditional_moment_coeffs(GW, 0)
         with pytest.raises(ParameterError):
             conditional_moment_coeffs(GW, 7)
+        # the annealed table and u refuse an order through these coefficients alone; a table built
+        # from each law's coefficients at MAX_ORDER, sliced to r_max, would return ones at order 0
+        for order in (0, 7):
+            with pytest.raises(ParameterError, match=f"moment order must be in 1..6, got {order}"):
+                annealed_moment_table(TWO_STATE, 0.0, order, 3)
+            with pytest.raises(ParameterError, match=f"moment order must be in 1..6, got {order}"):
+                annealed_u(TWO_STATE, 0.0, order, 3)
 
 
 class TestQuenchedMoments:
@@ -92,7 +99,7 @@ class TestQuenchedMoments:
         assert table.values[3] == pytest.approx(
             [1.0, 6.75, 64.125, 634.5, 6483.375], rel=1e-12
         )
-        assert table.mode == "quenched" and table.s == 0.0 and len(table.values) == 4
+        assert table.log_means is not None and table.s == 0.0 and len(table.values) == 4
 
     def test_matches_enumeration_on_small_paths(self):
         paths = [
@@ -128,6 +135,10 @@ class TestQuenchedMoments:
             quenched_moments(path, 0, 2)
         with pytest.raises(ParameterError):
             quenched_moments(path, 2, 3)
+        # at n_max = 0 no coefficients are asked for, so without its own order check this
+        # returns a one-row table of order 7
+        with pytest.raises(ParameterError, match="r_max must be in 1..6"):
+            quenched_moments(path, 7, 0)
 
     def test_overflow_names_generation_and_order(self):
         path = EnvPath([OffspringLaw(DET3_PMF)] * 110)
@@ -143,6 +154,9 @@ class TestAnnealedTables:
     def test_needs_a_mixture(self):
         with pytest.raises(UnsupportedOperationError):
             annealed_moment_table(FixedPath([GW]), 0.0, 2, 4)
+        # and a horizon of at least 0; a bound of n_max < -1 returns an empty table
+        with pytest.raises(ParameterError, match="n_max must be >= 0"):
+            annealed_moment_table(TWO_STATE, 0.0, 2, -1)
 
     def test_single_state_equals_quenched(self):
         env = IIDMixture([GW], [1.0])
@@ -246,7 +260,8 @@ class TestP2ClosedForms:
         assert forms.tail(1) == math.inf
 
     def test_needs_a_mixture(self):
-        with pytest.raises(UnsupportedOperationError):
+        # a fixed path has no stationary law: mean_power refuses it
+        with pytest.raises(UnsupportedOperationError, match="FixedPath has no stationary law"):
             p2_closed_forms(FixedPath([GW]))
 
     def test_partial_a_hat_sum_matches_geometric(self):

@@ -118,6 +118,9 @@ class TestMoments:
     def test_negative_order_rejected(self):
         with pytest.raises(ParameterError):
             OffspringLaw(GW).moment(-0.5)
+        # the centered moment refuses order 0 as well; a bound of p < 0 returns E|.|^0 = 1
+        with pytest.raises(ParameterError, match="must be positive"):
+            OffspringLaw(GW).centered_abs_moment(0.0)
 
     def test_centered_abs_moment_frozen(self):
         # E|X/1.5 - 1|^2 = 0.25 * 1 + 0.75 * (1/3)^2 = 1/3

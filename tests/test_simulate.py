@@ -21,6 +21,7 @@ from bprelab import (
     EnvPath,
     FixedPath,
     IIDMixture,
+    MomentTable,
     OffspringLaw,
     ParameterError,
     SimConfig,
@@ -30,7 +31,7 @@ from bprelab import (
     run,
 )
 from bprelab import harness, relations, simulate
-from bprelab.config import load_config
+from bprelab.config import _ENV_LISTS, load_config
 from bprelab.estimators import MIN_REPLICAS, N_BATCHES, burkholder_sandwich, lp_norm, w_moment
 from bprelab.harness import run_experiment
 from bprelab.relations import IDENTITY_TOL
@@ -686,6 +687,46 @@ class TestOneOwner:
         (holds,) = [row.elts[2] for row in needs.elts if ast.unparse(row.elts[0]) == "('identity',)"]
         assert "_identity_keys" in {named(node) for node in ast.walk(holds)}
         assert not any(ordering(node) for node in ast.walk(holds))
+
+    def test_one_mark_of_a_quenched_table(self):
+        # a quenched table is the one that carries log P_n, which w_moments tests; a mode would say it twice
+        assert [f.name for f in dataclasses.fields(MomentTable)] == ["s", "max_order", "values", "log_means"]
+
+    def test_one_moment_order_range(self):
+        # 1..MAX_ORDER is conditional_moment_coeffs's, which every table reaches; quenched_moments
+        # states it too, since at n_max = 0 it asks for no coefficients
+        def range_check(node):
+            return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant) and node.left.value == 1
+                    and any(named(c) == "MAX_ORDER" for c in node.comparators))
+
+        def refusal(node):
+            return (isinstance(node, ast.JoinedStr) and "in 1.." in ast.unparse(node)
+                    and any(named(part) == "MAX_ORDER" for part in ast.walk(node)))
+
+        owners = [("exact_moments", "conditional_moment_coeffs"), ("exact_moments", "quenched_moments")]
+        assert sites(range_check) == sites(refusal) == owners
+
+    def test_one_stationary_law_refusal(self):
+        # a fixed path's stationary functionals refuse in the Environment base alone, which p2_closed_forms
+        # and the rates reach through mean_power; the annealed table's own refusal is its need of states
+        # and weights
+        assert sites(lambda node: isinstance(node, ast.Raise) and "stationary law" in ast.unparse(node)) == [
+            ("environment", "Environment.geo_mean"), ("environment", "Environment.mean_power"),
+            ("environment", "Environment.expect")]
+        assert sites(lambda node: isinstance(node, ast.Raise) and named(getattr(node.exc, "func", None))
+                     == "UnsupportedOperationError") == [
+            ("environment", "Environment.geo_mean"), ("environment", "Environment.mean_power"),
+            ("environment", "Environment.expect"), ("exact_moments", "annealed_moment_table")]
+
+    def test_one_mapping_of_environment_lists(self):
+        # each environment kind's list key is written once, in the loader's _ENV_LISTS, which parses both
+        # kinds by one rule; no key path or refusal spells a list key out
+        def list_key(node):
+            return isinstance(node, ast.Constant) and isinstance(node.value, str) and bool(
+                re.fullmatch(r"\.?(states|path)\[?", node.value))
+
+        assert sites(list_key) == [("config", "_ENV_LISTS")] * 2
+        assert _ENV_LISTS == {"mixture": "states", "fixed_path": "path"}
 
 
 class TestStateDraw:

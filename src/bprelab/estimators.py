@@ -3,10 +3,11 @@
 Every estimator drops capped replicas (their trajectories are frozen, not
 simulated) and reports the dropped fraction; extinct replicas stay in, since
 W = 0 is genuine mass of the limit law. An estimate is built from the
-simulator's per-piece sums (simulate.partials): its mean is their
-math.fsum over the uncapped rows, and its standard error comes from the
-means of N_BATCHES fixed row ranges of all replicas (np.array_split's
-chunks), each over its uncapped rows; a chunk without one has no mean.
+simulator's per-block sums (simulate.partials) over the N uncapped rows: its
+value is the rows' mean, and its stderr their sample sd over sqrt(N). A
+moment estimate also carries its sample covariance with every other member
+of its family (the same p and gap) over N, so a decay fit's interval
+follows from the covariance of the points it fits.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimateUnavailableError, FitUnavailableError, ParameterError
-from .simulate import BRACKET, MOMENT, N_BATCHES, TrajectoryBatch, partials  # N_BATCHES: the chunks' count
+from .simulate import BRACKET, MOMENT, TrajectoryBatch, partials
 
 MIN_REPLICAS = 100
 # the fewest consecutive points a decay fit takes
@@ -35,27 +36,9 @@ SLACK_SIGMAS = 4.0
 ROUNDOFF_DISTANCE = 1e-10
 
 
-def _means(batch: TrajectoryBatch, sums: np.ndarray) -> tuple[float, np.ndarray]:
-    """The mean over the uncapped rows and the batch means, from per-piece sums over them.
-
-    math.fsum adds the pieces of all rows, and of each batch-means chunk,
-    whose mean is over its uncapped rows; a chunk without one has no mean.
-    """
-    firsts, counts = batch.chunk_pieces
-    values = sums.tolist()
-    means = [math.fsum(values[a:b]) / sum(counts[a:b]) for a, b in zip(firsts, firsts[1:]) if sum(counts[a:b])]
-    return math.fsum(values) / sum(counts), np.array(means)
-
-
-def _stderr_of(means: np.ndarray) -> float:
-    if len(means) < 2:
-        return float("inf")
-    return float(means.std(ddof=1) / math.sqrt(len(means)))
-
-
 def _rows_used(batch: TrajectoryBatch) -> int:
     """How many rows every estimate uses: the uncapped ones, at least MIN_REPLICAS."""
-    used = sum(batch.chunk_pieces[1])
+    used = int(np.count_nonzero(batch.uncapped))
     if used < MIN_REPLICAS:
         raise EstimateUnavailableError(f"only {used} uncapped replicas; need >= {MIN_REPLICAS}")
     return used
@@ -65,9 +48,12 @@ def _rows_used(batch: TrajectoryBatch) -> int:
 class LpEstimate:
     """Sample estimate of E|W_{n+gap} - W_n|^p (or E W_n^p when gap == 0).
 
-    batch_values are the 30 contiguous batch means behind stderr; the decay
-    fitter uses them to propagate the cross-n correlation (every n shares
-    the same replicas) into the slope's confidence interval.
+    covariance[m] is the sampling covariance of this estimate and the one at
+    m of its family, m = 0..n_max - gap: the uncapped rows' sample covariance
+    of x_n and x_m over their count, since every n reads the same replicas.
+    Its entry at n is stderr^2, floored at 0. A hand-built estimate may leave
+    it None; the decay fit then takes the estimate as uncorrelated with the
+    others, a diagonal covariance.
     """
 
     p: float
@@ -78,7 +64,7 @@ class LpEstimate:
     capped_fraction: float
     replicas_used: int
     bias_bound: float | None = None
-    batch_values: np.ndarray | None = None
+    covariance: np.ndarray | None = None
 
     @property
     def at_rounding(self) -> bool:
@@ -92,18 +78,19 @@ class LpEstimate:
 
 
 def _estimate_from(batch: TrajectoryBatch, p: float, n: int, gap: int) -> LpEstimate:
-    sums = partials(batch, (MOMENT, p, n, gap))
+    sums = partials(batch, (MOMENT, p, n, gap)).sum(axis=0)
     used = _rows_used(batch)
-    value, means = _means(batch, sums)
+    means = sums[:, 0] / used
+    covariance = (sums[n, 1:] - sums[n, 0] * means) / ((used - 1) * used)
     return LpEstimate(
         p=p,
         n=n,
-        value=value,
-        stderr=_stderr_of(means),
+        value=float(means[n]),
+        stderr=math.sqrt(max(covariance[n], 0.0)),
         proxy_gap=gap,
         capped_fraction=batch.capped_fraction,
         replicas_used=used,
-        batch_values=means,
+        covariance=covariance,
     )
 
 
@@ -127,9 +114,9 @@ def w_moment(batch: TrajectoryBatch, p: float, n: int) -> LpEstimate:
 class DecayFit:
     """Weighted log-linear fit of an L^p-norm sequence against n.
 
-    ci_method is "batch-curves" when the slope spread was measured across
-    the per-batch curves (the default whenever batch means are available;
-    robust to the shared-replica correlation between n's), else "wls-cov".
+    slope_se is the delta-method stderr of the slope under the points'
+    sampling covariance (see fit_decay), and the interval is the slope's
+    +- CI_Z slope_se mapped to rho.
     """
 
     fitted_rho: float
@@ -140,7 +127,6 @@ class DecayFit:
     slope: float
     slope_se: float
     points_used: int
-    ci_method: str = "wls-cov"
 
 
 def wls_line(xs, ys, sds) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -164,6 +150,14 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
     heuristic value * rho_prelim^{-gap} with rho_prelim from an unweighted
     pass. The fit uses the longest admissible run of consecutive points and
     needs at least MIN_FIT_POINTS of them.
+
+    The slope is c . ys, c the slope row of (X^T W X)^-1 X^T W, and ys_n =
+    log(value_n)/p moves by d value_n / (p value_n); so its variance is
+    (Jc)^T S (Jc), J = diag(1/(p value_n)) and S the window's sampling
+    covariance, read from the estimates' covariance rows (see LpEstimate),
+    which index one family: one batch's estimates at one p and gap.
+    With a diagonal S, stderr_n^2, this is the weighted fit's own
+    [(X^T W X)^-1]_11.
     """
     if not estimates:
         raise FitUnavailableError("no estimates given")
@@ -198,13 +192,10 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
 
     beta, cov, x_mat, wts = wls_line(xs, ys, [e.log_sd for e in window])
     slope = float(beta[1])
-    se_slope = math.sqrt(cov[1, 1])
-    ci_method = "wls-cov"
-
-    batch_slopes = _batch_curve_slopes(window, x_mat, wts, p)
-    if batch_slopes is not None:
-        se_slope = _stderr_of(batch_slopes)
-        ci_method = "batch-curves"
+    jc = (cov @ (x_mat.T * wts))[1] / (p * np.array([e.value for e in window]))
+    sampling = [[e.stderr**2 if e.n == f.n else 0.0 if e.covariance is None else e.covariance[f.n]
+                 for f in window] for e in window]
+    se_slope = math.sqrt(max(jc @ np.array(sampling) @ jc, 0.0))
 
     resid = ys - x_mat @ beta
     y_bar = float(np.average(ys, weights=wts))
@@ -221,29 +212,7 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
         slope=slope,
         slope_se=se_slope,
         points_used=len(window),
-        ci_method=ci_method,
     )
-
-
-def _batch_curve_slopes(
-    window: list[LpEstimate], x_mat: np.ndarray, wts: np.ndarray, p: float
-) -> np.ndarray | None:
-    """Slope of each batch's own curve, for a correlation-aware stderr.
-
-    The per-n estimates come from the same replicas, so their errors are
-    correlated; refitting the window on every batch's means and spreading
-    the slopes measures that correlation instead of assuming it away.
-    """
-    mats = [e.batch_values for e in window]
-    if any(m is None for m in mats) or len({len(m) for m in mats}) != 1 or len(mats[0]) < 8:
-        return None
-    curves = np.stack(mats, axis=1)  # (batches, window length)
-    if np.any(curves <= 0.0):
-        return None
-    # wls_line has solved this Gram matrix, so it is not singular; its cov would round differently
-    gram = x_mat.T @ (wts[:, None] * x_mat)
-    rhs = (wts * (np.log(curves) / p)) @ x_mat
-    return np.linalg.solve(gram, rhs.T)[1]
 
 
 def burkholder_constants(p: float) -> tuple[float, float]:
@@ -274,13 +243,15 @@ class SandwichCheck:
         return self.lower_ok and self.upper_ok
 
 
-def _norm_with_stderr(batch: TrajectoryBatch, sums: np.ndarray, p: float) -> tuple[float, float]:
-    """(mean |x|^p)^{1/p} with a delta-method stderr, from the per-piece sums of |x|^p."""
-    m, means = _means(batch, sums)
+def _norm_with_stderr(sums: np.ndarray, used: int, p: float) -> tuple[float, float]:
+    """(mean |x|^p)^{1/p} with a delta-method stderr, from the per-block sums of |x|^p and of
+    its square over the used rows."""
+    total, square = sums.sum(axis=0).tolist()
+    m = total / used
     if m == 0.0:
         return 0.0, 0.0
     norm = m ** (1.0 / p)
-    return norm, _stderr_of(means) * norm / (p * m)
+    return norm, math.sqrt(max(square - total * m, 0.0) / ((used - 1) * used)) * norm / (p * m)
 
 
 def burkholder_sandwich(batch: TrajectoryBatch, p: float, rho: float, n: int) -> SandwichCheck:
@@ -292,9 +263,9 @@ def burkholder_sandwich(batch: TrajectoryBatch, p: float, rho: float, n: int) ->
     """
     a_p, b_p = burkholder_constants(p)
     a_sums, q_sums = partials(batch, (BRACKET, p, rho, n))
-    _rows_used(batch)
-    a_norm, a_se = _norm_with_stderr(batch, a_sums, p)
-    q_norm, q_se = _norm_with_stderr(batch, q_sums, p)
+    used = _rows_used(batch)
+    a_norm, a_se = _norm_with_stderr(a_sums, used, p)
+    q_norm, q_se = _norm_with_stderr(q_sums, used, p)
     lower, upper = a_p * q_norm, b_p * q_norm
     lower_ok = lower <= a_norm + SLACK_SIGMAS * math.hypot(a_p * q_se, a_se)
     upper_ok = a_norm <= upper + SLACK_SIGMAS * math.hypot(b_p * q_se, a_se)

@@ -37,22 +37,24 @@ support, which is the exact law of the sum of per-individual draws);
 populations above pop_cap stop simulating and are flagged.
 
 Every estimate is a reduction that splits by row, so one reducer
-(``_reduce_block``) turns a block into partials: per-piece sums for
+(``_reduce_block``) turns a block into partials: per-block sums for
 moments and brackets, per-block maxima for the accumulator identity. A
-piece is the rows of one batch-means chunk (``piece_grid``) inside one
-block; a sum is pairwise within a piece and ``math.fsum`` across pieces, so
-no sum depends on which worker reduced which block. ``run`` has each
-worker fill one private generation-major block at a time and reduce it
-there, so no w matrix is ever held. A stored batch, loaded from a dump or
-built by hand, holds its w; ``reduce_batch`` runs the same reducer over its
-stored blocks. The keys are tagged tuples: ("moment", p, n, gap),
+moment key is reduced with its whole family, the same p and gap at every
+n: per block, each x_n = |W_{n+gap} - W_n|^p summed over the uncapped rows
+and the Gram matrix of the x_n, from which an estimate's stderr and the
+covariance between a fit's points follow. A bracket's two sides each keep
+their sum and their sum of squares. Each block's sums are written by the one
+worker that reduced it, so no sum depends on which worker that was. ``run``
+has each worker fill one private generation-major block at a time and
+reduce it there, so no w matrix is ever held. A stored batch, loaded from a
+dump or built by hand, holds its w; ``reduce_batch`` runs the same reducer
+over its stored blocks. The keys are tagged tuples: ("moment", p, n, gap),
 ("bracket", p, rho, n) and ("identity", rho, n); ``_refusal`` owns their
 domains.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import mmap
@@ -83,8 +85,6 @@ BATCH_MINIMUMS = {"n_max": 1, "replicas": 1, "pop_cap": 1000}
 
 # the reducer's key kinds: ("moment", p, n, gap), ("bracket", p, rho, n), ("identity", rho, n)
 MOMENT, BRACKET, IDENTITY = "moment", "bracket", "identity"
-# contiguous batch-means chunks behind every standard error
-N_BATCHES = 30
 # rows of one reducer matrix product: below OpenBLAS's threading threshold at every bundled size
 PRODUCT_ROWS = 1024
 
@@ -152,7 +152,7 @@ class TrajectoryBatch:
     hold the keys declared to run, and status and status_gen every row. A
     stored batch, loaded from a dump or built by hand, holds w[i, n], replica
     i's W_n for n = 0..n_max, in any order. partials maps each reducer key
-    to its per-piece sums or per-block maxima (see reduce_batch).
+    to its per-block sums or maxima (see _outputs).
     a_hat[i, j, n] is A_hat_n(rho_j) = sum_{k<=n} rho_j^k (W_{k+1} - W_k)
     for n = 0..n_max-1 over rho_grid; no batch of bprelab's fills it, and
     rho_grid and a_hat remain only because the benchmark under bench/ still
@@ -184,13 +184,6 @@ class TrajectoryBatch:
     @property
     def capped_fraction(self) -> float:
         return float(np.mean(self.status == STATUS_CAPPED))
-
-    @functools.cached_property
-    def chunk_pieces(self) -> tuple[list[int], list[int]]:
-        """The first piece of each batch-means chunk, then the piece count (see piece_grid); and
-        each piece's uncapped rows."""
-        bounds, firsts = piece_grid(self.replicas)
-        return firsts, np.add.reduceat(self.uncapped, bounds[:-1], dtype=np.intp).tolist()
 
     def save(self, path) -> None:
         """Versioned binary dump (npz) of a stored batch; a batch with no w rows raises
@@ -386,20 +379,19 @@ def run(cfg: SimConfig, threads: int = 1, reductions=()) -> TrajectoryBatch:
     takes blocks 0, k, 2k, ... and forked children the others. Each worker
     fills one private block at a time (see _block_filler), reduces it (see
     reduce_batch) and writes its statuses and the partials of the keys inside
-    the reducer's domain into one shared mapping; every child is reaped before
-    run returns or raises, and a failed child raises SimulationError. Since
-    each block has its own stream, the output is bit-identical at any worker
-    count. The batch holds status, status_gen and those partials, and a w of
-    no rows. threads must be >= 1 and is otherwise ignored, as is
-    cfg.rho_grid.
+    the reducer's domain, each moment key with its family, into one shared
+    mapping; every child is reaped before run returns or raises, and a failed
+    child raises SimulationError. Since each block has its own stream, the
+    output is bit-identical at any worker count. The batch holds status,
+    status_gen and those partials, and a w of no rows. threads must be >= 1
+    and is otherwise ignored, as is cfg.rho_grid.
     """
     if threads < 1:
         raise ParameterError("threads must be >= 1")
     keys = [key for key in dict.fromkeys(reductions) if _refusal(key, cfg.n_max) is None]
     shared, fill = _block_filler(cfg)
     replicas, n_max = cfg.replicas, cfg.n_max
-    status_gen, status, out = _outputs(keys, replicas)
-    bounds = piece_grid(replicas)[0]
+    status_gen, status, out = _outputs(keys, replicas, n_max)
     starts = range(0, replicas, BLOCK_ROWS)
     workers = min(_usable_cpus(), len(starts))
 
@@ -410,7 +402,7 @@ def run(cfg: SimConfig, threads: int = 1, reductions=()) -> TrajectoryBatch:
             hi = min(lo + BLOCK_ROWS, replicas)
             rows = private[:, : hi - lo].T
             fill(block, rows, status[lo:hi], status_gen[lo:hi])
-            _reduce_block(rows, lo, status[lo:hi], bounds, out)
+            _reduce_block(rows, block, status[lo:hi], out)
 
     children: list[int] = []
     try:
@@ -455,22 +447,6 @@ def _weights(keys, top: int) -> np.ndarray:
     return np.array(rows + [[0.0] * (top + 1)] * (len(rows) == 1))
 
 
-def piece_grid(replicas: int) -> tuple[np.ndarray, list[int]]:
-    """The block grid of a batch's sums: the row bounds of its pieces, and the first piece of
-    each batch-means chunk, then the piece count.
-
-    The chunks are np.array_split's min(N_BATCHES, replicas) row ranges of
-    all rows. A piece is the rows of one chunk inside one block, so the
-    bounds are every chunk start and every block start in row order, then
-    replicas.
-    """
-    chunks = min(N_BATCHES, replicas)
-    s, r = divmod(replicas, chunks)
-    starts = [j * s + min(j, r) for j in range(chunks)]
-    bounds = np.array(sorted({*starts, *range(0, replicas, BLOCK_ROWS)}) + [replicas])
-    return bounds, np.searchsorted(bounds, starts + [replicas]).tolist()
-
-
 def _refusal(key, n_max: int) -> str | None:
     """The reducer's key domain: None for a key inside it, else the refusal.
 
@@ -488,43 +464,54 @@ def _refusal(key, n_max: int) -> str | None:
                                 f"0 <= n < {n_max - (not bracket)}; got ({rho}, {n})")
 
 
-def _outputs(keys, replicas: int) -> tuple:
-    """status_gen, status and each key's partials, as views of one anonymous mapping that forked
-    children share.
+def _outputs(keys, replicas: int, n_max: int) -> tuple:
+    """status_gen, status and the partials of keys, each moment key with its whole family, as views
+    of one anonymous mapping that forked children share.
 
-    A key's partials are per-piece sums for a moment, a row of them for each
-    side of a bracket, and three maxima per block for an identity. The
-    float64 views come first, so every view is aligned. A page is first
-    touched by the worker that writes it, so each worker faults in its own
-    pages, and a view nobody writes costs no memory.
+    A moment's family is the keys (MOMENT, p, m, gap), m = 0..n_max - gap,
+    fixed by p, gap and n_max alone, so a key's partials do not depend on the
+    keys reduced with it; the family's K keys share one view that holds per
+    block a K x (K + 1) array, row m the block's sum of x_m and then its
+    products with each x_k. A bracket holds per side and block its sum and its
+    sum of squares, and an identity three maxima per block. The float64 views
+    come first, so every view is aligned. A page is first touched by the
+    worker that writes it, so each worker faults in its own pages, and a view
+    nobody writes costs no memory.
     """
-    pieces, blocks = len(piece_grid(replicas)[0]) - 1, -(-replicas // BLOCK_ROWS)
-    shapes = [{MOMENT: (pieces,), BRACKET: (2, pieces), IDENTITY: (blocks, 3)}[key[0]] for key in keys]
+    blocks = -(-replicas // BLOCK_ROWS)
+    owners = list(dict.fromkeys((MOMENT, key[1], 0, key[3]) if key[0] == MOMENT else key for key in keys))
+    shapes = [(blocks, n_max - key[3] + 1, n_max - key[3] + 2) if key[0] == MOMENT
+              else (2, blocks, 2) if key[0] == BRACKET else (blocks, 3) for key in owners]
     sizes = [math.prod(shape) for shape in shapes]
-    starts = np.cumsum([0] + sizes).tolist()  # each key's first float, then the float count
+    starts = np.cumsum([0] + sizes).tolist()  # each view's first float, then the float count
     # an anonymous mmap is MAP_SHARED by default: a child's writes land in the parent's pages
     buf = mmap.mmap(-1, 8 * starts[-1] + 5 * replicas)
     values = np.frombuffer(buf, dtype=np.float64, count=starts[-1])
     status_gen = np.frombuffer(buf, dtype=np.int32, count=replicas, offset=8 * starts[-1])
     status = np.frombuffer(buf, dtype=np.int8, count=replicas, offset=8 * starts[-1] + 4 * replicas)
-    out = {key: values[at : at + size].reshape(shape) for key, shape, size, at in zip(keys, shapes, sizes, starts)}
+    out = {}
+    for key, shape, size, at in zip(owners, shapes, sizes, starts):
+        members = [(MOMENT, key[1], m, key[3]) for m in range(shape[1])] if key[0] == MOMENT else [key]
+        out.update(dict.fromkeys(members, values[at : at + size].reshape(shape)))
     return status_gen, status, out
 
 
-def _reduce_block(w: np.ndarray, lo: int, status: np.ndarray, bounds: np.ndarray, out: dict) -> None:
-    """Reduce the batch rows lo .. lo + len(w) - 1, whose W_n is w[i, n], into the views out.
+def _reduce_block(w: np.ndarray, block: int, status: np.ndarray, out: dict) -> None:
+    """Reduce block number block, whose W_n is w[i, n], into the views out.
 
-    A sum fills one row of scratch, zeroes the capped rows and sums it
-    pairwise over each of the block's pieces (bounds as piece_grid gives
-    them): |W_{n+gap} - W_n|^p for a moment (W_n^p at gap 0), and
-    |A_hat_n(rho)|^p and Q_n(rho)^p for a bracket. A_hat_n at every (rho, n)
-    of the brackets and identities, and the brackets' Q_n^2, are matrix
-    products of the C-order increments with their _weights and its squares,
-    PRODUCT_ROWS rows at a time. An identity writes its block's maxima over
-    every row of |A_n - rhs|, |A_n| and |rhs|: A_n = sum_{k<=n} rho^k
-    (W_N - W_k), N = n_max, is one matrix-vector product over the C-order
-    W_N - W_k, and rhs = rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1)
-    (W_N - W_{n+1}) - (W_N - 1)/(rho-1) follows the formula's order.
+    A moment family (see _outputs), reduced at its key of n = 0, takes
+    PRODUCT_ROWS rows at a time: x_m = |W_{m+gap} - W_m|^p (W_m^p at gap 0)
+    for every m, zeroed on the capped rows, whose pairwise row sums and Gram
+    matrix x x^T it adds to the block's. A bracket fills one row of scratch
+    with |A_hat_n(rho)|^p, then with Q_n(rho)^p, zeroes the capped rows and
+    writes its sum and its sum of squares. A_hat_n at every (rho, n) of the
+    brackets and identities, and the brackets' Q_n^2, are matrix products of
+    the C-order increments with their _weights and its squares, PRODUCT_ROWS
+    rows at a time. An identity writes its block's maxima over every row of
+    |A_n - rhs|, |A_n| and |rhs|: A_n = sum_{k<=n} rho^k (W_N - W_k), N =
+    n_max, is one matrix-vector product over the C-order W_N - W_k, and rhs =
+    rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1) (W_N - W_{n+1}) - (W_N - 1)/(rho-1)
+    follows the formula's order.
     """
     brackets = list(dict.fromkeys(key[2:] for key in out if key[0] == BRACKET))
     identities = [key for key in out if key[0] == IDENTITY]
@@ -539,22 +526,28 @@ def _reduce_block(w: np.ndarray, lo: int, status: np.ndarray, bounds: np.ndarray
             np.matmul(weights, d, out=a_hat[:, rows])
             if brackets:
                 np.matmul(squares, np.multiply(d, d, out=d), out=q2[:, rows])
-    i0, i1 = np.searchsorted(bounds, (lo, lo + len(w)))
-    cuts = (bounds[i0 : i1 + 1] - lo).tolist()
-    capped, x = np.flatnonzero(status == STATUS_CAPPED), np.empty(len(w))
-    for key in (key for key in out if key[0] != IDENTITY):
-        j = pairs.index(key[2:]) if key[0] == BRACKET else None
-        for side, sums in enumerate(out[key].reshape(-1, out[key].shape[-1])):
-            if key[0] == MOMENT:
-                np.subtract(w[:, key[2] + key[3]], w[:, key[2]] if key[3] else 0.0, out=x)
-            elif side == 0:
-                np.copyto(x, a_hat[j])
+    capped, x = status == STATUS_CAPPED, np.empty(len(w))
+    for key in (key for key in out if key[0] == MOMENT and key[2] == 0):
+        _, p, _, gap = key
+        sums = out[key][block]  # zero, as the mapping arrives
+        for at in range(0, len(w), PRODUCT_ROWS):
+            rows = slice(at, at + PRODUCT_ROWS)
+            family = np.subtract(w.T[gap:, rows], w.T[: len(sums), rows] if gap else 0.0, order="C")
+            np.abs(family, out=family)
+            family **= p
+            family[:, capped[rows]] = 0.0
+            sums[:, 0] += family.sum(axis=1)
+            sums[:, 1:] += family @ family.T
+    for key in (key for key in out if key[0] == BRACKET):
+        j = pairs.index(key[2:])
+        for side, sums in enumerate(out[key]):
+            if side == 0:
+                np.abs(a_hat[j], out=x)
             else:
                 np.sqrt(q2[j], out=x)
-            np.abs(x, out=x)
             x **= key[1]
             x[capped] = 0.0
-            sums[i0:i1] = [x[a:b].sum() for a, b in zip(cuts, cuts[1:])]
+            sums[block] = x.sum(), x @ x
     if identities:
         w_proxy = w[:, -1]
         telescoped = np.subtract(w_proxy[:, None], w[:, : max(key[2] for key in identities) + 1], order="C")
@@ -564,26 +557,27 @@ def _reduce_block(w: np.ndarray, lo: int, status: np.ndarray, bounds: np.ndarray
             rhs = (a_hat[pairs.index((rho, n))] * (rho / (rho - 1.0))
                    + (w_proxy - w[:, n + 1]) * (rho ** (n + 1) / (rho - 1.0))
                    - (w_proxy - 1.0) / (rho - 1.0))
-            out[key][lo // BLOCK_ROWS] = np.abs(lhs - rhs).max(), np.abs(lhs).max(), np.abs(rhs).max()
+            out[key][block] = np.abs(lhs - rhs).max(), np.abs(lhs).max(), np.abs(rhs).max()
 
 
 def reduce_batch(batch: TrajectoryBatch, keys) -> list:
     """The keys inside the reducer's domain (see _refusal), once each; each is then in batch.partials.
 
-    A batch that stores w reduces the keys it does not hold in one pass over
-    its stored blocks, through the reducer that run's workers use, into
-    partials that run's allocator maps (its status views stay unwritten); a
-    batch from run holds the keys handed to run and raises ParameterError
-    naming the first other key.
+    A batch that stores w reduces the keys it does not hold, each moment key
+    with its whole family, in one pass over its stored blocks, through the
+    reducer that run's workers use, into partials that run's allocator maps
+    (its status views stay unwritten); a batch from run holds the keys handed
+    to run, and their families, and raises ParameterError naming the first
+    other key.
     """
     keys = [key for key in dict.fromkeys(keys) if _refusal(key, batch.n_max) is None]
     missing = [key for key in keys if key not in batch.partials]
     if missing and not len(batch.w):
         raise ParameterError(f"reduction {missing[0]} was not declared for this reduced batch")
     if missing:
-        out, bounds = _outputs(missing, batch.replicas)[2], piece_grid(batch.replicas)[0]
-        for lo in range(0, batch.replicas, BLOCK_ROWS):
-            _reduce_block(batch.w[lo : lo + BLOCK_ROWS], lo, batch.status[lo : lo + BLOCK_ROWS], bounds, out)
+        out = _outputs(missing, batch.replicas, batch.n_max)[2]
+        for block, lo in enumerate(range(0, batch.replicas, BLOCK_ROWS)):
+            _reduce_block(batch.w[lo : lo + BLOCK_ROWS], block, batch.status[lo : lo + BLOCK_ROWS], out)
         batch.partials.update(out)
     return keys
 

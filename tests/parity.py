@@ -23,7 +23,6 @@ import io
 import json
 import os
 import platform
-import sys
 import tempfile
 from pathlib import Path
 
@@ -102,4 +101,3 @@ if __name__ == "__main__":
     if FILE.exists():
         print("\n".join(differences(json.loads(FILE.read_text())["cases"], fresh["cases"])) or "no case moved")
     FILE.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
-    sys.exit(0)

@@ -267,15 +267,16 @@ def test_ac10_supercritical_rho_makes_the_series_grow(gw_env):
                 reductions=[(MOMENT, 2.0, n, 20) for n in range(2, 11)] + identity_keys(cfg.n_max, rhos))
     _BATCHES["gw-series"] = batch, rhos
     estimates = [lp_norm(batch, 2.0, n, 20) for n in range(2, 11)]
-    curves = np.array(
-        [rho ** (2 * e.n) * np.asarray(e.batch_values) for e in estimates]
-    )
-    steps = np.diff(curves, axis=0)
-    step_mean = steps.mean(axis=1)
-    step_se = steps.std(axis=1, ddof=1) / math.sqrt(curves.shape[1])
-    assert np.all(step_mean + 4 * step_se > 0), (step_mean, step_se)
-    rise = curves[-1] - curves[0]
-    assert rise.mean() - 4 * rise.std(ddof=1) / math.sqrt(len(rise)) > 0
+    # the curve rho^{2n} E|W_{n+20} - W_n|^2 and its sampling covariance S, from the estimates' rows
+    scale = np.array([rho ** (2 * e.n) for e in estimates])
+    curve = scale * [e.value for e in estimates]
+    cov = np.outer(scale, scale) * [[e.covariance[f.n] for f in estimates] for e in estimates]
+    # Var(y_{k+1} - y_k) = S_{k+1,k+1} + S_kk - 2 S_{k,k+1}
+    steps = np.diff(curve)
+    step_se = np.sqrt(np.diag(cov)[1:] + np.diag(cov)[:-1] - 2 * np.diag(cov, 1))
+    assert np.all(steps + 4 * step_se > 0), (steps, step_se)
+    rise = curve[-1] - curve[0]
+    assert rise - 4 * math.sqrt(cov[-1, -1] + cov[0, 0] - 2 * cov[0, -1]) > 0
     assert time.perf_counter() - t0 < 10.0
 
 

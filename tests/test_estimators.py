@@ -19,13 +19,13 @@ from bprelab import (
 from bprelab import relations
 from stored import stored_batch
 from bprelab.estimators import (
-    N_BATCHES,
     LpEstimate,
     burkholder_constants,
     burkholder_sandwich,
     fit_decay,
     lp_norm,
     w_moment,
+    wls_line,
 )
 from bprelab.simulate import (
     BLOCK_ROWS,
@@ -33,8 +33,8 @@ from bprelab.simulate import (
     IDENTITY,
     MOMENT,
     STATUS_CAPPED,
+    TrajectoryBatch,
     partials,
-    piece_grid,
     reduce_batch,
 )
 
@@ -91,17 +91,10 @@ def partly_capped_batch():
     return stored_batch(cfg)
 
 
-def batch_means(x, kept=None):
-    """Plain numpy: the mean of each of np.array_split's chunks of all rows, over its kept rows."""
-    kept = np.ones(len(x), dtype=bool) if kept is None else kept
-    parts = zip(np.array_split(x, min(N_BATCHES, len(x))), np.array_split(kept, min(N_BATCHES, len(x))))
-    return np.array([chunk[used].mean() for chunk, used in parts if used.any()])
-
-
 def mean_and_stderr(x, kept=None):
-    """Plain numpy: the mean over the kept rows (all where None) and the stderr of the batch means."""
-    means = batch_means(x, kept)
-    return float(np.mean(x if kept is None else x[kept])), float(np.std(means, ddof=1) / math.sqrt(len(means)))
+    """Plain numpy: the mean over the kept rows (all where None) and their sample sd over sqrt(N)."""
+    x = x if kept is None else x[kept]
+    return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(len(x)))
 
 
 class TestCappedRows:
@@ -221,21 +214,30 @@ class TestBlockSeams:
             assert_close((est.value, est.stderr), mean_and_stderr(b.w[:, n] ** p, kept))
 
 
+def assert_covariance_row(est, w, kept, gap):
+    """est.covariance against plain numpy: np.cov of x_n with each x_m of its family over the kept
+    rows, over their count, within 1e-12 of the mean products x_n x_m (over the count) it is formed from."""
+    x = (np.abs(w[kept, gap:] - w[kept, : w.shape[1] - gap]) if gap else w[kept]) ** est.p
+    want = np.atleast_2d(np.cov(x, rowvar=False))[est.n] / len(x)
+    scale = np.maximum(np.abs(want), x[:, est.n] @ x / len(x) ** 2)
+    assert np.all(np.abs(est.covariance - want) <= 1e-12 * scale), (est.n, gap)
+
+
 class TestPlainNumpy:
-    """Every value, stderr and batch mean of the block-grid sums agrees with plain numpy within 1e-12."""
+    """Every value, stderr and covariance row of the block sums agrees with plain numpy within 1e-12."""
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_values_stderrs_and_batch_means(self, seam_batch, p):
+    def test_values_stderrs_and_covariances(self, seam_batch, p):
         b = seam_batch
         kept, w = seam_kept(b), b.w
         for n, gap in ((0, 20), (10, 8), (19, 1)):
             est, x = lp_norm(b, p, n, gap), np.abs(w[:, n + gap] - w[:, n]) ** p
             assert_close((est.value, est.stderr), mean_and_stderr(x, kept))
-            assert_close(list(est.batch_values), list(batch_means(x, kept)))
+            assert_covariance_row(est, w, kept, gap)
         for n in (0, 7, 20):
             est = w_moment(b, p, n)
             assert_close((est.value, est.stderr), mean_and_stderr(w[:, n] ** p, kept))
-            assert_close(list(est.batch_values), list(batch_means(w[:, n] ** p, kept)))
+            assert_covariance_row(est, w, kept, 0)
         for rho, n in ((1.0, 19), (1.3, 12)):
             a_hat, q2 = fsum_sums(b, rho, n)
             check = burkholder_sandwich(b, p, rho, n)
@@ -276,6 +278,20 @@ class TestKeysReducedTogether:
             assert item.observed == {"a_norm": want.a_norm, "lower": want.lower, "upper": want.upper}
             assert_bit_equal(lone[rho][self.PS.index(p) * len(ns) + ns.index(n)].detail, want)
 
+    def test_a_moment_family_does_not_depend_on_the_keys_reduced_with_it(self, seam_batch):
+        b = fresh(seam_batch)
+        keys = [(MOMENT, p, n, gap) for p in self.PS for gap in (0, 3, 8) for n in (0, 5, b.n_max - gap)]
+        assert reduce_batch(b, keys) == keys
+        for p, n, gap in ((1.5, 5, 3), (2.0, 0, 8), (2.0, 12, 0)):
+            lone = fresh(b)
+            assert reduce_batch(lone, [(MOMENT, p, n, gap)]) == [(MOMENT, p, n, gap)]
+            family = [(MOMENT, p, m, gap) for m in range(b.n_max - gap + 1)]
+            # the lone key's whole family is held, in one view, as the multi-key pass holds it
+            assert list(lone.partials) == family
+            assert np.array_equal(lone.partials[family[0]], b.partials[family[0]])
+            assert_bit_equal(lp_norm(lone, p, n, gap) if gap else w_moment(lone, p, n),
+                             lp_norm(b, p, n, gap) if gap else w_moment(b, p, n))
+
 
 class TestLayout:
     """A stored batch's generation-major w reduces as a row-major copy of it does."""
@@ -304,27 +320,28 @@ class TestLayout:
             assert increment_identity_check(copy, rho, n) == increment_identity_check(b, rho, n)
 
 
-class TestPieceGrid:
-    @pytest.mark.parametrize("length", [1, 2, 29, 30, 31, 59, 101, 1000, 4097, 19_999, 99_871, 100_000])
-    def test_pieces_split_array_split_chunks_at_block_starts(self, length):
-        bounds, firsts = piece_grid(length)
-        chunks = np.array_split(np.arange(length), min(N_BATCHES, length))
-        assert bounds[0] == 0 and bounds[-1] == length and np.all(np.diff(bounds) > 0)
-        assert set(range(0, length, BLOCK_ROWS)) | {c[0] for c in chunks} == set(bounds[:-1].tolist())
-        assert len(firsts) == len(chunks) + 1 and firsts[-1] == len(bounds) - 1
-        for chunk, first, end in zip(chunks, firsts, firsts[1:]):
-            # a chunk's pieces tile it, each inside one block
-            assert (bounds[first], bounds[end]) == (chunk[0], chunk[-1] + 1)
-            for lo, hi in zip(bounds[first:end], bounds[first + 1 : end + 1]):
-                assert lo // BLOCK_ROWS == (hi - 1) // BLOCK_ROWS
+def random_batch(length, n_max=3, seed=0):
+    """A stored batch of random positive W rows, every tenth row capped."""
+    w = np.random.default_rng(seed).lognormal(size=(length, n_max + 1))
+    status = np.where(np.arange(length) % 10 == 9, STATUS_CAPPED, 0).astype(np.int8)
+    return TrajectoryBatch(mode="annealed", n_max=n_max, replicas=length, master_seed=seed, pop_cap=1000,
+                           rho_grid=(), w=w, a_hat=np.empty((length, 0, n_max)), status=status,
+                           status_gen=np.full(length, -1, dtype=np.int32))
 
-    def test_one_block_batch_means_are_array_splits_bit_for_bit(self, gw_batch):
-        # a chunk inside one block is one piece: its pairwise sum is numpy's
-        b = fresh(gw_batch)
-        assert b.replicas <= BLOCK_ROWS
-        x = np.abs(b.w[:, 12] - b.w[:, 2]) ** 2.0
-        est = lp_norm(b, 2.0, 2, 10)
-        assert np.array_equal(est.batch_values, [c.mean() for c in np.array_split(x, N_BATCHES)])
+
+class TestBlockGrid:
+    @pytest.mark.parametrize("length", [1, 2, 29, 30, 31, 59, 101, 1000, 4097, 19_999, 99_871, 100_000])
+    def test_each_block_sums_its_own_uncapped_rows(self, length):
+        b = random_batch(length)
+        sums = partials(b, (MOMENT, 2.0, 1, 2))
+        blocks = -(-length // BLOCK_ROWS)
+        # a family of two: per block each x_m's sum, then its products with x_0 and x_1
+        assert sums.shape == (blocks, 2, 3)
+        x = np.where(b.uncapped[:, None], (b.w[:, 2:] - b.w[:, :2]) ** 2, 0.0)
+        for block, lo in enumerate(range(0, length, BLOCK_ROWS)):
+            rows = x[lo : lo + BLOCK_ROWS]
+            want = np.column_stack([rows.sum(axis=0), rows.T @ rows])
+            assert np.allclose(sums[block], want, rtol=1e-13, atol=0), block
 
 
 class TestNorms:
@@ -335,7 +352,8 @@ class TestNorms:
             assert est.stderr > 0
             assert abs(est.value - exact) < 4 * est.stderr
             assert est.proxy_gap == gap
-            assert len(est.batch_values) == 30
+            assert len(est.covariance) == gw_batch.n_max - gap + 1
+            assert est.covariance[n] == pytest.approx(est.stderr**2, rel=1e-15)
 
     def test_w_moment_matches_exact_curve(self, gw_batch):
         # E W_n^2 = 1 + sum_{k<n} (2/3)^k / 3 = 2 - (2/3)^n
@@ -367,7 +385,6 @@ class TestFitDecay:
         assert fit.fitted_rho == pytest.approx(1.25, rel=1e-9)
         assert fit.points_used == 10
         assert fit.window == (0, 9)
-        assert fit.ci_method == "wls-cov"
         assert fit.r_squared == pytest.approx(1.0, abs=1e-6)
 
     def test_scale_invariance(self):
@@ -377,42 +394,45 @@ class TestFitDecay:
         assert b.window == a.window
         assert b.slope == pytest.approx(a.slope, rel=1e-12)
 
-    def test_batch_curves_ci_used_when_batch_means_present(self):
+    @pytest.mark.parametrize("rows", ["none", "diagonal"])
+    def test_a_diagonal_covariance_gives_the_weighted_fits_own_variance(self, rows):
+        # no covariance rows, or rows that hold only stderr^2: S is diagonal, and
+        # (Jc)^T S (Jc) is the weighted fit's [(X^T W X)^-1]_11
         ests = synthetic_estimates()
-        for e in ests:
-            e.batch_values = np.full(30, e.value)
+        for e, rel_err in zip(ests, np.linspace(1e-3, 5e-2, 10)):
+            e.stderr = rel_err * e.value
+            if rows == "diagonal":
+                e.covariance = np.where(np.arange(10) == e.n, e.stderr**2, 0.0)
         fit = fit_decay(ests)
-        assert fit.ci_method == "batch-curves"
-        # identical batch curves: no spread, the CI collapses onto the fit
+        cov = wls_line([e.n for e in ests], [math.log(e.value) / 2.0 for e in ests], [e.log_sd for e in ests])[1]
+        assert fit.slope_se**2 == pytest.approx(cov[1, 1], rel=1e-12)
+        assert fit.slope_se > 0
+
+    def test_a_common_relative_shift_leaves_the_slope_exact(self):
+        # every point off by the same factor moves only the intercept: with fully
+        # correlated relative errors the interval collapses onto the fit
+        ests = synthetic_estimates(rel_err=1e-2)
+        rel = np.array([e.stderr for e in ests])
+        for e in ests:
+            e.covariance = e.stderr * rel
+        fit = fit_decay(ests)
         assert fit.slope_se < 1e-12
         assert fit.ci_low == pytest.approx(fit.fitted_rho, rel=1e-9)
         assert fit.ci_high == pytest.approx(fit.fitted_rho, rel=1e-9)
 
-    @pytest.mark.parametrize("spoil", ["zero-batch-mean", "unequal-lengths"])
-    def test_wls_cov_ci_when_the_batch_means_form_no_curves(self, spoil):
-        # a zero batch mean has no log, and batch means of two lengths do not line up into curves;
-        # either way the fit is the one without batch means
-        ests = synthetic_estimates()
-        for e in ests:
-            e.batch_values = e.value * np.linspace(0.9, 1.1, 30)
-        if spoil == "zero-batch-mean":
-            ests[4].batch_values[7] = 0.0
-        else:
-            ests[4].batch_values = ests[4].batch_values[:29]
-        fit = fit_decay(ests)
-        assert fit.ci_method == "wls-cov"
-        assert fit == fit_decay(synthetic_estimates())
-
-    def test_batch_curve_ci_widens_with_disagreeing_batches(self, gw_batch):
+    def test_correlated_points_change_the_interval(self, gw_batch):
         ests = [lp_norm(gw_batch, 2.0, n, 12) for n in range(0, 9)]
         for e in ests:
             e.bias_bound = gw_tail(e.n + 12)
         fit = fit_decay(ests)
-        assert fit.ci_method == "batch-curves"
         assert fit.slope_se > 0
         assert fit.ci_low < fit.fitted_rho < fit.ci_high
         # the true rate sqrt(3/2) should sit within a few widths of the fit
         assert abs(fit.fitted_rho - math.sqrt(1.5)) < 8 * (fit.ci_high - fit.ci_low)
+        # the shared replicas correlate the points; dropping the rows is another interval
+        for e in ests:
+            e.covariance = None
+        assert fit_decay(ests).slope_se != pytest.approx(fit.slope_se, rel=1e-3)
 
     def test_bias_bound_excludes_contaminated_points(self):
         ests = synthetic_estimates()

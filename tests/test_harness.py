@@ -131,9 +131,9 @@ class TestRunExperiment:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         calls, real = [], bprelab.simulate._reduce_block
 
-        def spy(w, lo, status, bounds, out):
-            calls.append((lo, list(out)))
-            return real(w, lo, status, bounds, out)
+        def spy(w, block, status, out):
+            calls.append((block, list(out)))
+            return real(w, block, status, out)
 
         monkeypatch.setattr(bprelab.simulate, "_reduce_block", spy)
         cfg = small_gw(suites=["burkholder", "identity"], p=[1.5, 2.0])
@@ -141,7 +141,7 @@ class TestRunExperiment:
         assert code == 0
         assert len(report["suites"]["burkholder"]["results"]) == 18
         assert len(report["suites"]["identity"]["results"]) == 9
-        assert [lo for lo, _ in calls] == list(range(0, cfg.replicas, bprelab.simulate.BLOCK_ROWS))
+        assert [block for block, _ in calls] == list(range(-(-cfg.replicas // bprelab.simulate.BLOCK_ROWS)))
         assert all(keys == calls[0][1] for _, keys in calls)
         assert [key[0] for key in calls[0][1]] == ["bracket"] * 18 + ["identity"] * 9
 

@@ -32,7 +32,8 @@ from bprelab import (
 )
 from bprelab import harness, relations, simulate
 from bprelab.config import _ENV_LISTS, load_config
-from bprelab.estimators import MIN_REPLICAS, N_BATCHES, burkholder_sandwich, lp_norm, w_moment
+from bprelab.errors import FitUnavailableError
+from bprelab.estimators import MIN_REPLICAS, burkholder_sandwich, fit_decay, lp_norm, w_moment
 from bprelab.harness import run_experiment
 from bprelab.relations import IDENTITY_TOL
 from bprelab.simulate import (
@@ -49,7 +50,6 @@ from bprelab.simulate import (
     _simulate_block,
     _weights,
     partials,
-    piece_grid,
     reduce_batch,
 )
 
@@ -918,15 +918,47 @@ def close(got, want, scale=0.0):
     return bool(np.all(np.abs(np.subtract(got, want)) <= 1e-12 * np.maximum(np.abs(want), scale)))
 
 
-def plain_means(x, kept):
-    """Plain numpy: the mean over the kept rows, and np.array_split's chunk means over their kept rows."""
-    parts = zip(np.array_split(x, N_BATCHES), np.array_split(kept, N_BATCHES))
-    return x[kept].mean(), np.array([chunk[used].mean() for chunk, used in parts if used.any()])
+def family_rows(w, p, gap):
+    """Plain numpy: x_m = |W_{m+gap} - W_m|^p (W_m^p at gap 0), m = 0..n_max - gap, one column per m."""
+    k = w.shape[1] - gap
+    return (np.abs(w[:, gap:] - w[:, :k]) if gap else w) ** p
+
+
+def slope_row(ns, sds):
+    """Plain numpy: the slope row of (X^T W X)^-1 X^T W for the line through ns with weights 1/sds^2."""
+    x_mat, wts = np.column_stack([np.ones(len(ns)), ns]), 1.0 / np.asarray(sds) ** 2
+    return np.linalg.solve(x_mat.T @ (wts[:, None] * x_mat), x_mat.T * wts)[1]
+
+
+def assert_family_matches_numpy(ests, x):
+    """Each estimate of one family against plain numpy on its uncapped rows x: its value, its
+    stderr x.std(ddof=1)/sqrt(N) and its covariance row np.cov/N, each within 1e-12 of the mean
+    products it is formed from; and, where the family fits, the fit's slope_se against the row sd,
+    over sqrt(N), of the linearized slope sum_n c_n x_n / (p mu_n). Returns the fit, or None."""
+    used, p = len(x), ests[0].p
+    means, cov, products = x.mean(axis=0), np.cov(x, rowvar=False, ddof=1), x.T @ x / len(x)
+    for n, est in enumerate(ests):
+        assert close(est.value, means[n]), n
+        assert close(est.stderr**2, x[:, n].var(ddof=1) / used, products[n, n] / used), n
+        assert close(est.covariance, np.atleast_2d(cov)[n] / used, np.abs(products[n]) / used), n
+    try:
+        fit = fit_decay(ests)
+    except FitUnavailableError:
+        return None
+    lo, hi = fit.window
+    sds = x[:, lo : hi + 1].std(axis=0, ddof=1) / math.sqrt(used) / (p * means[lo : hi + 1])
+    jc = slope_row(np.arange(lo, hi + 1), sds) / (p * means[lo : hi + 1])
+    linear = x[:, lo : hi + 1] @ jc
+    scale = np.mean((x[:, lo : hi + 1] @ np.abs(jc)) ** 2) / used
+    assert close(fit.slope_se**2, linear.var(ddof=1) / used, scale), fit
+    return fit
 
 
 def assert_workers_reduce_the_stored_batch(cfg, keys, mp):
     """run's worker-reduced partials at 1, 2 and 3 workers against the stored batch's, bit for bit;
-    its estimates against plain numpy on the stored w; an undeclared key refused by name."""
+    its estimates, their covariance rows and each family's fit against plain numpy on the stored w
+    (see assert_family_matches_numpy); an undeclared key refused by name. Returns each moment
+    family's fit, or None, by (p, gap)."""
     stored = stored_batch(cfg)
     assert reduce_batch(stored, keys) == keys
     for cpus in (1, 2, 3):
@@ -934,29 +966,26 @@ def assert_workers_reduce_the_stored_batch(cfg, keys, mp):
         reduced = run(cfg, reductions=keys)
         assert reduced.w.shape == (0, cfg.n_max + 1) and reduced.replicas == cfg.replicas
         assert np.array_equal(reduced.status, stored.status)
-        assert list(reduced.partials) == keys
-        for key in keys:
+        assert list(reduced.partials) == list(stored.partials) and set(keys) <= set(reduced.partials)
+        for key in reduced.partials:
             assert np.array_equal(reduced.partials[key], stored.partials[key]), (cpus, key)
-    w, kept = stored.w, stored.uncapped
+    w, kept, fits = stored.w, stored.uncapped, {}
     if kept.sum() >= MIN_REPLICAS:
-        for _, p, n, gap in (key for key in keys if key[0] == MOMENT):
-            est = lp_norm(reduced, p, n, gap) if gap else w_moment(reduced, p, n)
-            value, means = plain_means((np.abs(w[:, n + gap] - w[:, n]) if gap else w[:, n]) ** p, kept)
-            stderr = np.std(means, ddof=1) / math.sqrt(len(means))
-            assert close(est.value, value) and close(est.batch_values, means), (p, n, gap)
-            # the spread of the means cancels their common part: rounding of the value bounds its error
-            assert close(est.stderr, stderr, value), (p, n, gap)
+        for p, gap in dict.fromkeys((key[1], key[3]) for key in keys if key[0] == MOMENT):
+            ests = [lp_norm(reduced, p, n, gap) if gap else w_moment(reduced, p, n) for n in range(cfg.n_max - gap + 1)]
+            fits[p, gap] = assert_family_matches_numpy(ests, family_rows(w[kept], p, gap))
         for _, p, rho, n in (key for key in keys if key[0] == BRACKET):
             terms = rho ** np.arange(n + 1) * np.diff(w[:, : n + 2], axis=1)
-            q_norm, q_means = plain_means(np.sqrt((terms * terms).sum(axis=1)) ** p, kept)
+            q_norm = np.mean(np.sqrt((terms[kept] * terms[kept]).sum(axis=1)) ** p)
             if q_norm ** (1 / p) > 1e-6:  # increments above rounding: A_hat_n is no cancellation residue
                 sc = burkholder_sandwich(reduced, p, rho, n)
-                a_norm, _ = plain_means(np.abs(terms.sum(axis=1)) ** p, kept)
+                a_norm = np.mean(np.abs(terms[kept].sum(axis=1)) ** p)
                 assert close(sc.a_norm, a_norm ** (1 / p)) and close(sc.q_norm, q_norm ** (1 / p)), (p, rho, n)
     undeclared = (MOMENT, 2.0, 0, cfg.n_max)
     with pytest.raises(ParameterError, match=re.escape(repr(undeclared))):
         lp_norm(reduced, 2.0, 0, cfg.n_max)
     assert undeclared not in reduced.partials
+    return fits
 
 
 @pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
@@ -978,6 +1007,12 @@ class TestWorkerReductions:
         batch = run(cfg)
         assert {STATUS_EXTINCT, STATUS_CAPPED, STATUS_COMPLETED} <= set(batch.status.tolist())
         assert_workers_reduce_the_stored_batch(cfg, reducer_keys(cfg.n_max, 4), monkeypatch)
+
+    def test_fitted_families_at_gw_binarys_gap(self, monkeypatch):
+        # gap 20 of n_max 30, as gw_binary.cfg: the heuristic bias admits a window at both p
+        cfg = small_cfg(n_max=30, replicas=2 * BLOCK_ROWS + 100)
+        fits = assert_workers_reduce_the_stored_batch(cfg, reducer_keys(cfg.n_max, 20), monkeypatch)
+        assert fits[1.5, 20] is not None and fits[2.0, 20] is not None
 
     def test_run_ignores_the_rho_grid(self):
         # the benchmark still passes a rho grid; it changes no status and no partial
@@ -1039,11 +1074,13 @@ class TestBlockMemory:
         cfg = small_cfg(replicas=2 * BLOCK_ROWS + 7)
         keys = [(MOMENT, 2.0, 1, 3), (BRACKET, 2.0, 1.2, 3), (IDENTITY, 1.2, 3)]
         batch = run(cfg, reductions=keys)
-        pieces = len(piece_grid(cfg.replicas)[0]) - 1
-        # a moment's and a bracket's float64 sums per piece and an identity's three maxima per
-        # block, then status_gen's int32 and status's int8 per row, in one mapping
-        assert maps == [8 * (3 * pieces + 3 * 3) + 5 * cfg.replicas]
-        assert batch.w.shape == (0, cfg.n_max + 1) and list(batch.partials) == keys
+        family = [(MOMENT, 2.0, n, 3) for n in range(cfg.n_max - 2)]
+        # per block: the moment's family of ten, each with its sum and its ten products, a
+        # bracket's sum and sum of squares per side and an identity's three maxima; then
+        # status_gen's int32 and status's int8 per row, in one mapping
+        assert maps == [8 * 3 * (10 * 11 + 2 * 2 + 3) + 5 * cfg.replicas]
+        assert batch.w.shape == (0, cfg.n_max + 1) and list(batch.partials) == family + keys[1:]
+        assert all(batch.partials[key] is batch.partials[family[0]] for key in family)
         for view in (batch.status_gen, batch.status, *batch.partials.values()):
             assert view.flags.aligned
 
@@ -1088,10 +1125,11 @@ class TestLawTable:
             assert row.tolist() == [law.as_mapping().get(v, 0.0) for v in support.tolist()]
 
 
-def piece_sums(batch, terms):
-    """Plain numpy: each piece's sum of terms[i] over the uncapped rows i, one row per side."""
+def block_sums(batch, terms):
+    """Plain numpy: per side, each block's sum of terms[i] and of its square over the uncapped rows i."""
     kept = np.where(batch.uncapped, np.atleast_2d(terms), 0.0)
-    return np.add.reduceat(kept, piece_grid(batch.replicas)[0][:-1], axis=1)
+    starts = np.arange(0, batch.replicas, BLOCK_ROWS)
+    return np.stack([np.add.reduceat(kept, starts, axis=1), np.add.reduceat(kept * kept, starts, axis=1)], axis=-1)
 
 
 class TestBracketSums:
@@ -1104,7 +1142,7 @@ class TestBracketSums:
         for key in keys:
             _, p, rho, n = key
             terms = rho ** np.arange(n + 1) * np.diff(batch.w[:, : n + 2], axis=1)
-            want = piece_sums(batch, [np.abs(terms.sum(axis=1)) ** p, np.sqrt((terms * terms).sum(axis=1)) ** p])
+            want = block_sums(batch, [np.abs(terms.sum(axis=1)) ** p, np.sqrt((terms * terms).sum(axis=1)) ** p])
             assert batch.partials[key].shape == want.shape
             assert np.allclose(batch.partials[key], want, rtol=1e-12, atol=0), key
 
@@ -1114,9 +1152,9 @@ class TestBracketSums:
         assert reduce_batch(batch, [first, first, second]) == [first, second]
         held = batch.partials[first]
         assert partials(batch, first) is held
-        # a miss reduces that key alone and keeps the others
+        # a miss reduces that key's family alone and keeps the others
         partials(batch, (MOMENT, 2.0, 1, 3))
-        assert list(batch.partials) == [first, second, (MOMENT, 2.0, 1, 3)]
+        assert list(batch.partials) == [first, second] + [(MOMENT, 2.0, n, 3) for n in range(batch.n_max - 2)]
         assert batch.partials[first] is held
 
     def test_scratch_is_one_block_of_increments(self):

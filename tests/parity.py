@@ -72,12 +72,9 @@ def record(argv: list[str]) -> dict:
         return entry
 
 
-def versions() -> dict:
-    return {"numpy": np.__version__, "python": platform.python_version()}
-
-
 def compute() -> dict:
-    return {"versions": versions(), "cases": {name: record(argv) for name, argv in cases().items()}}
+    return {"versions": {"numpy": np.__version__, "python": platform.python_version()},
+            "cases": {name: record(argv) for name, argv in cases().items()}}
 
 
 def differences(want: dict, got: dict) -> list[str]:

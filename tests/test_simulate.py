@@ -972,7 +972,8 @@ def assert_workers_reduce_the_stored_batch(cfg, keys, mp):
     w, kept, fits = stored.w, stored.uncapped, {}
     if kept.sum() >= MIN_REPLICAS:
         for p, gap in dict.fromkeys((key[1], key[3]) for key in keys if key[0] == MOMENT):
-            ests = [lp_norm(reduced, p, n, gap) if gap else w_moment(reduced, p, n) for n in range(cfg.n_max - gap + 1)]
+            ests = [lp_norm(reduced, p, n, gap) if gap else w_moment(reduced, p, n)
+                    for n in range(cfg.n_max - gap + 1)]
             fits[p, gap] = assert_family_matches_numpy(ests, family_rows(w[kept], p, gap))
         for _, p, rho, n in (key for key in keys if key[0] == BRACKET):
             terms = rho ** np.arange(n + 1) * np.diff(w[:, : n + 2], axis=1)

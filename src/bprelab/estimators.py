@@ -3,11 +3,13 @@
 Every estimator drops capped replicas (their trajectories are frozen, not
 simulated) and reports the dropped fraction; extinct replicas stay in, since
 W = 0 is genuine mass of the limit law. An estimate is built from the
-simulator's per-block sums (simulate.partials) over the N uncapped rows: its
-value is the rows' mean, and its stderr their sample sd over sqrt(N). A
-moment estimate also carries its sample covariance with every other member
-of its family (the same p and gap) over N, so a decay fit's interval
-follows from the covariance of the points it fits.
+simulator's per-block sums (simulate.partials) over the N uncapped rows,
+which one helper (_row_moments) turns into every mean, stderr and
+covariance: a value is the rows' mean, and its stderr their sample sd over
+sqrt(N). A moment estimate also carries its sample covariance with every
+other member of its family (the same p and gap) over N, so a decay fit's
+interval follows from the covariance of the points it fits; a bracket's
+two sides are reduced alike, and each side's norm takes the delta method.
 """
 
 from __future__ import annotations
@@ -77,20 +79,26 @@ class LpEstimate:
         return self.stderr / (self.p * self.value)
 
 
-def _estimate_from(batch: TrajectoryBatch, p: float, n: int, gap: int) -> LpEstimate:
-    sums = partials(batch, (MOMENT, p, n, gap)).sum(axis=0)
+def _row_moments(batch: TrajectoryBatch, key) -> tuple[np.ndarray, np.ndarray, int]:
+    """The means of a sum key's K row values over the N uncapped rows, their sample covariance
+    matrix over N, and N, from the key's per-block sums and Gram matrices (see simulate._outputs)."""
+    sums = partials(batch, key).sum(axis=0)
     used = _rows_used(batch)
     means = sums[:, 0] / used
-    covariance = (sums[n, 1:] - sums[n, 0] * means) / ((used - 1) * used)
+    return means, (sums[:, 1:] - sums[:, :1] * means) / ((used - 1) * used), used
+
+
+def _estimate_from(batch: TrajectoryBatch, p: float, n: int, gap: int) -> LpEstimate:
+    means, covariance, used = _row_moments(batch, (MOMENT, p, n, gap))
     return LpEstimate(
         p=p,
         n=n,
         value=float(means[n]),
-        stderr=math.sqrt(max(covariance[n], 0.0)),
+        stderr=math.sqrt(max(covariance[n, n], 0.0)),
         proxy_gap=gap,
         capped_fraction=batch.capped_fraction,
         replicas_used=used,
-        covariance=covariance,
+        covariance=covariance[n],
     )
 
 
@@ -243,15 +251,12 @@ class SandwichCheck:
         return self.lower_ok and self.upper_ok
 
 
-def _norm_with_stderr(sums: np.ndarray, used: int, p: float) -> tuple[float, float]:
-    """(mean |x|^p)^{1/p} with a delta-method stderr, from the per-block sums of |x|^p and of
-    its square over the used rows."""
-    total, square = sums.sum(axis=0).tolist()
-    m = total / used
-    if m == 0.0:
+def _norm_with_stderr(mean: float, variance: float, p: float) -> tuple[float, float]:
+    """(mean |x|^p)^{1/p} with its delta-method stderr, from the mean of |x|^p and its sampling variance."""
+    if mean == 0.0:
         return 0.0, 0.0
-    norm = m ** (1.0 / p)
-    return norm, math.sqrt(max(square - total * m, 0.0) / ((used - 1) * used)) * norm / (p * m)
+    norm = mean ** (1.0 / p)
+    return norm, math.sqrt(max(variance, 0.0)) * norm / (p * mean)
 
 
 def burkholder_sandwich(batch: TrajectoryBatch, p: float, rho: float, n: int) -> SandwichCheck:
@@ -262,10 +267,8 @@ def burkholder_sandwich(batch: TrajectoryBatch, p: float, rho: float, n: int) ->
     pass is Monte Carlo evidence rather than an exact certificate.
     """
     a_p, b_p = burkholder_constants(p)
-    a_sums, q_sums = partials(batch, (BRACKET, p, rho, n))
-    used = _rows_used(batch)
-    a_norm, a_se = _norm_with_stderr(a_sums, used, p)
-    q_norm, q_se = _norm_with_stderr(q_sums, used, p)
+    means, covariance, _ = _row_moments(batch, (BRACKET, p, rho, n))
+    (a_norm, a_se), (q_norm, q_se) = map(_norm_with_stderr, means.tolist(), covariance.diagonal().tolist(), (p, p))
     lower, upper = a_p * q_norm, b_p * q_norm
     lower_ok = lower <= a_norm + SLACK_SIGMAS * math.hypot(a_p * q_se, a_se)
     upper_ok = a_norm <= upper + SLACK_SIGMAS * math.hypot(b_p * q_se, a_se)

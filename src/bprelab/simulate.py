@@ -38,19 +38,21 @@ populations above pop_cap stop simulating and are flagged.
 
 Every estimate is a reduction that splits by row, so one reducer
 (``_reduce_block``) turns a block into partials: per-block sums for
-moments and brackets, per-block maxima for the accumulator identity. A
-moment key is reduced with its whole family, the same p and gap at every
-n: per block, each x_n = |W_{n+gap} - W_n|^p summed over the uncapped rows
-and the Gram matrix of the x_n, from which an estimate's stderr and the
-covariance between a fit's points follow. A bracket's two sides each keep
-their sum and their sum of squares. Each block's sums are written by the one
-worker that reduced it, so no sum depends on which worker that was. ``run``
-has each worker fill one private generation-major block at a time and
-reduce it there, so no w matrix is ever held. A stored batch, loaded from a
-dump or built by hand, holds its w; ``reduce_batch`` runs the same reducer
-over its stored blocks. The keys are tagged tuples: ("moment", p, n, gap),
-("bracket", p, rho, n) and ("identity", rho, n); ``_refusal`` owns their
-domains.
+moments and brackets, per-block maxima for the accumulator identity. It is
+one loop over the block's PRODUCT_ROWS-row sub-blocks that reduces every key
+in each, so it holds no array of a whole block's rows. Every sum key has one
+layout and one rule: K values x per row, summed over the uncapped rows, with
+their Gram matrix x x^T. A moment key is reduced with its whole family, the
+same p and gap at every n, whose x_n = |W_{n+gap} - W_n|^p; an estimate's
+stderr and the covariance between a fit's points follow from its sums. A
+bracket's x is its two sides, |A_hat_n(rho)|^p and Q_n(rho)^p. Each block's
+sums are written by the one worker that reduced it, so no sum depends on
+which worker that was. ``run`` has each worker fill one private
+generation-major block at a time and reduce it there, so no w matrix is
+ever held. A stored batch, loaded from a dump or built by hand, holds its
+w; ``reduce_batch`` runs the same reducer over its stored blocks. The keys
+are tagged tuples: ("moment", p, n, gap), ("bracket", p, rho, n) and
+("identity", rho, n); ``_refusal`` owns their domains.
 """
 
 from __future__ import annotations
@@ -438,10 +440,13 @@ def _weights(keys, top: int) -> np.ndarray:
     """The matrix of rho^k [k <= n] over k <= top, one row per (rho, n) key, and a zero row
     after a lone key.
 
-    numpy hands a one-row product to a matrix-vector kernel, whose rounding
-    follows the layout it is given; with at least two rows every product runs
-    the matrix-matrix kernel, so a key's sums do not depend on the other keys
-    reduced with it.
+    A narrow product rounds an entry by the product's other rows: numpy hands
+    a one-row or one-column product to a matrix-vector kernel, and on
+    OpenBLAS 0.3.31 (Haswell kernels) a product 1-3 columns past a multiple
+    of 8, below about 40 columns, runs edge kernels that do the same. So the
+    reducer multiplies at least two rows of weights by PRODUCT_ROWS columns,
+    those past a partial sub-block's rows zero and unread, and a key's values
+    do not depend on the other keys reduced with it.
     """
     rows = [[rho**k if k <= n else 0.0 for k in range(top + 1)] for rho, n in keys]
     return np.array(rows + [[0.0] * (top + 1)] * (len(rows) == 1))
@@ -468,20 +473,20 @@ def _outputs(keys, replicas: int, n_max: int) -> tuple:
     """status_gen, status and the partials of keys, each moment key with its whole family, as views
     of one anonymous mapping that forked children share.
 
-    A moment's family is the keys (MOMENT, p, m, gap), m = 0..n_max - gap,
-    fixed by p, gap and n_max alone, so a key's partials do not depend on the
-    keys reduced with it; the family's K keys share one view that holds per
-    block a K x (K + 1) array, row m the block's sum of x_m and then its
-    products with each x_k. A bracket holds per side and block its sum and its
-    sum of squares, and an identity three maxima per block. The float64 views
-    come first, so every view is aligned. A page is first touched by the
-    worker that writes it, so each worker faults in its own pages, and a view
+    A sum key holds per block a K x (K + 1) array: row k the block's sum of
+    x_k, then its products with each x_j (see _reduce_block). K is 2 for a
+    bracket's two sides; a moment's family, whose K keys share one view, is
+    the keys (MOMENT, p, m, gap), m = 0..n_max - gap, fixed by p, gap and
+    n_max alone, so a key's partials do not depend on the keys reduced with
+    it. An identity holds three maxima per block. The float64 views come
+    first, so every view is aligned. A page is first touched by the worker
+    that writes it, so each worker faults in its own pages, and a view
     nobody writes costs no memory.
     """
     blocks = -(-replicas // BLOCK_ROWS)
     owners = list(dict.fromkeys((MOMENT, key[1], 0, key[3]) if key[0] == MOMENT else key for key in keys))
-    shapes = [(blocks, n_max - key[3] + 1, n_max - key[3] + 2) if key[0] == MOMENT
-              else (2, blocks, 2) if key[0] == BRACKET else (blocks, 3) for key in owners]
+    sides = [n_max - key[3] + 1 if key[0] == MOMENT else 2 for key in owners]
+    shapes = [(blocks, 3) if key[0] == IDENTITY else (blocks, k, k + 1) for key, k in zip(owners, sides)]
     sizes = [math.prod(shape) for shape in shapes]
     starts = np.cumsum([0] + sizes).tolist()  # each view's first float, then the float count
     # an anonymous mmap is MAP_SHARED by default: a child's writes land in the parent's pages
@@ -496,68 +501,72 @@ def _outputs(keys, replicas: int, n_max: int) -> tuple:
     return status_gen, status, out
 
 
+def _add_sums(x: np.ndarray, p: float, capped: np.ndarray, sums: np.ndarray) -> None:
+    """Raise |x| to the power p in place, zero its capped columns and add its row sums to
+    sums[..., 0] and its Gram matrix x x^T to sums[..., 1:]: the one sum rule, for a moment
+    family's K rows and for keys side by side along leading axes."""
+    np.abs(x, out=x)
+    x **= p
+    x[..., capped] = 0.0
+    sums[..., 0] += x.sum(axis=-1)
+    sums[..., 1:] += x @ np.swapaxes(x, -1, -2)
+
+
 def _reduce_block(w: np.ndarray, block: int, status: np.ndarray, out: dict) -> None:
     """Reduce block number block, whose W_n is w[i, n], into the views out.
 
-    A moment family (see _outputs), reduced at its key of n = 0, takes
-    PRODUCT_ROWS rows at a time: x_m = |W_{m+gap} - W_m|^p (W_m^p at gap 0)
-    for every m, zeroed on the capped rows, whose pairwise row sums and Gram
-    matrix x x^T it adds to the block's. A bracket fills one row of scratch
-    with |A_hat_n(rho)|^p, then with Q_n(rho)^p, zeroes the capped rows and
-    writes its sum and its sum of squares. A_hat_n at every (rho, n) of the
-    brackets and identities, and the brackets' Q_n^2, are matrix products of
-    the C-order increments with their _weights and its squares, PRODUCT_ROWS
-    rows at a time. An identity writes its block's maxima over every row of
-    |A_n - rhs|, |A_n| and |rhs|: A_n = sum_{k<=n} rho^k (W_N - W_k), N =
-    n_max, is one matrix-vector product over the C-order W_N - W_k, and rhs =
-    rho/(rho-1) A_hat_n + rho^{n+1}/(rho-1) (W_N - W_{n+1}) - (W_N - 1)/(rho-1)
-    follows the formula's order.
+    One loop takes PRODUCT_ROWS rows at a time and reduces every key there,
+    so no array holds more rows than that. A sum key (see _outputs) adds
+    its row values' sums and Gram matrix over the uncapped rows (_add_sums):
+    a moment family, reduced at its key of n = 0, has x_m = |W_{m+gap} -
+    W_m|^p (W_m^p at gap 0) for every m, and a bracket its two sides,
+    |A_hat_n(rho)|^p and Q_n(rho)^p, with its p's other brackets alongside.
+    A_hat_n of each bracket and identity, and Q_n^2, are matrix products of
+    the C-order increments W_{k+1} - W_k with the keys' _weights and their
+    squares. An identity keeps its maxima over the rows of |A_n - rhs|,
+    |A_n| and |rhs|: A_n = sum_{k<=n} rho^k (W_N - W_k), N = n_max, is the
+    product of its _weights with the C-order W_N - W_k, and rhs = rho/(rho-1)
+    A_hat_n + rho^{n+1}/(rho-1) (W_N - W_{n+1}) - (W_N - 1)/(rho-1) follows
+    the formula's order. A moment family adds into its view; bracket sums
+    and identity maxima gather over the sub-blocks and are written once.
     """
-    brackets = list(dict.fromkeys(key[2:] for key in out if key[0] == BRACKET))
+    families = [key for key in out if key[0] == MOMENT and key[2] == 0]
+    powers = list(dict.fromkeys(key[1] for key in out if key[0] == BRACKET))
+    brackets = [key for p in powers for key in out if key[:2] == (BRACKET, p)]  # each p's keys side by side
     identities = [key for key in out if key[0] == IDENTITY]
-    pairs = brackets + [key[1:] for key in identities if key[1:] not in brackets]
-    if pairs:
-        top = max(n for _, n in pairs)
-        weights, squares = _weights(pairs, top), _weights(brackets, top) ** 2
-        a_hat, q2 = np.empty((len(weights), len(w))), np.empty((len(squares), len(w)))
-        for at in range(0, len(w), PRODUCT_ROWS):
-            rows = slice(at, at + PRODUCT_ROWS)
-            d = np.subtract(w.T[1 : top + 2, rows], w.T[: top + 1, rows], order="C")
-            np.matmul(weights, d, out=a_hat[:, rows])
-            if brackets:
-                np.matmul(squares, np.multiply(d, d, out=d), out=q2[:, rows])
-    capped, x = status == STATUS_CAPPED, np.empty(len(w))
-    for key in (key for key in out if key[0] == MOMENT and key[2] == 0):
-        _, p, _, gap = key
-        sums = out[key][block]  # zero, as the mapping arrives
-        for at in range(0, len(w), PRODUCT_ROWS):
-            rows = slice(at, at + PRODUCT_ROWS)
-            family = np.subtract(w.T[gap:, rows], w.T[: len(sums), rows] if gap else 0.0, order="C")
-            np.abs(family, out=family)
-            family **= p
-            family[:, capped[rows]] = 0.0
-            sums[:, 0] += family.sum(axis=1)
-            sums[:, 1:] += family @ family.T
-    for key in (key for key in out if key[0] == BRACKET):
-        j = pairs.index(key[2:])
-        for side, sums in enumerate(out[key]):
-            if side == 0:
-                np.abs(a_hat[j], out=x)
-            else:
-                np.sqrt(q2[j], out=x)
-            x **= key[1]
-            x[capped] = 0.0
-            sums[block] = x.sum(), x @ x
-    if identities:
-        w_proxy = w[:, -1]
-        telescoped = np.subtract(w_proxy[:, None], w[:, : max(key[2] for key in identities) + 1], order="C")
-        for key in identities:
-            _, rho, n = key
-            lhs = telescoped[:, : n + 1] @ rho ** np.arange(n + 1)
-            rhs = (a_hat[pairs.index((rho, n))] * (rho / (rho - 1.0))
-                   + (w_proxy - w[:, n + 1]) * (rho ** (n + 1) / (rho - 1.0))
-                   - (w_proxy - 1.0) / (rho - 1.0))
-            out[key][block] = np.abs(lhs - rhs).max(), np.abs(lhs).max(), np.abs(rhs).max()
+    ps, top = [key[1] for key in brackets], max([key[-1] for key in brackets + identities], default=0)
+    weights, identity_weights = (_weights([key[-2:] for key in keys], top) for keys in (brackets, identities))
+    coefs = np.array([[rho / (rho - 1.0), rho ** (n + 1) / (rho - 1.0), rho - 1.0] for _, rho, n in identities])
+    sums, maxima = np.zeros((len(brackets), 2, 3)), np.zeros((len(identities), 3))
+    d, t = np.zeros((top + 1, PRODUCT_ROWS)), np.zeros((top + 1, PRODUCT_ROWS))  # full width: see _weights
+    for at in range(0, len(w), PRODUCT_ROWS):
+        rows = slice(at, at + PRODUCT_ROWS)
+        capped = status[rows] == STATUS_CAPPED
+        size = len(capped)
+        for _, p, _, gap in families:
+            family = out[MOMENT, p, 0, gap][block]  # zero, as the mapping arrives
+            _add_sums(np.subtract(w.T[gap:, rows], w.T[: len(family), rows] if gap else 0.0, order="C"),
+                      p, capped, family)
+        np.subtract(w.T[1 : top + 2, rows], w.T[: top + 1, rows], out=d[:, :size])
+        if identities:
+            w_n = w.T[-1, rows]
+            np.subtract(w_n, w.T[: top + 1, rows], out=t[:, :size])
+            rhs = (identity_weights @ d)[: len(identities), :size] * coefs[:, :1]
+            rhs += (w_n - w.T[[n + 1 for *_, n in identities], rows]) * coefs[:, 1:2]
+            rhs -= (w_n - 1.0) / coefs[:, 2:]
+            a_n = (identity_weights @ t)[: len(identities), :size]
+            for column, term in enumerate((a_n - rhs, a_n, rhs)):
+                np.maximum(maxima[:, column], np.abs(term, out=term).max(axis=1), out=maxima[:, column])
+            del rhs, a_n, term  # freed before the next sub-block allocates its own
+        if brackets:  # squares d in place, so after the identities
+            x = np.empty((len(brackets), 2, size))
+            x[:, 0] = (weights @ d)[: len(brackets), :size]
+            x[:, 1] = np.sqrt((np.square(weights) @ np.multiply(d, d, out=d))[: len(brackets), :size])
+            for p in powers:
+                group = slice(ps.index(p), ps.index(p) + ps.count(p))
+                _add_sums(x[group], p, capped, sums[group])
+    for key, row in zip(brackets + identities, [*sums, *maxima]):
+        out[key][block] = row
 
 
 def reduce_batch(batch: TrajectoryBatch, keys) -> list:

@@ -33,7 +33,7 @@ from bprelab import (
 from bprelab import harness, relations, simulate
 from bprelab.config import _ENV_LISTS, load_config
 from bprelab.errors import FitUnavailableError
-from bprelab.estimators import MIN_REPLICAS, burkholder_sandwich, fit_decay, lp_norm, w_moment
+from bprelab.estimators import MIN_REPLICAS, _row_moments, burkholder_sandwich, fit_decay, lp_norm, w_moment
 from bprelab.harness import run_experiment
 from bprelab.relations import IDENTITY_TOL
 from bprelab.simulate import (
@@ -1077,9 +1077,9 @@ class TestBlockMemory:
         batch = run(cfg, reductions=keys)
         family = [(MOMENT, 2.0, n, 3) for n in range(cfg.n_max - 2)]
         # per block: the moment's family of ten, each with its sum and its ten products, a
-        # bracket's sum and sum of squares per side and an identity's three maxima; then
-        # status_gen's int32 and status's int8 per row, in one mapping
-        assert maps == [8 * 3 * (10 * 11 + 2 * 2 + 3) + 5 * cfg.replicas]
+        # bracket's two sides, each with its sum and its two products, and an identity's three
+        # maxima; then status_gen's int32 and status's int8 per row, in one mapping
+        assert maps == [8 * 3 * (10 * 11 + 2 * 3 + 3) + 5 * cfg.replicas]
         assert batch.w.shape == (0, cfg.n_max + 1) and list(batch.partials) == family + keys[1:]
         assert all(batch.partials[key] is batch.partials[family[0]] for key in family)
         for view in (batch.status_gen, batch.status, *batch.partials.values()):
@@ -1097,16 +1097,25 @@ class TestBlockMemory:
         assert peak < w_bytes / 10, (peak, w_bytes)
 
     def test_sub_block_products_equal_whole_block_products(self, monkeypatch):
+        # bracket sums add up PRODUCT_ROWS rows at a time, so they pin the A_hat and Q products
+        # only where a block has one uncapped row, whose products its sums are; identity maxima
+        # do not depend on the order of the rows
         batch = stored_batch(small_cfg(replicas=3 * BLOCK_ROWS))
-        keys = (bracket_keys((1.5, 2.0), (1.0, 1.1, 1.3), (0, 5, batch.n_max - 1))
-                + [(IDENTITY, rho, n) for rho in (1.1, 1.3, 1.7) for n in (1, 5, batch.n_max - 2)])
-        sub = dataclasses.replace(batch)
-        assert reduce_batch(sub, keys) == keys
-        monkeypatch.setattr(simulate, "PRODUCT_ROWS", BLOCK_ROWS)
-        whole = dataclasses.replace(batch)
-        assert reduce_batch(whole, keys) == keys
-        for key in keys:
-            assert np.array_equal(sub.partials[key], whole.partials[key]), key
+        one_row = np.full(batch.replicas, STATUS_CAPPED, dtype=np.int8)
+        one_row[[5, BLOCK_ROWS + 1500, 3 * BLOCK_ROWS - 1]] = STATUS_COMPLETED
+        brackets = bracket_keys((1.5, 2.0), (1.0, 1.1, 1.3), (0, 5, batch.n_max - 1))
+        identities = [(IDENTITY, rho, n) for rho in (1.1, 1.3, 1.7) for n in (1, 5, batch.n_max - 2)]
+
+        def reduced(rows):
+            monkeypatch.setattr(simulate, "PRODUCT_ROWS", rows)
+            sparse, full = dataclasses.replace(batch, status=one_row), dataclasses.replace(batch)
+            assert reduce_batch(sparse, brackets) == brackets and reduce_batch(full, identities) == identities
+            return sparse.partials | full.partials
+
+        sub, whole = reduced(PRODUCT_ROWS), reduced(BLOCK_ROWS)
+        assert all(sub[key].any() for key in brackets)
+        for key in brackets + identities:
+            assert np.array_equal(sub[key], whole[key]), key
 
 
 def within(got, want, terms):
@@ -1127,10 +1136,11 @@ class TestLawTable:
 
 
 def block_sums(batch, terms):
-    """Plain numpy: per side, each block's sum of terms[i] and of its square over the uncapped rows i."""
-    kept = np.where(batch.uncapped, np.atleast_2d(terms), 0.0)
-    starts = np.arange(0, batch.replicas, BLOCK_ROWS)
-    return np.stack([np.add.reduceat(kept, starts, axis=1), np.add.reduceat(kept * kept, starts, axis=1)], axis=-1)
+    """Plain numpy: per block, the sum of each row value terms[k][i] over the uncapped rows i, then
+    its products with each terms[j][i]: the reducer's K x (K + 1) layout."""
+    x = np.where(batch.uncapped, np.atleast_2d(terms), 0.0)
+    blocks = [x[:, lo : lo + BLOCK_ROWS] for lo in range(0, batch.replicas, BLOCK_ROWS)]
+    return np.stack([np.column_stack([b.sum(axis=1), b @ b.T]) for b in blocks])
 
 
 class TestBracketSums:
@@ -1165,9 +1175,35 @@ class TestBracketSums:
         top = batch.n_max - 1
         held, peak = traced_peak(lambda: reduce_batch(batch, keys))
         assert len(held) == len(keys) > top + 2
-        # A_hat and Q^2 of every key, one row of terms, one product's increments, the capped rows
-        scratch = 8 * BLOCK_ROWS * (2 * len(keys) + 2) + 8 * PRODUCT_ROWS * (top + 1)
+        # per PRODUCT_ROWS rows, four rows a key: its two sides, and its A_hat and Q^2 products
+        # (or the last sub-block's sides while the next are made); and the increments and
+        # W_N - W_k buffers, top + 1 rows each. A whole block's A_hat and Q^2 break the bound
+        scratch = 8 * PRODUCT_ROWS * (4 * len(keys) + 2 * (top + 1))
         assert peak <= scratch + SLACK_BYTES, (peak, scratch)
+
+    def test_sides_match_numpy_on_a_capped_batch(self):
+        # two full blocks of BLOCK_ROWS and a partial third, with capped rows
+        batch = stored_batch(small_cfg(env=TWO_LAWS, n_max=8, replicas=10_001, pop_cap=1000))
+        kept = batch.uncapped
+        assert batch.replicas % BLOCK_ROWS and 0 < batch.capped_fraction and kept.sum() >= MIN_REPLICAS
+        keys = bracket_keys((1.5, 2.0), (1.0, 1.2), (0, 4, batch.n_max - 1))
+        assert reduce_batch(batch, keys) == keys
+        for key in keys:
+            _, p, rho, n = key
+            terms = rho ** np.arange(n + 1) * np.diff(batch.w[kept, : n + 2], axis=1)
+            x = np.column_stack([np.abs(terms.sum(axis=1)) ** p, np.sqrt((terms * terms).sum(axis=1)) ** p])
+            means, covariance, used = _row_moments(batch, key)
+            products = x.T @ x / used
+            assert used == len(x) and close(means, x.mean(axis=0)), key
+            assert close(np.sqrt(covariance.diagonal()), x.std(axis=0, ddof=1) / math.sqrt(used),
+                         np.sqrt(products.diagonal() / used)), key
+            assert close(covariance, np.cov(x, rowvar=False, ddof=1) / used, np.abs(products) / used), key
+            sc = burkholder_sandwich(batch, p, rho, n)
+            norms = means ** (1 / p)
+            assert close([sc.a_norm, sc.q_norm], x.mean(axis=0) ** (1 / p)), key
+            # the delta method: sd(x)/sqrt(N) times d(mean^(1/p))/d(mean)
+            delta = x.std(axis=0, ddof=1) / math.sqrt(used) * norms / (p * means)
+            assert close([sc.a_stderr, sc.q_stderr], delta, np.sqrt(products.diagonal() / used) * norms / (p * means))
 
     def test_a_lone_key_pass_equals_its_rows_of_a_multi_key_pass(self):
         # two full blocks of BLOCK_ROWS and a partial third
@@ -1203,15 +1239,12 @@ def reference_residual(batch, rho, n, a_hat_n):
     """The residual as one whole-batch expression per key, with A_hat_n given.
 
     The accumulator form is evaluated on every row at once, in the order of
-    the identity's formula; the telescoped sum is one matrix-vector product
-    per BLOCK_ROWS rows over a C-order W_N - W_k, as the identity pass forms it.
+    the identity's formula; the telescoped sum is the key's lone product (see
+    lone_product) over W_N - W_k, as the reducer forms it.
     """
     w = batch.w
     w_proxy = w[:, batch.n_max]
-    weights = rho ** np.arange(n + 1)
-    blocks = (slice(lo, lo + BLOCK_ROWS) for lo in range(0, len(w), BLOCK_ROWS))
-    lhs = np.concatenate([np.subtract(w_proxy[b, None], w[b, : n + 1], order="C") @ weights
-                          for b in blocks])
+    lhs = lone_product(rho, n, w_proxy[:, None] - w)
     rhs = (
         rho / (rho - 1.0) * a_hat_n
         + rho ** (n + 1) / (rho - 1.0) * (w_proxy - w[:, n + 1])
@@ -1280,11 +1313,22 @@ def small_batches(draw):
     ))
 
 
+def lone_product(rho, n, terms):
+    """sum_{k<=n} rho^k terms[i, k] on every row i, as the reducer forms A_hat_n and A_n: the
+    padded two-row product of _weights with PRODUCT_ROWS rows' terms at a time, as C-order
+    columns, zero past the batch's last row."""
+    weights, sums = _weights([(rho, n)], n), []
+    for lo in range(0, len(terms), PRODUCT_ROWS):
+        rows = terms[lo : lo + PRODUCT_ROWS, : n + 1].T
+        columns = np.zeros((n + 1, PRODUCT_ROWS))
+        columns[:, : rows.shape[1]] = rows
+        sums.append((weights @ columns)[0, : rows.shape[1]])
+    return np.concatenate(sums)
+
+
 def lone_a_hat(batch, rho, n):
-    """A_hat_n(rho) on every row: the padded two-row product of _weights with each block's C-order increments."""
-    weights = _weights([(rho, n)], n)
-    return np.concatenate([weights @ np.diff(batch.w[lo : lo + BLOCK_ROWS, : n + 2], axis=1).T.copy()
-                           for lo in range(0, batch.replicas, BLOCK_ROWS)], axis=1)[0]
+    """A_hat_n(rho) on every row, the key's lone product over the increments W_{k+1} - W_k."""
+    return lone_product(rho, n, np.diff(batch.w[:, : n + 2], axis=1))
 
 
 class TestIdentityPass:
@@ -1349,6 +1393,19 @@ class TestIdentityPass:
         # one block's A_hat of every key, its W_N - W_k and six key rows (A_n, the right-hand
         # side and its terms' temporaries), and one product's increments
         scratch = 8 * BLOCK_ROWS * (len(keys) + (top + 1) + 6) + 8 * PRODUCT_ROWS * (top + 1)
+        assert peak <= scratch + SLACK_BYTES, (peak, scratch)
+
+    def test_scratch_is_one_sub_block_of_terms(self):
+        batch = stored_batch(small_cfg(replicas=6 * BLOCK_ROWS))
+        # more keys than terms a row: a K-row temporary per row of a block would break the bound
+        keys = [(IDENTITY, rho, n) for rho in (1.1, 1.2, 1.3) for n in range(batch.n_max - 1)]
+        top = batch.n_max - 2
+        held, peak = traced_peak(lambda: reduce_batch(batch, keys))
+        assert len(held) == len(keys) > top + 2
+        # per PRODUCT_ROWS rows, three rows a key: the right-hand side, A_n and their difference
+        # (the right-hand side's terms come and go before A_n); and the increments and W_N - W_k
+        # buffers, top + 1 rows each. A whole block's A_hat and W_N - W_k break the bound
+        scratch = 8 * PRODUCT_ROWS * (3 * len(keys) + 2 * (top + 1))
         assert peak <= scratch + SLACK_BYTES, (peak, scratch)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,7 +124,10 @@ class DecayFit:
 
     slope_se is the delta-method stderr of the slope under the points'
     sampling covariance (see fit_decay), and the interval is the slope's
-    +- CI_Z slope_se mapped to rho.
+    +- CI_Z slope_se mapped to rho. slope_row is the fit's slope as a
+    linear map c of the window's log(value)/p, in n order: the slope of
+    any other curve over the window, under the same weights, is c applied
+    to its log/p.
     """
 
     fitted_rho: float
@@ -135,6 +138,7 @@ class DecayFit:
     slope: float
     slope_se: float
     points_used: int
+    slope_row: np.ndarray = field(repr=False, compare=False)
 
 
 def wls_line(xs, ys, sds) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -159,13 +163,13 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
     pass. The fit uses the longest admissible run of consecutive points and
     needs at least MIN_FIT_POINTS of them.
 
-    The slope is c . ys, c the slope row of (X^T W X)^-1 X^T W, and ys_n =
-    log(value_n)/p moves by d value_n / (p value_n); so its variance is
-    (Jc)^T S (Jc), J = diag(1/(p value_n)) and S the window's sampling
-    covariance, read from the estimates' covariance rows (see LpEstimate),
-    which index one family: one batch's estimates at one p and gap.
-    With a diagonal S, stderr_n^2, this is the weighted fit's own
-    [(X^T W X)^-1]_11.
+    The slope is c . ys, c the slope row of (X^T W X)^-1 X^T W, which the
+    fit keeps as slope_row, and ys_n = log(value_n)/p moves by d value_n /
+    (p value_n); so its variance is (Jc)^T S (Jc), J = diag(1/(p value_n))
+    and S the window's sampling covariance, read from the estimates'
+    covariance rows (see LpEstimate), which index one family: one batch's
+    estimates at one p and gap. With a diagonal S, stderr_n^2, this is the
+    weighted fit's own [(X^T W X)^-1]_11.
     """
     if not estimates:
         raise FitUnavailableError("no estimates given")
@@ -200,7 +204,8 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
 
     beta, cov, x_mat, wts = wls_line(xs, ys, [e.log_sd for e in window])
     slope = float(beta[1])
-    jc = (cov @ (x_mat.T * wts))[1] / (p * np.array([e.value for e in window]))
+    c = (cov @ (x_mat.T * wts))[1]
+    jc = c / (p * np.array([e.value for e in window]))
     sampling = [[e.stderr**2 if e.n == f.n else 0.0 if e.covariance is None else e.covariance[f.n]
                  for f in window] for e in window]
     se_slope = math.sqrt(max(jc @ np.array(sampling) @ jc, 0.0))
@@ -220,6 +225,7 @@ def fit_decay(estimates: list[LpEstimate]) -> DecayFit:
         slope=slope,
         slope_se=se_slope,
         points_used=len(window),
+        slope_row=c,
     )
 
 

@@ -58,11 +58,9 @@ FAMILIES = {
     # the rate-fit families, which both rate suites record
     **{f"{suite}.{name}": statement for suite in ("quenched-rate", "annealed-rate") for name, statement in (
         ("estimates-match-exact", "sampled moment distances sit within the Monte Carlo slack of the exact curve"),
-        ("degenerate-no-fit", "a deterministic population has zero distances and no decay rate to fit"),
         ("fit-available", "a decay-rate fit is available for a non-degenerate run"),
         ("fit-matches-exact", "the fitted decay slope agrees with the exact curve's slope within slack"),
     )},
-    "annealed-rate.l2-unbounded-reported": "an environment without bounded second moments is reported, not fitted",
     "annealed-rate.ci-contains-predicted": "the fitted rate's confidence interval contains the predicted critical rate",
     "burkholder": "the weighted-increment norm sits inside the square-function bracket",
     "criteria.lp-criterion": "the moment-shrinkage criterion evaluates on the stationary law",
@@ -251,9 +249,9 @@ def series_probes(env: Environment, path: EnvPath, m_geo: float, ps) -> list[Ite
 class RateOracle(NamedTuple):
     """What is exact about E|W_{n+gap} - W_n|^p at one (mode, p); a None field is not known.
     `exact(n, gap)` is that moment and `bias(upto)` the bias of the proxy W_upto; the fit's
-    interval should contain `predicted_rho`; `unbounded_q1`, a q1 >= 1, leaves nothing to fit;
-    `bias_label`, set only where the bias has no oracle (annealed p < 2), says how to read the
-    section's bias values."""
+    interval should contain `predicted_rho`; `unbounded_q1`, a q1 >= 1, leaves nothing to fit,
+    and the section's fit_note states it; `bias_label`, set only where the bias has no oracle
+    (annealed p < 2), says how to read the section's bias values."""
 
     exact: Callable[[int, int], float] | None = None
     bias: Callable[[int], float] | None = None
@@ -330,8 +328,11 @@ def rate_fit(estimates: list[LpEstimate], oracle: RateOracle, fitting: bool = Tr
     """The estimates' slack against the oracle's exact values, then, if `fitting`, their decay fit
     against the exact curve's slope and the predicted rate, at the estimates' p. The oracle's
     bias, where it has one, at each estimate's proxy W_{n+gap} is set as its bias_bound first,
-    so a section that is not fitted still reports it. With the
-    oracle's `unbounded_q1` the estimates are reported and not fitted. Returns the items and the
+    so a section that is not fitted still reports it. The exact curve's slope is the fit's own
+    slope row applied to the exact log(value)/p over the fit's window: the same weights and
+    window, so the slope difference has the fit's slope_se. A section is not fitted where the
+    oracle's `unbounded_q1` leaves no finite rate, or where every distance is rounding residue;
+    its fit_note says which, and the exact slack is its only check. Returns the items and the
     per-p section: p, the estimates and the oracle's bias_label where it has one, which says how
     to read the estimates' bias values; then, if `fitting`, fit, and fit_note or predicted_rho
     where they apply."""
@@ -347,11 +348,11 @@ def rate_fit(estimates: list[LpEstimate], oracle: RateOracle, fitting: bool = Tr
         return items, section
     section["fit"] = None
     if oracle.unbounded_q1 is not None:
-        section["fit_note"] = "second moments are unbounded here; no finite rate predicted"
-        return items + [Item("l2-unbounded-reported", True, {"q1": oracle.unbounded_q1}, p=p)], section
-    if all(e.at_rounding for e in estimates):
+        section["fit_note"] = f"q1 = {oracle.unbounded_q1} >= 1: second moments are unbounded, no finite rate predicted"
+    elif all(e.at_rounding for e in estimates):
         section["fit_note"] = "degenerate: all distances are zero up to rounding, nothing to fit"
-        return items + [Item("degenerate-no-fit", True, {"estimates_checked": len(estimates)}, p=p)], section
+    if "fit_note" in section:
+        return items, section
     try:
         fit = estimators.fit_decay(estimates)
     except FitUnavailableError as exc:
@@ -361,16 +362,14 @@ def rate_fit(estimates: list[LpEstimate], oracle: RateOracle, fitting: bool = Tr
     items.append(Item("fit-available", True, {"fitted_rho": fit.fitted_rho}, p=p))
     if oracle.exact is not None:
         lo, hi = fit.window
-        sel = [(e, x) for e in estimates if lo <= e.n <= hi and (x := oracle.exact(e.n, e.proxy_gap)) > 0]
-        if len(sel) >= 2:
-            ys = [math.log(x) / p for _, x in sel]
-            slope_exact = float(estimators.wls_line([e.n for e, _ in sel], ys, [e.log_sd for e, _ in sel])[0][1])
-            items.append(Item(
-                "fit-matches-exact",
-                abs(fit.slope - slope_exact) <= estimators.SLACK_SIGMAS * fit.slope_se + ROUNDING,
-                {"fitted_rho": fit.fitted_rho, "exact_rho": math.exp(-slope_exact),
-                 "slack_sigmas": estimators.SLACK_SIGMAS}, p=p,
-            ))
+        slope_exact = float(fit.slope_row @ [math.log(oracle.exact(e.n, e.proxy_gap)) / p
+                                             for e in sorted(estimates, key=lambda e: e.n) if lo <= e.n <= hi])
+        items.append(Item(
+            "fit-matches-exact",
+            abs(fit.slope - slope_exact) <= estimators.SLACK_SIGMAS * fit.slope_se + ROUNDING,
+            {"fitted_rho": fit.fitted_rho, "exact_rho": math.exp(-slope_exact),
+             "slack_sigmas": estimators.SLACK_SIGMAS}, p=p,
+        ))
     if oracle.predicted_rho is not None:
         section["predicted_rho"] = oracle.predicted_rho
         items.append(Item("ci-contains-predicted", fit.ci_low <= oracle.predicted_rho <= fit.ci_high,

@@ -245,7 +245,7 @@ def test_a_faulted_growth_envelope_observes_how_far_it_escaped(monkeypatch):
 
 
 # the families that no bundled config reaches, each reached by a test elsewhere
-NOT_BUNDLED = ("annealed-rate.l2-unbounded-reported",)  # test_harness.py::test_unbounded_second_moments_are_reported
+NOT_BUNDLED = ()
 
 # the families without a fault, each with the reason
 REPORTED = {
@@ -253,9 +253,6 @@ REPORTED = {
     "rates.rates-collapse": "at p >= 2 annealed_rates returns one value as both rates: it cannot fail",
     "criteria.lp-criterion": "a marker that passes whenever the criterion evaluates",
     "criteria.critical-conditions": "a marker that passes whenever the hypotheses evaluate",
-    "quenched-rate.degenerate-no-fit": "a marker that passes whenever every distance is zero",
-    "annealed-rate.degenerate-no-fit": "a marker that passes whenever every distance is zero",
-    "annealed-rate.l2-unbounded-reported": "a marker that passes whenever q1 >= 1",
 }
 
 

@@ -878,20 +878,15 @@ class TestRateFitPaths:
         # the p = 2 comparison fails here (a calibration case for the Monte Carlo verdicts)
         assert code == 2
         by_id = {c["id"]: c for c in report["checks"]}
-        assert list(by_id) == [
-            "annealed-rate.p1.5.fit-available", "annealed-rate.p2.estimates-match-exact",
-            "annealed-rate.p2.l2-unbounded-reported",
-        ]
-        reported = by_id["annealed-rate.p2.l2-unbounded-reported"]
-        assert reported["passed"] is True
-        assert reported["observed"] == {"q1": pytest.approx(7 / 6)}
-        assert reported["statement"] == "an environment without bounded second moments is reported, not fitted"
-        # no bundled config reaches this family (test_faults.NOT_BUNDLED); this test does
-        assert "annealed-rate.l2-unbounded-reported" in relations.FAMILIES
+        # the exact slack is the section's only check: no marker stands for the fit it skips
+        assert list(by_id) == ["annealed-rate.p1.5.fit-available", "annealed-rate.p2.estimates-match-exact"]
+        assert not any("l2-unbounded" in family for family in relations.FAMILIES)
         assert set(by_id["annealed-rate.p2.estimates-match-exact"]["observed"]) == {"worst_excess"}
         sections = self.per_p(report)
         assert sections[2.0]["fit"] is None
-        assert sections[2.0]["fit_note"] == "second moments are unbounded here; no finite rate predicted"
+        # the note keeps the value of q1 that leaves no finite rate
+        assert sections[2.0]["fit_note"] == (
+            f"q1 = {7 / 6} >= 1: second moments are unbounded, no finite rate predicted")
         assert "predicted_rho" not in sections[2.0]
         assert sections[1.5]["bias_label"] == "oracle-unbounded bias"
         assert "bias_label" not in sections[2.0]
@@ -910,9 +905,10 @@ class TestRateFitPaths:
         assert all(item.detail is None for item in items)
         assert section["p"] == 2.0 and section["estimates"] == estimates
         if degenerate:
-            assert [item.suffix for item in items] == ["p2.estimates-match-exact", "p2.degenerate-no-fit"]
+            assert [item.suffix for item in items] == ["p2.estimates-match-exact"]
             assert set(section) == {"p", "estimates", "fit", "fit_note"}
             assert section["fit"] is None
+            assert section["fit_note"] == "degenerate: all distances are zero up to rounding, nothing to fit"
         else:
             assert [item.suffix for item in items] == [
                 "p2.estimates-match-exact", "p2.fit-available", "p2.fit-matches-exact",
@@ -923,6 +919,31 @@ class TestRateFitPaths:
             assert set(section["fit"]) == set(relations.FIT_PAYLOAD)
             assert section["fit"]["fitted_rho"] == pytest.approx(1.25)
             assert section["predicted_rho"] == 1.25
+
+    @pytest.mark.parametrize("env, mode, gap, path_seed", [
+        (IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0]), "annealed", 12, None),
+        (IIDMixture([OffspringLaw({1: 0.5, 3: 0.5}), OffspringLaw({2: 1.0})], [0.5, 0.5]), "quenched", 8, 11),
+    ], ids=["gw-binary", "two-state"])
+    def test_the_exact_slope_refits_the_exact_curve_under_the_fits_weights(self, env, mode, gap, path_seed):
+        # an independent refit of the exact curve: lstsq on the sqrt(w)-scaled design over the fit's window
+        batch = stored_batch(SimConfig(env=env, mode=mode, n_max=20, replicas=4000, master_seed=101,
+                                       path_seed=path_seed))
+        estimates = [bprelab.estimators.lp_norm(batch, 2.0, n, gap) for n in range(21 - gap)]
+        oracles = (relations.annealed_oracles(env, 20, [2.0]) if mode == "annealed"
+                   else relations.quenched_oracles(env, batch.path, 20, [2.0]))
+        items, section = relations.rate_fit(estimates, oracles[2.0])
+        (matches,) = [item for item in items if item.name == "fit-matches-exact"]
+        lo, hi = section["fit"]["window"]
+        window = [e for e in estimates if lo <= e.n <= hi]
+        root_w = 1.0 / np.array([e.log_sd for e in window])
+        design = root_w[:, None] * np.column_stack([np.ones(len(window)), [e.n for e in window]])
+        log_exact = np.log([oracles[2.0].exact(e.n, gap) for e in window]) / 2.0
+        slope = np.linalg.lstsq(design, root_w * log_exact, rcond=None)[0][1]
+        assert matches.observed["exact_rho"] == pytest.approx(math.exp(-slope), rel=1e-12)
+        if mode == "quenched":
+            # along a realized path the exact curve is not geometric, so the weights move its slope
+            unweighted = np.polyfit([e.n for e in window], log_exact, 1)[0]
+            assert abs(unweighted - slope) > 1e-4
 
     def test_a_fit_without_an_admissible_window_is_a_failed_check(self):
         cfg = small_gw(suites=["annealed-rate"], n_max=13, gap=10, p=[1.5, 2.0], master_seed=1)

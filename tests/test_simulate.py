@@ -650,6 +650,11 @@ class TestOneOwner:
         assert sites(calls("normalized_probs")) == [
             ("environment", "IIDMixture.__init__"), ("offspring", "OffspringLaw.__init__")]
 
+    def test_one_weighted_line_solve(self):
+        # fit_decay's preliminary and weighted passes are wls_line's only calls: a rate section takes
+        # the exact curve's slope from the fit's own slope row, not from a second solve
+        assert sites(calls("wls_line")) == [("estimators", "fit_decay")] * 2
+
     def test_one_set_of_batch_minimums(self):
         # n_max >= 1, replicas >= 1 and pop_cap >= 1000 are BATCH_MINIMUMS, which SimConfig and the config
         # loader read; no batch's or config's size is compared with a number, and no other table lists them

@@ -53,9 +53,11 @@ class LpEstimate:
     covariance[m] is the sampling covariance of this estimate and the one at
     m of its family, m = 0..n_max - gap: the uncapped rows' sample covariance
     of x_n and x_m over their count, since every n reads the same replicas.
-    Its entry at n is stderr^2, floored at 0. A hand-built estimate may leave
-    it None; the decay fit then takes the estimate as uncorrelated with the
-    others, a diagonal covariance.
+    Its entry at n is the raw variance, which rounding may leave below 0;
+    only stderr, its square root, floors it at 0, and the decay fit reads
+    stderr^2, not this entry, on the diagonal. A hand-built estimate may
+    leave it None; the decay fit then takes the estimate as uncorrelated
+    with the others, a diagonal covariance.
     """
 
     p: float

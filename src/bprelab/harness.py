@@ -422,7 +422,7 @@ def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list
     failed = sum(1 for c in checks if not c["passed"])
     report = jsonable(
         {
-            "schema": 1,
+            "schema": 2,
             "tool": {"name": "bprelab", "version": __version__},
             "config": {"source": ctx.cfg.source, "values": ctx.cfg.raw},
             "suites": body,

@@ -10,7 +10,7 @@ a finite root test with a stated margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,15 +73,14 @@ class LpBoundednessCriterion:
     """Necessary-and-sufficient check for sup_n E[W_n^p] < infinity.
 
     holds iff E[m_0^{1-p}] < 1; the companion moment condition
-    E[(Z_1/m_0)^p] < infinity is automatic for finite-support laws and is
-    reported with its exact value.
+    E[(Z_1/m_0)^p] < infinity is automatic for finite-support laws, so only
+    its exact value is reported.
     """
 
     p: float
     holds: bool
     mean_power_value: float  # E m_0^{1-p}
     z1_norm_value: float  # E (Z_1/m_0)^p
-    z1_norm_finite: bool = True
 
 
 def annealed_lp_criterion(env: Environment, p: float) -> LpBoundednessCriterion:
@@ -108,15 +107,15 @@ class CriticalRateConditions:
 
     tilt_value is E[m_0^{-p/2} log m_0] (its sign decides whether the
     critical rate formula applies); zlogz_value is the exact
-    E[m_0^{-p/2-1} Z_1 log+ Z_1]; w1_degenerate is true when W_1 = 1 a.s.;
-    all_hold is true when every hypothesis holds.
+    E[m_0^{-p/2-1} Z_1 log+ Z_1], finite for finite-support laws;
+    w1_degenerate is true when W_1 = 1 a.s.; all_hold is true when the tilt
+    is positive and W_1 is not degenerate.
     """
 
     p: float
     tilt_value: float
     tilt_positive: bool
     zlogz_value: float
-    zlogz_finite: bool
     w1_degenerate: bool
     all_hold: bool
 
@@ -127,22 +126,25 @@ def annealed_critical_conditions(env: Environment, p: float) -> CriticalRateCond
     tilt = env.expect(lambda law: law.mean ** (-p / 2.0) * law.log_mean)
     zlogz = env.expect(lambda law: law.mean ** (-p / 2.0 - 1.0) * _z1_log_plus(law))
     tilt_positive = bool(tilt > 0.0)
-    zlogz_finite = True
     degenerate = env.is_degenerate
     return CriticalRateConditions(
         p=p,
         tilt_value=tilt,
         tilt_positive=tilt_positive,
         zlogz_value=zlogz,
-        zlogz_finite=zlogz_finite,
         w1_degenerate=degenerate,
-        all_hold=tilt_positive and zlogz_finite and not degenerate,
+        all_hold=tilt_positive and not degenerate,
     )
 
 
 @dataclass(frozen=True)
 class RateReport:
-    """Every rate and hypothesis flag for one exponent p, serialization-ready."""
+    """Every rate for one exponent p with the hypotheses behind them, serialization-ready.
+
+    w1_degenerate is true when W_1 = 1 a.s.; criterion is the L^p
+    boundedness criterion at p; conditions are the critical-rate hypotheses,
+    set only for p in (1,2).
+    """
 
     p: float
     m_geo: float
@@ -150,24 +152,16 @@ class RateReport:
     quenched_critical: float
     annealed_rho0: float
     annealed_rhoc: float
-    condition_flags: dict = field(default_factory=dict)
+    w1_degenerate: bool
+    criterion: LpBoundednessCriterion
+    conditions: CriticalRateConditions | None
 
 
 def rate_report(env: Environment, p: float) -> RateReport:
-    """Assemble rates and condition flags for a supercritical i.i.d. mixture."""
+    """The rates, the L^p criterion and, for p in (1,2), the critical-rate conditions of a
+    supercritical i.i.d. mixture at p."""
     sufficient, critical = quenched_bounds(env, p)
     rho0, rhoc = annealed_rates(env, p)
-    criterion = annealed_lp_criterion(env, p)
-    flags = {
-        "supercritical": True,
-        "lp_bounded": criterion.holds,
-        "z1_lp_finite": criterion.z1_norm_finite,
-        "w1_nondegenerate": not env.is_degenerate,
-    }
-    if 1.0 < p < 2.0:
-        conditions = annealed_critical_conditions(env, p)
-        flags["tilt_positive"] = conditions.tilt_positive
-        flags["zlogz_finite"] = conditions.zlogz_finite
     return RateReport(
         p=p,
         m_geo=env.geo_mean(),
@@ -175,7 +169,9 @@ def rate_report(env: Environment, p: float) -> RateReport:
         quenched_critical=critical,
         annealed_rho0=rho0,
         annealed_rhoc=rhoc,
-        condition_flags=flags,
+        w1_degenerate=env.is_degenerate,
+        criterion=annealed_lp_criterion(env, p),
+        conditions=annealed_critical_conditions(env, p) if 1.0 < p < 2.0 else None,
     )
 
 

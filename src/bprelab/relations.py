@@ -111,7 +111,7 @@ def rate_orderings(reports: list[rates.RateReport]) -> list[Item]:
         pair = {"rho0": rho0, "rhoc": rhoc}
         if p >= 2.0:
             items.append(Item("rates-collapse", math.isclose(rho0, rhoc, rel_tol=ROUNDING), pair, p=p))
-        elif rep.condition_flags.get("tilt_positive"):
+        elif rep.conditions is not None and rep.conditions.tilt_positive:
             items.append(Item("rho0-le-rhoc", rho0 <= rhoc + ROUNDING, pair, p=p))
     return items
 

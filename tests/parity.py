@@ -3,18 +3,19 @@
 The cases are `run` and `verify` on the six bundled configs, `rates` on all
 six and `run configs/two_means.cfg --seed 5`. Each is run in-process through
 `cli.main`, and its record holds the exit code, digests of stdout (without
-the `report:` line, whose path varies), of stderr, of each CSV, and of the
-report without `timings` and `config.source`, and one short digest of
-(passed, observed) per check id. tests/test_parity.py compares a fresh run
-against tests/parity.json.
+the `report:` line, whose path varies), of stderr, of each CSV, of each
+section of the report without `timings` and `config.source` (each top-level
+key, with `suites` split into one `suites.<suite>` per suite), and one short
+digest of (passed, observed) per check id. tests/test_parity.py compares a
+fresh run against tests/parity.json.
 
 A change that moves report content on purpose rewrites the file:
 
     PYTHONPATH=src python tests/parity.py
 
-and the diff of parity.json names every check id whose verdict or observed
-values moved. The streams are numpy's, so the file records the numpy and
-Python versions it was written under.
+and the diff of parity.json names every report section that moved, and every
+check id whose verdict or observed values moved. The streams are numpy's, so
+the file records the numpy and Python versions it was written under.
 """
 
 import contextlib
@@ -66,7 +67,9 @@ def record(argv: list[str]) -> dict:
             report = json.loads((Path(tmp) / "report.json").read_text())
             report.pop("timings")
             report["config"].pop("source")
-            entry["report"] = digest(json.dumps(report, sort_keys=True))
+            sections = {key: value for key, value in report.items() if key != "suites"}
+            sections |= {f"suites.{suite}": body for suite, body in report["suites"].items()}
+            entry["report"] = {key: digest(json.dumps(value, sort_keys=True)) for key, value in sections.items()}
             entry["checks"] = {check["id"]: digest(json.dumps([check["passed"], check["observed"]], sort_keys=True), 8)
                                for check in report["checks"]}
         return entry
@@ -77,9 +80,18 @@ def compute() -> dict:
             "cases": {name: record(argv) for name, argv in cases().items()}}
 
 
+def parts(entry: dict) -> dict:
+    """A case's digests other than its checks, by part name; `csv` and `report` hold digests by
+    key, and give one `csv.<file>` or `report.<section>` part each."""
+    flat = {part: value for part, value in entry.items() if not isinstance(value, dict)}
+    for part in ("csv", "report"):
+        flat |= {f"{part}.{key}": value for key, value in entry.get(part, {}).items()}
+    return flat
+
+
 def differences(want: dict, got: dict) -> list[str]:
     """Per case that moved: its name, the check ids whose digest moved, appeared or went, and
-    the other parts that moved."""
+    the other parts that moved, down to the CSV file and the report section."""
     lines = []
     for name in sorted(want.keys() | got.keys()):
         old, new = want.get(name, {}), got.get(name, {})
@@ -87,9 +99,11 @@ def differences(want: dict, got: dict) -> list[str]:
             continue
         old_checks, new_checks = old.get("checks", {}), new.get("checks", {})
         moved = [cid for cid in old_checks if cid in new_checks and old_checks[cid] != new_checks[cid]]
-        parts = [part for part in sorted(old.keys() | new.keys()) if part != "checks" and old.get(part) != new.get(part)]
+        old_parts, new_parts = parts(old), parts(new)
+        parts_moved = [part for part in sorted(old_parts.keys() | new_parts.keys())
+                       if old_parts.get(part) != new_parts.get(part)]
         lines.append(f"{name}: checks moved {moved}, added {sorted(new_checks.keys() - old_checks.keys())}, "
-                     f"removed {sorted(old_checks.keys() - new_checks.keys())}; other parts moved {parts}")
+                     f"removed {sorted(old_checks.keys() - new_checks.keys())}; other parts moved {parts_moved}")
     return lines
 
 

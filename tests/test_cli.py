@@ -88,13 +88,16 @@ def test_rates_json_output(capsys):
     report = payload["rates"][0]
     assert report["p"] == 2.0
     assert report["annealed_rhoc"] == pytest.approx(math.sqrt(1.5), rel=1e-12)
-    assert report["condition_flags"]["supercritical"] is True
+    assert report["w1_degenerate"] is False and report["criterion"]["holds"] is True
+    assert report["conditions"] is None
 
 
 def test_rates_p_override_appends(capsys):
     assert main(["rates", "configs/gw_binary.cfg", "--p", "1.5", "--p", "3.0"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [r["p"] for r in payload["rates"]] == [1.5, 3.0]
+    assert [r["criterion"]["p"] for r in payload["rates"]] == [1.5, 3.0]
+    assert [r["conditions"] and r["conditions"]["p"] for r in payload["rates"]] == [1.5, None]
 
 
 @pytest.mark.parametrize(

@@ -38,8 +38,13 @@ def test_every_case_matches_the_file(recorded, fresh):
 
 
 def test_differences_name_the_moved_check_ids():
-    old = {"case": {"exit_code": 0, "report": "a", "checks": {"x": "1", "y": "2", "z": "3"}}}
-    new = {"case": {"exit_code": 2, "report": "b", "checks": {"x": "1", "y": "9", "w": "4"}}}
+    old = {"case": {"exit_code": 0, "report": {"schema": "a"}, "checks": {"x": "1", "y": "2", "z": "3"}}}
+    new = {"case": {"exit_code": 2, "report": {"schema": "b"}, "checks": {"x": "1", "y": "9", "w": "4"}}}
     assert parity.differences(old, old) == []
     assert parity.differences(old, new) == [
-        "case: checks moved ['y'], added ['w'], removed ['z']; other parts moved ['exit_code', 'report']"]
+        "case: checks moved ['y'], added ['w'], removed ['z']; other parts moved ['exit_code', 'report.schema']"]
+    # a CSV file or report section that moved or went is named, and one that held is not
+    old = {"case": {"csv": {"a.csv": "1", "b.csv": "2"}, "report": {"schema": "1", "suites.rates": "3", "checks": "4"}}}
+    new = {"case": {"csv": {"a.csv": "1", "b.csv": "5"}, "report": {"schema": "2", "suites.rates": "3"}}}
+    assert parity.differences(old, new) == ["case: checks moved [], added [], removed []; other parts moved "
+                                            "['csv.b.csv', 'report.checks', 'report.schema']"]

@@ -14,6 +14,7 @@ from bprelab import (
     ParameterError,
     UnsupportedOperationError,
 )
+from bprelab import relations
 from bprelab.harness import jsonable
 from bprelab.rates import (
     annealed_critical_conditions,
@@ -28,6 +29,7 @@ from bprelab.rates import (
 GW = IIDMixture([OffspringLaw({0: 0.25, 2: 0.75})], [1.0])
 M23 = IIDMixture([OffspringLaw({2: 1.0}), OffspringLaw({3: 1.0})], [0.5, 0.5])
 HALF_FOUR = IIDMixture([OffspringLaw({0: 0.5, 1: 0.5}), OffspringLaw({4: 1.0})], [0.5, 0.5])
+TWO_STATE = IIDMixture([OffspringLaw({1: 0.5, 3: 0.5}), OffspringLaw({2: 1.0})], [0.5, 0.5])
 
 
 def supercritical_mixtures():
@@ -117,7 +119,6 @@ class TestCriteria:
         assert crit.mean_power_value == pytest.approx(2 / 3, rel=1e-14)
         # E (Z_1/m)^2 = E Z_1^2 / m^2 = 3 / 2.25
         assert crit.z1_norm_value == pytest.approx(4 / 3, rel=1e-14)
-        assert crit.z1_norm_finite
 
     def test_boundedness_criterion_failure_case(self):
         # means 1/2 and 4: E[1/m_0] = (2 + 1/4)/2 = 1.125 >= 1, so second
@@ -127,14 +128,11 @@ class TestCriteria:
         assert not crit.holds
 
     def test_critical_conditions_frozen(self):
-        two_state = IIDMixture(
-            [OffspringLaw({1: 0.5, 3: 0.5}), OffspringLaw({2: 1.0})], [0.5, 0.5]
-        )
-        cond = annealed_critical_conditions(two_state, 1.5)
+        cond = annealed_critical_conditions(TWO_STATE, 1.5)
         assert cond.tilt_positive
         assert cond.tilt_value == pytest.approx(2**-0.75 * math.log(2), rel=1e-12)
-        assert cond.zlogz_value == pytest.approx(0.4510384304002793, rel=1e-12)
-        assert cond.zlogz_finite
+        # both means are 2: 2^{-1.75} times the average of E Z log Z, 1.5 log 3 and 2 log 2
+        assert cond.zlogz_value == pytest.approx(2**-1.75 * (1.5 * math.log(3) + 2 * math.log(2)) / 2, rel=1e-12)
         assert not cond.w1_degenerate
         assert cond.all_hold
         assert jsonable(cond)["all_hold"] is True
@@ -157,22 +155,33 @@ class TestCriteria:
 
 
 class TestRateReport:
-    def test_fields_and_flags(self):
+    def test_fields_and_hypotheses(self):
         rep = rate_report(GW, 2.0)
         assert rep.m_geo == pytest.approx(1.5, rel=1e-14)
         assert rep.quenched_critical == pytest.approx(math.sqrt(1.5), rel=1e-14)
         assert rep.annealed_rhoc == pytest.approx(math.sqrt(1.5), rel=1e-14)
-        assert rep.condition_flags["supercritical"]
-        assert rep.condition_flags["lp_bounded"]
-        assert rep.condition_flags["w1_nondegenerate"]
-        assert "tilt_positive" not in rep.condition_flags
+        assert not rep.w1_degenerate
+        assert rep.criterion == annealed_lp_criterion(GW, 2.0) and rep.criterion.holds
+        assert rep.conditions is None
         d = jsonable(rep)
-        assert d["p"] == 2.0 and d["condition_flags"]["lp_bounded"]
+        assert d["p"] == 2.0 and d["criterion"]["holds"] is True and d["conditions"] is None
 
-    def test_small_p_adds_critical_condition_flags(self):
-        rep = rate_report(GW, 1.5)
-        assert "tilt_positive" in rep.condition_flags
-        assert "zlogz_finite" in rep.condition_flags
+    def test_small_p_adds_the_critical_conditions(self):
+        assert rate_report(GW, 1.5).conditions == annealed_critical_conditions(GW, 1.5)
+
+    def test_degenerate_w1_is_reported_at_every_p(self):
+        # W_1 = Z_1/m_0 = 1 when every law is a point mass
+        assert all(rate_report(M23, p).w1_degenerate for p in (1.5, 2.0, 3.0))
+
+    def test_rho0_le_rhoc_needs_a_positive_tilt(self):
+        # HALF_FOUR at p = 1.5 has tilt -0.3378, and there rho0 = 1.02966 exceeds rhoc = 0.98839
+        rep = rate_report(HALF_FOUR, 1.5)
+        assert rep.annealed_rho0 == pytest.approx(1.02966, abs=1e-5)
+        assert rep.annealed_rhoc == pytest.approx(0.98839, abs=1e-5)
+        assert [item.name for item in relations.rate_orderings([rep])] == [
+            "sufficient-le-critical", "annealed-le-quenched"]
+        items = relations.rate_orderings([rate_report(TWO_STATE, 1.5)])
+        assert [(item.name, item.passed) for item in items if item.name == "rho0-le-rhoc"] == [("rho0-le-rhoc", True)]
 
 
 class TestRhoGrid:

@@ -440,12 +440,16 @@ def _run_suites(ctx: _Context, suites, body: dict) -> tuple[dict, dict[str, list
 
 
 def write_outputs(report: dict, csv_tables: dict[str, list[str]], out_dir) -> Path:
+    """Write report.json and the CSVs into out_dir, each as a new file that replaces any old one at its name."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    for name, lines in csv_tables.items():
-        (out / name).write_text("\n".join(lines) + "\n")
+    texts = {"report.json": json.dumps(report, indent=2, sort_keys=True) + "\n"}
+    texts |= {name: "\n".join(lines) + "\n" for name, lines in csv_tables.items()}
+    for name, text in texts.items():
+        # unlinking first means no file is truncated: on ext4, closing a truncated file forces a flush
+        (out / name).unlink(missing_ok=True)
+        (out / name).write_text(text)
     return report_path
 
 

@@ -241,6 +241,24 @@ def test_report_config_reproduces_the_report(gw_cfg, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_rerun_into_the_same_out_changes_no_content(gw_cfg, tmp_path, capsys, command):
+    # each output file is replaced by a new one; the second run's CSVs hold the first run's bytes
+    out = tmp_path / "out"
+    written = []
+    for _ in range(2):
+        assert main([command, str(gw_cfg), "--out", str(out)]) == 0
+        written.append({f.name: f.read_bytes() for f in out.iterdir()})
+    capsys.readouterr()
+    first, second = written
+    assert sorted(first) == sorted(second) and "burkholder.csv" in first
+    reports = [json.loads(files.pop("report.json")) for files in (first, second)]
+    assert first == second
+    for report in reports:
+        report.pop("timings")
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
 def test_negative_seed_is_a_config_error(gw_cfg, tmp_path, capsys, command):
     out_dir = tmp_path / "out"
     assert main([command, str(gw_cfg), "--seed", "-1", "--out", str(out_dir)]) == 1

@@ -273,14 +273,29 @@ class TestRunExperiment:
     def test_write_outputs(self, tmp_path):
         cfg = load_config("configs/deterministic.cfg")
         report, tables, _ = run_experiment(cfg)
-        report_path = write_outputs(report, tables, tmp_path / "out")
-        on_disk = json.loads(report_path.read_text())
-        assert on_disk["summary"] == report["summary"]
-        assert on_disk["tool"]["name"] == "bprelab"
+        out = tmp_path / "out"
+        report_path = write_outputs(report, tables, out)
+        assert report_path == out / "report.json"
+        assert report_path.read_bytes() == (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+        assert sorted(p.name for p in out.iterdir()) == sorted(["report.json", *tables])
         for name, lines in tables.items():
-            text = (tmp_path / "out" / name).read_text()
-            assert text.splitlines()[0] == lines[0]
             assert "," in lines[0]
+            assert (out / name).read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_write_outputs_replaces_each_file_with_a_new_one(self, tmp_path):
+        # a link to an earlier output keeps the earlier bytes, and a longer earlier file leaves no tail;
+        # writing the old files in place (truncate, then write) fails both asserts on the links
+        out = tmp_path / "out"
+        write_outputs({"run": 1}, {"a.csv": ["x,y", "1,2", "3,4", "5,6"], "b.csv": ["x", "7", "77"]}, out)
+        old = {name: (out / name).read_bytes() for name in ("report.json", "a.csv")}
+        for name in old:
+            os.link(out / name, tmp_path / f"old-{name}")
+        write_outputs({"run": 2}, {"a.csv": ["x,y", "8,9"], "b.csv": ["x", "0"]}, out)
+        for name, data in old.items():
+            assert (tmp_path / f"old-{name}").read_bytes() == data
+        assert (out / "report.json").read_bytes() == b'{\n  "run": 2\n}\n'
+        assert (out / "a.csv").read_bytes() == b"x,y\n8,9\n"
+        assert (out / "b.csv").read_bytes() == b"x\n0\n"
 
     def test_side_tables_parse_back_to_the_report(self):
         # each CSV row holds the field values of its record in the report, and each exact table
